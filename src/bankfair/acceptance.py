@@ -130,7 +130,7 @@ def toy_exposure_run(n_users: int, eta: float = 0.12):
     requests = [UserRequest(str(t), 1, t + 1, relevance) for t in range(n_users)]
     lists, ledger, _ = reranker.run_interval(requests, plan, cfg, catalog, float(n_users))
     ndcgs = [metrics.ndcg_at_k(lst, reranker.top_k(relevance, 5), relevance) for lst in lists]
-    return ledger.cumulative, float(np.mean(ndcgs))
+    return ledger.earned, float(np.mean(ndcgs))
 
 
 def criterion_3() -> CriterionResult:

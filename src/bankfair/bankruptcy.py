@@ -2,15 +2,18 @@
 
 The remaining exposure requirement of a provider is treated as an estate to
 be divided among the remaining intervals, whose claims are the (scaled)
-predicted traffic. The talmud rule does the division; naive and prop are
-simpler baseline rules sharing the same interface.
+predicted traffic. The talmud rule of Aumann and Maschler does the division
+in closed form, for every provider at once because all providers share the
+same claims; naive and prop are simpler baseline rules sharing the same
+interface. Each plan carries a per-provider audit of estate, claim, award
+and theta arrays.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,16 +22,20 @@ from .errors import ConfigError, InfeasibleAllocationError
 logger = logging.getLogger(__name__)
 
 RULES = ("talmud", "naive", "prop", "none")
+AUDIT_COLUMNS = ("estate", "claim", "award", "theta")
 
 _REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class BankruptcyInstance:
-    """An estate to divide among claimants whose claims exceed it."""
+    """Estates to divide among claimants whose claims exceed them.
+
+    ``estate`` is a scalar, or a vector of estates that share the claims.
+    """
 
     claims: np.ndarray
-    estate: float
+    estate: float | np.ndarray
 
     def __post_init__(self):
         claims = np.asarray(self.claims, dtype=float)
@@ -37,75 +44,66 @@ class BankruptcyInstance:
         if not np.isfinite(claims).all() or (claims < 0).any():
             raise ConfigError("claims must be finite and nonnegative")
         total = float(claims.sum())
-        if self.estate < 0 or not math.isfinite(self.estate):
+        estate = np.asarray(self.estate, dtype=float)
+        if estate.ndim > 1:
+            raise ConfigError("estate must be a scalar or a vector")
+        if not np.isfinite(estate).all() or (estate < 0).any():
             raise ConfigError("estate must be finite and nonnegative")
-        if self.estate > total * (1 + _REL_TOL) + _REL_TOL:
+        if (estate > total * (1 + _REL_TOL) + _REL_TOL).any():
             raise InfeasibleAllocationError(
-                f"estate {self.estate} exceeds total claims {total}; clamp before allocating")
+                f"estate {estate.max()} exceeds total claims {total}; clamp before allocating")
+        estate = np.minimum(estate, total)
         object.__setattr__(self, "claims", claims)
-        object.__setattr__(self, "estate", float(min(self.estate, total)))
+        object.__setattr__(self, "estate", float(estate) if estate.ndim == 0 else estate)
 
 
 @dataclass(frozen=True)
 class AllocationResult:
+    """Awards and theta: one row and one value per estate of the instance."""
+
     awards: np.ndarray
-    theta: float
-
-
-@dataclass(frozen=True)
-class AllocationRecord:
-    """One audit row of the per-interval allocation trace."""
-
-    provider: int
-    estate: float
-    claim: float
-    award: float
-    theta: float
+    theta: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class IntervalPlan:
-    """Per-provider exposure floor for the current interval."""
+    """Per-provider exposure floor for the current interval.
+
+    ``audit`` maps each of AUDIT_COLUMNS to a per-provider array; theta is
+    nan under the rules other than talmud.
+    """
 
     min_exposure: np.ndarray
-    audit: tuple[AllocationRecord, ...] = ()
-
-
-def _bisect(fn, lo: float, hi: float, target: float) -> float:
-    """Root of the monotone nondecreasing map fn(theta) - target on [lo, hi]."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    audit: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def talmud(instance: BankruptcyInstance) -> AllocationResult:
-    """Divide the estate by the talmud rule.
+    """Divide each estate by the talmud rule.
 
-    When the estate is at most half the total claims, each claimant receives
-    min(claim/2, theta); otherwise max(claim/2, claim - theta). In both
-    branches theta is the unique level at which the awards sum to the estate
-    (found by bisection; both maps are piecewise linear and monotone).
+    With half-claims h, each claimant receives min(h, theta) when the estate
+    is at most half the total claims, and claim - min(h, theta) otherwise. In
+    both branches theta solves sum(min(h, theta)) = min(E, total - E). That
+    sum is piecewise linear in theta with kinks at the sorted half-claims, so
+    one sort and a cumulative sum locate each estate's segment and theta
+    follows exactly.
     """
     d = instance.claims
-    estate = instance.estate
+    estate = np.asarray(instance.estate)
     total = float(d.sum())
-    if total == 0.0 or estate == 0.0:
-        return AllocationResult(np.zeros_like(d), 0.0)
-    half = 0.5 * d.max()
-    if estate <= 0.5 * total:
-        theta = _bisect(lambda t: np.minimum(0.5 * d, t).sum(), 0.0, half, estate)
-        awards = np.minimum(0.5 * d, theta)
-    else:
-        # The award sum decreases in theta here; negate to reuse the bisection.
-        theta = _bisect(lambda t: -np.maximum(0.5 * d, d - t).sum(), 0.0, half, -estate)
-        awards = np.maximum(0.5 * d, d - theta)
-    return AllocationResult(awards, float(theta))
+    half = 0.5 * d
+    h = np.sort(half)
+    below = np.concatenate(([0.0], np.cumsum(h)[:-1]))  # sum of the half-claims before each kink
+    flat = np.arange(h.size, 0, -1)                      # claimants still at theta past each kink
+    # The sum when theta reaches each kink. Tied half-claims can round it a
+    # hair out of order; searchsorted needs it sorted to give every estate
+    # the same segment whether it comes alone or in a vector.
+    at_kink = np.maximum.accumulate(below + flat * h)
+    target = np.minimum(estate, total - estate)
+    seg = np.minimum(np.searchsorted(at_kink, target), h.size - 1)
+    theta = (target - below[seg]) / flat[seg]
+    low = np.minimum(half, theta[..., None])
+    awards = np.where((estate <= 0.5 * total)[..., None], low, d - low)
+    return AllocationResult(awards, float(theta) if theta.ndim == 0 else theta)
 
 
 def update_remaining(prev_remaining: np.ndarray, earned_last: np.ndarray) -> np.ndarray:
@@ -141,41 +139,32 @@ def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
     forecasts, else nothing. prop: the current interval's share of the coming
     forecast traffic. none: no floor.
     """
-    remaining = np.asarray(remaining, dtype=float)
+    remaining = np.array(remaining, dtype=float)  # a copy: the audit keeps it
     claims = np.asarray(claims, dtype=float)
     forecast = np.asarray(forecast, dtype=float)
     if rule not in RULES:
         raise ConfigError(f"unknown allocation rule {rule!r}")
     nprov = remaining.size
-    audit = []
+    estate, claim, theta = remaining, 0.0, math.nan
 
     if rule == "none":
         plan = np.zeros(nprov)
-        records = [(float(remaining[p]), 0.0, 0.0, math.nan) for p in range(nprov)]
     elif rule == "talmud":
         total_claims = float(claims.sum())
-        plan = np.zeros(nprov)
-        records = []
-        for p in range(nprov):
-            estate = float(remaining[p])
-            if estate > total_claims:
-                if total_claims <= 0:
-                    raise InfeasibleAllocationError(
-                        f"provider {p}: remaining requirement {estate} but zero total claims",
-                        provider=p, interval=interval)
-                logger.warning(
-                    "provider %d: estate %.3f exceeds total claims %.3f; clamping, "
-                    "surplus stays in the remaining requirement", p, estate, total_claims)
-                estate = total_claims
-            res = talmud(BankruptcyInstance(claims, estate))
-            plan[p] = res.awards[0]
-            records.append((estate, float(claims[0]), float(res.awards[0]), res.theta))
+        for p in np.flatnonzero(remaining > total_claims):
+            if total_claims <= 0:
+                raise InfeasibleAllocationError(
+                    f"provider {p}: remaining requirement {remaining[p]} but zero total claims",
+                    provider=int(p), interval=interval)
+            logger.warning(
+                "provider %d: estate %.3f exceeds total claims %.3f; clamping, "
+                "surplus stays in the remaining requirement", p, remaining[p], total_claims)
+        estate = np.minimum(remaining, total_claims)
+        res = talmud(BankruptcyInstance(claims, estate))
+        plan, claim, theta = res.awards[:, 0], claims[0], res.theta
     elif rule == "naive":
-        threshold = forecast.mean()
-        active = forecast[0] >= threshold
-        plan = remaining / 2.0 if active else np.zeros(nprov)
-        records = [(float(remaining[p]), float(remaining[p] / 2.0), float(plan[p]), math.nan)
-                   for p in range(nprov)]
+        claim = remaining / 2.0
+        plan = claim if forecast[0] >= forecast.mean() else np.zeros(nprov)
     else:  # prop
         total_fc = float(forecast.sum())
         if total_fc <= 0:
@@ -184,9 +173,7 @@ def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
         else:
             share = float(forecast[0]) / total_fc
         plan = share * remaining
-        records = [(float(remaining[p]), float(share * remaining[p]), float(plan[p]), math.nan)
-                   for p in range(nprov)]
+        claim = plan
 
-    for p, (estate, claim, award, theta) in enumerate(records):
-        audit.append(AllocationRecord(p, estate, claim, award, theta))
-    return IntervalPlan(plan, tuple(audit))
+    columns = np.broadcast_arrays(estate, claim, plan, theta)
+    return IntervalPlan(plan, dict(zip(AUDIT_COLUMNS, columns)))

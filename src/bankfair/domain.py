@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,12 +73,6 @@ class Catalog:
         """Items per provider; sums to num_items."""
         return self._inventory
 
-    def provider_matrix(self) -> np.ndarray:
-        """One-hot (num_items, num_providers) membership matrix."""
-        a = np.zeros((self.num_items, self.num_providers))
-        a[np.arange(self.num_items), self.item_provider] = 1.0
-        return a
-
     def exposure_of(self, items: np.ndarray) -> np.ndarray:
         """Per-provider exposure counts of a list of item ids."""
         return np.bincount(self.item_provider[np.asarray(items)], minlength=self.num_providers)
@@ -138,11 +133,6 @@ class UserRequest:
     arrival_seq: int  # 1-based position within the interval
     relevance: np.ndarray
     degenerate: bool = False  # fewer strictly positive scores than the list size
-
-    def validate(self):
-        r = self.relevance
-        if not np.isfinite(r).all() or (r < 0).any() or (r > 1).any():
-            raise ConfigError(f"request {self.user_id}: relevance outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -359,7 +349,13 @@ def _read_relevance_matrix(path: Path) -> np.ndarray:
     body = np.frombuffer(raw, dtype=dtype, offset=_HEADER.size)
     if body.size != nu * ni:
         raise ParseError(f"{path}: payload size does not match header")
-    return body.reshape(nu, ni).astype(np.float64)
+    matrix = body.reshape(nu, ni).astype(np.float64)
+    bad = ~((matrix >= 0.0) & (matrix <= 1.0))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ParseError(f"{path}: matrix row {row}, column {col}: relevance "
+                         f"{float(matrix[row, col])!r} is not in [0, 1]")
+    return matrix
 
 
 def save_instance(directory, catalog: Catalog, series: TrafficSeries,
@@ -400,10 +396,15 @@ def save_instance(directory, catalog: Catalog, series: TrafficSeries,
 
 def _parse_row(row: dict, lineno: int):
     try:
-        return (row["user_id"], row["item_id"], row["provider_id"],
-                float(row["timestamp"]), float(row["score"]))
+        parsed = (row["user_id"], row["item_id"], row["provider_id"],
+                  float(row["timestamp"]), float(row["score"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"row {lineno}: malformed record ({exc})") from None
+    if not math.isfinite(parsed[3]):
+        raise ParseError(f"row {lineno}: timestamp {row['timestamp']!r} is not finite")
+    if not 0.0 <= parsed[4] <= 1.0:
+        raise ParseError(f"row {lineno}: score {row['score']!r} is not in [0, 1]")
+    return parsed
 
 
 def load_interactions(path, schema: LogSchema | None = None):

@@ -159,7 +159,7 @@ def run(cfg: RunConfig) -> SimReport:
             alpha = _alpha_for(cfg, m, k, traffic_total)
             claims = bankruptcy.predict_demands(rhat, alpha, k)
             plan = bankruptcy.plan_interval(cfg.rule, remaining, claims, rhat, interval=n)
-        allocation_rows.extend((n, rec) for rec in plan.audit)
+        allocation_rows.append((n, plan.audit))
 
         if cfg.relevance_noise > 0 and arrivals:
             for req in arrivals:
@@ -174,11 +174,10 @@ def run(cfg: RunConfig) -> SimReport:
                      hashlib.sha1(mu.tobytes()).hexdigest()[:12]])
             lists, ledger, dual = reranker.run_interval(
                 arrivals, plan, rerank_cfg, catalog, rhat_n,
-                mu0=mu_carry if rerank_cfg.warm_start_dual else None,
-                cumulative_start=cumulative, trace_hook=hook)
+                mu0=mu_carry if rerank_cfg.warm_start_dual else None, trace_hook=hook)
             mu_carry = dual.mu
             earned = ledger.earned
-            cumulative = ledger.cumulative
+            cumulative = cumulative + earned
             interval_ndcg = [
                 metrics.ndcg_at_k(lst, reranker.top_k(req.relevance, k), req.relevance)
                 for req, lst in zip(arrivals, lists)
@@ -221,10 +220,10 @@ def run(cfg: RunConfig) -> SimReport:
 def _write_allocations(path, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["interval", "provider", "estate", "claim", "award", "theta"])
-        for interval, rec in rows:
-            w.writerow([interval, rec.provider, repr(rec.estate), repr(rec.claim),
-                        repr(rec.award), repr(rec.theta)])
+        w.writerow(["interval", "provider", *bankruptcy.AUDIT_COLUMNS])
+        for interval, audit in rows:
+            columns = (audit[name].tolist() for name in bankruptcy.AUDIT_COLUMNS)
+            w.writerows([interval, p, *values] for p, values in enumerate(zip(*columns)))
 
 
 def _write_decisions(path, rows, k):

@@ -65,7 +65,6 @@ class ExposureLedger:
 
     earned: np.ndarray
     beta_remaining: np.ndarray
-    cumulative: np.ndarray
 
 
 @dataclass
@@ -173,8 +172,7 @@ def dual_step(dual: DualState, x_exposure: np.ndarray, e_star: np.ndarray) -> Du
 
 def run_interval(requests: Sequence[UserRequest], plan: IntervalPlan, cfg: RerankConfig,
                  catalog: Catalog, rhat_n: float, lam: np.ndarray | None = None,
-                 mu0: np.ndarray | None = None, cumulative_start: np.ndarray | None = None,
-                 trace_hook=None):
+                 mu0: np.ndarray | None = None, trace_hook=None):
     """Serve one interval's arrivals in order.
 
     Dual prices start at zero (or ``mu0`` when warm-starting across
@@ -218,7 +216,4 @@ def run_interval(requests: Sequence[UserRequest], plan: IntervalPlan, cfg: Reran
         dual = dual_step(dual, exposure, e_star)
         lists.append(ranked)
 
-    start = np.zeros(nprov, dtype=np.int64) if cumulative_start is None else \
-        np.asarray(cumulative_start, dtype=np.int64)
-    ledger = ExposureLedger(earned=earned, beta_remaining=beta, cumulative=start + earned)
-    return lists, ledger, dual
+    return lists, ExposureLedger(earned=earned, beta_remaining=beta), dual

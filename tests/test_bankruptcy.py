@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bankfair.bankruptcy import (AllocationRecord, BankruptcyInstance, IntervalPlan,
-                                 plan_interval, predict_demands, talmud,
-                                 update_remaining)
+from bankfair.bankruptcy import (AUDIT_COLUMNS, BankruptcyInstance, plan_interval,
+                                 predict_demands, talmud, update_remaining)
 from bankfair.errors import ConfigError, InfeasibleAllocationError
 
 CLAIMS = np.array([100.0, 200.0, 300.0])
@@ -53,17 +52,48 @@ class TestTalmudPinnedValues:
         res = talmud(BankruptcyInstance(CLAIMS, float(CLAIMS.sum()) / 2.0))
         np.testing.assert_allclose(res.awards, CLAIMS / 2.0, atol=1e-9)
 
+    @pytest.mark.parametrize("claims,estate,awards,theta", [
+        ([100.0, 200.0, 300.0], 150.0, [50.0, 50.0, 50.0], 50.0),  # kink at a half-claim
+        ([100.0, 200.0, 300.0], 250.0, [50.0, 100.0, 100.0], 100.0),  # kink
+        ([100.0, 200.0, 300.0], 350.0, [50.0, 100.0, 200.0], 100.0),  # kink, upper branch
+        ([100.0, 200.0, 300.0], 0.0, [0.0, 0.0, 0.0], 0.0),  # E = 0
+        ([100.0, 200.0, 300.0], 300.0, [50.0, 100.0, 150.0], 150.0),  # E = total/2
+        ([100.0, 200.0, 300.0], 600.0, [100.0, 200.0, 300.0], 0.0),  # E = total
+        ([0.0, 100.0, 0.0, 300.0], 160.0, [0.0, 50.0, 0.0, 110.0], 110.0),  # zero claims
+        ([0.0, 100.0, 0.0, 300.0], 300.0, [0.0, 50.0, 0.0, 250.0], 50.0),
+        ([0.0, 0.0], 0.0, [0.0, 0.0], 0.0),
+        ([80.0], 30.0, [30.0], 30.0),  # single claimant
+        ([80.0], 50.0, [50.0], 30.0),
+    ])
+    def test_exact_awards_and_theta(self, claims, estate, awards, theta):
+        res = talmud(BankruptcyInstance(np.array(claims), estate))
+        np.testing.assert_allclose(res.awards, awards, atol=1e-12)
+        assert res.theta == pytest.approx(theta, abs=1e-12)
+
     def test_estate_above_claims_rejected(self):
         with pytest.raises(InfeasibleAllocationError):
             BankruptcyInstance(CLAIMS, 601.0)
+        with pytest.raises(InfeasibleAllocationError):
+            BankruptcyInstance(CLAIMS, np.array([10.0, 601.0]))
+
+
+def kink_estates(claims):
+    """Estates at which theta equals a half-claim, in both branches."""
+    half = claims / 2.0
+    low = np.minimum(half[None, :], half[:, None]).sum(axis=1)
+    return np.concatenate([low, claims.sum() - low])
 
 
 @st.composite
 def instances(draw):
     n = draw(st.integers(min_value=1, max_value=8))
-    claims = draw(st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=n, max_size=n))
-    frac = draw(st.floats(min_value=0.0, max_value=1.0))
-    claims = np.asarray(claims)
+    claim = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1000.0))
+    claims = np.asarray(draw(st.lists(claim, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        estate = draw(st.sampled_from(kink_estates(claims).tolist()))
+        return claims, float(min(estate, claims.sum()))
+    frac = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                          st.floats(min_value=0.0, max_value=1.0)))
     return claims, float(frac * claims.sum())
 
 
@@ -104,6 +134,21 @@ class TestTalmudProperties:
         a = talmud(BankruptcyInstance(claims, estate)).awards
         b = talmud(BankruptcyInstance(claims, bigger)).awards
         assert (b >= a - 1e-8).all()
+
+    @given(instances(), st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_vector_estate_matches_scalar_calls(self, inst, fracs):
+        claims, estate = inst
+        total = claims.sum()
+        extra = [total * f for f in fracs]
+        estates = np.array([estate, 0.0, total / 2.0, total, *extra,
+                            *np.minimum(kink_estates(claims), total)])
+        res = talmud(BankruptcyInstance(claims, estates))
+        assert res.awards.shape == (estates.size, claims.size)
+        for row, e in enumerate(estates):
+            one = talmud(BankruptcyInstance(claims, float(e)))
+            np.testing.assert_array_equal(res.awards[row], one.awards)
+            assert res.theta[row] == one.theta
 
     def test_equal_claims_get_equal_awards(self):
         claims = np.array([250.0, 250.0, 40.0, 250.0])
@@ -191,12 +236,13 @@ class TestPlanInterval:
             plan_interval("robin_hood", np.array([1.0]), np.ones(2), np.ones(2))
 
     def test_audit_records_cover_all_providers(self):
-        plan = plan_interval("talmud", np.array([10.0, 20.0]), np.full(3, 30.0),
-                             np.full(3, 5.0))
-        assert [rec.provider for rec in plan.audit] == [0, 1]
-        assert all(isinstance(rec, AllocationRecord) for rec in plan.audit)
-        for rec in plan.audit:
-            assert rec.award <= rec.estate + 1e-9
+        for rule in ("talmud", "naive", "prop", "none"):
+            plan = plan_interval(rule, np.array([10.0, 20.0]), np.full(3, 30.0),
+                                 np.full(3, 5.0))
+            assert tuple(plan.audit) == AUDIT_COLUMNS
+            assert all(column.shape == (2,) for column in plan.audit.values())
+            assert (plan.audit["award"] <= plan.audit["estate"] + 1e-9).all()
+            assert np.isnan(plan.audit["theta"]).all() == (rule != "talmud")
 
     def test_plan_never_exceeds_remaining(self):
         rng = np.random.default_rng(3)

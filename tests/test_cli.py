@@ -78,6 +78,48 @@ class TestRunCommand:
         assert code == 1
 
 
+class TestIngestionErrors:
+    """Bad log values stop the run with exit code 1 and name the offending row."""
+
+    ROWS = [("u0", "i0", "p0", "0", "0.5"), ("u1", "i1", "p1", "60", "0.25"),
+            ("u2", "i2", "p0", "120", "0.75")]
+
+    def run_log(self, tmp_path, rows):
+        path = tmp_path / "log.csv"
+        lines = ["user_id,item_id,provider_id,timestamp,score", *map(",".join, rows)]
+        path.write_text("\n".join(lines) + "\n")
+        return main(["run", "--data", str(path), "--rule", "none", "--m", "1", "--K", "1"])
+
+    def test_clean_log_runs(self, tmp_path, capsys):
+        assert self.run_log(tmp_path, self.ROWS) == 0
+
+    @pytest.mark.parametrize("field,value", [
+        (3, "nan"), (3, "inf"), (4, "1.5"), (4, "-3"), (4, "nan"), (4, "inf")])
+    def test_bad_value_exits_one_naming_the_row(self, tmp_path, capsys, field, value):
+        rows = [list(r) for r in self.ROWS]
+        rows[1][field] = value
+        assert self.run_log(tmp_path, rows) == 1
+        err = capsys.readouterr().err
+        assert "row 3:" in err and value in err
+
+    @pytest.mark.parametrize("value", [1.5, -3.0, float("nan"), float("inf")])
+    def test_bad_relevance_matrix_exits_one_naming_the_row(self, tmp_path, capsys, value):
+        import numpy as np
+        from bankfair.domain import (RELEVANCE_FILE, SynthConfig, _write_relevance_matrix,
+                                     save_instance, synth_instance)
+        cfg = SynthConfig(num_items=6, num_providers=2, num_intervals=1, traffic=[3],
+                          list_size=2)
+        catalog, series, requests = synth_instance(cfg, seed=0)
+        save_instance(tmp_path / "data", catalog, series, requests)
+        matrix = np.array([req.relevance for req in requests])
+        matrix[2, 4] = value
+        _write_relevance_matrix(tmp_path / "data" / RELEVANCE_FILE, matrix)
+        code = main(["run", "--data", str(tmp_path / "data"), "--rule", "none",
+                     "--m", "1", "--K", "2"])
+        assert code == 1
+        assert "matrix row 2, column 4" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_sweep_writes_outputs(self, tmp_path, capsys):
         spec = {

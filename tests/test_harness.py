@@ -117,8 +117,9 @@ class TestRun:
         rep = run(small_config(out_dir=str(tmp_path)))
         for name in ("report.json", "intervals.csv", "allocations.csv", "decisions.csv"):
             assert (tmp_path / name).exists()
-        header = (tmp_path / "allocations.csv").read_text().splitlines()[0]
-        assert header == "interval,provider,estate,claim,award,theta"
+        allocations = (tmp_path / "allocations.csv").read_text()
+        assert allocations.splitlines()[0] == "interval,provider,estate,claim,award,theta"
+        assert "np.float64(" not in allocations
         decisions = (tmp_path / "decisions.csv").read_text().splitlines()
         assert decisions[0] == ("interval,t,user_id,item_1,item_2,item_3,item_4,item_5,"
                                 "mu_snapshot_hash")
