@@ -144,7 +144,7 @@ class RankedList:
 
     def __post_init__(self):
         items = np.asarray(self.items, dtype=np.int64)
-        if items.size != np.unique(items).size:
+        if items.size != len(set(items.tolist())):
             raise ConfigError("ranked list has duplicate items")
         object.__setattr__(self, "items", _readonly(items))
         object.__setattr__(self, "scores", _readonly(np.asarray(self.scores, dtype=float)))
@@ -368,6 +368,8 @@ def save_instance(directory, catalog: Catalog, series: TrafficSeries,
     first appearance. Timestamps encode (interval, arrival_seq) so reloading
     reconstructs the original grouping exactly.
     """
+    from .reranker import _top_k_order  # the reranker imports this module
+
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
@@ -387,7 +389,7 @@ def save_instance(directory, catalog: Catalog, series: TrafficSeries,
                 user_rows[req.user_id] = len(matrix_rows)
                 matrix_rows.append(req.relevance)
             ts = (req.interval - 1) * interval_seconds + (req.arrival_seq - 1)
-            top = int(np.lexsort((np.arange(req.relevance.size), -req.relevance))[0])
+            top = int(_top_k_order(req.relevance, req.relevance, 1)[0])
             w.writerow([req.user_id, top, int(catalog.item_provider[top]),
                         repr(float(ts)), repr(float(req.relevance[top]))])
 
@@ -415,6 +417,11 @@ def load_interactions(path, schema: LogSchema | None = None):
     otherwise a user's relevance profile is assembled from their own logged
     scores (last occurrence wins) and all other items score 0. Requests are
     grouped into fixed-width intervals starting at the earliest timestamp.
+
+    With a catalog, every logged item must be in it under the same provider
+    id (ParseError, ConsistencyError otherwise), and provider ids become
+    indices into their sorted distinct values; without one, items and
+    providers are numbered in order of first appearance.
     """
     schema = schema or LogSchema()
     path = Path(path)
@@ -447,8 +454,21 @@ def load_interactions(path, schema: LogSchema | None = None):
                     providers.append(int(row["provider_id"]))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ParseError(f"{cat_path} row {lineno}: {exc}") from None
+        catalog_provider = dict(zip(item_ids, providers))
+        for lineno, (_, iid, pid, _, _) in enumerate(rows, start=2):
+            if iid not in catalog_provider:
+                raise ParseError(f"row {lineno}: item {iid!r} is not in {cat_path}")
+            try:
+                consistent = int(pid) == catalog_provider[iid]
+            except ValueError:
+                consistent = False
+            if not consistent:
+                raise ConsistencyError(f"row {lineno}: item {iid!r} has provider {pid!r}, "
+                                       f"{cat_path} says {catalog_provider[iid]}")
         item_index = {iid: k for k, iid in enumerate(item_ids)}
-        item_provider = np.asarray(providers, dtype=np.int64)
+        # Provider ids become indices into the sorted distinct ids.
+        _, item_provider = np.unique(np.asarray(providers, dtype=np.int64),
+                                     return_inverse=True)
     else:
         item_index, provider_index, item_provider_list = {}, {}, []
         for lineno, (_, iid, pid, _, _) in enumerate(rows, start=2):
@@ -476,8 +496,7 @@ def load_interactions(path, schema: LogSchema | None = None):
     else:
         profiles = {uid: np.zeros(num_items) for uid in user_order}
         for uid, iid, _, _, score in rows:
-            if iid in item_index:
-                profiles[uid][item_index[iid]] = score
+            profiles[uid][item_index[iid]] = score
         relevance_of = lambda uid: profiles[uid]
 
     # Interval grouping by timestamp, stable within equal timestamps.

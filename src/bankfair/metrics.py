@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -16,11 +17,18 @@ from .domain import RankedList
 from .errors import ConfigError
 
 
+@functools.cache
+def _discounts(n: int) -> np.ndarray:
+    """log2(rank + 1) for ranks 1..n, computed once per list length."""
+    d = np.log2(np.arange(1, n + 1) + 1)
+    d.flags.writeable = False
+    return d
+
+
 def dcg(scores: np.ndarray) -> float:
     """Discounted cumulative gain of scores in list order (1-based ranks, log2)."""
     scores = np.asarray(scores, dtype=float)
-    ranks = np.arange(1, scores.size + 1)
-    return float((scores / np.log2(ranks + 1)).sum())
+    return float((scores / _discounts(scores.size)).sum())
 
 
 def ndcg_at_k(reranked: RankedList, original: RankedList, relevance: np.ndarray) -> float:

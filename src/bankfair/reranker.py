@@ -115,12 +115,38 @@ def compute_caps(catalog: Catalog, list_size: int, rhat_n: float) -> np.ndarray:
     return list_size * float(rhat_n) * inv / inv.sum()
 
 
+def _top_k_order(primary: np.ndarray, secondary: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k items first in (-primary, -secondary, index) order.
+
+    The candidates are every item whose primary key is at least the k-th
+    largest, ties at that value included, so the k winners are always among
+    them; only the candidates are sorted. The cost is one O(I) partition
+    pass plus a sort of the candidates, and the order is a full lexsort's.
+    """
+    n = primary.size
+    kth = np.partition(primary, n - k)[n - k]
+    candidates = (primary >= kth).nonzero()[0]
+    order = np.lexsort((candidates, -secondary[candidates], -primary[candidates]))[:k]
+    return candidates[order]
+
+
+def _adjusted_top_k(relevance: np.ndarray, mu: np.ndarray, item_provider: np.ndarray,
+                    rhat_n: float, k: int) -> np.ndarray:
+    """Item ids of the top-K list by adjusted score, then relevance, then id."""
+    adjusted = relevance / float(rhat_n) - mu[item_provider]
+    return _top_k_order(adjusted, relevance, k)
+
+
 def top_k(relevance: np.ndarray, k: int) -> RankedList:
-    """Plain top-K by relevance; ties go to the lower item id."""
+    """Plain top-K by relevance; ties go to the lower item id.
+
+    Only the items scoring at least the k-th largest relevance are sorted;
+    the order is that of a full sort.
+    """
     relevance = np.asarray(relevance, dtype=float)
     if relevance.size < k:
         raise ConfigError(f"need at least {k} items, catalog has {relevance.size}")
-    order = np.lexsort((np.arange(relevance.size), -relevance))[:k]
+    order = _top_k_order(relevance, relevance, k)
     return RankedList(order, relevance[order])
 
 
@@ -130,16 +156,21 @@ def select_list(relevance: np.ndarray, dual: DualState, catalog: Catalog,
 
     Ties break toward higher raw relevance, then the lower item id, which
     makes replays deterministic. The greedy prefix of this ordering is the
-    exact maximizer of the summed adjusted score over all K-subsets.
+    exact maximizer of the summed adjusted score over all K-subsets. Only the
+    items whose adjusted score is at least the k-th largest (ties included)
+    are sorted; the tie order is that of a full sort.
     """
     relevance = np.asarray(relevance, dtype=float)
     if relevance.size < k:
         raise ConfigError(f"need at least {k} items, catalog has {relevance.size}")
     if rhat_n <= 0:
         raise ConfigError("predicted traffic must be positive when selecting")
-    adjusted = relevance / float(rhat_n) - dual.mu[catalog.item_provider]
-    order = np.lexsort((np.arange(relevance.size), -relevance, -adjusted))[:k]
+    order = _adjusted_top_k(relevance, dual.mu, catalog.item_provider, rhat_n, k)
     return RankedList(order, relevance[order])
+
+
+def _conjugate_argmax(mu: np.ndarray, gamma: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return np.where(mu >= 0.0, gamma, np.minimum(m, gamma))
 
 
 def conjugate_argmax(dual: DualState, plan: IntervalPlan) -> np.ndarray:
@@ -149,8 +180,7 @@ def conjugate_argmax(dual: DualState, plan: IntervalPlan) -> np.ndarray:
     piecewise linear, so the maximizer sits at gamma when mu >= 0 and at
     min(M, gamma) when mu < 0 (on mu >= -lam the kink at M always beats 0).
     """
-    m = np.asarray(plan.min_exposure, dtype=float)
-    return np.where(dual.mu >= 0.0, dual.gamma, np.minimum(m, dual.gamma))
+    return _conjugate_argmax(dual.mu, dual.gamma, np.asarray(plan.min_exposure, dtype=float))
 
 
 def conjugate_value(dual: DualState, plan: IntervalPlan) -> float:
@@ -159,14 +189,20 @@ def conjugate_value(dual: DualState, plan: IntervalPlan) -> float:
     return float(dual.mu @ m + ((dual.gamma - m) * np.maximum(dual.mu, 0.0)).sum())
 
 
+def _dual_step(mu: np.ndarray, eta: float, neg_lam: np.ndarray, weight: np.ndarray,
+               x_exposure: np.ndarray, e_star: np.ndarray) -> np.ndarray:
+    g = e_star - x_exposure
+    return np.maximum(mu - eta * g / weight, neg_lam)
+
+
 def dual_step(dual: DualState, x_exposure: np.ndarray, e_star: np.ndarray) -> DualState:
     """Weighted projected subgradient step on the dual prices.
 
     g = -x_exposure + e_star; the proximal step under the weighted norm has
     the closed form mu - eta*g/weight, clipped to the feasible mu >= -lam.
     """
-    g = np.asarray(e_star, dtype=float) - np.asarray(x_exposure, dtype=float)
-    mu_new = np.maximum(dual.mu - dual.eta * g / dual.weight, -dual.lam)
+    mu_new = _dual_step(dual.mu, dual.eta, -dual.lam, dual.weight,
+                        np.asarray(x_exposure, dtype=float), np.asarray(e_star, dtype=float))
     return replace(dual, mu=mu_new)
 
 
@@ -187,33 +223,39 @@ def run_interval(requests: Sequence[UserRequest], plan: IntervalPlan, cfg: Reran
 
     Returns (lists, ledger, final dual state).
     """
-    nprov = catalog.num_providers
     k = cfg.list_size
     if rhat_n <= 0:
         raise ConfigError("predicted traffic for the interval must be positive")
+    if catalog.num_items < k:
+        raise ConfigError(f"need at least {k} items, catalog has {catalog.num_items}")
     lam = compute_penalties(catalog, cfg.beta_mix) if lam is None else np.asarray(lam, float)
     gamma = compute_caps(catalog, k, rhat_n)
     dual = DualState.initial(lam, gamma, cfg.step_size(rhat_n))
     if mu0 is not None:
         dual = replace(dual, mu=np.maximum(np.asarray(mu0, dtype=float), -lam))
 
+    # The loop runs on plain arrays through the same helpers as the public
+    # select_list / conjugate_argmax / dual_step; DualState is validated once
+    # here and once on return. The projection keeps mu >= -lam at every step.
+    mu, eta, weight = dual.mu, dual.eta, dual.weight
+    neg_lam = -dual.lam
+    remaining_target = cfg.estar_target == "remaining"
     plan_vec = np.asarray(plan.min_exposure, dtype=float)
     beta = plan_vec.copy()
-    earned = np.zeros(nprov, dtype=np.int64)
+    earned = np.zeros(catalog.num_providers, dtype=np.int64)
     lists = []
     for t, req in enumerate(requests, start=1):
-        ranked = select_list(req.relevance, dual, catalog, rhat_n, k)
+        relevance = np.asarray(req.relevance, dtype=float)
+        items = _adjusted_top_k(relevance, mu, catalog.item_provider, rhat_n, k)
+        ranked = RankedList(items, relevance[items])
         if trace_hook is not None:
-            trace_hook(t, req, ranked, dual.mu)
-        exposure = catalog.exposure_of(ranked.items)
+            trace_hook(t, req, ranked, mu)
+        exposure = catalog.exposure_of(items)
         earned += exposure
         beta -= exposure
-        if cfg.estar_target == "remaining":
-            target = IntervalPlan(np.maximum(beta, 0.0))
-        else:
-            target = plan
-        e_star = conjugate_argmax(dual, target)
-        dual = dual_step(dual, exposure, e_star)
+        target = np.maximum(beta, 0.0) if remaining_target else plan_vec
+        e_star = _conjugate_argmax(mu, gamma, target)
+        mu = _dual_step(mu, eta, neg_lam, weight, exposure, e_star)
         lists.append(ranked)
 
-    return lists, ExposureLedger(earned=earned, beta_remaining=beta), dual
+    return lists, ExposureLedger(earned=earned, beta_remaining=beta), replace(dual, mu=mu)

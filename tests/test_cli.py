@@ -102,6 +102,22 @@ class TestIngestionErrors:
         err = capsys.readouterr().err
         assert "row 3:" in err and value in err
 
+    @pytest.mark.parametrize("row,message", [
+        (("u1", "i9", "p1", "60", "0.25"), "row 3: item 'i9' is not in"),
+        (("u1", "i1", "0", "60", "0.25"), "row 3: item 'i1' has provider '0'"),
+        (("u1", "i1", "p1", "60", "0.25"), "row 3: item 'i1' has provider 'p1'")])
+    def test_log_disagreeing_with_catalog_exits_one(self, tmp_path, capsys, row, message):
+        (tmp_path / "catalog.csv").write_text(
+            "item_id,provider_id\ni0,0\ni1,1\ni2,0\n")
+        rows = [("u0", "i0", "0", "0", "0.5"), row, ("u2", "i2", "0", "120", "0.75")]
+        (tmp_path / "interactions.csv").write_text(
+            "\n".join(["user_id,item_id,provider_id,timestamp,score", *map(",".join, rows)])
+            + "\n")
+        code = main(["run", "--data", str(tmp_path), "--rule", "none", "--m", "1",
+                     "--K", "1"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [1.5, -3.0, float("nan"), float("inf")])
     def test_bad_relevance_matrix_exits_one_naming_the_row(self, tmp_path, capsys, value):
         import numpy as np

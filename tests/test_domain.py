@@ -203,6 +203,14 @@ class TestIngestion:
         assert requests[2].user_id == "u2"
         np.testing.assert_allclose(requests[2].relevance, [0.0, 0.2])
 
+    def test_sparse_catalog_provider_ids_are_remapped(self, tmp_path):
+        (tmp_path / "catalog.csv").write_text("item_id,provider_id\na,200\nb,100\nc,200\n")
+        self._write_csv(tmp_path / "interactions.csv", ["u1,a,200,100,0.5", "u2,b,100,200,0.9"])
+        catalog, _, requests = load_interactions(tmp_path, LogSchema(list_size=1))
+        assert catalog.num_providers == 2
+        np.testing.assert_array_equal(catalog.item_provider, [1, 0, 1])
+        np.testing.assert_array_equal(requests[1].relevance, [0.0, 0.9, 0.0])
+
     def test_round_trip_identity(self, tmp_path):
         cfg = SynthConfig(num_items=12, num_providers=3, num_intervals=3,
                           traffic=[4, 1, 3], list_size=4, inventory=[6, 4, 2])

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from bankfair import harness
-from bankfair.domain import FairnessPolicy, SynthConfig
+from test_reranker import reference_run_interval, reference_top_k
+
+from bankfair import harness, reranker
+from bankfair.domain import FairnessPolicy, LogSchema, SynthConfig, save_instance, synth_instance
 from bankfair.errors import ConfigError, InfeasibleAllocationError
 from bankfair.harness import RunConfig, SweepSpec, run, sweep
 from bankfair.reranker import RerankConfig
@@ -124,6 +126,33 @@ class TestRun:
         assert decisions[0] == ("interval,t,user_id,item_1,item_2,item_3,item_4,item_5,"
                                 "mu_snapshot_hash")
         assert len(decisions) == 1 + len(rep.per_user_ndcg)
+
+
+    def test_outputs_match_reference_serve_loop(self, tmp_path, monkeypatch):
+        # Relevance on a 0.05 grid makes list selection tie-heavy; the fast
+        # serve loop and top-K kernel must write the same bytes as the
+        # per-step DualState loop with full sorts.
+        synth = SynthConfig(num_items=24, num_providers=4, num_intervals=4,
+                            mean_traffic=15, list_size=5, inventory=[9, 7, 6, 2])
+        catalog, series, requests = synth_instance(synth, seed=4)
+        for req in requests:
+            req.relevance = np.round(req.relevance * 20.0) / 20.0
+        save_instance(tmp_path / "data", catalog, series, requests)
+
+        def run_to(out):
+            cfg = RunConfig(policy=FairnessPolicy.uniform(12.0, 4, phi=0.9, k=5),
+                            rerank=RerankConfig(list_size=5, beta_mix=0.5, eta=0.05,
+                                                warm_start_dual=True),
+                            data_path=str(tmp_path / "data"), schema=LogSchema(list_size=5),
+                            forecaster="oracle", tau=0.5, seed=1, out_dir=str(out))
+            run(cfg)
+            return {name: (out / name).read_bytes()
+                    for name in ("report.json", "decisions.csv", "allocations.csv")}
+
+        fast = run_to(tmp_path / "fast")
+        monkeypatch.setattr(reranker, "run_interval", reference_run_interval)
+        monkeypatch.setattr(reranker, "top_k", reference_top_k)
+        assert run_to(tmp_path / "reference") == fast
 
 
 class TestRunConfigValidation:

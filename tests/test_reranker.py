@@ -1,13 +1,16 @@
 """Online re-ranker: selection argmax, conjugate closed form, dual updates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bankfair.bankruptcy import IntervalPlan
-from bankfair.domain import Catalog, UserRequest
+from bankfair.domain import Catalog, RankedList, UserRequest
 from bankfair.errors import ConfigError
-from bankfair.reranker import (DualState, RerankConfig, compute_caps,
+from bankfair.reranker import (DualState, ExposureLedger, RerankConfig, _top_k_order,
+                               compute_caps,
                                compute_penalties, conjugate_argmax, conjugate_value,
                                dual_step, run_interval, select_list, top_k)
 
@@ -75,6 +78,19 @@ class TestSelectList:
         assert adjusted[0] == adjusted[1] == adjusted[2]
         got = select_list(rel, dual, cat, rhat_n=1.0, k=2)
         np.testing.assert_array_equal(got.items, [2, 0])
+
+    def test_adjusted_score_divides_by_forecast(self):
+        # 0.25/7 == 0.6/7 - 0.05 exactly, so the higher relevance wins the tie;
+        # multiplying by 1/7 instead would rank item 0 first.
+        cat = Catalog(np.array([0, 1]))
+        rel = np.array([0.25, 0.6])
+        mu = np.array([0.0, 0.05])
+        assert rel[0] / 7.0 == rel[1] / 7.0 - mu[1]
+        assert rel[0] * (1.0 / 7.0) > rel[1] * (1.0 / 7.0) - mu[1]
+        np.testing.assert_array_equal(select_list(rel, make_dual(mu), cat, 7.0, 1).items, [1])
+        lists, _, _ = run_interval(make_requests([rel]), IntervalPlan(np.zeros(2)),
+                                   RerankConfig(list_size=1, eta=0.0), cat, 7.0, mu0=mu)
+        np.testing.assert_array_equal(lists[0].items, [1])
 
     def test_needs_at_least_k_items(self):
         with pytest.raises(ConfigError):
@@ -286,3 +302,173 @@ class TestDualStateValidation:
         with pytest.raises(ConfigError):
             DualState(np.array([0.0]), 1.0, np.array([1.0]), np.array([1.0]),
                       np.array([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# Slow references: full sorts and the per-step DualState loop
+# ---------------------------------------------------------------------------
+
+
+def lexsort_order(primary, secondary, k):
+    """The documented order by one full sort: -primary, -secondary, item id."""
+    return np.lexsort((np.arange(primary.size), -secondary, -primary))[:k]
+
+
+def reference_top_k(relevance, k):
+    relevance = np.asarray(relevance, dtype=float)
+    order = lexsort_order(relevance, relevance, k)
+    return RankedList(order, relevance[order])
+
+
+def reference_run_interval(requests, plan, cfg, catalog, rhat_n, lam=None, mu0=None,
+                           trace_hook=None):
+    """The serve loop as a validated DualState rebuilt at every arrival."""
+    k = cfg.list_size
+    lam = compute_penalties(catalog, cfg.beta_mix) if lam is None else np.asarray(lam, float)
+    gamma = compute_caps(catalog, k, rhat_n)
+    dual = DualState.initial(lam, gamma, cfg.step_size(rhat_n))
+    if mu0 is not None:
+        dual = replace(dual, mu=np.maximum(np.asarray(mu0, dtype=float), -lam))
+    plan_vec = np.asarray(plan.min_exposure, dtype=float)
+    beta = plan_vec.copy()
+    earned = np.zeros(catalog.num_providers, dtype=np.int64)
+    lists = []
+    for t, req in enumerate(requests, start=1):
+        relevance = np.asarray(req.relevance, dtype=float)
+        adjusted = relevance / float(rhat_n) - dual.mu[catalog.item_provider]
+        order = lexsort_order(adjusted, relevance, k)
+        ranked = RankedList(order, relevance[order])
+        if trace_hook is not None:
+            trace_hook(t, req, ranked, dual.mu)
+        exposure = catalog.exposure_of(ranked.items)
+        earned += exposure
+        beta -= exposure
+        target = IntervalPlan(np.maximum(beta, 0.0)) if cfg.estar_target == "remaining" else plan
+        m = np.asarray(target.min_exposure, dtype=float)
+        e_star = np.where(dual.mu >= 0.0, dual.gamma, np.minimum(m, dual.gamma))
+        g = e_star - np.asarray(exposure, dtype=float)
+        dual = replace(dual, mu=np.maximum(dual.mu - dual.eta * g / dual.weight, -dual.lam))
+        lists.append(ranked)
+    return lists, ExposureLedger(earned=earned, beta_remaining=beta), dual
+
+
+class TestTopKKernel:
+    """The partition kernel against one full lexsort, on tie-heavy scores."""
+
+    @staticmethod
+    def check(primary, secondary, k):
+        got = _top_k_order(primary, secondary, k)
+        np.testing.assert_array_equal(got, lexsort_order(primary, secondary, k))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_grid_scores_both_key_orders(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(250):
+            n = int(rng.integers(1, 60))
+            k = int(rng.integers(1, n + 1))
+            relevance = rng.integers(0, 6, size=n) / 5.0  # few values: the k-th one ties
+            mu = rng.integers(-3, 4, size=int(rng.integers(1, 5))) / 5.0
+            adjusted = relevance / float(rng.choice([1.0, 2.0])) - mu[rng.integers(0, mu.size, n)]
+            self.check(adjusted, relevance, k)  # select_list: adjusted, then relevance
+            self.check(relevance, relevance, k)  # top_k: relevance only
+
+    def test_signed_zeros_tie(self):
+        primary = np.array([0.0, -0.0, 0.5, -0.0, 0.0, -0.5])
+        for secondary in (np.zeros(6), np.array([0.1, 0.3, 0.0, 0.3, 0.2, 0.9])):
+            for k in range(1, 7):
+                self.check(primary, secondary, k)
+        np.testing.assert_array_equal(_top_k_order(primary, np.zeros(6), 3), [2, 0, 1])
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (7, 1), (7, 7), (8, 7), (12, 11), (2, 1)])
+    def test_edge_sizes(self, n, k):
+        rng = np.random.default_rng(n * 100 + k)
+        for _ in range(50):
+            primary = rng.integers(0, 3, size=n) / 2.0
+            secondary = rng.integers(0, 3, size=n) / 2.0
+            self.check(primary, secondary, k)
+            self.check(primary, primary, k)
+
+    def test_large_catalog(self):
+        rng = np.random.default_rng(5)
+        n = 6000
+        relevance = rng.integers(0, 21, size=n) / 20.0
+        adjusted = relevance - rng.integers(0, 3, size=n) / 20.0
+        for k in (1, 10, 350, n - 1, n):
+            self.check(adjusted, relevance, k)
+            self.check(relevance, relevance, k)
+        uniform = rng.uniform(size=n)
+        self.check(uniform, uniform, 10)
+
+    def test_public_lists_match_reference(self):
+        rng = np.random.default_rng(9)
+        cat = Catalog(rng.integers(0, 3, size=30), 3)
+        for _ in range(100):
+            rel = rng.integers(0, 5, size=30) / 4.0
+            mu = rng.integers(-2, 3, size=3) / 4.0
+            got = select_list(rel, make_dual(mu), cat, 2.0, 6)
+            want = lexsort_order(rel / 2.0 - mu[cat.item_provider], rel, 6)
+            np.testing.assert_array_equal(got.items, want)
+            np.testing.assert_array_equal(top_k(rel, 6).items, reference_top_k(rel, 6).items)
+
+
+class TestServeLoopMatchesReference:
+    """run_interval is bit-identical to the per-step DualState loop."""
+
+    @staticmethod
+    def instance(seed):
+        # Even inventory and K * rhat_n a multiple of the provider count give
+        # integer caps; with integer plans and a 0.05 step the prices stay on
+        # (or within rounding of) the 0.05 relevance grid, so adjusted scores
+        # tie across providers as well as within them. A forecast of three
+        # times the provider count makes relevance / rhat_n round, so an
+        # operation order other than the documented one would flip ties.
+        rng = np.random.default_rng(seed)
+        nprov = int(rng.integers(1, 5))
+        per = int(rng.integers(2, 5))
+        catalog = Catalog(np.repeat(np.arange(nprov), per), nprov)
+        k = int(rng.integers(1, per * nprov + 1))
+        n_users = int(rng.integers(1, 25))
+        requests = make_requests(rng.integers(0, 21, size=(n_users, per * nprov)) / 20.0)
+        plan = IntervalPlan(rng.integers(0, 2 * k + 1, size=nprov).astype(float))
+        return rng, catalog, k, requests, plan, float(nprov * rng.choice([1, 3]))
+
+    @staticmethod
+    def assert_same(got, want, got_calls, want_calls):
+        lists, ledger, dual = got
+        ref_lists, ref_ledger, ref_dual = want
+        assert len(lists) == len(ref_lists)
+        for a, b in zip(lists, ref_lists):
+            np.testing.assert_array_equal(a.items, b.items)
+            assert a.scores.tobytes() == b.scores.tobytes()
+        np.testing.assert_array_equal(ledger.earned, ref_ledger.earned)
+        assert ledger.beta_remaining.tobytes() == ref_ledger.beta_remaining.tobytes()
+        assert dual.mu.tobytes() == ref_dual.mu.tobytes()
+        assert got_calls == want_calls
+
+    @staticmethod
+    def recorder():
+        calls = []
+        return calls, lambda t, req, ranked, mu: calls.append(
+            (t, ranked.items.tolist(), mu.tobytes()))
+
+    @pytest.mark.parametrize("estar_target", ["remaining", "plan"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bit_identical(self, seed, estar_target):
+        rng, catalog, k, requests, plan, rhat_n = self.instance(seed)
+        variants = [dict(), dict(mu0=rng.integers(-20, 21, size=catalog.num_providers) / 20.0),
+                    dict(lam=np.zeros(catalog.num_providers))]
+        for eta in (0.05, 0.0, float(rng.uniform(0.01, 0.3))):
+            cfg = RerankConfig(list_size=k, eta=eta, beta_mix=0.5, estar_target=estar_target)
+            for kwargs in variants:
+                got_calls, got_hook = self.recorder()
+                want_calls, want_hook = self.recorder()
+                got = run_interval(requests, plan, cfg, catalog, rhat_n,
+                                   trace_hook=got_hook, **kwargs)
+                want = reference_run_interval(requests, plan, cfg, catalog, rhat_n,
+                                              trace_hook=want_hook, **kwargs)
+                self.assert_same(got, want, got_calls, want_calls)
+
+    def test_rejects_list_longer_than_catalog(self):
+        with pytest.raises(ConfigError):
+            run_interval(make_requests([np.ones(8)]), IntervalPlan(np.zeros(2)),
+                         RerankConfig(list_size=9), TWO_PROVIDERS, rhat_n=1.0)
