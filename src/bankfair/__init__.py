@@ -9,9 +9,9 @@ ESP and diagnostics), `harness` (the end-to-end driver and sweeps), and
 
 from .bankruptcy import (AllocationResult, BankruptcyInstance, IntervalPlan,
                          plan_interval, predict_demands, talmud, update_remaining)
-from .domain import (Catalog, FairnessPolicy, LogSchema, RankedList, SynthConfig,
-                     TrafficSeries, UserRequest, load_interactions, resample_traffic,
-                     save_instance, synth_instance)
+from .domain import (Catalog, FairnessPolicy, LogSchema, SynthConfig, TrafficSeries,
+                     UserRequest, load_interactions, resample_traffic, save_instance,
+                     synth_instance)
 from .errors import (BankfairError, ConfigError, ConsistencyError,
                      InfeasibleAllocationError, ParseError)
 from .forecast import Forecast, forecast_traffic
@@ -28,7 +28,7 @@ __all__ = [
     "AllocationResult", "BankruptcyInstance", "BankfairError", "Catalog",
     "ConfigError", "ConsistencyError", "DualState", "ExposureLedger",
     "FairnessPolicy", "Forecast", "InfeasibleAllocationError", "IntervalPlan",
-    "LogSchema", "ParseError", "RankedList", "RerankConfig", "RunConfig",
+    "LogSchema", "ParseError", "RerankConfig", "RunConfig",
     "SimReport", "SweepSpec", "SynthConfig", "TrafficSeries", "UserRequest",
     "accuracy_loss_curve", "compute_caps", "compute_penalties",
     "conjugate_argmax", "conjugate_value", "dual_step", "esp_at_k",

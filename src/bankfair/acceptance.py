@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
-from . import bankruptcy, harness, metrics, reranker
+from . import harness, metrics, reranker
 from .bankruptcy import BankruptcyInstance, IntervalPlan, talmud
 from .domain import Catalog, FairnessPolicy, SynthConfig, UserRequest, synth_instance
 from .reranker import DualState, RerankConfig
@@ -129,7 +129,8 @@ def toy_exposure_run(n_users: int, eta: float = 0.12):
     plan = IntervalPlan(np.array([4.0, 0.0]))
     requests = [UserRequest(str(t), 1, t + 1, relevance) for t in range(n_users)]
     lists, ledger, _ = reranker.run_interval(requests, plan, cfg, catalog, float(n_users))
-    ndcgs = [metrics.ndcg_at_k(lst, reranker.top_k(relevance, 5), relevance) for lst in lists]
+    ndcgs = [metrics.ndcg_at_k(items, reranker.top_k(relevance, 5), relevance)
+             for items in lists]
     return ledger.earned, float(np.mean(ndcgs))
 
 
@@ -225,7 +226,7 @@ def criterion_6(n_instances: int = 1000) -> CriterionResult:
         mu = np.maximum(mu, -lam)
         rhat = float(rng.choice([1.0, 2.0, 4.0]))
         dual = DualState(mu, 1.0, lam, np.full(n_prov, 100.0), np.ones(n_prov))
-        got = reranker.select_list(relevance, dual, catalog, rhat, k).items
+        got = reranker.select_list(relevance, dual, catalog, rhat, k)
         want = _enumeration_oracle(relevance, providers, mu, rhat, k)
         if not np.array_equal(got, want):
             mismatches += 1
@@ -247,8 +248,8 @@ def binding_plan_loss(traffic: int, seed: int, plan_vec: np.ndarray,
     rcfg = RerankConfig(list_size=k, eta=eta)
     lists, _, _ = reranker.run_interval(requests, IntervalPlan(plan_vec), rcfg,
                                         catalog, float(traffic))
-    ndcgs = [metrics.ndcg_at_k(lst, reranker.top_k(req.relevance, k), req.relevance)
-             for req, lst in zip(requests, lists)]
+    ndcgs = [metrics.ndcg_at_k(items, reranker.top_k(req.relevance, k), req.relevance)
+             for req, items in zip(requests, lists)]
     return 1.0 - float(np.mean(ndcgs))
 
 

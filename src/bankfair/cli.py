@@ -44,49 +44,89 @@ def _parse_eta(value: str):
         raise ConfigError(f"eta must be 'auto' or a number, got {value!r}") from None
 
 
+# Run options after the data source, by key: a CLI flag each (--interval-hours
+# for interval_hours) and the accepted keys of a sweep spec's "base".
+RUN_FLAGS = {
+    "rule": dict(default="talmud", choices=["talmud", "naive", "prop", "none"]),
+    "forecaster": dict(default="moving_average:w=3", help="name[:key=value,...] from "
+                       "last_value, moving_average, seasonal, oracle"),
+    "m": dict(type=float, default=100.0, help="uniform per-provider exposure floor"),
+    "phi": dict(type=float, default=0.95, help="required per-user accuracy"),
+    "K": dict(type=int, default=10, help="list size"),
+    "k": dict(type=float, default=1.5, help="claim scaling factor in [1, 2]"),
+    "beta": dict(type=float, default=0.5, help="penalty mix toward small providers"),
+    "eta": dict(default="auto", help="dual step size, 'auto' = 1/sqrt(traffic)"),
+    "interval_hours": dict(type=float, default=24.0),
+    "tau": dict(type=float, default=None, help="traffic resampling temperature"),
+    "seed": dict(type=int, default=0),
+    "noise": dict(type=float, default=0.0, help="per-interval relevance noise sigma"),
+    "out": dict(default=None, help="output directory for report/csv files"),
+}
+RUN_OPTIONS = ("data", "synth", *RUN_FLAGS)
+SWEEP_KEYS = ("base", "grid", "seeds")
+
+
+def _check_keys(where: str, mapping, accepted):
+    """ConfigError unless ``mapping`` is a dict whose keys are all in ``accepted``."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(mapping).__name__}")
+    unknown = sorted(set(mapping) - set(accepted))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                          f"accepted: {', '.join(accepted)}")
+
+
 def config_from_options(opts: dict) -> harness.RunConfig:
-    """Build a RunConfig from a flat option mapping (CLI flags or sweep json)."""
-    opts = dict(opts)
+    """Build a RunConfig from a flat option mapping (CLI flags or sweep json).
+
+    Keys are those of RUN_OPTIONS; any other key is a ConfigError.
+    """
+    _check_keys("run options", opts, RUN_OPTIONS)
+    opts = {**{key: flag["default"] for key, flag in RUN_FLAGS.items()}, **opts}
+    for key, flag in RUN_FLAGS.items():
+        if "type" in flag and opts[key] is not None:
+            try:
+                opts[key] = flag["type"](opts[key])
+            except (TypeError, ValueError):
+                raise ConfigError(f"run option {key!r} must be {flag['type'].__name__}, "
+                                  f"got {opts[key]!r}") from None
     synth_spec = opts.get("synth")
     synth = None
     if synth_spec is not None:
         if isinstance(synth_spec, (str, Path)):
             synth_spec = json.loads(Path(synth_spec).read_text())
-        synth = SynthConfig(**synth_spec)
+        try:
+            synth = SynthConfig(**synth_spec)
+        except TypeError as exc:  # not an object, an unknown key or a missing one
+            raise ConfigError(f"synth spec: {exc}") from None
 
-    k = int(opts.get("K", 10))
-    m = float(opts.get("m", 100.0))
+    k = opts["K"]
     num_providers = synth.num_providers if synth is not None else 1
-    policy = FairnessPolicy.uniform(m, num_providers, float(opts.get("phi", 0.95)), k)
+    policy = FairnessPolicy.uniform(opts["m"], num_providers, opts["phi"], k)
     if synth is not None and synth.list_size != k:
         synth.list_size = k
 
-    forecaster, params = parse_forecaster(str(opts.get("forecaster", "moving_average:w=3")))
+    forecaster, params = parse_forecaster(str(opts["forecaster"]))
     rerank = RerankConfig(
         list_size=k,
-        alpha_k=float(opts.get("k", 1.5)),
-        beta_mix=float(opts.get("beta", 0.5)),
-        eta=_parse_eta(str(opts.get("eta", "auto"))),
-        warm_start_dual=bool(opts.get("warm_start_dual", False)),
-        estar_target=str(opts.get("estar_target", "remaining")),
+        alpha_k=opts["k"],
+        beta_mix=opts["beta"],
+        eta=_parse_eta(str(opts["eta"])),
     )
-    schema = LogSchema(interval_seconds=float(opts.get("interval_hours", 24.0)) * 3600.0,
-                       list_size=k)
+    schema = LogSchema(interval_seconds=opts["interval_hours"] * 3600.0, list_size=k)
     return harness.RunConfig(
         policy=policy,
         rerank=rerank,
-        rule=str(opts.get("rule", "talmud")),
+        rule=str(opts["rule"]),
         data_path=opts.get("data"),
         schema=schema,
         synth=synth,
         forecaster=forecaster,
         forecaster_params=params,
-        tau=None if opts.get("tau") is None else float(opts["tau"]),
-        seed=int(opts.get("seed", 0)),
-        out_dir=opts.get("out"),
-        relevance_noise=float(opts.get("noise", 0.0)),
-        alpha_traffic=str(opts.get("alpha_traffic", "forecast")),
-        remaining_update=str(opts.get("remaining_update", "earned")),
+        tau=opts["tau"],
+        seed=opts["seed"],
+        out_dir=opts["out"],
+        relevance_noise=opts["noise"],
     )
 
 
@@ -94,21 +134,8 @@ def _add_run_flags(p: argparse.ArgumentParser):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="interaction log csv or interchange directory")
     src.add_argument("--synth", help="synthetic generator config (json file)")
-    p.add_argument("--rule", default="talmud", choices=["talmud", "naive", "prop", "none"])
-    p.add_argument("--forecaster", default="moving_average:w=3",
-                   help="name[:key=value,...] from last_value, moving_average, seasonal, oracle")
-    p.add_argument("--m", type=float, default=100.0, help="uniform per-provider exposure floor")
-    p.add_argument("--phi", type=float, default=0.95, help="required per-user accuracy")
-    p.add_argument("--K", type=int, default=10, help="list size")
-    p.add_argument("--k", type=float, default=1.5, help="claim scaling factor in [1, 2]")
-    p.add_argument("--beta", type=float, default=0.5, help="penalty mix toward small providers")
-    p.add_argument("--eta", default="auto", help="dual step size, 'auto' = 1/sqrt(traffic)")
-    p.add_argument("--interval-hours", type=float, default=24.0)
-    p.add_argument("--tau", type=float, default=None, help="traffic resampling temperature")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.0, help="per-interval relevance noise sigma")
-    p.add_argument("--warm-start-dual", action="store_true")
-    p.add_argument("--out", default=None, help="output directory for report/csv files")
+    for key, flag in RUN_FLAGS.items():
+        p.add_argument("--" + key.replace("_", "-"), **flag)
 
 
 def main(argv=None) -> int:
@@ -136,6 +163,9 @@ def main(argv=None) -> int:
             return 0
         if args.command == "sweep":
             spec = json.loads(Path(args.spec).read_text())
+            _check_keys("sweep spec", spec, SWEEP_KEYS)
+            if not isinstance(spec.get("grid"), dict):
+                raise ConfigError("sweep spec: 'grid' must be a JSON object of lists")
             base = config_from_options(spec.get("base", {}))
             result = harness.sweep(harness.SweepSpec(base, spec["grid"],
                                                      spec.get("seeds", [0])))

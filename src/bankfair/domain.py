@@ -11,7 +11,7 @@ import csv
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -135,21 +135,6 @@ class UserRequest:
     degenerate: bool = False  # fewer strictly positive scores than the list size
 
 
-@dataclass(frozen=True)
-class RankedList:
-    """An ordered top-K list with the raw relevance of each slot."""
-
-    items: np.ndarray
-    scores: np.ndarray
-
-    def __post_init__(self):
-        items = np.asarray(self.items, dtype=np.int64)
-        if items.size != len(set(items.tolist())):
-            raise ConfigError("ranked list has duplicate items")
-        object.__setattr__(self, "items", _readonly(items))
-        object.__setattr__(self, "scores", _readonly(np.asarray(self.scores, dtype=float)))
-
-
 def _flag_degenerate(relevance: np.ndarray, list_size: int) -> bool:
     return int((relevance > 0).sum()) < list_size
 
@@ -165,11 +150,11 @@ class SynthConfig:
 
     ``traffic`` pins exact per-interval counts; otherwise counts are Poisson
     with the given mean. ``provider_weights`` scales item relevance per
-    provider ("zipf" gives 1/rank popularity, a list gives explicit weights);
-    ``provider_bands`` instead draws each provider's item scores uniformly
-    from its own (low, high) band, which makes popularity tiers with
-    controlled gaps easy to set up. ``inventory`` is "even" or an explicit
-    per-provider item count.
+    provider: a list of positive numbers, one per provider, checked on
+    construction. ``provider_bands`` instead draws each provider's item
+    scores uniformly from its own (low, high) band, which makes popularity
+    tiers with controlled gaps easy to set up. ``inventory`` is "even" or an
+    explicit per-provider item count.
     """
 
     num_items: int
@@ -180,9 +165,12 @@ class SynthConfig:
     list_size: int = 10
     relevance_low: float = 0.0
     relevance_high: float = 1.0
-    provider_weights: Sequence[float] | str | None = None
+    provider_weights: Sequence[float] | None = None
     provider_bands: Sequence[Sequence[float]] | None = None
     inventory: Sequence[int] | str = "even"
+
+    def __post_init__(self):
+        self.resolve_weights()
 
     def resolve_inventory(self) -> np.ndarray:
         if isinstance(self.inventory, str):
@@ -200,13 +188,13 @@ class SynthConfig:
     def resolve_weights(self) -> np.ndarray:
         if self.provider_weights is None:
             return np.ones(self.num_providers)
-        if isinstance(self.provider_weights, str):
-            if self.provider_weights != "zipf":
-                raise ConfigError(f"unknown provider weights {self.provider_weights!r}")
-            return 1.0 / np.arange(1, self.num_providers + 1)
-        w = np.asarray(self.provider_weights, dtype=float)
+        try:
+            w = np.asarray(self.provider_weights, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("provider_weights must be a list of numbers, "
+                              f"got {self.provider_weights!r}") from None
         if w.size != self.num_providers or (w <= 0).any():
-            raise ConfigError("provider weights must be positive, one per provider")
+            raise ConfigError("provider_weights must be positive, one per provider")
         return w
 
 
@@ -324,7 +312,6 @@ class LogSchema:
 
     interval_seconds: float = 86400.0
     list_size: int = 10
-    columns: Sequence[str] = INTERACTIONS_COLUMNS
     relevance_path: str | None = None
     catalog_path: str | None = None
 
@@ -437,8 +424,9 @@ def load_interactions(path, schema: LogSchema | None = None):
     rows = []
     with open(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(schema.columns) - set(reader.fieldnames):
-            raise ParseError(f"{csv_path}: header must contain {','.join(schema.columns)}")
+        if reader.fieldnames is None or set(INTERACTIONS_COLUMNS) - set(reader.fieldnames):
+            raise ParseError(f"{csv_path}: header must contain "
+                             f"{','.join(INTERACTIONS_COLUMNS)}")
         for lineno, row in enumerate(reader, start=2):
             rows.append(_parse_row(row, lineno))
     if not rows:

@@ -23,8 +23,6 @@ from .metrics import SimReport
 
 logger = logging.getLogger(__name__)
 
-ALPHA_TRAFFIC_MODES = ("forecast", "realized")
-
 
 @dataclass
 class RunConfig:
@@ -42,18 +40,12 @@ class RunConfig:
     seed: int = 0
     out_dir: str | None = None
     relevance_noise: float = 0.0
-    alpha_traffic: str = "forecast"
-    remaining_update: str = "earned"  # or "plan_capped": credit at most the plan
 
     def __post_init__(self):
         if (self.data_path is None) == (self.synth is None):
             raise ConfigError("exactly one of data_path or synth must be given")
         if self.rule not in bankruptcy.RULES:
             raise ConfigError(f"unknown allocation rule {self.rule!r}")
-        if self.alpha_traffic not in ALPHA_TRAFFIC_MODES:
-            raise ConfigError(f"alpha_traffic must be one of {ALPHA_TRAFFIC_MODES}")
-        if self.remaining_update not in ("earned", "plan_capped"):
-            raise ConfigError("remaining_update must be 'earned' or 'plan_capped'")
         if self.rerank.list_size != self.policy.list_size:
             raise ConfigError("re-ranker and policy disagree on the list size")
 
@@ -75,13 +67,9 @@ class RunConfig:
             "alpha_k": self.rerank.alpha_k,
             "beta_mix": self.rerank.beta_mix,
             "eta": self.rerank.eta if isinstance(self.rerank.eta, str) else float(self.rerank.eta),
-            "warm_start_dual": self.rerank.warm_start_dual,
-            "estar_target": self.rerank.estar_target,
             "tau": self.tau,
             "seed": self.seed,
             "relevance_noise": self.relevance_noise,
-            "alpha_traffic": self.alpha_traffic,
-            "remaining_update": self.remaining_update,
             "interval_seconds": self.schema.interval_seconds,
         }
 
@@ -130,7 +118,6 @@ def run(cfg: RunConfig) -> SimReport:
     realized = series.counts.astype(float)
     remaining = m.astype(float).copy()
     cumulative = np.zeros(catalog.num_providers, dtype=np.int64)
-    mu_carry = None
 
     per_user_ndcg: list[float] = []
     per_interval_acc, per_interval_vio, per_interval_esp = [], [], []
@@ -138,7 +125,7 @@ def run(cfg: RunConfig) -> SimReport:
     decision_rows: list[list] = []
     rerank_cfg = cfg.rerank
     if cfg.rule == "none":
-        rerank_cfg = replace(cfg.rerank, eta=0.0, warm_start_dual=False)
+        rerank_cfg = replace(cfg.rerank, eta=0.0)
 
     for n in range(1, horizon + 1):
         arrivals = by_interval[n - 1]
@@ -152,10 +139,7 @@ def run(cfg: RunConfig) -> SimReport:
             plan = bankruptcy.plan_interval("none", remaining, np.zeros_like(rhat),
                                             rhat, interval=n)
         else:
-            if cfg.alpha_traffic == "realized":
-                traffic_total = float(realized.sum())
-            else:
-                traffic_total = float(realized[: n - 1].sum() + rhat.sum())
+            traffic_total = float(realized[: n - 1].sum() + rhat.sum())
             alpha = _alpha_for(cfg, m, k, traffic_total)
             claims = bankruptcy.predict_demands(rhat, alpha, k)
             plan = bankruptcy.plan_interval(cfg.rule, remaining, claims, rhat, interval=n)
@@ -169,18 +153,16 @@ def run(cfg: RunConfig) -> SimReport:
         if arrivals:
             hook = None
             if cfg.out_dir is not None:
-                hook = lambda t, req, ranked, mu, n=n: decision_rows.append(
-                    [n, t, req.user_id, *ranked.items.tolist(),
+                hook = lambda t, req, items, mu, n=n: decision_rows.append(
+                    [n, t, req.user_id, *items.tolist(),
                      hashlib.sha1(mu.tobytes()).hexdigest()[:12]])
-            lists, ledger, dual = reranker.run_interval(
-                arrivals, plan, rerank_cfg, catalog, rhat_n,
-                mu0=mu_carry if rerank_cfg.warm_start_dual else None, trace_hook=hook)
-            mu_carry = dual.mu
+            lists, ledger, _ = reranker.run_interval(
+                arrivals, plan, rerank_cfg, catalog, rhat_n, trace_hook=hook)
             earned = ledger.earned
             cumulative = cumulative + earned
             interval_ndcg = [
-                metrics.ndcg_at_k(lst, reranker.top_k(req.relevance, k), req.relevance)
-                for req, lst in zip(arrivals, lists)
+                metrics.ndcg_at_k(items, reranker.top_k(req.relevance, k), req.relevance)
+                for req, items in zip(arrivals, lists)
             ]
             per_user_ndcg.extend(interval_ndcg)
             per_interval_acc.append(float(np.mean(interval_ndcg)))
@@ -191,11 +173,7 @@ def run(cfg: RunConfig) -> SimReport:
             per_interval_vio.append(0.0)
         per_interval_esp.append(metrics.esp_at_k(cumulative, m))
 
-        if cfg.remaining_update == "plan_capped":
-            credited = np.minimum(earned, plan.min_exposure)
-        else:
-            credited = earned
-        remaining = bankruptcy.update_remaining(remaining, credited)
+        remaining = bankruptcy.update_remaining(remaining, earned)
 
     report = SimReport(
         ndcg_at_k=float(np.mean(per_user_ndcg)) if per_user_ndcg else 1.0,

@@ -13,7 +13,6 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .domain import RankedList
 from .errors import ConfigError
 
 
@@ -31,11 +30,16 @@ def dcg(scores: np.ndarray) -> float:
     return float((scores / _discounts(scores.size)).sum())
 
 
-def ndcg_at_k(reranked: RankedList, original: RankedList, relevance: np.ndarray) -> float:
-    """DCG of the re-ranked list over the DCG of the original top-K list."""
+def ndcg_at_k(items: np.ndarray, ideal_items: np.ndarray, relevance: np.ndarray) -> float:
+    """DCG of the re-ranked list over the DCG of the plain top-K list.
+
+    ``items`` and ``ideal_items`` are item-id arrays in rank order (the
+    re-ranked list and the unconstrained top-K); gains are looked up in
+    ``relevance``. Two zero-gain lists score 1.
+    """
     relevance = np.asarray(relevance, dtype=float)
-    num = dcg(relevance[reranked.items])
-    den = dcg(relevance[original.items])
+    num = dcg(relevance[items])
+    den = dcg(relevance[ideal_items])
     if den == 0.0:
         if num == 0.0:
             return 1.0

@@ -16,10 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .bankruptcy import IntervalPlan
-from .domain import Catalog, RankedList, UserRequest
+from .domain import Catalog, UserRequest
 from .errors import ConfigError
-
-ESTAR_TARGETS = ("remaining", "plan")
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,6 @@ class RerankConfig:
     alpha_k: float = 1.5  # claim scaling factor, sensible range [1, 2]
     beta_mix: float = 0.5  # penalty emphasis on small-inventory providers
     eta: float | str = "auto"  # "auto" -> 1/sqrt(predicted traffic)
-    warm_start_dual: bool = False
-    estar_target: str = "remaining"  # conjugate target: unmet remainder or static plan
 
     def __post_init__(self):
         if self.list_size < 1:
@@ -85,8 +81,6 @@ class RerankConfig:
             raise ConfigError("alpha_k must lie in [1, 2]")
         if not 0.0 <= self.beta_mix <= 1.0:
             raise ConfigError("beta_mix must lie in [0, 1]")
-        if self.estar_target not in ESTAR_TARGETS:
-            raise ConfigError(f"estar_target must be one of {ESTAR_TARGETS}")
 
     def step_size(self, rhat_n: float) -> float:
         if self.eta == "auto":
@@ -137,8 +131,8 @@ def _adjusted_top_k(relevance: np.ndarray, mu: np.ndarray, item_provider: np.nda
     return _top_k_order(adjusted, relevance, k)
 
 
-def top_k(relevance: np.ndarray, k: int) -> RankedList:
-    """Plain top-K by relevance; ties go to the lower item id.
+def top_k(relevance: np.ndarray, k: int) -> np.ndarray:
+    """Item ids of the plain top-K by relevance; ties go to the lower item id.
 
     Only the items scoring at least the k-th largest relevance are sorted;
     the order is that of a full sort.
@@ -146,13 +140,12 @@ def top_k(relevance: np.ndarray, k: int) -> RankedList:
     relevance = np.asarray(relevance, dtype=float)
     if relevance.size < k:
         raise ConfigError(f"need at least {k} items, catalog has {relevance.size}")
-    order = _top_k_order(relevance, relevance, k)
-    return RankedList(order, relevance[order])
+    return _top_k_order(relevance, relevance, k)
 
 
 def select_list(relevance: np.ndarray, dual: DualState, catalog: Catalog,
-                rhat_n: float, k: int) -> RankedList:
-    """Top-K by price-adjusted score relevance/rhat_n - mu[provider(item)].
+                rhat_n: float, k: int) -> np.ndarray:
+    """Top-K item ids by price-adjusted score relevance/rhat_n - mu[provider(item)].
 
     Ties break toward higher raw relevance, then the lower item id, which
     makes replays deterministic. The greedy prefix of this ordering is the
@@ -165,8 +158,7 @@ def select_list(relevance: np.ndarray, dual: DualState, catalog: Catalog,
         raise ConfigError(f"need at least {k} items, catalog has {relevance.size}")
     if rhat_n <= 0:
         raise ConfigError("predicted traffic must be positive when selecting")
-    order = _adjusted_top_k(relevance, dual.mu, catalog.item_provider, rhat_n, k)
-    return RankedList(order, relevance[order])
+    return _adjusted_top_k(relevance, dual.mu, catalog.item_provider, rhat_n, k)
 
 
 def _conjugate_argmax(mu: np.ndarray, gamma: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -211,17 +203,18 @@ def run_interval(requests: Sequence[UserRequest], plan: IntervalPlan, cfg: Reran
                  mu0: np.ndarray | None = None, trace_hook=None):
     """Serve one interval's arrivals in order.
 
-    Dual prices start at zero (or ``mu0`` when warm-starting across
-    intervals). After each list the ledger and the unearned remainder are
-    updated, then the price step runs against the conjugate maximizer. With
-    cfg.estar_target == "remaining" the conjugate sees the still-unearned
-    part of the plan, so pressure fades once a floor is met; "plan" keeps the
-    static floor as the target throughout.
+    Dual prices start at zero, or at ``mu0`` (projected onto mu >= -lambda)
+    when given. After each list the ledger and the unearned remainder
+    ``beta`` are updated, then the price step runs against the conjugate
+    maximizer for the remainder ``max(beta, 0)``, so pressure on a provider
+    fades once its floor is met.
 
-    ``trace_hook(t, request, ranked, mu)`` is called per arrival with the
-    prices that selected the list, for replay debugging.
+    ``trace_hook(t, request, items, mu)`` is called per arrival with the
+    list's item ids and the prices that selected it, for replay debugging.
 
-    Returns (lists, ledger, final dual state).
+    Returns (lists, ledger, final dual state); ``lists`` is an int64 array
+    of shape (len(requests), K) whose row t - 1 holds arrival t's K distinct
+    item ids in rank order.
     """
     k = cfg.list_size
     if rhat_n <= 0:
@@ -239,23 +232,19 @@ def run_interval(requests: Sequence[UserRequest], plan: IntervalPlan, cfg: Reran
     # here and once on return. The projection keeps mu >= -lam at every step.
     mu, eta, weight = dual.mu, dual.eta, dual.weight
     neg_lam = -dual.lam
-    remaining_target = cfg.estar_target == "remaining"
-    plan_vec = np.asarray(plan.min_exposure, dtype=float)
-    beta = plan_vec.copy()
+    beta = np.asarray(plan.min_exposure, dtype=float).copy()
     earned = np.zeros(catalog.num_providers, dtype=np.int64)
-    lists = []
+    lists = np.empty((len(requests), k), dtype=np.int64)
     for t, req in enumerate(requests, start=1):
-        relevance = np.asarray(req.relevance, dtype=float)
-        items = _adjusted_top_k(relevance, mu, catalog.item_provider, rhat_n, k)
-        ranked = RankedList(items, relevance[items])
+        items = _adjusted_top_k(np.asarray(req.relevance, dtype=float), mu,
+                                catalog.item_provider, rhat_n, k)
         if trace_hook is not None:
-            trace_hook(t, req, ranked, mu)
+            trace_hook(t, req, items, mu)
         exposure = catalog.exposure_of(items)
         earned += exposure
         beta -= exposure
-        target = np.maximum(beta, 0.0) if remaining_target else plan_vec
-        e_star = _conjugate_argmax(mu, gamma, target)
+        e_star = _conjugate_argmax(mu, gamma, np.maximum(beta, 0.0))
         mu = _dual_step(mu, eta, neg_lam, weight, exposure, e_star)
-        lists.append(ranked)
+        lists[t - 1] = items
 
     return lists, ExposureLedger(earned=earned, beta_remaining=beta), replace(dual, mu=mu)

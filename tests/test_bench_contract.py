@@ -1,0 +1,50 @@
+"""The names the benchmark under bench/ reaches into the package by.
+
+bench/ is read here, never changed: its tracer wraps module attributes by
+name, its clock times two entry points, and its config module builds a
+RunConfig from each workload spec. A rename in the package that breaks any
+of these fails here instead of in a benchmark run.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from bankfair import bankruptcy, reranker
+from bankfair.harness import RunConfig
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench_modules():
+    # bench/ modules import each other by bare name ("import speed").
+    names = ("speed", "tracing", "config", "workloads")
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield {name: importlib.import_module(name) for name in names}
+    finally:
+        sys.path.remove(str(BENCH))
+        for name in names:
+            sys.modules.pop(name, None)
+
+
+def test_every_wrapped_name_resolves_to_a_callable(bench_modules):
+    for layer, owner, attr in bench_modules["tracing"].WRAPPED:
+        assert callable(getattr(owner, attr, None)), f"{layer}: {owner!r}.{attr}"
+
+
+def test_clock_entry_points_exist():
+    # bench/run.py times plan_interval and run_interval through speed.Clock.
+    assert callable(bankruptcy.plan_interval)
+    assert callable(reranker.run_interval)
+
+
+@pytest.mark.parametrize("name", ["wide_catalog", "long_tail", "replay_log"])
+def test_workload_specs_build_run_configs(bench_modules, tmp_path, name):
+    workload = bench_modules["workloads"].make(name, 0, tmp_path)
+    cfg = bench_modules["config"].build_config(workload.spec)
+    assert isinstance(cfg, RunConfig)
+    assert cfg.rerank.list_size == cfg.policy.list_size == workload.spec["K"]

@@ -153,6 +153,62 @@ class TestSweepCommand:
         assert "4 runs" in capsys.readouterr().out
 
 
+class TestSpecValidation:
+    """Bad run and sweep specs exit 1 with a message naming the key, no traceback."""
+
+    def sweep(self, tmp_path, capsys, spec):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec))
+        code = main(["sweep", "--spec", str(path), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def run_synth(self, tmp_path, capsys, spec):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(spec))
+        code = main(["run", "--synth", str(path), "--K", "5", "--rule", "none"])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["estar_targt", "estar_target", "warm_start_dual",
+                                     "alpha_traffic", "remaining_update"])
+    def test_unknown_base_key(self, tmp_path, capsys, key):
+        base = {"synth": SYNTH, "K": 5, key: "plan"}
+        code, err = self.sweep(tmp_path, capsys, {"base": base, "grid": {"k": [1.5]}})
+        assert code == 1 and repr(key) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec,key", [({"base": {"K": 5, "synth": SYNTH}}, "grid"),
+                                          ({"base": {"K": "ten", "synth": SYNTH},
+                                            "grid": {"k": [1.5]}}, "'K'"),
+                                          ({"grid": {"k": [1.5]}, "seed": [0]}, "seed"),
+                                          ([1, 2], "sweep spec")])
+    def test_bad_sweep_spec(self, tmp_path, capsys, spec, key):
+        code, err = self.sweep(tmp_path, capsys, spec)
+        assert code == 1 and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec,key", [({**SYNTH, "zzz": 1}, "zzz"),
+                                          ({**SYNTH, "provider_weights": "zipf"},
+                                           "provider_weights"),
+                                          ([1, 2], "synth")])
+    def test_bad_synth_spec(self, tmp_path, capsys, spec, key):
+        code, err = self.run_synth(tmp_path, capsys, spec)
+        assert code == 1 and key in err and "Traceback" not in err
+
+    def test_base_synth_spec_is_checked_too(self, tmp_path, capsys):
+        base = {"synth": {**SYNTH, "zzz": 1}, "K": 5}
+        code, err = self.sweep(tmp_path, capsys, {"base": base, "grid": {"k": [1.5]}})
+        assert code == 1 and "zzz" in err and "Traceback" not in err
+
+    def test_run_flags_are_the_accepted_base_keys(self):
+        import argparse
+        from bankfair.cli import RUN_OPTIONS, _add_run_flags
+        parser = argparse.ArgumentParser()
+        _add_run_flags(parser)
+        assert set(vars(parser.parse_args(["--data", "log.csv"]))) == set(RUN_OPTIONS)
+
+    def test_retired_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["run", "--synth", write_synth(tmp_path), "--warm-start-dual"])
+
+
 class TestVerifyCommand:
     def test_single_criterion(self, capsys):
         code = main(["verify", "--criteria", "1"])

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bankfair.domain import (Catalog, FairnessPolicy, LogSchema, RankedList,
-                             SynthConfig, TrafficSeries, load_interactions,
-                             redistribute_requests, resample_traffic, save_instance,
-                             synth_instance)
+from bankfair.domain import (Catalog, FairnessPolicy, LogSchema, SynthConfig,
+                             TrafficSeries, load_interactions, redistribute_requests,
+                             resample_traffic, save_instance, synth_instance)
 from bankfair.errors import ConfigError, ConsistencyError, ParseError
 
 
@@ -31,12 +30,6 @@ class TestCatalog:
         cat = Catalog(np.array([0, 1]))
         with pytest.raises(ValueError):
             cat.item_provider[0] = 1
-
-
-class TestRankedList:
-    def test_rejects_duplicates(self):
-        with pytest.raises(ConfigError):
-            RankedList(np.array([1, 1, 2]), np.ones(3))
 
 
 class TestFairnessPolicy:
@@ -83,6 +76,18 @@ class TestSynthInstance:
         for req in requests:
             assert (req.relevance[:5] >= 0.8).all()
             assert (req.relevance[5:] <= 0.2).all()
+
+    @pytest.mark.parametrize("weights", ["zipf", [1.0, "x"], [1.0, 0.0], [1.0]])
+    def test_bad_provider_weights_rejected_on_construction(self, weights):
+        with pytest.raises(ConfigError, match="provider_weights"):
+            SynthConfig(num_items=4, num_providers=2, num_intervals=1,
+                        provider_weights=weights)
+
+    def test_provider_weights_scale_relevance(self):
+        cfg = SynthConfig(num_items=4, num_providers=2, num_intervals=1, traffic=[50],
+                          inventory=[2, 2], provider_weights=[1.0, 0.25])
+        _, _, requests = synth_instance(cfg, seed=0)
+        assert max(r.relevance[2:].max() for r in requests) <= 0.25
 
     def test_more_providers_than_items_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,11 +1,13 @@
 """End-to-end driver: interval loop wiring, determinism, sweeps."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from test_reranker import reference_run_interval, reference_top_k
 
-from bankfair import harness, reranker
+from bankfair import reranker
 from bankfair.domain import FairnessPolicy, LogSchema, SynthConfig, save_instance, synth_instance
 from bankfair.errors import ConfigError, InfeasibleAllocationError
 from bankfair.harness import RunConfig, SweepSpec, run, sweep
@@ -84,27 +86,6 @@ class TestRun:
         b = run(small_config(relevance_noise=0.1))
         assert a.per_user_ndcg != b.per_user_ndcg
 
-    def test_alpha_traffic_modes_both_run(self):
-        run(small_config(alpha_traffic="forecast", forecaster="last_value",
-                         forecaster_params={"prior_mean": 20}))
-        run(small_config(alpha_traffic="realized", forecaster="last_value",
-                         forecaster_params={"prior_mean": 20}))
-
-    def test_plan_capped_remaining_update_keeps_pressure_longer(self):
-        # Capping the credited exposure at the plan means overshoot is not
-        # credited, so the remaining requirement decays no faster.
-        earned = run(small_config(remaining_update="earned"))
-        capped = run(small_config(remaining_update="plan_capped"))
-        assert sum(capped.per_provider_cumulative_exposure[3:]) >= \
-            sum(earned.per_provider_cumulative_exposure[3:])
-
-    def test_warm_start_switch_changes_dynamics(self):
-        cold = run(small_config())
-        warm_cfg = small_config()
-        warm_cfg.rerank.warm_start_dual = True
-        warm = run(warm_cfg)
-        assert cold.per_user_ndcg != warm.per_user_ndcg
-
     def test_zero_forecast_aborts_with_diagnostic(self):
         synth = SynthConfig(num_items=40, num_providers=4, num_intervals=2,
                             traffic=[0, 20], list_size=5)
@@ -141,8 +122,7 @@ class TestRun:
 
         def run_to(out):
             cfg = RunConfig(policy=FairnessPolicy.uniform(12.0, 4, phi=0.9, k=5),
-                            rerank=RerankConfig(list_size=5, beta_mix=0.5, eta=0.05,
-                                                warm_start_dual=True),
+                            rerank=RerankConfig(list_size=5, beta_mix=0.5, eta=0.05),
                             data_path=str(tmp_path / "data"), schema=LogSchema(list_size=5),
                             forecaster="oracle", tau=0.5, seed=1, out_dir=str(out))
             run(cfg)
@@ -172,6 +152,25 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError):
             RunConfig(policy=FairnessPolicy.uniform(1, 2, 0.9, 5),
                       rerank=RerankConfig(list_size=5), synth=synth, rule="greedy")
+
+
+class TestEcho:
+    KEYS = {"rule", "data_path", "synth", "forecaster", "forecaster_params", "m", "phi",
+            "K", "alpha_k", "beta_mix", "eta", "tau", "seed", "relevance_noise",
+            "interval_seconds"}
+
+    def test_exact_keys(self):
+        echo = small_config().echo()
+        assert set(echo) == self.KEYS and len(echo) == 15
+
+    def test_every_knob_is_echoed(self):
+        # A field added to either config without an echo key fails here.
+        echo = set(small_config().echo())
+        rerank = {"K" if f.name == "list_size" else f.name for f in fields(RerankConfig)}
+        run_fields = {f.name for f in fields(RunConfig)} - {"policy", "rerank", "schema",
+                                                              "out_dir"}
+        assert rerank <= echo
+        assert run_fields <= echo
 
 
 class TestSweep:

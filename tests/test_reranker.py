@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bankfair.bankruptcy import IntervalPlan
-from bankfair.domain import Catalog, RankedList, UserRequest
+from bankfair.domain import Catalog, UserRequest
 from bankfair.errors import ConfigError
 from bankfair.reranker import (DualState, ExposureLedger, RerankConfig, _top_k_order,
                                compute_caps,
@@ -59,14 +59,14 @@ class TestSelectList:
             rel = rng.uniform(size=8)
             dual = make_dual([0.0, 0.0])
             got = select_list(rel, dual, TWO_PROVIDERS, rhat_n=3.0, k=5)
-            np.testing.assert_array_equal(got.items, top_k(rel, 5).items)
+            np.testing.assert_array_equal(got, top_k(rel, 5))
 
     def test_price_flips_choice(self):
         cat = Catalog(np.array([0, 1]))
         rel = np.array([0.9, 0.8])
         dual = make_dual([0.5, 0.0])
         got = select_list(rel, dual, cat, rhat_n=1.0, k=1)
-        np.testing.assert_array_equal(got.items, [1])
+        np.testing.assert_array_equal(got, [1])
 
     def test_tie_breaking_prefers_higher_raw_relevance_then_lower_id(self):
         cat = Catalog(np.array([0, 0, 1]))
@@ -77,7 +77,7 @@ class TestSelectList:
         adjusted = rel / 1.0 - dual.mu[cat.item_provider]
         assert adjusted[0] == adjusted[1] == adjusted[2]
         got = select_list(rel, dual, cat, rhat_n=1.0, k=2)
-        np.testing.assert_array_equal(got.items, [2, 0])
+        np.testing.assert_array_equal(got, [2, 0])
 
     def test_adjusted_score_divides_by_forecast(self):
         # 0.25/7 == 0.6/7 - 0.05 exactly, so the higher relevance wins the tie;
@@ -87,10 +87,10 @@ class TestSelectList:
         mu = np.array([0.0, 0.05])
         assert rel[0] / 7.0 == rel[1] / 7.0 - mu[1]
         assert rel[0] * (1.0 / 7.0) > rel[1] * (1.0 / 7.0) - mu[1]
-        np.testing.assert_array_equal(select_list(rel, make_dual(mu), cat, 7.0, 1).items, [1])
+        np.testing.assert_array_equal(select_list(rel, make_dual(mu), cat, 7.0, 1), [1])
         lists, _, _ = run_interval(make_requests([rel]), IntervalPlan(np.zeros(2)),
                                    RerankConfig(list_size=1, eta=0.0), cat, 7.0, mu0=mu)
-        np.testing.assert_array_equal(lists[0].items, [1])
+        np.testing.assert_array_equal(lists[0], [1])
 
     def test_needs_at_least_k_items(self):
         with pytest.raises(ConfigError):
@@ -107,7 +107,7 @@ class TestSelectList:
             after_mu = mu0.copy()
             after_mu[0] += bump
             after = select_list(rel, make_dual(after_mu), TWO_PROVIDERS, 2.0, 5)
-            count = lambda lst: int((TWO_PROVIDERS.item_provider[lst.items] == 0).sum())
+            count = lambda items: int((TWO_PROVIDERS.item_provider[items] == 0).sum())
             assert count(after) <= count(before)
 
 
@@ -220,7 +220,7 @@ class TestRunInterval:
             requests, IntervalPlan(np.zeros(2)), cfg, TWO_PROVIDERS, rhat_n=6.0,
             lam=np.zeros(2))
         for req, lst in zip(requests, lists):
-            np.testing.assert_array_equal(lst.items, top_k(req.relevance, 5).items)
+            np.testing.assert_array_equal(lst, top_k(req.relevance, 5))
         np.testing.assert_array_equal(dual.mu, np.zeros(2))
 
     def test_exposure_accounting(self):
@@ -270,21 +270,16 @@ class TestRunInterval:
                                            TWO_PROVIDERS, rhat_n=1.0, mu0=mu0)
         np.testing.assert_array_equal(dual.mu, mu0)  # eta=0 freezes prices
         expected = select_list(requests[0].relevance, dual, TWO_PROVIDERS, 1.0, 5)
-        np.testing.assert_array_equal(lists_warm[0].items, expected.items)
-        assert not np.array_equal(lists_cold[0].items, lists_warm[0].items)
+        np.testing.assert_array_equal(lists_warm[0], expected)
+        assert not np.array_equal(lists_cold[0], lists_warm[0])
 
-    def test_static_plan_target_keeps_pressure(self):
-        # With the static target the price keeps pushing after the floor is
-        # met; with the remaining target it relaxes. Compare final prices.
-        relevance = np.array([0.90, 0.62, 0.42, 0.20, 0.85, 0.80, 0.75, 0.70])
-        requests = make_requests([relevance] * 6)
-        plan = IntervalPlan(np.array([4.0, 0.0]))
-        cfg_rem = RerankConfig(list_size=5, eta=0.12, estar_target="remaining")
-        cfg_plan = RerankConfig(list_size=5, eta=0.12, estar_target="plan")
-        _, led_rem, dual_rem = run_interval(requests, plan, cfg_rem, TWO_PROVIDERS, 6.0)
-        _, led_plan, dual_plan = run_interval(requests, plan, cfg_plan, TWO_PROVIDERS, 6.0)
-        assert led_rem.earned[0] >= 4 and led_plan.earned[0] >= 4
-        assert dual_plan.mu[0] <= dual_rem.mu[0]
+    def test_no_arrivals_returns_empty_lists(self):
+        lists, ledger, dual = run_interval([], IntervalPlan(np.array([4.0, 0.0])),
+                                           RerankConfig(list_size=5), TWO_PROVIDERS, 2.0)
+        assert lists.shape == (0, 5) and lists.dtype == np.int64
+        np.testing.assert_array_equal(ledger.earned, [0, 0])
+        np.testing.assert_array_equal(ledger.beta_remaining, [4.0, 0.0])
+        np.testing.assert_array_equal(dual.mu, [0.0, 0.0])
 
     def test_requires_positive_traffic_estimate(self):
         with pytest.raises(ConfigError):
@@ -316,8 +311,7 @@ def lexsort_order(primary, secondary, k):
 
 def reference_top_k(relevance, k):
     relevance = np.asarray(relevance, dtype=float)
-    order = lexsort_order(relevance, relevance, k)
-    return RankedList(order, relevance[order])
+    return lexsort_order(relevance, relevance, k)
 
 
 def reference_run_interval(requests, plan, cfg, catalog, rhat_n, lam=None, mu0=None,
@@ -329,26 +323,24 @@ def reference_run_interval(requests, plan, cfg, catalog, rhat_n, lam=None, mu0=N
     dual = DualState.initial(lam, gamma, cfg.step_size(rhat_n))
     if mu0 is not None:
         dual = replace(dual, mu=np.maximum(np.asarray(mu0, dtype=float), -lam))
-    plan_vec = np.asarray(plan.min_exposure, dtype=float)
-    beta = plan_vec.copy()
+    beta = np.asarray(plan.min_exposure, dtype=float).copy()
     earned = np.zeros(catalog.num_providers, dtype=np.int64)
     lists = []
     for t, req in enumerate(requests, start=1):
         relevance = np.asarray(req.relevance, dtype=float)
         adjusted = relevance / float(rhat_n) - dual.mu[catalog.item_provider]
         order = lexsort_order(adjusted, relevance, k)
-        ranked = RankedList(order, relevance[order])
         if trace_hook is not None:
-            trace_hook(t, req, ranked, dual.mu)
-        exposure = catalog.exposure_of(ranked.items)
+            trace_hook(t, req, order, dual.mu)
+        exposure = catalog.exposure_of(order)
         earned += exposure
         beta -= exposure
-        target = IntervalPlan(np.maximum(beta, 0.0)) if cfg.estar_target == "remaining" else plan
-        m = np.asarray(target.min_exposure, dtype=float)
+        m = np.maximum(beta, 0.0)
         e_star = np.where(dual.mu >= 0.0, dual.gamma, np.minimum(m, dual.gamma))
         g = e_star - np.asarray(exposure, dtype=float)
         dual = replace(dual, mu=np.maximum(dual.mu - dual.eta * g / dual.weight, -dual.lam))
-        lists.append(ranked)
+        lists.append(order)
+    lists = np.asarray(lists, dtype=np.int64).reshape(len(requests), k)
     return lists, ExposureLedger(earned=earned, beta_remaining=beta), dual
 
 
@@ -407,8 +399,8 @@ class TestTopKKernel:
             mu = rng.integers(-2, 3, size=3) / 4.0
             got = select_list(rel, make_dual(mu), cat, 2.0, 6)
             want = lexsort_order(rel / 2.0 - mu[cat.item_provider], rel, 6)
-            np.testing.assert_array_equal(got.items, want)
-            np.testing.assert_array_equal(top_k(rel, 6).items, reference_top_k(rel, 6).items)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(top_k(rel, 6), reference_top_k(rel, 6))
 
 
 class TestServeLoopMatchesReference:
@@ -433,13 +425,14 @@ class TestServeLoopMatchesReference:
         return rng, catalog, k, requests, plan, float(nprov * rng.choice([1, 3]))
 
     @staticmethod
-    def assert_same(got, want, got_calls, want_calls):
+    def assert_same(got, want, got_calls, want_calls, num_items):
         lists, ledger, dual = got
         ref_lists, ref_ledger, ref_dual = want
-        assert len(lists) == len(ref_lists)
-        for a, b in zip(lists, ref_lists):
-            np.testing.assert_array_equal(a.items, b.items)
-            assert a.scores.tobytes() == b.scores.tobytes()
+        assert lists.dtype == np.int64 and lists.shape == ref_lists.shape
+        np.testing.assert_array_equal(lists, ref_lists)
+        for row in lists:  # K distinct item ids per arrival
+            assert np.unique(row).size == row.size
+            assert row.min() >= 0 and row.max() < num_items
         np.testing.assert_array_equal(ledger.earned, ref_ledger.earned)
         assert ledger.beta_remaining.tobytes() == ref_ledger.beta_remaining.tobytes()
         assert dual.mu.tobytes() == ref_dual.mu.tobytes()
@@ -448,17 +441,17 @@ class TestServeLoopMatchesReference:
     @staticmethod
     def recorder():
         calls = []
-        return calls, lambda t, req, ranked, mu: calls.append(
-            (t, ranked.items.tolist(), mu.tobytes()))
+        return calls, lambda t, req, items, mu: calls.append(
+            (t, items.tolist(), mu.tobytes()))
 
-    @pytest.mark.parametrize("estar_target", ["remaining", "plan"])
-    @pytest.mark.parametrize("seed", range(12))
-    def test_bit_identical(self, seed, estar_target):
+    # The ids name the conjugate target: the unearned remainder of the plan.
+    @pytest.mark.parametrize("seed", range(12), ids=lambda seed: f"{seed}-remaining")
+    def test_bit_identical(self, seed):
         rng, catalog, k, requests, plan, rhat_n = self.instance(seed)
         variants = [dict(), dict(mu0=rng.integers(-20, 21, size=catalog.num_providers) / 20.0),
                     dict(lam=np.zeros(catalog.num_providers))]
         for eta in (0.05, 0.0, float(rng.uniform(0.01, 0.3))):
-            cfg = RerankConfig(list_size=k, eta=eta, beta_mix=0.5, estar_target=estar_target)
+            cfg = RerankConfig(list_size=k, eta=eta, beta_mix=0.5)
             for kwargs in variants:
                 got_calls, got_hook = self.recorder()
                 want_calls, want_hook = self.recorder()
@@ -466,7 +459,7 @@ class TestServeLoopMatchesReference:
                                    trace_hook=got_hook, **kwargs)
                 want = reference_run_interval(requests, plan, cfg, catalog, rhat_n,
                                               trace_hook=want_hook, **kwargs)
-                self.assert_same(got, want, got_calls, want_calls)
+                self.assert_same(got, want, got_calls, want_calls, catalog.num_items)
 
     def test_rejects_list_longer_than_catalog(self):
         with pytest.raises(ConfigError):
