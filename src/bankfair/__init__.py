@@ -18,17 +18,16 @@ from .forecast import Forecast, forecast_traffic
 from .harness import RunConfig, SweepSpec, run, sweep
 from .metrics import (SimReport, accuracy_loss_curve, esp_at_k, feasible_region_ratio,
                       ndcg_at_k, vio_at_k)
-from .reranker import (DualState, ExposureLedger, RerankConfig, compute_caps,
-                       compute_penalties, conjugate_argmax, conjugate_value,
-                       dual_step, run_interval, select_list, top_k)
+from .reranker import (RerankConfig, compute_caps, compute_penalties, conjugate_argmax,
+                       conjugate_value, dual_step, run_interval, select_list, top_k)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AllocationResult", "BankruptcyInstance", "BankfairError", "Catalog",
-    "ConfigError", "ConsistencyError", "DualState", "ExposureLedger",
-    "FairnessPolicy", "Forecast", "InfeasibleAllocationError", "IntervalPlan",
-    "LogSchema", "ParseError", "RerankConfig", "RunConfig",
+    "ConfigError", "ConsistencyError", "FairnessPolicy", "Forecast",
+    "InfeasibleAllocationError", "IntervalPlan", "LogSchema", "ParseError",
+    "RerankConfig", "RunConfig",
     "SimReport", "SweepSpec", "SynthConfig", "TrafficSeries", "UserRequest",
     "accuracy_loss_curve", "compute_caps", "compute_penalties",
     "conjugate_argmax", "conjugate_value", "dual_step", "esp_at_k",

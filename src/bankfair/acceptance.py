@@ -18,7 +18,7 @@ from scipy import stats
 from . import harness, metrics, reranker
 from .bankruptcy import BankruptcyInstance, IntervalPlan, talmud
 from .domain import Catalog, FairnessPolicy, SynthConfig, UserRequest, synth_instance
-from .reranker import DualState, RerankConfig
+from .reranker import RerankConfig
 
 
 @dataclass
@@ -128,10 +128,10 @@ def toy_exposure_run(n_users: int, eta: float = 0.12):
     cfg = RerankConfig(list_size=5, alpha_k=1.5, beta_mix=0.5, eta=eta)
     plan = IntervalPlan(np.array([4.0, 0.0]))
     requests = [UserRequest(str(t), 1, t + 1, relevance) for t in range(n_users)]
-    lists, ledger, _ = reranker.run_interval(requests, plan, cfg, catalog, float(n_users))
+    lists, earned, _ = reranker.run_interval(requests, plan, cfg, catalog, float(n_users))
     ndcgs = [metrics.ndcg_at_k(items, reranker.top_k(relevance, 5), relevance)
              for items in lists]
-    return ledger.earned, float(np.mean(ndcgs))
+    return earned, float(np.mean(ndcgs))
 
 
 def criterion_3() -> CriterionResult:
@@ -169,10 +169,8 @@ def criterion_5(n_draws: int = 1000) -> CriterionResult:
             mu = float(rng.choice([0.0, -lam]))  # branch boundaries
         else:
             mu = float(rng.uniform(-lam, 2.0))
-        dual = DualState(np.array([mu]), 1.0, np.array([lam]),
-                         np.array([gamma]), np.array([1.0]))
-        plan = IntervalPlan(np.array([m]))
-        e_star = reranker.conjugate_argmax(dual, plan)[0]
+        prices, caps, floor = np.array([mu]), np.array([gamma]), np.array([m])
+        e_star = reranker.conjugate_argmax(prices, caps, floor)[0]
         grid = np.linspace(0.0, gamma, 10_000)
         obj = _conjugate_objective(grid, mu, lam, m)
         pitch = gamma / (len(grid) - 1)
@@ -182,7 +180,7 @@ def criterion_5(n_draws: int = 1000) -> CriterionResult:
         ok &= gap <= tol
         # The closed-form value must equal the attained objective when caps
         # sit above the floor.
-        value = reranker.conjugate_value(dual, plan)
+        value = reranker.conjugate_value(prices, caps, floor)
         attained = float(_conjugate_objective(np.array([e_star]), mu, lam, m)[0])
         ok &= abs(value - attained) <= 1e-9
     dt = time.perf_counter() - start
@@ -219,14 +217,12 @@ def criterion_6(n_instances: int = 1000) -> CriterionResult:
         n_prov = int(rng.integers(1, 5))
         providers = rng.integers(0, n_prov, size=n_items)
         providers[:n_prov] = np.arange(n_prov)  # every provider owns an item
-        catalog = Catalog(providers, n_prov)
         relevance = rng.integers(0, 21, size=n_items) / 20.0  # 0.05 grid forces ties
         lam = np.ones(n_prov)
         mu = rng.integers(-20, 21, size=n_prov) / 20.0
         mu = np.maximum(mu, -lam)
         rhat = float(rng.choice([1.0, 2.0, 4.0]))
-        dual = DualState(mu, 1.0, lam, np.full(n_prov, 100.0), np.ones(n_prov))
-        got = reranker.select_list(relevance, dual, catalog, rhat, k)
+        got = reranker.select_list(relevance, mu, providers, rhat, k)
         want = _enumeration_oracle(relevance, providers, mu, rhat, k)
         if not np.array_equal(got, want):
             mismatches += 1

@@ -31,6 +31,10 @@ INTERACTIONS_COLUMNS = ("user_id", "item_id", "provider_id", "timestamp", "score
 RELEVANCE_MAGIC = b"BFRM"
 _HEADER = struct.Struct("<4sIII")
 
+# Most intervals a log may span. Run time grows about with the square of the
+# horizon, which one outlier timestamp sets; 10 000 is over a year of hours.
+MAX_INTERVALS = 10_000
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
@@ -315,6 +319,11 @@ class LogSchema:
     relevance_path: str | None = None
     catalog_path: str | None = None
 
+    def __post_init__(self):
+        seconds = self.interval_seconds
+        if not (isinstance(seconds, (int, float)) and math.isfinite(seconds) and seconds > 0):
+            raise ConfigError(f"interval_seconds must be a finite number > 0, got {seconds!r}")
+
 
 def _write_relevance_matrix(path: Path, matrix: np.ndarray):
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
@@ -350,13 +359,11 @@ def save_instance(directory, catalog: Catalog, series: TrafficSeries,
     """Write an instance in the interchange layout.
 
     Emits interactions.csv (one row per arrival; the row's item is the
-    request's top-relevance item), catalog.csv with the full item->provider
-    map, and relevance.bin with one dense row per distinct user in order of
-    first appearance. Timestamps encode (interval, arrival_seq) so reloading
+    request's top-relevance item, the lowest id among ties), catalog.csv with
+    the full item->provider map, and relevance.bin with one dense row per
+    distinct user in order of first appearance. Timestamps encode (interval, arrival_seq) so reloading
     reconstructs the original grouping exactly.
     """
-    from .reranker import _top_k_order  # the reranker imports this module
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
@@ -376,7 +383,7 @@ def save_instance(directory, catalog: Catalog, series: TrafficSeries,
                 user_rows[req.user_id] = len(matrix_rows)
                 matrix_rows.append(req.relevance)
             ts = (req.interval - 1) * interval_seconds + (req.arrival_seq - 1)
-            top = int(_top_k_order(req.relevance, req.relevance, 1)[0])
+            top = int(np.argmax(req.relevance))
             w.writerow([req.user_id, top, int(catalog.item_provider[top]),
                         repr(float(ts)), repr(float(req.relevance[top]))])
 
@@ -489,8 +496,13 @@ def load_interactions(path, schema: LogSchema | None = None):
 
     # Interval grouping by timestamp, stable within equal timestamps.
     t0 = min(r[3] for r in rows)
+    last = max(range(len(rows)), key=lambda k: rows[k][3])
+    horizon = int((rows[last][3] - t0) // schema.interval_seconds) + 1
+    if horizon > MAX_INTERVALS:
+        raise ParseError(f"row {last + 2}: timestamp {rows[last][3]!r} makes the log span "
+                         f"{horizon} intervals of {schema.interval_seconds:g} s, more than "
+                         f"{MAX_INTERVALS}")
     ordered = sorted(range(len(rows)), key=lambda k: (rows[k][3], k))
-    horizon = int((max(r[3] for r in rows) - t0) // schema.interval_seconds) + 1
     counts = np.zeros(horizon, dtype=np.int64)
     requests = []
     for k in ordered:

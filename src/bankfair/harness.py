@@ -48,6 +48,11 @@ class RunConfig:
             raise ConfigError(f"unknown allocation rule {self.rule!r}")
         if self.rerank.list_size != self.policy.list_size:
             raise ConfigError("re-ranker and policy disagree on the list size")
+        if self.tau is not None and not (isinstance(self.tau, (int, float)) and self.tau > 0):
+            raise ConfigError(f"tau must be None or a number > 0, got {self.tau!r}")
+        noise = self.relevance_noise
+        if not (isinstance(noise, (int, float)) and math.isfinite(noise) and noise >= 0):
+            raise ConfigError(f"relevance_noise must be a finite number >= 0, got {noise!r}")
 
     def echo(self) -> dict:
         """JSON-friendly snapshot of the configuration."""
@@ -156,9 +161,8 @@ def run(cfg: RunConfig) -> SimReport:
                 hook = lambda t, req, items, mu, n=n: decision_rows.append(
                     [n, t, req.user_id, *items.tolist(),
                      hashlib.sha1(mu.tobytes()).hexdigest()[:12]])
-            lists, ledger, _ = reranker.run_interval(
+            lists, earned, _ = reranker.run_interval(
                 arrivals, plan, rerank_cfg, catalog, rhat_n, trace_hook=hook)
-            earned = ledger.earned
             cumulative = cumulative + earned
             interval_ndcg = [
                 metrics.ndcg_at_k(items, reranker.top_k(req.relevance, k), req.relevance)

@@ -10,7 +10,7 @@ can never exceed its violation penalty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,51 +18,6 @@ import numpy as np
 from .bankruptcy import IntervalPlan
 from .domain import Catalog, UserRequest
 from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class DualState:
-    """Dual prices plus the fixed per-interval parameters they move under."""
-
-    mu: np.ndarray
-    eta: float
-    lam: np.ndarray
-    gamma: np.ndarray
-    weight: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        lam = np.asarray(self.lam, dtype=float)
-        gamma = np.asarray(self.gamma, dtype=float)
-        weight = np.asarray(self.weight, dtype=float)
-        if (mu < -lam - 1e-12).any():
-            raise ConfigError("dual variable below -lambda")
-        if (gamma < 0).any() or (weight <= 0).any():
-            raise ConfigError("caps must be >= 0 and weights > 0")
-        if self.eta < 0:
-            raise ConfigError("step size must be >= 0")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "weight", weight)
-
-    @classmethod
-    def initial(cls, lam, gamma, eta, weight=None):
-        lam = np.asarray(lam, dtype=float)
-        w = np.ones_like(lam) if weight is None else np.asarray(weight, dtype=float)
-        return cls(np.zeros_like(lam), float(eta), lam, np.asarray(gamma, dtype=float), w)
-
-
-@dataclass
-class ExposureLedger:
-    """Exposure bookkeeping for one interval.
-
-    ``beta_remaining`` is the plan minus earned exposure; it goes negative
-    when a provider is served past its floor and is recorded as-is.
-    """
-
-    earned: np.ndarray
-    beta_remaining: np.ndarray
 
 
 @dataclass
@@ -81,6 +36,10 @@ class RerankConfig:
             raise ConfigError("alpha_k must lie in [1, 2]")
         if not 0.0 <= self.beta_mix <= 1.0:
             raise ConfigError("beta_mix must lie in [0, 1]")
+        eta = self.eta
+        if eta != "auto" and not (isinstance(eta, (int, float)) and math.isfinite(eta)
+                                  and eta >= 0):
+            raise ConfigError(f"eta must be 'auto' or a finite number >= 0, got {eta!r}")
 
     def step_size(self, rhat_n: float) -> float:
         if self.eta == "auto":
@@ -124,13 +83,6 @@ def _top_k_order(primary: np.ndarray, secondary: np.ndarray, k: int) -> np.ndarr
     return candidates[order]
 
 
-def _adjusted_top_k(relevance: np.ndarray, mu: np.ndarray, item_provider: np.ndarray,
-                    rhat_n: float, k: int) -> np.ndarray:
-    """Item ids of the top-K list by adjusted score, then relevance, then id."""
-    adjusted = relevance / float(rhat_n) - mu[item_provider]
-    return _top_k_order(adjusted, relevance, k)
-
-
 def top_k(relevance: np.ndarray, k: int) -> np.ndarray:
     """Item ids of the plain top-K by relevance; ties go to the lower item id.
 
@@ -143,59 +95,49 @@ def top_k(relevance: np.ndarray, k: int) -> np.ndarray:
     return _top_k_order(relevance, relevance, k)
 
 
-def select_list(relevance: np.ndarray, dual: DualState, catalog: Catalog,
+def select_list(relevance: np.ndarray, mu: np.ndarray, item_provider: np.ndarray,
                 rhat_n: float, k: int) -> np.ndarray:
-    """Top-K item ids by price-adjusted score relevance/rhat_n - mu[provider(item)].
+    """Top-K item ids by price-adjusted score relevance/rhat_n - mu[item_provider].
 
-    Ties break toward higher raw relevance, then the lower item id, which
-    makes replays deterministic. The greedy prefix of this ordering is the
-    exact maximizer of the summed adjusted score over all K-subsets. Only the
-    items whose adjusted score is at least the k-th largest (ties included)
-    are sorted; the tie order is that of a full sort.
+    ``mu`` holds one dual price per provider and ``item_provider`` the
+    provider index of each item. Ties break toward higher raw relevance, then
+    the lower item id, which makes replays deterministic. The greedy prefix
+    of this ordering is the exact maximizer of the summed adjusted score over
+    all K-subsets. Only the items whose adjusted score is at least the k-th
+    largest (ties included) are sorted; the tie order is that of a full sort.
     """
     relevance = np.asarray(relevance, dtype=float)
     if relevance.size < k:
         raise ConfigError(f"need at least {k} items, catalog has {relevance.size}")
     if rhat_n <= 0:
         raise ConfigError("predicted traffic must be positive when selecting")
-    return _adjusted_top_k(relevance, dual.mu, catalog.item_provider, rhat_n, k)
+    adjusted = relevance / float(rhat_n) - mu[item_provider]
+    return _top_k_order(adjusted, relevance, k)
 
 
-def _conjugate_argmax(mu: np.ndarray, gamma: np.ndarray, m: np.ndarray) -> np.ndarray:
+def conjugate_argmax(mu: np.ndarray, gamma: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Exposure maximizing the penalty conjugate at prices ``mu``.
+
+    Per provider the objective -lam*[m - E]_+ + mu*E over E in [0, gamma] is
+    piecewise linear, so the maximizer sits at gamma when mu >= 0 and at
+    min(m, gamma) when mu < 0 (on mu >= -lam the kink at m always beats 0).
+    """
     return np.where(mu >= 0.0, gamma, np.minimum(m, gamma))
 
 
-def conjugate_argmax(dual: DualState, plan: IntervalPlan) -> np.ndarray:
-    """Exposure maximizing the penalty conjugate at the current prices.
+def conjugate_value(mu: np.ndarray, gamma: np.ndarray, m: np.ndarray) -> float:
+    """Closed-form conjugate value mu'm + sum (gamma - m) * max(mu, 0)."""
+    return float(mu @ m + ((gamma - m) * np.maximum(mu, 0.0)).sum())
 
-    Per provider the objective -lam*[M - E]_+ + mu*E over E in [0, gamma] is
-    piecewise linear, so the maximizer sits at gamma when mu >= 0 and at
-    min(M, gamma) when mu < 0 (on mu >= -lam the kink at M always beats 0).
+
+def dual_step(mu: np.ndarray, eta: float, lam: np.ndarray, exposure: np.ndarray,
+              e_star: np.ndarray) -> np.ndarray:
+    """Projected subgradient step on the dual prices.
+
+    g = e_star - exposure; the step mu - eta*g is clipped to the feasible
+    region mu >= -lam.
     """
-    return _conjugate_argmax(dual.mu, dual.gamma, np.asarray(plan.min_exposure, dtype=float))
-
-
-def conjugate_value(dual: DualState, plan: IntervalPlan) -> float:
-    """Closed-form conjugate value mu'M + sum (gamma - M) * max(mu, 0)."""
-    m = np.asarray(plan.min_exposure, dtype=float)
-    return float(dual.mu @ m + ((dual.gamma - m) * np.maximum(dual.mu, 0.0)).sum())
-
-
-def _dual_step(mu: np.ndarray, eta: float, neg_lam: np.ndarray, weight: np.ndarray,
-               x_exposure: np.ndarray, e_star: np.ndarray) -> np.ndarray:
-    g = e_star - x_exposure
-    return np.maximum(mu - eta * g / weight, neg_lam)
-
-
-def dual_step(dual: DualState, x_exposure: np.ndarray, e_star: np.ndarray) -> DualState:
-    """Weighted projected subgradient step on the dual prices.
-
-    g = -x_exposure + e_star; the proximal step under the weighted norm has
-    the closed form mu - eta*g/weight, clipped to the feasible mu >= -lam.
-    """
-    mu_new = _dual_step(dual.mu, dual.eta, -dual.lam, dual.weight,
-                        np.asarray(x_exposure, dtype=float), np.asarray(e_star, dtype=float))
-    return replace(dual, mu=mu_new)
+    return np.maximum(mu - eta * (e_star - exposure), -lam)
 
 
 def run_interval(requests: Sequence[UserRequest], plan: IntervalPlan, cfg: RerankConfig,
@@ -204,17 +146,19 @@ def run_interval(requests: Sequence[UserRequest], plan: IntervalPlan, cfg: Reran
     """Serve one interval's arrivals in order.
 
     Dual prices start at zero, or at ``mu0`` (projected onto mu >= -lambda)
-    when given. After each list the ledger and the unearned remainder
-    ``beta`` are updated, then the price step runs against the conjugate
-    maximizer for the remainder ``max(beta, 0)``, so pressure on a provider
-    fades once its floor is met.
+    when given; ``lam`` replaces the penalties of ``compute_penalties``. After
+    each list the earned exposure and the unearned remainder ``beta`` are
+    updated, then ``dual_step`` runs against the conjugate maximizer for the
+    remainder ``max(beta, 0)``, so pressure on a provider fades once its
+    floor is met.
 
     ``trace_hook(t, request, items, mu)`` is called per arrival with the
     list's item ids and the prices that selected it, for replay debugging.
 
-    Returns (lists, ledger, final dual state); ``lists`` is an int64 array
-    of shape (len(requests), K) whose row t - 1 holds arrival t's K distinct
-    item ids in rank order.
+    Returns (lists, earned, mu): ``lists`` is an int64 array of shape
+    (len(requests), K) whose row t - 1 holds arrival t's K distinct item ids
+    in rank order, ``earned`` the int64 exposure each provider earned, and
+    ``mu`` the final prices.
     """
     k = cfg.list_size
     if rhat_n <= 0:
@@ -222,29 +166,23 @@ def run_interval(requests: Sequence[UserRequest], plan: IntervalPlan, cfg: Reran
     if catalog.num_items < k:
         raise ConfigError(f"need at least {k} items, catalog has {catalog.num_items}")
     lam = compute_penalties(catalog, cfg.beta_mix) if lam is None else np.asarray(lam, float)
+    if (lam < 0).any():
+        raise ConfigError("violation penalties must be >= 0")
     gamma = compute_caps(catalog, k, rhat_n)
-    dual = DualState.initial(lam, gamma, cfg.step_size(rhat_n))
-    if mu0 is not None:
-        dual = replace(dual, mu=np.maximum(np.asarray(mu0, dtype=float), -lam))
+    eta = cfg.step_size(rhat_n)
+    mu = np.zeros_like(lam) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), -lam)
 
-    # The loop runs on plain arrays through the same helpers as the public
-    # select_list / conjugate_argmax / dual_step; DualState is validated once
-    # here and once on return. The projection keeps mu >= -lam at every step.
-    mu, eta, weight = dual.mu, dual.eta, dual.weight
-    neg_lam = -dual.lam
     beta = np.asarray(plan.min_exposure, dtype=float).copy()
     earned = np.zeros(catalog.num_providers, dtype=np.int64)
     lists = np.empty((len(requests), k), dtype=np.int64)
     for t, req in enumerate(requests, start=1):
-        items = _adjusted_top_k(np.asarray(req.relevance, dtype=float), mu,
-                                catalog.item_provider, rhat_n, k)
+        items = select_list(req.relevance, mu, catalog.item_provider, rhat_n, k)
         if trace_hook is not None:
             trace_hook(t, req, items, mu)
         exposure = catalog.exposure_of(items)
         earned += exposure
         beta -= exposure
-        e_star = _conjugate_argmax(mu, gamma, np.maximum(beta, 0.0))
-        mu = _dual_step(mu, eta, neg_lam, weight, exposure, e_star)
+        e_star = conjugate_argmax(mu, gamma, np.maximum(beta, 0.0))
+        mu = dual_step(mu, eta, lam, exposure, e_star)
         lists[t - 1] = items
-
-    return lists, ExposureLedger(earned=earned, beta_remaining=beta), replace(dual, mu=mu)
+    return lists, earned, mu

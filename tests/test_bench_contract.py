@@ -48,3 +48,24 @@ def test_workload_specs_build_run_configs(bench_modules, tmp_path, name):
     cfg = bench_modules["config"].build_config(workload.spec)
     assert isinstance(cfg, RunConfig)
     assert cfg.rerank.list_size == cfg.policy.list_size == workload.spec["K"]
+
+
+def test_every_traced_serve_layer_is_called(bench_modules):
+    # The tracer replaces module attributes; a layer the serve loop reaches
+    # by another name would read 0 in every traced run.
+    from bankfair import FairnessPolicy, RerankConfig, SynthConfig, harness
+    cfg = RunConfig(policy=FairnessPolicy.uniform(20.0, 4, phi=0.9, k=5),
+                    rerank=RerankConfig(list_size=5, eta=0.01),
+                    synth=SynthConfig(num_items=30, num_providers=4, num_intervals=3,
+                                      mean_traffic=10, list_size=5),
+                    forecaster="oracle", seed=1)
+    tracer = bench_modules["tracing"].Tracer()
+    tracer.install()
+    try:
+        tracer.run(harness.run, cfg)
+    finally:
+        tracer.uninstall()
+    called = {span[1] for span in tracer.spans}
+    for name in ("reranker.select", "reranker.dual_step", "reranker.conjugate",
+                 "reranker.top_k", "reranker.serve", "metrics.ndcg"):
+        assert name in called, name

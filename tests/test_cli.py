@@ -1,6 +1,7 @@
 """Command line surface: flags, exit codes, output files."""
 
 import json
+import time
 
 import pytest
 
@@ -72,10 +73,20 @@ class TestRunCommand:
         code = main(["run", "--synth", str(tmp_path / "absent.json"), "--K", "5"])
         assert code == 1
 
-    def test_bad_eta_exits_one(self, tmp_path, capsys):
+    # (flag, value, the config key the error names)
+    @pytest.mark.parametrize("flag,value,key", [
+        ("eta", "fast", "eta"), ("eta", "nan", "eta"), ("eta", "inf", "eta"),
+        ("eta", "-1", "eta"), ("tau", "nan", "tau"), ("tau", "0", "tau"),
+        ("tau", "-1", "tau"), ("interval-hours", "0", "interval_seconds"),
+        ("interval-hours", "nan", "interval_seconds"),
+        ("interval-hours", "-1", "interval_seconds"), ("noise", "nan", "relevance_noise"),
+        ("noise", "-1", "relevance_noise"), ("noise", "inf", "relevance_noise")])
+    def test_bad_eta_exits_one(self, tmp_path, capsys, flag, value, key):
         code = main(["run", "--synth", write_synth(tmp_path), "--K", "5",
-                     "--eta", "fast"])
+                     f"--{flag}={value}"])
         assert code == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
 
 class TestIngestionErrors:
@@ -101,6 +112,20 @@ class TestIngestionErrors:
         assert self.run_log(tmp_path, rows) == 1
         err = capsys.readouterr().err
         assert "row 3:" in err and value in err
+
+    def test_outlier_timestamp_exits_one_naming_the_row(self, tmp_path, capsys):
+        rows = [*self.ROWS[:2], ("u9", "i0", "p0", "1e12", "0.5"), self.ROWS[2]]
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(["user_id,item_id,provider_id,timestamp,score",
+                                   *map(",".join, rows)]) + "\n")
+        start = time.perf_counter()
+        code = main(["run", "--data", str(path), "--rule", "none", "--m", "1", "--K", "1",
+                     "--interval-hours", "1"])
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "row 4: timestamp 1000000000000.0" in err and "277777778 intervals" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("row,message", [
         (("u1", "i9", "p1", "60", "0.25"), "row 3: item 'i9' is not in"),

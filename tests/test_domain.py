@@ -1,12 +1,15 @@
 """Instance types, synthetic generation, resampling, and ingestion round trips."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bankfair.domain import (Catalog, FairnessPolicy, LogSchema, SynthConfig,
-                             TrafficSeries, load_interactions, redistribute_requests,
-                             resample_traffic, save_instance, synth_instance)
+                             TrafficSeries, UserRequest, load_interactions,
+                             redistribute_requests, resample_traffic, save_instance,
+                             synth_instance)
 from bankfair.errors import ConfigError, ConsistencyError, ParseError
 
 
@@ -230,6 +233,21 @@ class TestIngestion:
             assert (a.user_id, a.interval, a.arrival_seq) == (b.user_id, b.interval, b.arrival_seq)
             np.testing.assert_array_equal(a.relevance, b.relevance)
             assert a.degenerate == b.degenerate
+
+    def test_saved_item_is_the_lowest_tied_top_id(self, tmp_path):
+        catalog = Catalog(np.array([0, 1, 0, 1]))
+        relevance = [[0.2, 0.9, 0.5, 0.9], [0.7, 0.7, 0.7, 0.1], [0.0, 0.0, 0.0, 0.0],
+                     [0.1, 0.2, 0.3, 0.4]]
+        requests = [UserRequest(f"u{t}", 1, t + 1, np.array(rel))
+                    for t, rel in enumerate(relevance)]
+        save_instance(tmp_path / "inst", catalog, TrafficSeries(np.array([4])), requests)
+        with open(tmp_path / "inst" / "interactions.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["item_id"], r["provider_id"]) for r in rows] == [
+            ("1", "1"), ("0", "0"), ("0", "0"), ("3", "1")]
+        _, _, requests2 = load_interactions(tmp_path / "inst")
+        for a, b in zip(requests, requests2):
+            np.testing.assert_array_equal(a.relevance, b.relevance)
 
     def test_bad_relevance_magic(self, tmp_path):
         cfg = SynthConfig(num_items=4, num_providers=2, num_intervals=1, traffic=[2])

@@ -112,7 +112,7 @@ class TestRun:
     def test_outputs_match_reference_serve_loop(self, tmp_path, monkeypatch):
         # Relevance on a 0.05 grid makes list selection tie-heavy; the fast
         # serve loop and top-K kernel must write the same bytes as the
-        # per-step DualState loop with full sorts.
+        # reference loop with full sorts.
         synth = SynthConfig(num_items=24, num_providers=4, num_intervals=4,
                             mean_traffic=15, list_size=5, inventory=[9, 7, 6, 2])
         catalog, series, requests = synth_instance(synth, seed=4)

@@ -1,7 +1,5 @@
 """Online re-ranker: selection argmax, conjugate closed form, dual updates."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,20 +7,11 @@ from hypothesis import given, settings, strategies as st
 from bankfair.bankruptcy import IntervalPlan
 from bankfair.domain import Catalog, UserRequest
 from bankfair.errors import ConfigError
-from bankfair.reranker import (DualState, ExposureLedger, RerankConfig, _top_k_order,
-                               compute_caps,
-                               compute_penalties, conjugate_argmax, conjugate_value,
-                               dual_step, run_interval, select_list, top_k)
+from bankfair.reranker import (RerankConfig, _top_k_order, compute_caps, compute_penalties,
+                               conjugate_argmax, conjugate_value, dual_step, run_interval,
+                               select_list, top_k)
 
 TWO_PROVIDERS = Catalog(np.array([0, 0, 0, 0, 1, 1, 1, 1]))
-
-
-def make_dual(mu, lam=None, gamma=None, eta=1.0, weight=None):
-    mu = np.asarray(mu, dtype=float)
-    lam = np.full_like(mu, 10.0) if lam is None else np.asarray(lam, dtype=float)
-    gamma = np.full_like(mu, 100.0) if gamma is None else np.asarray(gamma, dtype=float)
-    weight = np.ones_like(mu) if weight is None else np.asarray(weight, dtype=float)
-    return DualState(mu, eta, lam, gamma, weight)
 
 
 class TestPenaltiesAndCaps:
@@ -57,15 +46,13 @@ class TestSelectList:
         rng = np.random.default_rng(0)
         for _ in range(20):
             rel = rng.uniform(size=8)
-            dual = make_dual([0.0, 0.0])
-            got = select_list(rel, dual, TWO_PROVIDERS, rhat_n=3.0, k=5)
+            got = select_list(rel, np.zeros(2), TWO_PROVIDERS.item_provider, rhat_n=3.0, k=5)
             np.testing.assert_array_equal(got, top_k(rel, 5))
 
     def test_price_flips_choice(self):
         cat = Catalog(np.array([0, 1]))
         rel = np.array([0.9, 0.8])
-        dual = make_dual([0.5, 0.0])
-        got = select_list(rel, dual, cat, rhat_n=1.0, k=1)
+        got = select_list(rel, np.array([0.5, 0.0]), cat.item_provider, rhat_n=1.0, k=1)
         np.testing.assert_array_equal(got, [1])
 
     def test_tie_breaking_prefers_higher_raw_relevance_then_lower_id(self):
@@ -73,10 +60,10 @@ class TestSelectList:
         rel = np.array([0.4, 0.4, 0.8])
         # Boost chosen so all three adjusted scores collide exactly; item 2
         # wins on raw relevance, then items 0 and 1 resolve by id.
-        dual = make_dual([-0.4, 0.0])
-        adjusted = rel / 1.0 - dual.mu[cat.item_provider]
+        mu = np.array([-0.4, 0.0])
+        adjusted = rel / 1.0 - mu[cat.item_provider]
         assert adjusted[0] == adjusted[1] == adjusted[2]
-        got = select_list(rel, dual, cat, rhat_n=1.0, k=2)
+        got = select_list(rel, mu, cat.item_provider, rhat_n=1.0, k=2)
         np.testing.assert_array_equal(got, [2, 0])
 
     def test_adjusted_score_divides_by_forecast(self):
@@ -87,14 +74,19 @@ class TestSelectList:
         mu = np.array([0.0, 0.05])
         assert rel[0] / 7.0 == rel[1] / 7.0 - mu[1]
         assert rel[0] * (1.0 / 7.0) > rel[1] * (1.0 / 7.0) - mu[1]
-        np.testing.assert_array_equal(select_list(rel, make_dual(mu), cat, 7.0, 1), [1])
+        np.testing.assert_array_equal(select_list(rel, mu, cat.item_provider, 7.0, 1), [1])
         lists, _, _ = run_interval(make_requests([rel]), IntervalPlan(np.zeros(2)),
                                    RerankConfig(list_size=1, eta=0.0), cat, 7.0, mu0=mu)
         np.testing.assert_array_equal(lists[0], [1])
 
     def test_needs_at_least_k_items(self):
         with pytest.raises(ConfigError):
-            select_list(np.ones(3), make_dual([0.0]), Catalog(np.zeros(3, int)), 1.0, 4)
+            select_list(np.ones(3), np.zeros(1), np.zeros(3, int), 1.0, 4)
+
+    def test_needs_positive_traffic_estimate(self):
+        for rhat_n in (0.0, -1.0):
+            with pytest.raises(ConfigError):
+                select_list(np.ones(3), np.zeros(1), np.zeros(3, int), rhat_n, 2)
 
     def test_monotone_pressure(self):
         # Raising one provider's price never adds items of that provider.
@@ -103,10 +95,10 @@ class TestSelectList:
             rel = rng.uniform(size=8)
             mu0 = rng.uniform(-1.0, 1.0, size=2)
             bump = rng.uniform(0.0, 1.0)
-            before = select_list(rel, make_dual(mu0), TWO_PROVIDERS, 2.0, 5)
+            before = select_list(rel, mu0, TWO_PROVIDERS.item_provider, 2.0, 5)
             after_mu = mu0.copy()
             after_mu[0] += bump
-            after = select_list(rel, make_dual(after_mu), TWO_PROVIDERS, 2.0, 5)
+            after = select_list(rel, after_mu, TWO_PROVIDERS.item_provider, 2.0, 5)
             count = lambda items: int((TWO_PROVIDERS.item_provider[items] == 0).sum())
             assert count(after) <= count(before)
 
@@ -115,42 +107,40 @@ def conjugate_objective(e, mu, lam, m):
     return -lam * np.maximum(m - e, 0.0) + mu * e
 
 
+def argmax_at(mu, gamma, m):
+    """conjugate_argmax for one provider, on scalars."""
+    return conjugate_argmax(np.array([mu]), np.array([gamma]), np.array([m]))[0]
+
+
 class TestConjugateArgmax:
     def test_nonnegative_price_takes_cap(self):
-        dual = make_dual([0.0], gamma=[7.0])
-        np.testing.assert_allclose(conjugate_argmax(dual, IntervalPlan(np.array([4.0]))), [7.0])
+        assert argmax_at(0.0, 7.0, 4.0) == 7.0
 
     def test_small_negative_price_takes_floor(self):
-        dual = make_dual([-0.1], gamma=[9.0])
-        np.testing.assert_allclose(conjugate_argmax(dual, IntervalPlan(np.array([4.0]))), [4.0])
+        assert argmax_at(-0.1, 9.0, 4.0) == 4.0
 
     def test_deep_negative_price_still_takes_floor_kink(self):
         # For -lam <= mu < -M the kink at the floor still beats zero exposure:
         # the objective at 0 is -lam*M <= mu*M on the feasible price region.
         lam, m, gamma, mu = 10.0, 1.0, 5.0, -5.0
-        dual = make_dual([mu], lam=[lam], gamma=[gamma])
-        e_star = conjugate_argmax(dual, IntervalPlan(np.array([m])))[0]
+        e_star = argmax_at(mu, gamma, m)
         assert e_star == pytest.approx(m)
         grid = np.linspace(0.0, gamma, 50_001)
         best = grid[np.argmax(conjugate_objective(grid, mu, lam, m))]
         assert abs(e_star - best) <= 1e-3
 
     def test_zero_floor_negative_price_takes_zero(self):
-        dual = make_dual([-0.3], gamma=[5.0])
-        np.testing.assert_allclose(conjugate_argmax(dual, IntervalPlan(np.array([0.0]))), [0.0])
+        assert argmax_at(-0.3, 5.0, 0.0) == 0.0
 
     def test_cap_below_floor(self):
-        dual = make_dual([-0.2], gamma=[3.0])
-        np.testing.assert_allclose(conjugate_argmax(dual, IntervalPlan(np.array([8.0]))), [3.0])
+        assert argmax_at(-0.2, 3.0, 8.0) == 3.0
 
     @given(st.floats(0.1, 3.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_grid_search(self, lam, m, extra, data):
         gamma = m + extra
         mu = data.draw(st.floats(-lam, 2.0))
-        dual = make_dual([mu], lam=[lam], gamma=[gamma])
-        plan = IntervalPlan(np.array([m]))
-        e_star = conjugate_argmax(dual, plan)[0]
+        e_star = argmax_at(mu, gamma, m)
         grid = np.linspace(0.0, gamma, 10_001)
         obj = conjugate_objective(grid, mu, lam, m)
         tol = (gamma / 10_000 + 1e-12) * (lam + abs(mu)) + 1e-9
@@ -163,34 +153,28 @@ class TestConjugateArgmax:
             m = rng.uniform(0.0, 10.0)
             gamma = m + rng.uniform(0.0, 10.0)
             mu = rng.uniform(-lam, 2.0)
-            dual = make_dual([mu], lam=[lam], gamma=[gamma])
-            plan = IntervalPlan(np.array([m]))
-            e_star = conjugate_argmax(dual, plan)[0]
-            assert conjugate_value(dual, plan) == pytest.approx(
+            e_star = argmax_at(mu, gamma, m)
+            value = conjugate_value(np.array([mu]), np.array([gamma]), np.array([m]))
+            assert value == pytest.approx(
                 float(conjugate_objective(np.array([e_star]), mu, lam, m)[0]), abs=1e-9)
 
 
 class TestDualStep:
     def test_zero_subgradient_is_fixed_point(self):
-        dual = make_dual([0.3, -0.2])
-        out = dual_step(dual, np.array([2.0, 1.0]), np.array([2.0, 1.0]))
-        np.testing.assert_array_equal(out.mu, dual.mu)
+        mu = np.array([0.3, -0.2])
+        out = dual_step(mu, 1.0, np.full(2, 10.0), np.array([2.0, 1.0]), np.array([2.0, 1.0]))
+        np.testing.assert_array_equal(out, mu)
 
     def test_projection_at_boundary(self):
-        dual = make_dual([-1.0, 0.0], lam=[1.0, 1.0])
-        out = dual_step(dual, np.zeros(2), np.array([5.0, 0.0]))
-        assert out.mu[0] == -1.0
+        out = dual_step(np.array([-1.0, 0.0]), 1.0, np.ones(2), np.zeros(2),
+                        np.array([5.0, 0.0]))
+        assert out[0] == -1.0
 
     def test_hand_computed_step(self):
-        dual = make_dual([0.0, 0.0], lam=[1.0, 1.0], eta=0.1)
-        out = dual_step(dual, np.array([2.0, -1.0]) * 0, np.array([2.0, -1.0]))
-        # g = e_star - x_exposure = (2, -1)
-        np.testing.assert_allclose(out.mu, [-0.2, 0.1])
-
-    def test_weights_scale_the_step(self):
-        dual = make_dual([0.0], lam=[5.0], eta=1.0, weight=[4.0])
-        out = dual_step(dual, np.array([2.0]), np.array([0.0]))
-        np.testing.assert_allclose(out.mu, [0.5])
+        out = dual_step(np.zeros(2), 0.1, np.ones(2), np.array([1.0, 0.0]),
+                        np.array([3.0, -1.0]))
+        # g = e_star - exposure = (2, -1)
+        np.testing.assert_allclose(out, [-0.2, 0.1])
 
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=5), st.data())
     @settings(max_examples=200, deadline=None)
@@ -199,9 +183,8 @@ class TestDualStep:
         lam = np.asarray(data.draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n)))
         mu0 = np.maximum(np.asarray(data.draw(
             st.lists(st.floats(-3, 3), min_size=n, max_size=n))), -lam)
-        dual = DualState(mu0, 0.7, lam, np.full(n, 10.0), np.ones(n))
-        out = dual_step(dual, np.zeros(n), np.asarray(g))
-        assert (out.mu >= -lam - 1e-12).all()
+        out = dual_step(mu0, 0.7, lam, np.zeros(n), np.asarray(g))
+        assert (out >= -lam).all()
 
 
 def make_requests(relevances):
@@ -216,30 +199,22 @@ class TestRunInterval:
         rng = np.random.default_rng(2)
         requests = make_requests(rng.uniform(size=(6, 8)))
         cfg = RerankConfig(list_size=5, eta=0.7)
-        lists, ledger, dual = run_interval(
+        lists, _, mu = run_interval(
             requests, IntervalPlan(np.zeros(2)), cfg, TWO_PROVIDERS, rhat_n=6.0,
             lam=np.zeros(2))
         for req, lst in zip(requests, lists):
             np.testing.assert_array_equal(lst, top_k(req.relevance, 5))
-        np.testing.assert_array_equal(dual.mu, np.zeros(2))
+        np.testing.assert_array_equal(mu, np.zeros(2))
 
     def test_exposure_accounting(self):
         rng = np.random.default_rng(7)
         requests = make_requests(rng.uniform(size=(9, 8)))
         cfg = RerankConfig(list_size=5, eta=0.12)
-        _, ledger, _ = run_interval(requests, IntervalPlan(np.array([4.0, 0.0])),
-                                    cfg, TWO_PROVIDERS, rhat_n=9.0)
-        assert ledger.earned.sum() == 5 * 9
-
-    def test_beta_remaining_records_overshoot(self):
-        rng = np.random.default_rng(7)
-        requests = make_requests(rng.uniform(size=(4, 8)))
-        cfg = RerankConfig(list_size=5, eta=0.12)
-        plan = IntervalPlan(np.array([4.0, 0.0]))
-        _, ledger, _ = run_interval(requests, plan, cfg, TWO_PROVIDERS, rhat_n=4.0)
-        np.testing.assert_array_equal(ledger.beta_remaining,
-                                      plan.min_exposure - ledger.earned)
-        assert ledger.beta_remaining[1] < 0  # unconstrained provider over-serves
+        lists, earned, _ = run_interval(requests, IntervalPlan(np.array([4.0, 0.0])),
+                                        cfg, TWO_PROVIDERS, rhat_n=9.0)
+        assert earned.dtype == np.int64 and earned.sum() == 5 * 9
+        np.testing.assert_array_equal(
+            earned, np.bincount(TWO_PROVIDERS.item_provider[lists.ravel()], minlength=2))
 
     def test_toy_floor_enforced_for_three_and_two_users(self):
         relevance = np.array([0.90, 0.62, 0.42, 0.20, 0.85, 0.80, 0.75, 0.70])
@@ -247,17 +222,35 @@ class TestRunInterval:
         plan = IntervalPlan(np.array([4.0, 0.0]))
         for n_users in (3, 2):
             requests = make_requests([relevance] * n_users)
-            _, ledger, _ = run_interval(requests, plan, cfg, TWO_PROVIDERS,
+            _, earned, _ = run_interval(requests, plan, cfg, TWO_PROVIDERS,
                                         rhat_n=float(n_users))
-            assert ledger.earned[0] >= 4
+            assert earned[0] >= 4
 
     def test_dual_feasibility_throughout(self):
         rng = np.random.default_rng(1)
         requests = make_requests(rng.uniform(size=(30, 8)))
         cfg = RerankConfig(list_size=5, eta=0.5, beta_mix=0.7)
-        _, _, dual = run_interval(requests, IntervalPlan(np.array([10.0, 3.0])),
-                                  cfg, TWO_PROVIDERS, rhat_n=30.0)
-        assert (dual.mu >= -dual.lam - 1e-12).all()
+        prices = []
+        _, _, mu = run_interval(requests, IntervalPlan(np.array([10.0, 3.0])), cfg,
+                                TWO_PROVIDERS, rhat_n=30.0,
+                                trace_hook=lambda t, req, items, mu: prices.append(mu))
+        lam = compute_penalties(TWO_PROVIDERS, 0.7)
+        assert all((p >= -lam).all() for p in [*prices, mu])
+        assert (mu == -lam).any()  # the projection was active
+
+    def test_mu0_projected_on_entry(self):
+        lam = np.array([0.5, 2.0])
+        prices = []
+        run_interval(make_requests([np.ones(8)]), IntervalPlan(np.zeros(2)),
+                     RerankConfig(list_size=5, eta=0.0), TWO_PROVIDERS, 1.0, lam=lam,
+                     mu0=np.array([-3.0, -1.0]),
+                     trace_hook=lambda t, req, items, mu: prices.append(mu))
+        np.testing.assert_array_equal(prices[0], [-0.5, -1.0])
+
+    def test_rejects_negative_penalties(self):
+        with pytest.raises(ConfigError, match="penalties"):
+            run_interval([], IntervalPlan(np.zeros(2)), RerankConfig(list_size=5),
+                         TWO_PROVIDERS, 1.0, lam=np.array([1.0, -0.5]))
 
     def test_warm_start_uses_mu0(self):
         rng = np.random.default_rng(3)
@@ -266,20 +259,19 @@ class TestRunInterval:
         mu0 = np.array([-0.4, 0.2])
         lists_cold, _, _ = run_interval(requests, IntervalPlan(np.zeros(2)), cfg,
                                         TWO_PROVIDERS, rhat_n=1.0)
-        lists_warm, _, dual = run_interval(requests, IntervalPlan(np.zeros(2)), cfg,
-                                           TWO_PROVIDERS, rhat_n=1.0, mu0=mu0)
-        np.testing.assert_array_equal(dual.mu, mu0)  # eta=0 freezes prices
-        expected = select_list(requests[0].relevance, dual, TWO_PROVIDERS, 1.0, 5)
+        lists_warm, _, mu = run_interval(requests, IntervalPlan(np.zeros(2)), cfg,
+                                         TWO_PROVIDERS, rhat_n=1.0, mu0=mu0)
+        np.testing.assert_array_equal(mu, mu0)  # eta=0 freezes prices
+        expected = select_list(requests[0].relevance, mu, TWO_PROVIDERS.item_provider, 1.0, 5)
         np.testing.assert_array_equal(lists_warm[0], expected)
         assert not np.array_equal(lists_cold[0], lists_warm[0])
 
     def test_no_arrivals_returns_empty_lists(self):
-        lists, ledger, dual = run_interval([], IntervalPlan(np.array([4.0, 0.0])),
-                                           RerankConfig(list_size=5), TWO_PROVIDERS, 2.0)
+        lists, earned, mu = run_interval([], IntervalPlan(np.array([4.0, 0.0])),
+                                         RerankConfig(list_size=5), TWO_PROVIDERS, 2.0)
         assert lists.shape == (0, 5) and lists.dtype == np.int64
-        np.testing.assert_array_equal(ledger.earned, [0, 0])
-        np.testing.assert_array_equal(ledger.beta_remaining, [4.0, 0.0])
-        np.testing.assert_array_equal(dual.mu, [0.0, 0.0])
+        np.testing.assert_array_equal(earned, [0, 0])
+        np.testing.assert_array_equal(mu, [0.0, 0.0])
 
     def test_requires_positive_traffic_estimate(self):
         with pytest.raises(ConfigError):
@@ -287,20 +279,20 @@ class TestRunInterval:
                          TWO_PROVIDERS, rhat_n=0.0)
 
 
-class TestDualStateValidation:
-    def test_rejects_price_below_negative_penalty(self):
-        with pytest.raises(ConfigError):
-            DualState(np.array([-2.0]), 1.0, np.array([1.0]), np.array([1.0]),
-                      np.array([1.0]))
+class TestRerankConfigValidation:
+    @pytest.mark.parametrize("eta", [-0.1, float("nan"), float("inf"), float("-inf"),
+                                     "fast", None])
+    def test_rejects_bad_eta(self, eta):
+        with pytest.raises(ConfigError, match="eta"):
+            RerankConfig(eta=eta)
 
-    def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ConfigError):
-            DualState(np.array([0.0]), 1.0, np.array([1.0]), np.array([1.0]),
-                      np.array([0.0]))
+    @pytest.mark.parametrize("eta", ["auto", 0, 0.0, 1e-5, 2])
+    def test_accepts_auto_and_finite_nonnegative_eta(self, eta):
+        assert RerankConfig(eta=eta).eta == eta
 
 
 # ---------------------------------------------------------------------------
-# Slow references: full sorts and the per-step DualState loop
+# Slow references: full sorts and the serve loop with inline formulas
 # ---------------------------------------------------------------------------
 
 
@@ -316,32 +308,34 @@ def reference_top_k(relevance, k):
 
 def reference_run_interval(requests, plan, cfg, catalog, rhat_n, lam=None, mu0=None,
                            trace_hook=None):
-    """The serve loop as a validated DualState rebuilt at every arrival."""
+    """The serve loop with one full lexsort per arrival and each step written out.
+
+    It calls none of select_list, conjugate_argmax, dual_step or the top-K
+    kernel, and returns (lists, earned, mu) as run_interval does.
+    """
     k = cfg.list_size
     lam = compute_penalties(catalog, cfg.beta_mix) if lam is None else np.asarray(lam, float)
     gamma = compute_caps(catalog, k, rhat_n)
-    dual = DualState.initial(lam, gamma, cfg.step_size(rhat_n))
-    if mu0 is not None:
-        dual = replace(dual, mu=np.maximum(np.asarray(mu0, dtype=float), -lam))
+    eta = cfg.step_size(rhat_n)
+    mu = np.zeros_like(lam) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), -lam)
     beta = np.asarray(plan.min_exposure, dtype=float).copy()
     earned = np.zeros(catalog.num_providers, dtype=np.int64)
     lists = []
     for t, req in enumerate(requests, start=1):
         relevance = np.asarray(req.relevance, dtype=float)
-        adjusted = relevance / float(rhat_n) - dual.mu[catalog.item_provider]
+        adjusted = relevance / float(rhat_n) - mu[catalog.item_provider]
         order = lexsort_order(adjusted, relevance, k)
         if trace_hook is not None:
-            trace_hook(t, req, order, dual.mu)
-        exposure = catalog.exposure_of(order)
+            trace_hook(t, req, order, mu)
+        exposure = np.bincount(catalog.item_provider[order], minlength=catalog.num_providers)
         earned += exposure
         beta -= exposure
-        m = np.maximum(beta, 0.0)
-        e_star = np.where(dual.mu >= 0.0, dual.gamma, np.minimum(m, dual.gamma))
-        g = e_star - np.asarray(exposure, dtype=float)
-        dual = replace(dual, mu=np.maximum(dual.mu - dual.eta * g / dual.weight, -dual.lam))
+        remainder = np.maximum(beta, 0.0)
+        e_star = np.where(mu >= 0.0, gamma, np.minimum(remainder, gamma))
+        mu = np.maximum(mu - eta * (e_star - exposure.astype(float)), -lam)
         lists.append(order)
     lists = np.asarray(lists, dtype=np.int64).reshape(len(requests), k)
-    return lists, ExposureLedger(earned=earned, beta_remaining=beta), dual
+    return lists, earned, mu
 
 
 class TestTopKKernel:
@@ -397,14 +391,14 @@ class TestTopKKernel:
         for _ in range(100):
             rel = rng.integers(0, 5, size=30) / 4.0
             mu = rng.integers(-2, 3, size=3) / 4.0
-            got = select_list(rel, make_dual(mu), cat, 2.0, 6)
+            got = select_list(rel, mu, cat.item_provider, 2.0, 6)
             want = lexsort_order(rel / 2.0 - mu[cat.item_provider], rel, 6)
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(top_k(rel, 6), reference_top_k(rel, 6))
 
 
 class TestServeLoopMatchesReference:
-    """run_interval is bit-identical to the per-step DualState loop."""
+    """run_interval is bit-identical to the reference loop with full sorts."""
 
     @staticmethod
     def instance(seed):
@@ -426,16 +420,16 @@ class TestServeLoopMatchesReference:
 
     @staticmethod
     def assert_same(got, want, got_calls, want_calls, num_items):
-        lists, ledger, dual = got
-        ref_lists, ref_ledger, ref_dual = want
+        lists, earned, mu = got
+        ref_lists, ref_earned, ref_mu = want
         assert lists.dtype == np.int64 and lists.shape == ref_lists.shape
         np.testing.assert_array_equal(lists, ref_lists)
         for row in lists:  # K distinct item ids per arrival
             assert np.unique(row).size == row.size
             assert row.min() >= 0 and row.max() < num_items
-        np.testing.assert_array_equal(ledger.earned, ref_ledger.earned)
-        assert ledger.beta_remaining.tobytes() == ref_ledger.beta_remaining.tobytes()
-        assert dual.mu.tobytes() == ref_dual.mu.tobytes()
+        assert earned.dtype == ref_earned.dtype == np.int64
+        np.testing.assert_array_equal(earned, ref_earned)
+        assert mu.tobytes() == ref_mu.tobytes()
         assert got_calls == want_calls
 
     @staticmethod
