@@ -9,6 +9,7 @@ table to stdout.
 
 import argparse
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,7 @@ def main():
     rows = []
     for rule in RULES:
         for seed in range(args.seeds):
-            cfg = benchmark_config(rule, seed)
-            cfg.tau = args.tau
-            rep = harness.run(cfg)
+            rep = harness.run(replace(benchmark_config(rule, seed), tau=args.tau))
             rows.append({"rule": rule, "seed": seed, "ndcg": rep.ndcg_at_k,
                          "vio": rep.vio_at_k, "esp": rep.esp_at_k})
 

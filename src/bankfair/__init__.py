@@ -7,8 +7,7 @@ ESP and diagnostics), `harness` (the end-to-end driver and sweeps), and
 `acceptance` (the built-in verification suite behind `bankfair verify`).
 """
 
-from .bankruptcy import (AllocationResult, BankruptcyInstance, IntervalPlan,
-                         plan_interval, predict_demands, talmud, update_remaining)
+from .bankruptcy import plan_interval, predict_demands, talmud, update_remaining
 from .domain import (Catalog, FairnessPolicy, LogSchema, SynthConfig, TrafficSeries,
                      UserRequest, load_interactions, resample_traffic, save_instance,
                      synth_instance)
@@ -16,20 +15,17 @@ from .errors import (BankfairError, ConfigError, ConsistencyError,
                      InfeasibleAllocationError, ParseError)
 from .forecast import Forecast, forecast_traffic
 from .harness import RunConfig, SweepSpec, run, sweep
-from .metrics import (SimReport, accuracy_loss_curve, esp_at_k, feasible_region_ratio,
-                      ndcg_at_k, vio_at_k)
+from .metrics import SimReport, esp_at_k, feasible_region_ratio, ndcg_at_k, vio_at_k
 from .reranker import (RerankConfig, compute_caps, compute_penalties, conjugate_argmax,
                        conjugate_value, dual_step, run_interval, select_list, top_k)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationResult", "BankruptcyInstance", "BankfairError", "Catalog",
-    "ConfigError", "ConsistencyError", "FairnessPolicy", "Forecast",
-    "InfeasibleAllocationError", "IntervalPlan", "LogSchema", "ParseError",
-    "RerankConfig", "RunConfig",
-    "SimReport", "SweepSpec", "SynthConfig", "TrafficSeries", "UserRequest",
-    "accuracy_loss_curve", "compute_caps", "compute_penalties",
+    "BankfairError", "Catalog", "ConfigError", "ConsistencyError",
+    "FairnessPolicy", "Forecast", "InfeasibleAllocationError", "LogSchema",
+    "ParseError", "RerankConfig", "RunConfig", "SimReport", "SweepSpec",
+    "SynthConfig", "TrafficSeries", "UserRequest", "compute_caps", "compute_penalties",
     "conjugate_argmax", "conjugate_value", "dual_step", "esp_at_k",
     "feasible_region_ratio", "forecast_traffic", "load_interactions",
     "ndcg_at_k", "plan_interval", "predict_demands", "resample_traffic", "run",

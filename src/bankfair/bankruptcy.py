@@ -2,18 +2,18 @@
 
 The remaining exposure requirement of a provider is treated as an estate to
 be divided among the remaining intervals, whose claims are the (scaled)
-predicted traffic. The talmud rule of Aumann and Maschler does the division
-in closed form, for every provider at once because all providers share the
-same claims; naive and prop are simpler baseline rules sharing the same
-interface. Each plan carries a per-provider audit of estate, claim, award
-and theta arrays.
+predicted traffic. ``talmud(claims, estate)`` does the division by the rule
+of Aumann and Maschler in closed form, for a vector of estates at once
+because all providers share the same claims; naive and prop are simpler
+baseline rules. ``plan_interval`` returns the interval's audit: a dict of
+per-provider estate, claim, award and theta arrays (AUDIT_COLUMNS), whose
+``award`` column is the interval's exposure floor.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,58 +27,18 @@ AUDIT_COLUMNS = ("estate", "claim", "award", "theta")
 _REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BankruptcyInstance:
-    """Estates to divide among claimants whose claims exceed them.
+def talmud(claims: np.ndarray,
+           estate: float | np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+    """Divide each estate among the claimants by the talmud rule.
 
-    ``estate`` is a scalar, or a vector of estates that share the claims.
-    """
+    ``claims`` is a nonempty vector of finite nonnegative claims; ``estate``
+    is a scalar, or a vector of estates that share the claims. An estate
+    above the total claims by more than 1e-9 (relative, plus 1e-9 absolute)
+    raises InfeasibleAllocationError; within that slack it is clamped to the
+    total.
 
-    claims: np.ndarray
-    estate: float | np.ndarray
-
-    def __post_init__(self):
-        claims = np.asarray(self.claims, dtype=float)
-        if claims.ndim != 1 or claims.size == 0:
-            raise ConfigError("claims must be a nonempty vector")
-        if not np.isfinite(claims).all() or (claims < 0).any():
-            raise ConfigError("claims must be finite and nonnegative")
-        total = float(claims.sum())
-        estate = np.asarray(self.estate, dtype=float)
-        if estate.ndim > 1:
-            raise ConfigError("estate must be a scalar or a vector")
-        if not np.isfinite(estate).all() or (estate < 0).any():
-            raise ConfigError("estate must be finite and nonnegative")
-        if (estate > total * (1 + _REL_TOL) + _REL_TOL).any():
-            raise InfeasibleAllocationError(
-                f"estate {estate.max()} exceeds total claims {total}; clamp before allocating")
-        estate = np.minimum(estate, total)
-        object.__setattr__(self, "claims", claims)
-        object.__setattr__(self, "estate", float(estate) if estate.ndim == 0 else estate)
-
-
-@dataclass(frozen=True)
-class AllocationResult:
-    """Awards and theta: one row and one value per estate of the instance."""
-
-    awards: np.ndarray
-    theta: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class IntervalPlan:
-    """Per-provider exposure floor for the current interval.
-
-    ``audit`` maps each of AUDIT_COLUMNS to a per-provider array; theta is
-    nan under the rules other than talmud.
-    """
-
-    min_exposure: np.ndarray
-    audit: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def talmud(instance: BankruptcyInstance) -> AllocationResult:
-    """Divide each estate by the talmud rule.
+    Returns (awards, theta): one award row and one theta per estate, or one
+    award vector and a float theta for a scalar estate.
 
     With half-claims h, each claimant receives min(h, theta) when the estate
     is at most half the total claims, and claim - min(h, theta) otherwise. In
@@ -87,9 +47,22 @@ def talmud(instance: BankruptcyInstance) -> AllocationResult:
     one sort and a cumulative sum locate each estate's segment and theta
     follows exactly.
     """
-    d = instance.claims
-    estate = np.asarray(instance.estate)
+    d = np.asarray(claims, dtype=float)
+    if d.ndim != 1 or d.size == 0:
+        raise ConfigError("claims must be a nonempty vector")
+    if not np.isfinite(d).all() or (d < 0).any():
+        raise ConfigError("claims must be finite and nonnegative")
     total = float(d.sum())
+    estate = np.asarray(estate, dtype=float)
+    if estate.ndim > 1:
+        raise ConfigError("estate must be a scalar or a vector")
+    if not np.isfinite(estate).all() or (estate < 0).any():
+        raise ConfigError("estate must be finite and nonnegative")
+    if (estate > total * (1 + _REL_TOL) + _REL_TOL).any():
+        raise InfeasibleAllocationError(
+            f"estate {estate.max()} exceeds total claims {total}; clamp before allocating")
+    estate = np.minimum(estate, total)
+
     half = 0.5 * d
     h = np.sort(half)
     below = np.concatenate(([0.0], np.cumsum(h)[:-1]))  # sum of the half-claims before each kink
@@ -103,7 +76,7 @@ def talmud(instance: BankruptcyInstance) -> AllocationResult:
     theta = (target - below[seg]) / flat[seg]
     low = np.minimum(half, theta[..., None])
     awards = np.where((estate <= 0.5 * total)[..., None], low, d - low)
-    return AllocationResult(awards, float(theta) if theta.ndim == 0 else theta)
+    return awards, float(theta) if theta.ndim == 0 else theta
 
 
 def update_remaining(prev_remaining: np.ndarray, earned_last: np.ndarray) -> np.ndarray:
@@ -128,8 +101,8 @@ def predict_demands(forecast: np.ndarray, alpha: float, list_size: int) -> np.nd
 
 
 def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
-                  forecast: np.ndarray, interval: int = 0) -> IntervalPlan:
-    """Exposure floor for the current interval under the chosen rule.
+                  forecast: np.ndarray, interval: int = 0) -> dict[str, np.ndarray]:
+    """The current interval's audit under the chosen rule.
 
     ``remaining`` is per-provider; ``claims`` and ``forecast`` cover the
     current through final interval (claims are shared by all providers).
@@ -138,6 +111,11 @@ def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
     when this interval's forecast is at or above the mean of the coming
     forecasts, else nothing. prop: the current interval's share of the coming
     forecast traffic. none: no floor.
+
+    Returns a dict mapping each of AUDIT_COLUMNS to a per-provider array:
+    the estate divided, this interval's claim, the award, which is the
+    interval's exposure floor, and theta (nan under the rules other than
+    talmud).
     """
     remaining = np.array(remaining, dtype=float)  # a copy: the audit keeps it
     claims = np.asarray(claims, dtype=float)
@@ -160,8 +138,8 @@ def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
                 "provider %d: estate %.3f exceeds total claims %.3f; clamping, "
                 "surplus stays in the remaining requirement", p, remaining[p], total_claims)
         estate = np.minimum(remaining, total_claims)
-        res = talmud(BankruptcyInstance(claims, estate))
-        plan, claim, theta = res.awards[:, 0], claims[0], res.theta
+        awards, theta = talmud(claims, estate)
+        plan, claim = awards[:, 0], claims[0]
     elif rule == "naive":
         claim = remaining / 2.0
         plan = claim if forecast[0] >= forecast.mean() else np.zeros(nprov)
@@ -175,5 +153,4 @@ def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
         plan = share * remaining
         claim = plan
 
-    columns = np.broadcast_arrays(estate, claim, plan, theta)
-    return IntervalPlan(plan, dict(zip(AUDIT_COLUMNS, columns)))
+    return dict(zip(AUDIT_COLUMNS, np.broadcast_arrays(estate, claim, plan, theta)))

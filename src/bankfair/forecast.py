@@ -7,7 +7,9 @@ for a learned model behind the same call signature.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -15,7 +17,34 @@ from .errors import ConfigError
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("last_value", "moving_average", "seasonal", "oracle")
+_WINDOW = ("an int >= 1", lambda v: isinstance(v, Integral) and not isinstance(v, bool)
+           and v >= 1)
+_PRIOR = ("a finite number >= 0", lambda v: isinstance(v, Real) and not isinstance(v, bool)
+          and math.isfinite(v) and v >= 0)
+
+# The parameters each forecaster takes: name -> (what it must be, its check).
+# seasonal takes moving_average's window too, for its short-history fallback.
+PARAMS = {
+    "last_value": {"prior_mean": _PRIOR},
+    "moving_average": {"w": _WINDOW, "prior_mean": _PRIOR},
+    "seasonal": {"lag": _WINDOW, "w": _WINDOW, "prior_mean": _PRIOR},
+    "oracle": {},
+}
+
+
+def check_params(method: str, params: dict):
+    """ConfigError naming the key unless ``method`` takes every one of ``params``."""
+    if method not in PARAMS:
+        raise ConfigError(f"unknown forecaster {method!r}")
+    accepted = PARAMS[method]
+    for key, value in params.items():
+        if key not in accepted:
+            raise ConfigError(f"forecaster {method!r}: unknown parameter {key!r}; "
+                              f"accepted: {', '.join(accepted) or 'none'}")
+        what, ok = accepted[key]
+        if not ok(value):
+            raise ConfigError(f"forecaster {method!r}: parameter {key!r} must be {what}, "
+                              f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,14 +69,13 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
     mean of the last ``w`` observations; seasonal tiles the last ``lag``
     observations; oracle returns the true future counts (simulator-only, the
     zero-error upper bound). With no history yet, the configured
-    ``prior_mean`` is used.
+    ``prior_mean`` is used. ``params`` must pass ``check_params``.
     """
     params = dict(params or {})
+    check_params(method, params)
     history = np.asarray(history, dtype=float)
     if horizon < 1:
         raise ConfigError("forecast horizon must be >= 1")
-    if method not in METHODS:
-        raise ConfigError(f"unknown forecaster {method!r}")
 
     if method == "oracle":
         if future is None:
@@ -59,12 +87,10 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
 
     prior_mean = float(params.get("prior_mean", 1.0))
     if history.size == 0:
-        return Forecast(np.full(horizon, max(prior_mean, 0.0)), method)
+        return Forecast(np.full(horizon, prior_mean), method)
 
     if method == "seasonal":
-        lag = int(params.get("lag", 7))
-        if lag < 1:
-            raise ConfigError("seasonal lag must be >= 1")
+        lag = params.get("lag", 7)
         if history.size < lag:
             logger.warning("seasonal lag %d exceeds history length %d; "
                            "falling back to moving_average", lag, history.size)
@@ -77,8 +103,6 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
     if method == "last_value":
         level = float(history[-1])
     else:  # moving_average
-        w = int(params.get("w", 3))
-        if w < 1:
-            raise ConfigError("moving average window must be >= 1")
+        w = params.get("w", 3)
         level = float(history[-w:].mean())
     return Forecast(np.full(horizon, max(level, 0.0)), method)

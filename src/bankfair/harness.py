@@ -8,11 +8,11 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import bankruptcy, forecast, metrics, reranker
 from .domain import (FairnessPolicy, LogSchema, SynthConfig, UserRequest,
@@ -22,6 +22,11 @@ from .errors import ConfigError
 from .metrics import SimReport
 
 logger = logging.getLogger(__name__)
+
+
+def _check_seed(key: str, seed):
+    if not (isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0):
+        raise ConfigError(f"{key}: {seed!r} is not an int >= 0")
 
 
 @dataclass
@@ -53,6 +58,8 @@ class RunConfig:
         noise = self.relevance_noise
         if not (isinstance(noise, (int, float)) and math.isfinite(noise) and noise >= 0):
             raise ConfigError(f"relevance_noise must be a finite number >= 0, got {noise!r}")
+        _check_seed("seed", self.seed)
+        forecast.check_params(self.forecaster, self.forecaster_params)
 
     def echo(self) -> dict:
         """JSON-friendly snapshot of the configuration."""
@@ -141,14 +148,14 @@ def run(cfg: RunConfig) -> SimReport:
         rhat_n = max(float(rhat[0]), 1.0)
 
         if cfg.rule == "none" or float(m.sum()) == 0.0:
-            plan = bankruptcy.plan_interval("none", remaining, np.zeros_like(rhat),
-                                            rhat, interval=n)
+            audit = bankruptcy.plan_interval("none", remaining, np.zeros_like(rhat),
+                                             rhat, interval=n)
         else:
             traffic_total = float(realized[: n - 1].sum() + rhat.sum())
             alpha = _alpha_for(cfg, m, k, traffic_total)
             claims = bankruptcy.predict_demands(rhat, alpha, k)
-            plan = bankruptcy.plan_interval(cfg.rule, remaining, claims, rhat, interval=n)
-        allocation_rows.append((n, plan.audit))
+            audit = bankruptcy.plan_interval(cfg.rule, remaining, claims, rhat, interval=n)
+        allocation_rows.append((n, audit))
 
         if cfg.relevance_noise > 0 and arrivals:
             for req in arrivals:
@@ -162,7 +169,7 @@ def run(cfg: RunConfig) -> SimReport:
                     [n, t, req.user_id, *items.tolist(),
                      hashlib.sha1(mu.tobytes()).hexdigest()[:12]])
             lists, earned, _ = reranker.run_interval(
-                arrivals, plan, rerank_cfg, catalog, rhat_n, trace_hook=hook)
+                arrivals, audit["award"], rerank_cfg, catalog, rhat_n, trace_hook=hook)
             cumulative = cumulative + earned
             interval_ndcg = [
                 metrics.ndcg_at_k(items, reranker.top_k(req.relevance, k), req.relevance)
@@ -237,6 +244,10 @@ class SweepSpec:
         unknown = set(self.grid) - set(GRID_KEYS)
         if unknown:
             raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+        if isinstance(self.seeds, (str, bytes)) or not isinstance(self.seeds, Sequence):
+            raise ConfigError(f"seeds must be a list of ints >= 0, got {self.seeds!r}")
+        for seed in self.seeds:
+            _check_seed("seeds", seed)
         if len(set(self.seeds)) != len(list(self.seeds)):
             raise ConfigError("replication seeds must be distinct")
 
@@ -266,6 +277,7 @@ def _t_interval(values: np.ndarray) -> float:
     """Half-width of the 95% t-interval of the mean (0 for a single value)."""
     if values.size < 2:
         return 0.0
+    from scipy import stats  # here, not at import: scipy.stats takes about a second to load
     return float(stats.t.ppf(0.975, values.size - 1) * values.std(ddof=1) / math.sqrt(values.size))
 
 

@@ -5,13 +5,11 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError
 
@@ -115,38 +113,3 @@ class SimReport:
                             repr(self.per_interval_accuracy[n]),
                             repr(self.per_interval_vio[n]),
                             repr(self.per_interval_esp[n])])
-
-
-@dataclass(frozen=True)
-class LossCurve:
-    """Mean accuracy loss per traffic level plus their rank correlation."""
-
-    points: tuple[tuple[float, float], ...]
-    spearman: float | None
-
-
-def accuracy_loss_curve(reports: Sequence[SimReport]) -> LossCurve:
-    """Empirical loss-versus-traffic curve pooled from run reports.
-
-    Loss per interval is 1 - accuracy (the unconstrained accuracy is exactly
-    1 by the metric's definition). Intervals are grouped by traffic level and
-    averaged; the Spearman correlation is reported over the grouped means, or
-    None when fewer than three levels are present.
-    """
-    buckets: dict[float, list[float]] = {}
-    for rep in reports:
-        for traffic, acc in zip(rep.per_interval_traffic, rep.per_interval_accuracy):
-            buckets.setdefault(float(traffic), []).append(1.0 - acc)
-    if not buckets:
-        raise ConfigError("no intervals to build a loss curve from")
-    points = tuple(sorted((lvl, float(np.mean(vals))) for lvl, vals in buckets.items()))
-    if len(points) < 3:
-        return LossCurve(points, None)
-    levels = [p[0] for p in points]
-    losses = [p[1] for p in points]
-    with warnings.catch_warnings():
-        # Constant losses (e.g. an unconstrained run) make the correlation
-        # undefined; report that as None instead of warning.
-        warnings.simplefilter("ignore", stats.ConstantInputWarning)
-        rho = stats.spearmanr(levels, losses).statistic
-    return LossCurve(points, None if np.isnan(rho) else float(rho))

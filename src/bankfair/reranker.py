@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .bankruptcy import IntervalPlan
 from .domain import Catalog, UserRequest
 from .errors import ConfigError
 
@@ -140,10 +139,10 @@ def dual_step(mu: np.ndarray, eta: float, lam: np.ndarray, exposure: np.ndarray,
     return np.maximum(mu - eta * (e_star - exposure), -lam)
 
 
-def run_interval(requests: Sequence[UserRequest], plan: IntervalPlan, cfg: RerankConfig,
+def run_interval(requests: Sequence[UserRequest], floor: np.ndarray, cfg: RerankConfig,
                  catalog: Catalog, rhat_n: float, lam: np.ndarray | None = None,
                  mu0: np.ndarray | None = None, trace_hook=None):
-    """Serve one interval's arrivals in order.
+    """Serve one interval's arrivals in order against per-provider ``floor``.
 
     Dual prices start at zero, or at ``mu0`` (projected onto mu >= -lambda)
     when given; ``lam`` replaces the penalties of ``compute_penalties``. After
@@ -172,7 +171,7 @@ def run_interval(requests: Sequence[UserRequest], plan: IntervalPlan, cfg: Reran
     eta = cfg.step_size(rhat_n)
     mu = np.zeros_like(lam) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), -lam)
 
-    beta = np.asarray(plan.min_exposure, dtype=float).copy()
+    beta = np.array(floor, dtype=float)
     earned = np.zeros(catalog.num_providers, dtype=np.int64)
     lists = np.empty((len(requests), k), dtype=np.int64)
     for t, req in enumerate(requests, start=1):

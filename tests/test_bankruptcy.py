@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bankfair.bankruptcy import (AUDIT_COLUMNS, BankruptcyInstance, plan_interval,
-                                 predict_demands, talmud, update_remaining)
+from bankfair.bankruptcy import (AUDIT_COLUMNS, plan_interval, predict_demands, talmud,
+                                 update_remaining)
 from bankfair.errors import ConfigError, InfeasibleAllocationError
 
 CLAIMS = np.array([100.0, 200.0, 300.0])
@@ -30,27 +30,27 @@ class TestTalmudPinnedValues:
         (450.0, [50.0, 150.0, 250.0]),  # = claims - talmud(150) by self-duality
     ])
     def test_textbook_cases(self, estate, expected):
-        res = talmud(BankruptcyInstance(CLAIMS, estate))
-        np.testing.assert_allclose(res.awards, expected, atol=1e-6)
+        awards, _ = talmud(CLAIMS, estate)
+        np.testing.assert_allclose(awards, expected, atol=1e-6)
 
     @pytest.mark.parametrize("estate", [70.0, 150.0, 299.0, 301.0, 449.0, 560.0])
     def test_matches_theta_grid_oracle(self, estate):
-        res = talmud(BankruptcyInstance(CLAIMS, estate))
+        awards, _ = talmud(CLAIMS, estate)
         oracle = theta_grid_awards(CLAIMS, estate)
-        np.testing.assert_allclose(res.awards, oracle, atol=1e-3)
+        np.testing.assert_allclose(awards, oracle, atol=1e-3)
 
     def test_full_satisfaction(self):
-        res = talmud(BankruptcyInstance(CLAIMS, float(CLAIMS.sum())))
-        np.testing.assert_allclose(res.awards, CLAIMS, atol=1e-9)
+        awards, _ = talmud(CLAIMS, float(CLAIMS.sum()))
+        np.testing.assert_allclose(awards, CLAIMS, atol=1e-9)
 
     def test_empty_estate(self):
-        res = talmud(BankruptcyInstance(CLAIMS, 0.0))
-        np.testing.assert_allclose(res.awards, 0.0)
+        awards, _ = talmud(CLAIMS, 0.0)
+        np.testing.assert_allclose(awards, 0.0)
 
     def test_half_sum_boundary_agrees_across_branches(self):
         # Both branch formulas give claims/2 exactly at the boundary.
-        res = talmud(BankruptcyInstance(CLAIMS, float(CLAIMS.sum()) / 2.0))
-        np.testing.assert_allclose(res.awards, CLAIMS / 2.0, atol=1e-9)
+        awards, _ = talmud(CLAIMS, float(CLAIMS.sum()) / 2.0)
+        np.testing.assert_allclose(awards, CLAIMS / 2.0, atol=1e-9)
 
     @pytest.mark.parametrize("claims,estate,awards,theta", [
         ([100.0, 200.0, 300.0], 150.0, [50.0, 50.0, 50.0], 50.0),  # kink at a half-claim
@@ -66,15 +66,33 @@ class TestTalmudPinnedValues:
         ([80.0], 50.0, [50.0], 30.0),
     ])
     def test_exact_awards_and_theta(self, claims, estate, awards, theta):
-        res = talmud(BankruptcyInstance(np.array(claims), estate))
-        np.testing.assert_allclose(res.awards, awards, atol=1e-12)
-        assert res.theta == pytest.approx(theta, abs=1e-12)
+        got_awards, got_theta = talmud(np.array(claims), estate)
+        np.testing.assert_allclose(got_awards, awards, atol=1e-12)
+        assert got_theta == pytest.approx(theta, abs=1e-12)
 
     def test_estate_above_claims_rejected(self):
         with pytest.raises(InfeasibleAllocationError):
-            BankruptcyInstance(CLAIMS, 601.0)
+            talmud(CLAIMS, 601.0)
         with pytest.raises(InfeasibleAllocationError):
-            BankruptcyInstance(CLAIMS, np.array([10.0, 601.0]))
+            talmud(CLAIMS, np.array([10.0, 601.0]))
+
+    def test_estate_within_slack_clamped_to_total(self):
+        awards, theta = talmud(CLAIMS, 600.0 * (1 + 1e-10))
+        np.testing.assert_array_equal(awards, CLAIMS)
+        assert theta == 0.0
+
+    @pytest.mark.parametrize("claims,estate,message", [
+        ([], 0.0, "claims must be a nonempty vector"),
+        ([[1.0, 2.0]], 1.0, "claims must be a nonempty vector"),
+        ([1.0, np.nan], 1.0, "claims must be finite and nonnegative"),
+        ([1.0, -1.0], 0.0, "claims must be finite and nonnegative"),
+        ([1.0, 2.0], [[1.0]], "estate must be a scalar or a vector"),
+        ([1.0, 2.0], np.inf, "estate must be finite and nonnegative"),
+        ([1.0, 2.0], [1.0, -0.5], "estate must be finite and nonnegative"),
+    ])
+    def test_bad_input_rejected(self, claims, estate, message):
+        with pytest.raises(ConfigError, match=message):
+            talmud(np.array(claims), estate)
 
 
 def kink_estates(claims):
@@ -102,7 +120,7 @@ class TestTalmudProperties:
     @settings(max_examples=300, deadline=None)
     def test_efficiency_and_bounds(self, inst):
         claims, estate = inst
-        awards = talmud(BankruptcyInstance(claims, estate)).awards
+        awards, _ = talmud(claims, estate)
         assert abs(awards.sum() - estate) <= 1e-9 * max(1.0, estate)
         assert (awards >= -1e-12).all()
         assert (awards <= claims + 1e-9).all()
@@ -112,15 +130,15 @@ class TestTalmudProperties:
     def test_self_duality(self, inst):
         claims, estate = inst
         total = claims.sum()
-        a = talmud(BankruptcyInstance(claims, estate)).awards
-        b = talmud(BankruptcyInstance(claims, total - estate)).awards
+        a, _ = talmud(claims, estate)
+        b, _ = talmud(claims, total - estate)
         np.testing.assert_allclose(a, claims - b, atol=1e-9 * max(1.0, total))
 
     @given(instances())
     @settings(max_examples=300, deadline=None)
     def test_case_consistency(self, inst):
         claims, estate = inst
-        awards = talmud(BankruptcyInstance(claims, estate)).awards
+        awards, _ = talmud(claims, estate)
         if estate <= claims.sum() / 2.0:
             assert (awards <= claims / 2.0 + 1e-9).all()
         else:
@@ -131,8 +149,8 @@ class TestTalmudProperties:
     def test_resource_monotonicity(self, inst, frac):
         claims, estate = inst
         bigger = estate + frac * (claims.sum() - estate)
-        a = talmud(BankruptcyInstance(claims, estate)).awards
-        b = talmud(BankruptcyInstance(claims, bigger)).awards
+        a, _ = talmud(claims, estate)
+        b, _ = talmud(claims, bigger)
         assert (b >= a - 1e-8).all()
 
     @given(instances(), st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6))
@@ -143,16 +161,16 @@ class TestTalmudProperties:
         extra = [total * f for f in fracs]
         estates = np.array([estate, 0.0, total / 2.0, total, *extra,
                             *np.minimum(kink_estates(claims), total)])
-        res = talmud(BankruptcyInstance(claims, estates))
-        assert res.awards.shape == (estates.size, claims.size)
+        awards, theta = talmud(claims, estates)
+        assert awards.shape == (estates.size, claims.size)
         for row, e in enumerate(estates):
-            one = talmud(BankruptcyInstance(claims, float(e)))
-            np.testing.assert_array_equal(res.awards[row], one.awards)
-            assert res.theta[row] == one.theta
+            one_awards, one_theta = talmud(claims, float(e))
+            np.testing.assert_array_equal(awards[row], one_awards)
+            assert theta[row] == one_theta
 
     def test_equal_claims_get_equal_awards(self):
         claims = np.array([250.0, 250.0, 40.0, 250.0])
-        awards = talmud(BankruptcyInstance(claims, 400.0)).awards
+        awards, _ = talmud(claims, 400.0)
         assert abs(awards[0] - awards[1]) <= 1e-12
         assert abs(awards[0] - awards[3]) <= 1e-12
 
@@ -208,28 +226,28 @@ class TestPredictDemands:
 
 class TestPlanInterval:
     def test_talmud_equal_claims(self):
-        plan = plan_interval("talmud", np.array([100.0]), np.full(4, 100.0), np.full(4, 10.0))
-        assert plan.min_exposure[0] == pytest.approx(25.0, abs=1e-9)
+        audit = plan_interval("talmud", np.array([100.0]), np.full(4, 100.0), np.full(4, 10.0))
+        assert audit["award"][0] == pytest.approx(25.0, abs=1e-9)
 
     def test_prop_share(self):
-        plan = plan_interval("prop", np.array([90.0]), np.array([1.0, 2.0, 6.0]),
+        audit = plan_interval("prop", np.array([90.0]), np.array([1.0, 2.0, 6.0]),
                              np.array([10.0, 20.0, 60.0]))
-        assert plan.min_exposure[0] == pytest.approx(10.0)
+        assert audit["award"][0] == pytest.approx(10.0)
 
     def test_naive_below_mean_plans_nothing(self):
-        plan = plan_interval("naive", np.array([80.0]), np.zeros(3), np.array([5.0, 10.0, 15.0]))
-        np.testing.assert_allclose(plan.min_exposure, 0.0)
+        audit = plan_interval("naive", np.array([80.0]), np.zeros(3), np.array([5.0, 10.0, 15.0]))
+        np.testing.assert_allclose(audit["award"], 0.0)
 
     def test_naive_at_or_above_mean_plans_half(self):
-        plan = plan_interval("naive", np.array([80.0]), np.zeros(3), np.array([15.0, 10.0, 5.0]))
-        np.testing.assert_allclose(plan.min_exposure, 40.0)
+        audit = plan_interval("naive", np.array([80.0]), np.zeros(3), np.array([15.0, 10.0, 5.0]))
+        np.testing.assert_allclose(audit["award"], 40.0)
 
     def test_estate_clamped_to_claims_with_warning(self, caplog):
         with caplog.at_level("WARNING"):
-            plan = plan_interval("talmud", np.array([500.0]), np.full(2, 100.0),
+            audit = plan_interval("talmud", np.array([500.0]), np.full(2, 100.0),
                                  np.full(2, 10.0))
         assert "clamping" in caplog.text
-        assert plan.min_exposure[0] == pytest.approx(100.0)  # full claim of interval 1
+        assert audit["award"][0] == pytest.approx(100.0)  # full claim of interval 1
 
     def test_unknown_rule(self):
         with pytest.raises(ConfigError):
@@ -237,12 +255,12 @@ class TestPlanInterval:
 
     def test_audit_records_cover_all_providers(self):
         for rule in ("talmud", "naive", "prop", "none"):
-            plan = plan_interval(rule, np.array([10.0, 20.0]), np.full(3, 30.0),
+            audit = plan_interval(rule, np.array([10.0, 20.0]), np.full(3, 30.0),
                                  np.full(3, 5.0))
-            assert tuple(plan.audit) == AUDIT_COLUMNS
-            assert all(column.shape == (2,) for column in plan.audit.values())
-            assert (plan.audit["award"] <= plan.audit["estate"] + 1e-9).all()
-            assert np.isnan(plan.audit["theta"]).all() == (rule != "talmud")
+            assert tuple(audit) == AUDIT_COLUMNS
+            assert all(column.shape == (2,) for column in audit.values())
+            assert (audit["award"] <= audit["estate"] + 1e-9).all()
+            assert np.isnan(audit["theta"]).all() == (rule != "talmud")
 
     def test_plan_never_exceeds_remaining(self):
         rng = np.random.default_rng(3)
@@ -251,5 +269,5 @@ class TestPlanInterval:
             forecast = rng.uniform(0, 50, size=6)
             claims = 0.4 * forecast
             for rule in ("talmud", "naive", "prop"):
-                plan = plan_interval(rule, remaining, claims, forecast)
-                assert (plan.min_exposure <= remaining + 1e-9).all()
+                audit = plan_interval(rule, remaining, claims, forecast)
+                assert (audit["award"] <= remaining + 1e-9).all()

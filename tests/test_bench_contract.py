@@ -51,8 +51,8 @@ def test_workload_specs_build_run_configs(bench_modules, tmp_path, name):
 
 
 def test_every_traced_serve_layer_is_called(bench_modules):
-    # The tracer replaces module attributes; a layer the serve loop reaches
-    # by another name would read 0 in every traced run.
+    # The tracer replaces module attributes; a layer the serve loop or
+    # plan_interval reaches by another name would read 0 in every traced run.
     from bankfair import FairnessPolicy, RerankConfig, SynthConfig, harness
     cfg = RunConfig(policy=FairnessPolicy.uniform(20.0, 4, phi=0.9, k=5),
                     rerank=RerankConfig(list_size=5, eta=0.01),
@@ -67,5 +67,6 @@ def test_every_traced_serve_layer_is_called(bench_modules):
         tracer.uninstall()
     called = {span[1] for span in tracer.spans}
     for name in ("reranker.select", "reranker.dual_step", "reranker.conjugate",
-                 "reranker.top_k", "reranker.serve", "metrics.ndcg"):
+                 "reranker.top_k", "reranker.serve", "metrics.ndcg", "bankruptcy.plan",
+                 "bankruptcy.talmud"):
         assert name in called, name

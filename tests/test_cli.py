@@ -88,6 +88,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        code = main(["run", "--synth", write_synth(tmp_path), "--K", "5", "--seed", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+
+    # (forecaster spec, the parameter the error names)
+    @pytest.mark.parametrize("spec,key", [
+        ("moving_average:zzz=1", "zzz"), ("last_value:w=3", "w"),
+        ("moving_average:w=2.5", "w"), ("moving_average:w=0", "w"),
+        ("seasonal:lag=0", "lag"), ("seasonal:lag=x", "lag"),
+        ("moving_average:prior_mean=nan", "prior_mean"),
+        ("moving_average:prior_mean=inf", "prior_mean"),
+        ("last_value:prior_mean=-5", "prior_mean"), ("oracle:w=3", "w")])
+    def test_bad_forecaster_exits_one(self, tmp_path, capsys, spec, key):
+        code = main(["run", "--synth", write_synth(tmp_path), "--K", "5",
+                     "--forecaster", spec])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and "Traceback" not in err
+
 
 class TestIngestionErrors:
     """Bad log values stop the run with exit code 1 and name the offending row."""
@@ -216,6 +237,12 @@ class TestSpecValidation:
     def test_bad_synth_spec(self, tmp_path, capsys, spec, key):
         code, err = self.run_synth(tmp_path, capsys, spec)
         assert code == 1 and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("seeds", [[0, -1], [1.5], ["0"], 3])
+    def test_bad_sweep_seeds(self, tmp_path, capsys, seeds):
+        spec = {"base": {"synth": SYNTH, "K": 5}, "grid": {"k": [1.5]}, "seeds": seeds}
+        code, err = self.sweep(tmp_path, capsys, spec)
+        assert code == 1 and "seeds" in err and "Traceback" not in err
 
     def test_base_synth_spec_is_checked_too(self, tmp_path, capsys):
         base = {"synth": {**SYNTH, "zzz": 1}, "K": 5}

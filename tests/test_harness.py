@@ -153,6 +153,24 @@ class TestRunConfigValidation:
             RunConfig(policy=FairnessPolicy.uniform(1, 2, 0.9, 5),
                       rerank=RerankConfig(list_size=5), synth=synth, rule="greedy")
 
+    # Checked when the config is built, before any interval is forecast.
+    @pytest.mark.parametrize("overrides,key", [
+        (dict(seed=-1), "seed"), (dict(seed=1.0), "seed"), (dict(seed=True), "seed"),
+        (dict(forecaster="gru"), "gru"),
+        (dict(forecaster="moving_average", forecaster_params={"w": 0}), "'w'"),
+        (dict(forecaster="seasonal", forecaster_params={"lag": 2.0}), "'lag'"),
+        (dict(forecaster="last_value", forecaster_params={"prior_mean": -1.0}),
+         "'prior_mean'"),
+        (dict(forecaster="oracle", forecaster_params={"prior_mean": 1.0}), "'prior_mean'")])
+    def test_bad_seed_or_forecaster(self, overrides, key):
+        with pytest.raises(ConfigError, match=key):
+            small_config(**overrides)
+
+    def test_seasonal_takes_the_fallback_window(self):
+        cfg = small_config(forecaster="seasonal",
+                           forecaster_params={"lag": 2, "w": 2, "prior_mean": 0})
+        assert cfg.forecaster_params == {"lag": 2, "w": 2, "prior_mean": 0}
+
 
 class TestEcho:
     KEYS = {"rule", "data_path", "synth", "forecaster", "forecaster_params", "m", "phi",

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bankfair.errors import ConfigError
-from bankfair.metrics import (SimReport, accuracy_loss_curve, dcg, esp_at_k,
-                              feasible_region_ratio, ndcg_at_k, vio_at_k)
+from bankfair.metrics import (SimReport, dcg, esp_at_k, feasible_region_ratio, ndcg_at_k,
+                              vio_at_k)
 
 
 class TestNdcg:
@@ -116,29 +116,6 @@ def report_with(traffic, accuracy):
         per_interval_traffic=list(traffic), per_interval_accuracy=list(accuracy),
         per_interval_vio=[0.0] * len(traffic), per_interval_esp=[1.0] * len(traffic),
         per_provider_cumulative_exposure=[0], per_user_ndcg=list(accuracy))
-
-
-class TestAccuracyLossCurve:
-    def test_zero_plan_gives_zero_loss(self):
-        curve = accuracy_loss_curve([report_with([5, 10, 20], [1.0, 1.0, 1.0])])
-        assert all(loss == 0.0 for _, loss in curve.points)
-
-    def test_single_level_reports_undefined_correlation(self):
-        curve = accuracy_loss_curve([report_with([7], [0.9])])
-        assert len(curve.points) == 1
-        assert curve.spearman is None
-
-    def test_decreasing_loss_gives_strong_negative_correlation(self):
-        levels = list(range(5, 45, 2))
-        reports = [report_with([r], [1.0 - 1.0 / r]) for r in levels]
-        curve = accuracy_loss_curve(reports)
-        assert curve.spearman == pytest.approx(-1.0)
-
-    def test_groups_intervals_by_traffic_level(self):
-        reports = [report_with([5, 5, 9], [0.8, 0.6, 0.9])]
-        curve = accuracy_loss_curve(reports)
-        assert curve.points[0] == (5.0, pytest.approx(0.3))
-        assert curve.points[1] == (9.0, pytest.approx(0.1))
 
 
 class TestSimReport:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bankfair.bankruptcy import IntervalPlan
 from bankfair.domain import Catalog, UserRequest
 from bankfair.errors import ConfigError
 from bankfair.reranker import (RerankConfig, _top_k_order, compute_caps, compute_penalties,
@@ -75,7 +74,7 @@ class TestSelectList:
         assert rel[0] / 7.0 == rel[1] / 7.0 - mu[1]
         assert rel[0] * (1.0 / 7.0) > rel[1] * (1.0 / 7.0) - mu[1]
         np.testing.assert_array_equal(select_list(rel, mu, cat.item_provider, 7.0, 1), [1])
-        lists, _, _ = run_interval(make_requests([rel]), IntervalPlan(np.zeros(2)),
+        lists, _, _ = run_interval(make_requests([rel]), np.zeros(2),
                                    RerankConfig(list_size=1, eta=0.0), cat, 7.0, mu0=mu)
         np.testing.assert_array_equal(lists[0], [1])
 
@@ -200,7 +199,7 @@ class TestRunInterval:
         requests = make_requests(rng.uniform(size=(6, 8)))
         cfg = RerankConfig(list_size=5, eta=0.7)
         lists, _, mu = run_interval(
-            requests, IntervalPlan(np.zeros(2)), cfg, TWO_PROVIDERS, rhat_n=6.0,
+            requests, np.zeros(2), cfg, TWO_PROVIDERS, rhat_n=6.0,
             lam=np.zeros(2))
         for req, lst in zip(requests, lists):
             np.testing.assert_array_equal(lst, top_k(req.relevance, 5))
@@ -210,7 +209,7 @@ class TestRunInterval:
         rng = np.random.default_rng(7)
         requests = make_requests(rng.uniform(size=(9, 8)))
         cfg = RerankConfig(list_size=5, eta=0.12)
-        lists, earned, _ = run_interval(requests, IntervalPlan(np.array([4.0, 0.0])),
+        lists, earned, _ = run_interval(requests, np.array([4.0, 0.0]),
                                         cfg, TWO_PROVIDERS, rhat_n=9.0)
         assert earned.dtype == np.int64 and earned.sum() == 5 * 9
         np.testing.assert_array_equal(
@@ -219,10 +218,10 @@ class TestRunInterval:
     def test_toy_floor_enforced_for_three_and_two_users(self):
         relevance = np.array([0.90, 0.62, 0.42, 0.20, 0.85, 0.80, 0.75, 0.70])
         cfg = RerankConfig(list_size=5, eta=0.12)
-        plan = IntervalPlan(np.array([4.0, 0.0]))
+        floor = np.array([4.0, 0.0])
         for n_users in (3, 2):
             requests = make_requests([relevance] * n_users)
-            _, earned, _ = run_interval(requests, plan, cfg, TWO_PROVIDERS,
+            _, earned, _ = run_interval(requests, floor, cfg, TWO_PROVIDERS,
                                         rhat_n=float(n_users))
             assert earned[0] >= 4
 
@@ -231,7 +230,7 @@ class TestRunInterval:
         requests = make_requests(rng.uniform(size=(30, 8)))
         cfg = RerankConfig(list_size=5, eta=0.5, beta_mix=0.7)
         prices = []
-        _, _, mu = run_interval(requests, IntervalPlan(np.array([10.0, 3.0])), cfg,
+        _, _, mu = run_interval(requests, np.array([10.0, 3.0]), cfg,
                                 TWO_PROVIDERS, rhat_n=30.0,
                                 trace_hook=lambda t, req, items, mu: prices.append(mu))
         lam = compute_penalties(TWO_PROVIDERS, 0.7)
@@ -241,7 +240,7 @@ class TestRunInterval:
     def test_mu0_projected_on_entry(self):
         lam = np.array([0.5, 2.0])
         prices = []
-        run_interval(make_requests([np.ones(8)]), IntervalPlan(np.zeros(2)),
+        run_interval(make_requests([np.ones(8)]), np.zeros(2),
                      RerankConfig(list_size=5, eta=0.0), TWO_PROVIDERS, 1.0, lam=lam,
                      mu0=np.array([-3.0, -1.0]),
                      trace_hook=lambda t, req, items, mu: prices.append(mu))
@@ -249,7 +248,7 @@ class TestRunInterval:
 
     def test_rejects_negative_penalties(self):
         with pytest.raises(ConfigError, match="penalties"):
-            run_interval([], IntervalPlan(np.zeros(2)), RerankConfig(list_size=5),
+            run_interval([], np.zeros(2), RerankConfig(list_size=5),
                          TWO_PROVIDERS, 1.0, lam=np.array([1.0, -0.5]))
 
     def test_warm_start_uses_mu0(self):
@@ -257,9 +256,9 @@ class TestRunInterval:
         requests = make_requests(rng.uniform(size=(1, 8)))
         cfg = RerankConfig(list_size=5, eta=0.0)
         mu0 = np.array([-0.4, 0.2])
-        lists_cold, _, _ = run_interval(requests, IntervalPlan(np.zeros(2)), cfg,
+        lists_cold, _, _ = run_interval(requests, np.zeros(2), cfg,
                                         TWO_PROVIDERS, rhat_n=1.0)
-        lists_warm, _, mu = run_interval(requests, IntervalPlan(np.zeros(2)), cfg,
+        lists_warm, _, mu = run_interval(requests, np.zeros(2), cfg,
                                          TWO_PROVIDERS, rhat_n=1.0, mu0=mu0)
         np.testing.assert_array_equal(mu, mu0)  # eta=0 freezes prices
         expected = select_list(requests[0].relevance, mu, TWO_PROVIDERS.item_provider, 1.0, 5)
@@ -267,7 +266,7 @@ class TestRunInterval:
         assert not np.array_equal(lists_cold[0], lists_warm[0])
 
     def test_no_arrivals_returns_empty_lists(self):
-        lists, earned, mu = run_interval([], IntervalPlan(np.array([4.0, 0.0])),
+        lists, earned, mu = run_interval([], np.array([4.0, 0.0]),
                                          RerankConfig(list_size=5), TWO_PROVIDERS, 2.0)
         assert lists.shape == (0, 5) and lists.dtype == np.int64
         np.testing.assert_array_equal(earned, [0, 0])
@@ -275,7 +274,7 @@ class TestRunInterval:
 
     def test_requires_positive_traffic_estimate(self):
         with pytest.raises(ConfigError):
-            run_interval([], IntervalPlan(np.zeros(2)), RerankConfig(list_size=5),
+            run_interval([], np.zeros(2), RerankConfig(list_size=5),
                          TWO_PROVIDERS, rhat_n=0.0)
 
 
@@ -306,7 +305,7 @@ def reference_top_k(relevance, k):
     return lexsort_order(relevance, relevance, k)
 
 
-def reference_run_interval(requests, plan, cfg, catalog, rhat_n, lam=None, mu0=None,
+def reference_run_interval(requests, floor, cfg, catalog, rhat_n, lam=None, mu0=None,
                            trace_hook=None):
     """The serve loop with one full lexsort per arrival and each step written out.
 
@@ -318,7 +317,7 @@ def reference_run_interval(requests, plan, cfg, catalog, rhat_n, lam=None, mu0=N
     gamma = compute_caps(catalog, k, rhat_n)
     eta = cfg.step_size(rhat_n)
     mu = np.zeros_like(lam) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), -lam)
-    beta = np.asarray(plan.min_exposure, dtype=float).copy()
+    beta = np.array(floor, dtype=float)
     earned = np.zeros(catalog.num_providers, dtype=np.int64)
     lists = []
     for t, req in enumerate(requests, start=1):
@@ -403,7 +402,7 @@ class TestServeLoopMatchesReference:
     @staticmethod
     def instance(seed):
         # Even inventory and K * rhat_n a multiple of the provider count give
-        # integer caps; with integer plans and a 0.05 step the prices stay on
+        # integer caps; with integer floors and a 0.05 step the prices stay on
         # (or within rounding of) the 0.05 relevance grid, so adjusted scores
         # tie across providers as well as within them. A forecast of three
         # times the provider count makes relevance / rhat_n round, so an
@@ -415,8 +414,8 @@ class TestServeLoopMatchesReference:
         k = int(rng.integers(1, per * nprov + 1))
         n_users = int(rng.integers(1, 25))
         requests = make_requests(rng.integers(0, 21, size=(n_users, per * nprov)) / 20.0)
-        plan = IntervalPlan(rng.integers(0, 2 * k + 1, size=nprov).astype(float))
-        return rng, catalog, k, requests, plan, float(nprov * rng.choice([1, 3]))
+        floor = rng.integers(0, 2 * k + 1, size=nprov).astype(float)
+        return rng, catalog, k, requests, floor, float(nprov * rng.choice([1, 3]))
 
     @staticmethod
     def assert_same(got, want, got_calls, want_calls, num_items):
@@ -438,10 +437,10 @@ class TestServeLoopMatchesReference:
         return calls, lambda t, req, items, mu: calls.append(
             (t, items.tolist(), mu.tobytes()))
 
-    # The ids name the conjugate target: the unearned remainder of the plan.
+    # The ids name the conjugate target: the unearned remainder of the floor.
     @pytest.mark.parametrize("seed", range(12), ids=lambda seed: f"{seed}-remaining")
     def test_bit_identical(self, seed):
-        rng, catalog, k, requests, plan, rhat_n = self.instance(seed)
+        rng, catalog, k, requests, floor, rhat_n = self.instance(seed)
         variants = [dict(), dict(mu0=rng.integers(-20, 21, size=catalog.num_providers) / 20.0),
                     dict(lam=np.zeros(catalog.num_providers))]
         for eta in (0.05, 0.0, float(rng.uniform(0.01, 0.3))):
@@ -449,13 +448,13 @@ class TestServeLoopMatchesReference:
             for kwargs in variants:
                 got_calls, got_hook = self.recorder()
                 want_calls, want_hook = self.recorder()
-                got = run_interval(requests, plan, cfg, catalog, rhat_n,
+                got = run_interval(requests, floor, cfg, catalog, rhat_n,
                                    trace_hook=got_hook, **kwargs)
-                want = reference_run_interval(requests, plan, cfg, catalog, rhat_n,
+                want = reference_run_interval(requests, floor, cfg, catalog, rhat_n,
                                               trace_hook=want_hook, **kwargs)
                 self.assert_same(got, want, got_calls, want_calls, catalog.num_items)
 
     def test_rejects_list_longer_than_catalog(self):
         with pytest.raises(ConfigError):
-            run_interval(make_requests([np.ones(8)]), IntervalPlan(np.zeros(2)),
+            run_interval(make_requests([np.ones(8)]), np.zeros(2),
                          RerankConfig(list_size=9), TWO_PROVIDERS, rhat_n=1.0)

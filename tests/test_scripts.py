@@ -1,0 +1,64 @@
+"""Fresh-interpreter checks: what `import bankfair` loads, and the example scripts."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def python(*args, timeout=120):
+    return subprocess.run([sys.executable, *map(str, args)], env=ENV, cwd=ROOT,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_import_loads_no_scipy():
+    # scipy.stats costs about a second to import and no run needs it; it is
+    # loaded only inside the functions that do.
+    out = python("-c", "import sys, bankfair, bankfair.cli, bankfair.acceptance; "
+                       "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_traffic_sensitivity(tmp_path):
+    out = python("scripts/traffic_sensitivity.py", "--levels", "3", "--seeds", "2",
+                 "--out", tmp_path / "curve.csv")
+    assert out.returncode == 0, out.stderr
+    rows = read_rows(tmp_path / "curve.csv")
+    assert [row["traffic"] for row in rows] == ["5", "52", "100"]
+    assert all(0.0 <= float(row["mean_loss"]) <= 1.0 for row in rows)
+    assert "spearman(traffic, loss) = " in out.stdout
+
+
+def test_run_benchmark(tmp_path):
+    out = python("scripts/run_benchmark.py", "--seeds", "1", "--out", tmp_path / "bench.csv")
+    assert out.returncode == 0, out.stderr
+    rows = read_rows(tmp_path / "bench.csv")
+    assert [row["rule"] for row in rows] == ["talmud", "naive", "prop", "none"]
+    assert all(0.0 <= float(row[name]) <= 1.0 for row in rows for name in ("ndcg", "vio", "esp"))
+
+
+def test_run_benchmark_checks_tau_before_running(tmp_path):
+    # RunConfig's check, not a numpy error from deep inside the resampling.
+    out = python("scripts/run_benchmark.py", "--seeds", "1", "--tau", "nan",
+                 "--out", tmp_path / "bench.csv")
+    assert out.returncode != 0
+    assert "ConfigError: tau must be None or a number > 0, got nan" in out.stderr
+    assert not (tmp_path / "bench.csv").exists()
+
+
+def test_toy_two_provider():
+    out = python("scripts/toy_two_provider.py")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("3 users: feasible region 73.3%")
+    assert lines[1].startswith("2 users: feasible region 60.0%")
