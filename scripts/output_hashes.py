@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every output file of a fixed set of runs.
+
+    python3 scripts/output_hashes.py --out DIR [--seeds 101 102] [--config-seeds 0 1]
+
+The runs are the three benchmark workloads of ``bench/workloads.py`` at each
+of ``--seeds``, ``acceptance.benchmark_config`` under every rule at each of
+``--config-seeds``, and criterion 9's noisy config. Inputs and outputs go
+under ``DIR``, and one line per output file gives the run, the file and its
+sha256. Run it in two checkouts, each with its own ``DIR``, and diff the two
+listings to check that a change leaves every output byte-identical.
+"""
+
+import argparse
+import hashlib
+import logging
+import os
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# The package and workloads of this checkout, whatever PYTHONPATH says, so
+# that each of two checkouts hashes its own code.
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import config  # noqa: E402  (bench/config.py)
+import workloads  # noqa: E402  (bench/workloads.py)
+from bankfair.acceptance import benchmark_config  # noqa: E402
+from bankfair.harness import run  # noqa: E402
+
+FILES = ("report.json", "decisions.csv", "allocations.csv", "intervals.csv")
+RULES = ("talmud", "naive", "prop", "none")
+
+
+def runs(seeds, config_seeds):
+    """(name, RunConfig) of every run; paths are relative to the working directory."""
+    for name in workloads.NAMES:
+        for seed in seeds:
+            # bench/run.py's layout, so report.json's data_path, and with it
+            # the report's sha256, is the one the benchmark prints.
+            directory = Path(".bench_out") / name / f"seed{seed}"
+            spec = workloads.make(name, seed, directory).spec
+            spec.setdefault("out_dir", str(directory / "out"))
+            yield f"{name}/seed{seed}", config.build_config(spec)
+    for rule in RULES:
+        for seed in config_seeds:
+            name = f"benchmark_config/{rule}/seed{seed}"
+            yield name, replace(benchmark_config(rule, seed), out_dir=name)
+    # criterion 9 runs this config twice and compares the reports.
+    noisy = replace(benchmark_config("talmud", seed=42), relevance_noise=0.05)
+    yield "criterion_9", replace(noisy, out_dir="criterion_9")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, help="directory for inputs and outputs")
+    ap.add_argument("--seeds", type=int, nargs="+", default=list(range(101, 111)),
+                    help="benchmark workload seeds (default 101-110)")
+    ap.add_argument("--config-seeds", type=int, nargs="+", default=list(range(5)),
+                    help="benchmark_config seeds (default 0-4)")
+    args = ap.parse_args(argv)
+
+    logging.getLogger("bankfair").setLevel(logging.ERROR)  # clamp warnings are not outputs
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    for name, cfg in runs(args.seeds, args.config_seeds):
+        run(cfg)
+        for file in FILES:
+            digest = hashlib.sha256((Path(cfg.out_dir) / file).read_bytes()).hexdigest()
+            print(name, file, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -127,8 +127,8 @@ def toy_exposure_run(n_users: int, eta: float = 0.12):
     requests = [UserRequest(str(t), 1, t + 1, relevance) for t in range(n_users)]
     lists, earned, _ = reranker.run_interval(requests, np.array([4.0, 0.0]), cfg, catalog,
                                              float(n_users))
-    ndcgs = [metrics.ndcg_at_k(items, reranker.top_k(relevance, 5), relevance)
-             for items in lists]
+    ideal_dcg = metrics.dcg(relevance[reranker.top_k(relevance, 5)])
+    ndcgs = [metrics.ndcg_at_k(items, ideal_dcg, relevance) for items in lists]
     return earned, float(np.mean(ndcgs))
 
 
@@ -241,8 +241,10 @@ def binding_plan_loss(traffic: int, seed: int, plan_vec: np.ndarray,
     eta = 0.08 / float(traffic) ** 2
     rcfg = RerankConfig(list_size=k, eta=eta)
     lists, _, _ = reranker.run_interval(requests, plan_vec, rcfg, catalog, float(traffic))
-    ndcgs = [metrics.ndcg_at_k(items, reranker.top_k(req.relevance, k), req.relevance)
-             for req, items in zip(requests, lists)]
+    ndcgs = []
+    for req, items in zip(requests, lists):
+        ideal_dcg = metrics.dcg(req.relevance[reranker.top_k(req.relevance, k)])
+        ndcgs.append(metrics.ndcg_at_k(items, ideal_dcg, req.relevance))
     return 1.0 - float(np.mean(ndcgs))
 
 

@@ -12,6 +12,7 @@ import logging
 import math
 import struct
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Sequence
 
@@ -148,17 +149,32 @@ def _flag_degenerate(relevance: np.ndarray, list_size: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value, least: int) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= least
+
+
+def _is_int_list(value, least: int) -> bool:
+    return (isinstance(value, (Sequence, np.ndarray)) and not isinstance(value, str)
+            and all(_is_int(v, least) for v in value))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SynthConfig:
     """Generator knobs for synthetic instances.
 
     ``traffic`` pins exact per-interval counts; otherwise counts are Poisson
     with the given mean. ``provider_weights`` scales item relevance per
-    provider: a list of positive numbers, one per provider, checked on
-    construction. ``provider_bands`` instead draws each provider's item
-    scores uniformly from its own (low, high) band, which makes popularity
-    tiers with controlled gaps easy to set up. ``inventory`` is "even" or an
-    explicit per-provider item count.
+    provider: a list of positive numbers, one per provider.
+    ``provider_bands`` instead draws each provider's item scores uniformly
+    from its own (low, high) band, which makes popularity tiers with
+    controlled gaps easy to set up. ``inventory`` is "even" or an explicit
+    per-provider item count. Each field's type and range is checked on
+    construction, with a ConfigError naming the field; whether inventory
+    and traffic add up is checked when an instance is drawn.
     """
 
     num_items: int
@@ -174,7 +190,23 @@ class SynthConfig:
     inventory: Sequence[int] | str = "even"
 
     def __post_init__(self):
+        for key in ("num_items", "num_providers", "num_intervals"):
+            if not _is_int(getattr(self, key), 1):
+                raise ConfigError(f"{key} must be an int >= 1, got {getattr(self, key)!r}")
+        mean = self.mean_traffic
+        if not (_is_real(mean) and math.isfinite(mean) and mean >= 0):
+            raise ConfigError(f"mean_traffic must be a finite number >= 0, got {mean!r}")
+        lo, hi = self.relevance_low, self.relevance_high
+        if not (_is_real(lo) and _is_real(hi) and 0.0 <= lo <= hi <= 1.0):
+            raise ConfigError("relevance_low and relevance_high must satisfy "
+                              f"0 <= relevance_low <= relevance_high <= 1, got {lo!r}, {hi!r}")
+        inv = self.inventory
+        if not (isinstance(inv, str) or _is_int_list(inv, 1)):
+            raise ConfigError(f"inventory must be 'even' or a list of ints >= 1, got {inv!r}")
+        if not (self.traffic is None or _is_int_list(self.traffic, 0)):
+            raise ConfigError(f"traffic must be a list of ints >= 0, got {self.traffic!r}")
         self.resolve_weights()
+        self.resolve_bands()
 
     def resolve_inventory(self) -> np.ndarray:
         if isinstance(self.inventory, str):
@@ -197,9 +229,23 @@ class SynthConfig:
         except (TypeError, ValueError):
             raise ConfigError("provider_weights must be a list of numbers, "
                               f"got {self.provider_weights!r}") from None
-        if w.size != self.num_providers or (w <= 0).any():
-            raise ConfigError("provider_weights must be positive, one per provider")
+        if w.shape != (self.num_providers,) or not (np.isfinite(w) & (w > 0)).all():
+            raise ConfigError("provider_weights must be finite and positive, one per provider")
         return w
+
+    def resolve_bands(self) -> np.ndarray | None:
+        """(low, high) relevance band per provider, or None without bands."""
+        if self.provider_bands is None:
+            return None
+        try:
+            bands = np.asarray(self.provider_bands, dtype=float)
+        except (TypeError, ValueError):
+            bands = None
+        if bands is None or bands.shape != (self.num_providers, 2) or not (
+                (bands >= 0) & (bands <= 1)).all():
+            raise ConfigError("provider_bands must be one (low, high) pair in [0,1] per "
+                              f"provider, got {self.provider_bands!r}")
+        return bands
 
 
 def synth_instance(cfg: SynthConfig, seed: int):
@@ -220,10 +266,8 @@ def synth_instance(cfg: SynthConfig, seed: int):
         counts = rng.poisson(cfg.mean_traffic, size=cfg.num_intervals)
     series = TrafficSeries(counts)
 
-    if cfg.provider_bands is not None:
-        bands = np.asarray(cfg.provider_bands, dtype=float)
-        if bands.shape != (cfg.num_providers, 2) or (bands < 0).any() or (bands > 1).any():
-            raise ConfigError("provider_bands must be one (low, high) pair in [0,1] per provider")
+    bands = cfg.resolve_bands()
+    if bands is not None:
         lo = bands[item_provider, 0]
         hi = bands[item_provider, 1]
         weights = np.ones(cfg.num_items)
@@ -390,16 +434,24 @@ def save_instance(directory, catalog: Catalog, series: TrafficSeries,
     _write_relevance_matrix(directory / RELEVANCE_FILE, np.asarray(matrix_rows))
 
 
-def _parse_row(row: dict, lineno: int):
+def _parse_row(row: list[str], columns: Sequence[int], lineno: int):
+    """(user_id, item_id, provider_id, timestamp, score) of one csv row.
+
+    ``columns`` gives the position of each field in the header. A field past
+    the end of a short row reads as None: a missing number then fails to
+    parse, and a missing id is rejected.
+    """
+    uid, iid, pid, ts, score = (row[c] if c < len(row) else None for c in columns)
     try:
-        parsed = (row["user_id"], row["item_id"], row["provider_id"],
-                  float(row["timestamp"]), float(row["score"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        parsed = (uid, iid, pid, float(ts), float(score))
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"row {lineno}: malformed record ({exc})") from None
+    if None in parsed:
+        raise ParseError(f"row {lineno}: malformed record (too few fields)")
     if not math.isfinite(parsed[3]):
-        raise ParseError(f"row {lineno}: timestamp {row['timestamp']!r} is not finite")
+        raise ParseError(f"row {lineno}: timestamp {ts!r} is not finite")
     if not 0.0 <= parsed[4] <= 1.0:
-        raise ParseError(f"row {lineno}: score {row['score']!r} is not in [0, 1]")
+        raise ParseError(f"row {lineno}: score {score!r} is not in [0, 1]")
     return parsed
 
 
@@ -428,14 +480,16 @@ def load_interactions(path, schema: LogSchema | None = None):
         cat_path = Path(schema.catalog_path) if schema.catalog_path else None
         rel_path = Path(schema.relevance_path) if schema.relevance_path else None
 
-    rows = []
     with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(INTERACTIONS_COLUMNS) - set(reader.fieldnames):
+        reader = csv.reader(fh)
+        header = {name: k for k, name in enumerate(next(reader, []))}
+        if set(INTERACTIONS_COLUMNS) - set(header):
             raise ParseError(f"{csv_path}: header must contain "
                              f"{','.join(INTERACTIONS_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            rows.append(_parse_row(row, lineno))
+        columns = [header[name] for name in INTERACTIONS_COLUMNS]
+        # Blank lines are skipped and not counted in row numbers.
+        rows = [_parse_row(row, columns, lineno)
+                for lineno, row in enumerate(filter(None, reader), start=2)]
     if not rows:
         raise ParseError(f"{csv_path}: no requests")
 
@@ -487,12 +541,14 @@ def load_interactions(path, schema: LogSchema | None = None):
         if matrix.shape != (len(user_order), num_items):
             raise ParseError(f"{rel_path}: matrix shape {matrix.shape} does not match "
                              f"{len(user_order)} users x {num_items} items")
-        relevance_of = lambda uid: matrix[user_order[uid]]
+        profiles = {uid: matrix[row] for uid, row in user_order.items()}
     else:
         profiles = {uid: np.zeros(num_items) for uid in user_order}
         for uid, iid, _, _, score in rows:
             profiles[uid][item_index[iid]] = score
-        relevance_of = lambda uid: profiles[uid]
+    # Every arrival of a user shares one vector and its flag.
+    degenerate = {uid: _flag_degenerate(rel, schema.list_size)
+                  for uid, rel in profiles.items()}
 
     # Interval grouping by timestamp, stable within equal timestamps.
     t0 = min(r[3] for r in rows)
@@ -509,14 +565,13 @@ def load_interactions(path, schema: LogSchema | None = None):
         uid, _, _, ts, _ = rows[k]
         n = int((ts - t0) // schema.interval_seconds) + 1
         counts[n - 1] += 1
-        rel = relevance_of(uid)
         requests.append(
             UserRequest(
                 user_id=uid,
                 interval=n,
                 arrival_seq=int(counts[n - 1]),
-                relevance=rel,
-                degenerate=_flag_degenerate(rel, schema.list_size),
+                relevance=profiles[uid],
+                degenerate=degenerate[uid],
             )
         )
     return catalog, TrafficSeries(counts), requests

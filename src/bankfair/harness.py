@@ -8,14 +8,13 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import bankruptcy, forecast, metrics, reranker
-from .domain import (FairnessPolicy, LogSchema, SynthConfig, UserRequest,
+from .domain import (FairnessPolicy, LogSchema, SynthConfig, UserRequest, _is_int,
                      load_interactions, redistribute_requests, resample_traffic,
                      synth_instance)
 from .errors import ConfigError
@@ -25,7 +24,7 @@ logger = logging.getLogger(__name__)
 
 
 def _check_seed(key: str, seed):
-    if not (isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0):
+    if not _is_int(seed, 0):
         raise ConfigError(f"{key}: {seed!r} is not an int >= 0")
 
 
@@ -131,6 +130,10 @@ def run(cfg: RunConfig) -> SimReport:
     remaining = m.astype(float).copy()
     cumulative = np.zeros(catalog.num_providers, dtype=np.int64)
 
+    # Ideal DCG per relevance vector, keyed by id(): arrivals of one logged
+    # user share a vector. Each entry holds its array, so no id is reused
+    # while the run lasts; a noisy vector is a new array and simply misses.
+    ideal: dict[int, tuple[np.ndarray, float]] = {}
     per_user_ndcg: list[float] = []
     per_interval_acc, per_interval_vio, per_interval_esp = [], [], []
     allocation_rows = []
@@ -171,10 +174,13 @@ def run(cfg: RunConfig) -> SimReport:
             lists, earned, _ = reranker.run_interval(
                 arrivals, audit["award"], rerank_cfg, catalog, rhat_n, trace_hook=hook)
             cumulative = cumulative + earned
-            interval_ndcg = [
-                metrics.ndcg_at_k(items, reranker.top_k(req.relevance, k), req.relevance)
-                for req, items in zip(arrivals, lists)
-            ]
+            interval_ndcg = []
+            for req, items in zip(arrivals, lists):
+                rel = req.relevance
+                cached = ideal.get(id(rel))
+                if cached is None:
+                    cached = ideal[id(rel)] = (rel, metrics.dcg(rel[reranker.top_k(rel, k)]))
+                interval_ndcg.append(metrics.ndcg_at_k(items, cached[1], rel))
             per_user_ndcg.extend(interval_ndcg)
             per_interval_acc.append(float(np.mean(interval_ndcg)))
             per_interval_vio.append(metrics.vio_at_k(interval_ndcg, cfg.policy.required_min_accuracy))

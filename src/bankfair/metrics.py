@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -28,21 +28,20 @@ def dcg(scores: np.ndarray) -> float:
     return float((scores / _discounts(scores.size)).sum())
 
 
-def ndcg_at_k(items: np.ndarray, ideal_items: np.ndarray, relevance: np.ndarray) -> float:
+def ndcg_at_k(items: np.ndarray, ideal_dcg: float, relevance: np.ndarray) -> float:
     """DCG of the re-ranked list over the DCG of the plain top-K list.
 
-    ``items`` and ``ideal_items`` are item-id arrays in rank order (the
-    re-ranked list and the unconstrained top-K); gains are looked up in
-    ``relevance``. Two zero-gain lists score 1.
+    ``items`` is the re-ranked list's item ids in rank order, with gains
+    looked up in ``relevance``; ``ideal_dcg`` is the denominator,
+    ``dcg(relevance[top_k(relevance, K)])``, which callers compute once per
+    relevance vector. Two zero-gain lists score 1.
     """
-    relevance = np.asarray(relevance, dtype=float)
-    num = dcg(relevance[items])
-    den = dcg(relevance[ideal_items])
-    if den == 0.0:
+    num = dcg(np.asarray(relevance, dtype=float)[items])
+    if ideal_dcg == 0.0:
         if num == 0.0:
             return 1.0
         raise ValueError("original list has zero gain but the re-ranked list does not")
-    return num / den
+    return num / ideal_dcg
 
 
 def vio_at_k(per_user_ndcg: Sequence[float], phi: float) -> float:
@@ -99,7 +98,7 @@ class SimReport:
 
     def to_json(self) -> str:
         """Stable-key JSON; identical configs and seeds give identical bytes."""
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
     def write(self, directory):
         directory = Path(directory)

@@ -238,6 +238,31 @@ class TestSpecValidation:
         code, err = self.run_synth(tmp_path, capsys, spec)
         assert code == 1 and key in err and "Traceback" not in err
 
+    # One bad SynthConfig field each, checked when the spec is read. From
+    # "mean_traffic": NaN on, each is a traceback tests/test_cli_fuzz.py found.
+    @pytest.mark.parametrize("fields,key", [
+        ({"num_providers": 0}, "num_providers"), ({"num_intervals": -1}, "num_intervals"),
+        ({"mean_traffic": -5}, "mean_traffic"),
+        ({"relevance_low": 0.9, "relevance_high": 0.1}, "relevance_low"),
+        ({"relevance_high": 5}, "relevance_high"), ({"inventory": [11, -1]}, "inventory"),
+        ({"num_items": "10"}, "num_items"),
+        ({"mean_traffic": float("nan")}, "mean_traffic"),
+        ({"mean_traffic": float("inf")}, "mean_traffic"), ({"mean_traffic": []}, "mean_traffic"),
+        ({"relevance_high": float("nan")}, "relevance_high"),
+        ({"relevance_low": None}, "relevance_low"), ({"num_items": None}, "num_items"),
+        ({"num_intervals": True}, "num_intervals"), ({"inventory": [5, "x"]}, "inventory"),
+        ({"traffic": "x"}, "traffic"), ({"traffic": [1, {"a": 1}]}, "traffic"),
+        ({"provider_bands": "x"}, "provider_bands"),
+        ({"provider_bands": [[0.1, float("nan")], [0, 1]]}, "provider_bands"),
+        ({"provider_weights": [1.0, float("nan")]}, "provider_weights")])
+    def test_bad_synth_field(self, tmp_path, capsys, fields, key):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"num_items": 10, "num_providers": 2,
+                                    "num_intervals": 2, **fields}))
+        code = main(["run", "--synth", str(path), "--K", "3", "--m", "1"])
+        err = capsys.readouterr().err
+        assert code == 1 and key in err and "Traceback" not in err
+
     @pytest.mark.parametrize("seeds", [[0, -1], [1.5], ["0"], 3])
     def test_bad_sweep_seeds(self, tmp_path, capsys, seeds):
         spec = {"base": {"synth": SYNTH, "K": 5}, "grid": {"k": [1.5]}, "seeds": seeds}

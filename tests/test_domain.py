@@ -196,6 +196,47 @@ class TestIngestion:
         with pytest.raises(ParseError, match="row 3"):
             load_interactions(f)
 
+    # Row numbers count the data rows read, blank lines not included, as
+    # csv.DictReader numbered them; the messages are pinned from it.
+    NONE_FLOAT = "float() argument must be a string or a real number, not 'NoneType'"
+
+    @pytest.mark.parametrize("text,message", [
+        ("u1,a,1,100,0.5\n\nu2,b,1,x,0.9\n",
+         "row 3: malformed record (could not convert string to float: 'x')"),
+        ("\nu1,a,1,100,0.5\n\nu2,b,1,200,7\n", "row 3: score '7' is not in [0, 1]"),
+        ("u1,a,1,100,0.5\nu2,b,1,200\n", f"row 3: malformed record ({NONE_FLOAT})"),
+        ("u1,a,1,100,0.5\n\n\nu2,b\n", f"row 3: malformed record ({NONE_FLOAT})"),
+        ("u1,a,1,100,0.5\n \n", f"row 3: malformed record ({NONE_FLOAT})")])
+    def test_blank_and_short_rows(self, tmp_path, text, message):
+        f = tmp_path / "log.csv"
+        f.write_text("user_id,item_id,provider_id,timestamp,score\n" + text)
+        with pytest.raises(ParseError) as err:
+            load_interactions(f)
+        assert str(err.value) == message
+
+    def test_short_row_missing_only_ids_is_malformed(self, tmp_path):
+        # With the numbers first, a short row lacks ids, not numbers; it used
+        # to load with user and item None.
+        f = tmp_path / "log.csv"
+        f.write_text("score,timestamp,provider_id,item_id,user_id\n0.5,100,1,a,u1\n0.9,200,1\n")
+        with pytest.raises(ParseError) as err:
+            load_interactions(f)
+        assert str(err.value) == "row 3: malformed record (too few fields)"
+
+    @pytest.mark.parametrize("text", [
+        "user_id,item_id,provider_id,timestamp,score\nu1,a,1,100,0.5,extra\n\nu2,b,1,200,0.9\n",
+        "user_id,item_id,provider_id,timestamp,score,note\nu1,a,1,100,0.5,hi\nu2,b,1,200,0.9\n",
+        "score,timestamp,provider_id,item_id,user_id\n0.5,100,1,a,u1\n0.9,200,1,b,u2\n"])
+    def test_extra_and_reordered_columns(self, tmp_path, text):
+        f = tmp_path / "log.csv"
+        f.write_text(text)
+        catalog, series, requests = load_interactions(f, LogSchema(list_size=1))
+        np.testing.assert_array_equal(catalog.item_provider, [0, 0])
+        np.testing.assert_array_equal(series.counts, [2])
+        assert [r.user_id for r in requests] == ["u1", "u2"]
+        np.testing.assert_array_equal(requests[0].relevance, [0.5, 0.0])
+        np.testing.assert_array_equal(requests[1].relevance, [0.0, 0.9])
+
     def test_item_with_two_providers(self, tmp_path):
         f = tmp_path / "log.csv"
         self._write_csv(f, ["u1,a,1,100,0.5", "u2,a,2,200,0.9"])

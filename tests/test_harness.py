@@ -1,14 +1,15 @@
 """End-to-end driver: interval loop wiring, determinism, sweeps."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from test_reranker import reference_run_interval, reference_top_k
 
-from bankfair import reranker
-from bankfair.domain import FairnessPolicy, LogSchema, SynthConfig, save_instance, synth_instance
+from bankfair import metrics, reranker
+from bankfair.domain import (FairnessPolicy, LogSchema, SynthConfig, _write_relevance_matrix,
+                             save_instance, synth_instance)
 from bankfair.errors import ConfigError, InfeasibleAllocationError
 from bankfair.harness import RunConfig, SweepSpec, run, sweep
 from bankfair.reranker import RerankConfig
@@ -25,6 +26,55 @@ def small_config(rule="talmud", seed=0, m=30.0, **overrides):
         rule=rule, synth=synth, forecaster="oracle", seed=seed)
     base.update(overrides)
     return RunConfig(**base)
+
+
+LOG_USERS = 12
+
+
+def log_config(directory, relevance=False, **overrides):
+    """A four-hour log of 80 visits by 12 users; scores on a 0.05 grid.
+
+    With ``relevance`` a dense relevance.bin gives every user's vector;
+    otherwise each profile is the user's own logged scores.
+    """
+    rng = np.random.default_rng(8)
+    item_provider = np.array([0] * 8 + [1] * 6 + [2] * 4 + [3] * 2)
+    rows = 80
+    users = rng.permutation(np.resize(np.arange(LOG_USERS), rows))
+    items = rng.integers(0, item_provider.size, size=rows)
+    stamps = np.sort(rng.integers(0, 4 * 3600, size=rows))
+    scores = rng.integers(1, 21, size=rows) / 20.0
+    directory.mkdir(exist_ok=True)
+    (directory / "catalog.csv").write_text(
+        "item_id,provider_id\n" + "".join(f"i{i},{p}\n" for i, p in enumerate(item_provider)))
+    (directory / "interactions.csv").write_text(
+        "user_id,item_id,provider_id,timestamp,score\n" + "".join(
+            f"u{u},i{i},{item_provider[i]},{t},{float(v)!r}\n"
+            for u, i, t, v in zip(users, items, stamps, scores)))
+    if relevance:
+        matrix = rng.integers(0, 21, size=(LOG_USERS, item_provider.size)) / 20.0
+        _write_relevance_matrix(directory / "relevance.bin", matrix)
+    base = dict(
+        policy=FairnessPolicy.uniform(30.0, 4, phi=0.95, k=5),
+        rerank=RerankConfig(list_size=5, alpha_k=1.5, beta_mix=0.5, eta=0.05),
+        data_path=str(directory), schema=LogSchema(interval_seconds=3600.0, list_size=5),
+        forecaster="moving_average", forecaster_params={"w": 2, "prior_mean": 20.0})
+    base.update(overrides)
+    return RunConfig(**base)
+
+
+def reference_ndcg(k):
+    """ndcg_at_k that recomputes the plain top-K list and both DCGs per arrival."""
+    def ndcg(items, ideal_dcg, relevance):
+        relevance = np.asarray(relevance, dtype=float)
+        num = metrics.dcg(relevance[items])
+        den = metrics.dcg(relevance[reference_top_k(relevance, k)])
+        if den == 0.0:
+            if num == 0.0:
+                return 1.0
+            raise ValueError("original list has zero gain but the re-ranked list does not")
+        return num / den
+    return ndcg
 
 
 class TestRun:
@@ -133,6 +183,40 @@ class TestRun:
         monkeypatch.setattr(reranker, "run_interval", reference_run_interval)
         monkeypatch.setattr(reranker, "top_k", reference_top_k)
         assert run_to(tmp_path / "reference") == fast
+
+    # (config, how many distinct relevance vectors the run scores: one per
+    # logged user, or one per arrival when every vector is new)
+    @pytest.mark.parametrize("make,distinct", [
+        (lambda d: log_config(d), LOG_USERS),
+        (lambda d: log_config(d, relevance=True), LOG_USERS),
+        (lambda d: small_config(tau=0.3), None),
+        (lambda d: log_config(d, relevance=True, relevance_noise=0.05), None)],
+        ids=["log", "log_relevance_bin", "synth_tau", "log_noise"])
+    def test_cached_scoring_matches_per_arrival_scoring(self, tmp_path, monkeypatch, make,
+                                                        distinct):
+        cfg = make(tmp_path / "data")
+        names = ("report.json", "decisions.csv", "allocations.csv", "intervals.csv")
+
+        def run_to(out):
+            run(replace(cfg, out_dir=str(out)))
+            return {name: (out / name).read_bytes() for name in names}
+
+        ranked, scored = [], []
+        top_k, ndcg_at_k = reranker.top_k, metrics.ndcg_at_k
+        monkeypatch.setattr(reranker, "top_k",
+                            lambda rel, k: ranked.append(rel) or top_k(rel, k))
+        monkeypatch.setattr(metrics, "ndcg_at_k",
+                            lambda items, ideal, rel: scored.append(rel)
+                            or ndcg_at_k(items, ideal, rel))
+        cached = run_to(tmp_path / "cached")
+        # Both lists hold their arrays, so no two live arrays share an id.
+        vectors = {id(rel) for rel in scored}
+        assert len(ranked) == len(vectors) == len({id(rel) for rel in ranked})
+        assert {id(rel) for rel in ranked} == vectors
+        assert len(vectors) == (distinct or len(scored))
+
+        monkeypatch.setattr(metrics, "ndcg_at_k", reference_ndcg(cfg.policy.list_size))
+        assert run_to(tmp_path / "reference") == cached
 
 
 class TestRunConfigValidation:

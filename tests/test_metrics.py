@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bankfair.errors import ConfigError
+from bankfair.reranker import top_k
 from bankfair.metrics import (SimReport, dcg, esp_at_k, feasible_region_ratio, ndcg_at_k,
                               vio_at_k)
 
@@ -17,7 +18,7 @@ class TestNdcg:
     def test_identity_is_exactly_one(self):
         rel = np.array([0.9, 0.8, 0.1])
         lst = np.array([0, 1])
-        assert ndcg_at_k(lst, lst, rel) == 1.0
+        assert ndcg_at_k(lst, dcg(rel[lst]), rel) == 1.0
 
     def test_hand_computed_swap(self):
         # Swap the rank-2 item for the weakest one; oracle is the definition
@@ -27,9 +28,18 @@ class TestNdcg:
         swapped = np.array([0, 2])
         expected = (0.9 / math.log2(2) + 0.1 / math.log2(3)) / \
                    (0.9 / math.log2(2) + 0.8 / math.log2(3))
-        got = ndcg_at_k(swapped, original, rel)
+        got = ndcg_at_k(swapped, dcg(rel[original]), rel)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.68560, abs=1e-4)
+
+    def test_tied_items_swap_freely(self):
+        # Items of equal relevance are interchangeable: a list that takes a
+        # tied item in place of top_k's lower id scores exactly 1.
+        rel = np.array([0.5, 0.5, 0.5, 0.1])
+        ideal = top_k(rel, 2)
+        np.testing.assert_array_equal(ideal, [0, 1])
+        assert ndcg_at_k(np.array([2, 0]), dcg(rel[ideal]), rel) == 1.0
+        assert ndcg_at_k(np.array([3, 0]), dcg(rel[ideal]), rel) < 1.0
 
     def test_permutation_oracle(self):
         # Any permutation of the top-K set scores the permuted DCG over the
@@ -40,15 +50,15 @@ class TestNdcg:
             rel = rng.uniform(size=8)
             top = np.argsort(-rel)[:k]
             for perm in itertools.permutations(top):
-                got = ndcg_at_k(np.array(perm), top, rel)
+                got = ndcg_at_k(np.array(perm), dcg(rel[top]), rel)
                 assert got == pytest.approx(dcg(rel[list(perm)]) / dcg(rel[top]))
                 assert got <= 1.0 + 1e-12
 
     def test_zero_gain_lists(self):
         rel = np.array([0.0, 0.0, 0.5])
-        assert ndcg_at_k(np.array([0, 1]), np.array([1, 0]), rel) == 1.0
+        assert ndcg_at_k(np.array([0, 1]), dcg(rel[[1, 0]]), rel) == 1.0
         with pytest.raises(ValueError):
-            ndcg_at_k(np.array([2, 0]), np.array([0, 1]), rel)
+            ndcg_at_k(np.array([2, 0]), dcg(rel[[0, 1]]), rel)
 
     @given(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=8), st.data())
     @settings(max_examples=200, deadline=None)
@@ -56,7 +66,7 @@ class TestNdcg:
         rel = np.asarray(rel)
         k = data.draw(st.integers(1, len(rel)))
         items = data.draw(st.permutations(range(len(rel))))
-        got = ndcg_at_k(np.array(items[:k]), np.argsort(-rel)[:k], rel)
+        got = ndcg_at_k(np.array(items[:k]), dcg(rel[np.argsort(-rel)[:k]]), rel)
         assert 0.0 <= got <= 1.0 + 1e-12
 
 

@@ -62,3 +62,17 @@ def test_toy_two_provider():
     lines = out.stdout.splitlines()
     assert lines[0].startswith("3 users: feasible region 73.3%")
     assert lines[1].startswith("2 users: feasible region 60.0%")
+
+
+def test_output_hashes(tmp_path):
+    out = python("scripts/output_hashes.py", "--seeds", "101", "--config-seeds", "0",
+                 "--out", tmp_path / "runs")
+    assert out.returncode == 0, out.stderr
+    lines = [line.split() for line in out.stdout.splitlines()]
+    runs = ["wide_catalog/seed101", "long_tail/seed101", "replay_log/seed101",
+            *(f"benchmark_config/{rule}/seed0" for rule in ("talmud", "naive", "prop", "none")),
+            "criterion_9"]
+    files = ["report.json", "decisions.csv", "allocations.csv", "intervals.csv"]
+    assert [(name, file) for name, file, _ in lines] == [(r, f) for r in runs for f in files]
+    assert all(len(digest) == 64 for _, _, digest in lines)
+    assert (tmp_path / "runs" / "criterion_9" / "report.json").is_file()
