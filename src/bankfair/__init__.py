@@ -8,9 +8,8 @@ ESP and diagnostics), `harness` (the end-to-end driver and sweeps), and
 """
 
 from .bankruptcy import plan_interval, predict_demands, talmud, update_remaining
-from .domain import (Catalog, FairnessPolicy, LogSchema, SynthConfig, TrafficSeries,
-                     UserRequest, load_interactions, resample_traffic, save_instance,
-                     synth_instance)
+from .domain import (Catalog, FairnessPolicy, LogSchema, SynthConfig, UserRequest,
+                     load_interactions, resample_traffic, save_instance, synth_instance)
 from .errors import (BankfairError, ConfigError, ConsistencyError,
                      InfeasibleAllocationError, ParseError)
 from .forecast import Forecast, forecast_traffic
@@ -25,7 +24,7 @@ __all__ = [
     "BankfairError", "Catalog", "ConfigError", "ConsistencyError",
     "FairnessPolicy", "Forecast", "InfeasibleAllocationError", "LogSchema",
     "ParseError", "RerankConfig", "RunConfig", "SimReport", "SweepSpec",
-    "SynthConfig", "TrafficSeries", "UserRequest", "compute_caps", "compute_penalties",
+    "SynthConfig", "UserRequest", "compute_caps", "compute_penalties",
     "conjugate_argmax", "conjugate_value", "dual_step", "esp_at_k",
     "feasible_region_ratio", "forecast_traffic", "load_interactions",
     "ndcg_at_k", "plan_interval", "predict_demands", "resample_traffic", "run",

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import harness, metrics, reranker
 from .bankruptcy import talmud
-from .domain import Catalog, FairnessPolicy, SynthConfig, UserRequest, synth_instance
+from .domain import Catalog, FairnessPolicy, SynthConfig, synth_instance
 from .reranker import RerankConfig
 
 
@@ -124,9 +124,8 @@ def toy_exposure_run(n_users: int, eta: float = 0.12):
     """Serve the toy instance with a floor of 4 on provider 1 (index 0)."""
     catalog, relevance = _two_provider_toy()
     cfg = RerankConfig(list_size=5, alpha_k=1.5, beta_mix=0.5, eta=eta)
-    requests = [UserRequest(str(t), 1, t + 1, relevance) for t in range(n_users)]
-    lists, earned, _ = reranker.run_interval(requests, np.array([4.0, 0.0]), cfg, catalog,
-                                             float(n_users))
+    lists, earned, _ = reranker.run_interval([relevance] * n_users, np.array([4.0, 0.0]), cfg,
+                                             catalog, float(n_users))
     ideal_dcg = metrics.dcg(relevance[reranker.top_k(relevance, 5)])
     ndcgs = [metrics.ndcg_at_k(items, ideal_dcg, relevance) for items in lists]
     return earned, float(np.mean(ndcgs))
@@ -240,11 +239,12 @@ def binding_plan_loss(traffic: int, seed: int, plan_vec: np.ndarray,
     # traffic.
     eta = 0.08 / float(traffic) ** 2
     rcfg = RerankConfig(list_size=k, eta=eta)
-    lists, _, _ = reranker.run_interval(requests, plan_vec, rcfg, catalog, float(traffic))
+    relevances = [r.relevance for r in requests]
+    lists, _, _ = reranker.run_interval(relevances, plan_vec, rcfg, catalog, float(traffic))
     ndcgs = []
-    for req, items in zip(requests, lists):
-        ideal_dcg = metrics.dcg(req.relevance[reranker.top_k(req.relevance, k)])
-        ndcgs.append(metrics.ndcg_at_k(items, ideal_dcg, req.relevance))
+    for rel, items in zip(relevances, lists):
+        ideal_dcg = metrics.dcg(rel[reranker.top_k(rel, k)])
+        ndcgs.append(metrics.ndcg_at_k(items, ideal_dcg, rel))
     return 1.0 - float(np.mean(ndcgs))
 
 

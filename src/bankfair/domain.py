@@ -1,8 +1,11 @@
 """Core data types, log ingestion, and synthetic instance generation.
 
-An *instance* is the triple (Catalog, TrafficSeries, requests): an immutable
-item universe, per-interval arrival counts, and the ordered stream of user
-requests with dense relevance vectors.
+An *instance* is the triple (catalog, counts, requests): an immutable item
+universe, the int64 array of per-interval arrival counts, and the user
+requests with dense relevance vectors in arrival order, interval by
+interval. The order is the only record of which interval an arrival is in:
+interval n holds the ``counts[n - 1]`` requests that follow the
+``counts[:n - 1].sum()`` before it.
 """
 
 from __future__ import annotations
@@ -84,29 +87,6 @@ class Catalog:
 
 
 @dataclass(frozen=True)
-class TrafficSeries:
-    """Per-interval arrival counts over the whole horizon."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.ndim != 1 or c.size == 0:
-            raise ConfigError("traffic series must be 1-d and nonempty")
-        if (c < 0).any():
-            raise ConfigError("traffic counts must be nonnegative")
-        object.__setattr__(self, "counts", _readonly(c))
-
-    @property
-    def horizon(self) -> int:
-        return int(self.counts.size)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
 class FairnessPolicy:
     """Per-provider exposure floors plus the per-user accuracy floor."""
 
@@ -134,8 +114,6 @@ class UserRequest:
     """One user arrival with a dense relevance vector over all items."""
 
     user_id: str
-    interval: int  # 1-based interval index
-    arrival_seq: int  # 1-based position within the interval
     relevance: np.ndarray
     degenerate: bool = False  # fewer strictly positive scores than the list size
 
@@ -249,7 +227,7 @@ class SynthConfig:
 
 
 def synth_instance(cfg: SynthConfig, seed: int):
-    """Generate a deterministic (Catalog, TrafficSeries, requests) triple."""
+    """Generate a deterministic (catalog, counts, requests) triple."""
     if cfg.num_providers > cfg.num_items:
         raise ConfigError("more providers than items")
     rng = np.random.default_rng(seed)
@@ -264,7 +242,6 @@ def synth_instance(cfg: SynthConfig, seed: int):
             raise ConfigError("explicit traffic length must equal the horizon")
     else:
         counts = rng.poisson(cfg.mean_traffic, size=cfg.num_intervals)
-    series = TrafficSeries(counts)
 
     bands = cfg.resolve_bands()
     if bands is not None:
@@ -275,21 +252,10 @@ def synth_instance(cfg: SynthConfig, seed: int):
         lo, hi = cfg.relevance_low, cfg.relevance_high
         weights = cfg.resolve_weights()[item_provider]
     requests = []
-    uid = 0
-    for n, c in enumerate(series.counts, start=1):
-        for t in range(1, int(c) + 1):
-            rel = np.clip(rng.uniform(lo, hi, size=cfg.num_items) * weights, 0.0, 1.0)
-            requests.append(
-                UserRequest(
-                    user_id=str(uid),
-                    interval=n,
-                    arrival_seq=t,
-                    relevance=rel,
-                    degenerate=_flag_degenerate(rel, cfg.list_size),
-                )
-            )
-            uid += 1
-    return catalog, series, requests
+    for uid in range(int(counts.sum())):
+        rel = np.clip(rng.uniform(lo, hi, size=cfg.num_items) * weights, 0.0, 1.0)
+        requests.append(UserRequest(str(uid), rel, _flag_degenerate(rel, cfg.list_size)))
+    return catalog, counts, requests
 
 
 # ---------------------------------------------------------------------------
@@ -297,56 +263,41 @@ def synth_instance(cfg: SynthConfig, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def resample_traffic(series: TrafficSeries, tau: float, total: int, seed: int) -> TrafficSeries:
+def resample_traffic(counts: np.ndarray, tau: float, total: int, seed: int) -> np.ndarray:
     """Redistribute ``total`` arrivals across intervals with temperature tau.
 
     Interval probabilities are softmax(counts / (tau * max(counts))); the max
     normalization keeps tau in (0, 1] meaningful for raw counts of any scale.
     Small tau concentrates arrivals on the busiest intervals, tau = 1 tends
-    toward the softmax of the normalized counts.
+    toward the softmax of the normalized counts. A tau so small that the
+    logits overflow is a ConfigError. Returns the int64 counts.
     """
     if tau <= 0:
         raise ConfigError("tau must be positive")
     if total <= 0:
         raise ConfigError("total must be positive")
-    counts = series.counts.astype(float)
+    counts = np.asarray(counts, dtype=float)
     scale = counts.max()
     if scale <= 0:
         scale = 1.0
-    logits = counts / (tau * scale)
+    with np.errstate(over="ignore"):
+        logits = counts / (tau * scale)
+    if not np.isfinite(logits).all():
+        raise ConfigError(f"tau {tau!r} is too small: counts / (tau * {scale:g}) overflows")
     logits -= logits.max()
     probs = np.exp(logits)
     probs /= probs.sum()
     rng = np.random.default_rng(seed)
-    return TrafficSeries(rng.multinomial(total, probs))
+    return rng.multinomial(total, probs)
 
 
-def redistribute_requests(requests: Sequence[UserRequest], series: TrafficSeries, seed: int):
-    """Deal the pooled requests into intervals sized by ``series``.
+def redistribute_requests(requests: Sequence[UserRequest], seed: int) -> list[UserRequest]:
+    """The requests in a seeded random order.
 
-    Used after resampling: the request pool is shuffled once (seeded) and cut
-    sequentially, then intervals and arrival positions are relabeled.
+    Used after resampling: cut in order by the resampled counts, the shuffled
+    pool deals every request to one interval.
     """
-    if series.total != len(requests):
-        raise ConfigError("resampled counts must sum to the number of requests")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(requests))
-    out = []
-    cursor = 0
-    for n, c in enumerate(series.counts, start=1):
-        for t in range(1, int(c) + 1):
-            src = requests[order[cursor]]
-            out.append(
-                UserRequest(
-                    user_id=src.user_id,
-                    interval=n,
-                    arrival_seq=t,
-                    relevance=src.relevance,
-                    degenerate=src.degenerate,
-                )
-            )
-            cursor += 1
-    return out
+    return [requests[i] for i in np.random.default_rng(seed).permutation(len(requests))]
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +349,22 @@ def _read_relevance_matrix(path: Path) -> np.ndarray:
     return matrix
 
 
-def save_instance(directory, catalog: Catalog, series: TrafficSeries,
+def save_instance(directory, catalog: Catalog, counts: np.ndarray,
                   requests: Sequence[UserRequest], interval_seconds: float = 86400.0):
     """Write an instance in the interchange layout.
 
     Emits interactions.csv (one row per arrival; the row's item is the
     request's top-relevance item, the lowest id among ties), catalog.csv with
     the full item->provider map, and relevance.bin with one dense row per
-    distinct user in order of first appearance. Timestamps encode (interval, arrival_seq) so reloading
-    reconstructs the original grouping exactly.
+    distinct user in order of first appearance. An arrival's timestamp is
+    its interval's start plus its 0-based position in the interval, so
+    reloading reconstructs the original grouping exactly. ``counts`` must
+    sum to the number of requests (ConfigError otherwise).
     """
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.sum() != len(requests):
+        raise ConfigError(f"counts sum to {int(counts.sum())}, "
+                          f"but there are {len(requests)} requests")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
@@ -422,11 +379,12 @@ def save_instance(directory, catalog: Catalog, series: TrafficSeries,
     with open(directory / INTERACTIONS_FILE, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(INTERACTIONS_COLUMNS)
-        for req in requests:
+        slots = ((n, t) for n, c in enumerate(counts.tolist()) for t in range(c))
+        for req, (n, t) in zip(requests, slots):
             if req.user_id not in user_rows:
                 user_rows[req.user_id] = len(matrix_rows)
                 matrix_rows.append(req.relevance)
-            ts = (req.interval - 1) * interval_seconds + (req.arrival_seq - 1)
+            ts = n * interval_seconds + t
             top = int(np.argmax(req.relevance))
             w.writerow([req.user_id, top, int(catalog.item_provider[top]),
                         repr(float(ts)), repr(float(req.relevance[top]))])
@@ -456,7 +414,7 @@ def _parse_row(row: list[str], columns: Sequence[int], lineno: int):
 
 
 def load_interactions(path, schema: LogSchema | None = None):
-    """Load an interaction log into (Catalog, TrafficSeries, requests).
+    """Load an interaction log into (catalog, counts, requests).
 
     ``path`` may be the interchange directory or a bare csv file. With the
     dense relevance sidecar each user's vector comes from their matrix row;
@@ -495,15 +453,16 @@ def load_interactions(path, schema: LogSchema | None = None):
 
     # Item and provider universes; explicit catalog wins over observed pairs.
     if cat_path is not None:
-        item_ids, providers = [], []
+        catalog_provider: dict[str, int] = {}
         with open(cat_path, newline="") as fh:
             for lineno, row in enumerate(csv.DictReader(fh), start=2):
                 try:
-                    item_ids.append(row["item_id"])
-                    providers.append(int(row["provider_id"]))
+                    iid, provider = row["item_id"], int(row["provider_id"])
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ParseError(f"{cat_path} row {lineno}: {exc}") from None
-        catalog_provider = dict(zip(item_ids, providers))
+                if iid in catalog_provider:
+                    raise ParseError(f"{cat_path} row {lineno}: duplicate item id {iid!r}")
+                catalog_provider[iid] = provider
         for lineno, (_, iid, pid, _, _) in enumerate(rows, start=2):
             if iid not in catalog_provider:
                 raise ParseError(f"row {lineno}: item {iid!r} is not in {cat_path}")
@@ -514,9 +473,9 @@ def load_interactions(path, schema: LogSchema | None = None):
             if not consistent:
                 raise ConsistencyError(f"row {lineno}: item {iid!r} has provider {pid!r}, "
                                        f"{cat_path} says {catalog_provider[iid]}")
-        item_index = {iid: k for k, iid in enumerate(item_ids)}
+        item_index = {iid: k for k, iid in enumerate(catalog_provider)}
         # Provider ids become indices into the sorted distinct ids.
-        _, item_provider = np.unique(np.asarray(providers, dtype=np.int64),
+        _, item_provider = np.unique(np.asarray(list(catalog_provider.values()), dtype=np.int64),
                                      return_inverse=True)
     else:
         item_index, provider_index, item_provider_list = {}, {}, []
@@ -563,15 +522,6 @@ def load_interactions(path, schema: LogSchema | None = None):
     requests = []
     for k in ordered:
         uid, _, _, ts, _ = rows[k]
-        n = int((ts - t0) // schema.interval_seconds) + 1
-        counts[n - 1] += 1
-        requests.append(
-            UserRequest(
-                user_id=uid,
-                interval=n,
-                arrival_seq=int(counts[n - 1]),
-                relevance=profiles[uid],
-                degenerate=degenerate[uid],
-            )
-        )
-    return catalog, TrafficSeries(counts), requests
+        counts[int((ts - t0) // schema.interval_seconds)] += 1
+        requests.append(UserRequest(uid, profiles[uid], degenerate[uid]))
+    return catalog, counts, requests

@@ -14,9 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from . import bankruptcy, forecast, metrics, reranker
-from .domain import (FairnessPolicy, LogSchema, SynthConfig, UserRequest, _is_int,
-                     load_interactions, redistribute_requests, resample_traffic,
-                     synth_instance)
+from .domain import (FairnessPolicy, LogSchema, SynthConfig, _is_int, load_interactions,
+                     redistribute_requests, resample_traffic, synth_instance)
 from .errors import ConfigError
 from .metrics import SimReport
 
@@ -108,7 +107,7 @@ def run(cfg: RunConfig) -> SimReport:
     # reproducible for a fixed run seed.
     instance_seed, resample_seed, deal_seed, noise_seed = (
         s.generate_state(1)[0] for s in np.random.SeedSequence(cfg.seed).spawn(4))
-    catalog, series, requests = _load_instance(cfg, instance_seed)
+    catalog, counts, requests = _load_instance(cfg, instance_seed)
     m = cfg.policy.required_min_exposure
     if m.size == 1 and catalog.num_providers > 1:
         m = np.full(catalog.num_providers, float(m[0]))  # scalar floor broadcast
@@ -117,16 +116,13 @@ def run(cfg: RunConfig) -> SimReport:
     k = cfg.policy.list_size
 
     if cfg.tau is not None:
-        series = resample_traffic(series, cfg.tau, len(requests), resample_seed)
-        requests = redistribute_requests(requests, series, deal_seed)
+        counts = resample_traffic(counts, cfg.tau, len(requests), resample_seed)
+        requests = redistribute_requests(requests, deal_seed)
 
-    horizon = series.horizon
-    by_interval: list[list[UserRequest]] = [[] for _ in range(horizon)]
-    for req in requests:
-        by_interval[req.interval - 1].append(req)
-
+    horizon = counts.size
+    bounds = [0, *np.cumsum(counts).tolist()]  # interval n is requests[bounds[n-1]:bounds[n]]
     noise_rng = np.random.default_rng(noise_seed)
-    realized = series.counts.astype(float)
+    realized = counts.astype(float)
     remaining = m.astype(float).copy()
     cumulative = np.zeros(catalog.num_providers, dtype=np.int64)
 
@@ -143,7 +139,7 @@ def run(cfg: RunConfig) -> SimReport:
         rerank_cfg = replace(cfg.rerank, eta=0.0)
 
     for n in range(1, horizon + 1):
-        arrivals = by_interval[n - 1]
+        arrivals = requests[bounds[n - 1]:bounds[n]]
         fc = forecast.forecast_traffic(
             realized[: n - 1], horizon - n + 1, cfg.forecaster, cfg.forecaster_params,
             future=realized[n - 1:] if cfg.forecaster == "oracle" else None)
@@ -160,23 +156,25 @@ def run(cfg: RunConfig) -> SimReport:
             audit = bankruptcy.plan_interval(cfg.rule, remaining, claims, rhat, interval=n)
         allocation_rows.append((n, audit))
 
-        if cfg.relevance_noise > 0 and arrivals:
-            for req in arrivals:
-                eps = noise_rng.normal(0.0, cfg.relevance_noise, size=req.relevance.shape)
-                req.relevance = np.clip(req.relevance + eps, 0.0, 1.0)
+        # Noise goes into new arrays, drawn per arrival in arrival order; the
+        # instance's own vectors are never changed.
+        relevances = [req.relevance for req in arrivals]
+        if cfg.relevance_noise > 0:
+            relevances = [np.clip(rel + noise_rng.normal(0.0, cfg.relevance_noise,
+                                                         size=rel.shape), 0.0, 1.0)
+                          for rel in relevances]
 
         if arrivals:
             hook = None
             if cfg.out_dir is not None:
-                hook = lambda t, req, items, mu, n=n: decision_rows.append(
-                    [n, t, req.user_id, *items.tolist(),
+                hook = lambda t, items, mu, n=n, arrivals=arrivals: decision_rows.append(
+                    [n, t, arrivals[t - 1].user_id, *items.tolist(),
                      hashlib.sha1(mu.tobytes()).hexdigest()[:12]])
             lists, earned, _ = reranker.run_interval(
-                arrivals, audit["award"], rerank_cfg, catalog, rhat_n, trace_hook=hook)
+                relevances, audit["award"], rerank_cfg, catalog, rhat_n, trace_hook=hook)
             cumulative = cumulative + earned
             interval_ndcg = []
-            for req, items in zip(arrivals, lists):
-                rel = req.relevance
+            for rel, items in zip(relevances, lists):
                 cached = ideal.get(id(rel))
                 if cached is None:
                     cached = ideal[id(rel)] = (rel, metrics.dcg(rel[reranker.top_k(rel, k)]))
@@ -197,7 +195,7 @@ def run(cfg: RunConfig) -> SimReport:
         vio_at_k=metrics.vio_at_k(per_user_ndcg, cfg.policy.required_min_accuracy)
         if per_user_ndcg else 0.0,
         esp_at_k=metrics.esp_at_k(cumulative, m),
-        per_interval_traffic=[int(c) for c in series.counts],
+        per_interval_traffic=[int(c) for c in counts],
         per_interval_accuracy=per_interval_acc,
         per_interval_vio=per_interval_vio,
         per_interval_esp=per_interval_esp,

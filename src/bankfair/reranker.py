@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import Catalog, UserRequest
+from .domain import Catalog
 from .errors import ConfigError
 
 
@@ -139,10 +139,12 @@ def dual_step(mu: np.ndarray, eta: float, lam: np.ndarray, exposure: np.ndarray,
     return np.maximum(mu - eta * (e_star - exposure), -lam)
 
 
-def run_interval(requests: Sequence[UserRequest], floor: np.ndarray, cfg: RerankConfig,
+def run_interval(relevances: Sequence[np.ndarray], floor: np.ndarray, cfg: RerankConfig,
                  catalog: Catalog, rhat_n: float, lam: np.ndarray | None = None,
                  mu0: np.ndarray | None = None, trace_hook=None):
     """Serve one interval's arrivals in order against per-provider ``floor``.
+
+    ``relevances`` holds one dense relevance vector per arrival, in order.
 
     Dual prices start at zero, or at ``mu0`` (projected onto mu >= -lambda)
     when given; ``lam`` replaces the penalties of ``compute_penalties``. After
@@ -151,11 +153,11 @@ def run_interval(requests: Sequence[UserRequest], floor: np.ndarray, cfg: Rerank
     remainder ``max(beta, 0)``, so pressure on a provider fades once its
     floor is met.
 
-    ``trace_hook(t, request, items, mu)`` is called per arrival with the
+    ``trace_hook(t, items, mu)`` is called per arrival t (1-based) with the
     list's item ids and the prices that selected it, for replay debugging.
 
     Returns (lists, earned, mu): ``lists`` is an int64 array of shape
-    (len(requests), K) whose row t - 1 holds arrival t's K distinct item ids
+    (len(relevances), K) whose row t - 1 holds arrival t's K distinct item ids
     in rank order, ``earned`` the int64 exposure each provider earned, and
     ``mu`` the final prices.
     """
@@ -173,11 +175,11 @@ def run_interval(requests: Sequence[UserRequest], floor: np.ndarray, cfg: Rerank
 
     beta = np.array(floor, dtype=float)
     earned = np.zeros(catalog.num_providers, dtype=np.int64)
-    lists = np.empty((len(requests), k), dtype=np.int64)
-    for t, req in enumerate(requests, start=1):
-        items = select_list(req.relevance, mu, catalog.item_provider, rhat_n, k)
+    lists = np.empty((len(relevances), k), dtype=np.int64)
+    for t, relevance in enumerate(relevances, start=1):
+        items = select_list(relevance, mu, catalog.item_provider, rhat_n, k)
         if trace_hook is not None:
-            trace_hook(t, req, items, mu)
+            trace_hook(t, items, mu)
         exposure = catalog.exposure_of(items)
         earned += exposure
         beta -= exposure

@@ -54,8 +54,8 @@ class TestRunCommand:
         from bankfair.domain import SynthConfig, save_instance, synth_instance
         cfg = SynthConfig(num_items=20, num_providers=3, num_intervals=2,
                           traffic=[8, 6], list_size=5)
-        catalog, series, requests = synth_instance(cfg, seed=2)
-        save_instance(tmp_path / "data", catalog, series, requests,
+        catalog, counts, requests = synth_instance(cfg, seed=2)
+        save_instance(tmp_path / "data", catalog, counts, requests,
                       interval_seconds=24 * 3600.0)
         code = main(["run", "--data", str(tmp_path / "data"), "--rule", "none",
                      "--m", "5", "--K", "5", "--seed", "1"])
@@ -73,11 +73,13 @@ class TestRunCommand:
         code = main(["run", "--synth", str(tmp_path / "absent.json"), "--K", "5"])
         assert code == 1
 
-    # (flag, value, the config key the error names)
+    # (flag, value, the config key the error names). tau 1e-320 passes the
+    # config check, but counts / (tau * max) overflows in the resampling.
     @pytest.mark.parametrize("flag,value,key", [
         ("eta", "fast", "eta"), ("eta", "nan", "eta"), ("eta", "inf", "eta"),
         ("eta", "-1", "eta"), ("tau", "nan", "tau"), ("tau", "0", "tau"),
-        ("tau", "-1", "tau"), ("interval-hours", "0", "interval_seconds"),
+        ("tau", "-1", "tau"), ("tau", "1e-320", "tau"),
+        ("interval-hours", "0", "interval_seconds"),
         ("interval-hours", "nan", "interval_seconds"),
         ("interval-hours", "-1", "interval_seconds"), ("noise", "nan", "relevance_noise"),
         ("noise", "-1", "relevance_noise"), ("noise", "inf", "relevance_noise")])
@@ -164,6 +166,16 @@ class TestIngestionErrors:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    def test_duplicate_catalog_item_exits_one(self, tmp_path, capsys):
+        (tmp_path / "catalog.csv").write_text("item_id,provider_id\ni0,0\ni0,1\ni1,1\n")
+        (tmp_path / "interactions.csv").write_text(
+            "user_id,item_id,provider_id,timestamp,score\nu0,i0,0,0,0.5\n")
+        code = main(["run", "--data", str(tmp_path), "--rule", "none", "--m", "1",
+                     "--K", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "catalog.csv row 3: duplicate item id 'i0'" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("value", [1.5, -3.0, float("nan"), float("inf")])
     def test_bad_relevance_matrix_exits_one_naming_the_row(self, tmp_path, capsys, value):
         import numpy as np
@@ -171,8 +183,8 @@ class TestIngestionErrors:
                                      save_instance, synth_instance)
         cfg = SynthConfig(num_items=6, num_providers=2, num_intervals=1, traffic=[3],
                           list_size=2)
-        catalog, series, requests = synth_instance(cfg, seed=0)
-        save_instance(tmp_path / "data", catalog, series, requests)
+        catalog, counts, requests = synth_instance(cfg, seed=0)
+        save_instance(tmp_path / "data", catalog, counts, requests)
         matrix = np.array([req.relevance for req in requests])
         matrix[2, 4] = value
         _write_relevance_matrix(tmp_path / "data" / RELEVANCE_FILE, matrix)

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bankfair.domain import (Catalog, FairnessPolicy, LogSchema, SynthConfig,
-                             TrafficSeries, UserRequest, load_interactions,
-                             redistribute_requests, resample_traffic, save_instance,
-                             synth_instance)
+from bankfair.domain import (Catalog, FairnessPolicy, LogSchema, SynthConfig, UserRequest,
+                             load_interactions, redistribute_requests, resample_traffic,
+                             save_instance, synth_instance)
 from bankfair.errors import ConfigError, ConsistencyError, ParseError
 
 
@@ -49,18 +48,20 @@ class TestSynthInstance:
     def test_two_provider_toy_scale(self):
         cfg = SynthConfig(num_items=8, num_providers=2, num_intervals=2,
                           traffic=[3, 2], list_size=5)
-        catalog, series, requests = synth_instance(cfg, seed=1)
-        np.testing.assert_array_equal(series.counts, [3, 2])
+        catalog, counts, requests = synth_instance(cfg, seed=1)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, [3, 2])
         np.testing.assert_array_equal(catalog.inventory, [4, 4])
         # 15 exposures available in interval 1, then 10.
-        assert [c * cfg.list_size for c in series.counts] == [15, 10]
-        assert [r.interval for r in requests] == [1, 1, 1, 2, 2]
+        assert [c * cfg.list_size for c in counts] == [15, 10]
+        # Arrival order: the first three requests are interval 1's.
+        assert [r.user_id for r in requests] == ["0", "1", "2", "3", "4"]
 
     def test_deterministic_per_seed(self):
         cfg = SynthConfig(num_items=20, num_providers=4, num_intervals=3, mean_traffic=10)
         a = synth_instance(cfg, seed=9)
         b = synth_instance(cfg, seed=9)
-        np.testing.assert_array_equal(a[1].counts, b[1].counts)
+        np.testing.assert_array_equal(a[1], b[1])
         for ra, rb in zip(a[2], b[2]):
             assert ra.user_id == rb.user_id
             np.testing.assert_array_equal(ra.relevance, rb.relevance)
@@ -105,27 +106,26 @@ class TestSynthInstance:
 
 class TestResampleTraffic:
     def test_sum_preserved(self):
-        series = TrafficSeries(np.array([5, 9, 2, 14]))
-        out = resample_traffic(series, tau=0.4, total=200, seed=3)
-        assert out.counts.sum() == 200
+        out = resample_traffic(np.array([5, 9, 2, 14]), tau=0.4, total=200, seed=3)
+        assert out.dtype == np.int64 and out.sum() == 200
 
     @given(st.integers(min_value=0, max_value=2**31 - 1),
            st.floats(min_value=0.05, max_value=1.0))
     @settings(max_examples=50, deadline=None)
     def test_sum_preserved_any_seed(self, seed, tau):
-        out = resample_traffic(TrafficSeries(np.array([3, 1, 7])), tau, 57, seed)
-        assert out.counts.sum() == 57
+        out = resample_traffic(np.array([3, 1, 7]), tau, 57, seed)
+        assert out.sum() == 57
 
     def test_equal_counts_stay_balanced_in_expectation(self):
-        series = TrafficSeries(np.array([10, 10, 10, 10]))
+        counts = np.array([10, 10, 10, 10])
         totals = np.zeros(4)
         for seed in range(200):
-            totals += resample_traffic(series, tau=0.5, total=100, seed=seed).counts
+            totals += resample_traffic(counts, tau=0.5, total=100, seed=seed)
         np.testing.assert_allclose(totals / 200, 25.0, atol=1.5)
 
     def test_small_tau_concentrates(self):
-        out = resample_traffic(TrafficSeries(np.array([10, 0])), tau=0.01, total=100, seed=0)
-        assert out.counts[0] >= 99
+        out = resample_traffic(np.array([10, 0]), tau=0.01, total=100, seed=0)
+        assert out[0] >= 99
 
     def test_tau_one_matches_softmax_monte_carlo(self):
         # Fluctuating daily-style counts; the expected share under tau=1 is the
@@ -135,30 +135,27 @@ class TestResampleTraffic:
         logits = counts / counts.max()
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
-        draws = resample_traffic(TrafficSeries(counts), tau=1.0, total=100_000, seed=11)
-        shares = draws.counts / 100_000
+        draws = resample_traffic(counts, tau=1.0, total=100_000, seed=11)
+        shares = draws / 100_000
         np.testing.assert_allclose(shares, probs, atol=4 * np.sqrt(probs.max() / 100_000) + 1e-3)
 
     def test_bad_tau(self):
         with pytest.raises(ConfigError):
-            resample_traffic(TrafficSeries(np.array([1])), tau=0.0, total=10, seed=0)
+            resample_traffic(np.array([1]), tau=0.0, total=10, seed=0)
+        # counts / (tau * max) overflows: a named error, not NaN probabilities.
+        with pytest.raises(ConfigError, match="tau 1e-320"):
+            resample_traffic(np.array([1, 5]), tau=1e-320, total=10, seed=0)
 
 
 class TestRedistributeRequests:
-    def test_relabels_intervals_and_positions(self):
+    def test_is_the_seeded_permutation(self):
         cfg = SynthConfig(num_items=6, num_providers=2, num_intervals=2, traffic=[4, 2])
         _, _, requests = synth_instance(cfg, seed=5)
-        new_series = TrafficSeries(np.array([1, 5]))
-        out = redistribute_requests(requests, new_series, seed=7)
-        assert [r.interval for r in out] == [1, 2, 2, 2, 2, 2]
-        assert [r.arrival_seq for r in out] == [1, 1, 2, 3, 4, 5]
+        out = redistribute_requests(requests, seed=7)
+        order = np.random.default_rng(7).permutation(len(requests))
+        assert len(out) == len(requests)
+        assert all(a is requests[i] for a, i in zip(out, order))
         assert sorted(r.user_id for r in out) == sorted(r.user_id for r in requests)
-
-    def test_total_mismatch_rejected(self):
-        cfg = SynthConfig(num_items=6, num_providers=2, num_intervals=1, traffic=[3])
-        _, _, requests = synth_instance(cfg, seed=5)
-        with pytest.raises(ConfigError):
-            redistribute_requests(requests, TrafficSeries(np.array([5])), seed=0)
 
 
 class TestIngestion:
@@ -169,10 +166,10 @@ class TestIngestion:
     def test_single_interval_grouping(self, tmp_path):
         f = tmp_path / "log.csv"
         self._write_csv(f, ["u1,a,1,100,0.5", "u2,b,1,7000,0.9", "u1,a,1,50000,0.4"])
-        catalog, series, requests = load_interactions(f, LogSchema(interval_seconds=86400))
-        np.testing.assert_array_equal(series.counts, [3])
+        catalog, counts, requests = load_interactions(f, LogSchema(interval_seconds=86400))
+        np.testing.assert_array_equal(counts, [3])
         assert catalog.num_items == 2 and catalog.num_providers == 1
-        assert [r.arrival_seq for r in requests] == [1, 2, 3]
+        assert [r.user_id for r in requests] == ["u1", "u2", "u1"]
 
     def test_sixteen_day_span(self, tmp_path):
         # One request per day over an inclusive 16-day span.
@@ -180,9 +177,9 @@ class TestIngestion:
         day = 86400
         rows = [f"u{d},i{d},1,{d * day},0.5" for d in range(16)]
         self._write_csv(f, rows)
-        _, series, _ = load_interactions(f, LogSchema(interval_seconds=day))
-        assert series.horizon == 16
-        np.testing.assert_array_equal(series.counts, np.ones(16))
+        _, counts, _ = load_interactions(f, LogSchema(interval_seconds=day))
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, np.ones(16))
 
     def test_empty_file_flags_no_requests(self, tmp_path):
         f = tmp_path / "log.csv"
@@ -230,9 +227,9 @@ class TestIngestion:
     def test_extra_and_reordered_columns(self, tmp_path, text):
         f = tmp_path / "log.csv"
         f.write_text(text)
-        catalog, series, requests = load_interactions(f, LogSchema(list_size=1))
+        catalog, counts, requests = load_interactions(f, LogSchema(list_size=1))
         np.testing.assert_array_equal(catalog.item_provider, [0, 0])
-        np.testing.assert_array_equal(series.counts, [2])
+        np.testing.assert_array_equal(counts, [2])
         assert [r.user_id for r in requests] == ["u1", "u2"]
         np.testing.assert_array_equal(requests[0].relevance, [0.5, 0.0])
         np.testing.assert_array_equal(requests[1].relevance, [0.0, 0.9])
@@ -263,15 +260,14 @@ class TestIngestion:
     def test_round_trip_identity(self, tmp_path):
         cfg = SynthConfig(num_items=12, num_providers=3, num_intervals=3,
                           traffic=[4, 1, 3], list_size=4, inventory=[6, 4, 2])
-        catalog, series, requests = synth_instance(cfg, seed=13)
-        save_instance(tmp_path / "inst", catalog, series, requests)
-        cat2, series2, requests2 = load_interactions(tmp_path / "inst",
+        catalog, counts, requests = synth_instance(cfg, seed=13)
+        save_instance(tmp_path / "inst", catalog, counts, requests)
+        cat2, counts2, requests2 = load_interactions(tmp_path / "inst",
                                                      LogSchema(list_size=4))
         np.testing.assert_array_equal(catalog.item_provider, cat2.item_provider)
-        np.testing.assert_array_equal(series.counts, series2.counts)
-        assert len(requests) == len(requests2)
+        np.testing.assert_array_equal(counts, counts2)
+        assert [a.user_id for a in requests] == [b.user_id for b in requests2]
         for a, b in zip(requests, requests2):
-            assert (a.user_id, a.interval, a.arrival_seq) == (b.user_id, b.interval, b.arrival_seq)
             np.testing.assert_array_equal(a.relevance, b.relevance)
             assert a.degenerate == b.degenerate
 
@@ -279,9 +275,8 @@ class TestIngestion:
         catalog = Catalog(np.array([0, 1, 0, 1]))
         relevance = [[0.2, 0.9, 0.5, 0.9], [0.7, 0.7, 0.7, 0.1], [0.0, 0.0, 0.0, 0.0],
                      [0.1, 0.2, 0.3, 0.4]]
-        requests = [UserRequest(f"u{t}", 1, t + 1, np.array(rel))
-                    for t, rel in enumerate(relevance)]
-        save_instance(tmp_path / "inst", catalog, TrafficSeries(np.array([4])), requests)
+        requests = [UserRequest(f"u{t}", np.array(rel)) for t, rel in enumerate(relevance)]
+        save_instance(tmp_path / "inst", catalog, np.array([4]), requests)
         with open(tmp_path / "inst" / "interactions.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(r["item_id"], r["provider_id"]) for r in rows] == [
@@ -290,10 +285,17 @@ class TestIngestion:
         for a, b in zip(requests, requests2):
             np.testing.assert_array_equal(a.relevance, b.relevance)
 
+    def test_total_mismatch_rejected(self, tmp_path):
+        # The arrival order is cut by counts, so they must cover every request.
+        cfg = SynthConfig(num_items=6, num_providers=2, num_intervals=1, traffic=[3])
+        catalog, _, requests = synth_instance(cfg, seed=5)
+        with pytest.raises(ConfigError, match="counts sum to 5, but there are 3 requests"):
+            save_instance(tmp_path / "inst", catalog, np.array([5]), requests)
+
     def test_bad_relevance_magic(self, tmp_path):
         cfg = SynthConfig(num_items=4, num_providers=2, num_intervals=1, traffic=[2])
-        catalog, series, requests = synth_instance(cfg, seed=0)
-        save_instance(tmp_path / "inst", catalog, series, requests)
+        catalog, counts, requests = synth_instance(cfg, seed=0)
+        save_instance(tmp_path / "inst", catalog, counts, requests)
         rel = tmp_path / "inst" / "relevance.bin"
         rel.write_bytes(b"XXXX" + rel.read_bytes()[4:])
         with pytest.raises(ParseError, match="magic"):

@@ -7,7 +7,7 @@ import pytest
 
 from test_reranker import reference_run_interval, reference_top_k
 
-from bankfair import metrics, reranker
+from bankfair import harness, metrics, reranker
 from bankfair.domain import (FairnessPolicy, LogSchema, SynthConfig, _write_relevance_matrix,
                              save_instance, synth_instance)
 from bankfair.errors import ConfigError, InfeasibleAllocationError
@@ -136,6 +136,21 @@ class TestRun:
         b = run(small_config(relevance_noise=0.1))
         assert a.per_user_ndcg != b.per_user_ndcg
 
+    def test_noise_leaves_the_instance_untouched(self, tmp_path, monkeypatch):
+        # Two runs on one prebuilt instance: noise must go into new arrays,
+        # or the first run's noise would carry into the second.
+        cfg = small_config(relevance_noise=0.05)
+        catalog, counts, requests = synth_instance(cfg.synth, seed=4)
+        before = [req.relevance.tobytes() for req in requests]
+        monkeypatch.setattr(harness, "synth_instance",
+                            lambda synth, seed: (catalog, counts, requests))
+        reports = []
+        for out in ("first", "second"):
+            run(replace(cfg, out_dir=str(tmp_path / out)))
+            reports.append((tmp_path / out / "report.json").read_bytes())
+        assert [req.relevance.tobytes() for req in requests] == before
+        assert reports[0] == reports[1]
+
     def test_zero_forecast_aborts_with_diagnostic(self):
         synth = SynthConfig(num_items=40, num_providers=4, num_intervals=2,
                             traffic=[0, 20], list_size=5)
@@ -165,10 +180,10 @@ class TestRun:
         # reference loop with full sorts.
         synth = SynthConfig(num_items=24, num_providers=4, num_intervals=4,
                             mean_traffic=15, list_size=5, inventory=[9, 7, 6, 2])
-        catalog, series, requests = synth_instance(synth, seed=4)
-        for req in requests:
-            req.relevance = np.round(req.relevance * 20.0) / 20.0
-        save_instance(tmp_path / "data", catalog, series, requests)
+        catalog, counts, requests = synth_instance(synth, seed=4)
+        requests = [replace(req, relevance=np.round(req.relevance * 20.0) / 20.0)
+                    for req in requests]
+        save_instance(tmp_path / "data", catalog, counts, requests)
 
         def run_to(out):
             cfg = RunConfig(policy=FairnessPolicy.uniform(12.0, 4, phi=0.9, k=5),

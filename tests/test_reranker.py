@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bankfair.domain import Catalog, UserRequest
+from bankfair.domain import Catalog
 from bankfair.errors import ConfigError
 from bankfair.reranker import (RerankConfig, _top_k_order, compute_caps, compute_penalties,
                                conjugate_argmax, conjugate_value, dual_step, run_interval,
@@ -74,7 +74,7 @@ class TestSelectList:
         assert rel[0] / 7.0 == rel[1] / 7.0 - mu[1]
         assert rel[0] * (1.0 / 7.0) > rel[1] * (1.0 / 7.0) - mu[1]
         np.testing.assert_array_equal(select_list(rel, mu, cat.item_provider, 7.0, 1), [1])
-        lists, _, _ = run_interval(make_requests([rel]), np.zeros(2),
+        lists, _, _ = run_interval([rel], np.zeros(2),
                                    RerankConfig(list_size=1, eta=0.0), cat, 7.0, mu0=mu)
         np.testing.assert_array_equal(lists[0], [1])
 
@@ -186,30 +186,25 @@ class TestDualStep:
         assert (out >= -lam).all()
 
 
-def make_requests(relevances):
-    return [UserRequest(str(t), 1, t + 1, np.asarray(r, dtype=float))
-            for t, r in enumerate(relevances)]
-
-
 class TestRunInterval:
     def test_zero_plan_zero_penalty_collapses_to_top_k(self):
         # With lam = 0 prices stay pinned at zero as long as the caps exceed
         # any realizable list exposure, so output matches plain top-K bitwise.
         rng = np.random.default_rng(2)
-        requests = make_requests(rng.uniform(size=(6, 8)))
+        relevances = rng.uniform(size=(6, 8))
         cfg = RerankConfig(list_size=5, eta=0.7)
         lists, _, mu = run_interval(
-            requests, np.zeros(2), cfg, TWO_PROVIDERS, rhat_n=6.0,
+            relevances, np.zeros(2), cfg, TWO_PROVIDERS, rhat_n=6.0,
             lam=np.zeros(2))
-        for req, lst in zip(requests, lists):
-            np.testing.assert_array_equal(lst, top_k(req.relevance, 5))
+        for rel, lst in zip(relevances, lists):
+            np.testing.assert_array_equal(lst, top_k(rel, 5))
         np.testing.assert_array_equal(mu, np.zeros(2))
 
     def test_exposure_accounting(self):
         rng = np.random.default_rng(7)
-        requests = make_requests(rng.uniform(size=(9, 8)))
+        relevances = rng.uniform(size=(9, 8))
         cfg = RerankConfig(list_size=5, eta=0.12)
-        lists, earned, _ = run_interval(requests, np.array([4.0, 0.0]),
+        lists, earned, _ = run_interval(relevances, np.array([4.0, 0.0]),
                                         cfg, TWO_PROVIDERS, rhat_n=9.0)
         assert earned.dtype == np.int64 and earned.sum() == 5 * 9
         np.testing.assert_array_equal(
@@ -220,19 +215,18 @@ class TestRunInterval:
         cfg = RerankConfig(list_size=5, eta=0.12)
         floor = np.array([4.0, 0.0])
         for n_users in (3, 2):
-            requests = make_requests([relevance] * n_users)
-            _, earned, _ = run_interval(requests, floor, cfg, TWO_PROVIDERS,
+            _, earned, _ = run_interval([relevance] * n_users, floor, cfg, TWO_PROVIDERS,
                                         rhat_n=float(n_users))
             assert earned[0] >= 4
 
     def test_dual_feasibility_throughout(self):
         rng = np.random.default_rng(1)
-        requests = make_requests(rng.uniform(size=(30, 8)))
+        relevances = rng.uniform(size=(30, 8))
         cfg = RerankConfig(list_size=5, eta=0.5, beta_mix=0.7)
         prices = []
-        _, _, mu = run_interval(requests, np.array([10.0, 3.0]), cfg,
+        _, _, mu = run_interval(relevances, np.array([10.0, 3.0]), cfg,
                                 TWO_PROVIDERS, rhat_n=30.0,
-                                trace_hook=lambda t, req, items, mu: prices.append(mu))
+                                trace_hook=lambda t, items, mu: prices.append(mu))
         lam = compute_penalties(TWO_PROVIDERS, 0.7)
         assert all((p >= -lam).all() for p in [*prices, mu])
         assert (mu == -lam).any()  # the projection was active
@@ -240,10 +234,10 @@ class TestRunInterval:
     def test_mu0_projected_on_entry(self):
         lam = np.array([0.5, 2.0])
         prices = []
-        run_interval(make_requests([np.ones(8)]), np.zeros(2),
+        run_interval([np.ones(8)], np.zeros(2),
                      RerankConfig(list_size=5, eta=0.0), TWO_PROVIDERS, 1.0, lam=lam,
                      mu0=np.array([-3.0, -1.0]),
-                     trace_hook=lambda t, req, items, mu: prices.append(mu))
+                     trace_hook=lambda t, items, mu: prices.append(mu))
         np.testing.assert_array_equal(prices[0], [-0.5, -1.0])
 
     def test_rejects_negative_penalties(self):
@@ -253,15 +247,15 @@ class TestRunInterval:
 
     def test_warm_start_uses_mu0(self):
         rng = np.random.default_rng(3)
-        requests = make_requests(rng.uniform(size=(1, 8)))
+        relevances = rng.uniform(size=(1, 8))
         cfg = RerankConfig(list_size=5, eta=0.0)
         mu0 = np.array([-0.4, 0.2])
-        lists_cold, _, _ = run_interval(requests, np.zeros(2), cfg,
+        lists_cold, _, _ = run_interval(relevances, np.zeros(2), cfg,
                                         TWO_PROVIDERS, rhat_n=1.0)
-        lists_warm, _, mu = run_interval(requests, np.zeros(2), cfg,
+        lists_warm, _, mu = run_interval(relevances, np.zeros(2), cfg,
                                          TWO_PROVIDERS, rhat_n=1.0, mu0=mu0)
         np.testing.assert_array_equal(mu, mu0)  # eta=0 freezes prices
-        expected = select_list(requests[0].relevance, mu, TWO_PROVIDERS.item_provider, 1.0, 5)
+        expected = select_list(relevances[0], mu, TWO_PROVIDERS.item_provider, 1.0, 5)
         np.testing.assert_array_equal(lists_warm[0], expected)
         assert not np.array_equal(lists_cold[0], lists_warm[0])
 
@@ -305,7 +299,7 @@ def reference_top_k(relevance, k):
     return lexsort_order(relevance, relevance, k)
 
 
-def reference_run_interval(requests, floor, cfg, catalog, rhat_n, lam=None, mu0=None,
+def reference_run_interval(relevances, floor, cfg, catalog, rhat_n, lam=None, mu0=None,
                            trace_hook=None):
     """The serve loop with one full lexsort per arrival and each step written out.
 
@@ -320,12 +314,12 @@ def reference_run_interval(requests, floor, cfg, catalog, rhat_n, lam=None, mu0=
     beta = np.array(floor, dtype=float)
     earned = np.zeros(catalog.num_providers, dtype=np.int64)
     lists = []
-    for t, req in enumerate(requests, start=1):
-        relevance = np.asarray(req.relevance, dtype=float)
+    for t, relevance in enumerate(relevances, start=1):
+        relevance = np.asarray(relevance, dtype=float)
         adjusted = relevance / float(rhat_n) - mu[catalog.item_provider]
         order = lexsort_order(adjusted, relevance, k)
         if trace_hook is not None:
-            trace_hook(t, req, order, mu)
+            trace_hook(t, order, mu)
         exposure = np.bincount(catalog.item_provider[order], minlength=catalog.num_providers)
         earned += exposure
         beta -= exposure
@@ -333,7 +327,7 @@ def reference_run_interval(requests, floor, cfg, catalog, rhat_n, lam=None, mu0=
         e_star = np.where(mu >= 0.0, gamma, np.minimum(remainder, gamma))
         mu = np.maximum(mu - eta * (e_star - exposure.astype(float)), -lam)
         lists.append(order)
-    lists = np.asarray(lists, dtype=np.int64).reshape(len(requests), k)
+    lists = np.asarray(lists, dtype=np.int64).reshape(len(relevances), k)
     return lists, earned, mu
 
 
@@ -413,9 +407,9 @@ class TestServeLoopMatchesReference:
         catalog = Catalog(np.repeat(np.arange(nprov), per), nprov)
         k = int(rng.integers(1, per * nprov + 1))
         n_users = int(rng.integers(1, 25))
-        requests = make_requests(rng.integers(0, 21, size=(n_users, per * nprov)) / 20.0)
+        relevances = list(rng.integers(0, 21, size=(n_users, per * nprov)) / 20.0)
         floor = rng.integers(0, 2 * k + 1, size=nprov).astype(float)
-        return rng, catalog, k, requests, floor, float(nprov * rng.choice([1, 3]))
+        return rng, catalog, k, relevances, floor, float(nprov * rng.choice([1, 3]))
 
     @staticmethod
     def assert_same(got, want, got_calls, want_calls, num_items):
@@ -434,13 +428,13 @@ class TestServeLoopMatchesReference:
     @staticmethod
     def recorder():
         calls = []
-        return calls, lambda t, req, items, mu: calls.append(
+        return calls, lambda t, items, mu: calls.append(
             (t, items.tolist(), mu.tobytes()))
 
     # The ids name the conjugate target: the unearned remainder of the floor.
     @pytest.mark.parametrize("seed", range(12), ids=lambda seed: f"{seed}-remaining")
     def test_bit_identical(self, seed):
-        rng, catalog, k, requests, floor, rhat_n = self.instance(seed)
+        rng, catalog, k, relevances, floor, rhat_n = self.instance(seed)
         variants = [dict(), dict(mu0=rng.integers(-20, 21, size=catalog.num_providers) / 20.0),
                     dict(lam=np.zeros(catalog.num_providers))]
         for eta in (0.05, 0.0, float(rng.uniform(0.01, 0.3))):
@@ -448,13 +442,13 @@ class TestServeLoopMatchesReference:
             for kwargs in variants:
                 got_calls, got_hook = self.recorder()
                 want_calls, want_hook = self.recorder()
-                got = run_interval(requests, floor, cfg, catalog, rhat_n,
+                got = run_interval(relevances, floor, cfg, catalog, rhat_n,
                                    trace_hook=got_hook, **kwargs)
-                want = reference_run_interval(requests, floor, cfg, catalog, rhat_n,
+                want = reference_run_interval(relevances, floor, cfg, catalog, rhat_n,
                                               trace_hook=want_hook, **kwargs)
                 self.assert_same(got, want, got_calls, want_calls, catalog.num_items)
 
     def test_rejects_list_longer_than_catalog(self):
         with pytest.raises(ConfigError):
-            run_interval(make_requests([np.ones(8)]), np.zeros(2),
+            run_interval([np.ones(8)], np.zeros(2),
                          RerankConfig(list_size=9), TWO_PROVIDERS, rhat_n=1.0)

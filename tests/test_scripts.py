@@ -1,4 +1,4 @@
-"""Fresh-interpreter checks: what `import bankfair` loads, and the example scripts."""
+"""What `import bankfair` loads and exports, and the example scripts."""
 
 import csv
 import os
@@ -27,6 +27,14 @@ def test_import_loads_no_scipy():
                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # A deleted type left in __all__ would break `from bankfair import *`.
+    import bankfair
+    assert len(bankfair.__all__) == len(set(bankfair.__all__))
+    missing = [name for name in bankfair.__all__ if not hasattr(bankfair, name)]
+    assert missing == []
 
 
 def test_traffic_sensitivity(tmp_path):
