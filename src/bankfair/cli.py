@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import harness
 from .domain import FairnessPolicy, LogSchema, SynthConfig
-from .errors import BankfairError, ConfigError, InfeasibleAllocationError
+from .errors import INT, NUMBER, BankfairError, ConfigError, InfeasibleAllocationError, check
 from .reranker import RerankConfig
 
 
@@ -79,17 +79,15 @@ def _check_keys(where: str, mapping, accepted):
 def config_from_options(opts: dict) -> harness.RunConfig:
     """Build a RunConfig from a flat option mapping (CLI flags or sweep json).
 
-    Keys are those of RUN_OPTIONS; any other key is a ConfigError.
+    Keys are those of RUN_OPTIONS; any other key is a ConfigError. A typed
+    option's value must already have its type (a JSON int is a number too);
+    it is never converted. Only an option whose default is None may be None.
     """
     _check_keys("run options", opts, RUN_OPTIONS)
     opts = {**{key: flag["default"] for key, flag in RUN_FLAGS.items()}, **opts}
     for key, flag in RUN_FLAGS.items():
-        if "type" in flag and opts[key] is not None:
-            try:
-                opts[key] = flag["type"](opts[key])
-            except (TypeError, ValueError):
-                raise ConfigError(f"run option {key!r} must be {flag['type'].__name__}, "
-                                  f"got {opts[key]!r}") from None
+        if "type" in flag and not (opts[key] is None and flag["default"] is None):
+            check(f"run option {key!r}", opts[key], INT if flag["type"] is int else NUMBER)
     synth_spec = opts.get("synth")
     synth = None
     if synth_spec is not None:

@@ -15,13 +15,13 @@ import logging
 import math
 import struct
 from dataclasses import dataclass
-from numbers import Integral, Real
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, ParseError
+from .errors import (NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT, ConfigError,
+                     ConsistencyError, ParseError, check, either, list_of, number_in)
 
 logger = logging.getLogger(__name__)
 
@@ -95,14 +95,11 @@ class FairnessPolicy:
     list_size: int
 
     def __post_init__(self):
-        m = np.asarray(self.required_min_exposure, dtype=float)
-        if (m < 0).any() or not np.isfinite(m).all():
-            raise ConfigError("required minimum exposure must be finite and >= 0")
-        if not 0.0 <= self.required_min_accuracy <= 1.0:
-            raise ConfigError("required minimum accuracy must lie in [0, 1]")
-        if self.list_size < 1:
-            raise ConfigError("list size must be >= 1")
-        object.__setattr__(self, "required_min_exposure", _readonly(m))
+        m = check("required_min_exposure", self.required_min_exposure,
+                  list_of("finite numbers >= 0", NONNEGATIVE))
+        check("required_min_accuracy", self.required_min_accuracy, UNIT)
+        check("list_size", self.list_size, POSITIVE_INT)
+        object.__setattr__(self, "required_min_exposure", _readonly(np.asarray(m, dtype=float)))
 
     @classmethod
     def uniform(cls, m: float, num_providers: int, phi: float, k: int) -> "FairnessPolicy":
@@ -125,19 +122,6 @@ def _flag_degenerate(relevance: np.ndarray, list_size: int) -> bool:
 # ---------------------------------------------------------------------------
 # Synthetic instances
 # ---------------------------------------------------------------------------
-
-
-def _is_int(value, least: int) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= least
-
-
-def _is_int_list(value, least: int) -> bool:
-    return (isinstance(value, (Sequence, np.ndarray)) and not isinstance(value, str)
-            and all(_is_int(v, least) for v in value))
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -168,28 +152,21 @@ class SynthConfig:
     inventory: Sequence[int] | str = "even"
 
     def __post_init__(self):
-        for key in ("num_items", "num_providers", "num_intervals"):
-            if not _is_int(getattr(self, key), 1):
-                raise ConfigError(f"{key} must be an int >= 1, got {getattr(self, key)!r}")
-        mean = self.mean_traffic
-        if not (_is_real(mean) and math.isfinite(mean) and mean >= 0):
-            raise ConfigError(f"mean_traffic must be a finite number >= 0, got {mean!r}")
-        lo, hi = self.relevance_low, self.relevance_high
-        if not (_is_real(lo) and _is_real(hi) and 0.0 <= lo <= hi <= 1.0):
-            raise ConfigError("relevance_low and relevance_high must satisfy "
-                              f"0 <= relevance_low <= relevance_high <= 1, got {lo!r}, {hi!r}")
-        inv = self.inventory
-        if not (isinstance(inv, str) or _is_int_list(inv, 1)):
-            raise ConfigError(f"inventory must be 'even' or a list of ints >= 1, got {inv!r}")
-        if not (self.traffic is None or _is_int_list(self.traffic, 0)):
-            raise ConfigError(f"traffic must be a list of ints >= 0, got {self.traffic!r}")
-        self.resolve_weights()
-        self.resolve_bands()
+        for key in ("num_items", "num_providers", "num_intervals", "list_size"):
+            check(key, getattr(self, key), POSITIVE_INT)
+        check("mean_traffic", self.mean_traffic, NONNEGATIVE)
+        check("relevance_high", self.relevance_high, UNIT)
+        check("relevance_low", self.relevance_low, number_in(0, self.relevance_high))
+        check("inventory", self.inventory, either("even", list_of("ints >= 1", POSITIVE_INT)))
+        check("traffic", self.traffic, either(None, list_of("ints >= 0", NONNEGATIVE_INT)))
+        n = self.num_providers
+        check("provider_weights", self.provider_weights,
+              either(None, list_of(f"{n} finite numbers > 0", POSITIVE, n)))
+        check("provider_bands", self.provider_bands, either(None, list_of(
+            f"{n} (low, high) pairs in [0, 1]", list_of("numbers in [0, 1]", UNIT, 2), n)))
 
     def resolve_inventory(self) -> np.ndarray:
-        if isinstance(self.inventory, str):
-            if self.inventory != "even":
-                raise ConfigError(f"unknown inventory spec {self.inventory!r}")
+        if isinstance(self.inventory, str):  # "even"
             base, extra = divmod(self.num_items, self.num_providers)
             inv = np.full(self.num_providers, base, dtype=np.int64)
             inv[:extra] += 1
@@ -198,32 +175,6 @@ class SynthConfig:
         if inv.size != self.num_providers or inv.sum() != self.num_items:
             raise ConfigError("explicit inventory must cover all items")
         return inv
-
-    def resolve_weights(self) -> np.ndarray:
-        if self.provider_weights is None:
-            return np.ones(self.num_providers)
-        try:
-            w = np.asarray(self.provider_weights, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("provider_weights must be a list of numbers, "
-                              f"got {self.provider_weights!r}") from None
-        if w.shape != (self.num_providers,) or not (np.isfinite(w) & (w > 0)).all():
-            raise ConfigError("provider_weights must be finite and positive, one per provider")
-        return w
-
-    def resolve_bands(self) -> np.ndarray | None:
-        """(low, high) relevance band per provider, or None without bands."""
-        if self.provider_bands is None:
-            return None
-        try:
-            bands = np.asarray(self.provider_bands, dtype=float)
-        except (TypeError, ValueError):
-            bands = None
-        if bands is None or bands.shape != (self.num_providers, 2) or not (
-                (bands >= 0) & (bands <= 1)).all():
-            raise ConfigError("provider_bands must be one (low, high) pair in [0,1] per "
-                              f"provider, got {self.provider_bands!r}")
-        return bands
 
 
 def synth_instance(cfg: SynthConfig, seed: int):
@@ -243,14 +194,14 @@ def synth_instance(cfg: SynthConfig, seed: int):
     else:
         counts = rng.poisson(cfg.mean_traffic, size=cfg.num_intervals)
 
-    bands = cfg.resolve_bands()
-    if bands is not None:
-        lo = bands[item_provider, 0]
-        hi = bands[item_provider, 1]
-        weights = np.ones(cfg.num_items)
+    weights = np.ones(cfg.num_items)
+    if cfg.provider_bands is not None:
+        bands = np.asarray(cfg.provider_bands, dtype=float)
+        lo, hi = bands[item_provider, 0], bands[item_provider, 1]
     else:
         lo, hi = cfg.relevance_low, cfg.relevance_high
-        weights = cfg.resolve_weights()[item_provider]
+        if cfg.provider_weights is not None:
+            weights = np.asarray(cfg.provider_weights, dtype=float)[item_provider]
     requests = []
     for uid in range(int(counts.sum())):
         rel = np.clip(rng.uniform(lo, hi, size=cfg.num_items) * weights, 0.0, 1.0)
@@ -315,9 +266,8 @@ class LogSchema:
     catalog_path: str | None = None
 
     def __post_init__(self):
-        seconds = self.interval_seconds
-        if not (isinstance(seconds, (int, float)) and math.isfinite(seconds) and seconds > 0):
-            raise ConfigError(f"interval_seconds must be a finite number > 0, got {seconds!r}")
+        check("interval_seconds", self.interval_seconds, POSITIVE)
+        check("list_size", self.list_size, POSITIVE_INT)
 
 
 def _write_relevance_matrix(path: Path, matrix: np.ndarray):

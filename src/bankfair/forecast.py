@@ -7,27 +7,20 @@ for a learned model behind the same call signature.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import NONNEGATIVE, POSITIVE_INT, ConfigError, check
 
 logger = logging.getLogger(__name__)
 
-_WINDOW = ("an int >= 1", lambda v: isinstance(v, Integral) and not isinstance(v, bool)
-           and v >= 1)
-_PRIOR = ("a finite number >= 0", lambda v: isinstance(v, Real) and not isinstance(v, bool)
-          and math.isfinite(v) and v >= 0)
-
-# The parameters each forecaster takes: name -> (what it must be, its check).
+# The parameters each forecaster takes: name -> the rule its value must pass.
 # seasonal takes moving_average's window too, for its short-history fallback.
 PARAMS = {
-    "last_value": {"prior_mean": _PRIOR},
-    "moving_average": {"w": _WINDOW, "prior_mean": _PRIOR},
-    "seasonal": {"lag": _WINDOW, "w": _WINDOW, "prior_mean": _PRIOR},
+    "last_value": {"prior_mean": NONNEGATIVE},
+    "moving_average": {"w": POSITIVE_INT, "prior_mean": NONNEGATIVE},
+    "seasonal": {"lag": POSITIVE_INT, "w": POSITIVE_INT, "prior_mean": NONNEGATIVE},
     "oracle": {},
 }
 
@@ -41,10 +34,7 @@ def check_params(method: str, params: dict):
         if key not in accepted:
             raise ConfigError(f"forecaster {method!r}: unknown parameter {key!r}; "
                               f"accepted: {', '.join(accepted) or 'none'}")
-        what, ok = accepted[key]
-        if not ok(value):
-            raise ConfigError(f"forecaster {method!r}: parameter {key!r} must be {what}, "
-                              f"got {value!r}")
+        check(f"forecaster {method!r}: parameter {key!r}", value, accepted[key])
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,13 @@ from typing import Sequence
 import numpy as np
 
 from . import bankruptcy, forecast, metrics, reranker
-from .domain import (FairnessPolicy, LogSchema, SynthConfig, _is_int, load_interactions,
+from .domain import (FairnessPolicy, LogSchema, SynthConfig, load_interactions,
                      redistribute_requests, resample_traffic, synth_instance)
-from .errors import ConfigError
+from .errors import (ABOVE_ZERO, NONEMPTY_LIST, NONNEGATIVE, NONNEGATIVE_INT, ConfigError, check,
+                     either, list_of)
 from .metrics import SimReport
 
 logger = logging.getLogger(__name__)
-
-
-def _check_seed(key: str, seed):
-    if not _is_int(seed, 0):
-        raise ConfigError(f"{key}: {seed!r} is not an int >= 0")
 
 
 @dataclass
@@ -51,12 +47,9 @@ class RunConfig:
             raise ConfigError(f"unknown allocation rule {self.rule!r}")
         if self.rerank.list_size != self.policy.list_size:
             raise ConfigError("re-ranker and policy disagree on the list size")
-        if self.tau is not None and not (isinstance(self.tau, (int, float)) and self.tau > 0):
-            raise ConfigError(f"tau must be None or a number > 0, got {self.tau!r}")
-        noise = self.relevance_noise
-        if not (isinstance(noise, (int, float)) and math.isfinite(noise) and noise >= 0):
-            raise ConfigError(f"relevance_noise must be a finite number >= 0, got {noise!r}")
-        _check_seed("seed", self.seed)
+        check("tau", self.tau, either(None, ABOVE_ZERO))
+        check("relevance_noise", self.relevance_noise, NONNEGATIVE)
+        check("seed", self.seed, NONNEGATIVE_INT)
         forecast.check_params(self.forecaster, self.forecaster_params)
 
     def echo(self) -> dict:
@@ -113,6 +106,9 @@ def run(cfg: RunConfig) -> SimReport:
         m = np.full(catalog.num_providers, float(m[0]))  # scalar floor broadcast
     elif m.size != catalog.num_providers:
         raise ConfigError("policy covers a different number of providers than the catalog")
+    with np.errstate(over="ignore"):
+        check(f"the sum of required_min_exposure over {m.size} providers", float(m.sum()),
+              NONNEGATIVE)
     k = cfg.policy.list_size
 
     if cfg.tau is not None:
@@ -248,19 +244,24 @@ class SweepSpec:
         unknown = set(self.grid) - set(GRID_KEYS)
         if unknown:
             raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-        if isinstance(self.seeds, (str, bytes)) or not isinstance(self.seeds, Sequence):
-            raise ConfigError(f"seeds must be a list of ints >= 0, got {self.seeds!r}")
-        for seed in self.seeds:
-            _check_seed("seeds", seed)
-        if len(set(self.seeds)) != len(list(self.seeds)):
+        check("seeds", self.seeds, list_of("ints >= 0", NONNEGATIVE_INT))
+        if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("replication seeds must be distinct")
+        for key, values in self.grid.items():  # each value alone, before any run
+            check(f"sweep grid {key!r}", values, NONEMPTY_LIST)
+            for value in values:
+                try:
+                    _apply_point(self.base, {key: value})
+                except ConfigError as exc:
+                    raise ConfigError(f"sweep grid {key!r}: {exc}") from None
 
 
 def _apply_point(base: RunConfig, point: dict) -> RunConfig:
     policy, rerank = base.policy, base.rerank
     if "m_scale" in point:
-        policy = FairnessPolicy(policy.required_min_exposure * point["m_scale"],
-                                policy.required_min_accuracy, policy.list_size)
+        with np.errstate(over="ignore"):  # FairnessPolicy refuses an infinite floor
+            m = policy.required_min_exposure * check("m_scale", point["m_scale"], NONNEGATIVE)
+        policy = FairnessPolicy(m, policy.required_min_accuracy, policy.list_size)
     if "phi" in point:
         policy = FairnessPolicy(policy.required_min_exposure, point["phi"], policy.list_size)
     if "k" in point:

@@ -97,8 +97,8 @@ class SimReport:
                 raise ConfigError(f"{name} out of [0, 1]: {v}")
 
     def to_json(self) -> str:
-        """Stable-key JSON; identical configs and seeds give identical bytes."""
-        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
+        """Stable-key JSON, numpy scalars as numbers; same config and seed, same bytes."""
+        return json.dumps(vars(self), sort_keys=True, indent=2, default=np.generic.item) + "\n"
 
     def write(self, directory):
         directory = Path(directory)

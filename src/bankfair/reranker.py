@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import Catalog
-from .errors import ConfigError
+from .errors import NONNEGATIVE, POSITIVE_INT, UNIT, ConfigError, check, either, number_in
 
 
 @dataclass
@@ -29,16 +29,10 @@ class RerankConfig:
     eta: float | str = "auto"  # "auto" -> 1/sqrt(predicted traffic)
 
     def __post_init__(self):
-        if self.list_size < 1:
-            raise ConfigError("list size must be >= 1")
-        if not 1.0 <= self.alpha_k <= 2.0:
-            raise ConfigError("alpha_k must lie in [1, 2]")
-        if not 0.0 <= self.beta_mix <= 1.0:
-            raise ConfigError("beta_mix must lie in [0, 1]")
-        eta = self.eta
-        if eta != "auto" and not (isinstance(eta, (int, float)) and math.isfinite(eta)
-                                  and eta >= 0):
-            raise ConfigError(f"eta must be 'auto' or a finite number >= 0, got {eta!r}")
+        check("list_size", self.list_size, POSITIVE_INT)
+        check("alpha_k", self.alpha_k, number_in(1, 2))
+        check("beta_mix", self.beta_mix, UNIT)
+        check("eta", self.eta, either("auto", NONNEGATIVE))
 
     def step_size(self, rhat_n: float) -> float:
         if self.eta == "auto":
@@ -51,8 +45,7 @@ def compute_penalties(catalog: Catalog, beta_mix: float) -> np.ndarray:
 
     The first term weights small providers up; the second is a uniform floor.
     """
-    if not 0.0 <= beta_mix <= 1.0:
-        raise ConfigError("beta_mix must lie in [0, 1]")
+    check("beta_mix", beta_mix, UNIT)
     inv = catalog.inventory.astype(float)
     if (inv < 1).any():
         raise ConfigError("every provider needs at least one item")

@@ -166,6 +166,17 @@ class TestIngestionErrors:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    # The floors are each finite, but their sum over both providers is not.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_floor_sum_overflow_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(["user_id,item_id,provider_id,timestamp,score",
+                                   *map(",".join, self.ROWS)]) + "\n")
+        code = main(["run", "--data", str(path), "--K", "1", "--m", "1e308"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "required_min_exposure" in err and "Traceback" not in err
+
     def test_duplicate_catalog_item_exits_one(self, tmp_path, capsys):
         (tmp_path / "catalog.csv").write_text("item_id,provider_id\ni0,0\ni0,1\ni1,1\n")
         (tmp_path / "interactions.csv").write_text(
@@ -274,6 +285,27 @@ class TestSpecValidation:
         code = main(["run", "--synth", str(path), "--K", "3", "--m", "1"])
         err = capsys.readouterr().err
         assert code == 1 and key in err and "Traceback" not in err
+
+    # Each grid entry is a nonempty list, and each of its values is checked
+    # before any run; a bool is not a number.
+    @pytest.mark.parametrize("grid,key", [
+        ({"k": ["x"]}, "'k'"), ({"phi": [None]}, "'phi'"), ({"beta_mix": ["x"]}, "'beta_mix'"),
+        ({"m_scale": ["x"]}, "'m_scale'"), ({"k": 1.5}, "'k'"), ({"tau": [True]}, "'tau'"),
+        ({"eta": [True]}, "'eta'"), ({"k": [True]}, "'k'"), ({"k": [1.5], "tau": []}, "'tau'")])
+    def test_bad_grid_value(self, tmp_path, capsys, grid, key):
+        spec = {"base": {"synth": SYNTH, "K": 5}, "grid": grid}
+        code, err = self.sweep(tmp_path, capsys, spec)
+        assert code == 1 and f"sweep grid {key}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    # A base value is used as it is, never converted to its option's type.
+    @pytest.mark.parametrize("base,key", [
+        ({"K": 5.7}, "'K'"), ({"K": True}, "'K'"), ({"m": True}, "'m'"),
+        ({"seed": 1.0}, "'seed'"), ({"m": None}, "'m'"), ({"phi": "0.9"}, "'phi'")])
+    def test_base_values_are_not_coerced(self, tmp_path, capsys, base, key):
+        spec = {"base": {"synth": SYNTH, "K": 5, **base}, "grid": {"k": [1.5]}}
+        code, err = self.sweep(tmp_path, capsys, spec)
+        assert code == 1 and f"run option {key}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("seeds", [[0, -1], [1.5], ["0"], 3])
     def test_bad_sweep_seeds(self, tmp_path, capsys, seeds):

@@ -1,10 +1,12 @@
-"""End-to-end fuzz of `bankfair run` on small, partly corrupted inputs.
+"""End-to-end fuzz of `bankfair run` and `bankfair sweep` on small, partly
+corrupted inputs.
 
 Every input either runs or is refused: the exit code is 0, 1 or 2, nothing
 prints a traceback, and a report that is written holds no NaN or infinity.
 """
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bankfair.cli import main
+from bankfair.cli import RUN_OPTIONS, main
 from bankfair.domain import INTERACTIONS_COLUMNS, _write_relevance_matrix
 
 # Bad values a hand-edited file or flag may hold; none is large, so that a
@@ -155,3 +157,40 @@ def test_run_exits_cleanly(data):
         if code == 0:
             json.loads((directory / "out" / "report.json").read_text(),
                        parse_constant=reject_constant)
+
+
+# Valid values per grid key; a drawn grid takes one or two of them.
+GRID = {"m_scale": [0, 0.5, 2], "k": [1, 1.5, 2], "beta_mix": [0, 1], "eta": ["auto", 0.01],
+        "tau": [None, 0.2, 1], "phi": [0, 0.9], "rule": ["talmud", "prop", "none"]}
+SWEEP_SYNTH = {"num_items": 8, "num_providers": 2, "num_intervals": 2, "mean_traffic": 4}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.too_slow])
+def test_sweep_exits_cleanly(data):
+    keys = data.draw(st.lists(st.sampled_from(sorted(GRID)), min_size=1, max_size=2,
+                              unique=True), "grid keys")
+    grid = {key: data.draw(st.lists(st.sampled_from(GRID[key]), min_size=1, max_size=2), key)
+            for key in keys}
+    base = {"synth": dict(SWEEP_SYNTH), "K": 2, "m": 1}
+    spec = {"base": base, "grid": grid, "seeds": [0]}
+    for _ in range(data.draw(FEW, "bad values")):
+        bad = copy.deepcopy(data.draw(st.sampled_from(BAD_VALUES), "bad value"))
+        where = data.draw(st.sampled_from(["grid value", "grid entry", "base", "seeds"]))
+        lists = sorted(key for key, values in grid.items() if isinstance(values, list) and values)
+        if where == "grid value" and lists:
+            values = grid[data.draw(st.sampled_from(lists))]
+            values[data.draw(st.integers(0, len(values) - 1))] = bad
+        elif where == "grid entry":
+            grid[data.draw(st.sampled_from(sorted(GRID)))] = bad
+        elif where == "base":
+            base[data.draw(st.sampled_from(RUN_OPTIONS), "base key")] = bad
+        else:
+            spec["seeds"] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.json"
+        path.write_text(json.dumps(spec))
+        code, output = run_cli(["sweep", "--spec", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2), output
+    assert "Traceback" not in output

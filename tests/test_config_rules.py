@@ -1,0 +1,90 @@
+"""The config field rules: one message form, no bool counted as a number."""
+
+import json
+
+import numpy as np
+import pytest
+
+from bankfair import errors
+from bankfair.domain import FairnessPolicy, LogSchema, SynthConfig
+from bankfair.errors import ConfigError, check
+from bankfair.harness import RunConfig, run
+from bankfair.reranker import RerankConfig
+
+SYNTH = dict(num_items=10, num_providers=2, num_intervals=2, mean_traffic=5.0, list_size=5,
+             relevance_low=0.1, relevance_high=0.9, traffic=[3, 4], inventory=[5, 5])
+
+
+def run_config(**fields):
+    return RunConfig(policy=FairnessPolicy([1.0, 1.0], 0.9, 5), rerank=RerankConfig(list_size=5),
+                     synth=SynthConfig(**SYNTH), **fields)
+
+
+# Each config with a valid value for every numeric field.
+VALID = {
+    FairnessPolicy: dict(required_min_exposure=[1.0, 2.0], required_min_accuracy=0.9,
+                         list_size=5),
+    RerankConfig: dict(list_size=5, alpha_k=1.5, beta_mix=0.5, eta=0.01),
+    LogSchema: dict(interval_seconds=3600.0, list_size=5),
+    SynthConfig: dict(SYNTH, provider_weights=[1.0, 0.5]),
+    run_config: dict(tau=0.2, seed=3, relevance_noise=0.05),
+}
+FIELDS = [(build, key) for build, valid in VALID.items() for key in valid]
+NAMES = [f"{build.__name__}.{key}" for build, key in FIELDS]
+BANDS = dict(SYNTH, provider_bands=[(0.5, 1.0), (0.0, 0.5)])
+
+
+def as_numpy(value):
+    if isinstance(value, list):
+        return np.array(value)
+    return np.int64(value) if isinstance(value, int) else np.float32(value)
+
+
+@pytest.mark.parametrize("build,key", FIELDS, ids=NAMES)
+@pytest.mark.parametrize("bad", [True, False, "1"])
+def test_bool_or_string_is_refused_naming_the_field(build, key, bad):
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
+        build(**{**VALID[build], key: bad})
+
+
+@pytest.mark.parametrize("build,key", FIELDS, ids=NAMES)
+def test_numpy_values_are_accepted(build, key):
+    value = as_numpy(VALID[build][key])
+    np.testing.assert_array_equal(getattr(build(**{**VALID[build], key: value}), key), value)
+
+
+def test_numpy_bands_are_accepted():
+    bands = np.array(BANDS["provider_bands"])
+    assert SynthConfig(**{**BANDS, "provider_bands": bands}).provider_bands is bands
+    with pytest.raises(ConfigError, match="^provider_bands must be "):
+        SynthConfig(**{**BANDS, "provider_bands": [(0.5, True), (0.0, 0.5)]})
+
+
+def test_numpy_values_reach_the_report(tmp_path):
+    run(run_config(tau=np.float32(0.2), seed=np.int64(3), out_dir=str(tmp_path)))
+    echo = json.loads((tmp_path / "report.json").read_text())["config_echo"]
+    assert echo["tau"] == float(np.float32(0.2)) and echo["seed"] == 3
+
+
+def test_message_form():
+    with pytest.raises(ConfigError) as exc:
+        check("w", 2.5, errors.POSITIVE_INT)
+    assert str(exc.value) == "w must be an int >= 1, got 2.5"
+    assert check("eta", "auto", errors.either("auto", errors.NONNEGATIVE)) == "auto"
+
+
+RULES = [errors.NUMBER, errors.INT, errors.NONNEGATIVE_INT, errors.POSITIVE_INT,
+         errors.NONNEGATIVE, errors.POSITIVE, errors.ABOVE_ZERO, errors.UNIT,
+         errors.NONEMPTY_LIST, errors.number_in(1, 2),
+         errors.list_of("ints >= 0", errors.NONNEGATIVE_INT, 2),
+         errors.either(None, errors.POSITIVE), errors.either("auto", errors.UNIT)]
+ODD = [None, "x", "", b"1", [], [None], {}, {"a": 1}, object(), np.array(1.0),
+       np.array([[1, 2]]), np.array(["a"]), np.bool_(True), 10**400, -10**400,
+       float("nan"), float("-inf"), complex(1, 1)]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=[rule[0] for rule in RULES])
+def test_predicates_never_raise(rule):
+    for value in ODD:
+        assert rule[1](value) in (True, False)
+    assert not any(rule[1](b) for b in (True, False))
