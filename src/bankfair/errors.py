@@ -7,6 +7,7 @@ message form: "<key> must be <what>, got <value!r>".
 """
 
 import math
+import os
 import sys
 from numbers import Integral, Real
 
@@ -82,9 +83,10 @@ NONNEGATIVE_INT = ("an int >= 0", lambda v: _int(v) and v >= 0)
 POSITIVE_INT = ("an int >= 1", lambda v: _int(v) and v >= 1)
 NONNEGATIVE = ("a finite number >= 0", lambda v: _finite(v) and v >= 0)
 POSITIVE = ("a finite number > 0", lambda v: _finite(v) and v > 0)
-ABOVE_ZERO = ("a number > 0", lambda v: _number(v) and v > 0)
 UNIT = number_in(0, 1)
 NONEMPTY_LIST = ("a nonempty list", lambda v: _list(v) and len(v) > 0)
+PATH = ("a nonempty string or path",
+        lambda v: isinstance(v, os.PathLike) or isinstance(v, str) and v != "")
 
 
 def check(key: str, value, rule):

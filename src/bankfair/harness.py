@@ -16,8 +16,8 @@ import numpy as np
 from . import bankruptcy, forecast, metrics, reranker
 from .domain import (FairnessPolicy, LogSchema, SynthConfig, load_interactions,
                      redistribute_requests, resample_traffic, synth_instance)
-from .errors import (ABOVE_ZERO, NONEMPTY_LIST, NONNEGATIVE, NONNEGATIVE_INT, ConfigError, check,
-                     either, list_of)
+from .errors import (NONEMPTY_LIST, NONNEGATIVE, NONNEGATIVE_INT, PATH, POSITIVE, ConfigError,
+                     check, either, list_of)
 from .metrics import SimReport
 
 logger = logging.getLogger(__name__)
@@ -47,7 +47,8 @@ class RunConfig:
             raise ConfigError(f"unknown allocation rule {self.rule!r}")
         if self.rerank.list_size != self.policy.list_size:
             raise ConfigError("re-ranker and policy disagree on the list size")
-        check("tau", self.tau, either(None, ABOVE_ZERO))
+        check("data_path", self.data_path, either(None, PATH))
+        check("tau", self.tau, either(None, POSITIVE))
         check("relevance_noise", self.relevance_noise, NONNEGATIVE)
         check("seed", self.seed, NONNEGATIVE_INT)
         forecast.check_params(self.forecaster, self.forecaster_params)
@@ -152,13 +153,16 @@ def run(cfg: RunConfig) -> SimReport:
             audit = bankruptcy.plan_interval(cfg.rule, remaining, claims, rhat, interval=n)
         allocation_rows.append((n, audit))
 
-        # Noise goes into new arrays, drawn per arrival in arrival order; the
-        # instance's own vectors are never changed.
+        # Noise goes into a new (arrivals x items) block, one row per arrival
+        # in arrival order, the same stream as one draw per arrival; the
+        # instance's matrix is read-only.
         relevances = [req.relevance for req in arrivals]
         if cfg.relevance_noise > 0:
-            relevances = [np.clip(rel + noise_rng.normal(0.0, cfg.relevance_noise,
-                                                         size=rel.shape), 0.0, 1.0)
-                          for rel in relevances]
+            noisy = noise_rng.normal(0.0, cfg.relevance_noise,
+                                     size=(len(arrivals), catalog.num_items))
+            for row, rel in zip(noisy, relevances):
+                row += rel
+            relevances = np.clip(noisy, 0.0, 1.0, out=noisy)
 
         if arrivals:
             hook = None
@@ -244,6 +248,7 @@ class SweepSpec:
         unknown = set(self.grid) - set(GRID_KEYS)
         if unknown:
             raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+        check("seeds", self.seeds, NONEMPTY_LIST)
         check("seeds", self.seeds, list_of("ints >= 0", NONNEGATIVE_INT))
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("replication seeds must be distinct")

@@ -70,3 +70,37 @@ def test_every_traced_serve_layer_is_called(bench_modules):
                  "reranker.top_k", "reranker.serve", "metrics.ndcg", "bankruptcy.plan",
                  "bankruptcy.talmud"):
         assert name in called, name
+
+
+@pytest.mark.parametrize("source", ["synth", "log", "log_relevance_bin"])
+def test_traced_relevance_bytes_are_the_instance_matrix(bench_modules, tmp_path, source):
+    # domain.relevance_mb adds up the nbytes of the distinct relevance arrays
+    # the requests hold. Row views of the one instance matrix add up to its
+    # nbytes; a build that copied rows, or a view per arrival, would not.
+    import os
+    from bankfair import FairnessPolicy, RerankConfig, SynthConfig, harness
+    from bankfair.domain import RELEVANCE_FILE, load_interactions, save_instance, synth_instance
+    synth = SynthConfig(num_items=30, num_providers=3, num_intervals=3, traffic=[4, 0, 5],
+                        list_size=3)
+    catalog, counts, requests = synth_instance(synth, seed=0)
+    data = None
+    if source != "synth":
+        data = tmp_path / "log"
+        # Each user arrives twice, so arrivals outnumber matrix rows.
+        save_instance(data, catalog, counts * 2, requests + requests[::-1])
+        if source == "log":
+            os.remove(data / RELEVANCE_FILE)
+        _, _, requests = load_interactions(data)
+    matrix = requests[0].relevance.base
+    assert all(r.relevance.base is matrix for r in requests)
+    cfg = RunConfig(policy=FairnessPolicy.uniform(5.0, 3, phi=0.5, k=3),
+                    rerank=RerankConfig(list_size=3, eta=0.01), forecaster="oracle",
+                    synth=synth if data is None else None,
+                    data_path=None if data is None else str(data))
+    tracer = bench_modules["tracing"].Tracer()
+    tracer.install()
+    try:
+        tracer.run(harness.run, cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.relevance_bytes == matrix.nbytes > 0

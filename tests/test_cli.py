@@ -90,6 +90,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    def test_infinite_tau_exits_one(self, tmp_path, capsys):
+        # An infinite tau would reach report.json as "tau": Infinity, which
+        # is not JSON; a large finite tau resamples near uniformly.
+        out = tmp_path / "out"
+        code = main(["run", "--synth", write_synth(tmp_path), "--K", "5", "--tau", "inf",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "tau must be None or a finite number > 0, got inf" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         code = main(["run", "--synth", write_synth(tmp_path), "--K", "5", "--seed", "-1"])
         assert code == 1
@@ -307,11 +318,20 @@ class TestSpecValidation:
         code, err = self.sweep(tmp_path, capsys, spec)
         assert code == 1 and f"run option {key}" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("seeds", [[0, -1], [1.5], ["0"], 3])
+    @pytest.mark.parametrize("seeds", [[0, -1], [1.5], ["0"], 3, []])
     def test_bad_sweep_seeds(self, tmp_path, capsys, seeds):
         spec = {"base": {"synth": SYNTH, "K": 5}, "grid": {"k": [1.5]}, "seeds": seeds}
         code, err = self.sweep(tmp_path, capsys, spec)
         assert code == 1 and "seeds" in err and "Traceback" not in err
+
+    # A data source that is not a path is a config error before any run,
+    # not a failed row per run.
+    @pytest.mark.parametrize("data", [5, "", None, [], True])
+    def test_bad_base_data(self, tmp_path, capsys, data):
+        spec = {"base": {"data": data, "K": 5}, "grid": {"k": [1.5]}}
+        code, err = self.sweep(tmp_path, capsys, spec)
+        assert code == 1 and "data" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_base_synth_spec_is_checked_too(self, tmp_path, capsys):
         base = {"synth": {**SYNTH, "zzz": 1}, "K": 5}

@@ -74,8 +74,8 @@ def test_message_form():
 
 
 RULES = [errors.NUMBER, errors.INT, errors.NONNEGATIVE_INT, errors.POSITIVE_INT,
-         errors.NONNEGATIVE, errors.POSITIVE, errors.ABOVE_ZERO, errors.UNIT,
-         errors.NONEMPTY_LIST, errors.number_in(1, 2),
+         errors.NONNEGATIVE, errors.POSITIVE, errors.UNIT,
+         errors.NONEMPTY_LIST, errors.PATH, errors.number_in(1, 2),
          errors.list_of("ints >= 0", errors.NONNEGATIVE_INT, 2),
          errors.either(None, errors.POSITIVE), errors.either("auto", errors.UNIT)]
 ODD = [None, "x", "", b"1", [], [None], {}, {"a": 1}, object(), np.array(1.0),

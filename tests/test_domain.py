@@ -1,15 +1,20 @@
-"""Instance types, synthetic generation, resampling, and ingestion round trips."""
+"""Instance types, synthetic generation, resampling, ingestion round trips and
+the relevance matrix."""
 
 import csv
+import mmap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bankfair.domain import (Catalog, FairnessPolicy, LogSchema, SynthConfig, UserRequest,
-                             load_interactions, redistribute_requests, resample_traffic,
-                             save_instance, synth_instance)
+from bankfair import harness, reranker
+from bankfair.domain import (RELEVANCE_FILE, Catalog, FairnessPolicy, LogSchema, SynthConfig,
+                             UserRequest, _write_relevance_matrix, load_interactions,
+                             redistribute_requests, resample_traffic, save_instance,
+                             synth_instance)
 from bankfair.errors import ConfigError, ConsistencyError, ParseError
+from bankfair.reranker import RerankConfig
 
 
 class TestCatalog:
@@ -300,3 +305,160 @@ class TestIngestion:
         rel.write_bytes(b"XXXX" + rel.read_bytes()[4:])
         with pytest.raises(ParseError, match="magic"):
             load_interactions(tmp_path / "inst")
+
+
+def reference_synth(cfg, seed):
+    """Relevance drawn one user at a time: the reference for the block draw.
+
+    Returns the (users x items) matrix, the degenerate flags and the
+    generator's state after the last draw.
+    """
+    rng = np.random.default_rng(seed)
+    item_provider = np.repeat(np.arange(cfg.num_providers), cfg.resolve_inventory())
+    if cfg.traffic is not None:
+        counts = np.asarray(cfg.traffic, dtype=np.int64)
+    else:
+        counts = rng.poisson(cfg.mean_traffic, size=cfg.num_intervals)
+    weights = np.ones(cfg.num_items)
+    if cfg.provider_bands is not None:
+        bands = np.asarray(cfg.provider_bands, dtype=float)
+        lo, hi = bands[item_provider, 0], bands[item_provider, 1]
+    else:
+        lo, hi = cfg.relevance_low, cfg.relevance_high
+        if cfg.provider_weights is not None:
+            weights = np.asarray(cfg.provider_weights, dtype=float)[item_provider]
+    rows = [np.clip(rng.uniform(lo, hi, size=cfg.num_items) * weights, 0.0, 1.0)
+            for _ in range(int(counts.sum()))]
+    matrix = np.array(rows).reshape(len(rows), cfg.num_items)
+    flags = [int((row > 0).sum()) < cfg.list_size for row in rows]
+    return matrix, flags, rng.bit_generator.state
+
+
+def instance_matrix(requests):
+    """The one array every request's relevance is a view of."""
+    base = requests[0].relevance.base
+    assert all(r.relevance.base is base for r in requests)
+    return base
+
+
+class TestRelevanceMatrix:
+    CONFIGS = {
+        "bands": SynthConfig(num_items=30, num_providers=3, num_intervals=3, traffic=[5, 0, 4],
+                             provider_bands=[(0.8, 1.0), (0.0, 0.2), (0.5, 0.5)],
+                             inventory=[10, 12, 8], list_size=4),
+        "weights": SynthConfig(num_items=20, num_providers=4, num_intervals=2, traffic=[6, 3],
+                               relevance_low=0.1, relevance_high=0.9,
+                               provider_weights=[1.0, 0.25, 3.0, 0.5]),
+        "low_equals_high": SynthConfig(num_items=12, num_providers=2, num_intervals=2,
+                                       traffic=[3, 2], relevance_low=0.4, relevance_high=0.4),
+        "zero_band": SynthConfig(num_items=6, num_providers=2, num_intervals=1, traffic=[2],
+                                 relevance_low=0.0, relevance_high=0.0, list_size=5),
+        "poisson": SynthConfig(num_items=25, num_providers=5, num_intervals=4, mean_traffic=7),
+        "no_users": SynthConfig(num_items=8, num_providers=2, num_intervals=3, traffic=[0, 0, 0]),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_block_draw_matches_per_user_loop(self, monkeypatch, name):
+        cfg = self.CONFIGS[name]
+        made = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+        _, counts, requests = synth_instance(cfg, seed=17)
+        monkeypatch.undo()
+        matrix, flags, state = reference_synth(cfg, seed=17)
+        assert len(requests) == int(counts.sum()) == matrix.shape[0]
+        served = np.array([r.relevance for r in requests]).reshape(matrix.shape)
+        assert served.tobytes() == matrix.tobytes()
+        assert [r.degenerate for r in requests] == flags
+        assert made[0].bit_generator.state == state
+
+    def test_matrix_without_huge_page_advice_is_the_same(self, monkeypatch):
+        # Where mmap cannot advise huge pages the matrix is numpy's own.
+        cfg = self.CONFIGS["weights"]
+        _, _, mapped = synth_instance(cfg, seed=4)
+        monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
+        _, _, plain = synth_instance(cfg, seed=4)
+        assert instance_matrix(plain).flags.owndata
+        assert instance_matrix(plain).tobytes() == instance_matrix(mapped).tobytes()
+        assert not instance_matrix(plain).flags.writeable
+
+    def test_synth_requests_are_row_views_of_one_read_only_matrix(self):
+        cfg = self.CONFIGS["bands"]
+        _, counts, requests = synth_instance(cfg, seed=3)
+        matrix = instance_matrix(requests)
+        assert matrix.shape == (int(counts.sum()), cfg.num_items)
+        assert not matrix.flags.writeable
+        for row, req in enumerate(requests):
+            assert np.shares_memory(req.relevance, matrix)
+            assert req.relevance.ctypes.data == matrix[row].ctypes.data
+            with pytest.raises(ValueError):
+                req.relevance[0] = 0.5
+
+    def _write_log(self, directory, rows):
+        directory.mkdir()
+        (directory / "catalog.csv").write_text("item_id,provider_id\na,0\nb,0\nc,1\n")
+        (directory / "interactions.csv").write_text(
+            "user_id,item_id,provider_id,timestamp,score\n" + "".join(f"{r}\n" for r in rows))
+
+    # (user, item) cells repeat, the last in file order out of timestamp order.
+    ROWS = ([f"u1,a,0,{500 - t},{t / 100}" for t in range(40)]
+            + ["u2,c,1,50,0.3", "u1,b,0,60,0.8", "u2,c,1,700,0.6", "u1,a,0,10,0.25",
+               "u2,a,0,20,0.1", "u2,c,1,30,0.45"])
+
+    def test_log_last_occurrence_wins(self, tmp_path):
+        self._write_log(tmp_path / "log", self.ROWS)
+        _, counts, requests = load_interactions(tmp_path / "log", LogSchema(list_size=1))
+        assert int(counts.sum()) == len(self.ROWS)
+        matrix = instance_matrix(requests)
+        assert matrix.tobytes() == np.array([[0.25, 0.8, 0.0], [0.1, 0.0, 0.45]]).tobytes()
+        by_user = {r.user_id: r.relevance for r in requests}
+        assert all(r.relevance is by_user[r.user_id] for r in requests)
+
+    def test_log_with_relevance_bin_serves_its_rows(self, tmp_path):
+        # With the sidecar, logged scores do not enter relevance: each user's
+        # arrivals, repeated (user, item) rows included, share the user's row.
+        self._write_log(tmp_path / "log", self.ROWS)
+        sidecar = np.array([[0.9, 0.5, 0.125], [0.0, 0.75, 1.0]])
+        _write_relevance_matrix(tmp_path / "log" / RELEVANCE_FILE, sidecar)
+        _, _, requests = load_interactions(tmp_path / "log", LogSchema(list_size=1))
+        matrix = instance_matrix(requests)
+        assert matrix.tobytes() == sidecar.tobytes()
+        by_user = {r.user_id: r.relevance for r in requests}
+        assert all(r.relevance is by_user[r.user_id] for r in requests)
+        assert by_user["u1"].tobytes() == sidecar[0].tobytes()
+
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_log_requests_are_row_views_of_one_read_only_matrix(self, tmp_path, sidecar):
+        self._write_log(tmp_path / "log", self.ROWS)
+        if sidecar:
+            _write_relevance_matrix(tmp_path / "log" / RELEVANCE_FILE, np.full((2, 3), 0.5))
+        _, _, requests = load_interactions(tmp_path / "log", LogSchema(list_size=1))
+        matrix = instance_matrix(requests)
+        assert matrix.shape == (2, 3) and not matrix.flags.writeable
+        for req in requests:
+            assert np.shares_memory(req.relevance, matrix)
+            with pytest.raises(ValueError):
+                req.relevance[1] = 0.0
+
+    def test_noisy_run_serves_per_arrival_noise(self, monkeypatch):
+        # The harness draws one noise block per interval; the reference draws
+        # one vector per arrival from the same sub-seed, in arrival order.
+        cfg = harness.RunConfig(
+            policy=FairnessPolicy.uniform(10.0, 3, phi=0.9, k=4),
+            rerank=RerankConfig(list_size=4, eta=1e-3),
+            synth=SynthConfig(num_items=21, num_providers=3, num_intervals=4,
+                              traffic=[5, 0, 7, 3], list_size=4),
+            forecaster="oracle", seed=5, relevance_noise=0.05)
+        served = []
+        real = reranker.run_interval
+        monkeypatch.setattr(reranker, "run_interval",
+                            lambda rel, *a, **kw: served.append(np.array(rel)) or real(rel, *a, **kw))
+        harness.run(cfg)
+        instance_seed, _, _, noise_seed = (
+            s.generate_state(1)[0] for s in np.random.SeedSequence(cfg.seed).spawn(4))
+        _, counts, requests = synth_instance(cfg.synth, instance_seed)
+        rng = np.random.default_rng(noise_seed)
+        expected = [np.clip(r.relevance + rng.normal(0.0, 0.05, size=r.relevance.shape), 0, 1)
+                    for r in requests]
+        assert [len(block) for block in served] == [c for c in counts if c]
+        assert np.concatenate(served).tobytes() == np.array(expected).tobytes()

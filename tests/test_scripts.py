@@ -60,7 +60,7 @@ def test_run_benchmark_checks_tau_before_running(tmp_path):
     out = python("scripts/run_benchmark.py", "--seeds", "1", "--tau", "nan",
                  "--out", tmp_path / "bench.csv")
     assert out.returncode != 0
-    assert "ConfigError: tau must be None or a number > 0, got nan" in out.stderr
+    assert "ConfigError: tau must be None or a finite number > 0, got nan" in out.stderr
     assert not (tmp_path / "bench.csv").exists()
 
 
