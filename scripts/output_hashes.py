@@ -2,13 +2,18 @@
 """Print the sha256 of every output file of a fixed set of runs.
 
     python3 scripts/output_hashes.py --out DIR [--seeds 101 102] [--config-seeds 0 1]
+                                     [--against LISTING]
 
 The runs are the three benchmark workloads of ``bench/workloads.py`` at each
 of ``--seeds``, ``acceptance.benchmark_config`` under every rule at each of
 ``--config-seeds``, and criterion 9's noisy config. Inputs and outputs go
 under ``DIR``, and one line per output file gives the run, the file and its
 sha256. Run it in two checkouts, each with its own ``DIR``, and diff the two
-listings to check that a change leaves every output byte-identical.
+listings to check that a change leaves every output byte-identical, or save
+one checkout's listing and pass it to the other as ``--against LISTING``:
+the script then exits 1 after naming, on stderr, every run and file whose
+sha256 differs from the listing's, or that one side has and the other lacks.
+Give both runs the same ``--seeds`` and ``--config-seeds``.
 """
 
 import argparse
@@ -59,18 +64,42 @@ def main(argv=None) -> int:
                     help="benchmark workload seeds (default 101-110)")
     ap.add_argument("--config-seeds", type=int, nargs="+", default=list(range(5)),
                     help="benchmark_config seeds (default 0-4)")
+    ap.add_argument("--against", metavar="LISTING",
+                    help="a saved listing to compare with; exit 1 on any difference")
     args = ap.parse_args(argv)
 
+    expected = None
+    if args.against is not None:
+        expected = {}
+        lines = Path(args.against).read_text().splitlines()
+        for lineno, fields in enumerate(map(str.split, lines), start=1):
+            if len(fields) != 3:
+                ap.error(f"{args.against} line {lineno}: expected 'run file sha256'")
+            expected[fields[0], fields[1]] = fields[2]
     logging.getLogger("bankfair").setLevel(logging.ERROR)  # clamp warnings are not outputs
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
+    got = {}
     for name, cfg in runs(args.seeds, args.config_seeds):
         run(cfg)
         for file in FILES:
             digest = hashlib.sha256((Path(cfg.out_dir) / file).read_bytes()).hexdigest()
+            got[name, file] = digest
             print(name, file, digest, flush=True)
-    return 0
+    if expected is None:
+        return 0
+    problems = []
+    for key in {**got, **expected}:  # run order, then what only the listing has
+        if got.get(key) != expected.get(key):
+            why = ("sha256 differs" if key in got and key in expected
+                   else "not in the listing" if key in got else "missing")
+            problems.append(f"{key[0]} {key[1]}: {why}")
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    print(f"{len(problems)} of {len(got.keys() | expected.keys())} files differ from "
+          f"{args.against}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

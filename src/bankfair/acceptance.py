@@ -126,8 +126,7 @@ def toy_exposure_run(n_users: int, eta: float = 0.12):
     cfg = RerankConfig(list_size=5, alpha_k=1.5, beta_mix=0.5, eta=eta)
     lists, earned, _ = reranker.run_interval([relevance] * n_users, np.array([4.0, 0.0]), cfg,
                                              catalog, float(n_users))
-    ideal_dcg = metrics.dcg(relevance[reranker.top_k(relevance, 5)])
-    ndcgs = [metrics.ndcg_at_k(items, ideal_dcg, relevance) for items in lists]
+    ndcgs = metrics.ndcg_at_k(relevance[lists], metrics.top_k_dcg(relevance[None], 5))
     return earned, float(np.mean(ndcgs))
 
 
@@ -239,12 +238,10 @@ def binding_plan_loss(traffic: int, seed: int, plan_vec: np.ndarray,
     # traffic.
     eta = 0.08 / float(traffic) ** 2
     rcfg = RerankConfig(list_size=k, eta=eta)
-    relevances = [r.relevance for r in requests]
-    lists, _, _ = reranker.run_interval(relevances, plan_vec, rcfg, catalog, float(traffic))
-    ndcgs = []
-    for rel, items in zip(relevances, lists):
-        ideal_dcg = metrics.dcg(rel[reranker.top_k(rel, k)])
-        ndcgs.append(metrics.ndcg_at_k(items, ideal_dcg, rel))
+    relevance = np.array([r.relevance for r in requests]).reshape(traffic, num_items)
+    lists, _, _ = reranker.run_interval(relevance, plan_vec, rcfg, catalog, float(traffic))
+    ndcgs = metrics.ndcg_at_k(np.take_along_axis(relevance, lists, axis=1),
+                              metrics.top_k_dcg(relevance, k))
     return 1.0 - float(np.mean(ndcgs))
 
 

@@ -7,7 +7,7 @@ record of which interval an arrival is in: interval n holds the
 ``counts[n - 1]`` requests that follow the ``counts[:n - 1].sum()`` before
 it. An instance keeps its relevance in one read-only (users x items)
 float64 matrix; each request's ``relevance`` is a row view of it, shared by
-every arrival of the same user.
+every arrival of the same user, and its ``row`` is that row's index.
 """
 
 from __future__ import annotations
@@ -127,11 +127,25 @@ class FairnessPolicy:
 
 @dataclass
 class UserRequest:
-    """One user arrival; ``relevance`` is its user's row of the instance matrix."""
+    """One user arrival; ``relevance`` is row ``row`` of the instance matrix."""
 
     user_id: str
     relevance: np.ndarray
     degenerate: bool = False  # fewer strictly positive scores than the list size
+    row: int | None = None  # set by synth_instance and load_interactions
+
+
+def instance_matrix(requests: Sequence[UserRequest]) -> np.ndarray:
+    """The matrix whose row ``req.row`` is each request's ``relevance`` view.
+
+    Requests of ``synth_instance`` and ``load_interactions`` all view one
+    matrix; requests built another way have no row and are a ConfigError.
+    """
+    first = requests[0]
+    matrix = first.relevance.base
+    if first.row is None or matrix is None or matrix.ndim != 2:
+        raise ConfigError("requests must be row views of one instance matrix")
+    return matrix
 
 
 def _flag_degenerate(relevance: np.ndarray, list_size: int) -> bool:
@@ -232,7 +246,7 @@ def synth_instance(cfg: SynthConfig, seed: int):
     np.clip(relevance, 0.0, 1.0, out=relevance)
     relevance.flags.writeable = False
     # Flagged a row at a time: a (users x items) mask would add to the peak.
-    requests = [UserRequest(str(uid), row, _flag_degenerate(row, cfg.list_size))
+    requests = [UserRequest(str(uid), row, _flag_degenerate(row, cfg.list_size), uid)
                 for uid, row in enumerate(relevance)]
     return catalog, counts, requests
 
@@ -493,20 +507,32 @@ def load_interactions(path, schema: LogSchema | None = None):
     profiles = list(matrix)
     degenerate = [_flag_degenerate(rel, schema.list_size) for rel in profiles]
 
-    # Interval grouping by timestamp, stable within equal timestamps.
-    t0 = min(r[3] for r in rows)
-    last = max(range(len(rows)), key=lambda k: rows[k][3])
-    horizon = int((rows[last][3] - t0) // schema.interval_seconds) + 1
-    if horizon > MAX_INTERVALS:
-        raise ParseError(f"row {last + 2}: timestamp {rows[last][3]!r} makes the log span "
-                         f"{horizon} intervals of {schema.interval_seconds:g} s, more than "
-                         f"{MAX_INTERVALS}")
-    ordered = sorted(range(len(rows)), key=lambda k: (rows[k][3], k))
-    counts = np.zeros(horizon, dtype=np.int64)
+    ordered, counts = _group_by_interval([r[3] for r in rows], schema.interval_seconds)
     requests = []
     for k in ordered:
-        uid, _, _, ts, _ = rows[k]
-        counts[int((ts - t0) // schema.interval_seconds)] += 1
+        uid = rows[k][0]
         row = user_order[uid]
-        requests.append(UserRequest(uid, profiles[row], degenerate[row]))
+        requests.append(UserRequest(uid, profiles[row], degenerate[row], row))
     return catalog, counts, requests
+
+
+def _group_by_interval(stamps: list[float], interval_seconds: float):
+    """(arrival order, per-interval counts) of a log's timestamps.
+
+    ``stamps[k]`` is the timestamp of the log's data row k + 2 (the header
+    is row 1). The order sorts rows by timestamp, stable among equal ones.
+    Intervals are ``interval_seconds`` wide from the earliest timestamp; a
+    log spanning more than MAX_INTERVALS is a ParseError naming the row with
+    the latest timestamp.
+    """
+    ts = np.array(stamps)
+    t0, last = float(ts.min()), int(ts.argmax())
+    elapsed = stamps[last] - t0  # inf if the timestamps are too far apart to subtract
+    span = elapsed // interval_seconds if elapsed < math.inf else math.inf
+    if span >= MAX_INTERVALS:
+        raise ParseError(f"row {last + 2}: timestamp {stamps[last]!r} makes the log span "
+                         f"{span + 1:.0f} intervals of {interval_seconds:g} s, more than "
+                         f"{MAX_INTERVALS}")
+    counts = np.bincount(((ts - t0) // interval_seconds).astype(np.int64),
+                         minlength=int(span) + 1)
+    return ts.argsort(kind="stable").tolist(), counts

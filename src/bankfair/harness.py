@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bankruptcy, forecast, metrics, reranker
-from .domain import (FairnessPolicy, LogSchema, SynthConfig, load_interactions,
+from .domain import (FairnessPolicy, LogSchema, SynthConfig, instance_matrix, load_interactions,
                      redistribute_requests, resample_traffic, synth_instance)
 from .errors import (NONEMPTY_LIST, NONNEGATIVE, NONNEGATIVE_INT, PATH, POSITIVE, ConfigError,
                      check, either, list_of)
@@ -96,6 +96,11 @@ def run(cfg: RunConfig) -> SimReport:
     it into claims, refresh the remaining requirement, plan the interval's
     floors under the configured rule, then serve arrivals online. rule="none"
     is the unconstrained baseline: zero floors and frozen dual prices.
+
+    Only list selection and the dual step run once per arrival. Each
+    interval's lists are scored as one block: their gains are gathered from
+    the instance matrix by the arrivals' rows, against ideal DCGs computed
+    once per matrix row. A noisy interval scores its own noise block.
     """
     # One sub-seed per stochastic stage keeps every stage independently
     # reproducible for a fixed run seed.
@@ -118,15 +123,13 @@ def run(cfg: RunConfig) -> SimReport:
 
     horizon = counts.size
     bounds = [0, *np.cumsum(counts).tolist()]  # interval n is requests[bounds[n-1]:bounds[n]]
+    matrix = instance_matrix(requests) if requests else None
+    ideal = None  # per matrix row, computed when the first arrival is scored
     noise_rng = np.random.default_rng(noise_seed)
     realized = counts.astype(float)
     remaining = m.astype(float).copy()
     cumulative = np.zeros(catalog.num_providers, dtype=np.int64)
 
-    # Ideal DCG per relevance vector, keyed by id(): arrivals of one logged
-    # user share a vector. Each entry holds its array, so no id is reused
-    # while the run lasts; a noisy vector is a new array and simply misses.
-    ideal: dict[int, tuple[np.ndarray, float]] = {}
     per_user_ndcg: list[float] = []
     per_interval_acc, per_interval_vio, per_interval_esp = [], [], []
     allocation_rows = []
@@ -153,33 +156,35 @@ def run(cfg: RunConfig) -> SimReport:
             audit = bankruptcy.plan_interval(cfg.rule, remaining, claims, rhat, interval=n)
         allocation_rows.append((n, audit))
 
-        # Noise goes into a new (arrivals x items) block, one row per arrival
-        # in arrival order, the same stream as one draw per arrival; the
-        # instance's matrix is read-only.
-        relevances = [req.relevance for req in arrivals]
-        if cfg.relevance_noise > 0:
-            noisy = noise_rng.normal(0.0, cfg.relevance_noise,
-                                     size=(len(arrivals), catalog.num_items))
-            for row, rel in zip(noisy, relevances):
-                row += rel
-            relevances = np.clip(noisy, 0.0, 1.0, out=noisy)
-
         if arrivals:
-            hook = None
-            if cfg.out_dir is not None:
-                hook = lambda t, items, mu, n=n, arrivals=arrivals: decision_rows.append(
-                    [n, t, arrivals[t - 1].user_id, *items.tolist(),
-                     hashlib.sha1(mu.tobytes()).hexdigest()[:12]])
+            # The arrivals' rows of `scored`: the instance matrix, or a noise block.
+            at = np.fromiter((req.row for req in arrivals), dtype=np.int64, count=len(arrivals))
+            if cfg.relevance_noise > 0:
+                # A new (arrivals x items) block, one row per arrival in
+                # arrival order: the same stream as one draw per arrival. It
+                # is scored on its own and dropped with the interval.
+                scored = noise_rng.normal(0.0, cfg.relevance_noise,
+                                          size=(len(arrivals), catalog.num_items))
+                scored += matrix[at]
+                relevances = np.clip(scored, 0.0, 1.0, out=scored)
+                at, scored_ideal = np.arange(len(arrivals)), metrics.top_k_dcg(scored, k)
+            else:
+                scored, relevances = matrix, [req.relevance for req in arrivals]
+                if ideal is None:
+                    ideal = metrics.top_k_dcg(matrix, k)
+                scored_ideal = ideal[at]
+            mus = []  # the prices that selected each list
+            hook = None if cfg.out_dir is None else lambda t, items, mu: mus.append(mu)
             lists, earned, _ = reranker.run_interval(
                 relevances, audit["award"], rerank_cfg, catalog, rhat_n, trace_hook=hook)
             cumulative = cumulative + earned
-            interval_ndcg = []
-            for rel, items in zip(relevances, lists):
-                cached = ideal.get(id(rel))
-                if cached is None:
-                    cached = ideal[id(rel)] = (rel, metrics.dcg(rel[reranker.top_k(rel, k)]))
-                interval_ndcg.append(metrics.ndcg_at_k(items, cached[1], rel))
-            per_user_ndcg.extend(interval_ndcg)
+            if cfg.out_dir is not None:
+                decision_rows.extend(
+                    [n, t, req.user_id, *items, hashlib.sha1(mu).hexdigest()[:12]]
+                    for t, (req, items, mu) in enumerate(zip(arrivals, lists.tolist(), mus), 1))
+            interval_ndcg = metrics.ndcg_at_k(scored[at[:, None], lists], scored_ideal)
+            del relevances, scored, mus  # the noise block and prices die with the interval
+            per_user_ndcg.extend(interval_ndcg.tolist())
             per_interval_acc.append(float(np.mean(interval_ndcg)))
             per_interval_vio.append(metrics.vio_at_k(interval_ndcg, cfg.policy.required_min_accuracy))
         else:
@@ -200,7 +205,7 @@ def run(cfg: RunConfig) -> SimReport:
         per_interval_vio=per_interval_vio,
         per_interval_esp=per_interval_esp,
         per_provider_cumulative_exposure=[int(c) for c in cumulative],
-        per_user_ndcg=[float(v) for v in per_user_ndcg],
+        per_user_ndcg=per_user_ndcg,
         config_echo=cfg.echo(),
     )
     if cfg.out_dir is not None:

@@ -11,6 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import reranker
 from .errors import ConfigError
 
 
@@ -22,26 +23,46 @@ def _discounts(n: int) -> np.ndarray:
     return d
 
 
-def dcg(scores: np.ndarray) -> float:
-    """Discounted cumulative gain of scores in list order (1-based ranks, log2)."""
-    scores = np.asarray(scores, dtype=float)
-    return float((scores / _discounts(scores.size)).sum())
+def dcg(gains: np.ndarray) -> float | np.ndarray:
+    """Discounted cumulative gain of gains in rank order (1-based ranks, log2).
 
-
-def ndcg_at_k(items: np.ndarray, ideal_dcg: float, relevance: np.ndarray) -> float:
-    """DCG of the re-ranked list over the DCG of the plain top-K list.
-
-    ``items`` is the re-ranked list's item ids in rank order, with gains
-    looked up in ``relevance``; ``ideal_dcg`` is the denominator,
-    ``dcg(relevance[top_k(relevance, K)])``, which callers compute once per
-    relevance vector. Two zero-gain lists score 1.
+    ``gains`` is one list (1-D), which gives a float, or one list per row of
+    a 2-D block, which gives one DCG per row. Each row sums exactly as it
+    would alone: numpy sums a contiguous row in the same pairwise order.
     """
-    num = dcg(np.asarray(relevance, dtype=float)[items])
-    if ideal_dcg == 0.0:
-        if num == 0.0:
-            return 1.0
+    gains = np.ascontiguousarray(gains, dtype=float)
+    return (gains / _discounts(gains.shape[-1])).sum(axis=-1)
+
+
+def top_k_dcg(relevance: np.ndarray, k: int) -> np.ndarray:
+    """DCG of each row's plain top-K list (``reranker.top_k``): NDCG denominators.
+
+    ``relevance`` is an (n x I) block, one relevance vector per row.
+    """
+    tops = np.array([reranker.top_k(row, k) for row in relevance], dtype=np.int64)
+    return dcg(np.take_along_axis(relevance, tops.reshape(-1, k), axis=1))
+
+
+def ndcg_at_k(gains: np.ndarray, ideal_dcg: float | np.ndarray) -> float | np.ndarray:
+    """DCG of re-ranked lists over the DCG of the plain top-K lists.
+
+    ``gains`` holds a re-ranked list's relevance gains in rank order: one
+    list (1-D) with a float ``ideal_dcg``, which gives a float, or an
+    (n x K) block of lists with an (n,) vector of ideal DCGs, which gives n
+    scores, each equal bit for bit to scoring its row alone. The ideal DCG
+    is ``dcg(relevance[top_k(relevance, K)])``, or ``top_k_dcg`` of a block
+    of relevance vectors, which callers compute once per vector. A zero-gain
+    list against a zero ideal scores 1; a list with gain against a zero
+    ideal is a ValueError.
+    """
+    num = dcg(gains)
+    ideal = np.asarray(ideal_dcg, dtype=float)
+    zero = ideal == 0.0
+    if (zero & (num != 0.0)).any():
         raise ValueError("original list has zero gain but the re-ranked list does not")
-    return num / ideal_dcg
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where(zero, 1.0, num / ideal)
+    return float(scores) if scores.ndim == 0 else scores
 
 
 def vio_at_k(per_user_ndcg: Sequence[float], phi: float) -> float:

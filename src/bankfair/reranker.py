@@ -69,7 +69,9 @@ def _top_k_order(primary: np.ndarray, secondary: np.ndarray, k: int) -> np.ndarr
     pass plus a sort of the candidates, and the order is a full lexsort's.
     """
     n = primary.size
-    kth = np.partition(primary, n - k)[n - k]
+    part = primary.copy()
+    part.partition(n - k)
+    kth = part[n - k]
     candidates = (primary >= kth).nonzero()[0]
     order = np.lexsort((candidates, -secondary[candidates], -primary[candidates]))[:k]
     return candidates[order]
@@ -103,7 +105,7 @@ def select_list(relevance: np.ndarray, mu: np.ndarray, item_provider: np.ndarray
         raise ConfigError(f"need at least {k} items, catalog has {relevance.size}")
     if rhat_n <= 0:
         raise ConfigError("predicted traffic must be positive when selecting")
-    adjusted = relevance / float(rhat_n) - mu[item_provider]
+    adjusted = relevance / float(rhat_n) - mu.take(item_provider)
     return _top_k_order(adjusted, relevance, k)
 
 
@@ -148,6 +150,7 @@ def run_interval(relevances: Sequence[np.ndarray], floor: np.ndarray, cfg: Reran
 
     ``trace_hook(t, items, mu)`` is called per arrival t (1-based) with the
     list's item ids and the prices that selected it, for replay debugging.
+    Each step makes a new price array, so a hook may keep ``mu`` as it is.
 
     Returns (lists, earned, mu): ``lists`` is an int64 array of shape
     (len(relevances), K) whose row t - 1 holds arrival t's K distinct item ids
@@ -167,16 +170,15 @@ def run_interval(relevances: Sequence[np.ndarray], floor: np.ndarray, cfg: Reran
     mu = np.zeros_like(lam) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), -lam)
 
     beta = np.array(floor, dtype=float)
-    earned = np.zeros(catalog.num_providers, dtype=np.int64)
     lists = np.empty((len(relevances), k), dtype=np.int64)
     for t, relevance in enumerate(relevances, start=1):
         items = select_list(relevance, mu, catalog.item_provider, rhat_n, k)
         if trace_hook is not None:
             trace_hook(t, items, mu)
         exposure = catalog.exposure_of(items)
-        earned += exposure
         beta -= exposure
         e_star = conjugate_argmax(mu, gamma, np.maximum(beta, 0.0))
         mu = dual_step(mu, eta, lam, exposure, e_star)
         lists[t - 1] = items
+    earned = np.bincount(catalog.item_provider[lists.ravel()], minlength=catalog.num_providers)
     return lists, earned, mu

@@ -161,6 +161,15 @@ class TestIngestionErrors:
         assert "row 4: timestamp 1000000000000.0" in err and "277777778 intervals" in err
         assert "Traceback" not in err
 
+    def test_overflowing_timestamp_span_exits_one(self, tmp_path, capsys):
+        # 1e308 - (-1e308) overflows to inf; the span is refused, not cast to int.
+        rows = [("u0", "i0", "p0", "-1e308", "0.5"), *self.ROWS[1:],
+                ("u9", "i0", "p0", "1e308", "0.5")]
+        assert self.run_log(tmp_path, rows) == 1
+        err = capsys.readouterr().err
+        assert "row 5: timestamp 1e+308 makes the log span inf intervals" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("row,message", [
         (("u1", "i9", "p1", "60", "0.25"), "row 3: item 'i9' is not in"),
         (("u1", "i1", "0", "60", "0.25"), "row 3: item 'i1' has provider '0'"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bankfair import harness, reranker
+from bankfair import domain, harness, reranker
 from bankfair.domain import (RELEVANCE_FILE, Catalog, FairnessPolicy, LogSchema, SynthConfig,
                              UserRequest, _write_relevance_matrix, load_interactions,
                              redistribute_requests, resample_traffic, save_instance,
@@ -185,6 +185,30 @@ class TestIngestion:
         _, counts, _ = load_interactions(f, LogSchema(interval_seconds=day))
         assert counts.dtype == np.int64
         np.testing.assert_array_equal(counts, np.ones(16))
+
+    @pytest.mark.parametrize("interval_seconds", [3600.0, 7.3, 86400.0])
+    def test_grouping_matches_per_row_reference(self, tmp_path, interval_seconds):
+        # Many equal timestamps out of file order: arrivals sort stably by
+        # timestamp, and counts come from each row's own interval index.
+        rng = np.random.default_rng(int(interval_seconds * 10))
+        stamps = rng.choice([7.5, 3600.0, 3599.9, 0.0, 7200.25, 9000.0, 12.0], size=300).tolist()
+        users = rng.integers(0, 25, size=300)
+        f = tmp_path / "log.csv"
+        self._write_csv(f, [f"u{u},i{u % 4},1,{t!r},0.5" for u, t in zip(users, stamps)])
+        _, counts, requests = load_interactions(f, LogSchema(interval_seconds=interval_seconds))
+
+        t0 = min(stamps)
+        order = sorted(range(300), key=lambda k: (stamps[k], k))
+        want = np.zeros(int((max(stamps) - t0) // interval_seconds) + 1, dtype=np.int64)
+        for k in order:
+            want[int((stamps[k] - t0) // interval_seconds)] += 1
+        assert counts.dtype == np.int64 and counts.tolist() == want.tolist()
+        assert [r.user_id for r in requests] == [f"u{users[k]}" for k in order]
+        first_seen = list(dict.fromkeys(f"u{u}" for u in users))
+        assert [r.row for r in requests] == [first_seen.index(r.user_id) for r in requests]
+        matrix = requests[0].relevance.base
+        assert all(r.relevance.base is matrix
+                   and r.relevance.ctypes.data == matrix[r.row].ctypes.data for r in requests)
 
     def test_empty_file_flags_no_requests(self, tmp_path):
         f = tmp_path / "log.csv"
@@ -390,9 +414,15 @@ class TestRelevanceMatrix:
         assert not matrix.flags.writeable
         for row, req in enumerate(requests):
             assert np.shares_memory(req.relevance, matrix)
-            assert req.relevance.ctypes.data == matrix[row].ctypes.data
+            assert req.row == row and req.relevance.ctypes.data == matrix[row].ctypes.data
             with pytest.raises(ValueError):
                 req.relevance[0] = 0.5
+
+    def test_instance_matrix_is_the_one_the_rows_view(self):
+        _, _, requests = synth_instance(self.CONFIGS["weights"], seed=2)
+        assert domain.instance_matrix(requests) is instance_matrix(requests)
+        with pytest.raises(ConfigError, match="row views of one instance matrix"):
+            domain.instance_matrix([UserRequest("u0", np.zeros(4))])
 
     def _write_log(self, directory, rows):
         directory.mkdir()

@@ -1,5 +1,6 @@
 """End-to-end driver: interval loop wiring, determinism, sweeps."""
 
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -61,20 +62,6 @@ def log_config(directory, relevance=False, **overrides):
         forecaster="moving_average", forecaster_params={"w": 2, "prior_mean": 20.0})
     base.update(overrides)
     return RunConfig(**base)
-
-
-def reference_ndcg(k):
-    """ndcg_at_k that recomputes the plain top-K list and both DCGs per arrival."""
-    def ndcg(items, ideal_dcg, relevance):
-        relevance = np.asarray(relevance, dtype=float)
-        num = metrics.dcg(relevance[items])
-        den = metrics.dcg(relevance[reference_top_k(relevance, k)])
-        if den == 0.0:
-            if num == 0.0:
-                return 1.0
-            raise ValueError("original list has zero gain but the re-ranked list does not")
-        return num / den
-    return ndcg
 
 
 class TestRun:
@@ -209,29 +196,80 @@ class TestRun:
         ids=["log", "log_relevance_bin", "synth_tau", "log_noise"])
     def test_cached_scoring_matches_per_arrival_scoring(self, tmp_path, monkeypatch, make,
                                                         distinct):
+        # The harness scores each interval as one block against ideal DCGs
+        # computed once per relevance row; the oracle scores each arrival on
+        # its own against a full-sort top-K.
         cfg = make(tmp_path / "data")
-        names = ("report.json", "decisions.csv", "allocations.csv", "intervals.csv")
-
-        def run_to(out):
-            run(replace(cfg, out_dir=str(out)))
-            return {name: (out / name).read_bytes() for name in names}
-
-        ranked, scored = [], []
-        top_k, ndcg_at_k = reranker.top_k, metrics.ndcg_at_k
+        k, phi = cfg.policy.list_size, cfg.policy.required_min_accuracy
+        ranked, served = [], []
+        top_k, run_interval = reranker.top_k, reranker.run_interval
         monkeypatch.setattr(reranker, "top_k",
                             lambda rel, k: ranked.append(rel) or top_k(rel, k))
-        monkeypatch.setattr(metrics, "ndcg_at_k",
-                            lambda items, ideal, rel: scored.append(rel)
-                            or ndcg_at_k(items, ideal, rel))
-        cached = run_to(tmp_path / "cached")
-        # Both lists hold their arrays, so no two live arrays share an id.
-        vectors = {id(rel) for rel in scored}
-        assert len(ranked) == len(vectors) == len({id(rel) for rel in ranked})
-        assert {id(rel) for rel in ranked} == vectors
-        assert len(vectors) == (distinct or len(scored))
 
-        monkeypatch.setattr(metrics, "ndcg_at_k", reference_ndcg(cfg.policy.list_size))
-        assert run_to(tmp_path / "reference") == cached
+        def serve(relevances, *args, **kwargs):
+            lists, earned, mu = run_interval(relevances, *args, **kwargs)
+            served.append((list(relevances), lists))
+            return lists, earned, mu
+
+        monkeypatch.setattr(reranker, "run_interval", serve)
+        rep = run(replace(cfg, out_dir=str(tmp_path / "out")))
+
+        oracle = []
+        for relevances, lists in served:
+            scores = []
+            for rel, items in zip(relevances, lists):
+                num = metrics.dcg(rel[items])
+                den = metrics.dcg(rel[reference_top_k(rel, k)])
+                scores.append(1.0 if num == den == 0.0 else float(num / den))
+            oracle.append(scores)
+        per_user = [v for scores in oracle for v in scores]
+        assert rep.per_user_ndcg == per_user
+        assert rep.ndcg_at_k == float(np.mean(per_user))
+        assert rep.vio_at_k == metrics.vio_at_k(per_user, phi)
+        busy = [n for n, c in enumerate(rep.per_interval_traffic) if c]
+        assert [rep.per_interval_accuracy[n] for n in busy] == [float(np.mean(s)) for s in oracle]
+        assert [rep.per_interval_vio[n] for n in busy] == [metrics.vio_at_k(s, phi)
+                                                           for s in oracle]
+
+        # top_k ran once per distinct vector served. served holds every
+        # vector, so no two of them share an id.
+        vectors = {id(rel): rel for relevances, _ in served for rel in relevances}
+        assert len(ranked) == len(vectors) == (distinct or len(per_user))
+        assert (sorted(rel.tobytes() for rel in ranked)
+                == sorted(rel.tobytes() for rel in vectors.values()))
+
+    def test_noise_blocks_die_with_their_interval(self, monkeypatch):
+        # Each noisy interval draws a new (arrivals x items) block. None may
+        # outlive its interval: by the next draw every earlier block is gone,
+        # so a noisy run holds one block at a time, not a second copy of
+        # the instance matrix.
+        cfg = small_config(tau=0.3, relevance_noise=0.05)
+        blocks = []
+
+        class CheckedGenerator:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def normal(self, *args, **kwargs):
+                assert all(block() is None for block in blocks)
+                return self.rng.normal(*args, **kwargs)
+
+        default_rng, run_interval = np.random.default_rng, reranker.run_interval
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: CheckedGenerator(default_rng(seed)))
+
+        def serve(relevances, *args, **kwargs):
+            assert isinstance(relevances, np.ndarray) and relevances.ndim == 2
+            blocks.append(weakref.ref(relevances))
+            return run_interval(relevances, *args, **kwargs)
+
+        monkeypatch.setattr(reranker, "run_interval", serve)
+        rep = run(cfg)
+        assert len(blocks) == sum(1 for c in rep.per_interval_traffic if c) > 1
+        assert all(block() is None for block in blocks)
 
 
 class TestRunConfigValidation:

@@ -11,14 +11,14 @@ from hypothesis import given, settings, strategies as st
 from bankfair.errors import ConfigError
 from bankfair.reranker import top_k
 from bankfair.metrics import (SimReport, dcg, esp_at_k, feasible_region_ratio, ndcg_at_k,
-                              vio_at_k)
+                              top_k_dcg, vio_at_k)
 
 
 class TestNdcg:
     def test_identity_is_exactly_one(self):
         rel = np.array([0.9, 0.8, 0.1])
         lst = np.array([0, 1])
-        assert ndcg_at_k(lst, dcg(rel[lst]), rel) == 1.0
+        assert ndcg_at_k(rel[lst], dcg(rel[lst])) == 1.0
 
     def test_hand_computed_swap(self):
         # Swap the rank-2 item for the weakest one; oracle is the definition
@@ -28,7 +28,7 @@ class TestNdcg:
         swapped = np.array([0, 2])
         expected = (0.9 / math.log2(2) + 0.1 / math.log2(3)) / \
                    (0.9 / math.log2(2) + 0.8 / math.log2(3))
-        got = ndcg_at_k(swapped, dcg(rel[original]), rel)
+        got = ndcg_at_k(rel[swapped], dcg(rel[original]))
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.68560, abs=1e-4)
 
@@ -38,8 +38,8 @@ class TestNdcg:
         rel = np.array([0.5, 0.5, 0.5, 0.1])
         ideal = top_k(rel, 2)
         np.testing.assert_array_equal(ideal, [0, 1])
-        assert ndcg_at_k(np.array([2, 0]), dcg(rel[ideal]), rel) == 1.0
-        assert ndcg_at_k(np.array([3, 0]), dcg(rel[ideal]), rel) < 1.0
+        assert ndcg_at_k(rel[[2, 0]], dcg(rel[ideal])) == 1.0
+        assert ndcg_at_k(rel[[3, 0]], dcg(rel[ideal])) < 1.0
 
     def test_permutation_oracle(self):
         # Any permutation of the top-K set scores the permuted DCG over the
@@ -50,15 +50,15 @@ class TestNdcg:
             rel = rng.uniform(size=8)
             top = np.argsort(-rel)[:k]
             for perm in itertools.permutations(top):
-                got = ndcg_at_k(np.array(perm), dcg(rel[top]), rel)
+                got = ndcg_at_k(rel[list(perm)], dcg(rel[top]))
                 assert got == pytest.approx(dcg(rel[list(perm)]) / dcg(rel[top]))
                 assert got <= 1.0 + 1e-12
 
     def test_zero_gain_lists(self):
         rel = np.array([0.0, 0.0, 0.5])
-        assert ndcg_at_k(np.array([0, 1]), dcg(rel[[1, 0]]), rel) == 1.0
+        assert ndcg_at_k(rel[[0, 1]], dcg(rel[[1, 0]])) == 1.0
         with pytest.raises(ValueError):
-            ndcg_at_k(np.array([2, 0]), dcg(rel[[0, 1]]), rel)
+            ndcg_at_k(rel[[2, 0]], dcg(rel[[0, 1]]))
 
     @given(st.lists(st.floats(0.01, 1.0), min_size=4, max_size=8), st.data())
     @settings(max_examples=200, deadline=None)
@@ -66,8 +66,47 @@ class TestNdcg:
         rel = np.asarray(rel)
         k = data.draw(st.integers(1, len(rel)))
         items = data.draw(st.permutations(range(len(rel))))
-        got = ndcg_at_k(np.array(items[:k]), dcg(rel[np.argsort(-rel)[:k]]), rel)
+        got = ndcg_at_k(rel[list(items[:k])], dcg(rel[np.argsort(-rel)[:k]]))
         assert 0.0 <= got <= 1.0 + 1e-12
+
+
+class TestNdcgBlock:
+    """An (n x K) block of lists scores each row bit for bit as a 1-D call would."""
+
+    # 7, 8 and 17 sit on both sides of numpy's 8-wide pairwise-sum unroll.
+    @pytest.mark.parametrize("k", [1, 7, 8, 10, 17])
+    def test_rows_equal_one_list_calls(self, k):
+        rng = np.random.default_rng(k)
+        gains = rng.uniform(size=(200, k)) * (rng.uniform(size=(200, 1)) < 0.9)
+        ideal = np.maximum(dcg(gains), rng.uniform(0.5, 3.0, size=200))
+        ideal[gains.sum(axis=1) == 0.0] = 0.0  # zero-gain rows against a zero ideal
+        got = ndcg_at_k(gains, ideal)
+        want = np.array([ndcg_at_k(row, float(i)) for row, i in zip(gains, ideal)])
+        assert got.shape == (200,) and got.tobytes() == want.tobytes()
+        assert dcg(gains).tobytes() == np.array([dcg(row) for row in gains]).tobytes()
+        # A block in column-major order sums each row in the same order.
+        assert ndcg_at_k(np.asfortranarray(gains), ideal).tobytes() == want.tobytes()
+
+    def test_zero_ideal_rows_with_zero_gain_score_one(self):
+        gains = np.array([[0.0, 0.0], [0.5, 0.25], [0.0, 0.0]])
+        got = ndcg_at_k(gains, np.array([0.0, dcg([0.5, 0.5]), 0.0]))
+        assert got[0] == got[2] == 1.0
+        assert got[1] == dcg([0.5, 0.25]) / dcg([0.5, 0.5])
+
+    def test_zero_ideal_row_with_gain_raises(self):
+        gains = np.array([[0.5, 0.0], [0.0, 0.25], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="zero gain"):
+            ndcg_at_k(gains, np.array([1.0, 0.0, 0.0]))
+
+    def test_empty_block(self):
+        assert ndcg_at_k(np.zeros((0, 5)), np.zeros(0)).shape == (0,)
+
+    def test_top_k_dcg_is_each_rows_ideal(self):
+        rng = np.random.default_rng(3)
+        relevance = rng.integers(0, 5, size=(40, 12)) / 4.0  # ties at the k-th score
+        relevance[0] = 0.0
+        want = [dcg(row[top_k(row, 4)]) for row in relevance]
+        assert top_k_dcg(relevance, 4).tobytes() == np.array(want).tobytes()
 
 
 class TestVio:

@@ -84,3 +84,27 @@ def test_output_hashes(tmp_path):
     assert [(name, file) for name, file, _ in lines] == [(r, f) for r in runs for f in files]
     assert all(len(digest) == 64 for _, _, digest in lines)
     assert (tmp_path / "runs" / "criterion_9" / "report.json").is_file()
+
+    # The same runs against their own listing, then against a tampered one.
+    listing = tmp_path / "listing.txt"
+    listing.write_text(out.stdout)
+    again = python("scripts/output_hashes.py", "--seeds", "101", "--config-seeds", "0",
+                   "--out", tmp_path / "again", "--against", listing)
+    assert again.returncode == 0, again.stderr
+    assert again.stdout == out.stdout
+    assert again.stderr == f"0 of 32 files differ from {listing}\n"
+
+    tampered = [" ".join(fields) for fields in lines]
+    tampered[1] = tampered[1][:-1] + ("0" if tampered[1][-1] != "0" else "1")
+    del tampered[6]
+    tampered.append("extra/seed1 report.json " + "0" * 64)
+    listing.write_text("\n".join(tampered) + "\n")
+    bad = python("scripts/output_hashes.py", "--seeds", "101", "--config-seeds", "0",
+                 "--out", tmp_path / "bad", "--against", listing)
+    assert bad.returncode == 1
+    assert bad.stdout == out.stdout
+    assert bad.stderr.splitlines() == [
+        "wide_catalog/seed101 decisions.csv: sha256 differs",
+        "long_tail/seed101 allocations.csv: not in the listing",
+        "extra/seed1 report.json: missing",
+        f"3 of 33 files differ from {listing}"]
