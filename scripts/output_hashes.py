@@ -6,7 +6,9 @@
 
 The runs are the three benchmark workloads of ``bench/workloads.py`` at each
 of ``--seeds``, ``acceptance.benchmark_config`` under every rule at each of
-``--config-seeds``, and criterion 9's noisy config. Inputs and outputs go
+``--config-seeds``, criterion 9's noisy config, and wide_catalog and
+replay_log at the first of ``--seeds`` with ``relevance_noise`` 0.05
+(named ``<workload>/seed<N>/noisy``). Inputs and outputs go
 under ``DIR``, and one line per output file gives the run, the file and its
 sha256. Run it in two checkouts, each with its own ``DIR``, and diff the two
 listings to check that a change leaves every output byte-identical, or save
@@ -38,16 +40,23 @@ FILES = ("report.json", "decisions.csv", "allocations.csv", "intervals.csv")
 RULES = ("talmud", "naive", "prop", "none")
 
 
+def workload_config(name, seed):
+    """RunConfig of a benchmark workload, with bench/run.py's layout.
+
+    With that layout report.json's data_path, and with it the report's
+    sha256, is the one the benchmark prints.
+    """
+    directory = Path(".bench_out") / name / f"seed{seed}"
+    spec = workloads.make(name, seed, directory).spec
+    spec.setdefault("out_dir", str(directory / "out"))
+    return config.build_config(spec)
+
+
 def runs(seeds, config_seeds):
     """(name, RunConfig) of every run; paths are relative to the working directory."""
     for name in workloads.NAMES:
         for seed in seeds:
-            # bench/run.py's layout, so report.json's data_path, and with it
-            # the report's sha256, is the one the benchmark prints.
-            directory = Path(".bench_out") / name / f"seed{seed}"
-            spec = workloads.make(name, seed, directory).spec
-            spec.setdefault("out_dir", str(directory / "out"))
-            yield f"{name}/seed{seed}", config.build_config(spec)
+            yield f"{name}/seed{seed}", workload_config(name, seed)
     for rule in RULES:
         for seed in config_seeds:
             name = f"benchmark_config/{rule}/seed{seed}"
@@ -55,6 +64,11 @@ def runs(seeds, config_seeds):
     # criterion 9 runs this config twice and compares the reports.
     noisy = replace(benchmark_config("talmud", seed=42), relevance_noise=0.05)
     yield "criterion_9", replace(noisy, out_dir="criterion_9")
+    # The noisy path on a wide catalog and on log replay's repeat users.
+    for name in ("wide_catalog", "replay_log"):
+        cfg = workload_config(name, seeds[0])
+        out_dir = str(Path(cfg.out_dir).parent / "noisy")
+        yield f"{name}/seed{seeds[0]}/noisy", replace(cfg, relevance_noise=0.05, out_dir=out_dir)
 
 
 def main(argv=None) -> int:

@@ -111,7 +111,7 @@ def config_from_options(opts: dict) -> harness.RunConfig:
         beta_mix=opts["beta"],
         eta=_parse_eta(str(opts["eta"])),
     )
-    schema = LogSchema(interval_seconds=opts["interval_hours"] * 3600.0, list_size=k)
+    schema = LogSchema(interval_seconds=opts["interval_hours"] * 3600.0)
     return harness.RunConfig(
         policy=policy,
         rerank=rerank,

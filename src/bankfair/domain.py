@@ -131,7 +131,6 @@ class UserRequest:
 
     user_id: str
     relevance: np.ndarray
-    degenerate: bool = False  # fewer strictly positive scores than the list size
     row: int | None = None  # set by synth_instance and load_interactions
 
 
@@ -146,10 +145,6 @@ def instance_matrix(requests: Sequence[UserRequest]) -> np.ndarray:
     if first.row is None or matrix is None or matrix.ndim != 2:
         raise ConfigError("requests must be row views of one instance matrix")
     return matrix
-
-
-def _flag_degenerate(relevance: np.ndarray, list_size: int) -> bool:
-    return int((relevance > 0).sum()) < list_size
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +172,7 @@ class SynthConfig:
     num_intervals: int
     mean_traffic: float = 50.0
     traffic: Sequence[int] | None = None
-    list_size: int = 10
+    list_size: int = 10  # read by nothing; report.json echoes it
     relevance_low: float = 0.0
     relevance_high: float = 1.0
     provider_weights: Sequence[float] | None = None
@@ -245,9 +240,7 @@ def synth_instance(cfg: SynthConfig, seed: int):
         relevance *= weights
     np.clip(relevance, 0.0, 1.0, out=relevance)
     relevance.flags.writeable = False
-    # Flagged a row at a time: a (users x items) mask would add to the peak.
-    requests = [UserRequest(str(uid), row, _flag_degenerate(row, cfg.list_size), uid)
-                for uid, row in enumerate(relevance)]
+    requests = [UserRequest(str(uid), row, uid) for uid, row in enumerate(relevance)]
     return catalog, counts, requests
 
 
@@ -263,12 +256,13 @@ def resample_traffic(counts: np.ndarray, tau: float, total: int, seed: int) -> n
     normalization keeps tau in (0, 1] meaningful for raw counts of any scale.
     Small tau concentrates arrivals on the busiest intervals, tau = 1 tends
     toward the softmax of the normalized counts. A tau so small that the
-    logits overflow is a ConfigError. Returns the int64 counts.
+    logits overflow is a ConfigError. Returns the int64 counts, all zero
+    when ``total`` is 0.
     """
     if tau <= 0:
         raise ConfigError("tau must be positive")
-    if total <= 0:
-        raise ConfigError("total must be positive")
+    if total < 0:
+        raise ConfigError("total must be >= 0")
     counts = np.asarray(counts, dtype=float)
     scale = counts.max()
     if scale <= 0:
@@ -303,9 +297,7 @@ class LogSchema:
     """How to read an interaction log directory or file."""
 
     interval_seconds: float = 86400.0
-    list_size: int = 10
-    relevance_path: str | None = None
-    catalog_path: str | None = None
+    list_size: int = 10  # read by nothing; stays while bench/config.py passes it
 
     def __post_init__(self):
         check("interval_seconds", self.interval_seconds, POSITIVE)
@@ -423,14 +415,11 @@ def load_interactions(path, schema: LogSchema | None = None):
     """
     schema = schema or LogSchema()
     path = Path(path)
+    csv_path, cat_path, rel_path = path, None, None
     if path.is_dir():
         csv_path = path / INTERACTIONS_FILE
         cat_path = path / CATALOG_FILE if (path / CATALOG_FILE).exists() else None
         rel_path = path / RELEVANCE_FILE if (path / RELEVANCE_FILE).exists() else None
-    else:
-        csv_path = path
-        cat_path = Path(schema.catalog_path) if schema.catalog_path else None
-        rel_path = Path(schema.relevance_path) if schema.relevance_path else None
 
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -503,16 +492,14 @@ def load_interactions(path, schema: LogSchema | None = None):
         for uid, iid, _, _, score in rows:
             matrix[user_order[uid], item_index[iid]] = score
     matrix.flags.writeable = False
-    # Every arrival of a user shares one row view and its flag.
-    profiles = list(matrix)
-    degenerate = [_flag_degenerate(rel, schema.list_size) for rel in profiles]
+    profiles = list(matrix)  # every arrival of a user shares one row view
 
     ordered, counts = _group_by_interval([r[3] for r in rows], schema.interval_seconds)
     requests = []
     for k in ordered:
         uid = rows[k][0]
         row = user_order[uid]
-        requests.append(UserRequest(uid, profiles[row], degenerate[row], row))
+        requests.append(UserRequest(uid, profiles[row], row))
     return catalog, counts, requests
 
 

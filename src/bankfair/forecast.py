@@ -42,7 +42,6 @@ class Forecast:
     """Predicted traffic for the current through final interval."""
 
     horizon_values: np.ndarray
-    method_id: str
 
     def __post_init__(self):
         v = np.asarray(self.horizon_values, dtype=float)
@@ -73,11 +72,11 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
         values = np.asarray(future, dtype=float)
         if values.size != horizon:
             raise ConfigError("oracle future length must equal the horizon")
-        return Forecast(values, "oracle")
+        return Forecast(values)
 
     prior_mean = float(params.get("prior_mean", 1.0))
     if history.size == 0:
-        return Forecast(np.full(horizon, prior_mean), method)
+        return Forecast(np.full(horizon, prior_mean))
 
     if method == "seasonal":
         lag = params.get("lag", 7)
@@ -88,11 +87,11 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
         else:
             period = history[-lag:]
             values = np.tile(period, horizon // lag + 1)[:horizon]
-            return Forecast(np.maximum(values, 0.0), "seasonal")
+            return Forecast(np.maximum(values, 0.0))
 
     if method == "last_value":
         level = float(history[-1])
     else:  # moving_average
         w = params.get("w", 3)
         level = float(history[-w:].mean())
-    return Forecast(np.full(horizon, max(level, 0.0)), method)
+    return Forecast(np.full(horizon, max(level, 0.0)))

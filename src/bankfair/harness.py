@@ -100,7 +100,8 @@ def run(cfg: RunConfig) -> SimReport:
     Only list selection and the dual step run once per arrival. Each
     interval's lists are scored as one block: their gains are gathered from
     the instance matrix by the arrivals' rows, against ideal DCGs computed
-    once per matrix row. A noisy interval scores its own noise block.
+    once per matrix row. A noisy interval adds each arrival's row into its
+    own noise block and scores that block.
     """
     # One sub-seed per stochastic stage keeps every stage independently
     # reproducible for a fixed run seed.
@@ -162,10 +163,12 @@ def run(cfg: RunConfig) -> SimReport:
             if cfg.relevance_noise > 0:
                 # A new (arrivals x items) block, one row per arrival in
                 # arrival order: the same stream as one draw per arrival. It
-                # is scored on its own and dropped with the interval.
+                # is scored on its own and dropped with the interval. Rows are
+                # added one at a time: matrix[at] would be a second block.
                 scored = noise_rng.normal(0.0, cfg.relevance_noise,
                                           size=(len(arrivals), catalog.num_items))
-                scored += matrix[at]
+                for i, row in enumerate(at.tolist()):
+                    scored[i] += matrix[row]
                 relevances = np.clip(scored, 0.0, 1.0, out=scored)
                 at, scored_ideal = np.arange(len(arrivals)), metrics.top_k_dcg(scored, k)
             else:
@@ -173,17 +176,15 @@ def run(cfg: RunConfig) -> SimReport:
                 if ideal is None:
                     ideal = metrics.top_k_dcg(matrix, k)
                 scored_ideal = ideal[at]
-            mus = []  # the prices that selected each list
-            hook = None if cfg.out_dir is None else lambda t, items, mu: mus.append(mu)
-            lists, earned, _ = reranker.run_interval(
-                relevances, audit["award"], rerank_cfg, catalog, rhat_n, trace_hook=hook)
+            lists, earned, prices = reranker.run_interval(
+                relevances, audit["award"], rerank_cfg, catalog, rhat_n)
             cumulative = cumulative + earned
             if cfg.out_dir is not None:
                 decision_rows.extend(
                     [n, t, req.user_id, *items, hashlib.sha1(mu).hexdigest()[:12]]
-                    for t, (req, items, mu) in enumerate(zip(arrivals, lists.tolist(), mus), 1))
+                    for t, (req, items, mu) in enumerate(zip(arrivals, lists.tolist(), prices), 1))
             interval_ndcg = metrics.ndcg_at_k(scored[at[:, None], lists], scored_ideal)
-            del relevances, scored, mus  # the noise block and prices die with the interval
+            del relevances, scored, prices  # the noise block and prices die with the interval
             per_user_ndcg.extend(interval_ndcg.tolist())
             per_interval_acc.append(float(np.mean(interval_ndcg)))
             per_interval_vio.append(metrics.vio_at_k(interval_ndcg, cfg.policy.required_min_accuracy))

@@ -135,50 +135,42 @@ def dual_step(mu: np.ndarray, eta: float, lam: np.ndarray, exposure: np.ndarray,
 
 
 def run_interval(relevances: Sequence[np.ndarray], floor: np.ndarray, cfg: RerankConfig,
-                 catalog: Catalog, rhat_n: float, lam: np.ndarray | None = None,
-                 mu0: np.ndarray | None = None, trace_hook=None):
+                 catalog: Catalog, rhat_n: float):
     """Serve one interval's arrivals in order against per-provider ``floor``.
 
     ``relevances`` holds one dense relevance vector per arrival, in order.
 
-    Dual prices start at zero, or at ``mu0`` (projected onto mu >= -lambda)
-    when given; ``lam`` replaces the penalties of ``compute_penalties``. After
-    each list the earned exposure and the unearned remainder ``beta`` are
-    updated, then ``dual_step`` runs against the conjugate maximizer for the
-    remainder ``max(beta, 0)``, so pressure on a provider fades once its
-    floor is met.
+    Dual prices start at zero and stay in mu >= -lambda, lambda being the
+    penalties of ``compute_penalties``. After each list the earned exposure
+    and the unearned remainder ``beta`` are updated, then ``dual_step`` runs
+    against the conjugate maximizer for the remainder ``max(beta, 0)``, so
+    pressure on a provider fades once its floor is met.
 
-    ``trace_hook(t, items, mu)`` is called per arrival t (1-based) with the
-    list's item ids and the prices that selected it, for replay debugging.
-    Each step makes a new price array, so a hook may keep ``mu`` as it is.
-
-    Returns (lists, earned, mu): ``lists`` is an int64 array of shape
-    (len(relevances), K) whose row t - 1 holds arrival t's K distinct item ids
-    in rank order, ``earned`` the int64 exposure each provider earned, and
-    ``mu`` the final prices.
+    Returns (lists, earned, prices): ``lists`` is an int64 array of shape
+    (len(relevances), K) whose row t holds arrival t's K distinct item ids in
+    rank order, ``earned`` the int64 exposure each provider earned, and
+    ``prices`` the float64 array of shape (len(relevances), num_providers)
+    whose row t holds the prices that selected list t.
     """
     k = cfg.list_size
     if rhat_n <= 0:
         raise ConfigError("predicted traffic for the interval must be positive")
     if catalog.num_items < k:
         raise ConfigError(f"need at least {k} items, catalog has {catalog.num_items}")
-    lam = compute_penalties(catalog, cfg.beta_mix) if lam is None else np.asarray(lam, float)
-    if (lam < 0).any():
-        raise ConfigError("violation penalties must be >= 0")
+    lam = compute_penalties(catalog, cfg.beta_mix)
     gamma = compute_caps(catalog, k, rhat_n)
     eta = cfg.step_size(rhat_n)
-    mu = np.zeros_like(lam) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), -lam)
+    mu = np.zeros_like(lam)
 
     beta = np.array(floor, dtype=float)
     lists = np.empty((len(relevances), k), dtype=np.int64)
-    for t, relevance in enumerate(relevances, start=1):
+    prices = np.empty((len(relevances), catalog.num_providers))
+    for t, relevance in enumerate(relevances):
         items = select_list(relevance, mu, catalog.item_provider, rhat_n, k)
-        if trace_hook is not None:
-            trace_hook(t, items, mu)
         exposure = catalog.exposure_of(items)
         beta -= exposure
         e_star = conjugate_argmax(mu, gamma, np.maximum(beta, 0.0))
+        lists[t], prices[t] = items, mu
         mu = dual_step(mu, eta, lam, exposure, e_star)
-        lists[t - 1] = items
     earned = np.bincount(catalog.item_provider[lists.ravel()], minlength=catalog.num_providers)
-    return lists, earned, mu
+    return lists, earned, prices

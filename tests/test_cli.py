@@ -69,6 +69,15 @@ class TestRunCommand:
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
 
+    def test_zero_arrivals_with_tau_exits_zero(self, tmp_path, capsys):
+        # Resampling no arrivals gives all-zero counts, as the run without tau has.
+        out = tmp_path / "out"
+        code = main(["run", "--synth", write_synth(tmp_path, traffic=[0, 0, 0]), "--K", "5",
+                     "--m", "0", "--tau", "0.2", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["per_interval_traffic"] == [0, 0, 0]
+
     def test_missing_synth_file_exits_one(self, tmp_path, capsys):
         code = main(["run", "--synth", str(tmp_path / "absent.json"), "--K", "5"])
         assert code == 1

@@ -102,12 +102,6 @@ class TestSynthInstance:
         with pytest.raises(ConfigError):
             synth_instance(SynthConfig(num_items=2, num_providers=3, num_intervals=1), 0)
 
-    def test_degenerate_flagging(self):
-        cfg = SynthConfig(num_items=6, num_providers=2, num_intervals=1, traffic=[2],
-                          relevance_low=0.0, relevance_high=0.0, list_size=5)
-        _, _, requests = synth_instance(cfg, seed=0)
-        assert all(r.degenerate for r in requests)
-
 
 class TestResampleTraffic:
     def test_sum_preserved(self):
@@ -143,6 +137,12 @@ class TestResampleTraffic:
         draws = resample_traffic(counts, tau=1.0, total=100_000, seed=11)
         shares = draws / 100_000
         np.testing.assert_allclose(shares, probs, atol=4 * np.sqrt(probs.max() / 100_000) + 1e-3)
+
+    def test_zero_total_gives_zero_counts(self):
+        out = resample_traffic(np.array([0, 0, 0]), tau=0.2, total=0, seed=0)
+        assert out.dtype == np.int64 and out.tolist() == [0, 0, 0]
+        with pytest.raises(ConfigError, match="total must be >= 0"):
+            resample_traffic(np.array([1, 2]), tau=0.2, total=-1, seed=0)
 
     def test_bad_tau(self):
         with pytest.raises(ConfigError):
@@ -298,7 +298,6 @@ class TestIngestion:
         assert [a.user_id for a in requests] == [b.user_id for b in requests2]
         for a, b in zip(requests, requests2):
             np.testing.assert_array_equal(a.relevance, b.relevance)
-            assert a.degenerate == b.degenerate
 
     def test_saved_item_is_the_lowest_tied_top_id(self, tmp_path):
         catalog = Catalog(np.array([0, 1, 0, 1]))
@@ -334,8 +333,8 @@ class TestIngestion:
 def reference_synth(cfg, seed):
     """Relevance drawn one user at a time: the reference for the block draw.
 
-    Returns the (users x items) matrix, the degenerate flags and the
-    generator's state after the last draw.
+    Returns the (users x items) matrix and the generator's state after the
+    last draw.
     """
     rng = np.random.default_rng(seed)
     item_provider = np.repeat(np.arange(cfg.num_providers), cfg.resolve_inventory())
@@ -354,8 +353,7 @@ def reference_synth(cfg, seed):
     rows = [np.clip(rng.uniform(lo, hi, size=cfg.num_items) * weights, 0.0, 1.0)
             for _ in range(int(counts.sum()))]
     matrix = np.array(rows).reshape(len(rows), cfg.num_items)
-    flags = [int((row > 0).sum()) < cfg.list_size for row in rows]
-    return matrix, flags, rng.bit_generator.state
+    return matrix, rng.bit_generator.state
 
 
 def instance_matrix(requests):
@@ -389,11 +387,10 @@ class TestRelevanceMatrix:
         monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
         _, counts, requests = synth_instance(cfg, seed=17)
         monkeypatch.undo()
-        matrix, flags, state = reference_synth(cfg, seed=17)
+        matrix, state = reference_synth(cfg, seed=17)
         assert len(requests) == int(counts.sum()) == matrix.shape[0]
         served = np.array([r.relevance for r in requests]).reshape(matrix.shape)
         assert served.tobytes() == matrix.tobytes()
-        assert [r.degenerate for r in requests] == flags
         assert made[0].bit_generator.state == state
 
     def test_matrix_without_huge_page_advice_is_the_same(self, monkeypatch):

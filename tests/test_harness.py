@@ -1,5 +1,6 @@
 """End-to-end driver: interval loop wiring, determinism, sweeps."""
 
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
@@ -270,6 +271,24 @@ class TestRun:
         rep = run(cfg)
         assert len(blocks) == sum(1 for c in rep.per_interval_traffic if c) > 1
         assert all(block() is None for block in blocks)
+
+    def test_noisy_run_peaks_one_block_above_noiseless(self):
+        # Each noisy interval adds its arrivals' instance rows into its noise
+        # block in place; gathering those rows first would be a second block.
+        synth = SynthConfig(num_items=4000, num_providers=4, num_intervals=2,
+                            traffic=[40, 60], list_size=5)
+        block = 60 * synth.num_items * 8  # the larger interval's noise block, in bytes
+
+        def peak(noise):
+            tracemalloc.start()
+            try:
+                run(small_config(synth=synth, relevance_noise=noise))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(0.0)  # a process's first run allocates some state once
+        assert peak(0.05) - peak(0.0) < 1.5 * block
 
 
 class TestRunConfigValidation:

@@ -74,9 +74,6 @@ class TestSelectList:
         assert rel[0] / 7.0 == rel[1] / 7.0 - mu[1]
         assert rel[0] * (1.0 / 7.0) > rel[1] * (1.0 / 7.0) - mu[1]
         np.testing.assert_array_equal(select_list(rel, mu, cat.item_provider, 7.0, 1), [1])
-        lists, _, _ = run_interval([rel], np.zeros(2),
-                                   RerankConfig(list_size=1, eta=0.0), cat, 7.0, mu0=mu)
-        np.testing.assert_array_equal(lists[0], [1])
 
     def test_needs_at_least_k_items(self):
         with pytest.raises(ConfigError):
@@ -188,17 +185,15 @@ class TestDualStep:
 
 class TestRunInterval:
     def test_zero_plan_zero_penalty_collapses_to_top_k(self):
-        # With lam = 0 prices stay pinned at zero as long as the caps exceed
-        # any realizable list exposure, so output matches plain top-K bitwise.
+        # With eta = 0, the path of rule="none", prices stay pinned at zero,
+        # so output matches plain top-K bitwise.
         rng = np.random.default_rng(2)
         relevances = rng.uniform(size=(6, 8))
-        cfg = RerankConfig(list_size=5, eta=0.7)
-        lists, _, mu = run_interval(
-            relevances, np.zeros(2), cfg, TWO_PROVIDERS, rhat_n=6.0,
-            lam=np.zeros(2))
+        cfg = RerankConfig(list_size=5, eta=0.0)
+        lists, _, prices = run_interval(relevances, np.zeros(2), cfg, TWO_PROVIDERS, rhat_n=6.0)
         for rel, lst in zip(relevances, lists):
             np.testing.assert_array_equal(lst, top_k(rel, 5))
-        np.testing.assert_array_equal(mu, np.zeros(2))
+        np.testing.assert_array_equal(prices, np.zeros((6, 2)))
 
     def test_exposure_accounting(self):
         rng = np.random.default_rng(7)
@@ -223,48 +218,19 @@ class TestRunInterval:
         rng = np.random.default_rng(1)
         relevances = rng.uniform(size=(30, 8))
         cfg = RerankConfig(list_size=5, eta=0.5, beta_mix=0.7)
-        prices = []
-        _, _, mu = run_interval(relevances, np.array([10.0, 3.0]), cfg,
-                                TWO_PROVIDERS, rhat_n=30.0,
-                                trace_hook=lambda t, items, mu: prices.append(mu))
+        _, _, prices = run_interval(relevances, np.array([10.0, 3.0]), cfg,
+                                    TWO_PROVIDERS, rhat_n=30.0)
         lam = compute_penalties(TWO_PROVIDERS, 0.7)
-        assert all((p >= -lam).all() for p in [*prices, mu])
-        assert (mu == -lam).any()  # the projection was active
-
-    def test_mu0_projected_on_entry(self):
-        lam = np.array([0.5, 2.0])
-        prices = []
-        run_interval([np.ones(8)], np.zeros(2),
-                     RerankConfig(list_size=5, eta=0.0), TWO_PROVIDERS, 1.0, lam=lam,
-                     mu0=np.array([-3.0, -1.0]),
-                     trace_hook=lambda t, items, mu: prices.append(mu))
-        np.testing.assert_array_equal(prices[0], [-0.5, -1.0])
-
-    def test_rejects_negative_penalties(self):
-        with pytest.raises(ConfigError, match="penalties"):
-            run_interval([], np.zeros(2), RerankConfig(list_size=5),
-                         TWO_PROVIDERS, 1.0, lam=np.array([1.0, -0.5]))
-
-    def test_warm_start_uses_mu0(self):
-        rng = np.random.default_rng(3)
-        relevances = rng.uniform(size=(1, 8))
-        cfg = RerankConfig(list_size=5, eta=0.0)
-        mu0 = np.array([-0.4, 0.2])
-        lists_cold, _, _ = run_interval(relevances, np.zeros(2), cfg,
-                                        TWO_PROVIDERS, rhat_n=1.0)
-        lists_warm, _, mu = run_interval(relevances, np.zeros(2), cfg,
-                                         TWO_PROVIDERS, rhat_n=1.0, mu0=mu0)
-        np.testing.assert_array_equal(mu, mu0)  # eta=0 freezes prices
-        expected = select_list(relevances[0], mu, TWO_PROVIDERS.item_provider, 1.0, 5)
-        np.testing.assert_array_equal(lists_warm[0], expected)
-        assert not np.array_equal(lists_cold[0], lists_warm[0])
+        assert prices.shape == (30, 2)
+        assert (prices >= -lam).all()
+        assert (prices == -lam).any()  # the projection was active
 
     def test_no_arrivals_returns_empty_lists(self):
-        lists, earned, mu = run_interval([], np.array([4.0, 0.0]),
-                                         RerankConfig(list_size=5), TWO_PROVIDERS, 2.0)
+        lists, earned, prices = run_interval([], np.array([4.0, 0.0]),
+                                             RerankConfig(list_size=5), TWO_PROVIDERS, 2.0)
         assert lists.shape == (0, 5) and lists.dtype == np.int64
         np.testing.assert_array_equal(earned, [0, 0])
-        np.testing.assert_array_equal(mu, [0.0, 0.0])
+        assert prices.shape == (0, 2) and prices.dtype == np.float64
 
     def test_requires_positive_traffic_estimate(self):
         with pytest.raises(ConfigError):
@@ -299,27 +265,25 @@ def reference_top_k(relevance, k):
     return lexsort_order(relevance, relevance, k)
 
 
-def reference_run_interval(relevances, floor, cfg, catalog, rhat_n, lam=None, mu0=None,
-                           trace_hook=None):
+def reference_run_interval(relevances, floor, cfg, catalog, rhat_n):
     """The serve loop with one full lexsort per arrival and each step written out.
 
     It calls none of select_list, conjugate_argmax, dual_step or the top-K
-    kernel, and returns (lists, earned, mu) as run_interval does.
+    kernel, and returns (lists, earned, prices) as run_interval does.
     """
     k = cfg.list_size
-    lam = compute_penalties(catalog, cfg.beta_mix) if lam is None else np.asarray(lam, float)
+    lam = compute_penalties(catalog, cfg.beta_mix)
     gamma = compute_caps(catalog, k, rhat_n)
     eta = cfg.step_size(rhat_n)
-    mu = np.zeros_like(lam) if mu0 is None else np.maximum(np.asarray(mu0, dtype=float), -lam)
+    mu = np.zeros_like(lam)
     beta = np.array(floor, dtype=float)
     earned = np.zeros(catalog.num_providers, dtype=np.int64)
-    lists = []
-    for t, relevance in enumerate(relevances, start=1):
+    lists, prices = [], []
+    for relevance in relevances:
         relevance = np.asarray(relevance, dtype=float)
         adjusted = relevance / float(rhat_n) - mu[catalog.item_provider]
         order = lexsort_order(adjusted, relevance, k)
-        if trace_hook is not None:
-            trace_hook(t, order, mu)
+        prices.append(mu)
         exposure = np.bincount(catalog.item_provider[order], minlength=catalog.num_providers)
         earned += exposure
         beta -= exposure
@@ -328,7 +292,8 @@ def reference_run_interval(relevances, floor, cfg, catalog, rhat_n, lam=None, mu
         mu = np.maximum(mu - eta * (e_star - exposure.astype(float)), -lam)
         lists.append(order)
     lists = np.asarray(lists, dtype=np.int64).reshape(len(relevances), k)
-    return lists, earned, mu
+    prices = np.asarray(prices, dtype=float).reshape(len(relevances), catalog.num_providers)
+    return lists, earned, prices
 
 
 class TestTopKKernel:
@@ -412,9 +377,9 @@ class TestServeLoopMatchesReference:
         return rng, catalog, k, relevances, floor, float(nprov * rng.choice([1, 3]))
 
     @staticmethod
-    def assert_same(got, want, got_calls, want_calls, num_items):
-        lists, earned, mu = got
-        ref_lists, ref_earned, ref_mu = want
+    def assert_same(got, want, num_items, num_providers):
+        lists, earned, prices = got
+        ref_lists, ref_earned, ref_prices = want
         assert lists.dtype == np.int64 and lists.shape == ref_lists.shape
         np.testing.assert_array_equal(lists, ref_lists)
         for row in lists:  # K distinct item ids per arrival
@@ -422,31 +387,19 @@ class TestServeLoopMatchesReference:
             assert row.min() >= 0 and row.max() < num_items
         assert earned.dtype == ref_earned.dtype == np.int64
         np.testing.assert_array_equal(earned, ref_earned)
-        assert mu.tobytes() == ref_mu.tobytes()
-        assert got_calls == want_calls
-
-    @staticmethod
-    def recorder():
-        calls = []
-        return calls, lambda t, items, mu: calls.append(
-            (t, items.tolist(), mu.tobytes()))
+        # Every arrival's price row, bit for bit.
+        assert prices.dtype == np.float64 and prices.shape == (len(lists), num_providers)
+        assert prices.tobytes() == ref_prices.tobytes()
 
     # The ids name the conjugate target: the unearned remainder of the floor.
     @pytest.mark.parametrize("seed", range(12), ids=lambda seed: f"{seed}-remaining")
     def test_bit_identical(self, seed):
         rng, catalog, k, relevances, floor, rhat_n = self.instance(seed)
-        variants = [dict(), dict(mu0=rng.integers(-20, 21, size=catalog.num_providers) / 20.0),
-                    dict(lam=np.zeros(catalog.num_providers))]
         for eta in (0.05, 0.0, float(rng.uniform(0.01, 0.3))):
             cfg = RerankConfig(list_size=k, eta=eta, beta_mix=0.5)
-            for kwargs in variants:
-                got_calls, got_hook = self.recorder()
-                want_calls, want_hook = self.recorder()
-                got = run_interval(relevances, floor, cfg, catalog, rhat_n,
-                                   trace_hook=got_hook, **kwargs)
-                want = reference_run_interval(relevances, floor, cfg, catalog, rhat_n,
-                                              trace_hook=want_hook, **kwargs)
-                self.assert_same(got, want, got_calls, want_calls, catalog.num_items)
+            got = run_interval(relevances, floor, cfg, catalog, rhat_n)
+            want = reference_run_interval(relevances, floor, cfg, catalog, rhat_n)
+            self.assert_same(got, want, catalog.num_items, catalog.num_providers)
 
     def test_rejects_list_longer_than_catalog(self):
         with pytest.raises(ConfigError):

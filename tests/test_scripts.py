@@ -79,11 +79,13 @@ def test_output_hashes(tmp_path):
     lines = [line.split() for line in out.stdout.splitlines()]
     runs = ["wide_catalog/seed101", "long_tail/seed101", "replay_log/seed101",
             *(f"benchmark_config/{rule}/seed0" for rule in ("talmud", "naive", "prop", "none")),
-            "criterion_9"]
+            "criterion_9", "wide_catalog/seed101/noisy", "replay_log/seed101/noisy"]
     files = ["report.json", "decisions.csv", "allocations.csv", "intervals.csv"]
     assert [(name, file) for name, file, _ in lines] == [(r, f) for r in runs for f in files]
     assert all(len(digest) == 64 for _, _, digest in lines)
     assert (tmp_path / "runs" / "criterion_9" / "report.json").is_file()
+    noisy = tmp_path / "runs" / ".bench_out" / "replay_log" / "seed101" / "noisy"
+    assert '"relevance_noise": 0.05' in (noisy / "report.json").read_text()
 
     # The same runs against their own listing, then against a tampered one.
     listing = tmp_path / "listing.txt"
@@ -92,7 +94,7 @@ def test_output_hashes(tmp_path):
                    "--out", tmp_path / "again", "--against", listing)
     assert again.returncode == 0, again.stderr
     assert again.stdout == out.stdout
-    assert again.stderr == f"0 of 32 files differ from {listing}\n"
+    assert again.stderr == f"0 of 40 files differ from {listing}\n"
 
     tampered = [" ".join(fields) for fields in lines]
     tampered[1] = tampered[1][:-1] + ("0" if tampered[1][-1] != "0" else "1")
@@ -107,4 +109,4 @@ def test_output_hashes(tmp_path):
         "wide_catalog/seed101 decisions.csv: sha256 differs",
         "long_tail/seed101 allocations.csv: not in the listing",
         "extra/seed1 report.json: missing",
-        f"3 of 33 files differ from {listing}"]
+        f"3 of 41 files differ from {listing}"]
