@@ -8,7 +8,12 @@ The runs are the three benchmark workloads of ``bench/workloads.py`` at each
 of ``--seeds``, ``acceptance.benchmark_config`` under every rule at each of
 ``--config-seeds``, criterion 9's noisy config, and wide_catalog and
 replay_log at the first of ``--seeds`` with ``relevance_noise`` 0.05
-(named ``<workload>/seed<N>/noisy``). Inputs and outputs go
+(named ``<workload>/seed<N>/noisy``). At the first seed replay_log also
+runs from its ``interactions.csv`` alone, with items and providers numbered
+in order of first appearance (``replay_log/seed<N>/bare``), and from a copy
+of its log directory with a ``relevance.bin`` of the loaded matrix
+(``replay_log/seed<N>/sidecar``), so that every ingestion path is
+hashed. Inputs and outputs go
 under ``DIR``, and one line per output file gives the run, the file and its
 sha256. Run it in two checkouts, each with its own ``DIR``, and diff the two
 listings to check that a change leaves every output byte-identical, or save
@@ -22,6 +27,7 @@ import argparse
 import hashlib
 import logging
 import os
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +40,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import config  # noqa: E402  (bench/config.py)
 import workloads  # noqa: E402  (bench/workloads.py)
 from bankfair.acceptance import benchmark_config  # noqa: E402
+from bankfair.domain import (CATALOG_FILE, INTERACTIONS_FILE, RELEVANCE_FILE,  # noqa: E402
+                             _write_relevance_matrix, instance_matrix, load_interactions)
 from bankfair.harness import run  # noqa: E402
 
 FILES = ("report.json", "decisions.csv", "allocations.csv", "intervals.csv")
@@ -69,6 +77,19 @@ def runs(seeds, config_seeds):
         cfg = workload_config(name, seeds[0])
         out_dir = str(Path(cfg.out_dir).parent / "noisy")
         yield f"{name}/seed{seeds[0]}/noisy", replace(cfg, relevance_noise=0.05, out_dir=out_dir)
+    # replay_log's other two ingestion paths: the bare log, and the sidecar.
+    cfg = workload_config("replay_log", seeds[0])
+    log, directory = Path(cfg.data_path), Path(cfg.out_dir).parent
+    yield (f"replay_log/seed{seeds[0]}/bare",
+           replace(cfg, data_path=str(log / INTERACTIONS_FILE), out_dir=str(directory / "bare")))
+    sidecar = directory / "sidecar_log"
+    sidecar.mkdir(exist_ok=True)
+    for file in (INTERACTIONS_FILE, CATALOG_FILE):
+        shutil.copyfile(log / file, sidecar / file)
+    _, _, requests = load_interactions(log, cfg.schema)
+    _write_relevance_matrix(sidecar / RELEVANCE_FILE, instance_matrix(requests))
+    yield (f"replay_log/seed{seeds[0]}/sidecar",
+           replace(cfg, data_path=str(sidecar), out_dir=str(directory / "sidecar")))
 
 
 def main(argv=None) -> int:

@@ -101,8 +101,11 @@ def config_from_options(opts: dict) -> harness.RunConfig:
     k = opts["K"]
     num_providers = synth.num_providers if synth is not None else 1
     policy = FairnessPolicy.uniform(opts["m"], num_providers, opts["phi"], k)
-    if synth is not None and synth.list_size != k:
-        synth.list_size = k
+    if synth is not None:
+        if "list_size" in synth_spec and synth.list_size != k:
+            raise ConfigError(f"synth spec list_size {synth.list_size!r} differs from "
+                              f"K {k!r}; leave list_size out or make them equal")
+        synth.list_size = k  # a spec without list_size takes K
 
     forecaster, params = parse_forecaster(str(opts["forecaster"]))
     rerank = RerankConfig(

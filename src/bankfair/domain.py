@@ -6,8 +6,9 @@ requests in arrival order, interval by interval. The order is the only
 record of which interval an arrival is in: interval n holds the
 ``counts[n - 1]`` requests that follow the ``counts[:n - 1].sum()`` before
 it. An instance keeps its relevance in one read-only (users x items)
-float64 matrix; each request's ``relevance`` is a row view of it, shared by
-every arrival of the same user, and its ``row`` is that row's index.
+float64 matrix; each request's ``relevance`` is a row view of it and its
+``row`` is that row's index. A logged user has one request, which stands
+for every arrival of the user.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import csv
 import logging
 import math
 import mmap
+import os
 import struct
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -125,9 +128,12 @@ class FairnessPolicy:
         return cls(np.full(num_providers, float(m)), phi, k)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class UserRequest:
-    """One user arrival; ``relevance`` is row ``row`` of the instance matrix."""
+    """One user's request; ``relevance`` is row ``row`` of the instance matrix.
+
+    Every arrival of a logged user is the same request object.
+    """
 
     user_id: str
     relevance: np.ndarray
@@ -172,7 +178,7 @@ class SynthConfig:
     num_intervals: int
     mean_traffic: float = 50.0
     traffic: Sequence[int] | None = None
-    list_size: int = 10  # read by nothing; report.json echoes it
+    list_size: int = 10  # read by nothing; report.json echoes it, the CLI checks it is K
     relevance_low: float = 0.0
     relevance_high: float = 1.0
     provider_weights: Sequence[float] | None = None
@@ -308,27 +314,36 @@ def _write_relevance_matrix(path: Path, matrix: np.ndarray):
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(RELEVANCE_MAGIC, matrix.shape[0], matrix.shape[1], 8))
-        fh.write(matrix.tobytes())
+        fh.write(matrix.data)
 
 
 def _read_relevance_matrix(path: Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ParseError(f"{path}: truncated relevance file")
-    magic, nu, ni, width = _HEADER.unpack_from(raw)
-    if magic != RELEVANCE_MAGIC:
-        raise ParseError(f"{path}: bad magic {magic!r}")
-    if width not in (4, 8):
-        raise ParseError(f"{path}: unsupported element width {width}")
-    dtype = np.float32 if width == 4 else np.float64
-    body = np.frombuffer(raw, dtype=dtype, offset=_HEADER.size)
-    if body.size != nu * ni:
-        raise ParseError(f"{path}: payload size does not match header")
-    matrix = _relevance_matrix(nu, ni)
-    matrix[...] = body.reshape(nu, ni)
-    bad = ~((matrix >= 0.0) & (matrix <= 1.0))
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
+    """The sidecar's matrix, read straight into an instance matrix.
+
+    A width-4 payload goes through one float32 buffer. Every value must lie
+    in [0, 1]; the first one that does not is named by row and column.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ParseError(f"{path}: truncated relevance file")
+        magic, nu, ni, width = _HEADER.unpack(head)
+        if magic != RELEVANCE_MAGIC:
+            raise ParseError(f"{path}: bad magic {magic!r}")
+        if width not in (4, 8):
+            raise ParseError(f"{path}: unsupported element width {width}")
+        if os.fstat(fh.fileno()).st_size - _HEADER.size != nu * ni * width:
+            raise ParseError(f"{path}: payload size does not match header")
+        matrix = _relevance_matrix(nu, ni)
+        if width == 8:
+            fh.readinto(matrix.data)
+        else:
+            body = np.empty((nu, ni), dtype=np.float32)
+            fh.readinto(body.data)
+            matrix[...] = body
+    # min and max carry a NaN through, and every comparison with NaN is False.
+    if matrix.size and not (matrix.min() >= 0.0 and matrix.max() <= 1.0):
+        row, col = np.argwhere(~((matrix >= 0.0) & (matrix <= 1.0)))[0]
         raise ParseError(f"{path}: matrix row {row}, column {col}: relevance "
                          f"{float(matrix[row, col])!r} is not in [0, 1]")
     return matrix
@@ -405,13 +420,20 @@ def load_interactions(path, schema: LogSchema | None = None):
     dense relevance sidecar each user's row comes from the matrix; otherwise
     a user's row is assembled from their own logged scores (last occurrence
     wins) and all other items score 0. Either way the matrix is read-only and
-    every arrival of a user shares one view of its row. Requests are
-    grouped into fixed-width intervals starting at the earliest timestamp.
+    every arrival of a user is the user's one request, whose ``relevance``
+    is a view of its row. Requests are grouped into fixed-width intervals
+    starting at the earliest timestamp.
 
     With a catalog, every logged item must be in it under the same provider
     id (ParseError, ConsistencyError otherwise), and provider ids become
     indices into their sorted distinct values; without one, items and
     providers are numbered in order of first appearance.
+
+    The log is read once into four typed columns, one entry per row: the
+    user's code and the (item, provider) pair's code, both numbered in order
+    of first appearance, the timestamp and the score. A malformed row
+    anywhere is reported first. Catalog checks then run once per distinct
+    pair, in that order, so an error names the first bad row.
     """
     schema = schema or LogSchema()
     path = Path(path)
@@ -421,6 +443,10 @@ def load_interactions(path, schema: LogSchema | None = None):
         cat_path = path / CATALOG_FILE if (path / CATALOG_FILE).exists() else None
         rel_path = path / RELEVANCE_FILE if (path / RELEVANCE_FILE).exists() else None
 
+    users: dict[str, int] = {}
+    pairs: dict[tuple[str, str], int] = {}
+    pair_rows: list[int] = []  # the row number of each pair's first appearance
+    user_code, pair_code, stamps, scores = array("q"), array("q"), array("d"), array("d")
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         header = {name: k for k, name in enumerate(next(reader, []))}
@@ -429,12 +455,20 @@ def load_interactions(path, schema: LogSchema | None = None):
                              f"{','.join(INTERACTIONS_COLUMNS)}")
         columns = [header[name] for name in INTERACTIONS_COLUMNS]
         # Blank lines are skipped and not counted in row numbers.
-        rows = [_parse_row(row, columns, lineno)
-                for lineno, row in enumerate(filter(None, reader), start=2)]
-    if not rows:
+        for lineno, row in enumerate(filter(None, reader), start=2):
+            uid, iid, pid, ts, score = _parse_row(row, columns, lineno)
+            user_code.append(users.setdefault(uid, len(users)))
+            pair = pairs.setdefault((iid, pid), len(pairs))
+            if pair == len(pair_rows):
+                pair_rows.append(lineno)
+            pair_code.append(pair)
+            stamps.append(ts)
+            scores.append(score)
+    if not users:
         raise ParseError(f"{csv_path}: no requests")
 
     # Item and provider universes; explicit catalog wins over observed pairs.
+    pair_item = np.empty(len(pairs), dtype=np.int64)  # the item index of each pair
     if cat_path is not None:
         catalog_provider: dict[str, int] = {}
         with open(cat_path, newline="") as fh:
@@ -446,7 +480,8 @@ def load_interactions(path, schema: LogSchema | None = None):
                 if iid in catalog_provider:
                     raise ParseError(f"{cat_path} row {lineno}: duplicate item id {iid!r}")
                 catalog_provider[iid] = provider
-        for lineno, (_, iid, pid, _, _) in enumerate(rows, start=2):
+        item_index = {iid: k for k, iid in enumerate(catalog_provider)}
+        for pair, ((iid, pid), lineno) in enumerate(zip(pairs, pair_rows)):
             if iid not in catalog_provider:
                 raise ParseError(f"row {lineno}: item {iid!r} is not in {cat_path}")
             try:
@@ -456,70 +491,66 @@ def load_interactions(path, schema: LogSchema | None = None):
             if not consistent:
                 raise ConsistencyError(f"row {lineno}: item {iid!r} has provider {pid!r}, "
                                        f"{cat_path} says {catalog_provider[iid]}")
-        item_index = {iid: k for k, iid in enumerate(catalog_provider)}
+            pair_item[pair] = item_index[iid]
         # Provider ids become indices into the sorted distinct ids.
         _, item_provider = np.unique(np.asarray(list(catalog_provider.values()), dtype=np.int64),
                                      return_inverse=True)
     else:
         item_index, provider_index, item_provider_list = {}, {}, []
-        for lineno, (_, iid, pid, _, _) in enumerate(rows, start=2):
+        for pair, ((iid, pid), lineno) in enumerate(zip(pairs, pair_rows)):
             p = provider_index.setdefault(pid, len(provider_index))
-            if iid in item_index:
-                if item_provider_list[item_index[iid]] != p:
-                    raise ConsistencyError(f"row {lineno}: item {iid!r} listed under two providers")
-            else:
-                item_index[iid] = len(item_provider_list)
-                item_provider_list.append(p)
+            if iid in item_index:  # a second pair of the item: another provider
+                raise ConsistencyError(f"row {lineno}: item {iid!r} listed under two providers")
+            item_index[iid] = pair_item[pair] = len(item_provider_list)
+            item_provider_list.append(p)
         item_provider = np.asarray(item_provider_list, dtype=np.int64)
     catalog = Catalog(item_provider)
     num_items = catalog.num_items
 
     # One relevance row per user, in order of first appearance.
-    user_order: dict[str, int] = {}
-    for uid, *_ in rows:
-        user_order.setdefault(uid, len(user_order))
+    user_code = np.frombuffer(user_code, dtype=np.int64)
     if rel_path is not None:
         matrix = _read_relevance_matrix(rel_path)
-        if matrix.shape != (len(user_order), num_items):
+        if matrix.shape != (len(users), num_items):
             raise ParseError(f"{rel_path}: matrix shape {matrix.shape} does not match "
-                             f"{len(user_order)} users x {num_items} items")
+                             f"{len(users)} users x {num_items} items")
     else:
-        # Written in file order, so the last row of a (user, item) cell wins.
-        # One fancy-index scatter would need the repeats removed first, since
-        # numpy leaves the order of repeated writes unspecified, and its
-        # index arrays add to the peak for no measurable gain.
-        matrix = _relevance_matrix(len(user_order), num_items)
-        for uid, iid, _, _, score in rows:
-            matrix[user_order[uid], item_index[iid]] = score
+        matrix = _relevance_matrix(len(users), num_items)
+        # The last row of a (user, item) cell wins. numpy leaves the order of
+        # repeated writes unspecified, so each cell is written once, from
+        # its first row in reverse file order.
+        cells = (user_code * num_items + pair_item[np.frombuffer(pair_code, dtype=np.int64)])[::-1]
+        cells, last = np.unique(cells, return_index=True)
+        matrix.reshape(-1)[cells] = np.frombuffer(scores)[::-1][last]
     matrix.flags.writeable = False
-    profiles = list(matrix)  # every arrival of a user shares one row view
 
-    ordered, counts = _group_by_interval([r[3] for r in rows], schema.interval_seconds)
-    requests = []
-    for k in ordered:
-        uid = rows[k][0]
-        row = user_order[uid]
-        requests.append(UserRequest(uid, profiles[row], row))
-    return catalog, counts, requests
+    # One request per user; all of the user's arrivals share it.
+    per_user = np.empty(len(users), dtype=object)
+    per_user[:] = [UserRequest(uid, relevance, row)
+                   for row, (uid, relevance) in enumerate(zip(users, matrix))]
+    order, counts = _group_by_interval(np.frombuffer(stamps), schema.interval_seconds)
+    return catalog, counts, per_user[user_code[order]].tolist()
 
 
-def _group_by_interval(stamps: list[float], interval_seconds: float):
+def _group_by_interval(stamps: np.ndarray, interval_seconds: float):
     """(arrival order, per-interval counts) of a log's timestamps.
 
     ``stamps[k]`` is the timestamp of the log's data row k + 2 (the header
-    is row 1). The order sorts rows by timestamp, stable among equal ones.
+    is row 1). The order is the int64 array of row positions sorted by
+    timestamp, stable among equal ones.
     Intervals are ``interval_seconds`` wide from the earliest timestamp; a
     log spanning more than MAX_INTERVALS is a ParseError naming the row with
     the latest timestamp.
     """
-    ts = np.array(stamps)
+    ts = np.asarray(stamps, dtype=float)
     t0, last = float(ts.min()), int(ts.argmax())
-    elapsed = stamps[last] - t0  # inf if the timestamps are too far apart to subtract
+    latest = float(ts[last])
+    elapsed = latest - t0  # inf if the timestamps are too far apart to subtract
     span = elapsed // interval_seconds if elapsed < math.inf else math.inf
     if span >= MAX_INTERVALS:
-        raise ParseError(f"row {last + 2}: timestamp {stamps[last]!r} makes the log span "
+        raise ParseError(f"row {last + 2}: timestamp {latest!r} makes the log span "
                          f"{span + 1:.0f} intervals of {interval_seconds:g} s, more than "
                          f"{MAX_INTERVALS}")
     counts = np.bincount(((ts - t0) // interval_seconds).astype(np.int64),
                          minlength=int(span) + 1)
-    return ts.argsort(kind="stable").tolist(), counts
+    return ts.argsort(kind="stable"), counts

@@ -134,7 +134,8 @@ def run(cfg: RunConfig) -> SimReport:
     per_user_ndcg: list[float] = []
     per_interval_acc, per_interval_vio, per_interval_esp = [], [], []
     allocation_rows = []
-    decision_rows: list[list] = []
+    # Per interval: (n, arrivals, lists, each price row's packed sha1 prefix).
+    decisions: list[tuple] = []
     rerank_cfg = cfg.rerank
     if cfg.rule == "none":
         rerank_cfg = replace(cfg.rerank, eta=0.0)
@@ -180,9 +181,9 @@ def run(cfg: RunConfig) -> SimReport:
                 relevances, audit["award"], rerank_cfg, catalog, rhat_n)
             cumulative = cumulative + earned
             if cfg.out_dir is not None:
-                decision_rows.extend(
-                    [n, t, req.user_id, *items, hashlib.sha1(mu).hexdigest()[:12]]
-                    for t, (req, items, mu) in enumerate(zip(arrivals, lists.tolist(), prices), 1))
+                digests = np.fromiter((int.from_bytes(hashlib.sha1(mu).digest()[:6], "big")
+                                       for mu in prices), dtype=np.int64, count=len(arrivals))
+                decisions.append((n, arrivals, lists, digests))
             interval_ndcg = metrics.ndcg_at_k(scored[at[:, None], lists], scored_ideal)
             del relevances, scored, prices  # the noise block and prices die with the interval
             per_user_ndcg.extend(interval_ndcg.tolist())
@@ -212,7 +213,7 @@ def run(cfg: RunConfig) -> SimReport:
     if cfg.out_dir is not None:
         report.write(cfg.out_dir)
         _write_allocations(Path(cfg.out_dir) / "allocations.csv", allocation_rows)
-        _write_decisions(Path(cfg.out_dir) / "decisions.csv", decision_rows, k)
+        _write_decisions(Path(cfg.out_dir) / "decisions.csv", decisions, k)
     return report
 
 
@@ -225,12 +226,19 @@ def _write_allocations(path, rows):
             w.writerows([interval, p, *values] for p, values in enumerate(zip(*columns)))
 
 
-def _write_decisions(path, rows, k):
+def _write_decisions(path, decisions, k):
+    """One row per arrival; an interval's rows are formatted as they are written.
+
+    The hash column is the first 12 hex digits of the sha1 of the prices
+    that selected the list, packed in ``run`` as a 48-bit int.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["interval", "t", "user_id", *(f"item_{i}" for i in range(1, k + 1)),
                     "mu_snapshot_hash"])
-        w.writerows(rows)
+        for n, arrivals, lists, digests in decisions:
+            w.writerows([n, t, req.user_id, *items, f"{digest:012x}"] for t, (req, items, digest)
+                        in enumerate(zip(arrivals, lists.tolist(), digests.tolist()), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,9 @@ def feasible_region_ratio(plan: np.ndarray, traffic: float, list_size: int) -> f
     return max(0.0, 1.0 - float(np.asarray(plan, dtype=float).sum()) / budget)
 
 
+_JSON_FORMAT = dict(sort_keys=True, indent=2, default=np.generic.item)
+
+
 @dataclass
 class SimReport:
     """Aggregate and per-interval results of one simulation run."""
@@ -119,12 +122,15 @@ class SimReport:
 
     def to_json(self) -> str:
         """Stable-key JSON, numpy scalars as numbers; same config and seed, same bytes."""
-        return json.dumps(vars(self), sort_keys=True, indent=2, default=np.generic.item) + "\n"
+        return json.dumps(vars(self), **_JSON_FORMAT) + "\n"
 
     def write(self, directory):
+        """report.json (``to_json``'s bytes, streamed to the file) and intervals.csv."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / "report.json").write_text(self.to_json())
+        with open(directory / "report.json", "w") as fh:
+            json.dump(vars(self), fh, **_JSON_FORMAT)
+            fh.write("\n")
         with open(directory / "intervals.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["interval", "traffic", "accuracy", "vio", "esp_partial"])

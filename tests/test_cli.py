@@ -356,6 +356,28 @@ class TestSpecValidation:
         code, err = self.sweep(tmp_path, capsys, {"base": base, "grid": {"k": [1.5]}})
         assert code == 1 and "zzz" in err and "Traceback" not in err
 
+    def test_synth_list_size_other_than_k_exits_one(self, tmp_path, capsys):
+        # It used to be replaced by K silently, and the report echoed K.
+        code, err = self.run_synth(tmp_path, capsys, {**SYNTH, "list_size": 4})
+        assert code == 1 and "Traceback" not in err
+        assert "synth spec list_size 4 differs from K 5" in err
+        base = {"synth": {**SYNTH, "list_size": 7}, "K": 5}
+        code, err = self.sweep(tmp_path, capsys, {"base": base, "grid": {"k": [1.5]}})
+        assert code == 1 and "synth spec list_size 7 differs from K 5" in err
+
+    @pytest.mark.parametrize("list_size", [None, 4])
+    def test_synth_list_size_left_out_or_equal_takes_k(self, tmp_path, capsys, list_size):
+        spec = {key: value for key, value in SYNTH.items() if key != "list_size"}
+        if list_size is not None:
+            spec["list_size"] = list_size
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(spec))
+        code = main(["run", "--synth", str(path), "--K", "4", "--m", "1",
+                     "--rule", "none", "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config_echo"]["synth"]["list_size"] == report["config_echo"]["K"] == 4
+
     def test_run_flags_are_the_accepted_base_keys(self):
         import argparse
         from bankfair.cli import RUN_OPTIONS, _add_run_flags

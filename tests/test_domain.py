@@ -3,10 +3,14 @@ the relevance matrix."""
 
 import csv
 import mmap
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from test_cli_fuzz import draw_log
 
 from bankfair import domain, harness, reranker
 from bankfair.domain import (RELEVANCE_FILE, Catalog, FairnessPolicy, LogSchema, SynthConfig,
@@ -489,3 +493,216 @@ class TestRelevanceMatrix:
                     for r in requests]
         assert [len(block) for block in served] == [c for c in counts if c]
         assert np.concatenate(served).tobytes() == np.array(expected).tobytes()
+
+
+def reference_read_relevance(path):
+    """The sidecar read as one bytes copy and three full-size masks."""
+    raw = path.read_bytes()
+    if len(raw) < domain._HEADER.size:
+        raise ParseError(f"{path}: truncated relevance file")
+    magic, nu, ni, width = domain._HEADER.unpack_from(raw)
+    if magic != domain.RELEVANCE_MAGIC:
+        raise ParseError(f"{path}: bad magic {magic!r}")
+    if width not in (4, 8):
+        raise ParseError(f"{path}: unsupported element width {width}")
+    body = np.frombuffer(raw, dtype=np.float32 if width == 4 else np.float64,
+                         offset=domain._HEADER.size)
+    if body.size != nu * ni:
+        raise ParseError(f"{path}: payload size does not match header")
+    matrix = body.reshape(nu, ni).astype(np.float64)
+    bad = ~((matrix >= 0.0) & (matrix <= 1.0))
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ParseError(f"{path}: matrix row {row}, column {col}: relevance "
+                         f"{float(matrix[row, col])!r} is not in [0, 1]")
+    return matrix
+
+
+def reference_load(path, schema):
+    """Log ingestion one parsed row at a time: the reference for the columns.
+
+    Every row becomes a tuple, the catalog checks and the profile writes run
+    once per row, and every arrival gets its own request. Returns what
+    ``load_interactions`` returns, with the matrix in place of the requests'
+    views: (catalog, counts, [(user_id, row)], matrix).
+    """
+    csv_path, cat_path, rel_path = path, None, None
+    if path.is_dir():
+        csv_path = path / domain.INTERACTIONS_FILE
+        cat_path = path / domain.CATALOG_FILE if (path / domain.CATALOG_FILE).exists() else None
+        rel_path = path / RELEVANCE_FILE if (path / RELEVANCE_FILE).exists() else None
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = {name: k for k, name in enumerate(next(reader, []))}
+        if set(domain.INTERACTIONS_COLUMNS) - set(header):
+            raise ParseError(f"{csv_path}: header must contain "
+                             f"{','.join(domain.INTERACTIONS_COLUMNS)}")
+        columns = [header[name] for name in domain.INTERACTIONS_COLUMNS]
+        rows = [domain._parse_row(row, columns, lineno)
+                for lineno, row in enumerate(filter(None, reader), start=2)]
+    if not rows:
+        raise ParseError(f"{csv_path}: no requests")
+    if cat_path is not None:
+        catalog_provider = {}
+        with open(cat_path, newline="") as fh:
+            for lineno, row in enumerate(csv.DictReader(fh), start=2):
+                try:
+                    iid, provider = row["item_id"], int(row["provider_id"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ParseError(f"{cat_path} row {lineno}: {exc}") from None
+                if iid in catalog_provider:
+                    raise ParseError(f"{cat_path} row {lineno}: duplicate item id {iid!r}")
+                catalog_provider[iid] = provider
+        for lineno, (_, iid, pid, _, _) in enumerate(rows, start=2):
+            if iid not in catalog_provider:
+                raise ParseError(f"row {lineno}: item {iid!r} is not in {cat_path}")
+            try:
+                consistent = int(pid) == catalog_provider[iid]
+            except ValueError:
+                consistent = False
+            if not consistent:
+                raise ConsistencyError(f"row {lineno}: item {iid!r} has provider {pid!r}, "
+                                       f"{cat_path} says {catalog_provider[iid]}")
+        item_index = {iid: k for k, iid in enumerate(catalog_provider)}
+        _, item_provider = np.unique(np.asarray(list(catalog_provider.values()), dtype=np.int64),
+                                     return_inverse=True)
+    else:
+        item_index, provider_index, item_provider = {}, {}, []
+        for lineno, (_, iid, pid, _, _) in enumerate(rows, start=2):
+            p = provider_index.setdefault(pid, len(provider_index))
+            if iid in item_index:
+                if item_provider[item_index[iid]] != p:
+                    raise ConsistencyError(f"row {lineno}: item {iid!r} listed under two providers")
+            else:
+                item_index[iid] = len(item_provider)
+                item_provider.append(p)
+    catalog = Catalog(np.asarray(item_provider, dtype=np.int64))
+    user_order = {}
+    for uid, *_ in rows:
+        user_order.setdefault(uid, len(user_order))
+    if rel_path is not None:
+        matrix = reference_read_relevance(rel_path)
+        if matrix.shape != (len(user_order), catalog.num_items):
+            raise ParseError(f"{rel_path}: matrix shape {matrix.shape} does not match "
+                             f"{len(user_order)} users x {catalog.num_items} items")
+    else:
+        matrix = np.zeros((len(user_order), catalog.num_items))
+        for uid, iid, _, _, score in rows:
+            matrix[user_order[uid], item_index[iid]] = score
+    order, counts = domain._group_by_interval([r[3] for r in rows], schema.interval_seconds)
+    arrivals = [(rows[k][0], user_order[rows[k][0]]) for k in order.tolist()]
+    return catalog, counts, arrivals, matrix
+
+
+def load_outcome(load, path, schema):
+    """What a loader returns, as comparable values, or its error's type and message."""
+    try:
+        catalog, counts, arrivals, matrix = load(path, schema)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (catalog.item_provider.tolist(), catalog.num_providers, counts.tolist(),
+            arrivals, matrix.shape, matrix.tobytes())
+
+
+def columnar_load(path, schema):
+    catalog, counts, requests = load_interactions(path, schema)
+    matrix = domain.instance_matrix(requests)
+    return catalog, counts, [(r.user_id, r.row) for r in requests], matrix
+
+
+def draw_replay_log(data, directory):
+    """``draw_log``'s files plus a few rows that may list an item under another
+    provider or name an item the catalog lacks."""
+    draw_log(data, directory)
+    path = directory / domain.INTERACTIONS_FILE
+    lines = path.read_text().splitlines()
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]), "extra rows")):
+        row = {"user_id": f"u{data.draw(st.integers(0, 5))}",
+               "item_id": f"i{data.draw(st.integers(0, 9))}",
+               "provider_id": str(data.draw(st.integers(0, 3))),
+               "timestamp": str(data.draw(st.integers(0, 4 * 3600))), "score": "0.5"}
+        lines.insert(data.draw(st.integers(1, len(lines))),
+                     ",".join(row[name] for name in lines[0].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestColumnarIngestion:
+    """The typed-column loader against the row-wise reference."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_wise_reference(self, data):
+        schema = LogSchema(interval_seconds=data.draw(st.sampled_from([3600.0, 7.3, 86400.0])))
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            draw_replay_log(data, directory)
+            path = directory
+            if data.draw(st.booleans(), "the csv file alone"):
+                path = directory / domain.INTERACTIONS_FILE
+            want = load_outcome(reference_load, path, schema)
+            assert load_outcome(columnar_load, path, schema) == want
+
+    CATALOG = "item_id,provider_id\na,0\nb,0\nc,1\n"
+
+    @pytest.mark.parametrize("catalog,rows", [
+        # An unknown item, then a malformed row: the malformed row wins.
+        (True, ["u1,zz,0,1,0.5", "u2,a,0,2,0.5", "u3,b,0,x,0.5"]),
+        # An item that changes provider, after repeats of its first pair.
+        (True, ["u1,a,0,1,0.5", "u1,a,0,2,0.6", "u2,c,1,3,0.5", "u2,a,1,4,0.5"]),
+        (False, ["u1,a,0,1,0.5", "u1,a,0,2,0.6", "u2,c,1,3,0.5", "u2,a,1,4,0.5"]),
+        # The same provider spelled two ways is one provider in the catalog.
+        (True, ["u1,c,1,1,0.5", "u2,c,01,2,0.5", "u2,a,x,3,0.5"]),
+        # Blank lines do not count as rows, before and between the rows.
+        (True, ["", "u1,b,0,1,0.5", "", "", "u2,zz,0,2,0.5"]),
+        (False, ["", "u1,a,0,5,0.5", "", "u2,b,0,1,0.25", "", "u1,a,0,3,0.75", ""]),
+    ])
+    def test_pinned_cases_match_reference(self, tmp_path, catalog, rows):
+        if catalog:
+            (tmp_path / domain.CATALOG_FILE).write_text(self.CATALOG)
+        (tmp_path / domain.INTERACTIONS_FILE).write_text(
+            "user_id,item_id,provider_id,timestamp,score\n" + "".join(f"{r}\n" for r in rows))
+        schema = LogSchema(interval_seconds=2.0)
+        want = load_outcome(reference_load, tmp_path, schema)
+        assert load_outcome(columnar_load, tmp_path, schema) == want
+
+    def test_pinned_messages(self, tmp_path):
+        (tmp_path / domain.CATALOG_FILE).write_text(self.CATALOG)
+        log = tmp_path / domain.INTERACTIONS_FILE
+        header = "user_id,item_id,provider_id,timestamp,score\n"
+        log.write_text(header + "u1,zz,0,1,0.5\nu2,a,0,2,0.5\nu3,b,0,x,0.5\n")
+        with pytest.raises(ParseError, match=r"^row 4: malformed record"):
+            load_interactions(tmp_path)
+        log.write_text(header + "u1,a,0,1,0.5\n\nu1,a,0,2,0.6\nu2,a,1,4,0.5\n")
+        with pytest.raises(ConsistencyError, match=r"^row 4: item 'a' has provider '1'"):
+            load_interactions(tmp_path)
+
+    def test_one_request_per_user(self, tmp_path):
+        (tmp_path / domain.INTERACTIONS_FILE).write_text(
+            "user_id,item_id,provider_id,timestamp,score\n"
+            "u1,a,0,1,0.5\nu2,b,0,2,0.5\nu1,b,0,3,0.5\nu1,a,0,4,0.5\n")
+        _, _, requests = load_interactions(tmp_path)
+        assert [r.user_id for r in requests] == ["u1", "u2", "u1", "u1"]
+        assert requests[0] is requests[2] is requests[3]
+        with pytest.raises(AttributeError):
+            requests[0].row = 1
+
+    def test_width_four_sidecar_reads_as_float64(self, tmp_path):
+        (tmp_path / domain.INTERACTIONS_FILE).write_text(
+            "user_id,item_id,provider_id,timestamp,score\nu1,a,0,1,0.5\nu2,b,0,2,0.5\n")
+        values = np.array([[0.1, 0.7], [1.0, 0.0]], dtype=np.float32)
+        (tmp_path / RELEVANCE_FILE).write_bytes(
+            domain._HEADER.pack(domain.RELEVANCE_MAGIC, 2, 2, 4) + values.tobytes())
+        _, _, requests = load_interactions(tmp_path)
+        matrix = domain.instance_matrix(requests)
+        assert matrix.dtype == np.float64
+        assert matrix.tobytes() == values.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("cut", [1, 8])
+    def test_sidecar_payload_size_checked(self, tmp_path, cut):
+        (tmp_path / domain.INTERACTIONS_FILE).write_text(
+            "user_id,item_id,provider_id,timestamp,score\nu1,a,0,1,0.5\n")
+        _write_relevance_matrix(tmp_path / RELEVANCE_FILE, np.full((1, 1), 0.5))
+        sidecar = tmp_path / RELEVANCE_FILE
+        sidecar.write_bytes(sidecar.read_bytes()[:-cut])
+        with pytest.raises(ParseError, match="payload size does not match header"):
+            load_interactions(tmp_path)
