@@ -13,9 +13,10 @@ runs from its ``interactions.csv`` alone, with items and providers numbered
 in order of first appearance (``replay_log/seed<N>/bare``), and from a copy
 of its log directory with a ``relevance.bin`` of the loaded matrix
 (``replay_log/seed<N>/sidecar``), so that every ingestion path is
-hashed. Inputs and outputs go
-under ``DIR``, and one line per output file gives the run, the file and its
-sha256. Run it in two checkouts, each with its own ``DIR``, and diff the two
+hashed. ``benchmark_config`` also runs under talmud and prop at the first of
+``--config-seeds`` with explicit traffic that leaves some intervals empty
+(``empty_intervals/<rule>/seed<N>``). Inputs and outputs go under ``DIR``,
+and one line per output file gives the run, the file and its sha256. Run it in two checkouts, each with its own ``DIR``, and diff the two
 listings to check that a change leaves every output byte-identical, or save
 one checkout's listing and pass it to the other as ``--against LISTING``:
 the script then exits 1 after naming, on stderr, every run and file whose
@@ -46,6 +47,9 @@ from bankfair.harness import run  # noqa: E402
 
 FILES = ("report.json", "decisions.csv", "allocations.csv", "intervals.csv")
 RULES = ("talmud", "naive", "prop", "none")
+# benchmark_config's 14 intervals with some left empty. The last is busy, so
+# every floor still has traffic to claim.
+GAPPED_TRAFFIC = [100, 0, 0, 150, 80, 0, 120, 0, 90, 110, 0, 0, 130, 140]
 
 
 def workload_config(name, seed):
@@ -90,6 +94,12 @@ def runs(seeds, config_seeds):
     _write_relevance_matrix(sidecar / RELEVANCE_FILE, instance_matrix(requests))
     yield (f"replay_log/seed{seeds[0]}/sidecar",
            replace(cfg, data_path=str(sidecar), out_dir=str(directory / "sidecar")))
+    # Intervals without arrivals, which no run above has.
+    for rule in ("talmud", "prop"):
+        cfg = benchmark_config(rule, config_seeds[0])
+        name = f"empty_intervals/{rule}/seed{config_seeds[0]}"
+        synth = replace(cfg.synth, traffic=GAPPED_TRAFFIC)
+        yield name, replace(cfg, synth=synth, tau=None, out_dir=name)
 
 
 def main(argv=None) -> int:

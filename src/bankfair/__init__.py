@@ -7,7 +7,7 @@ ESP and diagnostics), `harness` (the end-to-end driver and sweeps), and
 `acceptance` (the built-in verification suite behind `bankfair verify`).
 """
 
-from .bankruptcy import plan_interval, predict_demands, talmud, update_remaining
+from .bankruptcy import plan_interval, predict_demands, talmud
 from .domain import (Catalog, FairnessPolicy, LogSchema, SynthConfig, UserRequest,
                      load_interactions, resample_traffic, save_instance, synth_instance)
 from .errors import (BankfairError, ConfigError, ConsistencyError,
@@ -29,5 +29,5 @@ __all__ = [
     "feasible_region_ratio", "forecast_traffic", "load_interactions",
     "ndcg_at_k", "plan_interval", "predict_demands", "resample_traffic", "run",
     "run_interval", "save_instance", "select_list", "sweep", "synth_instance",
-    "talmud", "top_k", "update_remaining", "vio_at_k",
+    "talmud", "top_k", "vio_at_k",
 ]

@@ -79,17 +79,6 @@ def talmud(claims: np.ndarray,
     return awards, float(theta) if theta.ndim == 0 else theta
 
 
-def update_remaining(prev_remaining: np.ndarray, earned_last: np.ndarray) -> np.ndarray:
-    """Remaining requirement after an interval: [previous - earned]_+ ."""
-    prev = np.asarray(prev_remaining, dtype=float)
-    earned = np.asarray(earned_last, dtype=float)
-    if (prev < 0).any() or (earned < 0).any():
-        logger.warning("negative remaining/earned values clamped to zero")
-        prev = np.maximum(prev, 0.0)
-        earned = np.maximum(earned, 0.0)
-    return np.maximum(prev - earned, 0.0)
-
-
 def predict_demands(forecast: np.ndarray, alpha: float, list_size: int) -> np.ndarray:
     """Per-interval exposure claims: alpha * K * predicted traffic."""
     if alpha <= 0:

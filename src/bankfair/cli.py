@@ -88,24 +88,19 @@ def config_from_options(opts: dict) -> harness.RunConfig:
     for key, flag in RUN_FLAGS.items():
         if "type" in flag and not (opts[key] is None and flag["default"] is None):
             check(f"run option {key!r}", opts[key], INT if flag["type"] is int else NUMBER)
+    k = opts["K"]
     synth_spec = opts.get("synth")
     synth = None
     if synth_spec is not None:
         if isinstance(synth_spec, (str, Path)):
             synth_spec = json.loads(Path(synth_spec).read_text())
-        try:
-            synth = SynthConfig(**synth_spec)
+        try:  # a spec without list_size takes K; RunConfig refuses any other
+            synth = SynthConfig(**{"list_size": k, **synth_spec})
         except TypeError as exc:  # not an object, an unknown key or a missing one
             raise ConfigError(f"synth spec: {exc}") from None
 
-    k = opts["K"]
     num_providers = synth.num_providers if synth is not None else 1
     policy = FairnessPolicy.uniform(opts["m"], num_providers, opts["phi"], k)
-    if synth is not None:
-        if "list_size" in synth_spec and synth.list_size != k:
-            raise ConfigError(f"synth spec list_size {synth.list_size!r} differs from "
-                              f"K {k!r}; leave list_size out or make them equal")
-        synth.list_size = k  # a spec without list_size takes K
 
     forecaster, params = parse_forecaster(str(opts["forecaster"]))
     rerank = RerankConfig(

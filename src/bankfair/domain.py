@@ -103,10 +103,6 @@ class Catalog:
         """Items per provider; sums to num_items."""
         return self._inventory
 
-    def exposure_of(self, items: np.ndarray) -> np.ndarray:
-        """Per-provider exposure counts of a list of item ids."""
-        return np.bincount(self.item_provider[np.asarray(items)], minlength=self.num_providers)
-
 
 @dataclass(frozen=True)
 class FairnessPolicy:
@@ -178,7 +174,7 @@ class SynthConfig:
     num_intervals: int
     mean_traffic: float = 50.0
     traffic: Sequence[int] | None = None
-    list_size: int = 10  # read by nothing; report.json echoes it, the CLI checks it is K
+    list_size: int = 10  # read by nothing; report.json echoes it, RunConfig checks it is K
     relevance_low: float = 0.0
     relevance_high: float = 1.0
     provider_weights: Sequence[float] | None = None
@@ -389,7 +385,9 @@ def save_instance(directory, catalog: Catalog, counts: np.ndarray,
             w.writerow([req.user_id, top, int(catalog.item_provider[top]),
                         repr(float(ts)), repr(float(req.relevance[top]))])
 
-    _write_relevance_matrix(directory / RELEVANCE_FILE, np.asarray(matrix_rows))
+    # With no requests the matrix is (0 x items), and loading it is a ParseError.
+    _write_relevance_matrix(directory / RELEVANCE_FILE,
+                            np.asarray(matrix_rows).reshape(len(matrix_rows), catalog.num_items))
 
 
 def _parse_row(row: list[str], columns: Sequence[int], lineno: int):

@@ -47,6 +47,10 @@ class RunConfig:
             raise ConfigError(f"unknown allocation rule {self.rule!r}")
         if self.rerank.list_size != self.policy.list_size:
             raise ConfigError("re-ranker and policy disagree on the list size")
+        if self.synth is not None and self.synth.list_size != self.policy.list_size:
+            raise ConfigError(f"synth spec list_size {self.synth.list_size!r} differs from "
+                              f"K {self.policy.list_size!r}; leave list_size out or make "
+                              "them equal")
         check("data_path", self.data_path, either(None, PATH))
         check("tau", self.tau, either(None, POSITIVE))
         check("relevance_noise", self.relevance_noise, NONNEGATIVE)
@@ -78,24 +82,14 @@ class RunConfig:
         }
 
 
-def _load_instance(cfg: RunConfig, seed: int):
-    if cfg.synth is not None:
-        return synth_instance(cfg.synth, seed)
-    return load_interactions(cfg.data_path, cfg.schema)
-
-
-def _alpha_for(cfg: RunConfig, m: np.ndarray, k: int, traffic_total: float) -> float:
-    total = max(float(traffic_total), 1.0)
-    return cfg.rerank.alpha_k * float(m.sum()) / (m.size * k * total)
-
-
 def run(cfg: RunConfig) -> SimReport:
     """Simulate the full horizon and score it.
 
     Per interval: forecast the remaining traffic from realized history, scale
-    it into claims, refresh the remaining requirement, plan the interval's
-    floors under the configured rule, then serve arrivals online. rule="none"
-    is the unconstrained baseline: zero floors and frozen dual prices.
+    it into claims, take each provider's floor less its cumulative exposure
+    (at least 0) as the estate, plan the interval's floors under the
+    configured rule, then serve arrivals online. rule="none" is the
+    unconstrained baseline: zero floors and frozen dual prices.
 
     Only list selection and the dual step run once per arrival. Each
     interval's lists are scored as one block: their gains are gathered from
@@ -107,7 +101,10 @@ def run(cfg: RunConfig) -> SimReport:
     # reproducible for a fixed run seed.
     instance_seed, resample_seed, deal_seed, noise_seed = (
         s.generate_state(1)[0] for s in np.random.SeedSequence(cfg.seed).spawn(4))
-    catalog, counts, requests = _load_instance(cfg, instance_seed)
+    if cfg.synth is not None:
+        catalog, counts, requests = synth_instance(cfg.synth, instance_seed)
+    else:
+        catalog, counts, requests = load_interactions(cfg.data_path, cfg.schema)
     m = cfg.policy.required_min_exposure
     if m.size == 1 and catalog.num_providers > 1:
         m = np.full(catalog.num_providers, float(m[0]))  # scalar floor broadcast
@@ -128,7 +125,6 @@ def run(cfg: RunConfig) -> SimReport:
     ideal = None  # per matrix row, computed when the first arrival is scored
     noise_rng = np.random.default_rng(noise_seed)
     realized = counts.astype(float)
-    remaining = m.astype(float).copy()
     cumulative = np.zeros(catalog.num_providers, dtype=np.int64)
 
     per_user_ndcg: list[float] = []
@@ -147,13 +143,14 @@ def run(cfg: RunConfig) -> SimReport:
             future=realized[n - 1:] if cfg.forecaster == "oracle" else None)
         rhat = fc.horizon_values
         rhat_n = max(float(rhat[0]), 1.0)
+        remaining = np.maximum(m - cumulative, 0.0)
 
         if cfg.rule == "none" or float(m.sum()) == 0.0:
             audit = bankruptcy.plan_interval("none", remaining, np.zeros_like(rhat),
                                              rhat, interval=n)
         else:
-            traffic_total = float(realized[: n - 1].sum() + rhat.sum())
-            alpha = _alpha_for(cfg, m, k, traffic_total)
+            traffic_total = max(float(realized[: n - 1].sum() + rhat.sum()), 1.0)
+            alpha = cfg.rerank.alpha_k * float(m.sum()) / (m.size * k * traffic_total)
             claims = bankruptcy.predict_demands(rhat, alpha, k)
             audit = bankruptcy.plan_interval(cfg.rule, remaining, claims, rhat, interval=n)
         allocation_rows.append((n, audit))
@@ -190,12 +187,9 @@ def run(cfg: RunConfig) -> SimReport:
             per_interval_acc.append(float(np.mean(interval_ndcg)))
             per_interval_vio.append(metrics.vio_at_k(interval_ndcg, cfg.policy.required_min_accuracy))
         else:
-            earned = np.zeros(catalog.num_providers, dtype=np.int64)
             per_interval_acc.append(1.0)
             per_interval_vio.append(0.0)
         per_interval_esp.append(metrics.esp_at_k(cumulative, m))
-
-        remaining = bankruptcy.update_remaining(remaining, earned)
 
     report = SimReport(
         ndcg_at_k=float(np.mean(per_user_ndcg)) if per_user_ndcg else 1.0,

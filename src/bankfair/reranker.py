@@ -141,10 +141,10 @@ def run_interval(relevances: Sequence[np.ndarray], floor: np.ndarray, cfg: Reran
     ``relevances`` holds one dense relevance vector per arrival, in order.
 
     Dual prices start at zero and stay in mu >= -lambda, lambda being the
-    penalties of ``compute_penalties``. After each list the earned exposure
-    and the unearned remainder ``beta`` are updated, then ``dual_step`` runs
-    against the conjugate maximizer for the remainder ``max(beta, 0)``, so
-    pressure on a provider fades once its floor is met.
+    penalties of ``compute_penalties``. After each list its exposure is added
+    to ``earned``, then ``dual_step`` runs against the conjugate maximizer
+    for the unearned remainder ``max(floor - earned, 0)``, so pressure on a
+    provider fades once its floor is met.
 
     Returns (lists, earned, prices): ``lists`` is an int64 array of shape
     (len(relevances), K) whose row t holds arrival t's K distinct item ids in
@@ -162,15 +162,14 @@ def run_interval(relevances: Sequence[np.ndarray], floor: np.ndarray, cfg: Reran
     eta = cfg.step_size(rhat_n)
     mu = np.zeros_like(lam)
 
-    beta = np.array(floor, dtype=float)
+    earned = np.zeros(catalog.num_providers, dtype=np.int64)
     lists = np.empty((len(relevances), k), dtype=np.int64)
     prices = np.empty((len(relevances), catalog.num_providers))
     for t, relevance in enumerate(relevances):
         items = select_list(relevance, mu, catalog.item_provider, rhat_n, k)
-        exposure = catalog.exposure_of(items)
-        beta -= exposure
-        e_star = conjugate_argmax(mu, gamma, np.maximum(beta, 0.0))
+        exposure = np.bincount(catalog.item_provider[items], minlength=catalog.num_providers)
+        earned += exposure
+        e_star = conjugate_argmax(mu, gamma, np.maximum(floor - earned, 0.0))
         lists[t], prices[t] = items, mu
         mu = dual_step(mu, eta, lam, exposure, e_star)
-    earned = np.bincount(catalog.item_provider[lists.ravel()], minlength=catalog.num_providers)
     return lists, earned, prices

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bankfair.bankruptcy import (AUDIT_COLUMNS, plan_interval, predict_demands, talmud,
-                                 update_remaining)
+from bankfair.bankruptcy import AUDIT_COLUMNS, plan_interval, predict_demands, talmud
 from bankfair.errors import ConfigError, InfeasibleAllocationError
 
 CLAIMS = np.array([100.0, 200.0, 300.0])
@@ -173,31 +172,6 @@ class TestTalmudProperties:
         awards, _ = talmud(claims, 400.0)
         assert abs(awards[0] - awards[1]) <= 1e-12
         assert abs(awards[0] - awards[3]) <= 1e-12
-
-
-class TestUpdateRemaining:
-    def test_plain_subtraction(self):
-        np.testing.assert_allclose(update_remaining([1000.0], [300.0]), [700.0])
-
-    def test_floor_at_zero(self):
-        np.testing.assert_allclose(update_remaining([100.0], [150.0]), [0.0])
-
-    def test_zero_earned_is_identity(self):
-        np.testing.assert_allclose(update_remaining([42.0, 7.0], [0.0, 0.0]), [42.0, 7.0])
-
-    def test_negative_inputs_clamped(self, caplog):
-        with caplog.at_level("WARNING"):
-            out = update_remaining([-5.0, 10.0], [0.0, -2.0])
-        np.testing.assert_allclose(out, [0.0, 10.0])
-        assert "clamped" in caplog.text
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=6),
-           st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_never_negative(self, prev, data):
-        earned = data.draw(st.lists(st.floats(min_value=0, max_value=1e6),
-                                    min_size=len(prev), max_size=len(prev)))
-        assert (update_remaining(prev, earned) >= 0).all()
 
 
 class TestPredictDemands:

@@ -216,6 +216,16 @@ class TestIngestionErrors:
         err = capsys.readouterr().err
         assert "catalog.csv row 3: duplicate item id 'i0'" in err and "Traceback" not in err
 
+    def test_saved_instance_without_requests_exits_one(self, tmp_path, capsys):
+        from bankfair.domain import SynthConfig, save_instance, synth_instance
+        cfg = SynthConfig(num_items=6, num_providers=2, num_intervals=1, traffic=[0])
+        save_instance(tmp_path / "data", *synth_instance(cfg, seed=0))
+        code = main(["run", "--data", str(tmp_path / "data"), "--rule", "none",
+                     "--m", "1", "--K", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "no requests" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("value", [1.5, -3.0, float("nan"), float("inf")])
     def test_bad_relevance_matrix_exits_one_naming_the_row(self, tmp_path, capsys, value):
         import numpy as np

@@ -27,10 +27,6 @@ class TestCatalog:
         np.testing.assert_array_equal(cat.inventory, [2, 1, 3])
         assert cat.inventory.sum() == cat.num_items
 
-    def test_exposure_of_counts_list_slots(self):
-        cat = Catalog(np.array([0, 0, 1, 1]))
-        np.testing.assert_array_equal(cat.exposure_of(np.array([0, 2, 3])), [1, 2])
-
     def test_rejects_empty_and_bad_indices(self):
         with pytest.raises(ConfigError):
             Catalog(np.array([], dtype=int))
@@ -323,6 +319,14 @@ class TestIngestion:
         catalog, _, requests = synth_instance(cfg, seed=5)
         with pytest.raises(ConfigError, match="counts sum to 5, but there are 3 requests"):
             save_instance(tmp_path / "inst", catalog, np.array([5]), requests)
+
+    def test_no_requests_saves_an_empty_matrix(self, tmp_path):
+        cfg = SynthConfig(num_items=6, num_providers=2, num_intervals=2, traffic=[0, 0])
+        catalog, counts, requests = synth_instance(cfg, seed=0)
+        save_instance(tmp_path / "inst", catalog, counts, requests)
+        assert domain._read_relevance_matrix(tmp_path / "inst" / RELEVANCE_FILE).shape == (0, 6)
+        with pytest.raises(ParseError, match="no requests"):
+            load_interactions(tmp_path / "inst")
 
     def test_bad_relevance_magic(self, tmp_path):
         cfg = SynthConfig(num_items=4, num_providers=2, num_intervals=1, traffic=[2])

@@ -1,5 +1,6 @@
 """End-to-end driver: interval loop wiring, determinism, sweeps."""
 
+import csv
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -11,7 +12,7 @@ from test_reranker import reference_run_interval, reference_top_k
 
 from bankfair import harness, metrics, reranker
 from bankfair.domain import (FairnessPolicy, LogSchema, SynthConfig, _write_relevance_matrix,
-                             save_instance, synth_instance)
+                             load_interactions, save_instance, synth_instance)
 from bankfair.errors import ConfigError, InfeasibleAllocationError
 from bankfair.harness import RunConfig, SweepSpec, run, sweep
 from bankfair.reranker import RerankConfig
@@ -161,6 +162,43 @@ class TestRun:
                                 "mu_snapshot_hash")
         assert len(decisions) == 1 + len(rep.per_user_ndcg)
 
+    # A synthetic run whose traffic has empty intervals, and a log replay.
+    # A fractional floor of 24.5: some providers pass it, some do not.
+    @pytest.mark.parametrize("rule", ["talmud", "prop", "naive"])
+    @pytest.mark.parametrize("make", [
+        lambda d: small_config(m=24.5, synth=replace(small_config().synth, num_intervals=5,
+                                                     traffic=[12, 0, 9, 0, 15]),
+                               rerank=RerankConfig(list_size=5, beta_mix=0.5, eta=0.05)),
+        lambda d: log_config(d, policy=FairnessPolicy.uniform(24.5, 4, phi=0.95, k=5))],
+        ids=["synth_gaps", "log"])
+    def test_estate_is_floor_minus_earlier_exposure(self, tmp_path, caplog, rule, make):
+        # Each interval's estate is the floor less the exposure that the
+        # decisions of earlier intervals gave the provider, and 0 once met.
+        cfg = replace(make(tmp_path / "data"), rule=rule, out_dir=str(tmp_path / "out"))
+        with caplog.at_level("WARNING", logger="bankfair"):
+            rep = run(cfg)
+        assert "clamping" not in caplog.text  # so talmud's estate is not cut to the claims
+        if cfg.synth is not None:
+            item_provider = np.repeat(np.arange(cfg.synth.num_providers),
+                                      cfg.synth.resolve_inventory())
+        else:
+            item_provider = load_interactions(cfg.data_path, cfg.schema)[0].item_provider
+        m, k = cfg.policy.required_min_exposure, cfg.policy.list_size
+        earned = np.zeros((len(rep.per_interval_traffic) + 1, m.size), dtype=np.int64)
+        with open(tmp_path / "out" / "decisions.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                items = [int(row[f"item_{i}"]) for i in range(1, k + 1)]
+                np.add.at(earned[int(row["interval"])], item_provider[items], 1)
+        before = np.cumsum(earned, axis=0)  # row n - 1: the exposure of intervals 1 to n - 1
+        assert before[-1].tolist() == rep.per_provider_cumulative_exposure
+        estates = []
+        with open(tmp_path / "out" / "allocations.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                n, p = int(row["interval"]), int(row["provider"])
+                estates.append(float(row["estate"]))
+                assert estates[-1] == max(m[p] - before[n - 1, p], 0.0), (n, p)
+        assert len(estates) == m.size * len(rep.per_interval_traffic)
+        assert 0.0 in estates and min(e for e in estates if e) < 24.5
 
     def test_outputs_match_reference_serve_loop(self, tmp_path, monkeypatch):
         # Relevance on a 0.05 grid makes list selection tie-heavy; the fast
@@ -301,6 +339,12 @@ class TestRunConfigValidation:
         synth = SynthConfig(num_items=10, num_providers=2, num_intervals=1)
         with pytest.raises(ConfigError):
             RunConfig(policy=FairnessPolicy.uniform(1, 2, 0.9, 10),
+                      rerank=RerankConfig(list_size=5), synth=synth)
+
+    def test_synth_list_size_other_than_k(self):
+        synth = SynthConfig(num_items=10, num_providers=2, num_intervals=1, list_size=4)
+        with pytest.raises(ConfigError, match="synth spec list_size 4 differs from K 5"):
+            RunConfig(policy=FairnessPolicy.uniform(1, 2, 0.9, 5),
                       rerank=RerankConfig(list_size=5), synth=synth)
 
     def test_unknown_rule(self):

@@ -395,11 +395,16 @@ class TestServeLoopMatchesReference:
     @pytest.mark.parametrize("seed", range(12), ids=lambda seed: f"{seed}-remaining")
     def test_bit_identical(self, seed):
         rng, catalog, k, relevances, floor, rhat_n = self.instance(seed)
-        for eta in (0.05, 0.0, float(rng.uniform(0.01, 0.3))):
-            cfg = RerankConfig(list_size=k, eta=eta, beta_mix=0.5)
-            got = run_interval(relevances, floor, cfg, catalog, rhat_n)
-            want = reference_run_interval(relevances, floor, cfg, catalog, rhat_n)
-            self.assert_same(got, want, catalog.num_items, catalog.num_providers)
+        # Fractional floors as well, up to twice a provider's mean share of
+        # the interval's K slots per arrival: some are exceeded partway.
+        share = k * len(relevances) / catalog.num_providers
+        fractional = rng.uniform(0.0, 2.0 * share, size=catalog.num_providers)
+        for floor in (floor, fractional):
+            for eta in (0.05, 0.0, float(rng.uniform(0.01, 0.3))):
+                cfg = RerankConfig(list_size=k, eta=eta, beta_mix=0.5)
+                got = run_interval(relevances, floor, cfg, catalog, rhat_n)
+                want = reference_run_interval(relevances, floor, cfg, catalog, rhat_n)
+                self.assert_same(got, want, catalog.num_items, catalog.num_providers)
 
     def test_rejects_list_longer_than_catalog(self):
         with pytest.raises(ConfigError):

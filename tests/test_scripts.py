@@ -1,6 +1,7 @@
 """What `import bankfair` loads and exports, and the example scripts."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -80,7 +81,8 @@ def test_output_hashes(tmp_path):
     runs = ["wide_catalog/seed101", "long_tail/seed101", "replay_log/seed101",
             *(f"benchmark_config/{rule}/seed0" for rule in ("talmud", "naive", "prop", "none")),
             "criterion_9", "wide_catalog/seed101/noisy", "replay_log/seed101/noisy",
-            "replay_log/seed101/bare", "replay_log/seed101/sidecar"]
+            "replay_log/seed101/bare", "replay_log/seed101/sidecar",
+            "empty_intervals/talmud/seed0", "empty_intervals/prop/seed0"]
     files = ["report.json", "decisions.csv", "allocations.csv", "intervals.csv"]
     assert [(name, file) for name, file, _ in lines] == [(r, f) for r in runs for f in files]
     assert all(len(digest) == 64 for _, _, digest in lines)
@@ -88,6 +90,8 @@ def test_output_hashes(tmp_path):
     seed_dir = tmp_path / "runs" / ".bench_out" / "replay_log" / "seed101"
     assert '"relevance_noise": 0.05' in (seed_dir / "noisy" / "report.json").read_text()
     assert (seed_dir / "sidecar_log" / "relevance.bin").is_file()
+    gapped = tmp_path / "runs" / "empty_intervals" / "prop" / "seed0" / "report.json"
+    assert 0 in json.loads(gapped.read_text())["per_interval_traffic"]
     assert '"data_path": ".bench_out/replay_log/seed101/log/interactions.csv"' in (
         seed_dir / "bare" / "report.json").read_text()
     # The same matrix from the sidecar as from the logged scores: same lists.
@@ -101,7 +105,7 @@ def test_output_hashes(tmp_path):
                    "--out", tmp_path / "again", "--against", listing)
     assert again.returncode == 0, again.stderr
     assert again.stdout == out.stdout
-    assert again.stderr == f"0 of 48 files differ from {listing}\n"
+    assert again.stderr == f"0 of 56 files differ from {listing}\n"
 
     tampered = [" ".join(fields) for fields in lines]
     tampered[1] = tampered[1][:-1] + ("0" if tampered[1][-1] != "0" else "1")
@@ -116,4 +120,4 @@ def test_output_hashes(tmp_path):
         "wide_catalog/seed101 decisions.csv: sha256 differs",
         "long_tail/seed101 allocations.csv: not in the listing",
         "extra/seed1 report.json: missing",
-        f"3 of 49 files differ from {listing}"]
+        f"3 of 57 files differ from {listing}"]
