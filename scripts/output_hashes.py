@@ -15,8 +15,10 @@ of its log directory with a ``relevance.bin`` of the loaded matrix
 (``replay_log/seed<N>/sidecar``), so that every ingestion path is
 hashed. ``benchmark_config`` also runs under talmud and prop at the first of
 ``--config-seeds`` with explicit traffic that leaves some intervals empty
-(``empty_intervals/<rule>/seed<N>``). Inputs and outputs go under ``DIR``,
-and one line per output file gives the run, the file and its sha256. Run it in two checkouts, each with its own ``DIR``, and diff the two
+(``empty_intervals/<rule>/seed<N>``), and under talmud at that seed with
+every floor zero (``zero_floors/talmud/seed<N>``). Inputs and outputs go
+under ``DIR``, and one line per output file gives the run, the file and its
+sha256. Run it in two checkouts, each with its own ``DIR``, and diff the two
 listings to check that a change leaves every output byte-identical, or save
 one checkout's listing and pass it to the other as ``--against LISTING``:
 the script then exits 1 after naming, on stderr, every run and file whose
@@ -100,6 +102,12 @@ def runs(seeds, config_seeds):
         name = f"empty_intervals/{rule}/seed{config_seeds[0]}"
         synth = replace(cfg.synth, traffic=GAPPED_TRAFFIC)
         yield name, replace(cfg, synth=synth, tau=None, out_dir=name)
+    # Zero floors, which no run above has: talmud divides zero estates over
+    # zero claims.
+    cfg = benchmark_config("talmud", config_seeds[0])
+    name = f"zero_floors/talmud/seed{config_seeds[0]}"
+    policy = replace(cfg.policy, required_min_exposure=0.0 * cfg.policy.required_min_exposure)
+    yield name, replace(cfg, policy=policy, out_dir=name)
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,7 @@ ESP and diagnostics), `harness` (the end-to-end driver and sweeps), and
 `acceptance` (the built-in verification suite behind `bankfair verify`).
 """
 
-from .bankruptcy import plan_interval, predict_demands, talmud
+from .bankruptcy import plan_interval, talmud
 from .domain import (Catalog, FairnessPolicy, LogSchema, SynthConfig, UserRequest,
                      load_interactions, resample_traffic, save_instance, synth_instance)
 from .errors import (BankfairError, ConfigError, ConsistencyError,
@@ -27,7 +27,7 @@ __all__ = [
     "SynthConfig", "UserRequest", "compute_caps", "compute_penalties",
     "conjugate_argmax", "conjugate_value", "dual_step", "esp_at_k",
     "feasible_region_ratio", "forecast_traffic", "load_interactions",
-    "ndcg_at_k", "plan_interval", "predict_demands", "resample_traffic", "run",
+    "ndcg_at_k", "plan_interval", "resample_traffic", "run",
     "run_interval", "save_instance", "select_list", "sweep", "synth_instance",
     "talmud", "top_k", "vio_at_k",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import harness, metrics, reranker
 from .bankruptcy import talmud
-from .domain import Catalog, FairnessPolicy, SynthConfig, synth_instance
+from .domain import Catalog, FairnessPolicy, SynthConfig, instance_matrix, synth_instance
 from .reranker import RerankConfig
 
 
@@ -124,8 +124,8 @@ def toy_exposure_run(n_users: int, eta: float = 0.12):
     """Serve the toy instance with a floor of 4 on provider 1 (index 0)."""
     catalog, relevance = _two_provider_toy()
     cfg = RerankConfig(list_size=5, alpha_k=1.5, beta_mix=0.5, eta=eta)
-    lists, earned, _ = reranker.run_interval([relevance] * n_users, np.array([4.0, 0.0]), cfg,
-                                             catalog, float(n_users))
+    lists, earned, _ = reranker.run_interval(relevance[None], np.zeros(n_users, dtype=np.int64),
+                                             np.array([4.0, 0.0]), cfg, catalog, float(n_users))
     ndcgs = metrics.ndcg_at_k(relevance[lists], metrics.top_k_dcg(relevance[None], 5))
     return earned, float(np.mean(ndcgs))
 
@@ -238,8 +238,9 @@ def binding_plan_loss(traffic: int, seed: int, plan_vec: np.ndarray,
     # traffic.
     eta = 0.08 / float(traffic) ** 2
     rcfg = RerankConfig(list_size=k, eta=eta)
-    relevance = np.array([r.relevance for r in requests]).reshape(traffic, num_items)
-    lists, _, _ = reranker.run_interval(relevance, plan_vec, rcfg, catalog, float(traffic))
+    relevance = instance_matrix(requests)  # one row per arrival, in order
+    lists, _, _ = reranker.run_interval(relevance, np.arange(traffic), plan_vec, rcfg, catalog,
+                                        float(traffic))
     ndcgs = metrics.ndcg_at_k(np.take_along_axis(relevance, lists, axis=1),
                               metrics.top_k_dcg(relevance, k))
     return 1.0 - float(np.mean(ndcgs))

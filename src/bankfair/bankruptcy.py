@@ -79,16 +79,6 @@ def talmud(claims: np.ndarray,
     return awards, float(theta) if theta.ndim == 0 else theta
 
 
-def predict_demands(forecast: np.ndarray, alpha: float, list_size: int) -> np.ndarray:
-    """Per-interval exposure claims: alpha * K * predicted traffic."""
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
-    fc = np.asarray(forecast, dtype=float)
-    if (fc < 0).any():
-        raise ConfigError("forecast traffic must be nonnegative")
-    return alpha * list_size * fc
-
-
 def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
                   forecast: np.ndarray, interval: int = 0) -> dict[str, np.ndarray]:
     """The current interval's audit under the chosen rule.
@@ -99,7 +89,10 @@ def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
     intervals and keep the first slice. naive: half the remaining requirement
     when this interval's forecast is at or above the mean of the coming
     forecasts, else nothing. prop: the current interval's share of the coming
-    forecast traffic. none: no floor.
+    forecast traffic. none: no floor. Only talmud reads ``claims``; it clamps
+    each estate to their total, and an estate above the total by more than
+    the slack ``talmud`` accepts is logged, or, against zero total claims,
+    an InfeasibleAllocationError.
 
     Returns a dict mapping each of AUDIT_COLUMNS to a per-provider array:
     the estate divided, this interval's claim, the award, which is the
@@ -118,7 +111,8 @@ def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
         plan = np.zeros(nprov)
     elif rule == "talmud":
         total_claims = float(claims.sum())
-        for p in np.flatnonzero(remaining > total_claims):
+        # Beyond the slack talmud accepts: within it the clamp only rounds.
+        for p in np.flatnonzero(remaining > total_claims * (1 + _REL_TOL) + _REL_TOL):
             if total_claims <= 0:
                 raise InfeasibleAllocationError(
                     f"provider {p}: remaining requirement {remaining[p]} but zero total claims",

@@ -72,27 +72,31 @@ def _relevance_matrix(num_users: int, num_items: int) -> np.ndarray:
 class Catalog:
     """Immutable item universe: the provider owning each item.
 
-    ``item_provider[i]`` is the provider index of item ``i``; every item
-    belongs to exactly one provider by construction.
+    ``item_provider[i]`` is the provider index of item ``i``. Providers are
+    numbered from 0 and each owns at least one item, so there are never more
+    providers than items.
     """
 
     item_provider: np.ndarray
-    num_providers: int = 0  # inferred from item_provider when left at 0
 
     def __post_init__(self):
         ip = np.asarray(self.item_provider, dtype=np.int64)
         if ip.ndim != 1 or ip.size == 0:
             raise ConfigError("catalog needs a 1-d, nonempty item->provider map")
-        inferred = int(ip.max()) + 1
-        nprov = self.num_providers or inferred
-        if nprov < inferred or ip.min() < 0:
+        if ip.min() < 0:
             raise ConfigError("provider index out of range")
-        if nprov < 1 or ip.size < nprov:
-            raise ConfigError("need at least one provider and num_items >= num_providers")
+        # Clipped at the item count, a stray huge index cannot size the
+        # count; an index that high leaves some lower provider without items.
+        inv = np.bincount(np.minimum(ip, ip.size))
+        idle = np.flatnonzero(inv == 0)
+        if idle.size:
+            raise ConfigError(f"provider {idle[0]} owns no item")
         object.__setattr__(self, "item_provider", _readonly(ip))
-        object.__setattr__(self, "num_providers", nprov)
-        inv = np.bincount(ip, minlength=nprov)
         object.__setattr__(self, "_inventory", _readonly(inv))
+
+    @property
+    def num_providers(self) -> int:
+        return int(self._inventory.size)
 
     @property
     def num_items(self) -> int:
@@ -215,7 +219,7 @@ def synth_instance(cfg: SynthConfig, seed: int):
 
     inv = cfg.resolve_inventory()
     item_provider = np.repeat(np.arange(cfg.num_providers), inv)
-    catalog = Catalog(item_provider, cfg.num_providers)
+    catalog = Catalog(item_provider)
 
     if cfg.traffic is not None:
         counts = np.asarray(cfg.traffic, dtype=np.int64)

@@ -122,7 +122,8 @@ def run(cfg: RunConfig) -> SimReport:
     horizon = counts.size
     bounds = [0, *np.cumsum(counts).tolist()]  # interval n is requests[bounds[n-1]:bounds[n]]
     matrix = instance_matrix(requests) if requests else None
-    ideal = None  # per matrix row, computed when the first arrival is scored
+    # A noiseless run scores against one ideal DCG per matrix row.
+    ideal = metrics.top_k_dcg(matrix, k) if requests and cfg.relevance_noise == 0 else None
     noise_rng = np.random.default_rng(noise_seed)
     realized = counts.astype(float)
     cumulative = np.zeros(catalog.num_providers, dtype=np.int64)
@@ -145,14 +146,11 @@ def run(cfg: RunConfig) -> SimReport:
         rhat_n = max(float(rhat[0]), 1.0)
         remaining = np.maximum(m - cumulative, 0.0)
 
-        if cfg.rule == "none" or float(m.sum()) == 0.0:
-            audit = bankruptcy.plan_interval("none", remaining, np.zeros_like(rhat),
-                                             rhat, interval=n)
-        else:
-            traffic_total = max(float(realized[: n - 1].sum() + rhat.sum()), 1.0)
-            alpha = cfg.rerank.alpha_k * float(m.sum()) / (m.size * k * traffic_total)
-            claims = bankruptcy.predict_demands(rhat, alpha, k)
-            audit = bankruptcy.plan_interval(cfg.rule, remaining, claims, rhat, interval=n)
+        # Claims of alpha * K per predicted arrival; alpha_k = 1 makes them
+        # sum over the horizon to the mean floor when the forecast is exact.
+        traffic_total = max(float(realized[: n - 1].sum() + rhat.sum()), 1.0)
+        alpha = cfg.rerank.alpha_k * float(m.sum()) / (m.size * k * traffic_total)
+        audit = bankruptcy.plan_interval(cfg.rule, remaining, alpha * k * rhat, rhat, interval=n)
         allocation_rows.append((n, audit))
 
         if arrivals:
@@ -167,22 +165,19 @@ def run(cfg: RunConfig) -> SimReport:
                                           size=(len(arrivals), catalog.num_items))
                 for i, row in enumerate(at.tolist()):
                     scored[i] += matrix[row]
-                relevances = np.clip(scored, 0.0, 1.0, out=scored)
+                np.clip(scored, 0.0, 1.0, out=scored)
                 at, scored_ideal = np.arange(len(arrivals)), metrics.top_k_dcg(scored, k)
             else:
-                scored, relevances = matrix, [req.relevance for req in arrivals]
-                if ideal is None:
-                    ideal = metrics.top_k_dcg(matrix, k)
-                scored_ideal = ideal[at]
+                scored, scored_ideal = matrix, ideal[at]
             lists, earned, prices = reranker.run_interval(
-                relevances, audit["award"], rerank_cfg, catalog, rhat_n)
+                scored, at, audit["award"], rerank_cfg, catalog, rhat_n)
             cumulative = cumulative + earned
             if cfg.out_dir is not None:
                 digests = np.fromiter((int.from_bytes(hashlib.sha1(mu).digest()[:6], "big")
                                        for mu in prices), dtype=np.int64, count=len(arrivals))
                 decisions.append((n, arrivals, lists, digests))
             interval_ndcg = metrics.ndcg_at_k(scored[at[:, None], lists], scored_ideal)
-            del relevances, scored, prices  # the noise block and prices die with the interval
+            del scored, prices  # the noise block and prices die with the interval
             per_user_ndcg.extend(interval_ndcg.tolist())
             per_interval_acc.append(float(np.mean(interval_ndcg)))
             per_interval_vio.append(metrics.vio_at_k(interval_ndcg, cfg.policy.required_min_accuracy))

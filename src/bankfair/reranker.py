@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,8 +46,6 @@ def compute_penalties(catalog: Catalog, beta_mix: float) -> np.ndarray:
     """
     check("beta_mix", beta_mix, UNIT)
     inv = catalog.inventory.astype(float)
-    if (inv < 1).any():
-        raise ConfigError("every provider needs at least one item")
     return beta_mix * inv.max() / inv + (1.0 - beta_mix) / catalog.num_providers
 
 
@@ -134,11 +131,13 @@ def dual_step(mu: np.ndarray, eta: float, lam: np.ndarray, exposure: np.ndarray,
     return np.maximum(mu - eta * (e_star - exposure), -lam)
 
 
-def run_interval(relevances: Sequence[np.ndarray], floor: np.ndarray, cfg: RerankConfig,
-                 catalog: Catalog, rhat_n: float):
+def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
+                 cfg: RerankConfig, catalog: Catalog, rhat_n: float):
     """Serve one interval's arrivals in order against per-provider ``floor``.
 
-    ``relevances`` holds one dense relevance vector per arrival, in order.
+    ``relevance`` is a block of dense relevance vectors, one per row, and
+    ``rows`` holds one row index per arrival, in order: arrival t is served
+    with ``relevance[rows[t]]``.
 
     Dual prices start at zero and stay in mu >= -lambda, lambda being the
     penalties of ``compute_penalties``. After each list its exposure is added
@@ -147,10 +146,10 @@ def run_interval(relevances: Sequence[np.ndarray], floor: np.ndarray, cfg: Reran
     provider fades once its floor is met.
 
     Returns (lists, earned, prices): ``lists`` is an int64 array of shape
-    (len(relevances), K) whose row t holds arrival t's K distinct item ids in
-    rank order, ``earned`` the int64 exposure each provider earned, and
-    ``prices`` the float64 array of shape (len(relevances), num_providers)
-    whose row t holds the prices that selected list t.
+    (len(rows), K) whose row t holds arrival t's K distinct item ids in rank
+    order, ``earned`` the int64 exposure each provider earned, and ``prices``
+    the float64 array of shape (len(rows), num_providers) whose row t holds
+    the prices that selected list t.
     """
     k = cfg.list_size
     if rhat_n <= 0:
@@ -162,12 +161,13 @@ def run_interval(relevances: Sequence[np.ndarray], floor: np.ndarray, cfg: Reran
     eta = cfg.step_size(rhat_n)
     mu = np.zeros_like(lam)
 
-    earned = np.zeros(catalog.num_providers, dtype=np.int64)
-    lists = np.empty((len(relevances), k), dtype=np.int64)
-    prices = np.empty((len(relevances), catalog.num_providers))
-    for t, relevance in enumerate(relevances):
-        items = select_list(relevance, mu, catalog.item_provider, rhat_n, k)
-        exposure = np.bincount(catalog.item_provider[items], minlength=catalog.num_providers)
+    nprov = catalog.num_providers
+    earned = np.zeros(nprov, dtype=np.int64)
+    lists = np.empty((len(rows), k), dtype=np.int64)
+    prices = np.empty((len(rows), nprov))
+    for t, row in enumerate(rows):
+        items = select_list(relevance[row], mu, catalog.item_provider, rhat_n, k)
+        exposure = np.bincount(catalog.item_provider[items], minlength=nprov)
         earned += exposure
         e_star = conjugate_argmax(mu, gamma, np.maximum(floor - earned, 0.0))
         lists[t], prices[t] = items, mu

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bankfair.bankruptcy import AUDIT_COLUMNS, plan_interval, predict_demands, talmud
+from bankfair.bankruptcy import AUDIT_COLUMNS, plan_interval, talmud
 from bankfair.errors import ConfigError, InfeasibleAllocationError
 
 CLAIMS = np.array([100.0, 200.0, 300.0])
@@ -174,30 +174,6 @@ class TestTalmudProperties:
         assert abs(awards[0] - awards[3]) <= 1e-12
 
 
-class TestPredictDemands:
-    def test_unit_scale(self):
-        np.testing.assert_allclose(predict_demands([50.0, 30.0], 0.1, 10), [50.0, 30.0])
-
-    def test_feasibility_identity_at_k_one(self):
-        # With uniform floors and exact forecasts, k=1 makes the claims of one
-        # provider sum exactly to its requirement.
-        m, nprov, k = 500.0, 4, 10
-        traffic = np.array([80.0, 120.0, 60.0, 140.0])
-        alpha = 1.0 * (m * nprov) / (nprov * k * traffic.sum())
-        claims = predict_demands(traffic, alpha, k)
-        assert claims.sum() == pytest.approx(m)
-
-    def test_zero_forecast_gives_zero_claims_and_infeasible_plan(self):
-        claims = predict_demands(np.zeros(3), 0.5, 10)
-        np.testing.assert_allclose(claims, 0.0)
-        with pytest.raises(InfeasibleAllocationError):
-            plan_interval("talmud", np.array([100.0]), claims, np.zeros(3))
-
-    def test_alpha_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            predict_demands([1.0], 0.0, 10)
-
-
 class TestPlanInterval:
     def test_talmud_equal_claims(self):
         audit = plan_interval("talmud", np.array([100.0]), np.full(4, 100.0), np.full(4, 10.0))
@@ -222,6 +198,21 @@ class TestPlanInterval:
                                  np.full(2, 10.0))
         assert "clamping" in caplog.text
         assert audit["award"][0] == pytest.approx(100.0)  # full claim of interval 1
+
+    def test_estate_one_ulp_above_claims_clamped_without_warning(self, caplog):
+        # Claims summing to one ulp below the estate: talmud accepts the
+        # excess as rounding, so plan_interval clamps it without a warning.
+        claims = np.full(2, np.nextafter(2.5, 0.0))
+        assert claims.sum() == np.nextafter(5.0, 0.0)
+        with caplog.at_level("WARNING"):
+            audit = plan_interval("talmud", np.array([5.0]), claims, np.ones(2))
+        assert "clamping" not in caplog.text
+        assert audit["estate"][0] == claims.sum()
+        assert audit["award"][0] == claims[0]
+
+    def test_zero_claims_against_an_estate_is_infeasible(self):
+        with pytest.raises(InfeasibleAllocationError):
+            plan_interval("talmud", np.array([100.0]), np.zeros(3), np.zeros(3))
 
     def test_unknown_rule(self):
         with pytest.raises(ConfigError):

@@ -33,6 +33,11 @@ class TestCatalog:
         with pytest.raises(ConfigError):
             Catalog(np.array([0, -1]))
 
+    @pytest.mark.parametrize("item_provider,idle", [([0, 2], 1), ([1, 1], 0), ([0, 10**15], 1)])
+    def test_rejects_a_provider_without_items(self, item_provider, idle):
+        with pytest.raises(ConfigError, match=f"provider {idle} owns no item"):
+            Catalog(np.array(item_provider))
+
     def test_immutable_after_construction(self):
         cat = Catalog(np.array([0, 1]))
         with pytest.raises(ValueError):
@@ -486,8 +491,12 @@ class TestRelevanceMatrix:
             forecaster="oracle", seed=5, relevance_noise=0.05)
         served = []
         real = reranker.run_interval
-        monkeypatch.setattr(reranker, "run_interval",
-                            lambda rel, *a, **kw: served.append(np.array(rel)) or real(rel, *a, **kw))
+
+        def serve(block, rows, *args):
+            served.append(block[rows])
+            return real(block, rows, *args)
+
+        monkeypatch.setattr(reranker, "run_interval", serve)
         harness.run(cfg)
         instance_seed, _, _, noise_seed = (
             s.generate_state(1)[0] for s in np.random.SeedSequence(cfg.seed).spawn(4))

@@ -200,6 +200,43 @@ class TestRun:
         assert len(estates) == m.size * len(rep.per_interval_traffic)
         assert 0.0 in estates and min(e for e in estates if e) < 24.5
 
+    def test_claims_sum_to_mean_floor_at_unit_alpha(self, tmp_path):
+        # With an exact forecast and alpha_k = 1, the claims one provider
+        # meets over the horizon add up to the mean floor.
+        floors = np.array([10.0, 20.0, 30.0, 44.0])
+        cfg = small_config(policy=FairnessPolicy(floors, 0.95, 5), out_dir=str(tmp_path),
+                           rerank=RerankConfig(list_size=5, alpha_k=1.0, eta=1e-3))
+        run(cfg)
+        claims = np.zeros(floors.size)
+        with open(tmp_path / "allocations.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                claims[int(row["provider"])] += float(row["claim"])
+        np.testing.assert_allclose(claims, floors.mean(), rtol=1e-12)
+
+    @pytest.mark.parametrize("m", [0.0, -0.0], ids=["zero", "negative_zero"])
+    def test_zero_floors_plan_nothing_under_every_rule(self, tmp_path, m):
+        # talmud divides zero estates over zero claims; it, naive and prop
+        # all plan nothing and serve the same lists.
+        served = {}
+        for rule in ("talmud", "naive", "prop"):
+            out = tmp_path / rule
+            run(small_config(rule=rule, m=m, out_dir=str(out)))
+            served[rule] = [(out / name).read_bytes() for name in ("decisions.csv", "intervals.csv")]
+            with open(out / "allocations.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows and all(float(row["award"]) == 0.0 for row in rows)
+            if rule == "talmud":
+                assert {row["theta"] for row in rows} == {"0.0"}
+        assert served["talmud"] == served["naive"] == served["prop"]
+
+    def test_clamp_warnings_skip_rounding(self, caplog):
+        # Intervals 2 and 3 leave estates one ulp above the summed claims,
+        # which is rounding, not a clamp worth a warning.
+        synth = replace(small_config().synth, num_intervals=5, traffic=[12, 0, 9, 0, 15])
+        with caplog.at_level("WARNING", logger="bankfair"):
+            run(small_config(m=5.0, synth=synth))
+        assert caplog.text.count("clamping") == 2
+
     def test_outputs_match_reference_serve_loop(self, tmp_path, monkeypatch):
         # Relevance on a 0.05 grid makes list selection tie-heavy; the fast
         # serve loop and top-K kernel must write the same bytes as the
@@ -245,18 +282,18 @@ class TestRun:
         monkeypatch.setattr(reranker, "top_k",
                             lambda rel, k: ranked.append(rel) or top_k(rel, k))
 
-        def serve(relevances, *args, **kwargs):
-            lists, earned, mu = run_interval(relevances, *args, **kwargs)
-            served.append((list(relevances), lists))
+        def serve(block, rows, *args, **kwargs):
+            lists, earned, mu = run_interval(block, rows, *args, **kwargs)
+            served.append((block, rows, lists))
             return lists, earned, mu
 
         monkeypatch.setattr(reranker, "run_interval", serve)
         rep = run(replace(cfg, out_dir=str(tmp_path / "out")))
 
         oracle = []
-        for relevances, lists in served:
+        for block, rows, lists in served:
             scores = []
-            for rel, items in zip(relevances, lists):
+            for rel, items in zip(block[rows], lists):
                 num = metrics.dcg(rel[items])
                 den = metrics.dcg(rel[reference_top_k(rel, k)])
                 scores.append(1.0 if num == den == 0.0 else float(num / den))
@@ -270,9 +307,10 @@ class TestRun:
         assert [rep.per_interval_vio[n] for n in busy] == [metrics.vio_at_k(s, phi)
                                                            for s in oracle]
 
-        # top_k ran once per distinct vector served. served holds every
-        # vector, so no two of them share an id.
-        vectors = {id(rel): rel for relevances, _ in served for rel in relevances}
+        # top_k ran once per distinct vector served: a row of the instance
+        # matrix, or of one interval's noise block. served holds every
+        # block, so no two of them share an id.
+        vectors = {(id(block), row): block[row] for block, rows, _ in served for row in rows}
         assert len(ranked) == len(vectors) == (distinct or len(per_user))
         assert (sorted(rel.tobytes() for rel in ranked)
                 == sorted(rel.tobytes() for rel in vectors.values()))
@@ -300,10 +338,10 @@ class TestRun:
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed: CheckedGenerator(default_rng(seed)))
 
-        def serve(relevances, *args, **kwargs):
-            assert isinstance(relevances, np.ndarray) and relevances.ndim == 2
-            blocks.append(weakref.ref(relevances))
-            return run_interval(relevances, *args, **kwargs)
+        def serve(block, *args, **kwargs):
+            assert isinstance(block, np.ndarray) and block.ndim == 2
+            blocks.append(weakref.ref(block))
+            return run_interval(block, *args, **kwargs)
 
         monkeypatch.setattr(reranker, "run_interval", serve)
         rep = run(cfg)

@@ -190,7 +190,8 @@ class TestRunInterval:
         rng = np.random.default_rng(2)
         relevances = rng.uniform(size=(6, 8))
         cfg = RerankConfig(list_size=5, eta=0.0)
-        lists, _, prices = run_interval(relevances, np.zeros(2), cfg, TWO_PROVIDERS, rhat_n=6.0)
+        lists, _, prices = run_interval(relevances, np.arange(6), np.zeros(2), cfg, TWO_PROVIDERS,
+                                        rhat_n=6.0)
         for rel, lst in zip(relevances, lists):
             np.testing.assert_array_equal(lst, top_k(rel, 5))
         np.testing.assert_array_equal(prices, np.zeros((6, 2)))
@@ -199,7 +200,7 @@ class TestRunInterval:
         rng = np.random.default_rng(7)
         relevances = rng.uniform(size=(9, 8))
         cfg = RerankConfig(list_size=5, eta=0.12)
-        lists, earned, _ = run_interval(relevances, np.array([4.0, 0.0]),
+        lists, earned, _ = run_interval(relevances, np.arange(9), np.array([4.0, 0.0]),
                                         cfg, TWO_PROVIDERS, rhat_n=9.0)
         assert earned.dtype == np.int64 and earned.sum() == 5 * 9
         np.testing.assert_array_equal(
@@ -210,15 +211,15 @@ class TestRunInterval:
         cfg = RerankConfig(list_size=5, eta=0.12)
         floor = np.array([4.0, 0.0])
         for n_users in (3, 2):
-            _, earned, _ = run_interval([relevance] * n_users, floor, cfg, TWO_PROVIDERS,
-                                        rhat_n=float(n_users))
+            _, earned, _ = run_interval(relevance[None], np.zeros(n_users, dtype=np.int64),
+                                        floor, cfg, TWO_PROVIDERS, rhat_n=float(n_users))
             assert earned[0] >= 4
 
     def test_dual_feasibility_throughout(self):
         rng = np.random.default_rng(1)
         relevances = rng.uniform(size=(30, 8))
         cfg = RerankConfig(list_size=5, eta=0.5, beta_mix=0.7)
-        _, _, prices = run_interval(relevances, np.array([10.0, 3.0]), cfg,
+        _, _, prices = run_interval(relevances, np.arange(30), np.array([10.0, 3.0]), cfg,
                                     TWO_PROVIDERS, rhat_n=30.0)
         lam = compute_penalties(TWO_PROVIDERS, 0.7)
         assert prices.shape == (30, 2)
@@ -226,16 +227,17 @@ class TestRunInterval:
         assert (prices == -lam).any()  # the projection was active
 
     def test_no_arrivals_returns_empty_lists(self):
-        lists, earned, prices = run_interval([], np.array([4.0, 0.0]),
-                                             RerankConfig(list_size=5), TWO_PROVIDERS, 2.0)
+        lists, earned, prices = run_interval(np.ones((1, 8)), np.array([], dtype=np.int64),
+                                             np.array([4.0, 0.0]), RerankConfig(list_size=5),
+                                             TWO_PROVIDERS, 2.0)
         assert lists.shape == (0, 5) and lists.dtype == np.int64
         np.testing.assert_array_equal(earned, [0, 0])
         assert prices.shape == (0, 2) and prices.dtype == np.float64
 
     def test_requires_positive_traffic_estimate(self):
         with pytest.raises(ConfigError):
-            run_interval([], np.zeros(2), RerankConfig(list_size=5),
-                         TWO_PROVIDERS, rhat_n=0.0)
+            run_interval(np.ones((1, 8)), np.array([], dtype=np.int64), np.zeros(2),
+                         RerankConfig(list_size=5), TWO_PROVIDERS, rhat_n=0.0)
 
 
 class TestRerankConfigValidation:
@@ -265,7 +267,7 @@ def reference_top_k(relevance, k):
     return lexsort_order(relevance, relevance, k)
 
 
-def reference_run_interval(relevances, floor, cfg, catalog, rhat_n):
+def reference_run_interval(block, rows, floor, cfg, catalog, rhat_n):
     """The serve loop with one full lexsort per arrival and each step written out.
 
     It calls none of select_list, conjugate_argmax, dual_step or the top-K
@@ -279,8 +281,8 @@ def reference_run_interval(relevances, floor, cfg, catalog, rhat_n):
     beta = np.array(floor, dtype=float)
     earned = np.zeros(catalog.num_providers, dtype=np.int64)
     lists, prices = [], []
-    for relevance in relevances:
-        relevance = np.asarray(relevance, dtype=float)
+    for row in rows:
+        relevance = np.asarray(block[row], dtype=float)
         adjusted = relevance / float(rhat_n) - mu[catalog.item_provider]
         order = lexsort_order(adjusted, relevance, k)
         prices.append(mu)
@@ -291,8 +293,8 @@ def reference_run_interval(relevances, floor, cfg, catalog, rhat_n):
         e_star = np.where(mu >= 0.0, gamma, np.minimum(remainder, gamma))
         mu = np.maximum(mu - eta * (e_star - exposure.astype(float)), -lam)
         lists.append(order)
-    lists = np.asarray(lists, dtype=np.int64).reshape(len(relevances), k)
-    prices = np.asarray(prices, dtype=float).reshape(len(relevances), catalog.num_providers)
+    lists = np.asarray(lists, dtype=np.int64).reshape(len(rows), k)
+    prices = np.asarray(prices, dtype=float).reshape(len(rows), catalog.num_providers)
     return lists, earned, prices
 
 
@@ -345,7 +347,7 @@ class TestTopKKernel:
 
     def test_public_lists_match_reference(self):
         rng = np.random.default_rng(9)
-        cat = Catalog(rng.integers(0, 3, size=30), 3)
+        cat = Catalog(rng.integers(0, 3, size=30))
         for _ in range(100):
             rel = rng.integers(0, 5, size=30) / 4.0
             mu = rng.integers(-2, 3, size=3) / 4.0
@@ -369,12 +371,14 @@ class TestServeLoopMatchesReference:
         rng = np.random.default_rng(seed)
         nprov = int(rng.integers(1, 5))
         per = int(rng.integers(2, 5))
-        catalog = Catalog(np.repeat(np.arange(nprov), per), nprov)
+        catalog = Catalog(np.repeat(np.arange(nprov), per))
         k = int(rng.integers(1, per * nprov + 1))
         n_users = int(rng.integers(1, 25))
-        relevances = list(rng.integers(0, 21, size=(n_users, per * nprov)) / 20.0)
+        block = rng.integers(0, 21, size=(n_users, per * nprov)) / 20.0
         floor = rng.integers(0, 2 * k + 1, size=nprov).astype(float)
-        return rng, catalog, k, relevances, floor, float(nprov * rng.choice([1, 3]))
+        rhat_n = float(nprov * rng.choice([1, 3]))
+        # Arrivals in another order than the block's rows.
+        return rng, catalog, k, block, rng.permutation(n_users), floor, rhat_n
 
     @staticmethod
     def assert_same(got, want, num_items, num_providers):
@@ -394,19 +398,19 @@ class TestServeLoopMatchesReference:
     # The ids name the conjugate target: the unearned remainder of the floor.
     @pytest.mark.parametrize("seed", range(12), ids=lambda seed: f"{seed}-remaining")
     def test_bit_identical(self, seed):
-        rng, catalog, k, relevances, floor, rhat_n = self.instance(seed)
+        rng, catalog, k, block, rows, floor, rhat_n = self.instance(seed)
         # Fractional floors as well, up to twice a provider's mean share of
         # the interval's K slots per arrival: some are exceeded partway.
-        share = k * len(relevances) / catalog.num_providers
+        share = k * len(rows) / catalog.num_providers
         fractional = rng.uniform(0.0, 2.0 * share, size=catalog.num_providers)
         for floor in (floor, fractional):
             for eta in (0.05, 0.0, float(rng.uniform(0.01, 0.3))):
                 cfg = RerankConfig(list_size=k, eta=eta, beta_mix=0.5)
-                got = run_interval(relevances, floor, cfg, catalog, rhat_n)
-                want = reference_run_interval(relevances, floor, cfg, catalog, rhat_n)
+                got = run_interval(block, rows, floor, cfg, catalog, rhat_n)
+                want = reference_run_interval(block, rows, floor, cfg, catalog, rhat_n)
                 self.assert_same(got, want, catalog.num_items, catalog.num_providers)
 
     def test_rejects_list_longer_than_catalog(self):
         with pytest.raises(ConfigError):
-            run_interval([np.ones(8)], np.zeros(2),
+            run_interval(np.ones((1, 8)), np.zeros(1, dtype=np.int64), np.zeros(2),
                          RerankConfig(list_size=9), TWO_PROVIDERS, rhat_n=1.0)

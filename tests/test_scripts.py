@@ -82,7 +82,8 @@ def test_output_hashes(tmp_path):
             *(f"benchmark_config/{rule}/seed0" for rule in ("talmud", "naive", "prop", "none")),
             "criterion_9", "wide_catalog/seed101/noisy", "replay_log/seed101/noisy",
             "replay_log/seed101/bare", "replay_log/seed101/sidecar",
-            "empty_intervals/talmud/seed0", "empty_intervals/prop/seed0"]
+            "empty_intervals/talmud/seed0", "empty_intervals/prop/seed0",
+            "zero_floors/talmud/seed0"]
     files = ["report.json", "decisions.csv", "allocations.csv", "intervals.csv"]
     assert [(name, file) for name, file, _ in lines] == [(r, f) for r in runs for f in files]
     assert all(len(digest) == 64 for _, _, digest in lines)
@@ -92,6 +93,8 @@ def test_output_hashes(tmp_path):
     assert (seed_dir / "sidecar_log" / "relevance.bin").is_file()
     gapped = tmp_path / "runs" / "empty_intervals" / "prop" / "seed0" / "report.json"
     assert 0 in json.loads(gapped.read_text())["per_interval_traffic"]
+    zero = tmp_path / "runs" / "zero_floors" / "talmud" / "seed0" / "report.json"
+    assert set(json.loads(zero.read_text())["config_echo"]["m"]) == {0.0}
     assert '"data_path": ".bench_out/replay_log/seed101/log/interactions.csv"' in (
         seed_dir / "bare" / "report.json").read_text()
     # The same matrix from the sidecar as from the logged scores: same lists.
@@ -105,7 +108,7 @@ def test_output_hashes(tmp_path):
                    "--out", tmp_path / "again", "--against", listing)
     assert again.returncode == 0, again.stderr
     assert again.stdout == out.stdout
-    assert again.stderr == f"0 of 56 files differ from {listing}\n"
+    assert again.stderr == f"0 of 60 files differ from {listing}\n"
 
     tampered = [" ".join(fields) for fields in lines]
     tampered[1] = tampered[1][:-1] + ("0" if tampered[1][-1] != "0" else "1")
@@ -120,4 +123,4 @@ def test_output_hashes(tmp_path):
         "wide_catalog/seed101 decisions.csv: sha256 differs",
         "long_tail/seed101 allocations.csv: not in the listing",
         "extra/seed1 report.json: missing",
-        f"3 of 57 files differ from {listing}"]
+        f"3 of 61 files differ from {listing}"]
