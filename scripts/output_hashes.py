@@ -13,7 +13,10 @@ runs from its ``interactions.csv`` alone, with items and providers numbered
 in order of first appearance (``replay_log/seed<N>/bare``), and from a copy
 of its log directory with a ``relevance.bin`` of the loaded matrix
 (``replay_log/seed<N>/sidecar``), so that every ingestion path is
-hashed. ``benchmark_config`` also runs under talmud and prop at the first of
+hashed. It runs too from a copy of its log in which some user ids hold a
+comma, a quote or a newline (``replay_log/seed<N>/quoted``), so that the
+rows of ``decisions.csv`` that csv quotes are hashed. ``benchmark_config``
+also runs under talmud and prop at the first of
 ``--config-seeds`` with explicit traffic that leaves some intervals empty
 (``empty_intervals/<rule>/seed<N>``), and under talmud at that seed with
 every floor zero (``zero_floors/talmud/seed<N>``). Inputs and outputs go
@@ -27,6 +30,7 @@ Give both runs the same ``--seeds`` and ``--config-seeds``.
 """
 
 import argparse
+import csv
 import hashlib
 import logging
 import os
@@ -52,6 +56,9 @@ RULES = ("talmud", "naive", "prop", "none")
 # benchmark_config's 14 intervals with some left empty. The last is busy, so
 # every floor still has traffic to claim.
 GAPPED_TRAFFIC = [100, 0, 0, 150, 80, 0, 120, 0, 90, 110, 0, 0, 130, 140]
+# Appended to replay_log's user ids "u<k>" by k modulo 4: three of every four
+# users get an id that csv quotes.
+QUOTED_SUFFIXES = ("", ",a", '"b', "\nc")
 
 
 def workload_config(name, seed):
@@ -96,6 +103,17 @@ def runs(seeds, config_seeds):
     _write_relevance_matrix(sidecar / RELEVANCE_FILE, instance_matrix(requests))
     yield (f"replay_log/seed{seeds[0]}/sidecar",
            replace(cfg, data_path=str(sidecar), out_dir=str(directory / "sidecar")))
+    quoted = directory / "quoted_log"
+    quoted.mkdir(exist_ok=True)
+    shutil.copyfile(log / CATALOG_FILE, quoted / CATALOG_FILE)
+    with open(log / INTERACTIONS_FILE, newline="", encoding="utf-8") as src, \
+            open(quoted / INTERACTIONS_FILE, "w", newline="", encoding="utf-8") as dst:
+        rows, w = csv.reader(src), csv.writer(dst)
+        w.writerow(next(rows))
+        w.writerows([uid + QUOTED_SUFFIXES[int(uid[1:]) % len(QUOTED_SUFFIXES)], *rest]
+                    for uid, *rest in rows)
+    yield (f"replay_log/seed{seeds[0]}/quoted",
+           replace(cfg, data_path=str(quoted), out_dir=str(directory / "quoted")))
     # Intervals without arrivals, which no run above has.
     for rule in ("talmud", "prop"):
         cfg = benchmark_config(rule, config_seeds[0])

@@ -12,7 +12,8 @@ from pathlib import Path
 
 from . import harness
 from .domain import FairnessPolicy, LogSchema, SynthConfig
-from .errors import INT, NUMBER, BankfairError, ConfigError, InfeasibleAllocationError, check
+from .errors import (INT, NUMBER, BankfairError, ConfigError, InfeasibleAllocationError,
+                     ParseError, check, not_utf8)
 from .reranker import RerankConfig
 
 
@@ -33,6 +34,31 @@ def parse_forecaster(spec: str):
                 except ValueError:
                     params[key] = value
     return name, params
+
+
+def _parse_criteria(spec: str, known) -> set[int]:
+    """The criterion numbers of a comma-separated list; each must be in ``known``."""
+    wanted = set()
+    for part in spec.split(","):
+        try:
+            criterion = int(part)
+        except ValueError:
+            criterion = None
+        if criterion not in known:
+            raise ConfigError(f"unknown criterion {part!r}; known criteria: "
+                              f"{', '.join(map(str, sorted(known)))}")
+        wanted.add(criterion)
+    return wanted
+
+
+def _read_json(path):
+    """The JSON value in file ``path``; bytes that are not UTF-8 JSON are a ParseError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path, exc) from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _parse_eta(value: str):
@@ -93,7 +119,7 @@ def config_from_options(opts: dict) -> harness.RunConfig:
     synth = None
     if synth_spec is not None:
         if isinstance(synth_spec, (str, Path)):
-            synth_spec = json.loads(Path(synth_spec).read_text())
+            synth_spec = _read_json(synth_spec)
         try:  # a spec without list_size takes K; RunConfig refuses any other
             synth = SynthConfig(**{"list_size": k, **synth_spec})
         except TypeError as exc:  # not an object, an unknown key or a missing one
@@ -158,7 +184,7 @@ def main(argv=None) -> int:
                               "esp_at_k": report.esp_at_k}, sort_keys=True))
             return 0
         if args.command == "sweep":
-            spec = json.loads(Path(args.spec).read_text())
+            spec = _read_json(args.spec)
             _check_keys("sweep spec", spec, SWEEP_KEYS)
             if not isinstance(spec.get("grid"), dict):
                 raise ConfigError("sweep spec: 'grid' must be a JSON object of lists")
@@ -173,7 +199,7 @@ def main(argv=None) -> int:
         from . import acceptance
         wanted = None
         if args.criteria:
-            wanted = {int(c) for c in args.criteria.split(",")}
+            wanted = _parse_criteria(args.criteria, acceptance.CRITERIA)
         results = acceptance.run_all(wanted)
         for res in results:
             print(res.line())
@@ -181,7 +207,7 @@ def main(argv=None) -> int:
     except InfeasibleAllocationError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (BankfairError, OSError, json.JSONDecodeError) as exc:
+    except (BankfairError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

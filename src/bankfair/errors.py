@@ -43,6 +43,12 @@ class InfeasibleAllocationError(BankfairError):
         self.interval = interval
 
 
+def not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
+    """The ParseError for a file whose bytes do not decode as UTF-8."""
+    return ParseError(f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: "
+                      f"{exc.reason})")
+
+
 def _number(v) -> bool:
     return isinstance(v, Real) and not isinstance(v, bool)
 

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import logging
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -131,7 +132,7 @@ def run(cfg: RunConfig) -> SimReport:
     per_user_ndcg: list[float] = []
     per_interval_acc, per_interval_vio, per_interval_esp = [], [], []
     allocation_rows = []
-    # Per interval: (n, arrivals, lists, each price row's packed sha1 prefix).
+    # Per interval: (n, arrivals, lists, the first 6 bytes of each price row's sha1).
     decisions: list[tuple] = []
     rerank_cfg = cfg.rerank
     if cfg.rule == "none":
@@ -173,8 +174,7 @@ def run(cfg: RunConfig) -> SimReport:
                 scored, at, audit["award"], rerank_cfg, catalog, rhat_n)
             cumulative = cumulative + earned
             if cfg.out_dir is not None:
-                digests = np.fromiter((int.from_bytes(hashlib.sha1(mu).digest()[:6], "big")
-                                       for mu in prices), dtype=np.int64, count=len(arrivals))
+                digests = b"".join([hashlib.sha1(mu).digest()[:6] for mu in prices])
                 decisions.append((n, arrivals, lists, digests))
             interval_ndcg = metrics.ndcg_at_k(scored[at[:, None], lists], scored_ideal)
             del scored, prices  # the noise block and prices die with the interval
@@ -202,12 +202,12 @@ def run(cfg: RunConfig) -> SimReport:
     if cfg.out_dir is not None:
         report.write(cfg.out_dir)
         _write_allocations(Path(cfg.out_dir) / "allocations.csv", allocation_rows)
-        _write_decisions(Path(cfg.out_dir) / "decisions.csv", decisions, k)
+        _write_decisions(Path(cfg.out_dir) / "decisions.csv", decisions, k, catalog.num_items)
     return report
 
 
 def _write_allocations(path, rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["interval", "provider", *bankruptcy.AUDIT_COLUMNS])
         for interval, audit in rows:
@@ -215,19 +215,40 @@ def _write_allocations(path, rows):
             w.writerows([interval, p, *values] for p, values in enumerate(zip(*columns)))
 
 
-def _write_decisions(path, decisions, k):
-    """One row per arrival; an interval's rows are formatted as they are written.
+# csv.writer quotes a field that holds one of these.
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _write_decisions(path, decisions, k, num_items):
+    """One row per arrival; an interval's rows are made and written as one string.
 
     The hash column is the first 12 hex digits of the sha1 of the prices
-    that selected the list, packed in ``run`` as a 48-bit int.
+    that selected the list: the hex of the 6 bytes per arrival that ``run``
+    keeps. A row is its fields joined by commas, item ids taken from one
+    table of labels. An interval in which some user id is not a str, or
+    would be quoted, is written by ``csv.writer`` instead; either way every
+    row has ``csv.writer``'s bytes.
     """
-    with open(path, "w", newline="") as fh:
+    labels = np.array([str(i) for i in range(num_items)], dtype=object)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["interval", "t", "user_id", *(f"item_{i}" for i in range(1, k + 1)),
                     "mu_snapshot_hash"])
         for n, arrivals, lists, digests in decisions:
-            w.writerows([n, t, req.user_id, *items, f"{digest:012x}"] for t, (req, items, digest)
-                        in enumerate(zip(arrivals, lists.tolist(), digests.tolist()), 1))
+            uids = [req.user_id for req in arrivals]
+            hexes = digests.hex()
+            hashes = [hexes[i:i + 12] for i in range(0, len(hexes), 12)]
+            try:
+                plain = _CSV_SPECIAL.search("".join(uids)) is None
+            except TypeError:  # a user id that is not a str
+                plain = False
+            if plain:
+                columns = (itertools.repeat(str(n)), map(str, range(1, len(uids) + 1)),
+                           uids, *labels[lists].T.tolist(), hashes)
+                fh.write("".join(map("{}\r\n".format, map(",".join, zip(*columns)))))
+            else:
+                w.writerows([n, t, uid, *items, digest] for t, (uid, items, digest)
+                            in enumerate(zip(uids, lists.tolist(), hashes), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +324,12 @@ class SweepResult:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         if self.rows:
-            with open(directory / "runs.csv", "w", newline="") as fh:
+            with open(directory / "runs.csv", "w", newline="", encoding="utf-8") as fh:
                 w = csv.DictWriter(fh, fieldnames=list(self.rows[0].keys()))
                 w.writeheader()
                 w.writerows(self.rows)
         if self.summary:
-            with open(directory / "pareto.csv", "w", newline="") as fh:
+            with open(directory / "pareto.csv", "w", newline="", encoding="utf-8") as fh:
                 w = csv.DictWriter(fh, fieldnames=list(self.summary[0].keys()))
                 w.writeheader()
                 w.writerows(self.summary)

@@ -128,10 +128,10 @@ class SimReport:
         """report.json (``to_json``'s bytes, streamed to the file) and intervals.csv."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        with open(directory / "report.json", "w") as fh:
+        with open(directory / "report.json", "w", encoding="utf-8") as fh:
             json.dump(vars(self), fh, **_JSON_FORMAT)
             fh.write("\n")
-        with open(directory / "intervals.csv", "w", newline="") as fh:
+        with open(directory / "intervals.csv", "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["interval", "traffic", "accuracy", "vio", "esp_partial"])
             for n in range(len(self.per_interval_traffic)):

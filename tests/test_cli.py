@@ -179,6 +179,21 @@ class TestIngestionErrors:
         assert "row 5: timestamp 1e+308 makes the log span inf intervals" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("file", ["interactions.csv", "catalog.csv"])
+    def test_file_that_is_not_utf8_exits_one(self, tmp_path, capsys, file):
+        # Byte 0xff in a user id, or in a catalog item id.
+        bad = {file: b"\xff"}
+        (tmp_path / "catalog.csv").write_bytes(
+            b"item_id,provider_id\ni0,0\ni1,1\ni%s,1\n" % bad.get("catalog.csv", b"2"))
+        (tmp_path / "interactions.csv").write_bytes(
+            b"user_id,item_id,provider_id,timestamp,score\nu0,i0,0,0,0.5\n"
+            b"u%s,i1,1,60,0.25\n" % bad.get("interactions.csv", b"1"))
+        code = main(["run", "--data", str(tmp_path), "--m", "0", "--K", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / file}: not UTF-8 text (byte 0xff" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("row,message", [
         (("u1", "i9", "p1", "60", "0.25"), "row 3: item 'i9' is not in"),
         (("u1", "i1", "0", "60", "0.25"), "row 3: item 'i1' has provider '0'"),
@@ -292,6 +307,22 @@ class TestSpecValidation:
         code, err = self.sweep(tmp_path, capsys, spec)
         assert code == 1 and key in err and "Traceback" not in err
 
+    # A spec in UTF-16 with its byte order mark, and a spec cut short.
+    @pytest.mark.parametrize("content,message", [
+        (b"\xff\xfe" + json.dumps(SYNTH).encode("utf-16-le"), "not UTF-8 text (byte 0xff"),
+        (b'{"num_items": ', "Expecting value: line 1 column 15")])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_spec_that_is_not_utf8_json_exits_one(self, tmp_path, capsys, command, content,
+                                                  message):
+        path = tmp_path / "spec.json"
+        path.write_bytes(content)
+        argv = (["run", "--synth", str(path), "--K", "5"] if command == "run"
+                else ["sweep", "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("spec,key", [({**SYNTH, "zzz": 1}, "zzz"),
                                           ({**SYNTH, "provider_weights": "zipf"},
                                            "provider_weights"),
@@ -401,6 +432,16 @@ class TestSpecValidation:
 
 
 class TestVerifyCommand:
+    # A value that is not a known criterion runs nothing and is an error:
+    # "99" used to run no criterion and exit 0, a passed verification.
+    @pytest.mark.parametrize("criteria,bad", [("1,x", "'x'"), ("99", "'99'"), ("1,,2", "''")])
+    def test_unknown_criterion_exits_one(self, capsys, criteria, bad):
+        assert main(["verify", "--criteria", criteria]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        known = ", ".join(map(str, range(1, 10)))
+        assert err == f"error: unknown criterion {bad}; known criteria: {known}\n"
+
     def test_single_criterion(self, capsys):
         code = main(["verify", "--criteria", "1"])
         out = capsys.readouterr().out

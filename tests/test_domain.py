@@ -646,7 +646,9 @@ class TestColumnarIngestion:
     @settings(max_examples=200, deadline=None)
     def test_matches_row_wise_reference(self, data):
         schema = LogSchema(interval_seconds=data.draw(st.sampled_from([3600.0, 7.3, 86400.0])))
-        with tempfile.TemporaryDirectory() as tmp:
+        chunk_rows = data.draw(st.sampled_from([3, domain._CHUNK_ROWS]), "chunk rows")
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(domain, "_CHUNK_ROWS", chunk_rows)
             directory = Path(tmp)
             draw_replay_log(data, directory)
             path = directory
@@ -677,6 +679,41 @@ class TestColumnarIngestion:
         schema = LogSchema(interval_seconds=2.0)
         want = load_outcome(reference_load, tmp_path, schema)
         assert load_outcome(columnar_load, tmp_path, schema) == want
+
+    GOOD = ["u1,a,0,1,0.5", "u2,b,0,2,0.25", "u1,c,1,3,0.75", "u3,a,0,4,1.0", "u2,c,1,5,0.0"]
+
+    # Chunks of 3 rows. (rows, whether there is a catalog, the error or None.)
+    @pytest.mark.parametrize("rows,catalog,error", [
+        # Blank lines before, inside and across chunk boundaries.
+        (["", *GOOD[:3], "", "", *GOOD[3:], "", "u4,b,0,6,0.5", ""], True, None),
+        (["", *GOOD[:3], "", "", *GOOD[3:], "", "u4,b,0,6,0.5", ""], False, None),
+        # A bad row first, last, or in a later chunk; the first bad row wins.
+        (["u0,a,0,x,0.5", *GOOD], True,
+         (ParseError, "row 2: malformed record (could not convert string to float: 'x')")),
+        ([*GOOD, "u0,a,0,9,1.5"], False, (ParseError, "row 7: score '1.5' is not in [0, 1]")),
+        ([*GOOD[:4], "", "u0,a,0,inf,0.5", "u0,a,0,9,nan"], True,
+         (ParseError, "row 6: timestamp 'inf' is not finite")),
+        ([*GOOD, "u0,a,0,9,nan"], True, (ParseError, "row 7: score 'nan' is not in [0, 1]")),
+        ([*GOOD[:4], "u0,a,0"], False, (ParseError, "row 6: malformed record "
+                                        f"({TestIngestion.NONE_FLOAT})")),
+        # An item's second provider in a later chunk than its first.
+        ([*GOOD[:4], "u4,a,1,6,0.5"], True,
+         (ConsistencyError, "row 6: item 'a' has provider '1', "
+                            "{path}/catalog.csv says 0")),
+        ([*GOOD[:4], "u4,a,1,6,0.5"], False,
+         (ConsistencyError, "row 6: item 'a' listed under two providers")),
+    ])
+    def test_chunks_match_reference(self, tmp_path, monkeypatch, rows, catalog, error):
+        monkeypatch.setattr(domain, "_CHUNK_ROWS", 3)
+        if catalog:
+            (tmp_path / domain.CATALOG_FILE).write_text(self.CATALOG)
+        (tmp_path / domain.INTERACTIONS_FILE).write_text(
+            "user_id,item_id,provider_id,timestamp,score\n" + "".join(f"{r}\n" for r in rows))
+        schema = LogSchema(interval_seconds=2.0)
+        got = load_outcome(columnar_load, tmp_path, schema)
+        assert got == load_outcome(reference_load, tmp_path, schema)
+        if error is not None:
+            assert got == (error[0], error[1].format(path=tmp_path))
 
     def test_pinned_messages(self, tmp_path):
         (tmp_path / domain.CATALOG_FILE).write_text(self.CATALOG)

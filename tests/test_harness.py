@@ -1,12 +1,15 @@
 """End-to-end driver: interval loop wiring, determinism, sweeps."""
 
 import csv
+import hashlib
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_reranker import reference_run_interval, reference_top_k
 
@@ -161,6 +164,72 @@ class TestRun:
         assert decisions[0] == ("interval,t,user_id,item_1,item_2,item_3,item_4,item_5,"
                                 "mu_snapshot_hash")
         assert len(decisions) == 1 + len(rep.per_user_ndcg)
+
+    # User ids that csv quotes (comma, quote, CR LF, LF) and that it does not.
+    QUOTED_IDS = ["a,b", 'say "hi"', "cr\r\nlf", "line\nfeed", " lead", "naïve ü", ""]
+
+    def test_decisions_match_csv_writer_on_ids_that_need_quoting(self, tmp_path, monkeypatch):
+        # From the third hour on, the log's user ids are QUOTED_IDS: the first
+        # two intervals hold only plain ids, the last two mix both kinds.
+        cfg = log_config(tmp_path / "data", out_dir=str(tmp_path / "out"))
+        log = tmp_path / "data" / "interactions.csv"
+        with open(log, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        for row in rows:
+            if int(row[3]) >= 2 * 3600:
+                row[0] = self.QUOTED_IDS[int(row[0][1:]) % len(self.QUOTED_IDS)]
+        with open(log, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        served, run_interval = [], reranker.run_interval
+
+        def serve(*args):
+            lists, earned, prices = run_interval(*args)
+            served.append((lists, prices))
+            return lists, earned, prices
+
+        monkeypatch.setattr(reranker, "run_interval", serve)
+        run(cfg)
+
+        _, counts, requests = load_interactions(cfg.data_path, cfg.schema)
+        arrivals = iter(requests)
+        with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["interval", "t", "user_id", *(f"item_{i}" for i in range(1, 6)),
+                        "mu_snapshot_hash"])
+            intervals = [n for n, c in enumerate(counts.tolist(), 1) if c]
+            for n, (lists, prices) in zip(intervals, served, strict=True):
+                for t, (items, mu) in enumerate(zip(lists.tolist(), prices), 1):
+                    digest = int.from_bytes(hashlib.sha1(mu).digest()[:6], "big")
+                    w.writerow([n, t, next(arrivals).user_id, *items, f"{digest:012x}"])
+        got = (tmp_path / "out" / "decisions.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        ids = np.split(np.array([req.user_id for req in requests]), np.cumsum(counts)[:-1])
+        quoted = {any(uid in self.QUOTED_IDS[:4] for uid in interval) for interval in ids}
+        assert quoted == {True, False} and b'"say ""hi"""' in got
+
+    @given(st.lists(st.lists(st.one_of(
+        st.text(alphabet=[",", '"', "\r", "\n", " ", "\t", "é", "u"], max_size=4),
+        st.integers(), st.none(), st.floats(allow_nan=False)), min_size=1, max_size=6),
+        max_size=4), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_decisions_writer_matches_csv_writer(self, tmp_path_factory, batches, rnd):
+        # Any user id, str or not: the bytes of csv.writer fed the same rows.
+        path = tmp_path_factory.mktemp("decisions")
+        decisions, k, num_items = [], 3, 5
+        for n, uids in enumerate(batches, 1):
+            lists = np.array([rnd.sample(range(num_items), k) for _ in uids], dtype=np.int64)
+            digests = rnd.randbytes(6 * len(uids))
+            decisions.append((n, [SimpleNamespace(user_id=uid) for uid in uids], lists, digests))
+        harness._write_decisions(path / "got.csv", decisions, k, num_items)
+        with open(path / "want.csv", "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["interval", "t", "user_id", "item_1", "item_2", "item_3",
+                        "mu_snapshot_hash"])
+            for n, arrivals, lists, digests in decisions:
+                for t, (req, items) in enumerate(zip(arrivals, lists.tolist()), 1):
+                    digest = int.from_bytes(digests[6 * t - 6:6 * t], "big")
+                    w.writerow([n, t, req.user_id, *items, f"{digest:012x}"])
+        assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
 
     # A synthetic run whose traffic has empty intervals, and a log replay.
     # A fractional floor of 24.5: some providers pass it, some do not.

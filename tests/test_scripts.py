@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,7 +82,7 @@ def test_output_hashes(tmp_path):
     runs = ["wide_catalog/seed101", "long_tail/seed101", "replay_log/seed101",
             *(f"benchmark_config/{rule}/seed0" for rule in ("talmud", "naive", "prop", "none")),
             "criterion_9", "wide_catalog/seed101/noisy", "replay_log/seed101/noisy",
-            "replay_log/seed101/bare", "replay_log/seed101/sidecar",
+            "replay_log/seed101/bare", "replay_log/seed101/sidecar", "replay_log/seed101/quoted",
             "empty_intervals/talmud/seed0", "empty_intervals/prop/seed0",
             "zero_floors/talmud/seed0"]
     files = ["report.json", "decisions.csv", "allocations.csv", "intervals.csv"]
@@ -100,6 +101,9 @@ def test_output_hashes(tmp_path):
     # The same matrix from the sidecar as from the logged scores: same lists.
     assert ((seed_dir / "sidecar" / "decisions.csv").read_bytes()
             == (seed_dir / "out" / "decisions.csv").read_bytes())
+    # User ids with a comma, a quote and a newline, each quoted as csv quotes it.
+    quoted = (seed_dir / "quoted" / "decisions.csv").read_bytes()
+    assert all(re.search(rb',"u\d+%s",' % suffix, quoted) for suffix in (b",a", b'""b', b"\nc"))
 
     # The same runs against their own listing, then against a tampered one.
     listing = tmp_path / "listing.txt"
@@ -108,7 +112,7 @@ def test_output_hashes(tmp_path):
                    "--out", tmp_path / "again", "--against", listing)
     assert again.returncode == 0, again.stderr
     assert again.stdout == out.stdout
-    assert again.stderr == f"0 of 60 files differ from {listing}\n"
+    assert again.stderr == f"0 of 64 files differ from {listing}\n"
 
     tampered = [" ".join(fields) for fields in lines]
     tampered[1] = tampered[1][:-1] + ("0" if tampered[1][-1] != "0" else "1")
@@ -123,4 +127,4 @@ def test_output_hashes(tmp_path):
         "wide_catalog/seed101 decisions.csv: sha256 differs",
         "long_tail/seed101 allocations.csv: not in the listing",
         "extra/seed1 report.json: missing",
-        f"3 of 61 files differ from {listing}"]
+        f"3 of 65 files differ from {listing}"]
