@@ -69,6 +69,21 @@ def log_config(directory, relevance=False, **overrides):
     return RunConfig(**base)
 
 
+def reference_decisions(path, k, rows):
+    """The bytes of decisions.csv written by csv.writer one row at a time.
+
+    ``rows`` are (interval, t, user id, items, the 6 digest bytes); each
+    hash is formatted from its bytes packed in an int.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["interval", "t", "user_id", *(f"item_{i}" for i in range(1, k + 1)),
+                    "mu_snapshot_hash"])
+        w.writerows([n, t, uid, *items, f"{int.from_bytes(digest, 'big'):012x}"]
+                    for n, t, uid, items, digest in rows)
+    return path.read_bytes()
+
+
 class TestRun:
     def test_unconstrained_rule_is_exact(self):
         rep = run(small_config(rule="none"))
@@ -192,17 +207,13 @@ class TestRun:
 
         _, counts, requests = load_interactions(cfg.data_path, cfg.schema)
         arrivals = iter(requests)
-        with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["interval", "t", "user_id", *(f"item_{i}" for i in range(1, 6)),
-                        "mu_snapshot_hash"])
-            intervals = [n for n, c in enumerate(counts.tolist(), 1) if c]
-            for n, (lists, prices) in zip(intervals, served, strict=True):
-                for t, (items, mu) in enumerate(zip(lists.tolist(), prices), 1):
-                    digest = int.from_bytes(hashlib.sha1(mu).digest()[:6], "big")
-                    w.writerow([n, t, next(arrivals).user_id, *items, f"{digest:012x}"])
+        intervals = [n for n, c in enumerate(counts.tolist(), 1) if c]
+        want = reference_decisions(tmp_path / "want.csv", 5, [
+            (n, t, next(arrivals).user_id, items, hashlib.sha1(mu).digest()[:6])
+            for n, (lists, prices) in zip(intervals, served, strict=True)
+            for t, (items, mu) in enumerate(zip(lists.tolist(), prices), 1)])
         got = (tmp_path / "out" / "decisions.csv").read_bytes()
-        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got == want
         ids = np.split(np.array([req.user_id for req in requests]), np.cumsum(counts)[:-1])
         quoted = {any(uid in self.QUOTED_IDS[:4] for uid in interval) for interval in ids}
         assert quoted == {True, False} and b'"say ""hi"""' in got
@@ -221,15 +232,11 @@ class TestRun:
             digests = rnd.randbytes(6 * len(uids))
             decisions.append((n, [SimpleNamespace(user_id=uid) for uid in uids], lists, digests))
         harness._write_decisions(path / "got.csv", decisions, k, num_items)
-        with open(path / "want.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["interval", "t", "user_id", "item_1", "item_2", "item_3",
-                        "mu_snapshot_hash"])
-            for n, arrivals, lists, digests in decisions:
-                for t, (req, items) in enumerate(zip(arrivals, lists.tolist()), 1):
-                    digest = int.from_bytes(digests[6 * t - 6:6 * t], "big")
-                    w.writerow([n, t, req.user_id, *items, f"{digest:012x}"])
-        assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
+        want = reference_decisions(path / "want.csv", k, [
+            (n, t, req.user_id, items, digests[6 * t - 6:6 * t])
+            for n, arrivals, lists, digests in decisions
+            for t, (req, items) in enumerate(zip(arrivals, lists.tolist()), 1)])
+        assert (path / "got.csv").read_bytes() == want
 
     # A synthetic run whose traffic has empty intervals, and a log replay.
     # A fractional floor of 24.5: some providers pass it, some do not.
