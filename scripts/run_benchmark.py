@@ -20,9 +20,16 @@ from bankfair.acceptance import benchmark_config
 RULES = ("talmud", "naive", "prop", "none")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an int >= 1, got {value}")
+    return value
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", type=int, default=5, help="number of replicate seeds")
+    ap.add_argument("--seeds", type=positive_int, default=5, help="number of replicate seeds")
     ap.add_argument("--tau", type=float, default=0.2, help="traffic fluctuation degree")
     ap.add_argument("--out", default="results/benchmark.csv")
     args = ap.parse_args()

@@ -2,9 +2,11 @@
 """Accuracy loss versus user traffic under a fixed exposure floor.
 
 Serves single-interval instances at increasing traffic levels while holding
-the same binding floor, then prints the loss curve and its rank correlation.
-Lower traffic concentrates the fixed floor on fewer lists, so the mean loss
-should fall as traffic grows.
+the same binding floor, then prints the loss curve and its Spearman rank
+correlation (``bankfair.metrics.spearman_rho``). Lower traffic concentrates
+the fixed floor on fewer lists, so the mean loss should fall as traffic
+grows. Every count and traffic level is an int >= 1; anything else is a
+usage error (exit 2) and no CSV is written.
 """
 
 import argparse
@@ -12,17 +14,24 @@ import csv
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from bankfair.acceptance import binding_plan_loss
+from bankfair.metrics import spearman_rho
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an int >= 1, got {value}")
+    return value
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--levels", type=int, default=20)
-    ap.add_argument("--seeds", type=int, default=10)
-    ap.add_argument("--min-traffic", type=int, default=5)
-    ap.add_argument("--max-traffic", type=int, default=100)
+    ap.add_argument("--levels", type=positive_int, default=20)
+    ap.add_argument("--seeds", type=positive_int, default=10)
+    ap.add_argument("--min-traffic", type=positive_int, default=5)
+    ap.add_argument("--max-traffic", type=positive_int, default=100)
     ap.add_argument("--out", default="results/traffic_sensitivity.csv")
     args = ap.parse_args()
 
@@ -49,7 +58,7 @@ def main():
     if len(points) < 3:
         print("spearman(traffic, loss) needs at least three traffic levels")
     else:
-        rho = stats.spearmanr(*zip(*points)).statistic
+        rho = spearman_rho(*zip(*points))
         print(f"spearman(traffic, loss) = {rho:.3f}")
     print(f"wrote {out}")
 

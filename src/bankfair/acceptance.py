@@ -257,8 +257,7 @@ def criterion_4(n_levels: int = 20, n_seeds: int = 10) -> CriterionResult:
         losses = [binding_plan_loss(int(traffic), seed, plan_vec, weights)
                   for seed in range(n_seeds)]
         mean_losses.append(float(np.mean(losses)))
-    from scipy import stats  # here, not at import: scipy.stats takes about a second to load
-    rho = float(stats.spearmanr(levels, mean_losses).statistic)
+    rho = metrics.spearman_rho(levels, mean_losses)
     dt = time.perf_counter() - start
     return CriterionResult(4, f"loss vs traffic rank correlation over {n_levels} levels",
                            rho <= -0.8, f"spearman={rho:.3f}", dt)
@@ -314,8 +313,7 @@ def criterion_8() -> CriterionResult:
     ok = True
     details = []
     for seed in (0, 3):
-        cfg = replace(benchmark_config("none", seed))
-        rep = harness.run(cfg)
+        rep = harness.run(benchmark_config("none", seed))
         ok &= rep.ndcg_at_k == 1.0 and rep.vio_at_k == 0.0
         details.append(f"seed {seed}: ndcg={rep.ndcg_at_k} vio={rep.vio_at_k} esp={rep.esp_at_k:.2f}")
     dt = time.perf_counter() - start

@@ -307,12 +307,56 @@ def _apply_point(base: RunConfig, point: dict) -> RunConfig:
     return cfg
 
 
+# Student's t quantile at 0.975 for df = 1..100, as float reprs taken once from
+# a reference implementation: a sweep of up to 101 seeds has exact ci95 bytes.
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378, 2.039513446396408, 2.0369333434601016,
+    2.0345152974493383, 2.0322445093177186, 2.030107928250343, 2.0280940009804502,
+    2.0261924630291093, 2.0243941639119694, 2.022690920036761, 2.021075390306273,
+    2.019540970441376, 2.0180817028184443, 2.016692199227824, 2.0153675744437636,
+    2.014103388880846, 2.012895598919429, 2.0117405137297655, 2.010634757624232,
+    2.0095752371292392, 2.008559112100761, 2.007583770315836, 2.006646805061688,
+    2.0057459953178687, 2.0048792881880564, 2.0040447832891455, 2.003240718847872,
+    2.002465459291007, 2.0017174841452356, 2.000995378088267, 2.0002978220142604,
+    1.999623584994939, 1.9989715170333788, 1.998340542520741, 1.997729654317693,
+    1.9971379083920038, 1.9965644189523117, 1.996008354025296, 1.9954689314298435,
+    1.9949454151072374, 1.994437111771186, 1.9939433678456255, 1.9934635666618719,
+    1.992997125889855, 1.992543495180932, 1.9921021540022417, 1.9916726096446642,
+    1.9912543953883846, 1.9908470688116906, 1.9904502102301285, 1.990063421254446,
+    1.9896863234569029, 1.989318557136572, 1.9889597801751624, 1.9886096669757083,
+    1.9882679074772216, 1.98793420623902, 1.9876082815890708, 1.9872898648311692,
+    1.986978699506281, 1.9866745407037683, 1.9863771544186177, 1.98608631695113,
+    1.9858018143458227, 1.985523441866604, 1.9852510035054978, 1.984984311522457,
+    1.9847231860139845, 1.9844674545084815, 1.9842169515864174, 1.9839715185235518,
+)
+
+
+def _t975(df: int) -> float:
+    """Student's t at 0.975: the table up to df 100, then the four-term Cornish-Fisher
+    expansion in 1/df (Abramowitz & Stegun 26.7.5), within 4e-11 relative of exact."""
+    if df <= len(_T975):
+        return _T975[df - 1]
+    z = 1.959963984540054  # the normal quantile at 0.975
+    z2 = z * z
+    g1 = z * (z2 + 1) / 4
+    g2 = z * ((5 * z2 + 16) * z2 + 3) / 96
+    g3 = z * (((3 * z2 + 19) * z2 + 17) * z2 - 15) / 384
+    g4 = z * ((((79 * z2 + 776) * z2 + 1482) * z2 - 1920) * z2 - 945) / 92160
+    return z + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
+
+
 def _t_interval(values: np.ndarray) -> float:
     """Half-width of the 95% t-interval of the mean (0 for a single value)."""
     if values.size < 2:
         return 0.0
-    from scipy import stats  # here, not at import: scipy.stats takes about a second to load
-    return float(stats.t.ppf(0.975, values.size - 1) * values.std(ddof=1) / math.sqrt(values.size))
+    return float(_t975(values.size - 1) * values.std(ddof=1) / math.sqrt(values.size))
 
 
 @dataclass

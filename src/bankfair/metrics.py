@@ -96,6 +96,20 @@ def feasible_region_ratio(plan: np.ndarray, traffic: float, list_size: int) -> f
     return max(0.0, 1.0 - float(np.asarray(plan, dtype=float).sum()) / budget)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their ranks."""
+    ordered = np.sort(x)  # a value's ties sit between its two search positions
+    return (np.searchsorted(ordered, x) + np.searchsorted(ordered, x, "right") + 1) / 2.0
+
+
+def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
+    """Spearman's rho: the Pearson correlation of average ranks (nan if undefined)."""
+    x, y = np.array([x, y], dtype=float)  # a ValueError if their lengths differ
+    if x.size < 2 or (x == x[0]).all() or (y == y[0]).all():
+        return float("nan")
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
+
+
 _JSON_FORMAT = dict(sort_keys=True, indent=2, default=np.generic.item)
 
 

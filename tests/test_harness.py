@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -533,7 +534,25 @@ class TestSweep:
         result = sweep(SweepSpec(base, {"k": [1.5]}, seeds=[0, 1, 2, 3, 4]))
         agg = result.summary[0]
         assert agg["runs_ok"] == 5
-        assert agg["ndcg_ci95"] >= 0.0
+        ndcgs = np.array([row["ndcg"] for row in result.rows])
+        # t.ppf(0.975, 4) times the standard error of the mean.
+        assert agg["ndcg_ci95"] == 2.7764451051977934 * ndcgs.std(ddof=1) / math.sqrt(5)
+        assert agg["ndcg_ci95"] > 0.0
+
+    def test_t_interval_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(0)
+        for n in [*range(1, 102), 102, 500, 10_000]:
+            values = rng.normal(0.8, 0.05, size=n)
+            got = harness._t_interval(values)
+            if n == 1:
+                assert got == 0.0
+                continue
+            want = float(stats.t.ppf(0.975, n - 1) * values.std(ddof=1) / math.sqrt(n))
+            if n <= 101:  # the table: scipy's bytes
+                assert got == want, n
+            else:  # the expansion
+                assert got == pytest.approx(want, rel=1e-10, abs=0.0), n
 
     def test_failures_recorded_and_sweep_continues(self):
         base = small_config(forecaster="last_value",

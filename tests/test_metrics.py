@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from bankfair.errors import ConfigError
 from bankfair.reranker import top_k
 from bankfair.metrics import (SimReport, dcg, esp_at_k, feasible_region_ratio, ndcg_at_k,
-                              top_k_dcg, vio_at_k)
+                              spearman_rho, top_k_dcg, vio_at_k)
 
 
 class TestNdcg:
@@ -157,6 +158,39 @@ class TestFeasibleRegionRatio:
 
     def test_floored_at_zero(self):
         assert feasible_region_ratio([100.0], 2, 5) == 0.0
+
+
+class TestSpearmanRho:
+    def test_hand_values(self):
+        assert spearman_rho([1, 2, 3], [30, 20, 10]) == -1.0
+        assert spearman_rho([5, 52, 100], [0.1, 0.2, 0.3]) == 1.0
+        # x ranks 1, 2.5, 2.5, 4: covariance 4.5 over sqrt(4.5 * 5).
+        assert spearman_rho([1, 2, 2, 3], [1, 2, 3, 4]) == pytest.approx(4.5 / math.sqrt(22.5))
+
+    def test_matches_scipy_with_ties(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            n = int(rng.integers(2, 40))
+            x = rng.integers(0, 21, size=n) / 20.0  # a 0.05 grid: ties are common
+            y = rng.integers(0, 21, size=n) / 20.0
+            if (x == x[0]).all() or (y == y[0]).all():
+                assert math.isnan(spearman_rho(x, y))
+                continue
+            assert spearman_rho(x, y) == pytest.approx(stats.spearmanr(x, y).statistic,
+                                                       rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("x, y", [([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+                                      ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]),
+                                      ([1.0], [2.0]), ([], [])])
+    def test_constant_or_short_input_is_nan_without_warning(self, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(spearman_rho(x, y))
+
+    def test_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            spearman_rho([1, 2, 3], [1, 2])
 
 
 def report_with(traffic, accuracy):

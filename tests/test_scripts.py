@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
@@ -31,6 +33,34 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_runs_without_scipy(tmp_path):
+    # Sweeps, criterion 4 and the traffic script need numpy only.
+    code = f"""
+import runpy, sys
+sys.modules["scipy"] = None  # every import of scipy now fails
+from bankfair import acceptance, harness
+spec = harness.SweepSpec(acceptance.benchmark_config("talmud", 0), {{"k": [1.5]}}, seeds=[0, 1])
+print(harness.sweep(spec).summary[0]["ndcg_ci95"] > 0.0)
+print(acceptance.criterion_4(n_levels=3, n_seeds=2).detail)
+sys.argv = ["traffic_sensitivity.py", "--levels", "3", "--seeds", "2",
+            "--out", {str(tmp_path / "curve.csv")!r}]
+runpy.run_path("scripts/traffic_sensitivity.py", run_name="__main__")
+"""
+    out = python("-c", code)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[:2] == ["True", "spearman=-1.000"]
+    assert "spearman(traffic, loss) = -1.000" in lines
+    assert len(read_rows(tmp_path / "curve.csv")) == 3
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in dependencies] == ["numpy"]
+
+
 def test_every_exported_name_resolves():
     # A deleted type left in __all__ would break `from bankfair import *`.
     import bankfair
@@ -49,6 +79,17 @@ def test_traffic_sensitivity(tmp_path):
     assert "spearman(traffic, loss) = " in out.stdout
 
 
+@pytest.mark.parametrize("args", [["--min-traffic", "0"], ["--min-traffic", "-3"],
+                                  ["--max-traffic", "0"], ["--levels", "0"], ["--seeds", "0"]],
+                         ids="=".join)
+def test_traffic_sensitivity_refuses_counts_it_cannot_run(tmp_path, args):
+    out = python("scripts/traffic_sensitivity.py", *args, "--out", tmp_path / "curve.csv")
+    assert out.returncode == 2
+    assert f"error: argument {args[0]}: must be an int >= 1, got {args[1]}" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "curve.csv").exists()
+
+
 def test_run_benchmark(tmp_path):
     out = python("scripts/run_benchmark.py", "--seeds", "1", "--out", tmp_path / "bench.csv")
     assert out.returncode == 0, out.stderr
@@ -63,6 +104,16 @@ def test_run_benchmark_checks_tau_before_running(tmp_path):
                  "--out", tmp_path / "bench.csv")
     assert out.returncode != 0
     assert "ConfigError: tau must be None or a finite number > 0, got nan" in out.stderr
+    assert not (tmp_path / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_run_benchmark_refuses_no_seeds(tmp_path, seeds):
+    # Not a table of nan and a header-only CSV.
+    out = python("scripts/run_benchmark.py", "--seeds", seeds, "--out", tmp_path / "bench.csv")
+    assert out.returncode == 2
+    assert f"error: argument --seeds: must be an int >= 1, got {seeds}" in out.stderr
+    assert "Warning" not in out.stderr
     assert not (tmp_path / "bench.csv").exists()
 
 
