@@ -16,6 +16,7 @@ import numpy as np
 
 from bankfair import harness
 from bankfair.acceptance import benchmark_config
+from bankfair.errors import POSITIVE, ConfigError, check
 
 RULES = ("talmud", "naive", "prop", "none")
 
@@ -27,10 +28,17 @@ def positive_int(text: str) -> int:
     return value
 
 
+def tau(text: str) -> float:
+    try:
+        return check("tau", float(text), POSITIVE)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=positive_int, default=5, help="number of replicate seeds")
-    ap.add_argument("--tau", type=float, default=0.2, help="traffic fluctuation degree")
+    ap.add_argument("--tau", type=tau, default=0.2, help="traffic fluctuation degree")
     ap.add_argument("--out", default="results/benchmark.csv")
     args = ap.parse_args()
 

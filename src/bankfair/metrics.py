@@ -11,7 +11,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import reranker
 from .errors import ConfigError
 
 
@@ -34,13 +33,27 @@ def dcg(gains: np.ndarray) -> float | np.ndarray:
     return (gains / _discounts(gains.shape[-1])).sum(axis=-1)
 
 
-def top_k_dcg(relevance: np.ndarray, k: int) -> np.ndarray:
-    """DCG of each row's plain top-K list (``reranker.top_k``): NDCG denominators.
+_DCG_CHUNK = 8192  # values per partitioned chunk: 64 KB of float64
 
-    ``relevance`` is an (n x I) block, one relevance vector per row.
+
+def top_k_dcg(relevance: np.ndarray, k: int) -> np.ndarray:
+    """DCG of each row's K largest values in descending order: NDCG denominators.
+
+    ``relevance`` is an (n x I) block, one relevance vector per row; ties do
+    not change the K largest values. Rows are partitioned in chunks of at most
+    ``_DCG_CHUNK`` values (at least one row): a multi-MB temporary would raise
+    glibc's mmap threshold and grow the heap (see domain._relevance_matrix).
     """
-    tops = np.array([reranker.top_k(row, k) for row in relevance], dtype=np.int64)
-    return dcg(np.take_along_axis(relevance, tops.reshape(-1, k), axis=1))
+    n, items = relevance.shape
+    if items < k:
+        raise ConfigError(f"need at least {k} items, catalog has {items}")
+    out = np.empty(n)
+    step = max(_DCG_CHUNK // items, 1)
+    for lo in range(0, n, step):
+        top = np.partition(relevance[lo:lo + step], items - k, axis=1)[:, items - k:]
+        top.sort(axis=1)
+        out[lo:lo + step] = dcg(top[:, ::-1])
+    return out
 
 
 def ndcg_at_k(gains: np.ndarray, ideal_dcg: float | np.ndarray) -> float | np.ndarray:
@@ -50,10 +63,10 @@ def ndcg_at_k(gains: np.ndarray, ideal_dcg: float | np.ndarray) -> float | np.nd
     list (1-D) with a float ``ideal_dcg``, which gives a float, or an
     (n x K) block of lists with an (n,) vector of ideal DCGs, which gives n
     scores, each equal bit for bit to scoring its row alone. The ideal DCG
-    is ``dcg(relevance[top_k(relevance, K)])``, or ``top_k_dcg`` of a block
-    of relevance vectors, which callers compute once per vector. A zero-gain
-    list against a zero ideal scores 1; a list with gain against a zero
-    ideal is a ValueError.
+    is the DCG of the K largest relevance values in descending order
+    (``top_k_dcg`` of a block), which callers compute once per vector. A
+    zero-gain list against a zero ideal scores 1; a list with gain against a
+    zero ideal is a ValueError.
     """
     num = dcg(gains)
     ideal = np.asarray(ideal_dcg, dtype=float)

@@ -57,33 +57,22 @@ def compute_caps(catalog: Catalog, list_size: int, rhat_n: float) -> np.ndarray:
     return list_size * float(rhat_n) * inv / inv.sum()
 
 
-def _top_k_order(primary: np.ndarray, secondary: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k items first in (-primary, -secondary, index) order.
+def top_k(scores: np.ndarray, k: int, tiebreak: np.ndarray | None = None) -> np.ndarray:
+    """Ids of the k items first in (-scores, -tiebreak, id) order; tiebreak defaults to scores.
 
-    The candidates are every item whose primary key is at least the k-th
-    largest, ties at that value included, so the k winners are always among
-    them; only the candidates are sorted. The cost is one O(I) partition
-    pass plus a sort of the candidates, and the order is a full lexsort's.
+    One O(I) partition pass finds the k-th largest score; only the items at
+    or above it (ties included) are sorted, so the order is a full lexsort's.
     """
-    n = primary.size
-    part = primary.copy()
+    scores = np.asarray(scores, dtype=float)
+    n = scores.size
+    if n < k:
+        raise ConfigError(f"need at least {k} items, catalog has {n}")
+    tiebreak = scores if tiebreak is None else tiebreak
+    part = scores.copy()
     part.partition(n - k)
-    kth = part[n - k]
-    candidates = (primary >= kth).nonzero()[0]
-    order = np.lexsort((candidates, -secondary[candidates], -primary[candidates]))[:k]
+    candidates = (scores >= part[n - k]).nonzero()[0]
+    order = np.lexsort((candidates, -tiebreak[candidates], -scores[candidates]))[:k]
     return candidates[order]
-
-
-def top_k(relevance: np.ndarray, k: int) -> np.ndarray:
-    """Item ids of the plain top-K by relevance; ties go to the lower item id.
-
-    Only the items scoring at least the k-th largest relevance are sorted;
-    the order is that of a full sort.
-    """
-    relevance = np.asarray(relevance, dtype=float)
-    if relevance.size < k:
-        raise ConfigError(f"need at least {k} items, catalog has {relevance.size}")
-    return _top_k_order(relevance, relevance, k)
 
 
 def select_list(relevance: np.ndarray, mu: np.ndarray, item_provider: np.ndarray,
@@ -94,16 +83,13 @@ def select_list(relevance: np.ndarray, mu: np.ndarray, item_provider: np.ndarray
     provider index of each item. Ties break toward higher raw relevance, then
     the lower item id, which makes replays deterministic. The greedy prefix
     of this ordering is the exact maximizer of the summed adjusted score over
-    all K-subsets. Only the items whose adjusted score is at least the k-th
-    largest (ties included) are sorted; the tie order is that of a full sort.
+    all K-subsets. The list is ``top_k`` of the adjusted scores with the
+    relevance as tie-break.
     """
     relevance = np.asarray(relevance, dtype=float)
-    if relevance.size < k:
-        raise ConfigError(f"need at least {k} items, catalog has {relevance.size}")
     if rhat_n <= 0:
         raise ConfigError("predicted traffic must be positive when selecting")
-    adjusted = relevance / float(rhat_n) - mu.take(item_provider)
-    return _top_k_order(adjusted, relevance, k)
+    return top_k(relevance / float(rhat_n) - mu.take(item_provider), k, relevance)
 
 
 def conjugate_argmax(mu: np.ndarray, gamma: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -22,6 +22,11 @@ from bankfair.harness import RunConfig, SweepSpec, run, sweep
 from bankfair.reranker import RerankConfig
 
 
+def reference_top_k_dcg(block, k):
+    """Each row's ideal DCG from its full-sort top-K list."""
+    return np.array([metrics.dcg(row[reference_top_k(row, k)]) for row in block])
+
+
 def small_config(rule="talmud", seed=0, m=30.0, **overrides):
     synth = SynthConfig(num_items=40, num_providers=4, num_intervals=4,
                         mean_traffic=20, list_size=5,
@@ -316,8 +321,8 @@ class TestRun:
 
     def test_outputs_match_reference_serve_loop(self, tmp_path, monkeypatch):
         # Relevance on a 0.05 grid makes list selection tie-heavy; the fast
-        # serve loop and top-K kernel must write the same bytes as the
-        # reference loop with full sorts.
+        # serve loop and ideal DCGs must write the same bytes as the
+        # reference loop and ideal lists with full sorts.
         synth = SynthConfig(num_items=24, num_providers=4, num_intervals=4,
                             mean_traffic=15, list_size=5, inventory=[9, 7, 6, 2])
         catalog, counts, requests = synth_instance(synth, seed=4)
@@ -336,7 +341,7 @@ class TestRun:
 
         fast = run_to(tmp_path / "fast")
         monkeypatch.setattr(reranker, "run_interval", reference_run_interval)
-        monkeypatch.setattr(reranker, "top_k", reference_top_k)
+        monkeypatch.setattr(metrics, "top_k_dcg", reference_top_k_dcg)
         assert run_to(tmp_path / "reference") == fast
 
     # (config, how many distinct relevance vectors the run scores: one per
@@ -355,9 +360,9 @@ class TestRun:
         cfg = make(tmp_path / "data")
         k, phi = cfg.policy.list_size, cfg.policy.required_min_accuracy
         ranked, served = [], []
-        top_k, run_interval = reranker.top_k, reranker.run_interval
-        monkeypatch.setattr(reranker, "top_k",
-                            lambda rel, k: ranked.append(rel) or top_k(rel, k))
+        top_k_dcg, run_interval = metrics.top_k_dcg, reranker.run_interval
+        monkeypatch.setattr(metrics, "top_k_dcg",
+                            lambda block, k: ranked.extend(block) or top_k_dcg(block, k))
 
         def serve(block, rows, *args, **kwargs):
             lists, earned, mu = run_interval(block, rows, *args, **kwargs)
@@ -384,8 +389,8 @@ class TestRun:
         assert [rep.per_interval_vio[n] for n in busy] == [metrics.vio_at_k(s, phi)
                                                            for s in oracle]
 
-        # top_k ran once per distinct vector served: a row of the instance
-        # matrix, or of one interval's noise block. served holds every
+        # top_k_dcg saw each distinct vector served once: a row of the
+        # instance matrix, or of one interval's noise block. served holds every
         # block, so no two of them share an id.
         vectors = {(id(block), row): block[row] for block, rows, _ in served for row in rows}
         assert len(ranked) == len(vectors) == (distinct or len(per_user))

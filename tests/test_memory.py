@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bankfair import harness
+from bankfair import harness, metrics
 from bankfair.domain import (RELEVANCE_FILE, FairnessPolicy, LogSchema, _write_relevance_matrix,
                              instance_matrix, load_interactions)
 from bankfair.reranker import RerankConfig
@@ -115,3 +115,12 @@ def test_sidecar_read_and_write_copy_no_matrix(tmp_path):
     assert instance_matrix(requests).tobytes() == matrix.tobytes()
     assert written < matrix.nbytes / 8
     assert read - matrix_bytes(requests) < matrix.nbytes / 8
+
+
+def test_ideal_dcg_partitions_in_small_chunks():
+    # wide_catalog's shape. Partitioning 64 rows (5 MB) at a time raised
+    # that workload's peak RSS by 10%; a 64 KB chunk leaves it flat.
+    matrix = np.random.default_rng(0).random((700, 10_000))
+    ideal, peak = traced_peak(metrics.top_k_dcg, matrix, 10)
+    assert ideal.shape == (700,)
+    assert peak - ideal.nbytes < 256 * 1024

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from bankfair.errors import ConfigError
 from bankfair.reranker import top_k
-from bankfair.metrics import (SimReport, dcg, esp_at_k, feasible_region_ratio, ndcg_at_k,
-                              spearman_rho, top_k_dcg, vio_at_k)
+from bankfair.metrics import (_DCG_CHUNK, SimReport, dcg, esp_at_k, feasible_region_ratio,
+                              ndcg_at_k, spearman_rho, top_k_dcg, vio_at_k)
+from test_reranker import reference_top_k
 
 
 class TestNdcg:
@@ -106,8 +107,66 @@ class TestNdcgBlock:
         rng = np.random.default_rng(3)
         relevance = rng.integers(0, 5, size=(40, 12)) / 4.0  # ties at the k-th score
         relevance[0] = 0.0
-        want = [dcg(row[top_k(row, 4)]) for row in relevance]
+        want = [dcg(row[reference_top_k(row, 4)]) for row in relevance]
         assert top_k_dcg(relevance, 4).tobytes() == np.array(want).tobytes()
+
+
+class TestTopKDcg:
+    """Each row's ideal DCG from its K largest values, against a full-sort top-K list."""
+
+    @staticmethod
+    def check(relevance, k):
+        want = np.array([dcg(row[reference_top_k(row, k)]) for row in relevance])
+        got = top_k_dcg(relevance, k)
+        assert got.shape == (len(relevance),) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_blocks_tie_at_the_kth_value(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            items = int(rng.integers(1, 40))
+            relevance = rng.integers(0, 5, size=(int(rng.integers(0, 30)), items)) / 4.0
+            for k in {1, int(rng.integers(1, items + 1)), items}:  # K = I included
+                self.check(relevance, k)
+
+    def test_rows_with_few_or_no_positive_scores(self):
+        rng = np.random.default_rng(7)
+        relevance = rng.integers(1, 5, size=(60, 20)) / 4.0
+        relevance *= rng.uniform(size=(60, 20)) < rng.uniform(0.0, 0.4, size=(60, 1))
+        relevance[::7] = 0.0  # all-zero rows
+        assert (np.count_nonzero(relevance, axis=1) < 5).sum() > 10
+        for k in (1, 5, 10, 20):
+            self.check(relevance, k)
+
+    def test_block_taller_than_one_chunk(self):
+        rows = 3 * _DCG_CHUNK // 12 + 5
+        relevance = np.random.default_rng(8).integers(0, 9, size=(rows, 12)) / 8.0
+        self.check(relevance, 4)
+
+    def test_rows_wider_than_one_chunk(self):
+        rng = np.random.default_rng(9)
+        relevance = rng.integers(0, 5, size=(3, _DCG_CHUNK + 808)) / 4.0
+        relevance[1] = 0.0
+        self.check(relevance, 10)
+        self.check(rng.uniform(size=(2, _DCG_CHUNK + 1)), 10)
+
+    def test_signed_zeros_at_the_kth_value(self):
+        # A logged score "-0.0" passes the loader's [0, 1] check. The K
+        # largest values are the same up to the sign of a zero, so an
+        # all-zero ideal may come out as -0.0: equal, and it scores the same.
+        relevance = np.array([[-0.0, 0.0, -0.0, 0.0, -0.0],
+                              [0.0, -0.0, 0.0, -0.0, 0.0],
+                              [0.5, -0.0, 0.0, -0.0, 0.25]])
+        for k in range(1, 6):
+            want = np.array([dcg(row[reference_top_k(row, k)]) for row in relevance])
+            got = top_k_dcg(relevance, k)
+            assert (got == want).all()
+            gains = relevance[:, ::-1][:, :k]
+            assert ndcg_at_k(gains, got).tobytes() == ndcg_at_k(gains, want).tobytes()
+
+    def test_needs_at_least_k_items(self):
+        with pytest.raises(ConfigError, match="^need at least 4 items, catalog has 3$"):
+            top_k_dcg(np.ones((2, 3)), 4)
 
 
 class TestVio:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bankfair.domain import Catalog
 from bankfair.errors import ConfigError
-from bankfair.reranker import (RerankConfig, _top_k_order, compute_caps, compute_penalties,
+from bankfair.reranker import (RerankConfig, compute_caps, compute_penalties,
                                conjugate_argmax, conjugate_value, dual_step, run_interval,
                                select_list, top_k)
 
@@ -76,8 +76,10 @@ class TestSelectList:
         np.testing.assert_array_equal(select_list(rel, mu, cat.item_provider, 7.0, 1), [1])
 
     def test_needs_at_least_k_items(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^need at least 4 items, catalog has 3$"):
             select_list(np.ones(3), np.zeros(1), np.zeros(3, int), 1.0, 4)
+        with pytest.raises(ConfigError, match="^need at least 4 items, catalog has 3$"):
+            top_k(np.ones(3), 4)
 
     def test_needs_positive_traffic_estimate(self):
         for rhat_n in (0.0, -1.0):
@@ -299,12 +301,14 @@ def reference_run_interval(block, rows, floor, cfg, catalog, rhat_n):
 
 
 class TestTopKKernel:
-    """The partition kernel against one full lexsort, on tie-heavy scores."""
+    """top_k against one full lexsort, on tie-heavy scores."""
 
     @staticmethod
     def check(primary, secondary, k):
-        got = _top_k_order(primary, secondary, k)
+        got = top_k(primary, k, secondary)
         np.testing.assert_array_equal(got, lexsort_order(primary, secondary, k))
+        if secondary is primary:  # the default tie-break is the scores themselves
+            np.testing.assert_array_equal(top_k(primary, k), got)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_grid_scores_both_key_orders(self, seed):
@@ -323,7 +327,7 @@ class TestTopKKernel:
         for secondary in (np.zeros(6), np.array([0.1, 0.3, 0.0, 0.3, 0.2, 0.9])):
             for k in range(1, 7):
                 self.check(primary, secondary, k)
-        np.testing.assert_array_equal(_top_k_order(primary, np.zeros(6), 3), [2, 0, 1])
+        np.testing.assert_array_equal(top_k(primary, 3, np.zeros(6)), [2, 0, 1])
 
     @pytest.mark.parametrize("n,k", [(1, 1), (7, 1), (7, 7), (8, 7), (12, 11), (2, 1)])
     def test_edge_sizes(self, n, k):

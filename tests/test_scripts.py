@@ -99,12 +99,15 @@ def test_run_benchmark(tmp_path):
 
 
 def test_run_benchmark_checks_tau_before_running(tmp_path):
-    # RunConfig's check, not a numpy error from deep inside the resampling.
-    out = python("scripts/run_benchmark.py", "--seeds", "1", "--tau", "nan",
-                 "--out", tmp_path / "bench.csv")
-    assert out.returncode != 0
-    assert "ConfigError: tau must be None or a finite number > 0, got nan" in out.stderr
-    assert not (tmp_path / "bench.csv").exists()
+    # A usage error, not a traceback or a numpy error from the resampling.
+    for value in ("nan", "inf"):
+        out = python("scripts/run_benchmark.py", "--seeds", "1", "--tau", value,
+                     "--out", tmp_path / "bench.csv")
+        assert out.returncode == 2
+        assert (f"error: argument --tau: tau must be a finite number > 0, got {value}"
+                in out.stderr)
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "bench.csv").exists()
 
 
 @pytest.mark.parametrize("seeds", ["0", "-1"])
