@@ -47,12 +47,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import config  # noqa: E402  (bench/config.py)
 import workloads  # noqa: E402  (bench/workloads.py)
 from bankfair.acceptance import benchmark_config  # noqa: E402
+from bankfair.bankruptcy import RULES  # noqa: E402
 from bankfair.domain import (CATALOG_FILE, INTERACTIONS_FILE, RELEVANCE_FILE,  # noqa: E402
                              _write_relevance_matrix, instance_matrix, load_interactions)
 from bankfair.harness import run  # noqa: E402
 
 FILES = ("report.json", "decisions.csv", "allocations.csv", "intervals.csv")
-RULES = ("talmud", "naive", "prop", "none")
 # benchmark_config's 14 intervals with some left empty. The last is busy, so
 # every floor still has traffic to claim.
 GAPPED_TRAFFIC = [100, 0, 0, 150, 80, 0, 120, 0, 90, 110, 0, 0, 130, 140]

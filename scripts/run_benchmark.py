@@ -16,9 +16,8 @@ import numpy as np
 
 from bankfair import harness
 from bankfair.acceptance import benchmark_config
+from bankfair.bankruptcy import RULES
 from bankfair.errors import POSITIVE, ConfigError, check
-
-RULES = ("talmud", "naive", "prop", "none")
 
 
 def positive_int(text: str) -> int:

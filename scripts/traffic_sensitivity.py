@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from bankfair.acceptance import binding_plan_loss
+from bankfair.acceptance import UNPOPULAR_BANDS, binding_plan_loss
 from bankfair.metrics import spearman_rho
 
 
@@ -36,14 +36,13 @@ def main():
     args = ap.parse_args()
 
     plan = np.array([12.0, 0.0, 0.0, 0.0])
-    weights = [0.3, 1.0, 1.0, 1.0]
     levels = np.linspace(args.min_traffic, args.max_traffic, args.levels).astype(int)
 
     losses: dict[int, list[float]] = {}  # repeated levels pool their seeds
     for traffic in levels.tolist():
         for seed in range(args.seeds):
             losses.setdefault(traffic, []).append(
-                binding_plan_loss(traffic, seed, plan, weights))
+                binding_plan_loss(traffic, seed, plan, UNPOPULAR_BANDS))
     points = [(traffic, float(np.mean(vals))) for traffic, vals in sorted(losses.items())]
 
     out = Path(args.out)

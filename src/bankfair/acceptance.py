@@ -228,9 +228,9 @@ def criterion_6(n_instances: int = 1000) -> CriterionResult:
 
 
 def binding_plan_loss(traffic: int, seed: int, plan_vec: np.ndarray,
-                       weights, num_items: int = 40, k: int = 10) -> float:
+                       bands, num_items: int = 40, k: int = 10) -> float:
     cfg = SynthConfig(num_items=num_items, num_providers=len(plan_vec), num_intervals=1,
-                      traffic=[traffic], list_size=k, provider_weights=weights)
+                      traffic=[traffic], list_size=k, provider_bands=bands)
     catalog, _, requests = synth_instance(cfg, seed)
     # Hold the dual oscillation at a fixed fraction of the adjusted-score
     # resolution (which shrinks like 1/traffic while the caps grow like
@@ -246,15 +246,18 @@ def binding_plan_loss(traffic: int, seed: int, plan_vec: np.ndarray,
     return 1.0 - float(np.mean(ndcgs))
 
 
+# The constrained provider is unpopular: its scores are drawn from [0, 0.3).
+UNPOPULAR_BANDS = [(0.0, 0.3)] + [(0.0, 1.0)] * 3
+
+
 def criterion_4(n_levels: int = 20, n_seeds: int = 10) -> CriterionResult:
     """Higher traffic, lower mean accuracy loss under a fixed binding floor."""
     start = time.perf_counter()
     levels = np.linspace(5, 100, n_levels).astype(int)
     plan_vec = np.array([12.0, 0.0, 0.0, 0.0])
-    weights = [0.3, 1.0, 1.0, 1.0]  # the constrained provider is unpopular
     mean_losses = []
     for traffic in levels:
-        losses = [binding_plan_loss(int(traffic), seed, plan_vec, weights)
+        losses = [binding_plan_loss(int(traffic), seed, plan_vec, UNPOPULAR_BANDS)
                   for seed in range(n_seeds)]
         mean_losses.append(float(np.mean(losses)))
     rho = metrics.spearman_rho(levels, mean_losses)

@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import harness
+from . import bankruptcy, forecast, harness
 from .domain import FairnessPolicy, LogSchema, SynthConfig
 from .errors import (INT, NUMBER, BankfairError, ConfigError, InfeasibleAllocationError,
                      ParseError, check, not_utf8)
@@ -73,9 +73,9 @@ def _parse_eta(value: str):
 # Run options after the data source, by key: a CLI flag each (--interval-hours
 # for interval_hours) and the accepted keys of a sweep spec's "base".
 RUN_FLAGS = {
-    "rule": dict(default="talmud", choices=["talmud", "naive", "prop", "none"]),
+    "rule": dict(default="talmud", choices=bankruptcy.RULES),
     "forecaster": dict(default="moving_average:w=3", help="name[:key=value,...] from "
-                       "last_value, moving_average, seasonal, oracle"),
+                       + ", ".join(forecast.PARAMS)),
     "m": dict(type=float, default=100.0, help="uniform per-provider exposure floor"),
     "phi": dict(type=float, default=0.95, help="required per-user accuracy"),
     "K": dict(type=int, default=10, help="list size"),
@@ -209,6 +209,9 @@ def main(argv=None) -> int:
         return 2
     except (BankfairError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

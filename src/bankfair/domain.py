@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT, ConfigError,
-                     ConsistencyError, ParseError, check, either, list_of, not_utf8, number_in)
+                     ConsistencyError, ParseError, check, either, list_of, not_utf8)
 
 logger = logging.getLogger(__name__)
 
@@ -170,14 +170,14 @@ class SynthConfig:
     """Generator knobs for synthetic instances.
 
     ``traffic`` pins exact per-interval counts; otherwise counts are Poisson
-    with the given mean. ``provider_weights`` scales item relevance per
-    provider: a list of positive numbers, one per provider.
-    ``provider_bands`` instead draws each provider's item scores uniformly
-    from its own (low, high) band, which makes popularity tiers with
-    controlled gaps easy to set up. ``inventory`` is "even" or an explicit
-    per-provider item count. Each field's type and range is checked on
-    construction, with a ConfigError naming the field; whether inventory
-    and traffic add up is checked when an instance is drawn.
+    with the given mean. ``num_intervals`` is at most MAX_INTERVALS, as a
+    log's span is. Item scores are uniform in [0, 1], or with
+    ``provider_bands`` uniform in each provider's own (low, high) band,
+    which makes popularity tiers with controlled gaps easy to set up.
+    ``inventory`` is "even" or an explicit per-provider item count. Each
+    field's type and range is checked on construction, with a ConfigError
+    naming the field; whether inventory and traffic add up is checked when
+    an instance is drawn.
     """
 
     num_items: int
@@ -186,25 +186,21 @@ class SynthConfig:
     mean_traffic: float = 50.0
     traffic: Sequence[int] | None = None
     list_size: int = 10  # read by nothing; report.json echoes it, RunConfig checks it is K
-    relevance_low: float = 0.0
-    relevance_high: float = 1.0
-    provider_weights: Sequence[float] | None = None
     provider_bands: Sequence[Sequence[float]] | None = None
     inventory: Sequence[int] | str = "even"
 
     def __post_init__(self):
-        for key in ("num_items", "num_providers", "num_intervals", "list_size"):
+        for key in ("num_items", "num_providers", "list_size"):
             check(key, getattr(self, key), POSITIVE_INT)
+        check("num_intervals", self.num_intervals, (f"an int in [1, {MAX_INTERVALS}]",
+              lambda v: POSITIVE_INT[1](v) and v <= MAX_INTERVALS))
         check("mean_traffic", self.mean_traffic, NONNEGATIVE)
-        check("relevance_high", self.relevance_high, UNIT)
-        check("relevance_low", self.relevance_low, number_in(0, self.relevance_high))
         check("inventory", self.inventory, either("even", list_of("ints >= 1", POSITIVE_INT)))
         check("traffic", self.traffic, either(None, list_of("ints >= 0", NONNEGATIVE_INT)))
-        n = self.num_providers
-        check("provider_weights", self.provider_weights,
-              either(None, list_of(f"{n} finite numbers > 0", POSITIVE, n)))
+        n, unit_pair = self.num_providers, list_of("numbers in [0, 1]", UNIT, 2)[1]
         check("provider_bands", self.provider_bands, either(None, list_of(
-            f"{n} (low, high) pairs in [0, 1]", list_of("numbers in [0, 1]", UNIT, 2), n)))
+            f"{n} (low, high) pairs with 0 <= low <= high <= 1",
+            ("a band", lambda v: unit_pair(v) and v[0] <= v[1]), n)))
 
     def resolve_inventory(self) -> np.ndarray:
         if isinstance(self.inventory, str):  # "even"
@@ -235,22 +231,16 @@ def synth_instance(cfg: SynthConfig, seed: int):
     else:
         counts = rng.poisson(cfg.mean_traffic, size=cfg.num_intervals)
 
-    weights = None
+    lo, hi = 0.0, 1.0
     if cfg.provider_bands is not None:
         bands = np.asarray(cfg.provider_bands, dtype=float)
         lo, hi = bands[item_provider, 0], bands[item_provider, 1]
-    else:
-        lo, hi = cfg.relevance_low, cfg.relevance_high
-        if cfg.provider_weights is not None:
-            weights = np.asarray(cfg.provider_weights, dtype=float)[item_provider]
     # One block, worked in place. Row u has the bytes of the per-user draw
     # rng.uniform(lo, hi, num_items), which computes lo + (hi - lo) * random(),
     # and the generator ends where those draws would leave it.
     relevance = rng.random(out=_relevance_matrix(int(counts.sum()), cfg.num_items))
     relevance *= hi - lo
     relevance += lo
-    if weights is not None:
-        relevance *= weights
     np.clip(relevance, 0.0, 1.0, out=relevance)
     relevance.flags.writeable = False
     requests = [UserRequest(str(uid), row, uid) for uid, row in enumerate(relevance)]

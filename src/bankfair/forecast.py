@@ -18,7 +18,6 @@ logger = logging.getLogger(__name__)
 # The parameters each forecaster takes: name -> the rule its value must pass.
 # seasonal takes moving_average's window too, for its short-history fallback.
 PARAMS = {
-    "last_value": {"prior_mean": NONNEGATIVE},
     "moving_average": {"w": POSITIVE_INT, "prior_mean": NONNEGATIVE},
     "seasonal": {"lag": POSITIVE_INT, "w": POSITIVE_INT, "prior_mean": NONNEGATIVE},
     "oracle": {},
@@ -54,8 +53,8 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
                      future=None) -> Forecast:
     """Predict the next ``horizon`` interval counts from observed history.
 
-    last_value repeats the latest observation; moving_average repeats the
-    mean of the last ``w`` observations; seasonal tiles the last ``lag``
+    moving_average repeats the mean of the last ``w`` observations (with
+    ``w`` = 1, the latest one); seasonal tiles the last ``lag``
     observations; oracle returns the true future counts (simulator-only, the
     zero-error upper bound). With no history yet, the configured
     ``prior_mean`` is used. ``params`` must pass ``check_params``.
@@ -80,18 +79,11 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
 
     if method == "seasonal":
         lag = params.get("lag", 7)
-        if history.size < lag:
-            logger.warning("seasonal lag %d exceeds history length %d; "
-                           "falling back to moving_average", lag, history.size)
-            method = "moving_average"
-        else:
-            period = history[-lag:]
-            values = np.tile(period, horizon // lag + 1)[:horizon]
+        if history.size >= lag:
+            values = np.tile(history[-lag:], horizon // lag + 1)[:horizon]
             return Forecast(np.maximum(values, 0.0))
+        logger.warning("seasonal lag %d exceeds history length %d; "
+                       "falling back to moving_average", lag, history.size)
 
-    if method == "last_value":
-        level = float(history[-1])
-    else:  # moving_average
-        w = params.get("w", 3)
-        level = float(history[-w:].mean())
+    level = float(history[-params.get("w", 3):].mean())  # moving_average
     return Forecast(np.full(horizon, max(level, 0.0)))

@@ -25,7 +25,7 @@ def write_synth(tmp_path, **overrides):
 
 class TestParseForecaster:
     def test_bare_name(self):
-        assert parse_forecaster("last_value") == ("last_value", {})
+        assert parse_forecaster("oracle") == ("oracle", {})
 
     def test_params(self):
         name, params = parse_forecaster("moving_average:w=3,prior_mean=12.5")
@@ -65,7 +65,7 @@ class TestRunCommand:
     def test_infeasible_run_exits_two(self, tmp_path, capsys):
         synth = write_synth(tmp_path, traffic=[0, 10, 10])
         code = main(["run", "--synth", synth, "--m", "20", "--K", "5",
-                     "--forecaster", "last_value:prior_mean=0", "--seed", "0"])
+                     "--forecaster", "moving_average:w=1,prior_mean=0", "--seed", "0"])
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
 
@@ -118,12 +118,12 @@ class TestRunCommand:
 
     # (forecaster spec, the parameter the error names)
     @pytest.mark.parametrize("spec,key", [
-        ("moving_average:zzz=1", "zzz"), ("last_value:w=3", "w"),
+        ("moving_average:zzz=1", "zzz"), ("last_value", "last_value"),
         ("moving_average:w=2.5", "w"), ("moving_average:w=0", "w"),
         ("seasonal:lag=0", "lag"), ("seasonal:lag=x", "lag"),
         ("moving_average:prior_mean=nan", "prior_mean"),
         ("moving_average:prior_mean=inf", "prior_mean"),
-        ("last_value:prior_mean=-5", "prior_mean"), ("oracle:w=3", "w")])
+        ("seasonal:prior_mean=-5", "prior_mean"), ("oracle:w=3", "w")])
     def test_bad_forecaster_exits_one(self, tmp_path, capsys, spec, key):
         code = main(["run", "--synth", write_synth(tmp_path), "--K", "5",
                      "--forecaster", spec])
@@ -333,6 +333,8 @@ class TestSpecValidation:
 
     # One bad SynthConfig field each, checked when the spec is read. From
     # "mean_traffic": NaN on, each is a traceback tests/test_cli_fuzz.py found.
+    # relevance_low, relevance_high and provider_weights are fields no more,
+    # and a spec that still sets one is refused by name, not run without it.
     @pytest.mark.parametrize("fields,key", [
         ({"num_providers": 0}, "num_providers"), ({"num_intervals": -1}, "num_intervals"),
         ({"mean_traffic": -5}, "mean_traffic"),
@@ -347,7 +349,9 @@ class TestSpecValidation:
         ({"traffic": "x"}, "traffic"), ({"traffic": [1, {"a": 1}]}, "traffic"),
         ({"provider_bands": "x"}, "provider_bands"),
         ({"provider_bands": [[0.1, float("nan")], [0, 1]]}, "provider_bands"),
-        ({"provider_weights": [1.0, float("nan")]}, "provider_weights")])
+        ({"provider_weights": [1.0, float("nan")]}, "provider_weights"),
+        ({"provider_bands": [[0.9, 0.1], [0, 1]]}, "provider_bands"),
+        ({"num_intervals": 10**13}, "num_intervals")])
     def test_bad_synth_field(self, tmp_path, capsys, fields, key):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"num_items": 10, "num_providers": 2,
@@ -429,6 +433,28 @@ class TestSpecValidation:
     def test_retired_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", "--synth", write_synth(tmp_path), "--warm-start-dual"])
+
+    def test_rules_and_forecasters_have_one_list(self):
+        from bankfair import bankruptcy, forecast
+        from bankfair.cli import RUN_FLAGS
+        assert RUN_FLAGS["rule"]["choices"] is bankruptcy.RULES
+        assert RUN_FLAGS["forecaster"]["help"].endswith(" from " + ", ".join(forecast.PARAMS))
+
+    # numpy's MemoryError names the array; a bare one has no message. Raised
+    # by a stand-in builder: a real huge allocation may succeed where memory
+    # is overcommitted.
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "error: Unable to allocate 7.28 TiB for an array\n"),
+        (MemoryError(), "error: out of memory\n")])
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch, exc, message):
+        from bankfair import harness
+
+        def build(cfg, seed):
+            raise exc
+        monkeypatch.setattr(harness, "synth_instance", build)
+        assert main(["run", "--synth", write_synth(tmp_path), "--K", "5"]) == 1
+        assert capsys.readouterr().err == message
 
 
 class TestVerifyCommand:

@@ -24,6 +24,8 @@ from bankfair.domain import INTERACTIONS_COLUMNS, _write_relevance_matrix
 BAD_CELLS = ("", " ", "x", "nan", "inf", "-inf", "-1", "2", "1e400", "0x10")
 BAD_VALUES = (-1, 0, 1.5, 2.5, "x", "", None, True, [], [1, "x"], {"a": 1},
               float("nan"), float("inf"), 100)
+# (low, high) bands, the last one inverted: a spec holding it is refused.
+BANDS = ([0.0, 0.5], [0.4, 1.0], [0.0, 1.0], [0.3, 0.3], [0.0, 0.0], [0.9, 0.1])
 # How many things to break: none in about half the examples, so that many
 # of them run to the end.
 FEW = st.sampled_from([0, 0, 0, 1, 2, 3])
@@ -86,12 +88,8 @@ def draw_synth(data, directory: Path):
             "mean_traffic": data.draw(st.integers(0, 8), "mean_traffic")}
     optional = {
         "traffic": st.lists(st.integers(0, 6), min_size=intervals, max_size=intervals),
-        "relevance_low": st.sampled_from([0.0, 0.2]),
-        "relevance_high": st.sampled_from([0.5, 1.0]),
-        "provider_weights": st.lists(st.sampled_from([0.5, 1.0]), min_size=providers,
-                                     max_size=providers),
-        "provider_bands": st.lists(st.sampled_from([[0.0, 0.5], [0.4, 1.0]]),
-                                   min_size=providers, max_size=providers),
+        "provider_bands": st.lists(st.sampled_from(BANDS), min_size=providers,
+                                   max_size=providers),
         "inventory": st.just("even"),
     }
     for key in data.draw(st.lists(st.sampled_from(sorted(optional)), unique=True), "keys"):
@@ -106,8 +104,8 @@ def draw_synth(data, directory: Path):
 
 OPTIONS = {
     "--rule": st.sampled_from(["talmud", "naive", "prop", "none"]),
-    "--forecaster": st.sampled_from(["oracle", "last_value", "moving_average:w=2",
-                                     "seasonal:lag=2", "last_value:prior_mean=0",
+    "--forecaster": st.sampled_from(["oracle", "moving_average:w=1", "moving_average:w=2",
+                                     "seasonal:lag=2", "moving_average:w=1,prior_mean=0",
                                      "moving_average:w=0", "gru"]),
     "--m": st.sampled_from(["0", "1", "2", "3", "5", "10", "-1", "nan", "1e308"]),
     "--phi": st.sampled_from(["0", "0.9", "1", "1.5"]),
@@ -154,6 +152,10 @@ def test_run_exits_cleanly(data):
         code, output = run_cli(argv)
         assert code in (0, 1, 2), output
         assert "Traceback" not in output
+        if source is draw_synth:
+            bands = json.loads((directory / "synth.json").read_text()).get("provider_bands")
+            if isinstance(bands, list) and BANDS[-1] in bands:
+                assert code == 1, output
         if code == 0:
             json.loads((directory / "out" / "report.json").read_text(),
                        parse_constant=reject_constant)

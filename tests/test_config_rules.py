@@ -12,7 +12,8 @@ from bankfair.harness import RunConfig, run
 from bankfair.reranker import RerankConfig
 
 SYNTH = dict(num_items=10, num_providers=2, num_intervals=2, mean_traffic=5.0, list_size=5,
-             relevance_low=0.1, relevance_high=0.9, traffic=[3, 4], inventory=[5, 5])
+             traffic=[3, 4], inventory=[5, 5])
+BANDS = dict(SYNTH, provider_bands=[(0.5, 1.0), (0.0, 0.5)])
 
 
 def run_config(**fields):
@@ -26,12 +27,11 @@ VALID = {
                          list_size=5),
     RerankConfig: dict(list_size=5, alpha_k=1.5, beta_mix=0.5, eta=0.01),
     LogSchema: dict(interval_seconds=3600.0, list_size=5),
-    SynthConfig: dict(SYNTH, provider_weights=[1.0, 0.5]),
+    SynthConfig: BANDS,
     run_config: dict(tau=0.2, seed=3, relevance_noise=0.05),
 }
 FIELDS = [(build, key) for build, valid in VALID.items() for key in valid]
 NAMES = [f"{build.__name__}.{key}" for build, key in FIELDS]
-BANDS = dict(SYNTH, provider_bands=[(0.5, 1.0), (0.0, 0.5)])
 
 
 def as_numpy(value):

@@ -2,6 +2,7 @@
 the relevance matrix."""
 
 import csv
+import hashlib
 import mmap
 import tempfile
 from pathlib import Path
@@ -91,17 +92,40 @@ class TestSynthInstance:
             assert (req.relevance[:5] >= 0.8).all()
             assert (req.relevance[5:] <= 0.2).all()
 
-    @pytest.mark.parametrize("weights", ["zipf", [1.0, "x"], [1.0, 0.0], [1.0]])
-    def test_bad_provider_weights_rejected_on_construction(self, weights):
-        with pytest.raises(ConfigError, match="provider_weights"):
-            SynthConfig(num_items=4, num_providers=2, num_intervals=1,
-                        provider_weights=weights)
+    @pytest.mark.parametrize("bands", ["zipf", [(0.0, 1.0), "x"], [(0.0, 1.0)],
+                                       [(0.0, 1.0), (0.1, 0.2, 0.3)], [(0.0, 1.0), (0.5, 1.5)],
+                                       [(0.0, 1.0), (0.9, 0.1)], [(0.0, 1.0), (0.3, 0.2999)]])
+    def test_bad_provider_bands_rejected_on_construction(self, bands):
+        with pytest.raises(ConfigError, match="^provider_bands must be None or a list of 2 "
+                                              r"\(low, high\) pairs with 0 <= low <= high <= 1"):
+            SynthConfig(num_items=4, num_providers=2, num_intervals=1, provider_bands=bands)
+
+    # sha256 of the matrices that the removed relevance_low, relevance_high and
+    # provider_weights fields drew. The bands that replace them draw the same bytes.
+    @staticmethod
+    def drawn(seed, **fields):
+        return instance_matrix(synth_instance(SynthConfig(**fields), seed)[2])
 
     def test_provider_weights_scale_relevance(self):
-        cfg = SynthConfig(num_items=4, num_providers=2, num_intervals=1, traffic=[50],
-                          inventory=[2, 2], provider_weights=[1.0, 0.25])
-        _, _, requests = synth_instance(cfg, seed=0)
-        assert max(r.relevance[2:].max() for r in requests) <= 0.25
+        # Weights w <= 1 scaled the uniform [0, 1) draw: bands (0, w) draw it.
+        matrix = self.drawn(3, num_items=40, num_providers=4, num_intervals=1, traffic=[50],
+                            provider_bands=[(0.0, 0.3)] + [(0.0, 1.0)] * 3)  # [0.3, 1, 1, 1]
+        assert hashlib.sha256(matrix.tobytes()).hexdigest() == (
+            "665d439ed03d62fd652c619bbc54631331b01df6fae73fc59b17ce1c384587a5")
+        assert matrix[:, :10].max() < 0.3
+
+    def test_one_band_for_all_providers_replaces_relevance_low_and_high(self):
+        matrix = self.drawn(5, num_items=30, num_providers=3, num_intervals=2, mean_traffic=8,
+                            provider_bands=[(0.1, 0.9)] * 3)  # low 0.1, high 0.9
+        assert hashlib.sha256(matrix.tobytes()).hexdigest() == (
+            "498ae5ad513bb569f8038dba46d140193120603877164e65415492f7836201b6")
+
+    def test_num_intervals_is_bounded_like_a_logs_span(self):
+        SynthConfig(num_items=4, num_providers=2, num_intervals=domain.MAX_INTERVALS)
+        for bad in (domain.MAX_INTERVALS + 1, 10**13):
+            with pytest.raises(ConfigError, match=r"^num_intervals must be an int in "
+                                                  rf"\[1, {domain.MAX_INTERVALS}\], got {bad}"):
+                SynthConfig(num_items=4, num_providers=2, num_intervals=bad)
 
     def test_more_providers_than_items_rejected(self):
         with pytest.raises(ConfigError):
@@ -355,15 +379,10 @@ def reference_synth(cfg, seed):
         counts = np.asarray(cfg.traffic, dtype=np.int64)
     else:
         counts = rng.poisson(cfg.mean_traffic, size=cfg.num_intervals)
-    weights = np.ones(cfg.num_items)
-    if cfg.provider_bands is not None:
-        bands = np.asarray(cfg.provider_bands, dtype=float)
-        lo, hi = bands[item_provider, 0], bands[item_provider, 1]
-    else:
-        lo, hi = cfg.relevance_low, cfg.relevance_high
-        if cfg.provider_weights is not None:
-            weights = np.asarray(cfg.provider_weights, dtype=float)[item_provider]
-    rows = [np.clip(rng.uniform(lo, hi, size=cfg.num_items) * weights, 0.0, 1.0)
+    bands = [(0.0, 1.0)] * cfg.num_providers if cfg.provider_bands is None else cfg.provider_bands
+    bands = np.asarray(bands, dtype=float)
+    lo, hi = bands[item_provider, 0], bands[item_provider, 1]
+    rows = [np.clip(rng.uniform(lo, hi, size=cfg.num_items), 0.0, 1.0)
             for _ in range(int(counts.sum()))]
     matrix = np.array(rows).reshape(len(rows), cfg.num_items)
     return matrix, rng.bit_generator.state
@@ -381,13 +400,13 @@ class TestRelevanceMatrix:
         "bands": SynthConfig(num_items=30, num_providers=3, num_intervals=3, traffic=[5, 0, 4],
                              provider_bands=[(0.8, 1.0), (0.0, 0.2), (0.5, 0.5)],
                              inventory=[10, 12, 8], list_size=4),
+        # The bands (0, w) that replace provider weights w <= 1.
         "weights": SynthConfig(num_items=20, num_providers=4, num_intervals=2, traffic=[6, 3],
-                               relevance_low=0.1, relevance_high=0.9,
-                               provider_weights=[1.0, 0.25, 3.0, 0.5]),
+                               provider_bands=[(0.0, 1.0), (0.0, 0.25), (0.0, 0.9), (0.0, 0.5)]),
         "low_equals_high": SynthConfig(num_items=12, num_providers=2, num_intervals=2,
-                                       traffic=[3, 2], relevance_low=0.4, relevance_high=0.4),
+                                       traffic=[3, 2], provider_bands=[(0.4, 0.4)] * 2),
         "zero_band": SynthConfig(num_items=6, num_providers=2, num_intervals=1, traffic=[2],
-                                 relevance_low=0.0, relevance_high=0.0, list_size=5),
+                                 provider_bands=[(0.0, 0.0)] * 2, list_size=5),
         "poisson": SynthConfig(num_items=25, num_providers=5, num_intervals=4, mean_traffic=7),
         "no_users": SynthConfig(num_items=8, num_providers=2, num_intervals=3, traffic=[0, 0, 0]),
     }

@@ -9,8 +9,17 @@ from bankfair.forecast import forecast_traffic
 
 class TestForecasters:
     def test_last_value(self):
-        fc = forecast_traffic([10, 20, 30], 2, "last_value")
+        fc = forecast_traffic([10, 20, 30], 2, "moving_average", {"w": 1})
         np.testing.assert_allclose(fc.horizon_values, [30, 30])
+
+    def test_window_one_is_the_latest_value_bit_for_bit(self):
+        # What the removed last_value forecaster returned: float(history[-1]).
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            history = rng.uniform(0.0, 1e4, size=int(rng.integers(1, 20)))
+            history[rng.random(history.size) < 0.2] = 0.0
+            fc = forecast_traffic(history, 3, "moving_average", {"w": 1, "prior_mean": 0.0})
+            assert fc.horizon_values.tobytes() == np.full(3, float(history[-1])).tobytes()
 
     def test_moving_average(self):
         fc = forecast_traffic([10, 20, 30], 2, "moving_average", {"w": 3})

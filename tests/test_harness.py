@@ -167,8 +167,8 @@ class TestRun:
     def test_zero_forecast_aborts_with_diagnostic(self):
         synth = SynthConfig(num_items=40, num_providers=4, num_intervals=2,
                             traffic=[0, 20], list_size=5)
-        cfg = small_config(forecaster="last_value",
-                           forecaster_params={"prior_mean": 0.0})
+        cfg = small_config(forecaster="moving_average",
+                           forecaster_params={"w": 1, "prior_mean": 0.0})
         cfg.synth = synth
         with pytest.raises(InfeasibleAllocationError) as err:
             run(cfg)
@@ -479,7 +479,7 @@ class TestRunConfigValidation:
         (dict(forecaster="gru"), "gru"),
         (dict(forecaster="moving_average", forecaster_params={"w": 0}), "'w'"),
         (dict(forecaster="seasonal", forecaster_params={"lag": 2.0}), "'lag'"),
-        (dict(forecaster="last_value", forecaster_params={"prior_mean": -1.0}),
+        (dict(forecaster="seasonal", forecaster_params={"prior_mean": -1.0}),
          "'prior_mean'"),
         (dict(forecaster="oracle", forecaster_params={"prior_mean": 1.0}), "'prior_mean'")])
     def test_bad_seed_or_forecaster(self, overrides, key):
@@ -560,8 +560,8 @@ class TestSweep:
                 assert got == pytest.approx(want, rel=1e-10, abs=0.0), n
 
     def test_failures_recorded_and_sweep_continues(self):
-        base = small_config(forecaster="last_value",
-                            forecaster_params={"prior_mean": 0.0})
+        base = small_config(forecaster="moving_average",
+                            forecaster_params={"w": 1, "prior_mean": 0.0})
         base.synth = SynthConfig(num_items=40, num_providers=4, num_intervals=2,
                                  traffic=[0, 20], list_size=5)
         result = sweep(SweepSpec(base, {"k": [1.2, 1.5]}, seeds=[0]))
