@@ -19,7 +19,10 @@ rows of ``decisions.csv`` that csv quotes are hashed. ``benchmark_config``
 also runs under talmud and prop at the first of
 ``--config-seeds`` with explicit traffic that leaves some intervals empty
 (``empty_intervals/<rule>/seed<N>``), and under talmud at that seed with
-every floor zero (``zero_floors/talmud/seed<N>``). Inputs and outputs go
+every floor zero (``zero_floors/talmud/seed<N>``), with those empty
+intervals and ``relevance_noise`` 0.05 (``empty_intervals/talmud/seed<N>/noisy``),
+and with that noise, no arrivals at all and zero floors
+(``no_arrivals/talmud/seed<N>``). Inputs and outputs go
 under ``DIR``, and one line per output file gives the run, the file and its
 sha256. Run it in two checkouts, each with its own ``DIR``, and diff the two
 listings to check that a change leaves every output byte-identical, or save
@@ -126,6 +129,15 @@ def runs(seeds, config_seeds):
     name = f"zero_floors/talmud/seed{config_seeds[0]}"
     policy = replace(cfg.policy, required_min_exposure=0.0 * cfg.policy.required_min_exposure)
     yield name, replace(cfg, policy=policy, out_dir=name)
+    # Noise with empty intervals, and no arrivals at all. With no traffic
+    # there is nothing to claim, so that run has zero floors.
+    gapped = replace(cfg, synth=replace(cfg.synth, traffic=GAPPED_TRAFFIC), tau=None,
+                     relevance_noise=0.05)
+    name = f"empty_intervals/talmud/seed{config_seeds[0]}/noisy"
+    yield name, replace(gapped, out_dir=name)
+    name = f"no_arrivals/talmud/seed{config_seeds[0]}"
+    idle = replace(gapped.synth, traffic=[0] * len(GAPPED_TRAFFIC))
+    yield name, replace(gapped, synth=idle, policy=policy, out_dir=name)
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ import itertools
 import logging
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -22,6 +23,8 @@ from .errors import (NONEMPTY_LIST, NONNEGATIVE, NONNEGATIVE_INT, PATH, POSITIVE
 from .metrics import SimReport
 
 logger = logging.getLogger(__name__)
+
+_Interval = namedtuple("_Interval", "n audit arrivals lists digests ndcg esp")
 
 
 @dataclass
@@ -97,6 +100,10 @@ def run(cfg: RunConfig) -> SimReport:
     the instance matrix by the arrivals' rows, against ideal DCGs computed
     once per matrix row. A noisy interval adds each arrival's row into its
     own noise block and scores that block.
+
+    Each interval leaves one record, which the report and both CSV writers
+    read after the loop: its audit, its arrivals, their lists, NDCGs and
+    price digests (when writing outputs), and the ESP so far.
     """
     # One sub-seed per stochastic stage keeps every stage independently
     # reproducible for a fixed run seed.
@@ -129,21 +136,14 @@ def run(cfg: RunConfig) -> SimReport:
     realized = counts.astype(float)
     cumulative = np.zeros(catalog.num_providers, dtype=np.int64)
 
-    per_user_ndcg: list[float] = []
-    per_interval_acc, per_interval_vio, per_interval_esp = [], [], []
-    allocation_rows = []
-    # Per interval: (n, arrivals, lists, the first 6 bytes of each price row's sha1).
-    decisions: list[tuple] = []
-    rerank_cfg = cfg.rerank
-    if cfg.rule == "none":
-        rerank_cfg = replace(cfg.rerank, eta=0.0)
+    records = []
+    rerank_cfg = replace(cfg.rerank, eta=0.0) if cfg.rule == "none" else cfg.rerank
 
     for n in range(1, horizon + 1):
         arrivals = requests[bounds[n - 1]:bounds[n]]
-        fc = forecast.forecast_traffic(
+        rhat = forecast.forecast_traffic(
             realized[: n - 1], horizon - n + 1, cfg.forecaster, cfg.forecaster_params,
-            future=realized[n - 1:] if cfg.forecaster == "oracle" else None)
-        rhat = fc.horizon_values
+            future=realized[n - 1:] if cfg.forecaster == "oracle" else None).horizon_values
         rhat_n = max(float(rhat[0]), 1.0)
         remaining = np.maximum(m - cumulative, 0.0)
 
@@ -152,8 +152,8 @@ def run(cfg: RunConfig) -> SimReport:
         traffic_total = max(float(realized[: n - 1].sum() + rhat.sum()), 1.0)
         alpha = cfg.rerank.alpha_k * float(m.sum()) / (m.size * k * traffic_total)
         audit = bankruptcy.plan_interval(cfg.rule, remaining, alpha * k * rhat, rhat, interval=n)
-        allocation_rows.append((n, audit))
 
+        lists, digests, ndcg = np.empty((0, k), dtype=np.int64), b"", np.empty(0)
         if arrivals:
             # The arrivals' rows of `scored`: the instance matrix, or a noise block.
             at = np.fromiter((req.row for req in arrivals), dtype=np.int64, count=len(arrivals))
@@ -175,66 +175,61 @@ def run(cfg: RunConfig) -> SimReport:
             cumulative = cumulative + earned
             if cfg.out_dir is not None:
                 digests = b"".join([hashlib.sha1(mu).digest()[:6] for mu in prices])
-                decisions.append((n, arrivals, lists, digests))
-            interval_ndcg = metrics.ndcg_at_k(scored[at[:, None], lists], scored_ideal)
+            ndcg = metrics.ndcg_at_k(scored[at[:, None], lists], scored_ideal)
             del scored, prices  # the noise block and prices die with the interval
-            per_user_ndcg.extend(interval_ndcg.tolist())
-            per_interval_acc.append(float(np.mean(interval_ndcg)))
-            per_interval_vio.append(metrics.vio_at_k(interval_ndcg, cfg.policy.required_min_accuracy))
-        else:
-            per_interval_acc.append(1.0)
-            per_interval_vio.append(0.0)
-        per_interval_esp.append(metrics.esp_at_k(cumulative, m))
+        records.append(_Interval(n, audit, arrivals, lists, digests, ndcg,
+                                 metrics.esp_at_k(cumulative, m)))
 
+    phi = cfg.policy.required_min_accuracy
+    per_user_ndcg = np.concatenate([r.ndcg for r in records]).tolist()
     report = SimReport(
         ndcg_at_k=float(np.mean(per_user_ndcg)) if per_user_ndcg else 1.0,
-        vio_at_k=metrics.vio_at_k(per_user_ndcg, cfg.policy.required_min_accuracy)
-        if per_user_ndcg else 0.0,
-        esp_at_k=metrics.esp_at_k(cumulative, m),
+        vio_at_k=metrics.vio_at_k(per_user_ndcg, phi) if per_user_ndcg else 0.0,
+        esp_at_k=records[-1].esp,
         per_interval_traffic=[int(c) for c in counts],
-        per_interval_accuracy=per_interval_acc,
-        per_interval_vio=per_interval_vio,
-        per_interval_esp=per_interval_esp,
+        per_interval_accuracy=[float(np.mean(r.ndcg)) if r.arrivals else 1.0 for r in records],
+        per_interval_vio=[metrics.vio_at_k(r.ndcg, phi) if r.arrivals else 0.0 for r in records],
+        per_interval_esp=[r.esp for r in records],
         per_provider_cumulative_exposure=[int(c) for c in cumulative],
         per_user_ndcg=per_user_ndcg,
         config_echo=cfg.echo(),
     )
     if cfg.out_dir is not None:
         report.write(cfg.out_dir)
-        _write_allocations(Path(cfg.out_dir) / "allocations.csv", allocation_rows)
-        _write_decisions(Path(cfg.out_dir) / "decisions.csv", decisions, k, catalog.num_items)
+        _write_allocations(Path(cfg.out_dir) / "allocations.csv", records)
+        _write_decisions(Path(cfg.out_dir) / "decisions.csv", records, k, catalog.num_items)
     return report
 
 
-def _write_allocations(path, rows):
+def _write_allocations(path, records):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["interval", "provider", *bankruptcy.AUDIT_COLUMNS])
-        for interval, audit in rows:
-            columns = (audit[name].tolist() for name in bankruptcy.AUDIT_COLUMNS)
-            w.writerows([interval, p, *values] for p, values in enumerate(zip(*columns)))
+        for r in records:
+            columns = (r.audit[name].tolist() for name in bankruptcy.AUDIT_COLUMNS)
+            w.writerows([r.n, p, *values] for p, values in enumerate(zip(*columns)))
 
 
 # csv.writer quotes a field that holds one of these.
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
-def _write_decisions(path, decisions, k, num_items):
+def _write_decisions(path, records, k, num_items):
     """One row per arrival; an interval's rows are made and written as one string.
 
     The hash column is the first 12 hex digits of the sha1 of the prices
-    that selected the list: the hex of the 6 bytes per arrival that ``run``
-    keeps. A row is its fields joined by commas, item ids taken from one
-    table of labels. An interval in which some user id is not a str, or
-    would be quoted, is written by ``csv.writer`` instead; either way every
-    row has ``csv.writer``'s bytes.
+    that selected the list: the hex of the 6 bytes per arrival that a
+    record's ``digests`` holds. A row is its fields joined by commas, item
+    ids taken from one table of labels. An interval in which some user id is
+    not a str, or would be quoted, is written by ``csv.writer`` instead;
+    either way every row has ``csv.writer``'s bytes.
     """
     labels = np.array([str(i) for i in range(num_items)], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["interval", "t", "user_id", *(f"item_{i}" for i in range(1, k + 1)),
                     "mu_snapshot_hash"])
-        for n, arrivals, lists, digests in decisions:
+        for n, _, arrivals, lists, digests, *_ in records:
             uids = [req.user_id for req in arrivals]
             hexes = digests.hex()
             hashes = [hexes[i:i + 12] for i in range(0, len(hexes), 12)]

@@ -131,6 +131,8 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
     for the unearned remainder ``max(floor - earned, 0)``, so pressure on a
     provider fades once its floor is met.
 
+    A dual step that overflows is a ConfigError naming eta.
+
     Returns (lists, earned, prices): ``lists`` is an int64 array of shape
     (len(rows), K) whose row t holds arrival t's K distinct item ids in rank
     order, ``earned`` the int64 exposure each provider earned, and ``prices``
@@ -151,11 +153,16 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
     earned = np.zeros(nprov, dtype=np.int64)
     lists = np.empty((len(rows), k), dtype=np.int64)
     prices = np.empty((len(rows), nprov))
-    for t, row in enumerate(rows):
-        items = select_list(relevance[row], mu, catalog.item_provider, rhat_n, k)
-        exposure = np.bincount(catalog.item_provider[items], minlength=nprov)
-        earned += exposure
-        e_star = conjugate_argmax(mu, gamma, np.maximum(floor - earned, 0.0))
-        lists[t], prices[t] = items, mu
-        mu = dual_step(mu, eta, lam, exposure, e_star)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for t, row in enumerate(rows):
+                items = select_list(relevance[row], mu, catalog.item_provider, rhat_n, k)
+                exposure = np.bincount(catalog.item_provider[items], minlength=nprov)
+                earned += exposure
+                e_star = conjugate_argmax(mu, gamma, np.maximum(floor - earned, 0.0))
+                lists[t], prices[t] = items, mu
+                mu = dual_step(mu, eta, lam, exposure, e_star)
+    except FloatingPointError:
+        raise ConfigError(f"eta {eta!r} at predicted traffic {rhat_n!r}: a dual step "
+                          "overflows the prices") from None
     return lists, earned, prices

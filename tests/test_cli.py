@@ -110,6 +110,38 @@ class TestRunCommand:
         assert "tau must be None or a finite number > 0, got inf" in err
         assert "Traceback" not in err and not out.exists()
 
+    # Twenty items over three intervals of 45 arrivals in all, K 3, floor 5.
+    BUSY = {"num_items": 20, "num_providers": 4, "num_intervals": 3, "traffic": [20, 10, 15]}
+
+    # A dual step of eta 1e308 overflows the prices to inf, and inf - inf is
+    # nan; 1e307 stays finite on this instance.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eta,code", [("1e308", 1), ("1.7976931348623157e308", 1),
+                                          ("1e307", 0)])
+    def test_overflowing_dual_step_exits_one(self, tmp_path, capsys, eta, code):
+        path = tmp_path / "busy.json"
+        path.write_text(json.dumps(self.BUSY))
+        assert main(["run", "--synth", str(path), "--K", "3", "--m", "5", "--eta", eta]) == code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if code:
+            assert f"eta {float(eta)!r}" in err and "overflows" in err
+        else:
+            assert json.loads(out)["esp_at_k"] == 1.0
+
+    # A prior of 1e308 per interval sums past the float range over three
+    # intervals; it once showed as zero claims and an infeasible allocation.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_prior_mean_whose_horizon_total_overflows_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "busy.json"
+        path.write_text(json.dumps(self.BUSY))
+        code = main(["run", "--synth", str(path), "--K", "3", "--m", "5",
+                     "--forecaster", "moving_average:prior_mean=1e308"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'prior_mean' 1e+308" in err and "infeasible" not in err
+        assert "Traceback" not in err
+
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         code = main(["run", "--synth", write_synth(tmp_path), "--K", "5", "--seed", "-1"])
         assert code == 1

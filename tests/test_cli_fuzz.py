@@ -106,13 +106,17 @@ OPTIONS = {
     "--rule": st.sampled_from(["talmud", "naive", "prop", "none"]),
     "--forecaster": st.sampled_from(["oracle", "moving_average:w=1", "moving_average:w=2",
                                      "seasonal:lag=2", "moving_average:w=1,prior_mean=0",
+                                     "moving_average:prior_mean=1e308",
                                      "moving_average:w=0", "gru"]),
     "--m": st.sampled_from(["0", "1", "2", "3", "5", "10", "-1", "nan", "1e308"]),
     "--phi": st.sampled_from(["0", "0.9", "1", "1.5"]),
     "--K": st.one_of(st.integers(1, 4), st.integers(-1, 12)).map(str),
     "--k": st.sampled_from(["1", "1.5", "2", "0.5", "nan"]),
     "--beta": st.sampled_from(["0", "0.5", "1", "-0.5"]),
-    "--eta": st.sampled_from(["auto", "0", "0.05", "1e-4", "-1", "x", "inf"]),
+    # Some etas are huge and finite, so that a dual step can overflow.
+    "--eta": st.one_of(st.sampled_from(["auto", "0", "0.05", "1e-4", "-1", "x", "inf",
+                                        "1e307", "1e308", "1.7976931348623157e308"]),
+                       st.floats(1e307, 1.7976931348623157e308).map(repr)),
     "--interval-hours": st.sampled_from(["1", "0.25", "24", "0", "1e-9"]),
     "--tau": st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
                        st.sampled_from(["0.2", "1"])),
@@ -146,8 +150,10 @@ def test_run_exits_cleanly(data):
         directory = Path(tmp)
         source = data.draw(st.sampled_from([draw_log, draw_synth]), "source")
         argv = ["run", *source(data, directory), "--out", str(directory / "out")]
-        # A small list and floor in most examples: the defaults fit no small input.
-        flags = {"--K", "--m", *data.draw(st.lists(st.sampled_from(sorted(OPTIONS))), "flags")}
+        # A small list and floor in most examples: the defaults fit no small
+        # input. eta is drawn in every example, so that huge steps are common.
+        flags = {"--K", "--m", "--eta",
+                 *data.draw(st.lists(st.sampled_from(sorted(OPTIONS))), "flags")}
         argv += [f"{flag}={data.draw(OPTIONS[flag], flag)}" for flag in sorted(flags)]
         code, output = run_cli(argv)
         assert code in (0, 1, 2), output

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_sim import reference_run
 from test_reranker import reference_run_interval, reference_top_k
 
 from bankfair import harness, metrics, reranker
+from bankfair.bankruptcy import RULES
 from bankfair.domain import (FairnessPolicy, LogSchema, SynthConfig, _write_relevance_matrix,
                              load_interactions, save_instance, synth_instance)
 from bankfair.errors import ConfigError, InfeasibleAllocationError
@@ -226,22 +228,25 @@ class TestRun:
 
     @given(st.lists(st.lists(st.one_of(
         st.text(alphabet=[",", '"', "\r", "\n", " ", "\t", "é", "u"], max_size=4),
-        st.integers(), st.none(), st.floats(allow_nan=False)), min_size=1, max_size=6),
+        st.integers(), st.none(), st.floats(allow_nan=False)), max_size=6),
         max_size=4), st.randoms(use_true_random=False))
     @settings(max_examples=300, deadline=None)
     def test_decisions_writer_matches_csv_writer(self, tmp_path_factory, batches, rnd):
-        # Any user id, str or not: the bytes of csv.writer fed the same rows.
+        # Any user id, str or not, and intervals with no arrivals: the bytes
+        # of csv.writer fed the same rows.
         path = tmp_path_factory.mktemp("decisions")
-        decisions, k, num_items = [], 3, 5
+        records, k, num_items = [], 3, 5
         for n, uids in enumerate(batches, 1):
-            lists = np.array([rnd.sample(range(num_items), k) for _ in uids], dtype=np.int64)
-            digests = rnd.randbytes(6 * len(uids))
-            decisions.append((n, [SimpleNamespace(user_id=uid) for uid in uids], lists, digests))
-        harness._write_decisions(path / "got.csv", decisions, k, num_items)
+            lists = np.array([rnd.sample(range(num_items), k) for _ in uids],
+                             dtype=np.int64).reshape(len(uids), k)
+            records.append(harness._Interval(
+                n, None, [SimpleNamespace(user_id=uid) for uid in uids], lists,
+                rnd.randbytes(6 * len(uids)), None, None))
+        harness._write_decisions(path / "got.csv", records, k, num_items)
         want = reference_decisions(path / "want.csv", k, [
-            (n, t, req.user_id, items, digests[6 * t - 6:6 * t])
-            for n, arrivals, lists, digests in decisions
-            for t, (req, items) in enumerate(zip(arrivals, lists.tolist()), 1)])
+            (r.n, t, req.user_id, items, r.digests[6 * t - 6:6 * t])
+            for r in records
+            for t, (req, items) in enumerate(zip(r.arrivals, r.lists.tolist()), 1)])
         assert (path / "got.csv").read_bytes() == want
 
     # A synthetic run whose traffic has empty intervals, and a log replay.
@@ -350,8 +355,10 @@ class TestRun:
         (lambda d: log_config(d), LOG_USERS),
         (lambda d: log_config(d, relevance=True), LOG_USERS),
         (lambda d: small_config(tau=0.3), None),
-        (lambda d: log_config(d, relevance=True, relevance_noise=0.05), None)],
-        ids=["log", "log_relevance_bin", "synth_tau", "log_noise"])
+        (lambda d: log_config(d, relevance=True, relevance_noise=0.05), None),
+        (lambda d: small_config(relevance_noise=0.05, synth=replace(
+            small_config().synth, num_intervals=5, traffic=[12, 0, 9, 0, 15])), None)],
+        ids=["log", "log_relevance_bin", "synth_tau", "log_noise", "synth_gaps_noise"])
     def test_cached_scoring_matches_per_arrival_scoring(self, tmp_path, monkeypatch, make,
                                                         distinct):
         # The harness scores each interval as one block against ideal DCGs
@@ -388,6 +395,14 @@ class TestRun:
         assert [rep.per_interval_accuracy[n] for n in busy] == [float(np.mean(s)) for s in oracle]
         assert [rep.per_interval_vio[n] for n in busy] == [metrics.vio_at_k(s, phi)
                                                            for s in oracle]
+        # An interval without arrivals scores accuracy 1 and vio 0 and has
+        # no row in decisions.csv.
+        empty = [n for n, c in enumerate(rep.per_interval_traffic) if not c]
+        assert [rep.per_interval_accuracy[n] for n in empty] == [1.0] * len(empty)
+        assert [rep.per_interval_vio[n] for n in empty] == [0.0] * len(empty)
+        with open(tmp_path / "out" / "decisions.csv", newline="") as fh:
+            written = {int(row["interval"]) - 1 for row in csv.DictReader(fh)}
+        assert written == set(busy)
 
         # top_k_dcg saw each distinct vector served once: a row of the
         # instance matrix, or of one interval's noise block. served holds every
@@ -447,6 +462,66 @@ class TestRun:
 
         peak(0.0)  # a process's first run allocates some state once
         assert peak(0.05) - peak(0.0) < 1.5 * block
+
+
+OUTPUT_FILES = ("report.json", "decisions.csv", "allocations.csv", "intervals.csv")
+FORECASTERS = [("oracle", {}), ("moving_average", {}), ("moving_average", {"w": 1}),
+               ("moving_average", {"w": 2, "prior_mean": 0.0}),
+               ("moving_average", {"w": 3, "prior_mean": 3.5}),
+               ("seasonal", {"lag": 2, "w": 1, "prior_mean": 2.0}), ("seasonal", {"lag": 1})]
+
+
+class TestReferenceSimulator:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_outputs_match_reference_simulator(self, tmp_path_factory, data):
+        # harness.run writes the reference simulator's bytes in every output
+        # file, or both stop on the same infeasible allocation.
+        tmp = tmp_path_factory.mktemp("simulate")
+        providers = data.draw(st.integers(1, 3), "providers")
+        num_items = data.draw(st.integers(providers, 7), "items")
+        k = data.draw(st.one_of(st.just(num_items), st.integers(1, num_items)), "K")
+        traffic = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=5), "traffic")
+        synth = SynthConfig(num_items=num_items, num_providers=providers,
+                            num_intervals=len(traffic), traffic=traffic, list_size=k)
+        source = dict(synth=synth)
+        if sum(traffic) and data.draw(st.booleans(), "log"):
+            # A saved log with relevance on a 0.05 grid, so that lists tie,
+            # and returning users, so that arrivals share matrix rows.
+            catalog, counts, requests = synth_instance(synth, seed=data.draw(st.integers(0, 9)))
+            users = data.draw(st.integers(1, len(requests)), "users")
+            requests = [replace(req, user_id=f"u{i % users}",
+                                relevance=np.round(req.relevance * 20.0) / 20.0)
+                        for i, req in enumerate(requests)]
+            save_instance(tmp / "data", catalog, counts, requests)
+            source = dict(data_path=str(tmp / "data"), schema=LogSchema(list_size=k))
+        floors = data.draw(st.one_of(
+            st.just([0.0] * providers),
+            st.lists(st.sampled_from([0.0, 0.5, 2.0, 3.5, 6.0]),
+                     min_size=providers, max_size=providers)), "floors")
+        forecaster, params = data.draw(st.sampled_from(FORECASTERS), "forecaster")
+        cfg = RunConfig(
+            policy=FairnessPolicy(np.array(floors), data.draw(st.sampled_from([0.0, 0.5, 0.9]),
+                                                              "phi"), k),
+            rerank=RerankConfig(list_size=k, alpha_k=data.draw(st.sampled_from([1.0, 1.5, 2.0])),
+                                beta_mix=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                                eta=data.draw(st.sampled_from(["auto", 0.0, 0.05, 1.0]), "eta")),
+            # talmud twice as often: only its claims depend on the traffic total.
+            rule=data.draw(st.sampled_from(RULES + ("talmud",)), "rule"),
+            forecaster=forecaster, forecaster_params=params,
+            tau=data.draw(st.sampled_from([None, 0.3, 2.0]), "tau"),
+            relevance_noise=data.draw(st.sampled_from([0.0, 0.1]), "noise"),
+            seed=data.draw(st.integers(0, 2**16), "seed"), **source)
+        outputs = []
+        for name, simulate in (("harness", lambda out: run(replace(cfg, out_dir=str(out)))),
+                               ("reference", lambda out: reference_run(cfg, out))):
+            try:
+                simulate(tmp / name)
+            except InfeasibleAllocationError as exc:
+                outputs.append(str(exc))
+            else:
+                outputs.append({file: (tmp / name / file).read_bytes() for file in OUTPUT_FILES})
+        assert outputs[0] == outputs[1]
 
 
 class TestRunConfigValidation:
