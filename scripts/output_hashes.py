@@ -30,6 +30,9 @@ one checkout's listing and pass it to the other as ``--against LISTING``:
 the script then exits 1 after naming, on stderr, every run and file whose
 sha256 differs from the listing's, or that one side has and the other lacks.
 Give both runs the same ``--seeds`` and ``--config-seeds``.
+``tests/data/output_hashes.txt`` is the listing of ``--seeds 101
+--config-seeds 0``, and ``tests/data/output_hashes_numpy.txt`` the numpy
+version that made it; the tests run those seeds against it.
 """
 
 import argparse
@@ -172,17 +175,26 @@ def main(argv=None) -> int:
             print(name, file, digest, flush=True)
     if expected is None:
         return 0
+    report = compare(got, expected, args.against)
+    print("\n".join(report), file=sys.stderr)
+    return 1 if len(report) > 1 else 0
+
+
+def compare(got, expected, against):
+    """The lines ``--against`` prints: one per run and file whose sha256 differs
+    from the listing's, or that one side has and the other lacks, then a count.
+
+    ``got`` and ``expected`` map (run, file) to a sha256; ``against`` names the
+    listing in the count line.
+    """
     problems = []
     for key in {**got, **expected}:  # run order, then what only the listing has
         if got.get(key) != expected.get(key):
             why = ("sha256 differs" if key in got and key in expected
                    else "not in the listing" if key in got else "missing")
             problems.append(f"{key[0]} {key[1]}: {why}")
-    for problem in problems:
-        print(problem, file=sys.stderr)
-    print(f"{len(problems)} of {len(got.keys() | expected.keys())} files differ from "
-          f"{args.against}", file=sys.stderr)
-    return 1 if problems else 0
+    return [*problems, f"{len(problems)} of {len(got.keys() | expected.keys())} files differ "
+                       f"from {against}"]
 
 
 if __name__ == "__main__":

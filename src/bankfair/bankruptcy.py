@@ -50,32 +50,39 @@ def talmud(claims: np.ndarray,
     d = np.asarray(claims, dtype=float)
     if d.ndim != 1 or d.size == 0:
         raise ConfigError("claims must be a nonempty vector")
-    if not np.isfinite(d).all() or (d < 0).any():
+    # A NaN makes min and max NaN, which fails both comparisons.
+    if not (d.min() >= 0 and d.max() < math.inf):
         raise ConfigError("claims must be finite and nonnegative")
     total = float(d.sum())
     estate = np.asarray(estate, dtype=float)
     if estate.ndim > 1:
         raise ConfigError("estate must be a scalar or a vector")
-    if not np.isfinite(estate).all() or (estate < 0).any():
+    largest = estate.max(initial=0.0)  # 0.0 keeps an empty vector of estates valid
+    if not (estate.min(initial=0.0) >= 0 and largest < math.inf):
         raise ConfigError("estate must be finite and nonnegative")
-    if (estate > total * (1 + _REL_TOL) + _REL_TOL).any():
+    if largest > total * (1 + _REL_TOL) + _REL_TOL:
         raise InfeasibleAllocationError(
-            f"estate {estate.max()} exceeds total claims {total}; clamp before allocating")
-    estate = np.minimum(estate, total)
+            f"estate {largest} exceeds total claims {total}; clamp before allocating")
+    if largest > total:  # within the slack
+        estate = np.minimum(estate, total)
 
     half = 0.5 * d
     h = np.sort(half)
-    below = np.concatenate(([0.0], np.cumsum(h)[:-1]))  # sum of the half-claims before each kink
-    flat = np.arange(h.size, 0, -1)                      # claimants still at theta past each kink
+    below = np.empty(h.size)  # sum of the half-claims before each kink
+    below[0] = 0.0
+    np.cumsum(h[:-1], out=below[1:])
+    flat = np.arange(h.size, 0, -1)  # claimants still at theta past each kink
     # The sum when theta reaches each kink. Tied half-claims can round it a
     # hair out of order; searchsorted needs it sorted to give every estate
     # the same segment whether it comes alone or in a vector.
     at_kink = np.maximum.accumulate(below + flat * h)
     target = np.minimum(estate, total - estate)
-    seg = np.minimum(np.searchsorted(at_kink, target), h.size - 1)
+    seg = np.searchsorted(at_kink[:-1], target)  # a target past every kink: the last segment
     theta = (target - below[seg]) / flat[seg]
-    low = np.minimum(half, theta[..., None])
-    awards = np.where((estate <= 0.5 * total)[..., None], low, d - low)
+    awards = np.minimum(half, theta[..., None])
+    upper = estate > 0.5 * total  # these estates' claimants get claim - min(h, theta)
+    if upper.any():
+        np.subtract(d, awards, out=awards, where=upper[..., None])
     return awards, float(theta) if theta.ndim == 0 else theta
 
 
@@ -90,9 +97,10 @@ def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
     when this interval's forecast is at or above the mean of the coming
     forecasts, else nothing. prop: the current interval's share of the coming
     forecast traffic. none: no floor. Only talmud reads ``claims``; it clamps
-    each estate to their total, and an estate above the total by more than
-    the slack ``talmud`` accepts is logged, or, against zero total claims,
-    an InfeasibleAllocationError.
+    each estate to their total. Estates above the total by more than the
+    slack ``talmud`` accepts are logged in one warning per interval, which
+    names the interval, their count and their providers; against zero total
+    claims the first of them is an InfeasibleAllocationError.
 
     Returns a dict mapping each of AUDIT_COLUMNS to a per-provider array:
     the estate divided, this interval's claim, the award, which is the
@@ -112,14 +120,17 @@ def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
     elif rule == "talmud":
         total_claims = float(claims.sum())
         # Beyond the slack talmud accepts: within it the clamp only rounds.
-        for p in np.flatnonzero(remaining > total_claims * (1 + _REL_TOL) + _REL_TOL):
+        over = np.flatnonzero(remaining > total_claims * (1 + _REL_TOL) + _REL_TOL)
+        if over.size:
             if total_claims <= 0:
+                p = int(over[0])
                 raise InfeasibleAllocationError(
                     f"provider {p}: remaining requirement {remaining[p]} but zero total claims",
-                    provider=int(p), interval=interval)
+                    provider=p, interval=interval)
             logger.warning(
-                "provider %d: estate %.3f exceeds total claims %.3f; clamping, "
-                "surplus stays in the remaining requirement", p, remaining[p], total_claims)
+                "interval %d: %d estates exceed total claims %.3f; clamping, the surplus "
+                "stays in the remaining requirement of providers %s",
+                interval, over.size, total_claims, over.tolist())
         estate = np.minimum(remaining, total_claims)
         awards, theta = talmud(claims, estate)
         plan, claim = awards[:, 0], claims[0]
@@ -136,4 +147,5 @@ def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
         plan = share * remaining
         claim = plan
 
-    return dict(zip(AUDIT_COLUMNS, np.broadcast_arrays(estate, claim, plan, theta)))
+    return {name: np.full(nprov, value) if np.ndim(value) == 0 else value
+            for name, value in zip(AUDIT_COLUMNS, (estate, claim, plan, theta))}

@@ -119,8 +119,8 @@ def run(cfg: RunConfig) -> SimReport:
     elif m.size != catalog.num_providers:
         raise ConfigError("policy covers a different number of providers than the catalog")
     with np.errstate(over="ignore"):
-        check(f"the sum of required_min_exposure over {m.size} providers", float(m.sum()),
-              NONNEGATIVE)
+        m_total = check(f"the sum of required_min_exposure over {m.size} providers",
+                        float(m.sum()), NONNEGATIVE)
     k = cfg.policy.list_size
 
     if cfg.tau is not None:
@@ -138,6 +138,11 @@ def run(cfg: RunConfig) -> SimReport:
 
     records = []
     rerank_cfg = replace(cfg.rerank, eta=0.0) if cfg.rule == "none" else cfg.rerank
+    # Claims of alpha * K per predicted arrival; alpha_k = 1 makes them sum
+    # over the horizon to the mean floor when the forecast is exact. The
+    # realized counts are integers, so their running sum is exact.
+    scaled_floors, slots = cfg.rerank.alpha_k * m_total, m.size * k
+    realized_sum = 0.0
 
     for n in range(1, horizon + 1):
         arrivals = requests[bounds[n - 1]:bounds[n]]
@@ -146,11 +151,9 @@ def run(cfg: RunConfig) -> SimReport:
             future=realized[n - 1:] if cfg.forecaster == "oracle" else None).horizon_values
         rhat_n = max(float(rhat[0]), 1.0)
         remaining = np.maximum(m - cumulative, 0.0)
-
-        # Claims of alpha * K per predicted arrival; alpha_k = 1 makes them
-        # sum over the horizon to the mean floor when the forecast is exact.
-        traffic_total = max(float(realized[: n - 1].sum() + rhat.sum()), 1.0)
-        alpha = cfg.rerank.alpha_k * float(m.sum()) / (m.size * k * traffic_total)
+        traffic_total = max(float(realized_sum + rhat.sum()), 1.0)
+        realized_sum += realized[n - 1]
+        alpha = scaled_floors / (slots * traffic_total)
         audit = bankruptcy.plan_interval(cfg.rule, remaining, alpha * k * rhat, rhat, interval=n)
 
         lists, digests, ndcg = np.empty((0, k), dtype=np.int64), b"", np.empty(0)
@@ -172,7 +175,7 @@ def run(cfg: RunConfig) -> SimReport:
                 scored, scored_ideal = matrix, ideal[at]
             lists, earned, prices = reranker.run_interval(
                 scored, at, audit["award"], rerank_cfg, catalog, rhat_n)
-            cumulative = cumulative + earned
+            cumulative += earned
             if cfg.out_dir is not None:
                 digests = b"".join([hashlib.sha1(mu).digest()[:6] for mu in prices])
             ndcg = metrics.ndcg_at_k(scored[at[:, None], lists], scored_ideal)

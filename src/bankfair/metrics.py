@@ -85,7 +85,7 @@ def vio_at_k(per_user_ndcg: Sequence[float], phi: float) -> float:
     values = np.asarray(per_user_ndcg, dtype=float)
     if values.size == 0:
         raise ValueError("no users")
-    return float((values < phi).mean())
+    return float(np.count_nonzero(values < phi) / values.size)
 
 
 def esp_at_k(cumulative_exposure: np.ndarray, required: np.ndarray) -> float:
@@ -94,7 +94,7 @@ def esp_at_k(cumulative_exposure: np.ndarray, required: np.ndarray) -> float:
     required = np.asarray(required, dtype=float)
     if exposure.shape != required.shape:
         raise ConfigError("exposure and requirement vectors must align")
-    return float((exposure >= required).mean())
+    return float(np.count_nonzero(exposure >= required) / exposure.size)
 
 
 def feasible_region_ratio(plan: np.ndarray, traffic: float, list_size: int) -> float:

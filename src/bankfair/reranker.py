@@ -70,8 +70,10 @@ def top_k(scores: np.ndarray, k: int, tiebreak: np.ndarray | None = None) -> np.
     tiebreak = scores if tiebreak is None else tiebreak
     part = scores.copy()
     part.partition(n - k)
-    candidates = (scores >= part[n - k]).nonzero()[0]
-    order = np.lexsort((candidates, -tiebreak[candidates], -scores[candidates]))[:k]
+    # In descending id order, an ascending stable sort by (score, tiebreak)
+    # read backwards is the (-score, -tiebreak, id) order.
+    candidates = (scores >= part[n - k]).nonzero()[0][::-1]
+    order = np.lexsort((tiebreak[candidates], scores[candidates]))[:-k - 1:-1]
     return candidates[order]
 
 
@@ -89,7 +91,9 @@ def select_list(relevance: np.ndarray, mu: np.ndarray, item_provider: np.ndarray
     relevance = np.asarray(relevance, dtype=float)
     if rhat_n <= 0:
         raise ConfigError("predicted traffic must be positive when selecting")
-    return top_k(relevance / float(rhat_n) - mu.take(item_provider), k, relevance)
+    scores = relevance / float(rhat_n)
+    scores -= mu.take(item_provider)
+    return top_k(scores, k, relevance)
 
 
 def conjugate_argmax(mu: np.ndarray, gamma: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -114,7 +118,10 @@ def dual_step(mu: np.ndarray, eta: float, lam: np.ndarray, exposure: np.ndarray,
     g = e_star - exposure; the step mu - eta*g is clipped to the feasible
     region mu >= -lam.
     """
-    return np.maximum(mu - eta * (e_star - exposure), -lam)
+    step = np.subtract(e_star, exposure, dtype=float)
+    step *= eta
+    np.subtract(mu, step, out=step)
+    return np.maximum(step, -lam, out=step)
 
 
 def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
@@ -147,19 +154,21 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
     lam = compute_penalties(catalog, cfg.beta_mix)
     gamma = compute_caps(catalog, k, rhat_n)
     eta = cfg.step_size(rhat_n)
-    mu = np.zeros_like(lam)
 
-    nprov = catalog.num_providers
+    nprov, item_provider = catalog.num_providers, catalog.item_provider
+    mu = np.zeros(nprov)
     earned = np.zeros(nprov, dtype=np.int64)
+    unmet = np.empty(nprov)
     lists = np.empty((len(rows), k), dtype=np.int64)
     prices = np.empty((len(rows), nprov))
     try:
         with np.errstate(over="raise", invalid="raise"):
             for t, row in enumerate(rows):
-                items = select_list(relevance[row], mu, catalog.item_provider, rhat_n, k)
-                exposure = np.bincount(catalog.item_provider[items], minlength=nprov)
+                items = select_list(relevance[row], mu, item_provider, rhat_n, k)
+                exposure = np.bincount(item_provider[items], minlength=nprov)
                 earned += exposure
-                e_star = conjugate_argmax(mu, gamma, np.maximum(floor - earned, 0.0))
+                np.subtract(floor, earned, out=unmet)
+                e_star = conjugate_argmax(mu, gamma, np.maximum(unmet, 0.0, out=unmet))
                 lists[t], prices[t] = items, mu
                 mu = dual_step(mu, eta, lam, exposure, e_star)
     except FloatingPointError:

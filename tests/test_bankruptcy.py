@@ -80,14 +80,46 @@ class TestTalmudPinnedValues:
         np.testing.assert_array_equal(awards, CLAIMS)
         assert theta == 0.0
 
+    @pytest.mark.parametrize("claims", [
+        [3.0, 3.0, 1.0, 3.0, 0.0, 1.0],
+        [0.1, 0.1, 0.1, 0.2, 0.3, 0.0, 0.0],
+        [7.0],
+        [0.0, 0.0, 0.0],
+    ], ids=["ties", "tenths", "one", "zeros"])
+    def test_one_pass_award_matches_both_branch_formula(self, claims):
+        # talmud writes min(h, theta) once and rewrites the rows of the estates
+        # above half the total; bit for bit that is the two-branch np.where.
+        d = np.array(claims)
+        total = float(d.sum())
+        half = total / 2.0
+        estates = np.array([0.0, half, np.nextafter(half, 0.0), np.nextafter(half, np.inf), total])
+        estates = np.minimum(estates, total)  # all-zero claims have no estate above 0
+        awards, theta = talmud(d, estates)
+        low = np.minimum(0.5 * d, theta[:, None])
+        expected = np.where((estates <= half)[:, None], low, d - low)
+        assert awards.tobytes() == expected.tobytes()
+        for row, estate in enumerate(estates):
+            one, one_theta = talmud(d, float(estate))
+            low = np.minimum(0.5 * d, one_theta)
+            assert one.tobytes() == np.where(estate <= half, low, d - low).tobytes()
+            assert one.tobytes() == awards[row].tobytes()
+
     @pytest.mark.parametrize("claims,estate,message", [
         ([], 0.0, "claims must be a nonempty vector"),
         ([[1.0, 2.0]], 1.0, "claims must be a nonempty vector"),
         ([1.0, np.nan], 1.0, "claims must be finite and nonnegative"),
         ([1.0, -1.0], 0.0, "claims must be finite and nonnegative"),
         ([1.0, 2.0], [[1.0]], "estate must be a scalar or a vector"),
+        ([np.nan, 1.0], 1.0, "claims must be finite and nonnegative"),
+        ([1.0, np.inf], 1.0, "claims must be finite and nonnegative"),
+        ([-np.inf, 1.0], 0.0, "claims must be finite and nonnegative"),
         ([1.0, 2.0], np.inf, "estate must be finite and nonnegative"),
+        ([1.0, 2.0], -np.inf, "estate must be finite and nonnegative"),
+        ([1.0, 2.0], np.nan, "estate must be finite and nonnegative"),
+        ([1.0, 2.0], [1.0, np.nan], "estate must be finite and nonnegative"),
+        ([1.0, 2.0], [np.nan, 1.0], "estate must be finite and nonnegative"),
         ([1.0, 2.0], [1.0, -0.5], "estate must be finite and nonnegative"),
+        ([1.0, 2.0], -0.5, "estate must be finite and nonnegative"),
     ])
     def test_bad_input_rejected(self, claims, estate, message):
         with pytest.raises(ConfigError, match=message):
@@ -211,8 +243,22 @@ class TestPlanInterval:
         assert audit["award"][0] == claims[0]
 
     def test_zero_claims_against_an_estate_is_infeasible(self):
-        with pytest.raises(InfeasibleAllocationError):
-            plan_interval("talmud", np.array([100.0]), np.zeros(3), np.zeros(3))
+        with pytest.raises(InfeasibleAllocationError, match="^provider 1: ") as info:
+            plan_interval("talmud", np.array([0.0, 100.0, 50.0]), np.zeros(3), np.zeros(3),
+                          interval=4)
+        assert (info.value.provider, info.value.interval) == (1, 4)
+
+    def test_one_clamp_warning_per_interval(self, caplog):
+        remaining = np.array([500.0, 10.0, 600.0, 200.0, 700.0])
+        with caplog.at_level("WARNING", logger="bankfair"):
+            audit = plan_interval("talmud", remaining, np.full(2, 100.0), np.full(2, 10.0),
+                                  interval=7)
+        [record] = caplog.records
+        assert record.levelname == "WARNING" and "clamping" in record.msg
+        message = record.getMessage()
+        assert message.startswith("interval 7: 3 estates exceed total claims 200.000")
+        assert message.endswith("providers [0, 2, 4]")
+        np.testing.assert_array_equal(audit["estate"], np.minimum(remaining, 200.0))
 
     def test_unknown_rule(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """What `import bankfair` loads and exports, and the example scripts."""
 
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -8,9 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# scripts/output_hashes.py's listing for --seeds 101 --config-seeds 0, and the
+# numpy version it was made with.
+LISTING = ROOT / "tests" / "data" / "output_hashes.txt"
+LISTING_NUMPY = ROOT / "tests" / "data" / "output_hashes_numpy.txt"
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
@@ -129,9 +135,17 @@ def test_toy_two_provider():
 
 
 def test_output_hashes(tmp_path):
+    # Every hashed output byte must match the committed listing. A change
+    # that moves bytes on purpose remakes the listing, with the numpy version
+    # beside it, by running the same command without --against.
     out = python("scripts/output_hashes.py", "--seeds", "101", "--config-seeds", "0",
-                 "--out", tmp_path / "runs")
-    assert out.returncode == 0, out.stderr
+                 "--out", tmp_path / "runs", "--against", LISTING)
+    made_with = LISTING_NUMPY.read_text().strip()
+    assert out.returncode == 0, out.stderr + (
+        f"(the listing was made with numpy {made_with}, this is numpy {np.__version__})"
+        if made_with != np.__version__ else "")
+    assert out.stderr == f"0 of 72 files differ from {LISTING}\n"
+    assert out.stdout == LISTING.read_text()
     lines = [line.split() for line in out.stdout.splitlines()]
     runs = ["wide_catalog/seed101", "long_tail/seed101", "replay_log/seed101",
             *(f"benchmark_config/{rule}/seed0" for rule in ("talmud", "naive", "prop", "none")),
@@ -166,26 +180,36 @@ def test_output_hashes(tmp_path):
     quoted = (seed_dir / "quoted" / "decisions.csv").read_bytes()
     assert all(re.search(rb',"u\d+%s",' % suffix, quoted) for suffix in (b",a", b'""b', b"\nc"))
 
-    # The same runs against their own listing, then against a tampered one.
-    listing = tmp_path / "listing.txt"
-    listing.write_text(out.stdout)
-    again = python("scripts/output_hashes.py", "--seeds", "101", "--config-seeds", "0",
-                   "--out", tmp_path / "again", "--against", listing)
-    assert again.returncode == 0, again.stderr
-    assert again.stdout == out.stdout
-    assert again.stderr == f"0 of 72 files differ from {listing}\n"
 
-    tampered = [" ".join(fields) for fields in lines]
-    tampered[1] = tampered[1][:-1] + ("0" if tampered[1][-1] != "0" else "1")
+@pytest.fixture
+def output_hashes(monkeypatch):
+    """scripts/output_hashes.py imported in process; it prepends src/ and bench/ to sys.path."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("output_hashes",
+                                                  ROOT / "scripts" / "output_hashes.py")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        for name in ("config", "workloads", "speed"):  # bench/ modules, imported by bare name
+            sys.modules.pop(name, None)
+
+
+def test_output_hashes_names_each_difference(output_hashes):
+    # The committed listing against a tampered copy: a changed sha256, a
+    # missing line and an extra line are each named, in run order.
+    lines = [line.split() for line in LISTING.read_text().splitlines()]
+    got = {(name, file): digest for name, file, digest in lines}
+    tampered = [list(fields) for fields in lines]
+    tampered[1][2] = tampered[1][2][:-1] + ("0" if tampered[1][2][-1] != "0" else "1")
     del tampered[6]
-    tampered.append("extra/seed1 report.json " + "0" * 64)
-    listing.write_text("\n".join(tampered) + "\n")
-    bad = python("scripts/output_hashes.py", "--seeds", "101", "--config-seeds", "0",
-                 "--out", tmp_path / "bad", "--against", listing)
-    assert bad.returncode == 1
-    assert bad.stdout == out.stdout
-    assert bad.stderr.splitlines() == [
+    tampered.append(["extra/seed1", "report.json", "0" * 64])
+    expected = {(name, file): digest for name, file, digest in tampered}
+    assert output_hashes.compare(got, expected, "listing.txt") == [
         "wide_catalog/seed101 decisions.csv: sha256 differs",
         "long_tail/seed101 allocations.csv: not in the listing",
         "extra/seed1 report.json: missing",
-        f"3 of 73 files differ from {listing}"]
+        "3 of 73 files differ from listing.txt"]
+    assert output_hashes.compare(got, got, "listing.txt") == [
+        "0 of 72 files differ from listing.txt"]
