@@ -110,15 +110,15 @@ class TestTalmudPinnedValues:
         ([1.0, np.nan], 1.0, "claims must be finite and nonnegative"),
         ([1.0, -1.0], 0.0, "claims must be finite and nonnegative"),
         ([1.0, 2.0], [[1.0]], "estate must be a scalar or a vector"),
+        ([1.0, 2.0], np.inf, "estate must be finite and nonnegative"),
+        ([1.0, 2.0], [1.0, -0.5], "estate must be finite and nonnegative"),
         ([np.nan, 1.0], 1.0, "claims must be finite and nonnegative"),
         ([1.0, np.inf], 1.0, "claims must be finite and nonnegative"),
         ([-np.inf, 1.0], 0.0, "claims must be finite and nonnegative"),
-        ([1.0, 2.0], np.inf, "estate must be finite and nonnegative"),
         ([1.0, 2.0], -np.inf, "estate must be finite and nonnegative"),
         ([1.0, 2.0], np.nan, "estate must be finite and nonnegative"),
         ([1.0, 2.0], [1.0, np.nan], "estate must be finite and nonnegative"),
         ([1.0, 2.0], [np.nan, 1.0], "estate must be finite and nonnegative"),
-        ([1.0, 2.0], [1.0, -0.5], "estate must be finite and nonnegative"),
         ([1.0, 2.0], -0.5, "estate must be finite and nonnegative"),
     ])
     def test_bad_input_rejected(self, claims, estate, message):
