@@ -125,7 +125,7 @@ class FairnessPolicy:
 
     def __post_init__(self):
         m = check("required_min_exposure", self.required_min_exposure,
-                  list_of("finite numbers >= 0", NONNEGATIVE))
+                  list_of(NONNEGATIVE[0].replace("a number", "numbers"), NONNEGATIVE))
         check("required_min_accuracy", self.required_min_accuracy, UNIT)
         check("list_size", self.list_size, POSITIVE_INT)
         object.__setattr__(self, "required_min_exposure", _readonly(np.asarray(m, dtype=float)))
@@ -258,22 +258,18 @@ def resample_traffic(counts: np.ndarray, tau: float, total: int, seed: int) -> n
     Interval probabilities are softmax(counts / (tau * max(counts))); the max
     normalization keeps tau in (0, 1] meaningful for raw counts of any scale.
     Small tau concentrates arrivals on the busiest intervals, tau = 1 tends
-    toward the softmax of the normalized counts. A tau so small that the
-    logits overflow is a ConfigError. Returns the int64 counts, all zero
+    toward the softmax of the normalized counts. tau must pass POSITIVE,
+    which keeps the logits at most 2**53. Returns the int64 counts, all zero
     when ``total`` is 0.
     """
-    if tau <= 0:
-        raise ConfigError("tau must be positive")
+    check("tau", tau, POSITIVE)
     if total < 0:
         raise ConfigError("total must be >= 0")
     counts = np.asarray(counts, dtype=float)
     scale = counts.max()
     if scale <= 0:
         scale = 1.0
-    with np.errstate(over="ignore"):
-        logits = counts / (tau * scale)
-    if not np.isfinite(logits).all():
-        raise ConfigError(f"tau {tau!r} is too small: counts / (tau * {scale:g}) overflows")
+    logits = counts / (tau * scale)
     logits -= logits.max()
     probs = np.exp(logits)
     probs /= probs.sum()

@@ -4,11 +4,12 @@ A rule is a pair (what the value must be, predicate). Predicates never
 raise on a value of the wrong type and never count a bool as a number;
 numpy scalars count as numbers. ``check`` turns a failed rule into one
 message form: "<key> must be <what>, got <value!r>".
+
+NONNEGATIVE and POSITIVE bound a value by ``MAX_MAGNITUDE``, under which no
+later product of config values overflows (see there).
 """
 
-import math
 import os
-import sys
 from numbers import Integral, Real
 
 import numpy as np
@@ -57,12 +58,6 @@ def _int(v) -> bool:
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 
-def _finite(v) -> bool:
-    if _int(v):  # math.isfinite raises on an int past the float range
-        return abs(v) <= sys.float_info.max
-    return _number(v) and math.isfinite(v)
-
-
 def _list(v) -> bool:
     return isinstance(v, (list, tuple)) or isinstance(v, np.ndarray) and v.ndim > 0
 
@@ -83,12 +78,31 @@ def either(value, rule):
             lambda v: type(v) is type(value) and v == value or rule[1](v))
 
 
+# Real config values are at most 2**53, within which float64 holds every
+# integer exactly, and tau is at least 2**-53. Over P providers, lists of K
+# items, H intervals and N arrivals, the floor sum is then <= P 2**53,
+# P K traffic_total <= P K (H 2**53 + N), each claim <= 2**54 (no forecast
+# exceeds the traffic total), each cap K rhat_n <= K max(2**53, N) and each
+# resampling logit <= 2**53. A dual step moves a price by at most
+# eta max(gamma, K), so |prices| <= lam + N K 2**53 max(2**53, N). All stay far
+# inside the float range, so no later stage checks for overflow; test_cli.py's
+# test_every_value_at_the_bound_runs_cleanly runs each value at its bound.
+MAX_MAGNITUDE = 2**53
+
+
+def _bounded(low):
+    """A number in [low, MAX_MAGNITUDE]; a numpy float compares as a Python float,
+    since a float16 cannot hold the bound."""
+    return lambda v: _number(v) and low <= (
+        float(v) if isinstance(v, np.floating) else v) <= MAX_MAGNITUDE
+
+
 NUMBER = ("a number", _number)
 INT = ("an int", _int)
 NONNEGATIVE_INT = ("an int >= 0", lambda v: _int(v) and v >= 0)
 POSITIVE_INT = ("an int >= 1", lambda v: _int(v) and v >= 1)
-NONNEGATIVE = ("a finite number >= 0", lambda v: _finite(v) and v >= 0)
-POSITIVE = ("a finite number > 0", lambda v: _finite(v) and v > 0)
+NONNEGATIVE = ("a number in [0, 2**53]", _bounded(0))
+POSITIVE = ("a number in [2**-53, 2**53]", _bounded(1 / MAX_MAGNITUDE))
 UNIT = number_in(0, 1)
 NONEMPTY_LIST = ("a nonempty list", lambda v: _list(v) and len(v) > 0)
 PATH = ("a nonempty string or path",

@@ -57,8 +57,7 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
     ``w`` = 1, the latest one); seasonal tiles the last ``lag``
     observations; oracle returns the true future counts (simulator-only, the
     zero-error upper bound). With no history yet, the configured
-    ``prior_mean`` is used; a prior whose horizon total overflows is a
-    ConfigError. ``params`` must pass ``check_params``.
+    ``prior_mean`` is used. ``params`` must pass ``check_params``.
     """
     params = dict(params or {})
     check_params(method, params)
@@ -76,12 +75,7 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
 
     prior_mean = float(params.get("prior_mean", 1.0))
     if history.size == 0:
-        values = np.full(horizon, prior_mean)
-        with np.errstate(over="ignore"):
-            if not np.isfinite(values.sum()):
-                raise ConfigError(f"forecaster {method!r}: parameter 'prior_mean' {prior_mean!r} "
-                                  f"over {horizon} intervals sums past the float range")
-        return Forecast(values)
+        return Forecast(np.full(horizon, prior_mean))
 
     if method == "seasonal":
         lag = params.get("lag", 7)

@@ -118,9 +118,6 @@ def run(cfg: RunConfig) -> SimReport:
         m = np.full(catalog.num_providers, float(m[0]))  # scalar floor broadcast
     elif m.size != catalog.num_providers:
         raise ConfigError("policy covers a different number of providers than the catalog")
-    with np.errstate(over="ignore"):
-        m_total = check(f"the sum of required_min_exposure over {m.size} providers",
-                        float(m.sum()), NONNEGATIVE)
     k = cfg.policy.list_size
 
     if cfg.tau is not None:
@@ -141,7 +138,7 @@ def run(cfg: RunConfig) -> SimReport:
     # Claims of alpha * K per predicted arrival; alpha_k = 1 makes them sum
     # over the horizon to the mean floor when the forecast is exact. The
     # realized counts are integers, so their running sum is exact.
-    scaled_floors, slots = cfg.rerank.alpha_k * m_total, m.size * k
+    scaled_floors, slots = cfg.rerank.alpha_k * float(m.sum()), m.size * k
     realized_sum = 0.0
 
     for n in range(1, horizon + 1):
@@ -286,8 +283,7 @@ class SweepSpec:
 def _apply_point(base: RunConfig, point: dict) -> RunConfig:
     policy, rerank = base.policy, base.rerank
     if "m_scale" in point:
-        with np.errstate(over="ignore"):  # FairnessPolicy refuses an infinite floor
-            m = policy.required_min_exposure * check("m_scale", point["m_scale"], NONNEGATIVE)
+        m = policy.required_min_exposure * check("m_scale", point["m_scale"], NONNEGATIVE)
         policy = FairnessPolicy(m, policy.required_min_accuracy, policy.list_size)
     if "phi" in point:
         policy = FairnessPolicy(policy.required_min_exposure, point["phi"], policy.list_size)

@@ -136,9 +136,8 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
     penalties of ``compute_penalties``. After each list its exposure is added
     to ``earned``, then ``dual_step`` runs against the conjugate maximizer
     for the unearned remainder ``max(floor - earned, 0)``, so pressure on a
-    provider fades once its floor is met.
-
-    A dual step that overflows is a ConfigError naming eta.
+    provider fades once its floor is met. Under the config's magnitude bound
+    (``errors.MAX_MAGNITUDE``) no dual step can overflow the prices.
 
     Returns (lists, earned, prices): ``lists`` is an int64 array of shape
     (len(rows), K) whose row t holds arrival t's K distinct item ids in rank
@@ -161,17 +160,12 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
     unmet = np.empty(nprov)
     lists = np.empty((len(rows), k), dtype=np.int64)
     prices = np.empty((len(rows), nprov))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for t, row in enumerate(rows):
-                items = select_list(relevance[row], mu, item_provider, rhat_n, k)
-                exposure = np.bincount(item_provider[items], minlength=nprov)
-                earned += exposure
-                np.subtract(floor, earned, out=unmet)
-                e_star = conjugate_argmax(mu, gamma, np.maximum(unmet, 0.0, out=unmet))
-                lists[t], prices[t] = items, mu
-                mu = dual_step(mu, eta, lam, exposure, e_star)
-    except FloatingPointError:
-        raise ConfigError(f"eta {eta!r} at predicted traffic {rhat_n!r}: a dual step "
-                          "overflows the prices") from None
+    for t, row in enumerate(rows):
+        items = select_list(relevance[row], mu, item_provider, rhat_n, k)
+        exposure = np.bincount(item_provider[items], minlength=nprov)
+        earned += exposure
+        np.subtract(floor, earned, out=unmet)
+        e_star = conjugate_argmax(mu, gamma, np.maximum(unmet, 0.0, out=unmet))
+        lists[t], prices[t] = items, mu
+        mu = dual_step(mu, eta, lam, exposure, e_star)
     return lists, earned, prices

@@ -16,6 +16,10 @@ SYNTH = {
 }
 
 
+def reject_constant(name):
+    raise AssertionError(f"report.json holds {name}")
+
+
 def write_synth(tmp_path, **overrides):
     cfg = {**SYNTH, **overrides}
     path = tmp_path / "synth.json"
@@ -82,8 +86,8 @@ class TestRunCommand:
         code = main(["run", "--synth", str(tmp_path / "absent.json"), "--K", "5"])
         assert code == 1
 
-    # (flag, value, the config key the error names). tau 1e-320 passes the
-    # config check, but counts / (tau * max) overflows in the resampling.
+    # (flag, value, the config key the error names). tau 1e-320 is below the
+    # config's 2**-53, under which counts / (tau * max) would overflow.
     @pytest.mark.parametrize("flag,value,key", [
         ("eta", "fast", "eta"), ("eta", "nan", "eta"), ("eta", "inf", "eta"),
         ("eta", "-1", "eta"), ("tau", "nan", "tau"), ("tau", "0", "tau"),
@@ -107,30 +111,39 @@ class TestRunCommand:
                      "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert "tau must be None or a finite number > 0, got inf" in err
+        assert "tau must be None or a number in [2**-53, 2**53], got inf" in err
         assert "Traceback" not in err and not out.exists()
 
     # Twenty items over three intervals of 45 arrivals in all, K 3, floor 5.
     BUSY = {"num_items": 20, "num_providers": 4, "num_intervals": 3, "traffic": [20, 10, 15]}
 
-    # A dual step of eta 1e308 overflows the prices to inf, and inf - inf is
-    # nan; 1e307 stays finite on this instance.
+    # (flag, value, the error) for values past the config's 2**53, refused
+    # before the run. Past it, eta could overflow a dual step's prices,
+    # prior_mean the product P * K * traffic_total (into zero claims and a
+    # false infeasibility), and m the total in the clamp warning.
+    PAST_BOUND = [
+        ("--eta", "1e308", "eta must be 'auto' or a number in [0, 2**53], got 1e+308"),
+        ("--eta", "1.7976931348623157e308",
+         "eta must be 'auto' or a number in [0, 2**53], got 1.7976931348623157e+308"),
+        ("--eta", "1e307", "eta must be 'auto' or a number in [0, 2**53], got 1e+307"),
+        ("--forecaster", "moving_average:prior_mean=1e307",
+         "parameter 'prior_mean' must be a number in [0, 2**53], got 1e+307"),
+        ("--m", "1e300",
+         "required_min_exposure must be a list of numbers in [0, 2**53], got array([1.e+300")]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("eta,code", [("1e308", 1), ("1.7976931348623157e308", 1),
-                                          ("1e307", 0)])
-    def test_overflowing_dual_step_exits_one(self, tmp_path, capsys, eta, code):
+    @pytest.mark.parametrize("flag,value,message", PAST_BOUND,
+                             ids=[f"{flag}-{value}" for flag, value, _ in PAST_BOUND])
+    def test_value_past_the_bound_exits_one(self, tmp_path, capsys, flag, value, message):
         path = tmp_path / "busy.json"
         path.write_text(json.dumps(self.BUSY))
-        assert main(["run", "--synth", str(path), "--K", "3", "--m", "5", "--eta", eta]) == code
-        out, err = capsys.readouterr()
-        assert "Traceback" not in err
-        if code:
-            assert f"eta {float(eta)!r}" in err and "overflows" in err
-        else:
-            assert json.loads(out)["esp_at_k"] == 1.0
+        assert main(["run", "--synth", str(path), "--K", "3", "--m", "5", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err and "infeasible" not in err and "clamping" not in err
 
-    # A prior of 1e308 per interval sums past the float range over three
-    # intervals; it once showed as zero claims and an infeasible allocation.
+    # A prior of 1e308 per interval would sum past the float range over
+    # three intervals; it is past the config's 2**53, and refused.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_prior_mean_whose_horizon_total_overflows_exits_one(self, tmp_path, capsys):
         path = tmp_path / "busy.json"
@@ -139,8 +152,27 @@ class TestRunCommand:
                      "--forecaster", "moving_average:prior_mean=1e308"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "'prior_mean' 1e+308" in err and "infeasible" not in err
+        assert ("parameter 'prior_mean' must be a number in [0, 2**53], got 1e+308" in err
+                and "infeasible" not in err)
         assert "Traceback" not in err
+
+    # Every bounded value at its bound at once, K the whole catalog: floors,
+    # eta, prior and noise at 2**53, tau at either end of its range. No
+    # product overflows, and a run either finishes or is infeasible, with a
+    # report of finite numbers.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tau", [repr(2.0**-53), repr(2.0**53)])
+    @pytest.mark.parametrize("rule", ["talmud", "naive", "prop", "none"])
+    def test_every_value_at_the_bound_runs_cleanly(self, tmp_path, capsys, rule, tau):
+        path, out, bound = tmp_path / "busy.json", tmp_path / "out", repr(2.0**53)
+        path.write_text(json.dumps(self.BUSY))
+        code = main(["run", "--synth", str(path), "--K", "20", "--rule", rule, "--m", bound,
+                     "--eta", bound, "--noise", bound, "--tau", tau, "--out", str(out),
+                     "--forecaster", f"moving_average:prior_mean={bound}"])
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err, err
+        if code == 0:
+            json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
 
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         code = main(["run", "--synth", write_synth(tmp_path), "--K", "5", "--seed", "-1"])
@@ -242,7 +274,8 @@ class TestIngestionErrors:
         assert code == 1
         assert message in capsys.readouterr().err
 
-    # The floors are each finite, but their sum over both providers is not.
+    # A floor of 1e308 would overflow the floors' sum over both providers; it
+    # is past the config's 2**53, and refused before the log is read.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_floor_sum_overflow_exits_one(self, tmp_path, capsys):
         path = tmp_path / "log.csv"

@@ -26,6 +26,10 @@ BAD_VALUES = (-1, 0, 1.5, 2.5, "x", "", None, True, [], [1, "x"], {"a": 1},
               float("nan"), float("inf"), 100)
 # (low, high) bands, the last one inverted: a spec holding it is refused.
 BANDS = ([0.0, 0.5], [0.4, 1.0], [0.0, 1.0], [0.3, 0.3], [0.0, 0.0], [0.9, 0.1])
+# The edges of the config's magnitude bound: 2**53 and one ulp past it, for
+# tau also 2**-53 and one ulp below it. A value past either edge is refused.
+MAX, PAST_MAX = repr(2.0**53), repr(float(np.nextafter(2.0**53, np.inf)))
+MIN, PAST_MIN = repr(2.0**-53), repr(float(np.nextafter(2.0**-53, 0)))
 # How many things to break: none in about half the examples, so that many
 # of them run to the end.
 FEW = st.sampled_from([0, 0, 0, 1, 2, 3])
@@ -107,23 +111,39 @@ OPTIONS = {
     "--forecaster": st.sampled_from(["oracle", "moving_average:w=1", "moving_average:w=2",
                                      "seasonal:lag=2", "moving_average:w=1,prior_mean=0",
                                      "moving_average:prior_mean=1e308",
+                                     f"moving_average:prior_mean={MAX}",
+                                     f"seasonal:lag=2,prior_mean={PAST_MAX}",
                                      "moving_average:w=0", "gru"]),
-    "--m": st.sampled_from(["0", "1", "2", "3", "5", "10", "-1", "nan", "1e308"]),
+    "--m": st.sampled_from(["0", "1", "2", "3", "5", "10", "-1", "nan", "1e308", MAX, PAST_MAX]),
     "--phi": st.sampled_from(["0", "0.9", "1", "1.5"]),
     "--K": st.one_of(st.integers(1, 4), st.integers(-1, 12)).map(str),
     "--k": st.sampled_from(["1", "1.5", "2", "0.5", "nan"]),
     "--beta": st.sampled_from(["0", "0.5", "1", "-0.5"]),
-    # Some etas are huge and finite, so that a dual step can overflow.
+    # Some etas are at the bound, and some huge and finite past it.
     "--eta": st.one_of(st.sampled_from(["auto", "0", "0.05", "1e-4", "-1", "x", "inf",
-                                        "1e307", "1e308", "1.7976931348623157e308"]),
+                                        "1e307", "1e308", "1.7976931348623157e308",
+                                        MAX, PAST_MAX]),
                        st.floats(1e307, 1.7976931348623157e308).map(repr)),
     "--interval-hours": st.sampled_from(["1", "0.25", "24", "0", "1e-9"]),
     "--tau": st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
-                       st.sampled_from(["0.2", "1"])),
+                       st.sampled_from(["0.2", "1", MIN, PAST_MIN, MAX, PAST_MAX])),
     "--seed": st.integers(-1, 2**32).map(str),
     "--noise": st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
-                         st.sampled_from(["0", "0.05"])),
+                         st.sampled_from(["0", "0.05", MAX, PAST_MAX])),
 }
+
+
+def past_bound(flag, value):
+    """Whether a drawn flag value is a number outside its rule's [low, 2**53]."""
+    if flag == "--forecaster":
+        value = value.partition("prior_mean=")[2]
+    elif flag not in ("--eta", "--m", "--tau", "--noise"):
+        return False
+    try:
+        number = float(value)
+    except ValueError:
+        return False
+    return number > 2.0**53 or flag == "--tau" and 0 < number < 2.0**-53
 
 
 def run_cli(argv):
@@ -154,10 +174,13 @@ def test_run_exits_cleanly(data):
         # input. eta is drawn in every example, so that huge steps are common.
         flags = {"--K", "--m", "--eta",
                  *data.draw(st.lists(st.sampled_from(sorted(OPTIONS))), "flags")}
-        argv += [f"{flag}={data.draw(OPTIONS[flag], flag)}" for flag in sorted(flags)]
+        drawn = {flag: data.draw(OPTIONS[flag], flag) for flag in sorted(flags)}
+        argv += [f"{flag}={value}" for flag, value in drawn.items()]
         code, output = run_cli(argv)
         assert code in (0, 1, 2), output
         assert "Traceback" not in output
+        if any(past_bound(flag, value) for flag, value in drawn.items()):
+            assert code == 1, output
         if source is draw_synth:
             bands = json.loads((directory / "synth.json").read_text()).get("provider_bands")
             if isinstance(bands, list) and BANDS[-1] in bands:

@@ -1,6 +1,7 @@
 """The config field rules: one message form, no bool counted as a number."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from bankfair import errors
 from bankfair.domain import FairnessPolicy, LogSchema, SynthConfig
 from bankfair.errors import ConfigError, check
-from bankfair.harness import RunConfig, run
+from bankfair.harness import RunConfig, SweepSpec, run
 from bankfair.reranker import RerankConfig
 
 SYNTH = dict(num_items=10, num_providers=2, num_intervals=2, mean_traffic=5.0, list_size=5,
@@ -32,6 +33,51 @@ VALID = {
 }
 FIELDS = [(build, key) for build, valid in VALID.items() for key in valid]
 NAMES = [f"{build.__name__}.{key}" for build, key in FIELDS]
+
+
+def forecaster(method):
+    def build(prior_mean):
+        return run_config(forecaster=method, forecaster_params={"prior_mean": prior_mean})
+    return build
+
+
+def sweep(m_scale):
+    return SweepSpec(run_config(), {"m_scale": [m_scale]}, [0])
+
+
+# Every field under NONNEGATIVE or POSITIVE: (name, the rule, a build taking
+# the value, the message that refuses it).
+BOUNDED = [
+    ("required_min_exposure", errors.NONNEGATIVE, lambda v: FairnessPolicy([1.0, v], 0.9, 5),
+     "required_min_exposure must be a list of numbers in [0, 2**53], got "),
+    ("eta", errors.NONNEGATIVE, lambda v: RerankConfig(eta=v),
+     "eta must be 'auto' or a number in [0, 2**53], got "),
+    ("interval_seconds", errors.POSITIVE, lambda v: LogSchema(interval_seconds=v),
+     "interval_seconds must be a number in [2**-53, 2**53], got "),
+    ("mean_traffic", errors.NONNEGATIVE, lambda v: SynthConfig(**{**SYNTH, "mean_traffic": v}),
+     "mean_traffic must be a number in [0, 2**53], got "),
+    ("tau", errors.POSITIVE, lambda v: run_config(tau=v),
+     "tau must be None or a number in [2**-53, 2**53], got "),
+    ("relevance_noise", errors.NONNEGATIVE, lambda v: run_config(relevance_noise=v),
+     "relevance_noise must be a number in [0, 2**53], got "),
+    ("moving_average prior_mean", errors.NONNEGATIVE, forecaster("moving_average"),
+     "forecaster 'moving_average': parameter 'prior_mean' must be a number in [0, 2**53], got "),
+    ("seasonal prior_mean", errors.NONNEGATIVE, forecaster("seasonal"),
+     "forecaster 'seasonal': parameter 'prior_mean' must be a number in [0, 2**53], got "),
+    ("m_scale", errors.NONNEGATIVE, sweep,
+     "sweep grid 'm_scale': m_scale must be a number in [0, 2**53], got "),
+]
+
+
+@pytest.mark.parametrize("name,rule,build,message", BOUNDED, ids=[b[0] for b in BOUNDED])
+def test_bounded_field_edges(name, rule, build, message):
+    # Each edge is accepted; one ulp past it, or the int past 2**53, is refused.
+    low = 0.0 if rule is errors.NONNEGATIVE else 2.0**-53
+    for value in (low, 2.0**53, 2**53):
+        build(value)
+    for value in (np.nextafter(2.0**53, np.inf), 2**53 + 1, np.nextafter(low, -np.inf)):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build(value)
 
 
 def as_numpy(value):
@@ -79,7 +125,7 @@ RULES = [errors.NUMBER, errors.INT, errors.NONNEGATIVE_INT, errors.POSITIVE_INT,
          errors.list_of("ints >= 0", errors.NONNEGATIVE_INT, 2),
          errors.either(None, errors.POSITIVE), errors.either("auto", errors.UNIT)]
 ODD = [None, "x", "", b"1", [], [None], {}, {"a": 1}, object(), np.array(1.0),
-       np.array([[1, 2]]), np.array(["a"]), np.bool_(True), 10**400, -10**400,
+       np.array([[1, 2]]), np.array(["a"]), np.bool_(True), np.float16(1), 10**400, -10**400,
        float("nan"), float("-inf"), complex(1, 1)]
 
 

@@ -176,8 +176,10 @@ class TestResampleTraffic:
     def test_bad_tau(self):
         with pytest.raises(ConfigError):
             resample_traffic(np.array([1]), tau=0.0, total=10, seed=0)
-        # counts / (tau * max) overflows: a named error, not NaN probabilities.
-        with pytest.raises(ConfigError, match="tau 1e-320"):
+        # Below 2**-53, where counts / (tau * max) could overflow: a named
+        # error, not NaN probabilities.
+        with pytest.raises(ConfigError,
+                           match=r"^tau must be a number in \[2\*\*-53, 2\*\*53\], got 1e-320$"):
             resample_traffic(np.array([1, 5]), tau=1e-320, total=10, seed=0)
 
 

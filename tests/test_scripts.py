@@ -110,7 +110,7 @@ def test_run_benchmark_checks_tau_before_running(tmp_path):
         out = python("scripts/run_benchmark.py", "--seeds", "1", "--tau", value,
                      "--out", tmp_path / "bench.csv")
         assert out.returncode == 2
-        assert (f"error: argument --tau: tau must be a finite number > 0, got {value}"
+        assert (f"error: argument --tau: tau must be a number in [2**-53, 2**53], got {value}"
                 in out.stderr)
         assert "Traceback" not in out.stderr
         assert not (tmp_path / "bench.csv").exists()
