@@ -45,32 +45,35 @@ def sweep(m_scale):
     return SweepSpec(run_config(), {"m_scale": [m_scale]}, [0])
 
 
-# Every field under NONNEGATIVE or POSITIVE: (name, the rule, a build taking
+# Every field under NONNEGATIVE or POSITIVE: name -> (the rule, a build taking
 # the value, the message that refuses it).
-BOUNDED = [
-    ("required_min_exposure", errors.NONNEGATIVE, lambda v: FairnessPolicy([1.0, v], 0.9, 5),
-     "required_min_exposure must be a list of numbers in [0, 2**53], got "),
-    ("eta", errors.NONNEGATIVE, lambda v: RerankConfig(eta=v),
-     "eta must be 'auto' or a number in [0, 2**53], got "),
-    ("interval_seconds", errors.POSITIVE, lambda v: LogSchema(interval_seconds=v),
-     "interval_seconds must be a number in [2**-53, 2**53], got "),
-    ("mean_traffic", errors.NONNEGATIVE, lambda v: SynthConfig(**{**SYNTH, "mean_traffic": v}),
-     "mean_traffic must be a number in [0, 2**53], got "),
-    ("tau", errors.POSITIVE, lambda v: run_config(tau=v),
-     "tau must be None or a number in [2**-53, 2**53], got "),
-    ("relevance_noise", errors.NONNEGATIVE, lambda v: run_config(relevance_noise=v),
-     "relevance_noise must be a number in [0, 2**53], got "),
-    ("moving_average prior_mean", errors.NONNEGATIVE, forecaster("moving_average"),
-     "forecaster 'moving_average': parameter 'prior_mean' must be a number in [0, 2**53], got "),
-    ("seasonal prior_mean", errors.NONNEGATIVE, forecaster("seasonal"),
-     "forecaster 'seasonal': parameter 'prior_mean' must be a number in [0, 2**53], got "),
-    ("m_scale", errors.NONNEGATIVE, sweep,
-     "sweep grid 'm_scale': m_scale must be a number in [0, 2**53], got "),
-]
+BOUNDED = {
+    "required_min_exposure": (
+        errors.NONNEGATIVE, lambda v: FairnessPolicy([1.0, v], 0.9, 5),
+        "required_min_exposure must be a list of numbers in [0, 2**53], got "),
+    "eta": (errors.NONNEGATIVE, lambda v: RerankConfig(eta=v),
+            "eta must be 'auto' or a number in [0, 2**53], got "),
+    "interval_seconds": (errors.POSITIVE, lambda v: LogSchema(interval_seconds=v),
+                         "interval_seconds must be a number in [2**-53, 2**53], got "),
+    "mean_traffic": (errors.NONNEGATIVE, lambda v: SynthConfig(**{**SYNTH, "mean_traffic": v}),
+                     "mean_traffic must be a number in [0, 2**53], got "),
+    "tau": (errors.POSITIVE, lambda v: run_config(tau=v),
+            "tau must be None or a number in [2**-53, 2**53], got "),
+    "relevance_noise": (errors.NONNEGATIVE, lambda v: run_config(relevance_noise=v),
+                        "relevance_noise must be a number in [0, 2**53], got "),
+    "moving_average prior_mean": (
+        errors.NONNEGATIVE, forecaster("moving_average"),
+        "forecaster 'moving_average': parameter 'prior_mean' must be a number in [0, 2**53], got "),
+    "seasonal prior_mean": (
+        errors.NONNEGATIVE, forecaster("seasonal"),
+        "forecaster 'seasonal': parameter 'prior_mean' must be a number in [0, 2**53], got "),
+    "m_scale": (errors.NONNEGATIVE, sweep,
+                "sweep grid 'm_scale': m_scale must be a number in [0, 2**53], got "),
+}
 
 
-@pytest.mark.parametrize("name,rule,build,message", BOUNDED, ids=[b[0] for b in BOUNDED])
-def test_bounded_field_edges(name, rule, build, message):
+@pytest.mark.parametrize("rule,build,message", BOUNDED.values(), ids=BOUNDED)
+def test_bounded_field_edges(rule, build, message):
     # Each edge is accepted; one ulp past it, or the int past 2**53, is refused.
     low = 0.0 if rule is errors.NONNEGATIVE else 2.0**-53
     for value in (low, 2.0**53, 2**53):
