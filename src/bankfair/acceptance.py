@@ -55,6 +55,9 @@ def criterion_1() -> CriterionResult:
         100.0: np.array([100.0, 100.0, 100.0]) / 3.0,
         200.0: np.array([50.0, 75.0, 75.0]),
         300.0: np.array([50.0, 100.0, 150.0]),
+        # Past T/2: claims less the award of T - E (self-duality).
+        400.0: np.array([50.0, 125.0, 225.0]),
+        450.0: np.array([50.0, 150.0, 250.0]),
     }
     worst_exact = worst_grid = 0.0
     ok = True

@@ -465,7 +465,7 @@ def load_interactions(path, schema: LogSchema | None = None):
     and the score. The files are UTF-8; other bytes are a ParseError naming
     the file. A malformed row anywhere is reported first. Catalog checks
     then run once per distinct pair, in that order, so an error names the
-    first bad row.
+    first bad row, which is looked up only when a check fails.
     """
     schema = schema or LogSchema()
     path = Path(path)
@@ -477,7 +477,6 @@ def load_interactions(path, schema: LogSchema | None = None):
 
     users: dict[str, int] = {}
     pairs: dict[tuple[str, str], int] = {}
-    pair_rows: list[int] = []  # the row number of each pair's first appearance
     user_code, pair_code, stamps, scores = array("q"), array("q"), array("d"), array("d")
     with _open_utf8(csv_path) as fh:
         reader = csv.reader(fh)
@@ -491,18 +490,11 @@ def load_interactions(path, schema: LogSchema | None = None):
         while chunk := list(islice(rows, _CHUNK_ROWS)):
             uids, iids, pids, chunk_stamps, chunk_scores = _parse_chunk(chunk, columns, lineno)
             user_code.extend([users.setdefault(uid, len(users)) for uid in uids])
-            known = len(pairs)
-            codes = [pairs.setdefault(pair, len(pairs)) for pair in zip(iids, pids)]
-            # New pairs are numbered in order of first appearance.
-            at = 0
-            for pair in range(known, len(pairs)):
-                at = codes.index(pair, at)
-                pair_rows.append(lineno + at)
-            pair_code.extend(codes)
+            pair_code.extend([pairs.setdefault(pair, len(pairs)) for pair in zip(iids, pids)])
             stamps.extend(chunk_stamps)
             scores.extend(chunk_scores)
             lineno += len(chunk)
-            del uids, iids, pids, codes  # so that the last chunk's ids do not outlive the loop
+            del uids, iids, pids  # so that the last chunk's ids do not outlive the loop
     if not users:
         raise ParseError(f"{csv_path}: no requests")
 
@@ -520,14 +512,16 @@ def load_interactions(path, schema: LogSchema | None = None):
                     raise ParseError(f"{cat_path} row {lineno}: duplicate item id {iid!r}")
                 catalog_provider[iid] = provider
         item_index = {iid: k for k, iid in enumerate(catalog_provider)}
-        for pair, ((iid, pid), lineno) in enumerate(zip(pairs, pair_rows)):
+        for pair, (iid, pid) in enumerate(pairs):
             if iid not in catalog_provider:
+                lineno = pair_code.index(pair) + 2  # its first row; the header is row 1
                 raise ParseError(f"row {lineno}: item {iid!r} is not in {cat_path}")
             try:
                 consistent = int(pid) == catalog_provider[iid]
             except ValueError:
                 consistent = False
             if not consistent:
+                lineno = pair_code.index(pair) + 2
                 raise ConsistencyError(f"row {lineno}: item {iid!r} has provider {pid!r}, "
                                        f"{cat_path} says {catalog_provider[iid]}")
             pair_item[pair] = item_index[iid]
@@ -536,9 +530,10 @@ def load_interactions(path, schema: LogSchema | None = None):
                                      return_inverse=True)
     else:
         item_index, provider_index, item_provider_list = {}, {}, []
-        for pair, ((iid, pid), lineno) in enumerate(zip(pairs, pair_rows)):
+        for pair, (iid, pid) in enumerate(pairs):
             p = provider_index.setdefault(pid, len(provider_index))
             if iid in item_index:  # a second pair of the item: another provider
+                lineno = pair_code.index(pair) + 2
                 raise ConsistencyError(f"row {lineno}: item {iid!r} listed under two providers")
             item_index[iid] = pair_item[pair] = len(item_provider_list)
             item_provider_list.append(p)

@@ -7,7 +7,7 @@ for a learned model behind the same call signature.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,17 +36,10 @@ def check_params(method: str, params: dict):
         check(f"forecaster {method!r}: parameter {key!r}", value, accepted[key])
 
 
-@dataclass(frozen=True)
-class Forecast:
+class Forecast(NamedTuple):
     """Predicted traffic for the current through final interval."""
 
     horizon_values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.horizon_values, dtype=float)
-        if v.ndim != 1 or v.size == 0 or (v < 0).any():
-            raise ConfigError("forecast values must be a nonempty nonnegative vector")
-        object.__setattr__(self, "horizon_values", v)
 
 
 def forecast_traffic(history, horizon: int, method: str, params: dict | None = None,
@@ -55,7 +48,8 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
 
     moving_average repeats the mean of the last ``w`` observations (with
     ``w`` = 1, the latest one); seasonal tiles the last ``lag``
-    observations; oracle returns the true future counts (simulator-only, the
+    observations; oracle returns the true future counts ``future``, which
+    must be a nonnegative vector of length ``horizon`` (simulator-only, the
     zero-error upper bound). With no history yet, the configured
     ``prior_mean`` is used. ``params`` must pass ``check_params``.
     """
@@ -66,11 +60,10 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
         raise ConfigError("forecast horizon must be >= 1")
 
     if method == "oracle":
-        if future is None:
-            raise ConfigError("oracle forecaster needs the true future counts")
-        values = np.asarray(future, dtype=float)
-        if values.size != horizon:
-            raise ConfigError("oracle future length must equal the horizon")
+        values = np.asarray(future, dtype=float)  # None reads as a NaN scalar
+        if values.shape != (horizon,) or not (values >= 0).all():
+            raise ConfigError("oracle future must be a nonnegative vector of the horizon's "
+                              f"length {horizon}")
         return Forecast(values)
 
     prior_mean = float(params.get("prior_mean", 1.0))

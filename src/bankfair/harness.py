@@ -99,7 +99,8 @@ def run(cfg: RunConfig) -> SimReport:
     interval's lists are scored as one block: their gains are gathered from
     the instance matrix by the arrivals' rows, against ideal DCGs computed
     once per matrix row. A noisy interval adds each arrival's row into its
-    own noise block and scores that block.
+    own noise block and scores that block. An interval without arrivals is
+    served and scored like any other, with zero rows.
 
     Each interval leaves one record, which the report and both CSV writers
     read after the loop: its audit, its arrivals, their lists, NDCGs and
@@ -126,9 +127,9 @@ def run(cfg: RunConfig) -> SimReport:
 
     horizon = counts.size
     bounds = [0, *np.cumsum(counts).tolist()]  # interval n is requests[bounds[n-1]:bounds[n]]
-    matrix = instance_matrix(requests) if requests else None
+    matrix = instance_matrix(requests) if requests else np.empty((0, catalog.num_items))
     # A noiseless run scores against one ideal DCG per matrix row.
-    ideal = metrics.top_k_dcg(matrix, k) if requests and cfg.relevance_noise == 0 else None
+    ideal = metrics.top_k_dcg(matrix, k) if cfg.relevance_noise == 0 else None
     noise_rng = np.random.default_rng(noise_seed)
     realized = counts.astype(float)
     cumulative = np.zeros(catalog.num_providers, dtype=np.int64)
@@ -153,30 +154,29 @@ def run(cfg: RunConfig) -> SimReport:
         alpha = scaled_floors / (slots * traffic_total)
         audit = bankruptcy.plan_interval(cfg.rule, remaining, alpha * k * rhat, rhat, interval=n)
 
-        lists, digests, ndcg = np.empty((0, k), dtype=np.int64), b"", np.empty(0)
-        if arrivals:
-            # The arrivals' rows of `scored`: the instance matrix, or a noise block.
-            at = np.fromiter((req.row for req in arrivals), dtype=np.int64, count=len(arrivals))
-            if cfg.relevance_noise > 0:
-                # A new (arrivals x items) block, one row per arrival in
-                # arrival order: the same stream as one draw per arrival. It
-                # is scored on its own and dropped with the interval. Rows are
-                # added one at a time: matrix[at] would be a second block.
-                scored = noise_rng.normal(0.0, cfg.relevance_noise,
-                                          size=(len(arrivals), catalog.num_items))
-                for i, row in enumerate(at.tolist()):
-                    scored[i] += matrix[row]
-                np.clip(scored, 0.0, 1.0, out=scored)
-                at, scored_ideal = np.arange(len(arrivals)), metrics.top_k_dcg(scored, k)
-            else:
-                scored, scored_ideal = matrix, ideal[at]
-            lists, earned, prices = reranker.run_interval(
-                scored, at, audit["award"], rerank_cfg, catalog, rhat_n)
-            cumulative += earned
-            if cfg.out_dir is not None:
-                digests = b"".join([hashlib.sha1(mu).digest()[:6] for mu in prices])
-            ndcg = metrics.ndcg_at_k(scored[at[:, None], lists], scored_ideal)
-            del scored, prices  # the noise block and prices die with the interval
+        # The arrivals' rows of `scored`: the instance matrix, or a noise block.
+        at = np.fromiter((req.row for req in arrivals), dtype=np.int64, count=len(arrivals))
+        if cfg.relevance_noise > 0:
+            # A new (arrivals x items) block, one row per arrival in arrival
+            # order: the same stream as one draw per arrival. It is scored on
+            # its own and dropped with the interval. Rows are added one at a
+            # time: matrix[at] would be a second block.
+            scored = noise_rng.normal(0.0, cfg.relevance_noise,
+                                      size=(len(arrivals), catalog.num_items))
+            for i, row in enumerate(at.tolist()):
+                scored[i] += matrix[row]
+            np.clip(scored, 0.0, 1.0, out=scored)
+            at, scored_ideal = np.arange(len(arrivals)), metrics.top_k_dcg(scored, k)
+        else:
+            scored, scored_ideal = matrix, ideal[at]
+        lists, earned, prices = reranker.run_interval(
+            scored, at, audit["award"], rerank_cfg, catalog, rhat_n)
+        cumulative += earned
+        digests = b""
+        if cfg.out_dir is not None:
+            digests = b"".join([hashlib.sha1(mu).digest()[:6] for mu in prices])
+        ndcg = metrics.ndcg_at_k(scored[at[:, None], lists], scored_ideal)
+        del scored, prices  # the noise block and prices die with the interval
         records.append(_Interval(n, audit, arrivals, lists, digests, ndcg,
                                  metrics.esp_at_k(cumulative, m)))
 

@@ -73,8 +73,7 @@ def ndcg_at_k(gains: np.ndarray, ideal_dcg: float | np.ndarray) -> float | np.nd
     zero = ideal == 0.0
     if (zero & (num != 0.0)).any():
         raise ValueError("original list has zero gain but the re-ranked list does not")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(zero, 1.0, num / ideal)
+    scores = np.divide(num, ideal, out=np.ones_like(num), where=~zero)
     return float(scores) if scores.ndim == 0 else scores
 
 

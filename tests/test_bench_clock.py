@@ -32,7 +32,7 @@ def test_clock_marks_every_plan_and_serve_call(monkeypatch):
     clock = speed.Clock([(bankruptcy, "plan_interval"), (reranker, "run_interval")])
     report, _, _ = clock.run(harness.run, cfg)
     assert report.per_interval_traffic == traffic
-    # One mark at each end of the run, one per interval before planning, and
-    # one per interval with arrivals before serving.
-    assert len(marks) == 2 + len(traffic) + sum(1 for c in traffic if c)
+    # One mark at each end of the run, and one per interval before planning
+    # and before serving, with or without arrivals.
+    assert len(marks) == 2 + 2 * len(traffic)
     assert (bankruptcy.plan_interval, reranker.run_interval) == (plan, serve)

@@ -1,6 +1,7 @@
 """Command line surface: flags, exit codes, output files."""
 
 import json
+import struct
 import time
 
 import pytest
@@ -81,6 +82,19 @@ class TestRunCommand:
         assert code == 0, capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert report["per_interval_traffic"] == [0, 0, 0]
+
+    # An interval without arrivals is served like any other, so a list longer
+    # than the catalog is refused whether or not anyone arrives.
+    @pytest.mark.parametrize("noise", ["0", "0.1"])
+    @pytest.mark.parametrize("traffic", [[0, 0], [1, 0]])
+    def test_list_longer_than_the_catalog_exits_one(self, tmp_path, capsys, traffic, noise):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"num_items": 3, "num_providers": 1, "num_intervals": 2,
+                                    "traffic": traffic}))
+        code = main(["run", "--synth", str(path), "--K", "5", "--m", "0", "--noise", noise])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "need at least 5 items, catalog has 3" in err and "Traceback" not in err
 
     def test_missing_synth_file_exits_one(self, tmp_path, capsys):
         code = main(["run", "--synth", str(tmp_path / "absent.json"), "--K", "5"])
@@ -322,6 +336,19 @@ class TestIngestionErrors:
                      "--m", "1", "--K", "2"])
         assert code == 1
         assert "matrix row 2, column 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sidecar,message", [
+        (b"BFRM\x01\x00\x00\x00", "truncated relevance file"),
+        (struct.pack("<4sIII", b"BFRM", 1, 1, 2) + b"\x00\x00", "unsupported element width 2")])
+    def test_unreadable_relevance_file_exits_one(self, tmp_path, capsys, sidecar, message):
+        (tmp_path / "interactions.csv").write_text(
+            "user_id,item_id,provider_id,timestamp,score\nu0,i0,p0,0,0.5\n")
+        (tmp_path / "relevance.bin").write_bytes(sidecar)
+        code = main(["run", "--data", str(tmp_path), "--rule", "none", "--m", "1",
+                     "--K", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'relevance.bin'}: {message}" in err and "Traceback" not in err
 
 
 class TestSweepCommand:

@@ -127,6 +127,16 @@ class TestSynthInstance:
                                                   rf"\[1, {domain.MAX_INTERVALS}\], got {bad}"):
                 SynthConfig(num_items=4, num_providers=2, num_intervals=bad)
 
+    # Checked when an instance is drawn: the counts must add up.
+    @pytest.mark.parametrize("fields,message", [
+        (dict(inventory=[5, 4]), "explicit inventory must cover all items"),
+        (dict(inventory=[4, 3, 3]), "explicit inventory must cover all items"),
+        (dict(traffic=[1, 2, 3]), "explicit traffic length must equal the horizon")])
+    def test_spec_that_does_not_add_up(self, fields, message):
+        cfg = SynthConfig(num_items=10, num_providers=2, num_intervals=2, **fields)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            synth_instance(cfg, 0)
+
     def test_more_providers_than_items_rejected(self):
         with pytest.raises(ConfigError):
             synth_instance(SynthConfig(num_items=2, num_providers=3, num_intervals=1), 0)
@@ -525,7 +535,7 @@ class TestRelevanceMatrix:
         rng = np.random.default_rng(noise_seed)
         expected = [np.clip(r.relevance + rng.normal(0.0, 0.05, size=r.relevance.shape), 0, 1)
                     for r in requests]
-        assert [len(block) for block in served] == [c for c in counts if c]
+        assert [len(block) for block in served] == counts.tolist()
         assert np.concatenate(served).tobytes() == np.array(expected).tobytes()
 
 

@@ -54,6 +54,19 @@ class TestForecasters:
         with pytest.raises(ConfigError):
             forecast_traffic([1], 2, "oracle")
 
+    @pytest.mark.parametrize("future", [
+        None, [3.0, 1.0], [3.0, 1.0, 4.0, 1.0], [[3.0, 1.0, 4.0]], [3.0, -1.0, 4.0],
+        [3.0, float("nan"), 4.0]])
+    def test_oracle_future_is_checked_where_it_comes_in(self, future):
+        with pytest.raises(ConfigError, match="^oracle future must be a nonnegative vector "
+                                              "of the horizon's length 3$"):
+            forecast_traffic([9, 9], 3, "oracle", future=future)
+
+    @pytest.mark.parametrize("method", ["moving_average", "oracle"])
+    def test_horizon_must_be_positive(self, method):
+        with pytest.raises(ConfigError, match="^forecast horizon must be >= 1$"):
+            forecast_traffic([1.0], 0, method, future=[])
+
     def test_empty_history_uses_prior_mean(self):
         fc = forecast_traffic([], 3, "moving_average", {"prior_mean": 40.0})
         np.testing.assert_allclose(fc.horizon_values, [40, 40, 40])

@@ -176,6 +176,13 @@ class TestRun:
             run(cfg)
         assert err.value.interval == 1
 
+    def test_floors_for_another_number_of_providers(self):
+        # Two floors for small_config's four providers; only one is broadcast.
+        cfg = small_config(policy=FairnessPolicy([30.0, 30.0], 0.95, 5))
+        with pytest.raises(ConfigError, match="^policy covers a different number of "
+                                              "providers than the catalog$"):
+            run(cfg)
+
     def test_writes_outputs(self, tmp_path):
         rep = run(small_config(out_dir=str(tmp_path)))
         for name in ("report.json", "intervals.csv", "allocations.csv", "decisions.csv"):
@@ -379,8 +386,13 @@ class TestRun:
         monkeypatch.setattr(reranker, "run_interval", serve)
         rep = run(replace(cfg, out_dir=str(tmp_path / "out")))
 
+        # Every interval is served, an empty one with no rows; the oracle
+        # scores the intervals with arrivals.
+        assert [len(rows) for _, rows, _ in served] == rep.per_interval_traffic
         oracle = []
         for block, rows, lists in served:
+            if not len(rows):
+                continue
             scores = []
             for rel, items in zip(block[rows], lists):
                 num = metrics.dcg(rel[items])

@@ -182,6 +182,11 @@ class TestVio:
     def test_zero_phi_vacuous(self):
         assert vio_at_k([0.0, 0.5], 0.0) == 0.0
 
+    @pytest.mark.parametrize("phi", [-0.1, 1.5, float("nan")])
+    def test_phi_outside_the_unit_interval(self, phi):
+        with pytest.raises(ConfigError, match=r"^phi must lie in \[0, 1\]$"):
+            vio_at_k([0.5], phi)
+
     def test_empty_users(self):
         with pytest.raises(ValueError, match="no users"):
             vio_at_k([], 0.9)
@@ -196,6 +201,10 @@ class TestEsp:
 
     def test_half_met(self):
         assert esp_at_k([5, 3], [4, 4]) == 0.5
+
+    def test_vectors_of_different_shapes(self):
+        with pytest.raises(ConfigError, match="^exposure and requirement vectors must align$"):
+            esp_at_k([1, 2, 3], [1, 2])
 
     def test_monotone_in_exposure(self):
         rng = np.random.default_rng(0)
@@ -214,6 +223,11 @@ class TestFeasibleRegionRatio:
 
     def test_unconstrained(self):
         assert feasible_region_ratio([0.0, 0.0], 9, 4) == 1.0
+
+    @pytest.mark.parametrize("traffic,list_size", [(0, 5), (3, 0), (-1, 5)])
+    def test_needs_a_positive_budget(self, traffic, list_size):
+        with pytest.raises(ConfigError, match=r"^traffic \* K must be positive$"):
+            feasible_region_ratio([1.0], traffic, list_size)
 
     def test_floored_at_zero(self):
         assert feasible_region_ratio([100.0], 2, 5) == 0.0

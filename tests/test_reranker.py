@@ -35,6 +35,10 @@ class TestPenaltiesAndCaps:
     def test_caps_zero_traffic(self):
         np.testing.assert_allclose(compute_caps(TWO_PROVIDERS, 5, 0.0), [0.0, 0.0])
 
+    def test_caps_refuse_negative_traffic(self):
+        with pytest.raises(ConfigError, match="^predicted traffic must be >= 0$"):
+            compute_caps(TWO_PROVIDERS, 5, -1.0)
+
     def test_caps_single_provider(self):
         cat = Catalog(np.zeros(4, dtype=int))
         np.testing.assert_allclose(compute_caps(cat, 5, 7.0), [35.0])
