@@ -48,6 +48,9 @@ _HEADER = struct.Struct("<4sIII")
 # a row-by-row parse; 512 rows added about 0.9 MB.
 _CHUNK_ROWS = 256
 
+# Most relevance values drawn and scaled as one block: 64 KB of float64.
+_DRAW_CHUNK = 8192
+
 # Most intervals a log may span. Run time grows about with the square of the
 # horizon, which one outlier timestamp sets; 10 000 is over a year of hours.
 MAX_INTERVALS = 10_000
@@ -231,17 +234,31 @@ def synth_instance(cfg: SynthConfig, seed: int):
     else:
         counts = rng.poisson(cfg.mean_traffic, size=cfg.num_intervals)
 
-    lo, hi = 0.0, 1.0
+    # Row u has the bytes of the per-user draw rng.uniform(lo, hi, num_items),
+    # which computes lo + (hi - lo) * random(), and the generator ends where
+    # those draws would leave it: one double per value, in C order. Blocks of
+    # at most _DRAW_CHUNK values are drawn and scaled while in cache. Without
+    # bands lo + (hi - lo) * u is u itself.
+    #
+    # No value leaves [0, 1], so none is clipped. Here 0 <= lo <= hi <= 1
+    # and 0 <= u <= 1 - e, with e = 2**-53, and every term is >= 0. Rounding
+    # to nearest errs by at most e relative, so fl(hi - lo) <= (hi - lo)(1 + e)
+    # and s = fl(fl(hi - lo) * u) <= (hi - lo)(1 + e)(1 - e**2). For hi > lo
+    # then lo + s < hi + (hi - lo) e <= 1 + e, and a sum below 1 + e rounds
+    # to at most 1; hi = lo gives s = 0. A subnormal product errs by up to
+    # 2**-1075 instead, but then s < 2**-1022, and lo + s rounds to at most
+    # 1 as well, since lo is 1 (and s is 0) or at most 1 - e.
+    relevance = _relevance_matrix(int(counts.sum()), cfg.num_items)
     if cfg.provider_bands is not None:
         bands = np.asarray(cfg.provider_bands, dtype=float)
-        lo, hi = bands[item_provider, 0], bands[item_provider, 1]
-    # One block, worked in place. Row u has the bytes of the per-user draw
-    # rng.uniform(lo, hi, num_items), which computes lo + (hi - lo) * random(),
-    # and the generator ends where those draws would leave it.
-    relevance = rng.random(out=_relevance_matrix(int(counts.sum()), cfg.num_items))
-    relevance *= hi - lo
-    relevance += lo
-    np.clip(relevance, 0.0, 1.0, out=relevance)
+        low = bands[item_provider, 0]
+        width = (bands[:, 1] - bands[:, 0])[item_provider]
+    step = max(_DRAW_CHUNK // cfg.num_items, 1)
+    for start in range(0, len(relevance), step):
+        block = rng.random(out=relevance[start:start + step])
+        if cfg.provider_bands is not None:
+            block *= width
+            block += low
     relevance.flags.writeable = False
     requests = [UserRequest(str(uid), row, uid) for uid, row in enumerate(relevance)]
     return catalog, counts, requests

@@ -51,11 +51,15 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
     observations; oracle returns the true future counts ``future``, which
     must be a nonnegative vector of length ``horizon`` (simulator-only, the
     zero-error upper bound). With no history yet, the configured
-    ``prior_mean`` is used. ``params`` must pass ``check_params``.
+    ``prior_mean`` is used. ``history`` must be a 1-D vector of finite
+    nonnegative counts, and ``params`` must pass ``check_params``.
     """
     params = dict(params or {})
     check_params(method, params)
     history = np.asarray(history, dtype=float)
+    # NaN fails both comparisons.
+    if history.ndim != 1 or not ((history >= 0.0) & (history < np.inf)).all():
+        raise ConfigError("forecast history must be a vector of finite counts >= 0")
     if horizon < 1:
         raise ConfigError("forecast horizon must be >= 1")
 
@@ -73,10 +77,9 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
     if method == "seasonal":
         lag = params.get("lag", 7)
         if history.size >= lag:
-            values = np.tile(history[-lag:], horizon // lag + 1)[:horizon]
-            return Forecast(np.maximum(values, 0.0))
+            return Forecast(np.tile(history[-lag:], horizon // lag + 1)[:horizon])
         logger.warning("seasonal lag %d exceeds history length %d; "
                        "falling back to moving_average", lag, history.size)
 
     level = float(history[-params.get("w", 3):].mean())  # moving_average
-    return Forecast(np.full(horizon, max(level, 0.0)))
+    return Forecast(np.full(horizon, level))

@@ -96,14 +96,19 @@ def select_list(relevance: np.ndarray, mu: np.ndarray, item_provider: np.ndarray
     return top_k(scores, k, relevance)
 
 
-def conjugate_argmax(mu: np.ndarray, gamma: np.ndarray, m: np.ndarray) -> np.ndarray:
+def conjugate_argmax(mu: np.ndarray, gamma: np.ndarray, m: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Exposure maximizing the penalty conjugate at prices ``mu``.
 
     Per provider the objective -lam*[m - E]_+ + mu*E over E in [0, gamma] is
     piecewise linear, so the maximizer sits at gamma when mu >= 0 and at
-    min(m, gamma) when mu < 0 (on mu >= -lam the kink at m always beats 0).
+    clip(m, 0, gamma) when mu < 0 (on mu >= -lam the kink at m always beats
+    0, and a floor already met, m <= 0, takes 0). ``out`` may alias ``m``.
     """
-    return np.where(mu >= 0.0, gamma, np.minimum(m, gamma))
+    out = np.maximum(m, 0.0, out=out)
+    np.minimum(out, gamma, out=out)
+    np.copyto(out, gamma, where=mu >= 0.0)
+    return out
 
 
 def conjugate_value(mu: np.ndarray, gamma: np.ndarray, m: np.ndarray) -> float:
@@ -111,14 +116,15 @@ def conjugate_value(mu: np.ndarray, gamma: np.ndarray, m: np.ndarray) -> float:
     return float(mu @ m + ((gamma - m) * np.maximum(mu, 0.0)).sum())
 
 
-def dual_step(mu: np.ndarray, eta: float, lam: np.ndarray, exposure: np.ndarray,
-              e_star: np.ndarray) -> np.ndarray:
+def dual_step(mu: np.ndarray, eta: float | np.ndarray, lam: np.ndarray, exposure: np.ndarray,
+              e_star: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Projected subgradient step on the dual prices.
 
     g = e_star - exposure; the step mu - eta*g is clipped to the feasible
-    region mu >= -lam.
+    region mu >= -lam. ``eta`` is a scalar or one step size per provider,
+    and the new prices go to ``out`` when it is given.
     """
-    step = np.subtract(e_star, exposure, dtype=float)
+    step = np.subtract(e_star, exposure, out=out)
     step *= eta
     np.subtract(mu, step, out=step)
     return np.maximum(step, -lam, out=step)
@@ -135,9 +141,10 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
     Dual prices start at zero and stay in mu >= -lambda, lambda being the
     penalties of ``compute_penalties``. After each list its exposure is added
     to ``earned``, then ``dual_step`` runs against the conjugate maximizer
-    for the unearned remainder ``max(floor - earned, 0)``, so pressure on a
-    provider fades once its floor is met. Under the config's magnitude bound
-    (``errors.MAX_MAGNITUDE``) no dual step can overflow the prices.
+    for the unearned remainder ``floor - earned`` (a floor already met
+    counts as 0), so pressure on a provider fades once its floor is met.
+    Under the config's magnitude bound (``errors.MAX_MAGNITUDE``) no dual
+    step can overflow the prices.
 
     Returns (lists, earned, prices): ``lists`` is an int64 array of shape
     (len(rows), K) whose row t holds arrival t's K distinct item ids in rank
@@ -152,20 +159,29 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
         raise ConfigError(f"need at least {k} items, catalog has {catalog.num_items}")
     lam = compute_penalties(catalog, cfg.beta_mix)
     gamma = compute_caps(catalog, k, rhat_n)
-    eta = cfg.step_size(rhat_n)
-
     nprov, item_provider = catalog.num_providers, catalog.item_provider
-    mu = np.zeros(nprov)
-    earned = np.zeros(nprov, dtype=np.int64)
-    unmet = np.empty(nprov)
-    lists = np.empty((len(rows), k), dtype=np.int64)
-    prices = np.empty((len(rows), nprov))
-    for t, row in enumerate(rows):
+    eta = np.full(nprov, cfg.step_size(rhat_n))
+
+    # Each step writes into these buffers; dual_step writes arrival t's new
+    # prices into row t + 1. Beyond list selection an arrival makes only
+    # K- or P-long arrays: the list's providers and exposure, the
+    # conjugate's mask and dual_step's -lam. Exposure is counted in float64
+    # (exact below 2**53), so that no step mixes dtypes.
+    rows = np.asarray(rows)
+    n = len(rows)
+    lists = np.empty((n, k), dtype=np.int64)
+    prices = np.empty((n + 1, nprov))
+    prices[0] = 0.0
+    ones = np.ones(k)
+    earned = np.zeros(nprov)
+    e_star = np.empty(nprov)
+    for t, row in enumerate(rows.tolist()):
+        mu = prices[t]
         items = select_list(relevance[row], mu, item_provider, rhat_n, k)
-        exposure = np.bincount(item_provider[items], minlength=nprov)
+        lists[t] = items
+        exposure = np.bincount(item_provider[items], ones, nprov)
         earned += exposure
-        np.subtract(floor, earned, out=unmet)
-        e_star = conjugate_argmax(mu, gamma, np.maximum(unmet, 0.0, out=unmet))
-        lists[t], prices[t] = items, mu
-        mu = dual_step(mu, eta, lam, exposure, e_star)
-    return lists, earned, prices
+        np.subtract(floor, earned, out=e_star)
+        conjugate_argmax(mu, gamma, e_star, out=e_star)
+        dual_step(mu, eta, lam, exposure, e_star, out=prices[t + 1])
+    return lists, earned.astype(np.int64), prices[:n]

@@ -437,6 +437,44 @@ class TestRelevanceMatrix:
         assert served.tobytes() == matrix.tobytes()
         assert made[0].bit_generator.state == state
 
+    def test_band_edges_stay_in_the_unit_interval_unclipped(self, monkeypatch):
+        # The extreme uniform draws 0, 2**-53 and 1 - 2**-53 in bands with
+        # hi = 1, lo = hi, a tiny lo and a power-of-two hi give exactly
+        # lo + (hi - lo) * u, inside [0, 1]: the draw needs no clip.
+        us = np.array([0.0, 2.0**-53, 1.0 - 2.0**-53])
+        bands = [(0.3, 1.0), (0.0, 1.0), (0.4, 0.4), (1.0, 1.0), (0.0, 0.0), (2.0**-54, 1.0),
+                 (5e-324, 1.0), (5e-324, 5e-324), (0.1, 0.5), (0.0, 0.25), (0.3, 2.0**-1)]
+        cfg = SynthConfig(num_items=2 * len(bands), num_providers=len(bands), num_intervals=1,
+                          traffic=[us.size], provider_bands=bands)
+
+        class Draws:  # row u of the matrix draws us[u] for every item
+            def random(self, out):
+                out[...] = us[:, None]
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Draws())
+        catalog, _, requests = synth_instance(cfg, seed=0)
+        matrix = np.array([r.relevance for r in requests])
+        lo, hi = np.array(bands)[catalog.item_provider].T
+        assert matrix.tobytes() == (lo + (hi - lo) * us[:, None]).tobytes()
+        assert matrix.min() >= 0.0 and matrix.max() == 1.0
+        assert 1.0 in matrix[2, catalog.item_provider == 5]  # 2**-54 + (1 - 2**-53) rounds up
+
+    @pytest.mark.parametrize("items", [100, 9000])
+    def test_blocks_continue_one_stream(self, monkeypatch, items):
+        # Drawn in several blocks, with a short last one, the matrix is the
+        # per-user loop's.
+        cfg = SynthConfig(num_items=items, num_providers=4, num_intervals=2, traffic=[90, 113],
+                          provider_bands=[(0.2, 0.9), (0.0, 1.0), (0.5, 0.5), (0.0, 0.3)])
+        made = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+        _, _, requests = synth_instance(cfg, seed=3)
+        monkeypatch.undo()
+        matrix, state = reference_synth(cfg, seed=3)
+        assert np.array([r.relevance for r in requests]).tobytes() == matrix.tobytes()
+        assert made[0].bit_generator.state == state
+
     def test_matrix_without_huge_page_advice_is_the_same(self, monkeypatch):
         # Where mmap cannot advise huge pages the matrix is numpy's own.
         cfg = self.CONFIGS["weights"]

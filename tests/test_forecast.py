@@ -67,6 +67,15 @@ class TestForecasters:
         with pytest.raises(ConfigError, match="^forecast horizon must be >= 1$"):
             forecast_traffic([1.0], 0, method, future=[])
 
+    @pytest.mark.parametrize("method", ["moving_average", "seasonal"])
+    @pytest.mark.parametrize("history", [
+        [float("nan")], [3.0, float("nan")], [float("inf")], [2.0, -float("inf")], [-1.0],
+        [4.0, -1.0, 2.0], [[1.0, 2.0]], [[1.0], [2.0]]])
+    def test_history_must_be_finite_nonnegative_counts(self, method, history):
+        with pytest.raises(ConfigError, match="^forecast history must be a vector of "
+                                              "finite counts >= 0$"):
+            forecast_traffic(history, 2, method, {"lag": 1} if method == "seasonal" else {})
+
     def test_empty_history_uses_prior_mean(self):
         fc = forecast_traffic([], 3, "moving_average", {"prior_mean": 40.0})
         np.testing.assert_allclose(fc.horizon_values, [40, 40, 40])

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from bankfair.errors import ConfigError
 from bankfair.reranker import top_k
-from bankfair.metrics import (_DCG_CHUNK, SimReport, dcg, esp_at_k, feasible_region_ratio,
-                              ndcg_at_k, spearman_rho, top_k_dcg, vio_at_k)
+from bankfair.metrics import (_DCG_CHUNK, _JSON_FORMAT, _ZERO_SAMPLE_VALUES, SimReport, dcg,
+                              esp_at_k, feasible_region_ratio, ndcg_at_k, spearman_rho,
+                              top_k_dcg, vio_at_k)
 from test_reranker import reference_top_k
 
 
@@ -169,6 +170,61 @@ class TestTopKDcg:
             top_k_dcg(np.ones((2, 3)), 4)
 
 
+def _kernel_blocks(rng, items):
+    """Blocks of 20 rows: all-zero, sparse, dense, tie-heavy and noisy rows."""
+    shape = (20, items)
+    sparse = rng.uniform(size=shape) * (rng.uniform(size=shape) < 0.05)
+    sparse[::5] = 0.0
+    noisy = rng.uniform(0.3, 0.9, size=shape) + rng.normal(0.0, 0.5, size=shape)
+    return {"zeros": np.zeros(shape), "sparse": sparse, "dense": rng.uniform(size=shape),
+            "ties": rng.integers(0, 3, size=shape) / 2.0,
+            "noisy": np.clip(noisy, 0.0, 1.0)}  # as harness.run's noise blocks: 0s and 1s tie
+
+
+class TestTopKDcgKernels:
+    """Both kernels of top_k_dcg, bytewise against the full-sort reference.
+
+    A sample of the block picks its kernel, so the rows under test are
+    joined by more rows of zeros (sort) or ones (partition) than they have;
+    np.partition or np.sort, whichever must not run, raises.
+    """
+
+    @pytest.mark.parametrize("items", [12, 300, 2 * _ZERO_SAMPLE_VALUES, _DCG_CHUNK + 8])
+    @pytest.mark.parametrize("kernel", ["sort", "partition"])
+    def test_each_kernel_matches_the_reference(self, monkeypatch, kernel, items):
+        rng = np.random.default_rng(items)
+        steer = np.zeros((21, items)) if kernel == "sort" else np.ones((21, items))
+        blocked = "partition" if kernel == "sort" else "sort"
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"np.{blocked} ran")
+
+        for name, rows in _kernel_blocks(rng, items).items():
+            relevance = np.concatenate([rows, steer])[rng.permutation(41)]
+            for k in sorted({1, 5, 10, items}):  # K = I included
+                want = np.array([dcg(row[reference_top_k(row, k)]) for row in relevance])
+                with monkeypatch.context() as m:
+                    m.setattr(np, blocked, forbidden)
+                    got = top_k_dcg(relevance, k)
+                assert got.tobytes() == want.tobytes(), (name, k)
+
+    def test_zero_rows(self):
+        for items in (1, 12, 300):
+            assert top_k_dcg(np.zeros((0, items)), 1).shape == (0,)
+
+    def test_kernel_follows_the_data(self, monkeypatch):
+        # A log's mostly-zero profile is sorted, a dense synthetic row partitioned.
+        calls = []
+        for name in ("sort", "partition"):
+            real = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *a, _n=name, _f=real, **kw:
+                                calls.append(_n) or _f(*a, **kw))
+        blocks = _kernel_blocks(np.random.default_rng(4), 300)
+        top_k_dcg(blocks["sparse"], 10)
+        top_k_dcg(blocks["dense"], 10)
+        assert calls == ["sort", "partition"]
+
+
 class TestVio:
     def test_no_violations(self):
         assert vio_at_k([1.0, 1.0, 1.0], 0.95) == 0.0
@@ -266,6 +322,16 @@ class TestSpearmanRho:
             spearman_rho([1, 2, 3], [1, 2])
 
 
+def assert_same_text(got, want):
+    """got == want, failing with the first difference: pytest's own diff of two
+    long JSON texts takes minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"texts differ at offset {at}: {got[at - 30:at + 30]!r} "
+                    f"!= {want[at - 30:at + 30]!r}")
+
+
 def report_with(traffic, accuracy):
     return SimReport(
         ndcg_at_k=float(np.mean(accuracy)), vio_at_k=0.0, esp_at_k=1.0,
@@ -295,6 +361,30 @@ class TestSimReport:
         pooled = float(np.concatenate(per_user).mean())
         weighted = sum(c * float(v.mean()) for c, v in zip(counts, per_user)) / sum(counts)
         assert pooled == pytest.approx(weighted)
+
+    def test_json_bytes_are_json_dumps(self, tmp_path):
+        # report.json and to_json are json.dumps(..., indent=2) byte for byte,
+        # whichever encoder writes each piece.
+        nan, inf = float("nan"), float("inf")
+        rep = SimReport(
+            ndcg_at_k=np.float64(0.5), vio_at_k=0.0, esp_at_k=True,
+            per_interval_traffic=[3, 0, np.int64(4), 2**60],
+            per_interval_accuracy=[nan, inf, -inf, -0.0, 1e-300, 5e-324, 1.0],
+            per_interval_vio=[0, 0.0, np.float64(0.5), 1e-300],
+            per_interval_esp=[True, False, 0.5, np.float64(0.25)],
+            per_provider_cumulative_exposure=[np.int64(7), np.int32(-1)],
+            per_user_ndcg=[i / 7 for i in range(3000)] + [3, -0.0, 1e300],
+            config_echo={"synth": {"bands": [[0.0, 1.0], [0.5, 0.5]], "inventory": "even"},
+                         "m": [1.0, 2.5], "tau": None, "phi": np.float32(0.75),
+                         "name": "a, b\n\"c\"", "empty": {}, "none": []})
+        want = json.dumps(vars(rep), **_JSON_FORMAT) + "\n"
+        assert_same_text(rep.to_json(), want)
+        rep.write(tmp_path)
+        assert_same_text((tmp_path / "report.json").read_bytes().decode("utf-8"), want)
+        for lone in ([], [0.5], [1], list(range(2048)), list(range(2049))):
+            small = report_with([1], [1.0])
+            small.per_user_ndcg = lone
+            assert_same_text(small.to_json(), json.dumps(vars(small), **_JSON_FORMAT) + "\n")
 
     def test_write_outputs(self, tmp_path):
         rep = report_with([3, 4], [0.9, 1.0])

@@ -148,6 +148,26 @@ class TestConjugateArgmax:
         tol = (gamma / 10_000 + 1e-12) * (lam + abs(mu)) + 1e-9
         assert conjugate_objective(np.array([e_star]), mu, lam, m)[0] >= obj.max() - tol
 
+    @given(st.floats(0.1, 3.0), st.floats(-10.0, 10.0), st.floats(0.0, 10.0), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_met_floor_and_aliased_out_match_grid_search(self, lam, m, gamma, data):
+        # run_interval passes floor - earned, which is negative once a floor
+        # is exceeded, and lets the result overwrite it.
+        mu = data.draw(st.floats(-lam, 2.0))
+        e_star = np.array([m])
+        assert conjugate_argmax(np.array([mu]), np.array([gamma]), e_star, out=e_star) is e_star
+        want = np.where(mu >= 0.0, gamma, np.minimum(np.maximum(m, 0.0), gamma))
+        assert e_star.tobytes() == np.atleast_1d(want).tobytes()
+        grid = np.linspace(0.0, gamma, 10_001)
+        obj = conjugate_objective(grid, mu, lam, m)
+        tol = (gamma / 10_000 + 1e-12) * (lam + abs(mu)) + 1e-9
+        assert conjugate_objective(e_star, mu, lam, m)[0] >= obj.max() - tol
+
+    def test_met_floor_takes_zero_below_a_zero_price(self):
+        mu, gamma = np.array([-0.5, -0.5, 0.0, 0.3]), np.full(4, 3.0)
+        m = np.array([-2.0, 5.0, -2.0, -2.0])
+        np.testing.assert_array_equal(conjugate_argmax(mu, gamma, m), [0.0, 3.0, 3.0, 3.0])
+
     def test_closed_form_value_matches_attained_objective(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
@@ -389,7 +409,8 @@ class TestServeLoopMatchesReference:
         return rng, catalog, k, block, rng.permutation(n_users), floor, rhat_n
 
     @staticmethod
-    def assert_same(got, want, num_items, num_providers):
+    def assert_same(got, want, catalog):
+        num_items, num_providers = catalog.num_items, catalog.num_providers
         lists, earned, prices = got
         ref_lists, ref_earned, ref_prices = want
         assert lists.dtype == np.int64 and lists.shape == ref_lists.shape
@@ -399,6 +420,8 @@ class TestServeLoopMatchesReference:
             assert row.min() >= 0 and row.max() < num_items
         assert earned.dtype == ref_earned.dtype == np.int64
         np.testing.assert_array_equal(earned, ref_earned)
+        np.testing.assert_array_equal(earned, np.bincount(
+            catalog.item_provider[lists.ravel()], minlength=num_providers))
         # Every arrival's price row, bit for bit.
         assert prices.dtype == np.float64 and prices.shape == (len(lists), num_providers)
         assert prices.tobytes() == ref_prices.tobytes()
@@ -416,7 +439,7 @@ class TestServeLoopMatchesReference:
                 cfg = RerankConfig(list_size=k, eta=eta, beta_mix=0.5)
                 got = run_interval(block, rows, floor, cfg, catalog, rhat_n)
                 want = reference_run_interval(block, rows, floor, cfg, catalog, rhat_n)
-                self.assert_same(got, want, catalog.num_items, catalog.num_providers)
+                self.assert_same(got, want, catalog)
 
     def test_rejects_list_longer_than_catalog(self):
         with pytest.raises(ConfigError):
