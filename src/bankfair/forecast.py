@@ -48,11 +48,11 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
 
     moving_average repeats the mean of the last ``w`` observations (with
     ``w`` = 1, the latest one); seasonal tiles the last ``lag``
-    observations; oracle returns the true future counts ``future``, which
-    must be a nonnegative vector of length ``horizon`` (simulator-only, the
-    zero-error upper bound). With no history yet, the configured
-    ``prior_mean`` is used. ``history`` must be a 1-D vector of finite
-    nonnegative counts, and ``params`` must pass ``check_params``.
+    observations; oracle returns the true future counts ``future``, a
+    vector of ``horizon`` finite counts >= 0 that the other methods ignore
+    (simulator-only, the zero-error upper bound). With no history yet, the
+    configured ``prior_mean`` is used. ``history`` must be a 1-D vector of
+    finite nonnegative counts, and ``params`` must pass ``check_params``.
     """
     params = dict(params or {})
     check_params(method, params)
@@ -65,9 +65,9 @@ def forecast_traffic(history, horizon: int, method: str, params: dict | None = N
 
     if method == "oracle":
         values = np.asarray(future, dtype=float)  # None reads as a NaN scalar
-        if values.shape != (horizon,) or not (values >= 0).all():
-            raise ConfigError("oracle future must be a nonnegative vector of the horizon's "
-                              f"length {horizon}")
+        if values.shape != (horizon,) or not ((values >= 0.0) & (values < np.inf)).all():
+            raise ConfigError("oracle future must be a vector of finite counts >= 0 of the "
+                              f"horizon's length {horizon}")
         return Forecast(values)
 
     prior_mean = float(params.get("prior_mean", 1.0))

@@ -24,7 +24,7 @@ from .metrics import SimReport
 
 logger = logging.getLogger(__name__)
 
-_Interval = namedtuple("_Interval", "n audit arrivals lists digests ndcg esp")
+_Interval = namedtuple("_Interval", "n audit user_ids lists digests ndcg esp")
 
 
 @dataclass
@@ -102,9 +102,11 @@ def run(cfg: RunConfig) -> SimReport:
     own noise block and scores that block. An interval without arrivals is
     served and scored like any other, with zero rows.
 
+    Right after the build (and the tau deal), requests become one array of
+    matrix rows and one list of user ids; interval n is a slice of each.
     Each interval leaves one record, which the report and both CSV writers
-    read after the loop: its audit, its arrivals, their lists, NDCGs and
-    price digests (when writing outputs), and the ESP so far.
+    read after the loop: its audit, its arrivals' user ids, their lists,
+    NDCGs and price digests (when writing outputs), and the ESP so far.
     """
     # One sub-seed per stochastic stage keeps every stage independently
     # reproducible for a fixed run seed.
@@ -125,8 +127,10 @@ def run(cfg: RunConfig) -> SimReport:
         counts = resample_traffic(counts, cfg.tau, len(requests), resample_seed)
         requests = redistribute_requests(requests, deal_seed)
 
+    rows = np.fromiter((req.row for req in requests), dtype=np.int64, count=len(requests))
+    user_ids = [req.user_id for req in requests]
     horizon = counts.size
-    bounds = [0, *np.cumsum(counts).tolist()]  # interval n is requests[bounds[n-1]:bounds[n]]
+    bounds = [0, *np.cumsum(counts).tolist()]  # interval n is [bounds[n-1], bounds[n])
     matrix = instance_matrix(requests) if requests else np.empty((0, catalog.num_items))
     # A noiseless run scores against one ideal DCG per matrix row.
     ideal = metrics.top_k_dcg(matrix, k) if cfg.relevance_noise == 0 else None
@@ -143,10 +147,10 @@ def run(cfg: RunConfig) -> SimReport:
     realized_sum = 0.0
 
     for n in range(1, horizon + 1):
-        arrivals = requests[bounds[n - 1]:bounds[n]]
+        lo, hi = bounds[n - 1], bounds[n]
         rhat = forecast.forecast_traffic(
             realized[: n - 1], horizon - n + 1, cfg.forecaster, cfg.forecaster_params,
-            future=realized[n - 1:] if cfg.forecaster == "oracle" else None).horizon_values
+            future=realized[n - 1:]).horizon_values
         rhat_n = max(float(rhat[0]), 1.0)
         remaining = np.maximum(m - cumulative, 0.0)
         traffic_total = max(float(realized_sum + rhat.sum()), 1.0)
@@ -155,18 +159,18 @@ def run(cfg: RunConfig) -> SimReport:
         audit = bankruptcy.plan_interval(cfg.rule, remaining, alpha * k * rhat, rhat, interval=n)
 
         # The arrivals' rows of `scored`: the instance matrix, or a noise block.
-        at = np.fromiter((req.row for req in arrivals), dtype=np.int64, count=len(arrivals))
+        at = rows[lo:hi]
         if cfg.relevance_noise > 0:
             # A new (arrivals x items) block, one row per arrival in arrival
             # order: the same stream as one draw per arrival. It is scored on
             # its own and dropped with the interval. Rows are added one at a
             # time: matrix[at] would be a second block.
             scored = noise_rng.normal(0.0, cfg.relevance_noise,
-                                      size=(len(arrivals), catalog.num_items))
+                                      size=(len(at), catalog.num_items))
             for i, row in enumerate(at.tolist()):
                 scored[i] += matrix[row]
             np.clip(scored, 0.0, 1.0, out=scored)
-            at, scored_ideal = np.arange(len(arrivals)), metrics.top_k_dcg(scored, k)
+            at, scored_ideal = np.arange(len(at)), metrics.top_k_dcg(scored, k)
         else:
             scored, scored_ideal = matrix, ideal[at]
         lists, earned, prices = reranker.run_interval(
@@ -177,7 +181,7 @@ def run(cfg: RunConfig) -> SimReport:
             digests = b"".join([hashlib.sha1(mu).digest()[:6] for mu in prices])
         ndcg = metrics.ndcg_at_k(scored[at[:, None], lists], scored_ideal)
         del scored, prices  # the noise block and prices die with the interval
-        records.append(_Interval(n, audit, arrivals, lists, digests, ndcg,
+        records.append(_Interval(n, audit, user_ids[lo:hi], lists, digests, ndcg,
                                  metrics.esp_at_k(cumulative, m)))
 
     phi = cfg.policy.required_min_accuracy
@@ -187,8 +191,8 @@ def run(cfg: RunConfig) -> SimReport:
         vio_at_k=metrics.vio_at_k(per_user_ndcg, phi) if per_user_ndcg else 0.0,
         esp_at_k=records[-1].esp,
         per_interval_traffic=[int(c) for c in counts],
-        per_interval_accuracy=[float(np.mean(r.ndcg)) if r.arrivals else 1.0 for r in records],
-        per_interval_vio=[metrics.vio_at_k(r.ndcg, phi) if r.arrivals else 0.0 for r in records],
+        per_interval_accuracy=[float(np.mean(r.ndcg)) if r.user_ids else 1.0 for r in records],
+        per_interval_vio=[metrics.vio_at_k(r.ndcg, phi) if r.user_ids else 0.0 for r in records],
         per_interval_esp=[r.esp for r in records],
         per_provider_cumulative_exposure=[int(c) for c in cumulative],
         per_user_ndcg=per_user_ndcg,
@@ -220,30 +224,24 @@ def _write_decisions(path, records, k, num_items):
     The hash column is the first 12 hex digits of the sha1 of the prices
     that selected the list: the hex of the 6 bytes per arrival that a
     record's ``digests`` holds. A row is its fields joined by commas, item
-    ids taken from one table of labels. An interval in which some user id is
-    not a str, or would be quoted, is written by ``csv.writer`` instead;
-    either way every row has ``csv.writer``'s bytes.
+    ids taken from one table of labels. User ids are str (every build makes
+    them so); in an interval where some id holds a comma, a quote, CR or LF,
+    each such id is quoted as csv.writer quotes it, so every row has
+    ``csv.writer``'s bytes.
     """
     labels = np.array([str(i) for i in range(num_items)], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["interval", "t", "user_id", *(f"item_{i}" for i in range(1, k + 1)),
-                    "mu_snapshot_hash"])
-        for n, _, arrivals, lists, digests, *_ in records:
-            uids = [req.user_id for req in arrivals]
+        fh.write(",".join(["interval", "t", "user_id", *(f"item_{i}" for i in range(1, k + 1)),
+                           "mu_snapshot_hash"]) + "\r\n")
+        for n, _, uids, lists, digests, *_ in records:
+            if _CSV_SPECIAL.search("".join(uids)):
+                uids = ['"' + uid.replace('"', '""') + '"' if _CSV_SPECIAL.search(uid) else uid
+                        for uid in uids]
             hexes = digests.hex()
             hashes = [hexes[i:i + 12] for i in range(0, len(hexes), 12)]
-            try:
-                plain = _CSV_SPECIAL.search("".join(uids)) is None
-            except TypeError:  # a user id that is not a str
-                plain = False
-            if plain:
-                columns = (itertools.repeat(str(n)), map(str, range(1, len(uids) + 1)),
-                           uids, *labels[lists].T.tolist(), hashes)
-                fh.write("".join(map("{}\r\n".format, map(",".join, zip(*columns)))))
-            else:
-                w.writerows([n, t, uid, *items, digest] for t, (uid, items, digest)
-                            in enumerate(zip(uids, lists.tolist(), hashes), 1))
+            columns = (itertools.repeat(str(n)), map(str, range(1, len(uids) + 1)),
+                       uids, *labels[lists].T.tolist(), hashes)
+            fh.write("".join(map("{}\r\n".format, map(",".join, zip(*columns)))))
 
 
 # ---------------------------------------------------------------------------

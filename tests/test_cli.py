@@ -339,7 +339,9 @@ class TestIngestionErrors:
 
     @pytest.mark.parametrize("sidecar,message", [
         (b"BFRM\x01\x00\x00\x00", "truncated relevance file"),
-        (struct.pack("<4sIII", b"BFRM", 1, 1, 2) + b"\x00\x00", "unsupported element width 2")])
+        (struct.pack("<4sIII", b"BFRM", 1, 1, 2) + b"\x00\x00", "unsupported element width 2"),
+        (struct.pack("<4sIIIdd", b"BFRM", 2, 1, 8, 0.5, 0.5),
+         "matrix shape (2, 1) does not match 1 users x 1 items")])
     def test_unreadable_relevance_file_exits_one(self, tmp_path, capsys, sidecar, message):
         (tmp_path / "interactions.csv").write_text(
             "user_id,item_id,provider_id,timestamp,score\nu0,i0,p0,0,0.5\n")

@@ -56,10 +56,10 @@ class TestForecasters:
 
     @pytest.mark.parametrize("future", [
         None, [3.0, 1.0], [3.0, 1.0, 4.0, 1.0], [[3.0, 1.0, 4.0]], [3.0, -1.0, 4.0],
-        [3.0, float("nan"), 4.0]])
+        [3.0, float("nan"), 4.0], [3.0, float("inf"), 4.0], [3.0, 1.0, -float("inf")]])
     def test_oracle_future_is_checked_where_it_comes_in(self, future):
-        with pytest.raises(ConfigError, match="^oracle future must be a nonnegative vector "
-                                              "of the horizon's length 3$"):
+        with pytest.raises(ConfigError, match="^oracle future must be a vector of finite "
+                                              "counts >= 0 of the horizon's length 3$"):
             forecast_traffic([9, 9], 3, "oracle", future=future)
 
     @pytest.mark.parametrize("method", ["moving_average", "oracle"])
