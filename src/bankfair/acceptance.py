@@ -128,7 +128,8 @@ def toy_exposure_run(n_users: int, eta: float = 0.12):
     catalog, relevance = _two_provider_toy()
     cfg = RerankConfig(list_size=5, alpha_k=1.5, beta_mix=0.5, eta=eta)
     lists, earned, _ = reranker.run_interval(relevance[None], np.zeros(n_users, dtype=np.int64),
-                                             np.array([4.0, 0.0]), cfg, catalog, float(n_users))
+                                             np.array([4.0, 0.0]), cfg, catalog, float(n_users),
+                                             reranker.compute_penalties(catalog, cfg.beta_mix))
     ndcgs = metrics.ndcg_at_k(relevance[lists], metrics.top_k_dcg(relevance[None], 5))
     return earned, float(np.mean(ndcgs))
 
@@ -243,7 +244,8 @@ def binding_plan_loss(traffic: int, seed: int, plan_vec: np.ndarray,
     rcfg = RerankConfig(list_size=k, eta=eta)
     relevance = instance_matrix(requests)  # one row per arrival, in order
     lists, _, _ = reranker.run_interval(relevance, np.arange(traffic), plan_vec, rcfg, catalog,
-                                        float(traffic))
+                                        float(traffic),
+                                        reranker.compute_penalties(catalog, rcfg.beta_mix))
     ndcgs = metrics.ndcg_at_k(np.take_along_axis(relevance, lists, axis=1),
                               metrics.top_k_dcg(relevance, k))
     return 1.0 - float(np.mean(ndcgs))

@@ -20,6 +20,7 @@ import math
 import mmap
 import os
 import struct
+import threading
 from array import array
 from dataclasses import dataclass
 from itertools import islice
@@ -50,6 +51,12 @@ _CHUNK_ROWS = 256
 
 # Most relevance values drawn and scaled as one block: 64 KB of float64.
 _DRAW_CHUNK = 8192
+
+# Fewest relevance values one thread of a synthetic build draws: 8 MiB of
+# float64. Smaller instances are drawn by the calling thread alone. Without
+# this floor, long_tail's 0.35 M values were drawn on two threads and its
+# benchmark run_s was 8% worse (README, "Instance build").
+_WORKER_VALUES = 2**20
 
 # Most intervals a log may span. Run time grows about with the square of the
 # horizon, which one outlier timestamp sets; 10 000 is over a year of hours.
@@ -235,10 +242,13 @@ def synth_instance(cfg: SynthConfig, seed: int):
         counts = rng.poisson(cfg.mean_traffic, size=cfg.num_intervals)
 
     # Row u has the bytes of the per-user draw rng.uniform(lo, hi, num_items),
-    # which computes lo + (hi - lo) * random(), and the generator ends where
-    # those draws would leave it: one double per value, in C order. Blocks of
-    # at most _DRAW_CHUNK values are drawn and scaled while in cache. Without
-    # bands lo + (hi - lo) * u is u itself.
+    # which computes lo + (hi - lo) * random(): one double per value, in C
+    # order. Blocks of at most _DRAW_CHUNK values are drawn and scaled while
+    # in cache. Without bands lo + (hi - lo) * u is u itself. On a large
+    # matrix, threads draw the rows past the first range from copies of rng
+    # jumped ahead to them, and rng is advanced past those rows once the
+    # threads are joined, so it ends where the per-user draws would leave it
+    # (see _draw_matrix).
     #
     # No value leaves [0, 1], so none is clipped. Here 0 <= lo <= hi <= 1
     # and 0 <= u <= 1 - e, with e = 2**-53, and every term is >= 0. Rounding
@@ -249,19 +259,79 @@ def synth_instance(cfg: SynthConfig, seed: int):
     # 2**-1075 instead, but then s < 2**-1022, and lo + s rounds to at most
     # 1 as well, since lo is 1 (and s is 0) or at most 1 - e.
     relevance = _relevance_matrix(int(counts.sum()), cfg.num_items)
+    low = width = None
     if cfg.provider_bands is not None:
         bands = np.asarray(cfg.provider_bands, dtype=float)
         low = bands[item_provider, 0]
         width = (bands[:, 1] - bands[:, 0])[item_provider]
-    step = max(_DRAW_CHUNK // cfg.num_items, 1)
-    for start in range(0, len(relevance), step):
-        block = rng.random(out=relevance[start:start + step])
-        if cfg.provider_bands is not None:
-            block *= width
-            block += low
+    _draw_matrix(rng, relevance, low, width)
     relevance.flags.writeable = False
     requests = [UserRequest(str(uid), row, uid) for uid, row in enumerate(relevance)]
     return catalog, counts, requests
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _draw_rows(rng, rows: np.ndarray, low, width):
+    """Fill ``rows`` from ``rng`` in blocks of at most _DRAW_CHUNK values, scaled by the bands."""
+    step = max(_DRAW_CHUNK // rows.shape[1], 1)
+    for start in range(0, len(rows), step):
+        block = rng.random(out=rows[start:start + step])
+        if low is not None:
+            block *= width
+            block += low
+
+
+def _draw_matrix(rng, relevance: np.ndarray, low, width):
+    """Fill ``relevance`` as one serial ``_draw_rows`` from ``rng`` would.
+
+    The rows are split into contiguous ranges, one per usable CPU, each of
+    at least _WORKER_VALUES values; a matrix below that gets one range.
+    ``rng`` draws the first range in the calling thread. The range from row
+    lo is drawn in a thread of its own, from a copy of ``rng`` advanced by
+    lo * num_items doubles: PCG64 jumps ahead in O(log n) steps, and
+    ``random`` takes one 64-bit output per double, so the copy draws the
+    same bytes that ``rng`` would reach there. Every thread is joined before
+    the first error of any range is raised. ``rng`` is then advanced past
+    the rows the threads drew, so it ends where the serial draw would leave
+    it, and no byte depends on the number of threads.
+    """
+    num_rows, num_items = relevance.shape
+    min_rows = -(-_WORKER_VALUES // num_items)
+    ranges = max(min(_usable_cpus(), num_rows // min_rows), 1)
+    if ranges == 1:
+        _draw_rows(rng, relevance, low, width)
+        return
+    cuts = [w * num_rows // ranges for w in range(ranges + 1)]
+    errors = [None] * ranges
+
+    def draw(w, gen):
+        try:
+            _draw_rows(gen, relevance[cuts[w]:cuts[w + 1]], low, width)
+        except BaseException as exc:  # raised in the calling thread after the join
+            errors[w] = exc
+
+    threads = []
+    try:
+        for w in range(1, ranges):
+            bits = np.random.PCG64()
+            bits.state = rng.bit_generator.state
+            bits.advance(cuts[w] * num_items)
+            threads.append(threading.Thread(target=draw, args=(w, np.random.Generator(bits))))
+            threads[-1].start()
+        draw(0, rng)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    rng.bit_generator.advance((num_rows - cuts[1]) * num_items)
 
 
 # ---------------------------------------------------------------------------

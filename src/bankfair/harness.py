@@ -140,6 +140,7 @@ def run(cfg: RunConfig) -> SimReport:
 
     records = []
     rerank_cfg = replace(cfg.rerank, eta=0.0) if cfg.rule == "none" else cfg.rerank
+    lam = reranker.compute_penalties(catalog, cfg.rerank.beta_mix)
     # Claims of alpha * K per predicted arrival; alpha_k = 1 makes them sum
     # over the horizon to the mean floor when the forecast is exact. The
     # realized counts are integers, so their running sum is exact.
@@ -174,7 +175,7 @@ def run(cfg: RunConfig) -> SimReport:
         else:
             scored, scored_ideal = matrix, ideal[at]
         lists, earned, prices = reranker.run_interval(
-            scored, at, audit["award"], rerank_cfg, catalog, rhat_n)
+            scored, at, audit["award"], rerank_cfg, catalog, rhat_n, lam)
         cumulative += earned
         digests = b""
         if cfg.out_dir is not None:

@@ -131,18 +131,20 @@ def dual_step(mu: np.ndarray, eta: float | np.ndarray, lam: np.ndarray, exposure
 
 
 def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
-                 cfg: RerankConfig, catalog: Catalog, rhat_n: float):
+                 cfg: RerankConfig, catalog: Catalog, rhat_n: float, lam: np.ndarray):
     """Serve one interval's arrivals in order against per-provider ``floor``.
 
     ``relevance`` is a block of dense relevance vectors, one per row, and
     ``rows`` holds one row index per arrival, in order: arrival t is served
     with ``relevance[rows[t]]``.
 
-    Dual prices start at zero and stay in mu >= -lambda, lambda being the
-    penalties of ``compute_penalties``. After each list its exposure is added
-    to ``earned``, then ``dual_step`` runs against the conjugate maximizer
-    for the unearned remainder ``floor - earned`` (a floor already met
-    counts as 0), so pressure on a provider fades once its floor is met.
+    Dual prices start at zero and stay in mu >= -lam. ``lam`` holds the
+    violation penalties ``compute_penalties(catalog, cfg.beta_mix)``, which
+    depend on nothing else, so a run computes them once for all its
+    intervals. After each list its exposure is added to ``earned``, then
+    ``dual_step`` runs against the conjugate maximizer for the unearned
+    remainder ``floor - earned`` (a floor already met counts as 0), so
+    pressure on a provider fades once its floor is met.
     Under the config's magnitude bound (``errors.MAX_MAGNITUDE``) no dual
     step can overflow the prices.
 
@@ -157,7 +159,6 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
         raise ConfigError("predicted traffic for the interval must be positive")
     if catalog.num_items < k:
         raise ConfigError(f"need at least {k} items, catalog has {catalog.num_items}")
-    lam = compute_penalties(catalog, cfg.beta_mix)
     gamma = compute_caps(catalog, k, rhat_n)
     nprov, item_provider = catalog.num_providers, catalog.item_provider
     eta = np.full(nprov, cfg.step_size(rhat_n))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bankfair.bankruptcy import AUDIT_COLUMNS, plan_interval, talmud
 from bankfair.errors import ConfigError, InfeasibleAllocationError
@@ -183,6 +183,26 @@ class TestTalmudProperties:
         a, _ = talmud(claims, estate)
         b, _ = talmud(claims, bigger)
         assert (b >= a - 1e-8).all()
+
+    @given(instances())
+    @example((np.array([85.0, 85.0, 153.0]), 196.828125))
+    @settings(max_examples=300, deadline=None)
+    def test_order_preservation(self, inst):
+        # For claims d_i <= d_j the awards satisfy a_i <= a_j and the losses
+        # d_i - a_i <= d_j - a_j. Awards keep the order exactly, and so do
+        # losses while the estate is at most half the claims. Above that an
+        # award is d - min(h, theta) rounded to the nearest double, so the
+        # loss d - a, itself exact since a >= d / 2, is min(h, theta) only to
+        # half an ulp of a: two losses may cross by that much, as they do in
+        # the pinned example.
+        claims, estate = inst
+        awards, _ = talmud(claims, estate)
+        order = np.argsort(claims, kind="stable")
+        d, a = claims[order], awards[order]
+        assert (np.diff(a) >= 0).all()
+        upper = estate > claims.sum() / 2
+        slack = (np.spacing(a[:-1]) + np.spacing(a[1:])) / 2 if upper else 0.0
+        assert (np.diff(d - a) >= -slack).all()
 
     @given(instances(), st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6))
     @settings(max_examples=200, deadline=None)

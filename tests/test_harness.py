@@ -110,6 +110,26 @@ class TestRun:
         weighted = float(np.average(rep.per_interval_accuracy, weights=weights))
         assert rep.ndcg_at_k == pytest.approx(weighted, abs=1e-12)
 
+    def test_penalties_computed_once_and_given_to_every_interval(self, monkeypatch):
+        # The penalties depend only on the catalog and beta_mix.
+        cfg = small_config(rerank=RerankConfig(list_size=5, beta_mix=0.5, eta=1e-3))
+        made, given = [], []
+        compute_penalties, run_interval = reranker.compute_penalties, reranker.run_interval
+
+        def penalties(*args):
+            made.append(compute_penalties(*args))
+            return made[-1]
+
+        def serve(*args):
+            given.append(args[-1])
+            return run_interval(*args)
+
+        monkeypatch.setattr(reranker, "compute_penalties", penalties)
+        monkeypatch.setattr(reranker, "run_interval", serve)
+        rep = run(cfg)
+        assert len(made) == 1 and len(given) == len(rep.per_interval_traffic) > 1
+        assert all(lam is made[0] for lam in given)
+
     def test_talmud_with_oracle_meets_all_floors(self):
         for seed in range(3):
             rep = run(small_config(seed=seed))

@@ -11,6 +11,8 @@ from bankfair.reranker import (RerankConfig, compute_caps, compute_penalties,
                                select_list, top_k)
 
 TWO_PROVIDERS = Catalog(np.array([0, 0, 0, 0, 1, 1, 1, 1]))
+# Its penalties under RerankConfig's default beta_mix.
+LAM = compute_penalties(TWO_PROVIDERS, RerankConfig().beta_mix)
 
 
 class TestPenaltiesAndCaps:
@@ -217,7 +219,7 @@ class TestRunInterval:
         relevances = rng.uniform(size=(6, 8))
         cfg = RerankConfig(list_size=5, eta=0.0)
         lists, _, prices = run_interval(relevances, np.arange(6), np.zeros(2), cfg, TWO_PROVIDERS,
-                                        rhat_n=6.0)
+                                        rhat_n=6.0, lam=LAM)
         for rel, lst in zip(relevances, lists):
             np.testing.assert_array_equal(lst, top_k(rel, 5))
         np.testing.assert_array_equal(prices, np.zeros((6, 2)))
@@ -227,7 +229,7 @@ class TestRunInterval:
         relevances = rng.uniform(size=(9, 8))
         cfg = RerankConfig(list_size=5, eta=0.12)
         lists, earned, _ = run_interval(relevances, np.arange(9), np.array([4.0, 0.0]),
-                                        cfg, TWO_PROVIDERS, rhat_n=9.0)
+                                        cfg, TWO_PROVIDERS, rhat_n=9.0, lam=LAM)
         assert earned.dtype == np.int64 and earned.sum() == 5 * 9
         np.testing.assert_array_equal(
             earned, np.bincount(TWO_PROVIDERS.item_provider[lists.ravel()], minlength=2))
@@ -238,16 +240,17 @@ class TestRunInterval:
         floor = np.array([4.0, 0.0])
         for n_users in (3, 2):
             _, earned, _ = run_interval(relevance[None], np.zeros(n_users, dtype=np.int64),
-                                        floor, cfg, TWO_PROVIDERS, rhat_n=float(n_users))
+                                        floor, cfg, TWO_PROVIDERS, rhat_n=float(n_users),
+                                        lam=LAM)
             assert earned[0] >= 4
 
     def test_dual_feasibility_throughout(self):
         rng = np.random.default_rng(1)
         relevances = rng.uniform(size=(30, 8))
         cfg = RerankConfig(list_size=5, eta=0.5, beta_mix=0.7)
-        _, _, prices = run_interval(relevances, np.arange(30), np.array([10.0, 3.0]), cfg,
-                                    TWO_PROVIDERS, rhat_n=30.0)
         lam = compute_penalties(TWO_PROVIDERS, 0.7)
+        _, _, prices = run_interval(relevances, np.arange(30), np.array([10.0, 3.0]), cfg,
+                                    TWO_PROVIDERS, rhat_n=30.0, lam=lam)
         assert prices.shape == (30, 2)
         assert (prices >= -lam).all()
         assert (prices == -lam).any()  # the projection was active
@@ -255,7 +258,7 @@ class TestRunInterval:
     def test_no_arrivals_returns_empty_lists(self):
         lists, earned, prices = run_interval(np.ones((1, 8)), np.array([], dtype=np.int64),
                                              np.array([4.0, 0.0]), RerankConfig(list_size=5),
-                                             TWO_PROVIDERS, 2.0)
+                                             TWO_PROVIDERS, 2.0, LAM)
         assert lists.shape == (0, 5) and lists.dtype == np.int64
         np.testing.assert_array_equal(earned, [0, 0])
         assert prices.shape == (0, 2) and prices.dtype == np.float64
@@ -263,7 +266,7 @@ class TestRunInterval:
     def test_requires_positive_traffic_estimate(self):
         with pytest.raises(ConfigError):
             run_interval(np.ones((1, 8)), np.array([], dtype=np.int64), np.zeros(2),
-                         RerankConfig(list_size=5), TWO_PROVIDERS, rhat_n=0.0)
+                         RerankConfig(list_size=5), TWO_PROVIDERS, rhat_n=0.0, lam=LAM)
 
 
 class TestRerankConfigValidation:
@@ -293,14 +296,13 @@ def reference_top_k(relevance, k):
     return lexsort_order(relevance, relevance, k)
 
 
-def reference_run_interval(block, rows, floor, cfg, catalog, rhat_n):
+def reference_run_interval(block, rows, floor, cfg, catalog, rhat_n, lam):
     """The serve loop with one full lexsort per arrival and each step written out.
 
     It calls none of select_list, conjugate_argmax, dual_step or the top-K
     kernel, and returns (lists, earned, prices) as run_interval does.
     """
     k = cfg.list_size
-    lam = compute_penalties(catalog, cfg.beta_mix)
     gamma = compute_caps(catalog, k, rhat_n)
     eta = cfg.step_size(rhat_n)
     mu = np.zeros_like(lam)
@@ -437,11 +439,12 @@ class TestServeLoopMatchesReference:
         for floor in (floor, fractional):
             for eta in (0.05, 0.0, float(rng.uniform(0.01, 0.3))):
                 cfg = RerankConfig(list_size=k, eta=eta, beta_mix=0.5)
-                got = run_interval(block, rows, floor, cfg, catalog, rhat_n)
-                want = reference_run_interval(block, rows, floor, cfg, catalog, rhat_n)
+                lam = compute_penalties(catalog, cfg.beta_mix)
+                got = run_interval(block, rows, floor, cfg, catalog, rhat_n, lam)
+                want = reference_run_interval(block, rows, floor, cfg, catalog, rhat_n, lam)
                 self.assert_same(got, want, catalog)
 
     def test_rejects_list_longer_than_catalog(self):
         with pytest.raises(ConfigError):
             run_interval(np.ones((1, 8)), np.zeros(1, dtype=np.int64), np.zeros(2),
-                         RerankConfig(list_size=9), TWO_PROVIDERS, rhat_n=1.0)
+                         RerankConfig(list_size=9), TWO_PROVIDERS, rhat_n=1.0, lam=LAM)
