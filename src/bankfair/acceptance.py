@@ -104,6 +104,19 @@ def criterion_2(n_instances: int = 10_000) -> CriterionResult:
                 failures.append((i, "case consistency low"))
         elif (a < claims / 2.0 - 1e-9).any():
             failures.append((i, "case consistency high"))
+        # Order preservation: for claims d_i <= d_j, a_i <= a_j exactly, and
+        # the losses d_i - a_i <= d_j - a_j exactly up to half the claims.
+        # Above half an award is d - min(h, theta) rounded to a double, so two
+        # losses may cross by half an ulp of each award.
+        order = np.argsort(claims, kind="stable")
+        awards, loss = a[order], claims[order] - a[order]
+        if (awards[1:] < awards[:-1]).any():
+            failures.append((i, "award order"))
+        slack = 0.0
+        if estate > total / 2.0:
+            slack = (np.spacing(awards[:-1]) + np.spacing(awards[1:])) / 2
+        if (loss[1:] - loss[:-1] < -slack).any():
+            failures.append((i, "loss order"))
         bigger = float(min(total, estate + rng.uniform(0.0, 1.0) * (total - estate)))
         a2, _ = talmud(claims, bigger)
         if (a2 < a - 1e-8).any():

@@ -91,7 +91,11 @@ class Catalog:
 
     ``item_provider[i]`` is the provider index of item ``i``. Providers are
     numbered from 0 and each owns at least one item, so there are never more
-    providers than items.
+    providers than items. A catalog is ``by_provider`` when its items are
+    listed by provider: ``item_provider`` is nondecreasing, so provider p's
+    items are one run of ``inventory[p]`` items, in provider order. Every
+    synthetic catalog is, and so is a loaded one whose catalog file lists its
+    items by ascending provider id.
     """
 
     item_provider: np.ndarray
@@ -110,6 +114,7 @@ class Catalog:
             raise ConfigError(f"provider {idle[0]} owns no item")
         object.__setattr__(self, "item_provider", _readonly(ip))
         object.__setattr__(self, "_inventory", _readonly(inv))
+        object.__setattr__(self, "_by_provider", bool((ip[1:] >= ip[:-1]).all()))
 
     @property
     def num_providers(self) -> int:
@@ -123,6 +128,11 @@ class Catalog:
     def inventory(self) -> np.ndarray:
         """Items per provider; sums to num_items."""
         return self._inventory
+
+    @property
+    def by_provider(self) -> bool:
+        """True when each provider's items form one run, in provider order."""
+        return self._by_provider
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,19 @@ from .domain import Catalog
 from .errors import NONNEGATIVE, POSITIVE_INT, UNIT, ConfigError, check, either, number_in
 
 
+# Fewest items at which select_list builds its price vector by expanding the
+# P provider prices over the catalog's provider runs, ``mu.repeat(inventory)``,
+# instead of gathering one price per item, ``mu.take(item_provider)``. Both
+# give the same bytes. Timed on 700 captured select_list calls of wide_catalog
+# traffic with 100 providers (min of 21 alternated passes, one core of a
+# 2-vCPU Xeon), price vector alone: 9.6 against 4.0 us per arrival at 10 000
+# items, 2.2 against 1.4 at 2000, 1.3 against 0.9 at 1000, 1.25 both at 340.
+# Whole select_list: -10% at 10 000 items, -5% at 2000, within noise at 1000
+# and below. In runs of 3 (600 items, 200 providers) the expansion is slower,
+# 1.85 against 1.68 us.
+_RUN_MIN_ITEMS = 2048
+
+
 @dataclass
 class RerankConfig:
     """Knobs of the online re-ranker."""
@@ -62,12 +75,15 @@ def top_k(scores: np.ndarray, k: int, tiebreak: np.ndarray | None = None) -> np.
 
     One O(I) partition pass finds the k-th largest score; only the items at
     or above it (ties included) are sorted, so the order is a full lexsort's.
+    ``tiebreak`` holds one value per score.
     """
     scores = np.asarray(scores, dtype=float)
     n = scores.size
     if n < k:
         raise ConfigError(f"need at least {k} items, catalog has {n}")
-    tiebreak = scores if tiebreak is None else tiebreak
+    tiebreak = scores if tiebreak is None else np.asarray(tiebreak)
+    if tiebreak.size != n:
+        raise ConfigError(f"tiebreak has {tiebreak.size} values for {n} scores")
     part = scores.copy()
     part.partition(n - k)
     # In descending id order, an ascending stable sort by (score, tiebreak)
@@ -77,8 +93,20 @@ def top_k(scores: np.ndarray, k: int, tiebreak: np.ndarray | None = None) -> np.
     return candidates[order]
 
 
+def price_runs(catalog: Catalog) -> np.ndarray | None:
+    """``select_list``'s ``runs`` for ``catalog``: its inventory, or None to gather.
+
+    The prices are expanded over provider runs when the catalog is listed by
+    provider and has at least ``_RUN_MIN_ITEMS`` items; every other catalog
+    gathers them item by item.
+    """
+    if catalog.by_provider and catalog.num_items >= _RUN_MIN_ITEMS:
+        return catalog.inventory
+    return None
+
+
 def select_list(relevance: np.ndarray, mu: np.ndarray, item_provider: np.ndarray,
-                rhat_n: float, k: int) -> np.ndarray:
+                rhat_n: float, k: int, runs: np.ndarray | None = None) -> np.ndarray:
     """Top-K item ids by price-adjusted score relevance/rhat_n - mu[item_provider].
 
     ``mu`` holds one dual price per provider and ``item_provider`` the
@@ -87,12 +115,25 @@ def select_list(relevance: np.ndarray, mu: np.ndarray, item_provider: np.ndarray
     of this ordering is the exact maximizer of the summed adjusted score over
     all K-subsets. The list is ``top_k`` of the adjusted scores with the
     relevance as tie-break.
+
+    ``runs``, when given, is one run length per provider of a nondecreasing
+    ``item_provider`` (``price_runs`` of its catalog). The item prices are
+    then ``mu.repeat(runs)``, the same bytes as the gather, built faster on a
+    wide catalog.
     """
     relevance = np.asarray(relevance, dtype=float)
     if rhat_n <= 0:
         raise ConfigError("predicted traffic must be positive when selecting")
     scores = relevance / float(rhat_n)
-    scores -= mu.take(item_provider)
+    if runs is None:
+        prices = mu.take(item_provider)
+    elif len(runs) != len(mu):
+        raise ConfigError(f"{len(runs)} provider runs for {len(mu)} prices")
+    else:
+        prices = mu.repeat(runs)
+    if prices.size != scores.size:
+        raise ConfigError(f"{prices.size} item prices for {scores.size} relevance scores")
+    scores -= prices
     return top_k(scores, k, relevance)
 
 
@@ -161,6 +202,7 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
         raise ConfigError(f"need at least {k} items, catalog has {catalog.num_items}")
     gamma = compute_caps(catalog, k, rhat_n)
     nprov, item_provider = catalog.num_providers, catalog.item_provider
+    runs = price_runs(catalog)
     eta = np.full(nprov, cfg.step_size(rhat_n))
 
     # Each step writes into these buffers; dual_step writes arrival t's new
@@ -178,7 +220,7 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
     e_star = np.empty(nprov)
     for t, row in enumerate(rows.tolist()):
         mu = prices[t]
-        items = select_list(relevance[row], mu, item_provider, rhat_n, k)
+        items = select_list(relevance[row], mu, item_provider, rhat_n, k, runs)
         lists[t] = items
         exposure = np.bincount(item_provider[items], ones, nprov)
         earned += exposure

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from bankfair import reranker
 from bankfair.domain import Catalog
 from bankfair.errors import ConfigError
-from bankfair.reranker import (RerankConfig, compute_caps, compute_penalties,
-                               conjugate_argmax, conjugate_value, dual_step, run_interval,
-                               select_list, top_k)
+from bankfair.reranker import (_RUN_MIN_ITEMS, RerankConfig, compute_caps, compute_penalties,
+                               conjugate_argmax, conjugate_value, dual_step, price_runs,
+                               run_interval, select_list, top_k)
 
 TWO_PROVIDERS = Catalog(np.array([0, 0, 0, 0, 1, 1, 1, 1]))
 # Its penalties under RerankConfig's default beta_mix.
@@ -92,6 +93,18 @@ class TestSelectList:
             with pytest.raises(ConfigError):
                 select_list(np.ones(3), np.zeros(1), np.zeros(3, int), rhat_n, 2)
 
+    def test_rejects_item_provider_of_another_length(self):
+        for size in (1, 3, 5):
+            with pytest.raises(ConfigError, match=f"^{size} item prices for 4 relevance scores$"):
+                select_list(np.ones(4), np.zeros(1), np.zeros(size, int), 1.0, 2)
+
+    def test_rejects_runs_that_do_not_fit(self):
+        rel, providers = np.ones(4), np.array([0, 0, 1, 1])
+        with pytest.raises(ConfigError, match="^3 provider runs for 2 prices$"):
+            select_list(rel, np.zeros(2), providers, 1.0, 2, np.array([2, 1, 1]))
+        with pytest.raises(ConfigError, match="^3 item prices for 4 relevance scores$"):
+            select_list(rel, np.zeros(2), providers, 1.0, 2, np.array([2, 1]))
+
     def test_monotone_pressure(self):
         # Raising one provider's price never adds items of that provider.
         rng = np.random.default_rng(4)
@@ -105,6 +118,77 @@ class TestSelectList:
             after = select_list(rel, after_mu, TWO_PROVIDERS.item_provider, 2.0, 5)
             count = lambda items: int((TWO_PROVIDERS.item_provider[items] == 0).sum())
             assert count(after) <= count(before)
+
+
+@st.composite
+def listed_by_provider(draw):
+    """(inventory, item_provider, mu, relevance): a catalog listed by provider.
+
+    Providers own one to four items, prices and relevance come from small
+    grids (so prices repeat across providers and adjusted scores tie), and
+    prices hold both signed zeros.
+    """
+    inventory = np.array(draw(st.lists(st.integers(1, 4), min_size=1, max_size=8)))
+    item_provider = np.repeat(np.arange(inventory.size), inventory)
+    grid = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -1.0])
+    mu = np.array(draw(st.lists(grid, min_size=inventory.size, max_size=inventory.size)))
+    relevance = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                       min_size=item_provider.size,
+                                       max_size=item_provider.size)))
+    return inventory, item_provider, mu, relevance
+
+
+class TestPriceRuns:
+    """The run expansion of the prices against the per-item gather."""
+
+    @given(listed_by_provider(), st.sampled_from([1.0, 2.0, 3.0]))
+    @example((np.array([1, 2, 1]), np.array([0, 1, 1, 2]), np.array([-0.0, 0.0, -0.0]),
+              np.array([0.5, 0.5, 0.0, 0.0])), 1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_run_expansion_matches_gather(self, inst, rhat_n):
+        inventory, item_provider, mu, relevance = inst
+        assert mu.repeat(inventory).tobytes() == mu.take(item_provider).tobytes()
+        for k in sorted({1, (item_provider.size + 1) // 2, item_provider.size}):
+            np.testing.assert_array_equal(
+                select_list(relevance, mu, item_provider, rhat_n, k, inventory),
+                select_list(relevance, mu, item_provider, rhat_n, k))
+
+    def test_wide_catalog_listed_by_provider_expands(self):
+        inventory = np.array([1] * 48 + [_RUN_MIN_ITEMS - 48])
+        catalog = Catalog(np.repeat(np.arange(inventory.size), inventory))
+        assert catalog.by_provider and catalog.num_items == _RUN_MIN_ITEMS
+        assert price_runs(catalog) is catalog.inventory
+
+    @pytest.mark.parametrize("item_provider", [
+        np.repeat(np.arange(4), [512, 512, 512, _RUN_MIN_ITEMS - 1537]),  # below the crossover
+        np.arange(_RUN_MIN_ITEMS) % 4,  # providers interleaved
+        np.repeat([1, 0, 2, 3], _RUN_MIN_ITEMS // 4),  # one run each, not in provider order
+    ])
+    def test_other_catalogs_gather(self, item_provider):
+        assert price_runs(Catalog(item_provider)) is None
+
+    def test_catalog_layout(self):
+        assert Catalog(np.array([0])).by_provider
+        assert Catalog(np.array([0, 0, 1, 2, 2])).by_provider
+        assert not Catalog(np.array([0, 1, 0])).by_provider
+        assert not Catalog(np.array([1, 1, 0])).by_provider
+
+    def test_serve_loop_passes_the_catalog_runs(self, monkeypatch):
+        seen = []
+
+        def spy(relevance, mu, item_provider, rhat_n, k, runs=None):
+            seen.append(runs)
+            return select_list(relevance, mu, item_provider, rhat_n, k, runs)
+
+        monkeypatch.setattr(reranker, "select_list", spy)
+        wide = Catalog(np.repeat(np.arange(8), _RUN_MIN_ITEMS // 8))
+        for catalog, want in ((wide, wide.inventory), (TWO_PROVIDERS, None)):
+            seen.clear()
+            block = np.random.default_rng(3).uniform(size=(2, catalog.num_items))
+            lam = compute_penalties(catalog, 0.5)
+            run_interval(block, np.array([0, 1, 0]), np.zeros(catalog.num_providers),
+                         RerankConfig(list_size=5), catalog, 3.0, lam)
+            assert len(seen) == 3 and all(runs is want for runs in seen)
 
 
 def conjugate_objective(e, mu, lam, m):
@@ -355,6 +439,16 @@ class TestTopKKernel:
                 self.check(primary, secondary, k)
         np.testing.assert_array_equal(top_k(primary, 3, np.zeros(6)), [2, 0, 1])
 
+    def test_rejects_tiebreak_of_another_length(self):
+        for tiebreak in ([0, 1, 0, 9], [0, 1], np.zeros(2)):
+            with pytest.raises(ConfigError, match=f"^tiebreak has {len(tiebreak)} values "
+                                                  f"for 3 scores$"):
+                top_k([1, 2, 2], 2, tiebreak)
+
+    def test_list_tiebreak_acts_as_an_array(self):
+        np.testing.assert_array_equal(top_k([1, 2, 2], 2, [0, 1, 0]), [1, 2])
+        np.testing.assert_array_equal(top_k([1, 2, 2], 2, [0, 0, 1]), [2, 1])
+
     @pytest.mark.parametrize("n,k", [(1, 1), (7, 1), (7, 7), (8, 7), (12, 11), (2, 1)])
     def test_edge_sizes(self, n, k):
         rng = np.random.default_rng(n * 100 + k)
@@ -443,6 +537,24 @@ class TestServeLoopMatchesReference:
                 got = run_interval(block, rows, floor, cfg, catalog, rhat_n, lam)
                 want = reference_run_interval(block, rows, floor, cfg, catalog, rhat_n, lam)
                 self.assert_same(got, want, catalog)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_on_run_expansion(self, seed):
+        # A catalog at the crossover, listed by provider, on a 0.05 grid of
+        # relevance, floors and steps, so that adjusted scores tie.
+        rng = np.random.default_rng(seed)
+        inventory = rng.integers(1, 40, size=12)
+        inventory[-1] += _RUN_MIN_ITEMS - inventory.sum()
+        catalog = Catalog(np.repeat(np.arange(inventory.size), inventory))
+        assert price_runs(catalog) is not None
+        block = rng.integers(0, 21, size=(10, catalog.num_items)) / 20.0
+        rows = rng.integers(0, 10, size=16)
+        floor = rng.integers(0, 20, size=inventory.size).astype(float)
+        cfg = RerankConfig(list_size=int(rng.integers(1, 12)), eta=0.05, beta_mix=0.5)
+        lam = compute_penalties(catalog, cfg.beta_mix)
+        got = run_interval(block, rows, floor, cfg, catalog, float(inventory.size), lam)
+        want = reference_run_interval(block, rows, floor, cfg, catalog, float(inventory.size), lam)
+        self.assert_same(got, want, catalog)
 
     def test_rejects_list_longer_than_catalog(self):
         with pytest.raises(ConfigError):
