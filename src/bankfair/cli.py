@@ -61,15 +61,6 @@ def _read_json(path):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _parse_eta(value: str):
-    if value == "auto":
-        return "auto"
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"eta must be 'auto' or a number, got {value!r}") from None
-
-
 # Run options after the data source, by key: a CLI flag each (--interval-hours
 # for interval_hours) and the accepted keys of a sweep spec's "base".
 RUN_FLAGS = {
@@ -81,7 +72,7 @@ RUN_FLAGS = {
     "K": dict(type=int, default=10, help="list size"),
     "k": dict(type=float, default=1.5, help="claim scaling factor in [1, 2]"),
     "beta": dict(type=float, default=0.5, help="penalty mix toward small providers"),
-    "eta": dict(default="auto", help="dual step size, 'auto' = 1/sqrt(traffic)"),
+    "eta": dict(type=float, default=None, help="dual step size (required)"),
     "interval_hours": dict(type=float, default=24.0),
     "tau": dict(type=float, default=None, help="traffic resampling temperature"),
     "seed": dict(type=int, default=0),
@@ -133,7 +124,7 @@ def config_from_options(opts: dict) -> harness.RunConfig:
         list_size=k,
         alpha_k=opts["k"],
         beta_mix=opts["beta"],
-        eta=_parse_eta(str(opts["eta"])),
+        eta=opts["eta"],
     )
     schema = LogSchema(interval_seconds=opts["interval_hours"] * 3600.0)
     return harness.RunConfig(

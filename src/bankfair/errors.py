@@ -73,7 +73,7 @@ def list_of(what: str, rule, size: int | None = None):
 
 
 def either(value, rule):
-    """``value`` itself (None, or a string such as "auto"), or what ``rule`` passes."""
+    """``value`` itself (None, or a string such as "even"), or what ``rule`` passes."""
     return (f"{value!r} or {rule[0]}",
             lambda v: type(v) is type(value) and v == value or rule[1](v))
 

@@ -78,7 +78,7 @@ class RunConfig:
             "K": self.policy.list_size,
             "alpha_k": self.rerank.alpha_k,
             "beta_mix": self.rerank.beta_mix,
-            "eta": self.rerank.eta if isinstance(self.rerank.eta, str) else float(self.rerank.eta),
+            "eta": float(self.rerank.eta),
             "tau": self.tau,
             "seed": self.seed,
             "relevance_noise": self.relevance_noise,

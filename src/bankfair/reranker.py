@@ -9,13 +9,12 @@ can never exceed its violation penalty.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import Catalog
-from .errors import NONNEGATIVE, POSITIVE_INT, UNIT, ConfigError, check, either, number_in
+from .errors import NONNEGATIVE, POSITIVE_INT, UNIT, ConfigError, check, number_in
 
 
 # Fewest items at which select_list builds its price vector by expanding the
@@ -35,21 +34,16 @@ _RUN_MIN_ITEMS = 2048
 class RerankConfig:
     """Knobs of the online re-ranker."""
 
+    eta: float  # dual step size; none fits every traffic (README, "Choosing the step size")
     list_size: int = 10
     alpha_k: float = 1.5  # claim scaling factor, sensible range [1, 2]
     beta_mix: float = 0.5  # penalty emphasis on small-inventory providers
-    eta: float | str = "auto"  # "auto" -> 1/sqrt(predicted traffic)
 
     def __post_init__(self):
         check("list_size", self.list_size, POSITIVE_INT)
         check("alpha_k", self.alpha_k, number_in(1, 2))
         check("beta_mix", self.beta_mix, UNIT)
-        check("eta", self.eta, either("auto", NONNEGATIVE))
-
-    def step_size(self, rhat_n: float) -> float:
-        if self.eta == "auto":
-            return 1.0 / math.sqrt(max(float(rhat_n), 1.0))
-        return float(self.eta)
+        check("eta", self.eta, NONNEGATIVE)
 
 
 def compute_penalties(catalog: Catalog, beta_mix: float) -> np.ndarray:
@@ -75,17 +69,20 @@ def top_k(scores: np.ndarray, k: int, tiebreak: np.ndarray | None = None) -> np.
 
     One O(I) partition pass finds the k-th largest score; only the items at
     or above it (ties included) are sorted, so the order is a full lexsort's.
-    ``tiebreak`` holds one value per score.
+    ``tiebreak`` has the shape of ``scores``, and k is an int >= 1.
     """
     scores = np.asarray(scores, dtype=float)
     n = scores.size
     if n < k:
         raise ConfigError(f"need at least {k} items, catalog has {n}")
     tiebreak = scores if tiebreak is None else np.asarray(tiebreak)
-    if tiebreak.size != n:
-        raise ConfigError(f"tiebreak has {tiebreak.size} values for {n} scores")
+    if tiebreak.shape != scores.shape:
+        raise ConfigError(f"tiebreak shape {tiebreak.shape} differs from scores {scores.shape}")
     part = scores.copy()
-    part.partition(n - k)
+    try:
+        part.partition(n - k)
+    except (TypeError, ValueError):  # k not an int, or k <= 0 putting kth past the end
+        raise ConfigError(f"k must be an int >= 1, got {k!r}") from None
     # In descending id order, an ascending stable sort by (score, tiebreak)
     # read backwards is the (-score, -tiebreak, id) order.
     candidates = (scores >= part[n - k]).nonzero()[0][::-1]
@@ -110,8 +107,10 @@ def select_list(relevance: np.ndarray, mu: np.ndarray, item_provider: np.ndarray
     """Top-K item ids by price-adjusted score relevance/rhat_n - mu[item_provider].
 
     ``mu`` holds one dual price per provider and ``item_provider`` the
-    provider index of each item. Ties break toward higher raw relevance, then
-    the lower item id, which makes replays deterministic. The greedy prefix
+    provider index of each item, a catalog's map. An entry past the prices is
+    a ConfigError; a negative one, which wraps, is not checked, since that
+    would cost a pass per arrival. Ties break toward higher raw relevance,
+    then the lower item id, which makes replays deterministic. The greedy prefix
     of this ordering is the exact maximizer of the summed adjusted score over
     all K-subsets. The list is ``top_k`` of the adjusted scores with the
     relevance as tie-break.
@@ -126,7 +125,10 @@ def select_list(relevance: np.ndarray, mu: np.ndarray, item_provider: np.ndarray
         raise ConfigError("predicted traffic must be positive when selecting")
     scores = relevance / float(rhat_n)
     if runs is None:
-        prices = mu.take(item_provider)
+        try:
+            prices = mu.take(item_provider)
+        except IndexError:
+            raise ConfigError(f"item_provider entry past the {len(mu)} prices") from None
     elif len(runs) != len(mu):
         raise ConfigError(f"{len(runs)} provider runs for {len(mu)} prices")
     else:
@@ -203,7 +205,7 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
     gamma = compute_caps(catalog, k, rhat_n)
     nprov, item_provider = catalog.num_providers, catalog.item_provider
     runs = price_runs(catalog)
-    eta = np.full(nprov, cfg.step_size(rhat_n))
+    eta = np.full(nprov, float(cfg.eta))
 
     # Each step writes into these buffers; dual_step writes arrival t's new
     # prices into row t + 1. Beyond list selection an arrival makes only

@@ -15,7 +15,6 @@ written out here.
 import csv
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -89,12 +88,7 @@ def reference_run(cfg, directory):
 
         # Serve each arrival: list by price-adjusted relevance, then a dual step.
         gamma = k * rhat_n * inventory / inventory.sum()
-        if cfg.rule == "none":
-            eta = 0.0
-        elif cfg.rerank.eta == "auto":
-            eta = 1.0 / math.sqrt(rhat_n)
-        else:
-            eta = float(cfg.rerank.eta)
+        eta = 0.0 if cfg.rule == "none" else float(cfg.rerank.eta)
         mu = np.zeros(providers)
         earned = [0] * providers
         scores = []

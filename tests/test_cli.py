@@ -8,6 +8,7 @@ import pytest
 
 from bankfair.cli import main, parse_forecaster
 from bankfair.errors import ConfigError
+from bankfair.reranker import RerankConfig
 
 SYNTH = {
     "num_items": 40, "num_providers": 4, "num_intervals": 3,
@@ -15,6 +16,14 @@ SYNTH = {
     "provider_bands": [[0.7, 1.0], [0.7, 1.0], [0.7, 1.0], [0.2, 0.6]],
     "inventory": [13, 13, 12, 2],
 }
+
+
+# The dual step of every run here that used to take the retired "auto"
+# default, 1/sqrt(predicted traffic): about what it gave at SYNTH's 15
+# arrivals per interval. Each of these runs stops before serving, serves
+# under rule none (frozen prices) or serves no arrivals, so its outcome does
+# not depend on the step.
+ETA = 0.25
 
 
 def reject_constant(name):
@@ -62,14 +71,14 @@ class TestRunCommand:
         catalog, counts, requests = synth_instance(cfg, seed=2)
         save_instance(tmp_path / "data", catalog, counts, requests,
                       interval_seconds=24 * 3600.0)
-        code = main(["run", "--data", str(tmp_path / "data"), "--rule", "none",
+        code = main(["run", f"--eta={ETA}", "--data", str(tmp_path / "data"), "--rule", "none",
                      "--m", "5", "--K", "5", "--seed", "1"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["ndcg_at_k"] == 1.0
 
     def test_infeasible_run_exits_two(self, tmp_path, capsys):
         synth = write_synth(tmp_path, traffic=[0, 10, 10])
-        code = main(["run", "--synth", synth, "--m", "20", "--K", "5",
+        code = main(["run", f"--eta={ETA}", "--synth", synth, "--m", "20", "--K", "5",
                      "--forecaster", "moving_average:w=1,prior_mean=0", "--seed", "0"])
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
@@ -78,7 +87,7 @@ class TestRunCommand:
         # Resampling no arrivals gives all-zero counts, as the run without tau has.
         out = tmp_path / "out"
         code = main(["run", "--synth", write_synth(tmp_path, traffic=[0, 0, 0]), "--K", "5",
-                     "--m", "0", "--tau", "0.2", "--out", str(out)])
+                     f"--eta={ETA}", "--m", "0", "--tau", "0.2", "--out", str(out)])
         assert code == 0, capsys.readouterr().err
         report = json.loads((out / "report.json").read_text())
         assert report["per_interval_traffic"] == [0, 0, 0]
@@ -91,19 +100,21 @@ class TestRunCommand:
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"num_items": 3, "num_providers": 1, "num_intervals": 2,
                                     "traffic": traffic}))
-        code = main(["run", "--synth", str(path), "--K", "5", "--m", "0", "--noise", noise])
+        code = main(["run", "--synth", str(path), "--K", "5", "--m", "0", "--noise", noise,
+                     f"--eta={ETA}"])
         err = capsys.readouterr().err
         assert code == 1
         assert "need at least 5 items, catalog has 3" in err and "Traceback" not in err
 
     def test_missing_synth_file_exits_one(self, tmp_path, capsys):
-        code = main(["run", "--synth", str(tmp_path / "absent.json"), "--K", "5"])
+        code = main(["run", f"--eta={ETA}", "--synth", str(tmp_path / "absent.json"), "--K", "5"])
         assert code == 1
 
     # (flag, value, the config key the error names). tau 1e-320 is below the
-    # config's 2**-53, under which counts / (tau * max) would overflow.
+    # config's 2**-53, under which counts / (tau * max) would overflow. A
+    # second --eta replaces the first.
     @pytest.mark.parametrize("flag,value,key", [
-        ("eta", "fast", "eta"), ("eta", "nan", "eta"), ("eta", "inf", "eta"),
+        ("eta", "nan", "eta"), ("eta", "inf", "eta"),
         ("eta", "-1", "eta"), ("tau", "nan", "tau"), ("tau", "0", "tau"),
         ("tau", "-1", "tau"), ("tau", "1e-320", "tau"),
         ("interval-hours", "0", "interval_seconds"),
@@ -111,7 +122,7 @@ class TestRunCommand:
         ("interval-hours", "-1", "interval_seconds"), ("noise", "nan", "relevance_noise"),
         ("noise", "-1", "relevance_noise"), ("noise", "inf", "relevance_noise")])
     def test_bad_eta_exits_one(self, tmp_path, capsys, flag, value, key):
-        code = main(["run", "--synth", write_synth(tmp_path), "--K", "5",
+        code = main(["run", f"--eta={ETA}", "--synth", write_synth(tmp_path), "--K", "5",
                      f"--{flag}={value}"])
         assert code == 1
         err = capsys.readouterr().err
@@ -122,7 +133,7 @@ class TestRunCommand:
         # is not JSON; a large finite tau resamples near uniformly.
         out = tmp_path / "out"
         code = main(["run", "--synth", write_synth(tmp_path), "--K", "5", "--tau", "inf",
-                     "--out", str(out)])
+                     f"--eta={ETA}", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert "tau must be None or a number in [2**-53, 2**53], got inf" in err
@@ -136,10 +147,10 @@ class TestRunCommand:
     # prior_mean the product P * K * traffic_total (into zero claims and a
     # false infeasibility), and m the total in the clamp warning.
     PAST_BOUND = [
-        ("--eta", "1e308", "eta must be 'auto' or a number in [0, 2**53], got 1e+308"),
+        ("--eta", "1e308", "eta must be a number in [0, 2**53], got 1e+308"),
         ("--eta", "1.7976931348623157e308",
-         "eta must be 'auto' or a number in [0, 2**53], got 1.7976931348623157e+308"),
-        ("--eta", "1e307", "eta must be 'auto' or a number in [0, 2**53], got 1e+307"),
+         "eta must be a number in [0, 2**53], got 1.7976931348623157e+308"),
+        ("--eta", "1e307", "eta must be a number in [0, 2**53], got 1e+307"),
         ("--forecaster", "moving_average:prior_mean=1e307",
          "parameter 'prior_mean' must be a number in [0, 2**53], got 1e+307"),
         ("--m", "1e300",
@@ -151,7 +162,8 @@ class TestRunCommand:
     def test_value_past_the_bound_exits_one(self, tmp_path, capsys, flag, value, message):
         path = tmp_path / "busy.json"
         path.write_text(json.dumps(self.BUSY))
-        assert main(["run", "--synth", str(path), "--K", "3", "--m", "5", flag, value]) == 1
+        assert main(["run", "--synth", str(path), "--K", "3", "--m", "5", f"--eta={ETA}",
+                     flag, value]) == 1
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err and "infeasible" not in err and "clamping" not in err
@@ -162,7 +174,7 @@ class TestRunCommand:
     def test_prior_mean_whose_horizon_total_overflows_exits_one(self, tmp_path, capsys):
         path = tmp_path / "busy.json"
         path.write_text(json.dumps(self.BUSY))
-        code = main(["run", "--synth", str(path), "--K", "3", "--m", "5",
+        code = main(["run", f"--eta={ETA}", "--synth", str(path), "--K", "3", "--m", "5",
                      "--forecaster", "moving_average:prior_mean=1e308"])
         assert code == 1
         err = capsys.readouterr().err
@@ -189,7 +201,8 @@ class TestRunCommand:
             json.loads((out / "report.json").read_text(), parse_constant=reject_constant)
 
     def test_negative_seed_exits_one(self, tmp_path, capsys):
-        code = main(["run", "--synth", write_synth(tmp_path), "--K", "5", "--seed", "-1"])
+        code = main(["run", "--synth", write_synth(tmp_path), "--K", "5", "--seed", "-1",
+                     f"--eta={ETA}"])
         assert code == 1
         err = capsys.readouterr().err
         assert "seed" in err and "Traceback" not in err
@@ -203,11 +216,57 @@ class TestRunCommand:
         ("moving_average:prior_mean=inf", "prior_mean"),
         ("seasonal:prior_mean=-5", "prior_mean"), ("oracle:w=3", "w")])
     def test_bad_forecaster_exits_one(self, tmp_path, capsys, spec, key):
-        code = main(["run", "--synth", write_synth(tmp_path), "--K", "5",
+        code = main(["run", f"--eta={ETA}", "--synth", write_synth(tmp_path), "--K", "5",
                      "--forecaster", spec])
         assert code == 1
         err = capsys.readouterr().err
         assert repr(key) in err and "Traceback" not in err
+
+
+# eta has no default. "auto", once the default, sized the step 1/sqrt(traffic)
+# in raw price units and could leave every floor unmet; it is refused as any
+# other word is, and a run or sweep base without eta is refused through the
+# same config check as a bad number. (where eta is given, its value or None
+# for none, exit code or None for a ConfigError, what the error says)
+NOT_A_NUMBER_ETA = [
+    ("RerankConfig", "auto", None, "eta must be a number in [0, 2**53], got 'auto'"),
+    ("run", "auto", 2, "argument --eta: invalid float value: 'auto'"),
+    ("run", "fast", 2, "argument --eta: invalid float value: 'fast'"),
+    ("run", None, 1, "error: eta must be a number in [0, 2**53], got None"),
+    ("base", "auto", 1, "error: run option 'eta' must be a number, got 'auto'"),
+    ("base", None, 1, "error: eta must be a number in [0, 2**53], got None"),
+    ("grid", "auto", 1, "error: sweep grid 'eta': eta must be a number in [0, 2**53], "
+     "got 'auto'")]
+
+
+@pytest.mark.parametrize("where,eta,code,message", NOT_A_NUMBER_ETA,
+                         ids=[f"{where}-{eta}" for where, eta, _, _ in NOT_A_NUMBER_ETA])
+def test_eta_that_is_not_a_number_is_refused(tmp_path, capsys, where, eta, code, message):
+    if where == "RerankConfig":
+        with pytest.raises(ConfigError) as exc:
+            RerankConfig(list_size=5, eta=eta)
+        assert str(exc.value) == message
+        return
+    if where == "run":
+        argv = ["run", "--synth", write_synth(tmp_path), "--K", "5", "--m", "20"]
+        argv += [] if eta is None else ["--eta", eta]
+    else:
+        base = {"synth": SYNTH, "K": 5, "m": 20}
+        grid = {"k": [1.5]}
+        if where == "grid":
+            base["eta"], grid = ETA, {"eta": [eta]}
+        elif eta is not None:
+            base["eta"] = eta
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": base, "grid": grid}))
+        argv = ["sweep", "--spec", str(path), "--out", str(tmp_path / "out")]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse refusing a flag value
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestIngestionErrors:
@@ -220,7 +279,8 @@ class TestIngestionErrors:
         path = tmp_path / "log.csv"
         lines = ["user_id,item_id,provider_id,timestamp,score", *map(",".join, rows)]
         path.write_text("\n".join(lines) + "\n")
-        return main(["run", "--data", str(path), "--rule", "none", "--m", "1", "--K", "1"])
+        return main(["run", "--data", str(path), "--rule", "none", "--m", "1", "--K", "1",
+                     f"--eta={ETA}"])
 
     def test_clean_log_runs(self, tmp_path, capsys):
         assert self.run_log(tmp_path, self.ROWS) == 0
@@ -241,7 +301,7 @@ class TestIngestionErrors:
                                    *map(",".join, rows)]) + "\n")
         start = time.perf_counter()
         code = main(["run", "--data", str(path), "--rule", "none", "--m", "1", "--K", "1",
-                     "--interval-hours", "1"])
+                     f"--eta={ETA}", "--interval-hours", "1"])
         assert time.perf_counter() - start < 5.0
         assert code == 1
         err = capsys.readouterr().err
@@ -266,7 +326,7 @@ class TestIngestionErrors:
         (tmp_path / "interactions.csv").write_bytes(
             b"user_id,item_id,provider_id,timestamp,score\nu0,i0,0,0,0.5\n"
             b"u%s,i1,1,60,0.25\n" % bad.get("interactions.csv", b"1"))
-        code = main(["run", "--data", str(tmp_path), "--m", "0", "--K", "1"])
+        code = main(["run", f"--eta={ETA}", "--data", str(tmp_path), "--m", "0", "--K", "1"])
         assert code == 1
         err = capsys.readouterr().err
         assert f"{tmp_path / file}: not UTF-8 text (byte 0xff" in err
@@ -283,7 +343,7 @@ class TestIngestionErrors:
         (tmp_path / "interactions.csv").write_text(
             "\n".join(["user_id,item_id,provider_id,timestamp,score", *map(",".join, rows)])
             + "\n")
-        code = main(["run", "--data", str(tmp_path), "--rule", "none", "--m", "1",
+        code = main(["run", f"--eta={ETA}", "--data", str(tmp_path), "--rule", "none", "--m", "1",
                      "--K", "1"])
         assert code == 1
         assert message in capsys.readouterr().err
@@ -295,7 +355,7 @@ class TestIngestionErrors:
         path = tmp_path / "log.csv"
         path.write_text("\n".join(["user_id,item_id,provider_id,timestamp,score",
                                    *map(",".join, self.ROWS)]) + "\n")
-        code = main(["run", "--data", str(path), "--K", "1", "--m", "1e308"])
+        code = main(["run", f"--eta={ETA}", "--data", str(path), "--K", "1", "--m", "1e308"])
         assert code == 1
         err = capsys.readouterr().err
         assert "required_min_exposure" in err and "Traceback" not in err
@@ -304,7 +364,7 @@ class TestIngestionErrors:
         (tmp_path / "catalog.csv").write_text("item_id,provider_id\ni0,0\ni0,1\ni1,1\n")
         (tmp_path / "interactions.csv").write_text(
             "user_id,item_id,provider_id,timestamp,score\nu0,i0,0,0,0.5\n")
-        code = main(["run", "--data", str(tmp_path), "--rule", "none", "--m", "1",
+        code = main(["run", f"--eta={ETA}", "--data", str(tmp_path), "--rule", "none", "--m", "1",
                      "--K", "1"])
         assert code == 1
         err = capsys.readouterr().err
@@ -314,7 +374,7 @@ class TestIngestionErrors:
         from bankfair.domain import SynthConfig, save_instance, synth_instance
         cfg = SynthConfig(num_items=6, num_providers=2, num_intervals=1, traffic=[0])
         save_instance(tmp_path / "data", *synth_instance(cfg, seed=0))
-        code = main(["run", "--data", str(tmp_path / "data"), "--rule", "none",
+        code = main(["run", f"--eta={ETA}", "--data", str(tmp_path / "data"), "--rule", "none",
                      "--m", "1", "--K", "2"])
         assert code == 1
         err = capsys.readouterr().err
@@ -332,7 +392,7 @@ class TestIngestionErrors:
         matrix = np.array([req.relevance for req in requests])
         matrix[2, 4] = value
         _write_relevance_matrix(tmp_path / "data" / RELEVANCE_FILE, matrix)
-        code = main(["run", "--data", str(tmp_path / "data"), "--rule", "none",
+        code = main(["run", f"--eta={ETA}", "--data", str(tmp_path / "data"), "--rule", "none",
                      "--m", "1", "--K", "2"])
         assert code == 1
         assert "matrix row 2, column 4" in capsys.readouterr().err
@@ -346,7 +406,7 @@ class TestIngestionErrors:
         (tmp_path / "interactions.csv").write_text(
             "user_id,item_id,provider_id,timestamp,score\nu0,i0,p0,0,0.5\n")
         (tmp_path / "relevance.bin").write_bytes(sidecar)
-        code = main(["run", "--data", str(tmp_path), "--rule", "none", "--m", "1",
+        code = main(["run", f"--eta={ETA}", "--data", str(tmp_path), "--rule", "none", "--m", "1",
                      "--K", "1"])
         assert code == 1
         err = capsys.readouterr().err
@@ -382,18 +442,18 @@ class TestSpecValidation:
     def run_synth(self, tmp_path, capsys, spec):
         path = tmp_path / "synth.json"
         path.write_text(json.dumps(spec))
-        code = main(["run", "--synth", str(path), "--K", "5", "--rule", "none"])
+        code = main(["run", f"--eta={ETA}", "--synth", str(path), "--K", "5", "--rule", "none"])
         return code, capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["estar_targt", "estar_target", "warm_start_dual",
                                      "alpha_traffic", "remaining_update"])
     def test_unknown_base_key(self, tmp_path, capsys, key):
-        base = {"synth": SYNTH, "K": 5, key: "plan"}
+        base = {"synth": SYNTH, "K": 5, "eta": ETA, key: "plan"}
         code, err = self.sweep(tmp_path, capsys, {"base": base, "grid": {"k": [1.5]}})
         assert code == 1 and repr(key) in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("spec,key", [({"base": {"K": 5, "synth": SYNTH}}, "grid"),
-                                          ({"base": {"K": "ten", "synth": SYNTH},
+    @pytest.mark.parametrize("spec,key", [({"base": {"K": 5, "synth": SYNTH, "eta": ETA}}, "grid"),
+                                          ({"base": {"K": "ten", "synth": SYNTH, "eta": ETA},
                                             "grid": {"k": [1.5]}}, "'K'"),
                                           ({"grid": {"k": [1.5]}, "seed": [0]}, "seed"),
                                           ([1, 2], "sweep spec")])
@@ -410,7 +470,7 @@ class TestSpecValidation:
                                                   message):
         path = tmp_path / "spec.json"
         path.write_bytes(content)
-        argv = (["run", "--synth", str(path), "--K", "5"] if command == "run"
+        argv = (["run", "--synth", str(path), "--K", "5", f"--eta={ETA}"] if command == "run"
                 else ["sweep", "--spec", str(path), "--out", str(tmp_path / "out")])
         assert main(argv) == 1
         err = capsys.readouterr().err
@@ -450,7 +510,7 @@ class TestSpecValidation:
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"num_items": 10, "num_providers": 2,
                                     "num_intervals": 2, **fields}))
-        code = main(["run", "--synth", str(path), "--K", "3", "--m", "1"])
+        code = main(["run", f"--eta={ETA}", "--synth", str(path), "--K", "3", "--m", "1"])
         err = capsys.readouterr().err
         assert code == 1 and key in err and "Traceback" not in err
 
@@ -461,7 +521,7 @@ class TestSpecValidation:
         ({"m_scale": ["x"]}, "'m_scale'"), ({"k": 1.5}, "'k'"), ({"tau": [True]}, "'tau'"),
         ({"eta": [True]}, "'eta'"), ({"k": [True]}, "'k'"), ({"k": [1.5], "tau": []}, "'tau'")])
     def test_bad_grid_value(self, tmp_path, capsys, grid, key):
-        spec = {"base": {"synth": SYNTH, "K": 5}, "grid": grid}
+        spec = {"base": {"synth": SYNTH, "K": 5, "eta": ETA}, "grid": grid}
         code, err = self.sweep(tmp_path, capsys, spec)
         assert code == 1 and f"sweep grid {key}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
@@ -471,13 +531,13 @@ class TestSpecValidation:
         ({"K": 5.7}, "'K'"), ({"K": True}, "'K'"), ({"m": True}, "'m'"),
         ({"seed": 1.0}, "'seed'"), ({"m": None}, "'m'"), ({"phi": "0.9"}, "'phi'")])
     def test_base_values_are_not_coerced(self, tmp_path, capsys, base, key):
-        spec = {"base": {"synth": SYNTH, "K": 5, **base}, "grid": {"k": [1.5]}}
+        spec = {"base": {"synth": SYNTH, "K": 5, "eta": ETA, **base}, "grid": {"k": [1.5]}}
         code, err = self.sweep(tmp_path, capsys, spec)
         assert code == 1 and f"run option {key}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("seeds", [[0, -1], [1.5], ["0"], 3, []])
     def test_bad_sweep_seeds(self, tmp_path, capsys, seeds):
-        spec = {"base": {"synth": SYNTH, "K": 5}, "grid": {"k": [1.5]}, "seeds": seeds}
+        spec = {"base": {"synth": SYNTH, "K": 5, "eta": ETA}, "grid": {"k": [1.5]}, "seeds": seeds}
         code, err = self.sweep(tmp_path, capsys, spec)
         assert code == 1 and "seeds" in err and "Traceback" not in err
 
@@ -485,13 +545,13 @@ class TestSpecValidation:
     # not a failed row per run.
     @pytest.mark.parametrize("data", [5, "", None, [], True])
     def test_bad_base_data(self, tmp_path, capsys, data):
-        spec = {"base": {"data": data, "K": 5}, "grid": {"k": [1.5]}}
+        spec = {"base": {"data": data, "K": 5, "eta": ETA}, "grid": {"k": [1.5]}}
         code, err = self.sweep(tmp_path, capsys, spec)
         assert code == 1 and "data" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_base_synth_spec_is_checked_too(self, tmp_path, capsys):
-        base = {"synth": {**SYNTH, "zzz": 1}, "K": 5}
+        base = {"synth": {**SYNTH, "zzz": 1}, "K": 5, "eta": ETA}
         code, err = self.sweep(tmp_path, capsys, {"base": base, "grid": {"k": [1.5]}})
         assert code == 1 and "zzz" in err and "Traceback" not in err
 
@@ -500,7 +560,7 @@ class TestSpecValidation:
         code, err = self.run_synth(tmp_path, capsys, {**SYNTH, "list_size": 4})
         assert code == 1 and "Traceback" not in err
         assert "synth spec list_size 4 differs from K 5" in err
-        base = {"synth": {**SYNTH, "list_size": 7}, "K": 5}
+        base = {"synth": {**SYNTH, "list_size": 7}, "K": 5, "eta": ETA}
         code, err = self.sweep(tmp_path, capsys, {"base": base, "grid": {"k": [1.5]}})
         assert code == 1 and "synth spec list_size 7 differs from K 5" in err
 
@@ -511,7 +571,7 @@ class TestSpecValidation:
             spec["list_size"] = list_size
         path = tmp_path / "synth.json"
         path.write_text(json.dumps(spec))
-        code = main(["run", "--synth", str(path), "--K", "4", "--m", "1",
+        code = main(["run", f"--eta={ETA}", "--synth", str(path), "--K", "4", "--m", "1",
                      "--rule", "none", "--out", str(tmp_path / "out")])
         assert code == 0, capsys.readouterr().err
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -547,7 +607,7 @@ class TestSpecValidation:
         def build(cfg, seed):
             raise exc
         monkeypatch.setattr(harness, "synth_instance", build)
-        assert main(["run", "--synth", write_synth(tmp_path), "--K", "5"]) == 1
+        assert main(["run", f"--eta={ETA}", "--synth", write_synth(tmp_path), "--K", "5"]) == 1
         assert capsys.readouterr().err == message
 
 

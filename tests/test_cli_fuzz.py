@@ -119,7 +119,8 @@ OPTIONS = {
     "--K": st.one_of(st.integers(1, 4), st.integers(-1, 12)).map(str),
     "--k": st.sampled_from(["1", "1.5", "2", "0.5", "nan"]),
     "--beta": st.sampled_from(["0", "0.5", "1", "-0.5"]),
-    # Some etas are at the bound, and some huge and finite past it.
+    # Some etas are at the bound, and some huge and finite past it. "auto"
+    # and "x" are not numbers, which argparse refuses.
     "--eta": st.one_of(st.sampled_from(["auto", "0", "0.05", "1e-4", "-1", "x", "inf",
                                         "1e307", "1e308", "1.7976931348623157e308",
                                         MAX, PAST_MAX]),
@@ -179,6 +180,9 @@ def test_run_exits_cleanly(data):
         code, output = run_cli(argv)
         assert code in (0, 1, 2), output
         assert "Traceback" not in output
+        if drawn["--eta"] in ("auto", "x"):  # refused before any input is read
+            assert code == 2 and "argument --eta: invalid float value" in output, output
+            return
         if any(past_bound(flag, value) for flag, value in drawn.items()):
             assert code == 1, output
         if source is draw_synth:
@@ -191,7 +195,7 @@ def test_run_exits_cleanly(data):
 
 
 # Valid values per grid key; a drawn grid takes one or two of them.
-GRID = {"m_scale": [0, 0.5, 2], "k": [1, 1.5, 2], "beta_mix": [0, 1], "eta": ["auto", 0.01],
+GRID = {"m_scale": [0, 0.5, 2], "k": [1, 1.5, 2], "beta_mix": [0, 1], "eta": [0.5, 0.01],
         "tau": [None, 0.2, 1], "phi": [0, 0.9], "rule": ["talmud", "prop", "none"]}
 SWEEP_SYNTH = {"num_items": 8, "num_providers": 2, "num_intervals": 2, "mean_traffic": 4}
 
@@ -204,7 +208,7 @@ def test_sweep_exits_cleanly(data):
                               unique=True), "grid keys")
     grid = {key: data.draw(st.lists(st.sampled_from(GRID[key]), min_size=1, max_size=2), key)
             for key in keys}
-    base = {"synth": dict(SWEEP_SYNTH), "K": 2, "m": 1}
+    base = {"synth": dict(SWEEP_SYNTH), "K": 2, "m": 1, "eta": 0.5}
     spec = {"base": base, "grid": grid, "seeds": [0]}
     for _ in range(data.draw(FEW, "bad values")):
         bad = copy.deepcopy(data.draw(st.sampled_from(BAD_VALUES), "bad value"))

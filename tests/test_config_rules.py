@@ -18,8 +18,9 @@ BANDS = dict(SYNTH, provider_bands=[(0.5, 1.0), (0.0, 0.5)])
 
 
 def run_config(**fields):
-    return RunConfig(policy=FairnessPolicy([1.0, 1.0], 0.9, 5), rerank=RerankConfig(list_size=5),
-                     synth=SynthConfig(**SYNTH), **fields)
+    return RunConfig(policy=FairnessPolicy([1.0, 1.0], 0.9, 5),
+                     rerank=RerankConfig(list_size=5, eta=0.5), synth=SynthConfig(**SYNTH),
+                     **fields)
 
 
 # Each config with a valid value for every numeric field.
@@ -52,7 +53,7 @@ BOUNDED = {
         errors.NONNEGATIVE, lambda v: FairnessPolicy([1.0, v], 0.9, 5),
         "required_min_exposure must be a list of numbers in [0, 2**53], got "),
     "eta": (errors.NONNEGATIVE, lambda v: RerankConfig(eta=v),
-            "eta must be 'auto' or a number in [0, 2**53], got "),
+            "eta must be a number in [0, 2**53], got "),
     "interval_seconds": (errors.POSITIVE, lambda v: LogSchema(interval_seconds=v),
                          "interval_seconds must be a number in [2**-53, 2**53], got "),
     "mean_traffic": (errors.NONNEGATIVE, lambda v: SynthConfig(**{**SYNTH, "mean_traffic": v}),
@@ -119,7 +120,7 @@ def test_message_form():
     with pytest.raises(ConfigError) as exc:
         check("w", 2.5, errors.POSITIVE_INT)
     assert str(exc.value) == "w must be an int >= 1, got 2.5"
-    assert check("eta", "auto", errors.either("auto", errors.NONNEGATIVE)) == "auto"
+    assert check("inventory", "even", errors.either("even", errors.NONEMPTY_LIST)) == "even"
 
 
 RULES = [errors.NUMBER, errors.INT, errors.NONNEGATIVE_INT, errors.POSITIVE_INT,

@@ -535,7 +535,7 @@ class TestReferenceSimulator:
                                                               "phi"), k),
             rerank=RerankConfig(list_size=k, alpha_k=data.draw(st.sampled_from([1.0, 1.5, 2.0])),
                                 beta_mix=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
-                                eta=data.draw(st.sampled_from(["auto", 0.0, 0.05, 1.0]), "eta")),
+                                eta=data.draw(st.sampled_from([0.0, 0.05, 1.0]), "eta")),
             # talmud twice as often: only its claims depend on the traffic total.
             rule=data.draw(st.sampled_from(RULES + ("talmud",)), "rule"),
             forecaster=forecaster, forecaster_params=params,
@@ -558,25 +558,25 @@ class TestRunConfigValidation:
     def test_exactly_one_source(self):
         with pytest.raises(ConfigError):
             RunConfig(policy=FairnessPolicy.uniform(1, 1, 0.9, 5),
-                      rerank=RerankConfig(list_size=5))
+                      rerank=RerankConfig(list_size=5, eta=0.05))
 
     def test_list_size_mismatch(self):
         synth = SynthConfig(num_items=10, num_providers=2, num_intervals=1)
         with pytest.raises(ConfigError):
             RunConfig(policy=FairnessPolicy.uniform(1, 2, 0.9, 10),
-                      rerank=RerankConfig(list_size=5), synth=synth)
+                      rerank=RerankConfig(list_size=5, eta=0.05), synth=synth)
 
     def test_synth_list_size_other_than_k(self):
         synth = SynthConfig(num_items=10, num_providers=2, num_intervals=1, list_size=4)
         with pytest.raises(ConfigError, match="synth spec list_size 4 differs from K 5"):
             RunConfig(policy=FairnessPolicy.uniform(1, 2, 0.9, 5),
-                      rerank=RerankConfig(list_size=5), synth=synth)
+                      rerank=RerankConfig(list_size=5, eta=0.05), synth=synth)
 
     def test_unknown_rule(self):
         synth = SynthConfig(num_items=10, num_providers=2, num_intervals=1)
         with pytest.raises(ConfigError):
             RunConfig(policy=FairnessPolicy.uniform(1, 2, 0.9, 5),
-                      rerank=RerankConfig(list_size=5), synth=synth, rule="greedy")
+                      rerank=RerankConfig(list_size=5, eta=0.05), synth=synth, rule="greedy")
 
     # Checked when the config is built, before any interval is forecast.
     @pytest.mark.parametrize("overrides,key", [

@@ -1,5 +1,7 @@
 """Online re-ranker: selection argmax, conjugate closed form, dual updates."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +15,7 @@ from bankfair.reranker import (_RUN_MIN_ITEMS, RerankConfig, compute_caps, compu
 
 TWO_PROVIDERS = Catalog(np.array([0, 0, 0, 0, 1, 1, 1, 1]))
 # Its penalties under RerankConfig's default beta_mix.
-LAM = compute_penalties(TWO_PROVIDERS, RerankConfig().beta_mix)
+LAM = compute_penalties(TWO_PROVIDERS, RerankConfig(eta=0.0).beta_mix)
 
 
 class TestPenaltiesAndCaps:
@@ -97,6 +99,13 @@ class TestSelectList:
         for size in (1, 3, 5):
             with pytest.raises(ConfigError, match=f"^{size} item prices for 4 relevance scores$"):
                 select_list(np.ones(4), np.zeros(1), np.zeros(size, int), 1.0, 2)
+
+    def test_rejects_provider_past_the_prices(self):
+        # Entries 2 and 5 name providers past the two prices; take would
+        # raise its IndexError.
+        for providers in ([0, 1, 2, 1], [5, 0, 0, 0]):
+            with pytest.raises(ConfigError, match="^item_provider entry past the 2 prices$"):
+                select_list(np.ones(4), np.zeros(2), np.array(providers), 1.0, 2)
 
     def test_rejects_runs_that_do_not_fit(self):
         rel, providers = np.ones(4), np.array([0, 0, 1, 1])
@@ -187,7 +196,7 @@ class TestPriceRuns:
             block = np.random.default_rng(3).uniform(size=(2, catalog.num_items))
             lam = compute_penalties(catalog, 0.5)
             run_interval(block, np.array([0, 1, 0]), np.zeros(catalog.num_providers),
-                         RerankConfig(list_size=5), catalog, 3.0, lam)
+                         RerankConfig(list_size=5, eta=1 / math.sqrt(3.0)), catalog, 3.0, lam)
             assert len(seen) == 3 and all(runs is want for runs in seen)
 
 
@@ -341,7 +350,8 @@ class TestRunInterval:
 
     def test_no_arrivals_returns_empty_lists(self):
         lists, earned, prices = run_interval(np.ones((1, 8)), np.array([], dtype=np.int64),
-                                             np.array([4.0, 0.0]), RerankConfig(list_size=5),
+                                             np.array([4.0, 0.0]),
+                                             RerankConfig(list_size=5, eta=1 / math.sqrt(2.0)),
                                              TWO_PROVIDERS, 2.0, LAM)
         assert lists.shape == (0, 5) and lists.dtype == np.int64
         np.testing.assert_array_equal(earned, [0, 0])
@@ -350,7 +360,7 @@ class TestRunInterval:
     def test_requires_positive_traffic_estimate(self):
         with pytest.raises(ConfigError):
             run_interval(np.ones((1, 8)), np.array([], dtype=np.int64), np.zeros(2),
-                         RerankConfig(list_size=5), TWO_PROVIDERS, rhat_n=0.0, lam=LAM)
+                         RerankConfig(list_size=5, eta=1.0), TWO_PROVIDERS, rhat_n=0.0, lam=LAM)
 
 
 class TestRerankConfigValidation:
@@ -360,8 +370,8 @@ class TestRerankConfigValidation:
         with pytest.raises(ConfigError, match="eta"):
             RerankConfig(eta=eta)
 
-    @pytest.mark.parametrize("eta", ["auto", 0, 0.0, 1e-5, 2])
-    def test_accepts_auto_and_finite_nonnegative_eta(self, eta):
+    @pytest.mark.parametrize("eta", [0, 0.0, 1e-5, 2])
+    def test_accepts_finite_nonnegative_eta(self, eta):
         assert RerankConfig(eta=eta).eta == eta
 
 
@@ -388,7 +398,7 @@ def reference_run_interval(block, rows, floor, cfg, catalog, rhat_n, lam):
     """
     k = cfg.list_size
     gamma = compute_caps(catalog, k, rhat_n)
-    eta = cfg.step_size(rhat_n)
+    eta = cfg.eta
     mu = np.zeros_like(lam)
     beta = np.array(floor, dtype=float)
     earned = np.zeros(catalog.num_providers, dtype=np.int64)
@@ -441,9 +451,21 @@ class TestTopKKernel:
 
     def test_rejects_tiebreak_of_another_length(self):
         for tiebreak in ([0, 1, 0, 9], [0, 1], np.zeros(2)):
-            with pytest.raises(ConfigError, match=f"^tiebreak has {len(tiebreak)} values "
-                                                  f"for 3 scores$"):
+            with pytest.raises(ConfigError, match=fr"^tiebreak shape \({len(tiebreak)},\) "
+                                                  r"differs from scores \(3,\)$"):
                 top_k([1, 2, 2], 2, tiebreak)
+
+    def test_rejects_tiebreak_of_another_shape(self):
+        # Three values in a column: lexsort would refuse keys of two shapes.
+        with pytest.raises(ConfigError,
+                           match=r"^tiebreak shape \(3, 1\) differs from scores \(3,\)$"):
+            top_k([1.0, 2.0, 3.0], 2, np.zeros((3, 1)))
+
+    # numpy's partition would refuse kth 3 or 4 of 3 scores, or a float kth.
+    @pytest.mark.parametrize("k", [0, -1, 2.5])
+    def test_rejects_k_that_is_not_a_positive_int(self, k):
+        with pytest.raises(ConfigError, match=f"^k must be an int >= 1, got {k}$"):
+            top_k([1.0, 2.0, 3.0], k)
 
     def test_list_tiebreak_acts_as_an_array(self):
         np.testing.assert_array_equal(top_k([1, 2, 2], 2, [0, 1, 0]), [1, 2])
@@ -559,4 +581,4 @@ class TestServeLoopMatchesReference:
     def test_rejects_list_longer_than_catalog(self):
         with pytest.raises(ConfigError):
             run_interval(np.ones((1, 8)), np.zeros(1, dtype=np.int64), np.zeros(2),
-                         RerankConfig(list_size=9), TWO_PROVIDERS, rhat_n=1.0, lam=LAM)
+                         RerankConfig(list_size=9, eta=1.0), TWO_PROVIDERS, rhat_n=1.0, lam=LAM)
