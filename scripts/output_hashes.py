@@ -22,7 +22,9 @@ also runs under talmud and prop at the first of
 every floor zero (``zero_floors/talmud/seed<N>``), with those empty
 intervals and ``relevance_noise`` 0.05 (``empty_intervals/talmud/seed<N>/noisy``),
 and with that noise, no arrivals at all and zero floors
-(``no_arrivals/talmud/seed<N>``). Inputs and outputs go
+(``no_arrivals/talmud/seed<N>``). Last, a sweep of ``benchmark_config``
+over a 2 x 2 grid of ``k`` and ``rule`` at that seed and the next writes
+``runs.csv`` and ``pareto.csv`` (``sweep/k_rule/seed<N>``). Inputs and outputs go
 under ``DIR``, and one line per output file gives the run, the file and its
 sha256. Run it in two checkouts, each with its own ``DIR``, and diff the two
 listings to check that a change leaves every output byte-identical, or save
@@ -56,9 +58,10 @@ from bankfair.acceptance import benchmark_config  # noqa: E402
 from bankfair.bankruptcy import RULES  # noqa: E402
 from bankfair.domain import (CATALOG_FILE, INTERACTIONS_FILE, RELEVANCE_FILE,  # noqa: E402
                              _write_relevance_matrix, instance_matrix, load_interactions)
-from bankfair.harness import run  # noqa: E402
+from bankfair.harness import SweepSpec, run, sweep  # noqa: E402
 
 FILES = ("report.json", "decisions.csv", "allocations.csv", "intervals.csv")
+SWEEP_FILES = ("runs.csv", "pareto.csv")
 # benchmark_config's 14 intervals with some left empty. The last is busy, so
 # every floor still has traffic to claim.
 GAPPED_TRAFFIC = [100, 0, 0, 150, 80, 0, 120, 0, 90, 110, 0, 0, 130, 140]
@@ -143,6 +146,14 @@ def runs(seeds, config_seeds):
     yield name, replace(gapped, synth=idle, policy=policy, out_dir=name)
 
 
+def sweeps(config_seeds):
+    """(name, SweepSpec) of every sweep; its files go to the directory ``name``."""
+    seed = config_seeds[0]
+    grid = {"k": [1.0, 2.0], "rule": ["talmud", "prop"]}
+    yield f"sweep/k_rule/seed{seed}", SweepSpec(benchmark_config("talmud", seed), grid,
+                                                  seeds=[seed, seed + 1])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="directory for inputs and outputs")
@@ -167,12 +178,19 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
     got = {}
-    for name, cfg in runs(args.seeds, args.config_seeds):
-        run(cfg)
-        for file in FILES:
-            digest = hashlib.sha256((Path(cfg.out_dir) / file).read_bytes()).hexdigest()
+
+    def record(name, directory, files):
+        for file in files:
+            digest = hashlib.sha256((Path(directory) / file).read_bytes()).hexdigest()
             got[name, file] = digest
             print(name, file, digest, flush=True)
+
+    for name, cfg in runs(args.seeds, args.config_seeds):
+        run(cfg)
+        record(name, cfg.out_dir, FILES)
+    for name, spec in sweeps(args.config_seeds):
+        sweep(spec).write(name)
+        record(name, name, SWEEP_FILES)
     if expected is None:
         return 0
     report = compare(got, expected, args.against)

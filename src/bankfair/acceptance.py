@@ -235,7 +235,7 @@ def criterion_6(n_instances: int = 1000) -> CriterionResult:
         mu = rng.integers(-20, 21, size=n_prov) / 20.0
         mu = np.maximum(mu, -lam)
         rhat = float(rng.choice([1.0, 2.0, 4.0]))
-        got = reranker.select_list(relevance, mu, providers, rhat, k)
+        got = reranker.select_list(relevance / rhat, relevance, mu, providers, k)
         want = _enumeration_oracle(relevance, providers, mu, rhat, k)
         if not np.array_equal(got, want):
             mismatches += 1

@@ -1,6 +1,6 @@
 """Command line front end: run one simulation, sweep a grid, or verify.
 
-Exit codes: 0 success, 1 I/O or configuration error, 2 infeasible allocation.
+Exit codes: 0 success, 1 I/O, configuration or usage error, 2 infeasible allocation.
 """
 
 from __future__ import annotations
@@ -151,8 +151,20 @@ def _add_run_flags(p: argparse.ArgumentParser):
         p.add_argument("--" + key.replace("_", "-"), **flag)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits 1 like any other configuration error.
+
+    argparse exits 2, the code of an infeasible allocation. Subparsers are
+    made of the same class, and ``--help`` still exits 0.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="bankfair")
+    parser = _Parser(prog="bankfair")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate one configuration")

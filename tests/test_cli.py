@@ -230,8 +230,8 @@ class TestRunCommand:
 # for none, exit code or None for a ConfigError, what the error says)
 NOT_A_NUMBER_ETA = [
     ("RerankConfig", "auto", None, "eta must be a number in [0, 2**53], got 'auto'"),
-    ("run", "auto", 2, "argument --eta: invalid float value: 'auto'"),
-    ("run", "fast", 2, "argument --eta: invalid float value: 'fast'"),
+    ("run", "auto", 1, "argument --eta: invalid float value: 'auto'"),
+    ("run", "fast", 1, "argument --eta: invalid float value: 'fast'"),
     ("run", None, 1, "error: eta must be a number in [0, 2**53], got None"),
     ("base", "auto", 1, "error: run option 'eta' must be a number, got 'auto'"),
     ("base", None, 1, "error: eta must be a number in [0, 2**53], got None"),
@@ -585,8 +585,30 @@ class TestSpecValidation:
         assert set(vars(parser.parse_args(["--data", "log.csv"]))) == set(RUN_OPTIONS)
 
     def test_retired_flag_is_gone(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["run", "--synth", write_synth(tmp_path), "--warm-start-dual"])
+        assert exc.value.code == 1
+
+    # argparse's own refusals exit 1, as every configuration error does: 2
+    # means an infeasible allocation.
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: command"),
+        (["walk"], "argument command: invalid choice: 'walk'"),
+        (["run", "--synth", "s.json", "--m", "x"], "argument --m: invalid float value: 'x'"),
+        (["run", "--synth", "s.json", "--rule", "fair"], "argument --rule: invalid choice"),
+        (["sweep", "--spec", "s.json"], "the following arguments are required: --out")])
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("usage: bankfair") and f"error: {message}" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: bankfair")
 
     def test_rules_and_forecasters_have_one_list(self):
         from bankfair import bankruptcy, forecast

@@ -181,7 +181,7 @@ def test_run_exits_cleanly(data):
         assert code in (0, 1, 2), output
         assert "Traceback" not in output
         if drawn["--eta"] in ("auto", "x"):  # refused before any input is read
-            assert code == 2 and "argument --eta: invalid float value" in output, output
+            assert code == 1 and "argument --eta: invalid float value" in output, output
             return
         if any(past_bound(flag, value) for flag, value in drawn.items()):
             assert code == 1, output

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import threading
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from reference_sim import reference_run
 from test_reranker import reference_run_interval, reference_top_k
 
-from bankfair import harness, metrics, reranker
+from bankfair import bankruptcy, domain, harness, metrics, reranker
 from bankfair.bankruptcy import RULES
 from bankfair.domain import (FairnessPolicy, LogSchema, SynthConfig, _write_relevance_matrix,
                              load_interactions, save_instance, synth_instance)
@@ -492,6 +493,38 @@ class TestRun:
 
         peak(0.0)  # a process's first run allocates some state once
         assert peak(0.05) - peak(0.0) < 1.5 * block
+
+    def test_no_thread_outlives_a_run(self, monkeypatch):
+        # A synthetic instance of at least _WORKER_VALUES values per range is
+        # drawn by threads. Every one of them ends inside the build: a thread
+        # alive while intervals are planned and served would compete with
+        # the serve loop for the interpreter, and the benchmark's clock,
+        # calibrated at each plan_interval and run_interval entry, would
+        # read the wrong speed.
+        drawers, at_entry = set(), []
+        draw_rows = domain._draw_rows
+
+        def drawing(*args):
+            drawers.add(threading.current_thread())
+            return draw_rows(*args)
+
+        def entry(fn):
+            def call(*args, **kwargs):
+                at_entry.append(set(threading.enumerate()))
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(domain, "_WORKER_VALUES", 100)
+        monkeypatch.setattr(domain, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(domain, "_draw_rows", drawing)
+        monkeypatch.setattr(bankruptcy, "plan_interval", entry(bankruptcy.plan_interval))
+        monkeypatch.setattr(reranker, "run_interval", entry(reranker.run_interval))
+        before = set(threading.enumerate())
+        rep = run(small_config())
+        assert len(drawers) == 3
+        assert len(at_entry) == 2 * len(rep.per_interval_traffic)
+        assert all(threads == before for threads in at_entry)
+        assert set(threading.enumerate()) == before
 
 
 OUTPUT_FILES = ("report.json", "decisions.csv", "allocations.csv", "intervals.csv")

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from bankfair import reranker
 from bankfair.domain import Catalog
 from bankfair.errors import ConfigError
-from bankfair.reranker import (_RUN_MIN_ITEMS, RerankConfig, compute_caps, compute_penalties,
-                               conjugate_argmax, conjugate_value, dual_step, price_runs,
-                               run_interval, select_list, top_k)
+from bankfair.reranker import (_BLOCK_VALUES, _RUN_MIN_ITEMS, RerankConfig, compute_caps,
+                               compute_penalties, conjugate_argmax, conjugate_value, dual_step,
+                               price_runs, run_interval, select_list, top_k)
 
 TWO_PROVIDERS = Catalog(np.array([0, 0, 0, 0, 1, 1, 1, 1]))
 # Its penalties under RerankConfig's default beta_mix.
@@ -54,13 +54,13 @@ class TestSelectList:
         rng = np.random.default_rng(0)
         for _ in range(20):
             rel = rng.uniform(size=8)
-            got = select_list(rel, np.zeros(2), TWO_PROVIDERS.item_provider, rhat_n=3.0, k=5)
+            got = select_list(rel / 3.0, rel, np.zeros(2), TWO_PROVIDERS.item_provider, k=5)
             np.testing.assert_array_equal(got, top_k(rel, 5))
 
     def test_price_flips_choice(self):
         cat = Catalog(np.array([0, 1]))
         rel = np.array([0.9, 0.8])
-        got = select_list(rel, np.array([0.5, 0.0]), cat.item_provider, rhat_n=1.0, k=1)
+        got = select_list(rel / 1.0, rel, np.array([0.5, 0.0]), cat.item_provider, k=1)
         np.testing.assert_array_equal(got, [1])
 
     def test_tie_breaking_prefers_higher_raw_relevance_then_lower_id(self):
@@ -71,48 +71,56 @@ class TestSelectList:
         mu = np.array([-0.4, 0.0])
         adjusted = rel / 1.0 - mu[cat.item_provider]
         assert adjusted[0] == adjusted[1] == adjusted[2]
-        got = select_list(rel, mu, cat.item_provider, rhat_n=1.0, k=2)
+        got = select_list(rel / 1.0, rel, mu, cat.item_provider, k=2)
         np.testing.assert_array_equal(got, [2, 0])
 
     def test_adjusted_score_divides_by_forecast(self):
         # 0.25/7 == 0.6/7 - 0.05 exactly, so the higher relevance wins the tie;
-        # multiplying by 1/7 instead would rank item 0 first.
+        # scores multiplied by 1/7 instead would rank item 0 first.
         cat = Catalog(np.array([0, 1]))
         rel = np.array([0.25, 0.6])
         mu = np.array([0.0, 0.05])
         assert rel[0] / 7.0 == rel[1] / 7.0 - mu[1]
         assert rel[0] * (1.0 / 7.0) > rel[1] * (1.0 / 7.0) - mu[1]
-        np.testing.assert_array_equal(select_list(rel, mu, cat.item_provider, 7.0, 1), [1])
+        np.testing.assert_array_equal(select_list(rel / 7.0, rel, mu, cat.item_provider, 1), [1])
 
     def test_needs_at_least_k_items(self):
         with pytest.raises(ConfigError, match="^need at least 4 items, catalog has 3$"):
-            select_list(np.ones(3), np.zeros(1), np.zeros(3, int), 1.0, 4)
+            select_list(np.ones(3), np.ones(3), np.zeros(1), np.zeros(3, int), 4)
         with pytest.raises(ConfigError, match="^need at least 4 items, catalog has 3$"):
             top_k(np.ones(3), 4)
 
-    def test_needs_positive_traffic_estimate(self):
+    def test_needs_positive_traffic_estimate(self, monkeypatch):
+        # select_list takes scores already divided by the forecast, so
+        # run_interval checks the forecast before it selects any list.
+        calls = []
+        monkeypatch.setattr(reranker, "select_list", lambda *args: calls.append(args))
+        catalog = Catalog(np.zeros(3, int))
         for rhat_n in (0.0, -1.0):
-            with pytest.raises(ConfigError):
-                select_list(np.ones(3), np.zeros(1), np.zeros(3, int), rhat_n, 2)
+            with pytest.raises(ConfigError, match="^predicted traffic for the interval "
+                                                  "must be positive$"):
+                run_interval(np.ones((1, 3)), np.zeros(2, int), np.zeros(1),
+                             RerankConfig(list_size=2, eta=0.1), catalog, rhat_n, np.ones(1))
+        assert calls == []
 
     def test_rejects_item_provider_of_another_length(self):
         for size in (1, 3, 5):
             with pytest.raises(ConfigError, match=f"^{size} item prices for 4 relevance scores$"):
-                select_list(np.ones(4), np.zeros(1), np.zeros(size, int), 1.0, 2)
+                select_list(np.ones(4), np.ones(4), np.zeros(1), np.zeros(size, int), 2)
 
     def test_rejects_provider_past_the_prices(self):
         # Entries 2 and 5 name providers past the two prices; take would
         # raise its IndexError.
         for providers in ([0, 1, 2, 1], [5, 0, 0, 0]):
             with pytest.raises(ConfigError, match="^item_provider entry past the 2 prices$"):
-                select_list(np.ones(4), np.zeros(2), np.array(providers), 1.0, 2)
+                select_list(np.ones(4), np.ones(4), np.zeros(2), np.array(providers), 2)
 
     def test_rejects_runs_that_do_not_fit(self):
         rel, providers = np.ones(4), np.array([0, 0, 1, 1])
         with pytest.raises(ConfigError, match="^3 provider runs for 2 prices$"):
-            select_list(rel, np.zeros(2), providers, 1.0, 2, np.array([2, 1, 1]))
+            select_list(rel, rel, np.zeros(2), providers, 2, np.array([2, 1, 1]))
         with pytest.raises(ConfigError, match="^3 item prices for 4 relevance scores$"):
-            select_list(rel, np.zeros(2), providers, 1.0, 2, np.array([2, 1]))
+            select_list(rel, rel, np.zeros(2), providers, 2, np.array([2, 1]))
 
     def test_monotone_pressure(self):
         # Raising one provider's price never adds items of that provider.
@@ -121,10 +129,10 @@ class TestSelectList:
             rel = rng.uniform(size=8)
             mu0 = rng.uniform(-1.0, 1.0, size=2)
             bump = rng.uniform(0.0, 1.0)
-            before = select_list(rel, mu0, TWO_PROVIDERS.item_provider, 2.0, 5)
+            before = select_list(rel / 2.0, rel, mu0, TWO_PROVIDERS.item_provider, 5)
             after_mu = mu0.copy()
             after_mu[0] += bump
-            after = select_list(rel, after_mu, TWO_PROVIDERS.item_provider, 2.0, 5)
+            after = select_list(rel / 2.0, rel, after_mu, TWO_PROVIDERS.item_provider, 5)
             count = lambda items: int((TWO_PROVIDERS.item_provider[items] == 0).sum())
             assert count(after) <= count(before)
 
@@ -159,8 +167,8 @@ class TestPriceRuns:
         assert mu.repeat(inventory).tobytes() == mu.take(item_provider).tobytes()
         for k in sorted({1, (item_provider.size + 1) // 2, item_provider.size}):
             np.testing.assert_array_equal(
-                select_list(relevance, mu, item_provider, rhat_n, k, inventory),
-                select_list(relevance, mu, item_provider, rhat_n, k))
+                select_list(relevance / rhat_n, relevance, mu, item_provider, k, inventory),
+                select_list(relevance / rhat_n, relevance, mu, item_provider, k))
 
     def test_wide_catalog_listed_by_provider_expands(self):
         inventory = np.array([1] * 48 + [_RUN_MIN_ITEMS - 48])
@@ -185,9 +193,9 @@ class TestPriceRuns:
     def test_serve_loop_passes_the_catalog_runs(self, monkeypatch):
         seen = []
 
-        def spy(relevance, mu, item_provider, rhat_n, k, runs=None):
+        def spy(scores, relevance, mu, item_provider, k, runs=None):
             seen.append(runs)
-            return select_list(relevance, mu, item_provider, rhat_n, k, runs)
+            return select_list(scores, relevance, mu, item_provider, k, runs)
 
         monkeypatch.setattr(reranker, "select_list", spy)
         wide = Catalog(np.repeat(np.arange(8), _RUN_MIN_ITEMS // 8))
@@ -497,7 +505,7 @@ class TestTopKKernel:
         for _ in range(100):
             rel = rng.integers(0, 5, size=30) / 4.0
             mu = rng.integers(-2, 3, size=3) / 4.0
-            got = select_list(rel, mu, cat.item_provider, 2.0, 6)
+            got = select_list(rel / 2.0, rel, mu, cat.item_provider, 6)
             want = lexsort_order(rel / 2.0 - mu[cat.item_provider], rel, 6)
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(top_k(rel, 6), reference_top_k(rel, 6))
@@ -512,8 +520,10 @@ class TestServeLoopMatchesReference:
         # integer caps; with integer floors and a 0.05 step the prices stay on
         # (or within rounding of) the 0.05 relevance grid, so adjusted scores
         # tie across providers as well as within them. A forecast of three
-        # times the provider count makes relevance / rhat_n round, so an
-        # operation order other than the documented one would flip ties.
+        # times the provider count makes relevance / rhat_n round. These
+        # instances rarely meet a tie that only the division decides (scores
+        # multiplied by 1 / rhat_n passed all of them), so
+        # TestServeLoopBlocks.test_rows_are_divided_by_the_forecast builds one.
         rng = np.random.default_rng(seed)
         nprov = int(rng.integers(1, 5))
         per = int(rng.integers(2, 5))
@@ -582,3 +592,69 @@ class TestServeLoopMatchesReference:
         with pytest.raises(ConfigError):
             run_interval(np.ones((1, 8)), np.zeros(1, dtype=np.int64), np.zeros(2),
                          RerankConfig(list_size=9, eta=1.0), TWO_PROVIDERS, rhat_n=1.0, lam=LAM)
+
+
+class TestServeLoopBlocks:
+    """run_interval against the reference loop at the edges of its row blocks.
+
+    run_interval divides the arrivals' relevance rows by the forecast b rows
+    at a time, b = _BLOCK_VALUES // I for I items and at least 1. As in
+    TestServeLoopMatchesReference, equal inventories give integer caps, so
+    the prices stay on the 0.05 grid of the relevance, adjusted scores tie
+    across providers, and a score divided otherwise would reorder a list.
+    """
+
+    @staticmethod
+    def serve(num_items, rows, num_rows, seed):
+        rng = np.random.default_rng(seed)
+        nprov = next(p for p in range(3, num_items) if num_items % p == 0)
+        catalog = Catalog(np.repeat(np.arange(nprov), num_items // nprov))
+        block = rng.integers(0, 21, size=(num_rows, num_items)) / 20.0
+        floor = rng.integers(0, 8, size=nprov).astype(float)
+        cfg = RerankConfig(list_size=5, eta=0.05, beta_mix=0.5)
+        lam = compute_penalties(catalog, cfg.beta_mix)
+        rhat_n = float(3 * nprov)
+        got = run_interval(block, rows, floor, cfg, catalog, rhat_n, lam)
+        want = reference_run_interval(block, rows, floor, cfg, catalog, rhat_n, lam)
+        TestServeLoopMatchesReference.assert_same(got, want, catalog)
+
+    # (items, rows per block): a block of many rows, of two, of one at the
+    # width where a block first holds one, at the block's own width and past it.
+    WIDTHS = [(300, 27), (_BLOCK_VALUES // 2, 2), (_BLOCK_VALUES // 2 + 1, 1),
+              (_BLOCK_VALUES, 1), (_BLOCK_VALUES + 1, 1)]
+    # Arrivals in the interval: (blocks, extra) gives blocks * b + extra.
+    LENGTHS = {"0": (0, 0), "1": (0, 1), "b-1": (1, -1), "b": (1, 0), "b+1": (1, 1),
+               "2b+1": (2, 1)}
+
+    @pytest.mark.parametrize("num_items,per_block", WIDTHS,
+                             ids=[f"{items}-items" for items, _ in WIDTHS])
+    @pytest.mark.parametrize("arrivals", LENGTHS)
+    def test_interval_lengths_at_block_edges(self, num_items, per_block, arrivals):
+        assert max(_BLOCK_VALUES // num_items, 1) == per_block
+        blocks, extra = self.LENGTHS[arrivals]
+        n = blocks * per_block + extra
+        rows = np.random.default_rng(n).integers(0, 4, size=n)  # rows repeat across blocks
+        self.serve(num_items, rows, 4, seed=num_items + n)
+
+    @pytest.mark.parametrize("half", [1, _BLOCK_VALUES // 2 + 1])
+    def test_rows_are_divided_by_the_forecast(self, half):
+        # Two providers of `half` items each, one relevant item apiece. At
+        # arrival 2 the prices of about (-0.175, -0.125) make the two items'
+        # scores, divided by 7, tie exactly, so the higher relevance wins;
+        # multiplied by 1/7 instead, item 0 would score higher and win.
+        catalog = Catalog(np.repeat([0, 1], half))
+        block = np.zeros((1, 2 * half))
+        block[0, [0, half]] = 0.05, 0.4
+        cfg = RerankConfig(list_size=1, eta=0.05, beta_mix=0.5)
+        lists, _, prices = run_interval(block, np.zeros(4, int), np.zeros(2), cfg, catalog, 7.0,
+                                        compute_penalties(catalog, cfg.beta_mix))
+        mu0, mu1 = prices[1]
+        assert 0.05 / 7 - mu0 == 0.4 / 7 - mu1
+        assert 0.05 * (1 / 7) - mu0 > 0.4 * (1 / 7) - mu1
+        assert lists.ravel().tolist() == [half, half, 0, half]
+
+    @pytest.mark.parametrize("num_items,per_block", WIDTHS[:2],
+                             ids=[f"{items}-items" for items, _ in WIDTHS[:2]])
+    def test_one_row_repeated_inside_a_block(self, num_items, per_block):
+        rows = np.array([2] * per_block + [0, 2, 1] + [2] * (per_block - 1))
+        self.serve(num_items, rows, 3, seed=7)

@@ -144,7 +144,7 @@ def test_output_hashes(tmp_path):
     assert out.returncode == 0, out.stderr + (
         f"(the listing was made with numpy {made_with}, this is numpy {np.__version__})"
         if made_with != np.__version__ else "")
-    assert out.stderr == f"0 of 72 files differ from {LISTING}\n"
+    assert out.stderr == f"0 of 74 files differ from {LISTING}\n"
     assert out.stdout == LISTING.read_text()
     lines = [line.split() for line in out.stdout.splitlines()]
     runs = ["wide_catalog/seed101", "long_tail/seed101", "replay_log/seed101",
@@ -155,7 +155,8 @@ def test_output_hashes(tmp_path):
             "zero_floors/talmud/seed0", "empty_intervals/talmud/seed0/noisy",
             "no_arrivals/talmud/seed0"]
     files = ["report.json", "decisions.csv", "allocations.csv", "intervals.csv"]
-    assert [(name, file) for name, file, _ in lines] == [(r, f) for r in runs for f in files]
+    sweep = [("sweep/k_rule/seed0", "runs.csv"), ("sweep/k_rule/seed0", "pareto.csv")]
+    assert [(name, file) for name, file, _ in lines] == [(r, f) for r in runs for f in files] + sweep
     assert all(len(digest) == 64 for _, _, digest in lines)
     assert (tmp_path / "runs" / "criterion_9" / "report.json").is_file()
     seed_dir = tmp_path / "runs" / ".bench_out" / "replay_log" / "seed101"
@@ -179,6 +180,13 @@ def test_output_hashes(tmp_path):
     # User ids with a comma, a quote and a newline, each quoted as csv quotes it.
     quoted = (seed_dir / "quoted" / "decisions.csv").read_bytes()
     assert all(re.search(rb',"u\d+%s",' % suffix, quoted) for suffix in (b",a", b'""b', b"\nc"))
+    # The sweep: every point of its 2 x 2 grid at both seeds, each run ok.
+    sweep_dir = tmp_path / "runs" / "sweep" / "k_rule" / "seed0"
+    points = [(r["k"], r["rule"], r["seed"], r["status"])
+              for r in read_rows(sweep_dir / "runs.csv")]
+    assert points == [(k, rule, seed, "ok") for k in ("1.0", "2.0")
+                      for rule in ("talmud", "prop") for seed in ("0", "1")]
+    assert len(read_rows(sweep_dir / "pareto.csv")) == 4
 
 
 @pytest.fixture
@@ -210,6 +218,6 @@ def test_output_hashes_names_each_difference(output_hashes):
         "wide_catalog/seed101 decisions.csv: sha256 differs",
         "long_tail/seed101 allocations.csv: not in the listing",
         "extra/seed1 report.json: missing",
-        "3 of 73 files differ from listing.txt"]
+        "3 of 75 files differ from listing.txt"]
     assert output_hashes.compare(got, got, "listing.txt") == [
-        "0 of 72 files differ from listing.txt"]
+        "0 of 74 files differ from listing.txt"]
