@@ -4,15 +4,14 @@
 Runs talmud / naive / prop / none over several seeds on the synthetic
 two-tier instance (popular providers meet their floors organically, niche
 providers need enforcement) and writes one CSV row per run plus a summary
-table to stdout.
+table to stdout. A failed run stops the script, naming its rule and seed.
 """
 
 import argparse
 import csv
+import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from bankfair import harness
 from bankfair.acceptance import benchmark_config
@@ -41,26 +40,25 @@ def main():
     ap.add_argument("--out", default="results/benchmark.csv")
     args = ap.parse_args()
 
+    result = harness.sweep(harness.SweepSpec(
+        replace(benchmark_config("talmud", 0), tau=args.tau), {"rule": list(RULES)},
+        seeds=list(range(args.seeds))))
+    for row in result.rows:
+        if row["status"] != "ok":
+            sys.exit(f"run rule={row['rule']} seed={row['seed']} failed: {row['error']}")
+
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for rule in RULES:
-        for seed in range(args.seeds):
-            rep = harness.run(replace(benchmark_config(rule, seed), tau=args.tau))
-            rows.append({"rule": rule, "seed": seed, "ndcg": rep.ndcg_at_k,
-                         "vio": rep.vio_at_k, "esp": rep.esp_at_k})
-
     with open(out, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["rule", "seed", "ndcg", "vio", "esp"])
+        w = csv.DictWriter(fh, fieldnames=["rule", "seed", "ndcg", "vio", "esp"],
+                           extrasaction="ignore")
         w.writeheader()
-        w.writerows(rows)
+        w.writerows(result.rows)
 
     print(f"{'rule':8s} {'ndcg':>8s} {'vio':>8s} {'esp':>6s}")
-    for rule in RULES:
-        sub = [r for r in rows if r["rule"] == rule]
-        print(f"{rule:8s} {np.mean([r['ndcg'] for r in sub]):8.4f} "
-              f"{np.mean([r['vio'] for r in sub]):8.4f} "
-              f"{np.mean([r['esp'] for r in sub]):6.2f}")
+    for point in result.summary:
+        print(f"{point['rule']:8s} {point['ndcg_mean']:8.4f} {point['vio_mean']:8.4f} "
+              f"{point['esp_mean']:6.2f}")
     print(f"wrote {out}")
 
 

@@ -17,18 +17,6 @@ from .domain import Catalog
 from .errors import NONNEGATIVE, POSITIVE_INT, UNIT, ConfigError, check, number_in
 
 
-# Fewest items at which select_list builds its price vector by expanding the
-# P provider prices over the catalog's provider runs, ``mu.repeat(inventory)``,
-# instead of gathering one price per item, ``mu.take(item_provider)``. Both
-# give the same bytes. Timed on 700 captured select_list calls of wide_catalog
-# traffic with 100 providers (min of 21 alternated passes, one core of a
-# 2-vCPU Xeon), price vector alone: 9.6 against 4.0 us per arrival at 10 000
-# items, 2.2 against 1.4 at 2000, 1.3 against 0.9 at 1000, 1.25 both at 340.
-# Whole select_list: -10% at 10 000 items, -5% at 2000, within noise at 1000
-# and below. In runs of 3 (600 items, 200 providers) the expansion is slower,
-# 1.85 against 1.68 us.
-_RUN_MIN_ITEMS = 2048
-
 # Most relevance values that run_interval divides by the forecast in one
 # call: a block of max(_BLOCK_VALUES // I, 1) arrivals' rows of I items is
 # gathered and divided once, instead of one division per arrival (27 rows
@@ -105,18 +93,6 @@ def top_k(scores: np.ndarray, k: int, tiebreak: np.ndarray | None = None) -> np.
     return candidates[order]
 
 
-def price_runs(catalog: Catalog) -> np.ndarray | None:
-    """``select_list``'s ``runs`` for ``catalog``: its inventory, or None to gather.
-
-    The prices are expanded over provider runs when the catalog is listed by
-    provider and has at least ``_RUN_MIN_ITEMS`` items; every other catalog
-    gathers them item by item.
-    """
-    if catalog.by_provider and catalog.num_items >= _RUN_MIN_ITEMS:
-        return catalog.inventory
-    return None
-
-
 def select_list(scores: np.ndarray, relevance: np.ndarray, mu: np.ndarray,
                 item_provider: np.ndarray, k: int, runs: np.ndarray | None = None) -> np.ndarray:
     """Top-K item ids by price-adjusted score scores - mu[item_provider].
@@ -135,9 +111,8 @@ def select_list(scores: np.ndarray, relevance: np.ndarray, mu: np.ndarray,
     relevance as tie-break.
 
     ``runs``, when given, is one run length per provider of a nondecreasing
-    ``item_provider`` (``price_runs`` of its catalog). The item prices are
-    then ``mu.repeat(runs)``, the same bytes as the gather, built faster on a
-    wide catalog.
+    ``item_provider``, its catalog's inventory. The item prices are then
+    ``mu.repeat(runs)``, the same bytes as the gather ``mu.take(item_provider)``.
     """
     scores = np.asarray(scores, dtype=float)
     if runs is None:
@@ -197,7 +172,8 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
     with ``relevance[rows[t]]``.
 
     The rows are divided by ``rhat_n`` a block at a time (``_BLOCK_VALUES``)
-    and each arrival's row of the quotient goes to ``select_list``.
+    and each arrival's row of the quotient goes to ``select_list``, with
+    the catalog's inventory as ``runs`` when it is listed by provider.
     Dual prices start at zero and stay in mu >= -lam. ``lam`` holds the
     violation penalties ``compute_penalties(catalog, cfg.beta_mix)``, which
     depend on nothing else, so a run computes them once for all its
@@ -221,7 +197,7 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
         raise ConfigError(f"need at least {k} items, catalog has {catalog.num_items}")
     gamma = compute_caps(catalog, k, rhat_n)
     nprov, item_provider = catalog.num_providers, catalog.item_provider
-    runs = price_runs(catalog)
+    runs = catalog.inventory if catalog.by_provider else None
     eta = np.full(nprov, float(cfg.eta))
     rhat_n = float(rhat_n)
     per_block = max(_BLOCK_VALUES // catalog.num_items, 1)

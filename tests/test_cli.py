@@ -1,8 +1,11 @@
 """Command line surface: flags, exit codes, output files."""
 
 import json
+import re
+import shlex
 import struct
 import time
+from pathlib import Path
 
 import pytest
 
@@ -267,6 +270,21 @@ def test_eta_that_is_not_a_number_is_refused(tmp_path, capsys, where, eta, code,
     err = capsys.readouterr().err
     assert got == code and message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_readme_synth_example_runs(tmp_path):
+    # README's synth spec, run with the flags of README's synthetic example.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    spec = re.search(r"`--synth` points to a JSON file.*?```json\n(.*?)```", readme, re.S)
+    command = re.search(r"^(bankfair run --synth .*?[^\\])$", readme, re.S | re.M)
+    (tmp_path / "synth.json").write_text(spec.group(1))
+    argv = shlex.split(command.group(1).replace("\\\n", " "))[1:]
+    argv[argv.index("--synth") + 1] = str(tmp_path / "synth.json")
+    argv[argv.index("--out") + 1] = str(tmp_path / "out")
+    assert main(argv) == 0
+    echo = json.loads((tmp_path / "out" / "report.json").read_text())["config_echo"]["synth"]
+    spec = json.loads(spec.group(1))
+    assert {key: echo[key] for key in spec} == spec
 
 
 class TestIngestionErrors:

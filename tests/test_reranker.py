@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from bankfair import reranker
 from bankfair.domain import Catalog
 from bankfair.errors import ConfigError
-from bankfair.reranker import (_BLOCK_VALUES, _RUN_MIN_ITEMS, RerankConfig, compute_caps,
-                               compute_penalties, conjugate_argmax, conjugate_value, dual_step,
-                               price_runs, run_interval, select_list, top_k)
+from bankfair.reranker import (_BLOCK_VALUES, RerankConfig, compute_caps, compute_penalties,
+                               conjugate_argmax, conjugate_value, dual_step, run_interval,
+                               select_list, top_k)
 
 TWO_PROVIDERS = Catalog(np.array([0, 0, 0, 0, 1, 1, 1, 1]))
 # Its penalties under RerankConfig's default beta_mix.
@@ -170,19 +170,23 @@ class TestPriceRuns:
                 select_list(relevance / rhat_n, relevance, mu, item_provider, k, inventory),
                 select_list(relevance / rhat_n, relevance, mu, item_provider, k))
 
-    def test_wide_catalog_listed_by_provider_expands(self):
-        inventory = np.array([1] * 48 + [_RUN_MIN_ITEMS - 48])
-        catalog = Catalog(np.repeat(np.arange(inventory.size), inventory))
-        assert catalog.by_provider and catalog.num_items == _RUN_MIN_ITEMS
-        assert price_runs(catalog) is catalog.inventory
+    @staticmethod
+    def served_runs(catalog, monkeypatch):
+        """The ``runs`` that run_interval passes select_list, one per arrival."""
+        seen = []
 
-    @pytest.mark.parametrize("item_provider", [
-        np.repeat(np.arange(4), [512, 512, 512, _RUN_MIN_ITEMS - 1537]),  # below the crossover
-        np.arange(_RUN_MIN_ITEMS) % 4,  # providers interleaved
-        np.repeat([1, 0, 2, 3], _RUN_MIN_ITEMS // 4),  # one run each, not in provider order
-    ])
-    def test_other_catalogs_gather(self, item_provider):
-        assert price_runs(Catalog(item_provider)) is None
+        def spy(scores, relevance, mu, item_provider, k, runs=None):
+            seen.append(runs)
+            return select_list(scores, relevance, mu, item_provider, k, runs)
+
+        monkeypatch.setattr(reranker, "select_list", spy)
+        block = np.random.default_rng(3).uniform(size=(2, catalog.num_items))
+        lam = compute_penalties(catalog, 0.5)
+        cfg = RerankConfig(list_size=min(5, catalog.num_items), eta=1 / math.sqrt(3.0))
+        run_interval(block, np.array([0, 1, 0]), np.zeros(catalog.num_providers), cfg,
+                     catalog, 3.0, lam)
+        assert len(seen) == 3
+        return seen
 
     def test_catalog_layout(self):
         assert Catalog(np.array([0])).by_provider
@@ -191,21 +195,26 @@ class TestPriceRuns:
         assert not Catalog(np.array([1, 1, 0])).by_provider
 
     def test_serve_loop_passes_the_catalog_runs(self, monkeypatch):
-        seen = []
+        # Every catalog listed by provider expands its prices, whatever its
+        # size: one item, the layouts of replay_log (300 items), long_tail
+        # (580) and wide_catalog (10 000), and one item short of 2048.
+        listed = {1: [1], 300: [10] * 30, 580: [5] * 60 + [2] * 140,
+                  2047: [1] * 47 + [2000], 10_000: [160] * 60 + [10] * 40}
+        for num_items, inventory in listed.items():
+            catalog = Catalog(np.repeat(np.arange(len(inventory)), inventory))
+            assert catalog.by_provider and catalog.num_items == num_items
+            assert all(runs is catalog.inventory
+                       for runs in self.served_runs(catalog, monkeypatch)), num_items
 
-        def spy(scores, relevance, mu, item_provider, k, runs=None):
-            seen.append(runs)
-            return select_list(scores, relevance, mu, item_provider, k, runs)
-
-        monkeypatch.setattr(reranker, "select_list", spy)
-        wide = Catalog(np.repeat(np.arange(8), _RUN_MIN_ITEMS // 8))
-        for catalog, want in ((wide, wide.inventory), (TWO_PROVIDERS, None)):
-            seen.clear()
-            block = np.random.default_rng(3).uniform(size=(2, catalog.num_items))
-            lam = compute_penalties(catalog, 0.5)
-            run_interval(block, np.array([0, 1, 0]), np.zeros(catalog.num_providers),
-                         RerankConfig(list_size=5, eta=1 / math.sqrt(3.0)), catalog, 3.0, lam)
-            assert len(seen) == 3 and all(runs is want for runs in seen)
+    @pytest.mark.parametrize("item_provider", [
+        np.arange(300) % 4,  # providers interleaved
+        np.repeat([1, 0, 2, 3], 512),  # one run each, not in provider order
+        np.repeat([0, 1, 0], 4),  # provider 0 in two runs
+    ])
+    def test_other_catalogs_gather(self, item_provider, monkeypatch):
+        catalog = Catalog(item_provider)
+        assert not catalog.by_provider
+        assert all(runs is None for runs in self.served_runs(catalog, monkeypatch))
 
 
 def conjugate_objective(e, mu, lam, m):
@@ -572,13 +581,13 @@ class TestServeLoopMatchesReference:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bit_identical_on_run_expansion(self, seed):
-        # A catalog at the crossover, listed by provider, on a 0.05 grid of
-        # relevance, floors and steps, so that adjusted scores tie.
+        # A catalog of 2048 items in uneven runs, listed by provider, on a
+        # 0.05 grid of relevance, floors and steps, so that adjusted scores tie.
         rng = np.random.default_rng(seed)
         inventory = rng.integers(1, 40, size=12)
-        inventory[-1] += _RUN_MIN_ITEMS - inventory.sum()
+        inventory[-1] += 2048 - inventory.sum()
         catalog = Catalog(np.repeat(np.arange(inventory.size), inventory))
-        assert price_runs(catalog) is not None
+        assert catalog.by_provider
         block = rng.integers(0, 21, size=(10, catalog.num_items)) / 20.0
         rows = rng.integers(0, 10, size=16)
         floor = rng.integers(0, 20, size=inventory.size).astype(float)
@@ -602,13 +611,17 @@ class TestServeLoopBlocks:
     TestServeLoopMatchesReference, equal inventories give integer caps, so
     the prices stay on the 0.05 grid of the relevance, adjusted scores tie
     across providers, and a score divided otherwise would reorder a list.
+    An interleaved catalog, not listed by provider, gathers its prices.
     """
 
     @staticmethod
-    def serve(num_items, rows, num_rows, seed):
+    def serve(num_items, rows, num_rows, seed, by_provider=True):
         rng = np.random.default_rng(seed)
         nprov = next(p for p in range(3, num_items) if num_items % p == 0)
-        catalog = Catalog(np.repeat(np.arange(nprov), num_items // nprov))
+        per = num_items // nprov
+        catalog = Catalog(np.repeat(np.arange(nprov), per) if by_provider
+                          else np.tile(np.arange(nprov), per))
+        assert catalog.by_provider == by_provider
         block = rng.integers(0, 21, size=(num_rows, num_items)) / 20.0
         floor = rng.integers(0, 8, size=nprov).astype(float)
         cfg = RerankConfig(list_size=5, eta=0.05, beta_mix=0.5)
@@ -618,23 +631,24 @@ class TestServeLoopBlocks:
         want = reference_run_interval(block, rows, floor, cfg, catalog, rhat_n, lam)
         TestServeLoopMatchesReference.assert_same(got, want, catalog)
 
-    # (items, rows per block): a block of many rows, of two, of one at the
-    # width where a block first holds one, at the block's own width and past it.
-    WIDTHS = [(300, 27), (_BLOCK_VALUES // 2, 2), (_BLOCK_VALUES // 2 + 1, 1),
-              (_BLOCK_VALUES, 1), (_BLOCK_VALUES + 1, 1)]
+    # (items, rows per block, listed by provider): a block of many rows, of
+    # two, of one at the width where a block first holds one, at the block's
+    # own width and past it; and a block of many rows of an interleaved catalog.
+    WIDTHS = [(300, 27, True), (_BLOCK_VALUES // 2, 2, True), (_BLOCK_VALUES // 2 + 1, 1, True),
+              (_BLOCK_VALUES, 1, True), (_BLOCK_VALUES + 1, 1, True), (300, 27, False)]
+    IDS = [f"{items}-items" + ("" if listed else "-interleaved") for items, _, listed in WIDTHS]
     # Arrivals in the interval: (blocks, extra) gives blocks * b + extra.
     LENGTHS = {"0": (0, 0), "1": (0, 1), "b-1": (1, -1), "b": (1, 0), "b+1": (1, 1),
                "2b+1": (2, 1)}
 
-    @pytest.mark.parametrize("num_items,per_block", WIDTHS,
-                             ids=[f"{items}-items" for items, _ in WIDTHS])
+    @pytest.mark.parametrize("num_items,per_block,by_provider", WIDTHS, ids=IDS)
     @pytest.mark.parametrize("arrivals", LENGTHS)
-    def test_interval_lengths_at_block_edges(self, num_items, per_block, arrivals):
+    def test_interval_lengths_at_block_edges(self, num_items, per_block, by_provider, arrivals):
         assert max(_BLOCK_VALUES // num_items, 1) == per_block
         blocks, extra = self.LENGTHS[arrivals]
         n = blocks * per_block + extra
         rows = np.random.default_rng(n).integers(0, 4, size=n)  # rows repeat across blocks
-        self.serve(num_items, rows, 4, seed=num_items + n)
+        self.serve(num_items, rows, 4, seed=num_items + n, by_provider=by_provider)
 
     @pytest.mark.parametrize("half", [1, _BLOCK_VALUES // 2 + 1])
     def test_rows_are_divided_by_the_forecast(self, half):
@@ -653,8 +667,7 @@ class TestServeLoopBlocks:
         assert 0.05 * (1 / 7) - mu0 > 0.4 * (1 / 7) - mu1
         assert lists.ravel().tolist() == [half, half, 0, half]
 
-    @pytest.mark.parametrize("num_items,per_block", WIDTHS[:2],
-                             ids=[f"{items}-items" for items, _ in WIDTHS[:2]])
-    def test_one_row_repeated_inside_a_block(self, num_items, per_block):
+    @pytest.mark.parametrize("num_items,per_block,by_provider", WIDTHS[:2], ids=IDS[:2])
+    def test_one_row_repeated_inside_a_block(self, num_items, per_block, by_provider):
         rows = np.array([2] * per_block + [0, 2, 1] + [2] * (per_block - 1))
         self.serve(num_items, rows, 3, seed=7)

@@ -126,6 +126,31 @@ def test_run_benchmark_refuses_no_seeds(tmp_path, seeds):
     assert not (tmp_path / "bench.csv").exists()
 
 
+def test_run_benchmark_names_a_failed_run(tmp_path, monkeypatch):
+    # A failed run stops the script with its rule and seed, before any CSV
+    # or a table of means over empty cells.
+    from bankfair import harness
+
+    real_run = harness.run
+
+    def run(cfg):
+        if cfg.rule == "prop" and cfg.seed == 1:
+            raise RuntimeError("no serve today")
+        return real_run(cfg)
+
+    spec = importlib.util.spec_from_file_location("run_benchmark",
+                                                  ROOT / "scripts" / "run_benchmark.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(harness, "run", run)
+    monkeypatch.setattr(sys, "argv", ["run_benchmark.py", "--seeds", "2",
+                                      "--out", str(tmp_path / "bench.csv")])
+    with pytest.raises(SystemExit) as exc:
+        module.main()
+    assert exc.value.code == "run rule=prop seed=1 failed: no serve today"
+    assert not (tmp_path / "bench.csv").exists()
+
+
 def test_toy_two_provider():
     out = python("scripts/toy_two_provider.py")
     assert out.returncode == 0, out.stderr
