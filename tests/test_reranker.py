@@ -194,12 +194,19 @@ class TestPriceRuns:
         assert not Catalog(np.array([0, 1, 0])).by_provider
         assert not Catalog(np.array([1, 1, 0])).by_provider
 
+    def test_wide_catalog_listed_by_provider_expands(self, monkeypatch):
+        # wide_catalog's layout: 10 000 items in 100 uneven provider runs.
+        catalog = Catalog(np.repeat(np.arange(100), [160] * 60 + [10] * 40))
+        assert catalog.by_provider and catalog.num_items == 10_000
+        assert all(runs is catalog.inventory
+                   for runs in self.served_runs(catalog, monkeypatch))
+
     def test_serve_loop_passes_the_catalog_runs(self, monkeypatch):
-        # Every catalog listed by provider expands its prices, whatever its
-        # size: one item, the layouts of replay_log (300 items), long_tail
-        # (580) and wide_catalog (10 000), and one item short of 2048.
+        # Smaller catalogs listed by provider expand their prices too: one
+        # item, the layouts of replay_log (300 items) and long_tail (580), and
+        # one item short of 2048.
         listed = {1: [1], 300: [10] * 30, 580: [5] * 60 + [2] * 140,
-                  2047: [1] * 47 + [2000], 10_000: [160] * 60 + [10] * 40}
+                  2047: [1] * 47 + [2000]}
         for num_items, inventory in listed.items():
             catalog = Catalog(np.repeat(np.arange(len(inventory)), inventory))
             assert catalog.by_provider and catalog.num_items == num_items
