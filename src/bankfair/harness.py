@@ -11,7 +11,6 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -258,7 +257,7 @@ class SweepSpec:
 
     base: RunConfig
     grid: dict[str, list]
-    seeds: Sequence[int]
+    seeds: list[int] | tuple[int, ...] | np.ndarray  # distinct ints >= 0, 1-d
 
     def __post_init__(self):
         if not self.grid:

@@ -4,9 +4,7 @@ the relevance matrix."""
 import csv
 import hashlib
 import mmap
-import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -477,58 +475,6 @@ class TestRelevanceMatrix:
         assert np.array([r.relevance for r in requests]).tobytes() == matrix.tobytes()
         assert made[0].bit_generator.state == state
 
-    # Threads draw an instance's row ranges once it has _WORKER_VALUES values
-    # per usable CPU. With the floor lowered to one 100-item row, each CPU
-    # count below splits these configs into as many ranges.
-    THREADED = {
-        "bands": SynthConfig(num_items=100, num_providers=4, num_intervals=3, traffic=[37, 0, 26],
-                             provider_bands=[(0.2, 0.9), (0.0, 1.0), (0.5, 0.5), (0.0, 0.3)]),
-        "poisson": SynthConfig(num_items=100, num_providers=5, num_intervals=4, mean_traffic=9),
-    }
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-    @pytest.mark.parametrize("name", THREADED)
-    def test_thread_count_changes_no_byte(self, monkeypatch, name, cpus):
-        cfg = self.THREADED[name]
-        made, threads = [], set()
-        real_rng, real_draw = np.random.default_rng, domain._draw_rows
-
-        def draw_rows(*args):
-            threads.add(threading.current_thread())
-            return real_draw(*args)
-
-        monkeypatch.setattr(domain, "_WORKER_VALUES", 100)
-        monkeypatch.setattr(domain, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(domain, "_draw_rows", draw_rows)
-        monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real_rng(s)) or made[-1])
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # threads swap often, mid-range
-        try:
-            _, _, requests = synth_instance(cfg, seed=5)
-        finally:
-            sys.setswitchinterval(interval)
-        monkeypatch.undo()
-        matrix, state = reference_synth(cfg, seed=5)
-        assert len(threads) == cpus
-        assert instance_matrix(requests).tobytes() == matrix.tobytes()
-        assert made[0].bit_generator.state == state
-
-    @pytest.mark.parametrize("rows, ranges", [(5, 1), (6, 2), (11, 3), (63, 4)])
-    def test_each_range_holds_at_least_the_floor(self, monkeypatch, rows, ranges):
-        # A floor of 250 values is 3 rows of 100 items; there are 4 CPUs.
-        sizes, real_draw = [], domain._draw_rows
-
-        def draw_rows(rng, block, *args):
-            sizes.append(block.size)
-            return real_draw(rng, block, *args)
-
-        monkeypatch.setattr(domain, "_WORKER_VALUES", 250)
-        monkeypatch.setattr(domain, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(domain, "_draw_rows", draw_rows)
-        cfg = SynthConfig(num_items=100, num_providers=2, num_intervals=1, traffic=[rows])
-        synth_instance(cfg, seed=1)
-        assert len(sizes) == ranges and min(sizes) >= 250 and sum(sizes) == rows * 100
-
     def test_rows_drawn_alone_by_jump_ahead_are_the_blocks(self):
         # Row r is random(num_items), scaled by the bands, from the generator
         # after the counts draw advanced by r * num_items doubles.
@@ -545,28 +491,6 @@ class TestRelevanceMatrix:
             u = np.random.Generator(bits).random(cfg.num_items)
             alone = u * (bands[:, 1] - bands[:, 0]) + bands[:, 0]
             assert alone.tobytes() == matrix[row].tobytes()
-
-    @pytest.mark.parametrize("failing", ["thread", "caller"])
-    def test_error_in_a_range_reaches_the_caller_after_every_thread_ends(self, monkeypatch,
-                                                                         failing):
-        cfg = self.THREADED["bands"]
-        before, seen = set(threading.enumerate()), set()
-        real_draw = domain._draw_rows
-
-        def draw_rows(*args):
-            seen.add(threading.current_thread())
-            if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
-                raise RuntimeError(f"draw failed in the {failing}")
-            return real_draw(*args)
-
-        monkeypatch.setattr(domain, "_WORKER_VALUES", 100)
-        monkeypatch.setattr(domain, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(domain, "_draw_rows", draw_rows)
-        with pytest.raises(RuntimeError, match=f"draw failed in the {failing}"):
-            synth_instance(cfg, seed=5)
-        assert len(seen) == 3
-        assert not any(thread.is_alive() for thread in seen - {threading.main_thread()})
-        assert set(threading.enumerate()) == before
 
     def test_matrix_without_huge_page_advice_is_the_same(self, monkeypatch):
         # Where mmap cannot advise huge pages the matrix is numpy's own.

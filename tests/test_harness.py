@@ -495,18 +495,15 @@ class TestRun:
         assert peak(0.05) - peak(0.0) < 1.5 * block
 
     def test_no_thread_outlives_a_run(self, monkeypatch):
-        # A synthetic instance of at least _WORKER_VALUES values per range is
-        # drawn by threads. Every one of them ends inside the build: a thread
-        # alive while intervals are planned and served would compete with
-        # the serve loop for the interpreter, and the benchmark's clock,
-        # calibrated at each plan_interval and run_interval entry, would
-        # read the wrong speed.
-        drawers, at_entry = set(), []
-        draw_rows = domain._draw_rows
-
-        def drawing(*args):
-            drawers.add(threading.current_thread())
-            return draw_rows(*args)
+        # No thread started by a run is alive while intervals are planned and
+        # served: it would compete with the serve loop for the interpreter,
+        # and the benchmark's clock, calibrated at each plan_interval and
+        # run_interval entry, would read the wrong speed. The instance holds
+        # 2**21 relevance values, so a build that drew a large matrix on
+        # threads of a pool left running would show here.
+        synth = SynthConfig(num_items=4096, num_providers=4, num_intervals=2,
+                            traffic=[256, 256], list_size=5)
+        at_entry = []
 
         def entry(fn):
             def call(*args, **kwargs):
@@ -514,18 +511,14 @@ class TestRun:
                 return fn(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(domain, "_WORKER_VALUES", 100)
-        monkeypatch.setattr(domain, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(domain, "_draw_rows", drawing)
         monkeypatch.setattr(bankruptcy, "plan_interval", entry(bankruptcy.plan_interval))
         monkeypatch.setattr(reranker, "run_interval", entry(reranker.run_interval))
         before = set(threading.enumerate())
-        rep = run(small_config())
-        assert len(drawers) == 3
+        rep = run(small_config(synth=synth))
+        assert sum(rep.per_interval_traffic) * synth.num_items == 2**21
         assert len(at_entry) == 2 * len(rep.per_interval_traffic)
         assert all(threads == before for threads in at_entry)
         assert set(threading.enumerate()) == before
-
 
 OUTPUT_FILES = ("report.json", "decisions.csv", "allocations.csv", "intervals.csv")
 FORECASTERS = [("oracle", {}), ("moving_average", {}), ("moving_average", {"w": 1}),
@@ -714,6 +707,18 @@ class TestSweep:
             SweepSpec(base, {"nope": [1]}, seeds=[0])
         with pytest.raises(ConfigError):
             SweepSpec(base, {"k": [1.5]}, seeds=[0, 0])
+
+    def test_seeds_are_a_list_tuple_or_array(self):
+        # A range is refused as a config error naming seeds: every list
+        # field takes the same three types.
+        base = small_config()
+        for seeds in ([0, 1], (0, 1), np.arange(2)):
+            SweepSpec(base, {"k": [1.5]}, seeds=seeds)
+        with pytest.raises(ConfigError,
+                           match=r"^seeds must be a nonempty list, got range\(0, 2\)$"):
+            SweepSpec(base, {"k": [1.5]}, seeds=range(2))
+        with pytest.raises(ConfigError, match="^seeds must be"):
+            SweepSpec(base, {"k": [1.5]}, seeds=np.zeros((1, 2), dtype=int))
 
     def test_writes_outputs(self, tmp_path):
         result = sweep(SweepSpec(small_config(), {"k": [1.5]}, seeds=[0]))

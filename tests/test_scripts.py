@@ -30,6 +30,13 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_import_loads_no_scipy():
     # scipy.stats costs about a second to import and no run needs it; it is
     # loaded only inside the functions that do.
@@ -138,10 +145,7 @@ def test_run_benchmark_names_a_failed_run(tmp_path, monkeypatch):
             raise RuntimeError("no serve today")
         return real_run(cfg)
 
-    spec = importlib.util.spec_from_file_location("run_benchmark",
-                                                  ROOT / "scripts" / "run_benchmark.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script("run_benchmark")
     monkeypatch.setattr(harness, "run", run)
     monkeypatch.setattr(sys, "argv", ["run_benchmark.py", "--seeds", "2",
                                       "--out", str(tmp_path / "bench.csv")])
@@ -157,6 +161,50 @@ def test_toy_two_provider():
     lines = out.stdout.splitlines()
     assert lines[0].startswith("3 users: feasible region 73.3%")
     assert lines[1].startswith("2 users: feasible region 60.0%")
+
+
+def test_ab_on_one_checkout_twice():
+    # Both sides are this checkout, so every pair's outputs are equal.
+    out = python("scripts/ab.py", ROOT, ROOT, "--workload", "long_tail", "--seeds", "5",
+                 "--pairs", "1", "--seconds", "0.2")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert re.fullmatch(r"long_tail: 1 pairs at seeds 5, --seconds 0\.2, \d+ usable CPUs",
+                        lines[0])
+    assert lines[1].split() == ["metric", "parent", "median", "[q1,", "q3]",
+                                "change", "median", "[q1,", "q3]", "wins", "p"]
+    number = r"[0-9.e+-]+"
+    cell = rf"{number} \[{number}, {number}\]"
+    for line, name in zip(lines[2:5], ("run_s", "users_per_s", "peak_rss_mb")):
+        assert re.fullmatch(rf"  {name} +{cell} +{cell} +[01]/1 +1\.000", line), line
+    assert lines[5:] == ["  report_sha256 equal in 1/1 pairs; NDCG/Vio/ESP equal in 1/1 pairs"]
+
+
+def test_ab_alternates_sides_and_fails_when_a_pair_differs(tmp_path, monkeypatch, capsys):
+    ab = load_script("ab")
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").touch()
+    calls = []
+
+    def bench(tree, workload, seed, seconds):
+        calls.append((tree.name, seed))
+        return {"run_s": 1.0, "users_per_s": 2.0, "peak_rss_mb": 3.0, "ndcg_at_k": 0.5,
+                "vio_at_k": 0.1, "esp_at_k": 0.9, "report_sha256": str(len(calls) == 4)}
+
+    monkeypatch.setattr(ab, "bench", bench)
+    assert ab.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+                    "long_tail", "--seeds", "1", "2", "--pairs", "1", "--seconds", "0.1"]) == 1
+    assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
+    out = capsys.readouterr().out
+    assert "report_sha256 equal in 1/2 pairs; NDCG/Vio/ESP equal in 2/2 pairs" in out
+
+
+def test_ab_sign_test():
+    ab = load_script("ab")
+    assert ab.sign_test(6, 0) == ab.sign_test(0, 6) == 2 / 64
+    assert ab.sign_test(3, 3) == ab.sign_test(0, 0) == 1.0
+    assert ab.sign_test(9, 1) == 2 * 11 / 1024
 
 
 def test_output_hashes(tmp_path):
