@@ -21,7 +21,7 @@ import mmap
 import os
 import struct
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 from typing import Sequence
@@ -82,21 +82,29 @@ def _relevance_matrix(num_users: int, num_items: int) -> np.ndarray:
 class Catalog:
     """Immutable item universe: the provider owning each item.
 
-    ``item_provider[i]`` is the provider index of item ``i``. Providers are
-    numbered from 0 and each owns at least one item, so there are never more
-    providers than items. A catalog is ``by_provider`` when its items are
-    listed by provider: ``item_provider`` is nondecreasing, so provider p's
-    items are one run of ``inventory[p]`` items, in provider order. Every
-    synthetic catalog is, and so is a loaded one whose catalog file lists its
-    items by ascending provider id.
+    ``item_provider[i]`` is the integer provider index of item ``i``.
+    Providers are numbered from 0 and each owns at least one item, so there
+    are never more providers than items. A catalog is ``by_provider`` when
+    its items are listed by provider: ``item_provider`` is nondecreasing, so
+    provider p's items are one run of ``inventory[p]`` items, in provider
+    order. Every synthetic catalog is, and so is a loaded one whose catalog
+    file lists its items by ascending provider id. ``item_prices`` is the
+    one place that layout picks how item prices are built.
     """
 
     item_provider: np.ndarray
+    num_items: int = field(init=False)
+    num_providers: int = field(init=False)
+    inventory: np.ndarray = field(init=False)  # items per provider; sums to num_items
+    by_provider: bool = field(init=False)
 
     def __post_init__(self):
-        ip = np.asarray(self.item_provider, dtype=np.int64)
+        ip = np.asarray(self.item_provider)
         if ip.ndim != 1 or ip.size == 0:
             raise ConfigError("catalog needs a 1-d, nonempty item->provider map")
+        if ip.dtype.kind not in "iu":
+            raise ConfigError(f"item->provider map must be integers, got dtype {ip.dtype}")
+        ip = ip.astype(np.int64)
         if ip.min() < 0:
             raise ConfigError("provider index out of range")
         # Clipped at the item count, a stray huge index cannot size the
@@ -106,26 +114,24 @@ class Catalog:
         if idle.size:
             raise ConfigError(f"provider {idle[0]} owns no item")
         object.__setattr__(self, "item_provider", _readonly(ip))
-        object.__setattr__(self, "_inventory", _readonly(inv))
-        object.__setattr__(self, "_by_provider", bool((ip[1:] >= ip[:-1]).all()))
+        object.__setattr__(self, "num_items", int(ip.size))
+        object.__setattr__(self, "num_providers", int(inv.size))
+        object.__setattr__(self, "inventory", _readonly(inv))
+        object.__setattr__(self, "by_provider", bool((ip[1:] >= ip[:-1]).all()))
 
-    @property
-    def num_providers(self) -> int:
-        return int(self._inventory.size)
+    def item_prices(self, mu: np.ndarray) -> np.ndarray:
+        """Each item's provider price from ``mu``, an array of one price per provider.
 
-    @property
-    def num_items(self) -> int:
-        return int(self.item_provider.size)
-
-    @property
-    def inventory(self) -> np.ndarray:
-        """Items per provider; sums to num_items."""
-        return self._inventory
-
-    @property
-    def by_provider(self) -> bool:
-        """True when each provider's items form one run, in provider order."""
-        return self._by_provider
+        A catalog listed by provider expands the prices over its runs,
+        ``mu.repeat(inventory)``; any other gathers one per item,
+        ``mu.take(item_provider)``. Both give the same bytes, signed zeros
+        included. The result is a new array.
+        """
+        if len(mu) != self.num_providers:
+            raise ConfigError(f"{len(mu)} prices for {self.num_providers} providers")
+        if self.by_provider:
+            return mu.repeat(self.inventory)
+        return mu.take(self.item_provider)
 
 
 @dataclass(frozen=True)

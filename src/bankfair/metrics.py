@@ -108,6 +108,8 @@ def esp_at_k(cumulative_exposure: np.ndarray, required: np.ndarray) -> float:
     required = np.asarray(required, dtype=float)
     if exposure.shape != required.shape:
         raise ConfigError("exposure and requirement vectors must align")
+    if exposure.size == 0:
+        raise ValueError("no providers")
     return float(np.count_nonzero(exposure >= required) / exposure.size)
 
 

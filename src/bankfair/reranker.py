@@ -83,6 +83,8 @@ def top_k(scores: np.ndarray, k: int, tiebreak: np.ndarray | None = None) -> np.
         raise ConfigError(f"tiebreak shape {tiebreak.shape} differs from scores {scores.shape}")
     part = scores.copy()
     try:
+        if isinstance(k, bool):  # numpy would take True as 1
+            raise TypeError
         part.partition(n - k)
     except (TypeError, ValueError):  # k not an int, or k <= 0 putting kth past the end
         raise ConfigError(f"k must be an int >= 1, got {k!r}") from None
@@ -94,38 +96,24 @@ def top_k(scores: np.ndarray, k: int, tiebreak: np.ndarray | None = None) -> np.
 
 
 def select_list(scores: np.ndarray, relevance: np.ndarray, mu: np.ndarray,
-                item_provider: np.ndarray, k: int, runs: np.ndarray | None = None) -> np.ndarray:
-    """Top-K item ids by price-adjusted score scores - mu[item_provider].
+                catalog: Catalog, k: int) -> np.ndarray:
+    """Top-K item ids by price-adjusted score scores - catalog.item_prices(mu).
 
     ``scores`` are an arrival's traffic-scaled scores, its relevance row
     divided by the interval's traffic forecast, ``relevance / rhat_n``, and
     ``relevance`` is that raw row, which breaks ties. ``run_interval``
     divides a block of arrivals' rows at once and passes one row of each.
-    ``mu`` holds one dual price per provider and ``item_provider`` the
-    provider index of each item, a catalog's map. An entry past the prices is
-    a ConfigError; a negative one, which wraps, is not checked, since that
-    would cost a pass per arrival. Ties break toward higher raw relevance,
-    then the lower item id, which makes replays deterministic. The greedy prefix
-    of this ordering is the exact maximizer of the summed adjusted score over
-    all K-subsets. The list is ``top_k`` of the adjusted scores with the
-    relevance as tie-break.
-
-    ``runs``, when given, is one run length per provider of a nondecreasing
-    ``item_provider``, its catalog's inventory. The item prices are then
-    ``mu.repeat(runs)``, the same bytes as the gather ``mu.take(item_provider)``.
+    ``mu`` holds one dual price per provider of ``catalog``, whose layout
+    picks how the item prices are built. Ties break toward higher raw
+    relevance, then the lower item id, which makes replays deterministic.
+    The greedy prefix of this ordering is the exact maximizer of the summed
+    adjusted score over all K-subsets. The list is ``top_k`` of the adjusted
+    scores with the relevance as tie-break.
     """
     scores = np.asarray(scores, dtype=float)
-    if runs is None:
-        try:
-            prices = mu.take(item_provider)
-        except IndexError:
-            raise ConfigError(f"item_provider entry past the {len(mu)} prices") from None
-    elif len(runs) != len(mu):
-        raise ConfigError(f"{len(runs)} provider runs for {len(mu)} prices")
-    else:
-        prices = mu.repeat(runs)
-    if prices.size != scores.size:
-        raise ConfigError(f"{prices.size} item prices for {scores.size} relevance scores")
+    if scores.size != catalog.num_items:
+        raise ConfigError(f"{scores.size} relevance scores for {catalog.num_items} items")
+    prices = catalog.item_prices(mu)
     return top_k(np.subtract(scores, prices, out=prices), k, relevance)
 
 
@@ -172,8 +160,7 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
     with ``relevance[rows[t]]``.
 
     The rows are divided by ``rhat_n`` a block at a time (``_BLOCK_VALUES``)
-    and each arrival's row of the quotient goes to ``select_list``, with
-    the catalog's inventory as ``runs`` when it is listed by provider.
+    and each arrival's row of the quotient goes to ``select_list``.
     Dual prices start at zero and stay in mu >= -lam. ``lam`` holds the
     violation penalties ``compute_penalties(catalog, cfg.beta_mix)``, which
     depend on nothing else, so a run computes them once for all its
@@ -197,7 +184,6 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
         raise ConfigError(f"need at least {k} items, catalog has {catalog.num_items}")
     gamma = compute_caps(catalog, k, rhat_n)
     nprov, item_provider = catalog.num_providers, catalog.item_provider
-    runs = catalog.inventory if catalog.by_provider else None
     eta = np.full(nprov, float(cfg.eta))
     rhat_n = float(rhat_n)
     per_block = max(_BLOCK_VALUES // catalog.num_items, 1)
@@ -228,7 +214,7 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
                 raw = relevance[row, None]  # a (1, I) view of the row
             scaled = raw / rhat_n
         mu = prices[t]
-        items = select_list(scaled[j], raw[j], mu, item_provider, k, runs)
+        items = select_list(scaled[j], raw[j], mu, catalog, k)
         lists[t] = items
         exposure = np.bincount(item_provider[items], ones, nprov)
         earned += exposure

@@ -33,6 +33,12 @@ class TestCatalog:
             Catalog(np.array([], dtype=int))
         with pytest.raises(ConfigError):
             Catalog(np.array([0, -1]))
+        # The int64 cast would truncate 0.5 and 1.7 to providers 0 and 1.
+        with pytest.raises(ConfigError, match="^item->provider map must be integers, "
+                                              "got dtype float64$"):
+            Catalog(np.array([0.5, 1.7]))
+        with pytest.raises(ConfigError, match="got dtype bool$"):
+            Catalog(np.array([True, False]))
 
     @pytest.mark.parametrize("item_provider,idle", [([0, 2], 1), ([1, 1], 0), ([0, 10**15], 1)])
     def test_rejects_a_provider_without_items(self, item_provider, idle):

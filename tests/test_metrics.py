@@ -262,6 +262,10 @@ class TestEsp:
         with pytest.raises(ConfigError, match="^exposure and requirement vectors must align$"):
             esp_at_k([1, 2, 3], [1, 2])
 
+    def test_no_providers(self):
+        with pytest.raises(ValueError, match="^no providers$"):
+            esp_at_k([], [])
+
     def test_monotone_in_exposure(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

@@ -54,13 +54,13 @@ class TestSelectList:
         rng = np.random.default_rng(0)
         for _ in range(20):
             rel = rng.uniform(size=8)
-            got = select_list(rel / 3.0, rel, np.zeros(2), TWO_PROVIDERS.item_provider, k=5)
+            got = select_list(rel / 3.0, rel, np.zeros(2), TWO_PROVIDERS, k=5)
             np.testing.assert_array_equal(got, top_k(rel, 5))
 
     def test_price_flips_choice(self):
         cat = Catalog(np.array([0, 1]))
         rel = np.array([0.9, 0.8])
-        got = select_list(rel / 1.0, rel, np.array([0.5, 0.0]), cat.item_provider, k=1)
+        got = select_list(rel / 1.0, rel, np.array([0.5, 0.0]), cat, k=1)
         np.testing.assert_array_equal(got, [1])
 
     def test_tie_breaking_prefers_higher_raw_relevance_then_lower_id(self):
@@ -71,7 +71,7 @@ class TestSelectList:
         mu = np.array([-0.4, 0.0])
         adjusted = rel / 1.0 - mu[cat.item_provider]
         assert adjusted[0] == adjusted[1] == adjusted[2]
-        got = select_list(rel / 1.0, rel, mu, cat.item_provider, k=2)
+        got = select_list(rel / 1.0, rel, mu, cat, k=2)
         np.testing.assert_array_equal(got, [2, 0])
 
     def test_adjusted_score_divides_by_forecast(self):
@@ -82,11 +82,11 @@ class TestSelectList:
         mu = np.array([0.0, 0.05])
         assert rel[0] / 7.0 == rel[1] / 7.0 - mu[1]
         assert rel[0] * (1.0 / 7.0) > rel[1] * (1.0 / 7.0) - mu[1]
-        np.testing.assert_array_equal(select_list(rel / 7.0, rel, mu, cat.item_provider, 1), [1])
+        np.testing.assert_array_equal(select_list(rel / 7.0, rel, mu, cat, 1), [1])
 
     def test_needs_at_least_k_items(self):
         with pytest.raises(ConfigError, match="^need at least 4 items, catalog has 3$"):
-            select_list(np.ones(3), np.ones(3), np.zeros(1), np.zeros(3, int), 4)
+            select_list(np.ones(3), np.ones(3), np.zeros(1), Catalog(np.zeros(3, int)), 4)
         with pytest.raises(ConfigError, match="^need at least 4 items, catalog has 3$"):
             top_k(np.ones(3), 4)
 
@@ -105,22 +105,18 @@ class TestSelectList:
 
     def test_rejects_item_provider_of_another_length(self):
         for size in (1, 3, 5):
-            with pytest.raises(ConfigError, match=f"^{size} item prices for 4 relevance scores$"):
-                select_list(np.ones(4), np.ones(4), np.zeros(1), np.zeros(size, int), 2)
+            with pytest.raises(ConfigError, match=f"^4 relevance scores for {size} items$"):
+                select_list(np.ones(4), np.ones(4), np.zeros(1), Catalog(np.zeros(size, int)), 2)
 
-    def test_rejects_provider_past_the_prices(self):
-        # Entries 2 and 5 name providers past the two prices; take would
-        # raise its IndexError.
-        for providers in ([0, 1, 2, 1], [5, 0, 0, 0]):
-            with pytest.raises(ConfigError, match="^item_provider entry past the 2 prices$"):
-                select_list(np.ones(4), np.ones(4), np.zeros(2), np.array(providers), 2)
-
-    def test_rejects_runs_that_do_not_fit(self):
-        rel, providers = np.ones(4), np.array([0, 0, 1, 1])
-        with pytest.raises(ConfigError, match="^3 provider runs for 2 prices$"):
-            select_list(rel, rel, np.zeros(2), providers, 2, np.array([2, 1, 1]))
-        with pytest.raises(ConfigError, match="^3 item prices for 4 relevance scores$"):
-            select_list(rel, rel, np.zeros(2), providers, 2, np.array([2, 1]))
+    @pytest.mark.parametrize("item_provider", [[0, 0, 1, 1], [0, 1, 0, 1]])
+    def test_rejects_prices_of_another_length(self, item_provider):
+        # Listed by provider or not, the catalog takes one price per provider.
+        catalog = Catalog(np.array(item_provider))
+        for mu in (np.zeros(1), np.zeros(3)):
+            with pytest.raises(ConfigError, match=f"^{mu.size} prices for 2 providers$"):
+                catalog.item_prices(mu)
+            with pytest.raises(ConfigError, match=f"^{mu.size} prices for 2 providers$"):
+                select_list(np.ones(4), np.ones(4), mu, catalog, 2)
 
     def test_monotone_pressure(self):
         # Raising one provider's price never adds items of that provider.
@@ -129,10 +125,10 @@ class TestSelectList:
             rel = rng.uniform(size=8)
             mu0 = rng.uniform(-1.0, 1.0, size=2)
             bump = rng.uniform(0.0, 1.0)
-            before = select_list(rel / 2.0, rel, mu0, TWO_PROVIDERS.item_provider, 5)
+            before = select_list(rel / 2.0, rel, mu0, TWO_PROVIDERS, 5)
             after_mu = mu0.copy()
             after_mu[0] += bump
-            after = select_list(rel / 2.0, rel, after_mu, TWO_PROVIDERS.item_provider, 5)
+            after = select_list(rel / 2.0, rel, after_mu, TWO_PROVIDERS, 5)
             count = lambda items: int((TWO_PROVIDERS.item_provider[items] == 0).sum())
             assert count(after) <= count(before)
 
@@ -155,6 +151,18 @@ def listed_by_provider(draw):
     return inventory, item_provider, mu, relevance
 
 
+class PriceSpy(np.ndarray):
+    """Prices that record which of ``repeat`` and ``take`` built the item prices."""
+
+    def repeat(self, *args, **kwargs):
+        self.calls.append("repeat")
+        return np.asarray(self).repeat(*args, **kwargs)
+
+    def take(self, *args, **kwargs):
+        self.calls.append("take")
+        return np.asarray(self).take(*args, **kwargs)
+
+
 class TestPriceRuns:
     """The run expansion of the prices against the per-item gather."""
 
@@ -164,29 +172,42 @@ class TestPriceRuns:
     @settings(max_examples=300, deadline=None)
     def test_run_expansion_matches_gather(self, inst, rhat_n):
         inventory, item_provider, mu, relevance = inst
-        assert mu.repeat(inventory).tobytes() == mu.take(item_provider).tobytes()
+        catalog = Catalog(item_provider)
+        assert catalog.by_provider and catalog.inventory.tolist() == inventory.tolist()
+        assert catalog.item_prices(mu).tobytes() == mu.take(item_provider).tobytes()
+        scores = relevance / rhat_n
         for k in sorted({1, (item_provider.size + 1) // 2, item_provider.size}):
-            np.testing.assert_array_equal(
-                select_list(relevance / rhat_n, relevance, mu, item_provider, k, inventory),
-                select_list(relevance / rhat_n, relevance, mu, item_provider, k))
+            np.testing.assert_array_equal(select_list(scores, relevance, mu, catalog, k),
+                                          top_k(scores - mu.take(item_provider), k, relevance))
 
     @staticmethod
-    def served_runs(catalog, monkeypatch):
-        """The ``runs`` that run_interval passes select_list, one per arrival."""
+    def price_path(catalog):
+        """The calls on ``mu`` that build the catalog's item prices."""
+        mu = np.linspace(-1.0, 1.0, catalog.num_providers).view(PriceSpy)
+        mu.calls = []
+        prices = catalog.item_prices(mu)
+        assert prices.tobytes() == np.asarray(mu).take(catalog.item_provider).tobytes()
+        return mu.calls
+
+    @staticmethod
+    def assert_served_through_the_catalog(catalog):
+        """run_interval builds every arrival's item prices with catalog.item_prices."""
         seen = []
+        item_prices = Catalog.item_prices
 
-        def spy(scores, relevance, mu, item_provider, k, runs=None):
-            seen.append(runs)
-            return select_list(scores, relevance, mu, item_provider, k, runs)
+        def spy(self, mu):
+            assert self is catalog
+            seen.append(mu.copy())
+            return item_prices(self, mu)
 
-        monkeypatch.setattr(reranker, "select_list", spy)
         block = np.random.default_rng(3).uniform(size=(2, catalog.num_items))
         lam = compute_penalties(catalog, 0.5)
         cfg = RerankConfig(list_size=min(5, catalog.num_items), eta=1 / math.sqrt(3.0))
-        run_interval(block, np.array([0, 1, 0]), np.zeros(catalog.num_providers), cfg,
-                     catalog, 3.0, lam)
-        assert len(seen) == 3
-        return seen
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(Catalog, "item_prices", spy)
+            _, _, prices = run_interval(block, np.array([0, 1, 0]),
+                                        np.zeros(catalog.num_providers), cfg, catalog, 3.0, lam)
+        assert len(seen) == 3 and np.array(seen).tobytes() == prices.tobytes()
 
     def test_catalog_layout(self):
         assert Catalog(np.array([0])).by_provider
@@ -194,34 +215,35 @@ class TestPriceRuns:
         assert not Catalog(np.array([0, 1, 0])).by_provider
         assert not Catalog(np.array([1, 1, 0])).by_provider
 
-    def test_wide_catalog_listed_by_provider_expands(self, monkeypatch):
+    def test_wide_catalog_listed_by_provider_expands(self):
         # wide_catalog's layout: 10 000 items in 100 uneven provider runs.
         catalog = Catalog(np.repeat(np.arange(100), [160] * 60 + [10] * 40))
         assert catalog.by_provider and catalog.num_items == 10_000
-        assert all(runs is catalog.inventory
-                   for runs in self.served_runs(catalog, monkeypatch))
+        assert self.price_path(catalog) == ["repeat"]
+        self.assert_served_through_the_catalog(catalog)
 
-    def test_serve_loop_passes_the_catalog_runs(self, monkeypatch):
+    def test_serve_loop_passes_the_catalog_runs(self):
         # Smaller catalogs listed by provider expand their prices too: one
         # item, the layouts of replay_log (300 items) and long_tail (580), and
-        # one item short of 2048.
+        # 2047 items in 47 one-item runs and one of 2000.
         listed = {1: [1], 300: [10] * 30, 580: [5] * 60 + [2] * 140,
                   2047: [1] * 47 + [2000]}
         for num_items, inventory in listed.items():
             catalog = Catalog(np.repeat(np.arange(len(inventory)), inventory))
             assert catalog.by_provider and catalog.num_items == num_items
-            assert all(runs is catalog.inventory
-                       for runs in self.served_runs(catalog, monkeypatch)), num_items
+            assert self.price_path(catalog) == ["repeat"], num_items
+            self.assert_served_through_the_catalog(catalog)
 
     @pytest.mark.parametrize("item_provider", [
         np.arange(300) % 4,  # providers interleaved
         np.repeat([1, 0, 2, 3], 512),  # one run each, not in provider order
         np.repeat([0, 1, 0], 4),  # provider 0 in two runs
     ])
-    def test_other_catalogs_gather(self, item_provider, monkeypatch):
+    def test_other_catalogs_gather(self, item_provider):
         catalog = Catalog(item_provider)
         assert not catalog.by_provider
-        assert all(runs is None for runs in self.served_runs(catalog, monkeypatch))
+        assert self.price_path(catalog) == ["take"]
+        self.assert_served_through_the_catalog(catalog)
 
 
 def conjugate_objective(e, mu, lam, m):
@@ -485,8 +507,9 @@ class TestTopKKernel:
                            match=r"^tiebreak shape \(3, 1\) differs from scores \(3,\)$"):
             top_k([1.0, 2.0, 3.0], 2, np.zeros((3, 1)))
 
-    # numpy's partition would refuse kth 3 or 4 of 3 scores, or a float kth.
-    @pytest.mark.parametrize("k", [0, -1, 2.5])
+    # numpy's partition would refuse kth 3 or 4 of 3 scores, or a float kth;
+    # it would take True as 1.
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True])
     def test_rejects_k_that_is_not_a_positive_int(self, k):
         with pytest.raises(ConfigError, match=f"^k must be an int >= 1, got {k}$"):
             top_k([1.0, 2.0, 3.0], k)
@@ -521,7 +544,7 @@ class TestTopKKernel:
         for _ in range(100):
             rel = rng.integers(0, 5, size=30) / 4.0
             mu = rng.integers(-2, 3, size=3) / 4.0
-            got = select_list(rel / 2.0, rel, mu, cat.item_provider, 6)
+            got = select_list(rel / 2.0, rel, mu, cat, 6)
             want = lexsort_order(rel / 2.0 - mu[cat.item_provider], rel, 6)
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(top_k(rel, 6), reference_top_k(rel, 6))
@@ -588,8 +611,9 @@ class TestServeLoopMatchesReference:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bit_identical_on_run_expansion(self, seed):
-        # A catalog of 2048 items in uneven runs, listed by provider, on a
-        # 0.05 grid of relevance, floors and steps, so that adjusted scores tie.
+        # A catalog listed by provider, whose prices are expanded over its
+        # runs: 2048 items in 12 uneven runs, the last holding the rest.
+        # Relevance, floors and steps sit on a 0.05 grid, so adjusted scores tie.
         rng = np.random.default_rng(seed)
         inventory = rng.integers(1, 40, size=12)
         inventory[-1] += 2048 - inventory.sum()
