@@ -7,10 +7,10 @@
 ``bench/run.py --trace 0`` runs from each checkout ``--pairs`` times at each
 of ``--seeds``, one run at a time: two benches sharing a host's CPUs would
 measure each other. The sides alternate which runs first, so each is first
-in half of the pairs. For run_s, users_per_s and peak_rss_mb the script
-prints each side's median and quartiles, the pairs the change wins (ties
-count for neither) and a two-sided sign-test p-value over the pairs that
-are not ties, with the usable CPUs. It exits 1 when ``report_sha256`` or
+in half of the pairs. For run_s, users_per_s, setup_s and peak_rss_mb the
+script prints each side's median and quartiles, the pairs the change wins
+(ties count for neither) and a two-sided sign-test p-value over the pairs
+that are not ties, with the usable CPUs. It exits 1 when ``report_sha256`` or
 NDCG/Vio/ESP differ in any pair, and when a run fails.
 """
 
@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 # (metric, True when higher is better)
-TIMED = (("run_s", False), ("users_per_s", True), ("peak_rss_mb", False))
+TIMED = (("run_s", False), ("users_per_s", True), ("setup_s", False), ("peak_rss_mb", False))
 OUTPUTS = ("ndcg_at_k", "vio_at_k", "esp_at_k")
 
 

@@ -133,7 +133,9 @@ def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
                 interval, over.size, total_claims, over.tolist())
         estate = np.minimum(remaining, total_claims)
         awards, theta = talmud(claims, estate)
-        plan, claim = awards[:, 0], claims[0]
+        # A copy, not a view: a run keeps every interval's audit, and a view
+        # would keep each P x H award matrix alive, memory quadratic in H.
+        plan, claim = awards[:, 0].copy(), claims[0]
     elif rule == "naive":
         claim = remaining / 2.0
         plan = claim if forecast[0] >= forecast.mean() else np.zeros(nprov)

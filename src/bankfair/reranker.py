@@ -192,9 +192,11 @@ def run_interval(relevance: np.ndarray, rows: np.ndarray, floor: np.ndarray,
     # prices into row t + 1. Beyond list selection an arrival makes only
     # K- or P-long arrays: the list's providers and exposure, the
     # conjugate's mask and dual_step's -lam. Exposure is counted in float64
-    # (exact below 2**53), so that no step mixes dtypes. The harness's floor
-    # is a strided column of the plan's award matrix: a contiguous copy made
-    # once halves each arrival's subtract from it (0.72 against 0.37 us).
+    # (exact below 2**53), so that no step mixes dtypes. The harness passes
+    # the plan's award column, which is contiguous and used as it is. A
+    # caller may pass a strided floor, such as a column of a matrix: a
+    # contiguous copy made once halves each arrival's subtract from it (0.72
+    # against 0.37 us).
     relevance = np.asarray(relevance, dtype=float)
     floor = np.ascontiguousarray(floor, dtype=float)
     rows = np.asarray(rows)

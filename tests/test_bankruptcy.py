@@ -293,6 +293,15 @@ class TestPlanInterval:
             assert (audit["award"] <= audit["estate"] + 1e-9).all()
             assert np.isnan(audit["theta"]).all() == (rule != "talmud")
 
+    def test_audit_columns_own_their_data(self):
+        # A run keeps every interval's audit: a column that views a larger
+        # array (talmud's P x H award matrix) would keep all of it alive.
+        for rule in ("talmud", "naive", "prop", "none"):
+            audit = plan_interval(rule, np.array([10.0, 20.0]), np.full(3, 30.0),
+                                  np.full(3, 5.0))
+            for name, column in audit.items():
+                assert column.flags.owndata, (rule, name)
+
     def test_plan_never_exceeds_remaining(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -50,6 +50,14 @@ class TestCatalog:
         with pytest.raises(ValueError):
             cat.item_provider[0] = 1
 
+    def test_equality_and_hash_go_by_identity(self):
+        # A generated __eq__ would compare the arrays and raise.
+        a, b = Catalog(np.array([0, 1])), Catalog(np.array([0, 1]))
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert a in [a] and a not in [b]
+        assert len({a, b}) == 2
+
 
 class TestFairnessPolicy:
     def test_validation(self):

@@ -1,4 +1,5 @@
-"""Traced memory of log replay: per-row state is numbers in arrays.
+"""Traced memory of a run: per-row state is numbers in arrays, and a kept
+per-interval plan is P-long, not P x H.
 
 Each bound is ``tracemalloc``'s peak above the start of the call, which
 counts Python objects and numpy's heap buffers. An instance matrix on an
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 from bankfair import harness, metrics
-from bankfair.domain import (RELEVANCE_FILE, FairnessPolicy, LogSchema, _write_relevance_matrix,
-                             instance_matrix, load_interactions)
+from bankfair.domain import (RELEVANCE_FILE, FairnessPolicy, LogSchema, SynthConfig,
+                             _write_relevance_matrix, instance_matrix, load_interactions)
 from bankfair.reranker import RerankConfig
 
 ROWS = 20_000
@@ -124,3 +125,20 @@ def test_ideal_dcg_partitions_in_small_chunks():
     ideal, peak = traced_peak(metrics.top_k_dcg, matrix, 10)
     assert ideal.shape == (700,)
     assert peak - ideal.nbytes < 256 * 1024
+
+
+def test_plan_memory_linear_in_the_horizon():
+    # One arrival in each of 400 intervals for 100 providers. Each interval's
+    # talmud builds a P x H award matrix; a kept audit that viewed it held
+    # every one alive, 66.5 MB traced. The audit's own P-long columns and the
+    # instance peaked at 2.65 MB.
+    providers, intervals = 100, 400
+    cfg = harness.RunConfig(
+        policy=FairnessPolicy.uniform(5.0, providers, phi=0.9, k=10),
+        rerank=RerankConfig(list_size=10, eta=0.01),
+        synth=SynthConfig(num_items=2 * providers, num_providers=providers,
+                          num_intervals=intervals, traffic=[1] * intervals),
+        forecaster="oracle", seed=1)
+    report, peak = traced_peak(harness.run, cfg)
+    assert report.per_interval_traffic == [1] * intervals
+    assert peak < 16 * providers * intervals * 8

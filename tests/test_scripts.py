@@ -175,9 +175,9 @@ def test_ab_on_one_checkout_twice():
                                 "change", "median", "[q1,", "q3]", "wins", "p"]
     number = r"[0-9.e+-]+"
     cell = rf"{number} \[{number}, {number}\]"
-    for line, name in zip(lines[2:5], ("run_s", "users_per_s", "peak_rss_mb")):
+    for line, name in zip(lines[2:6], ("run_s", "users_per_s", "setup_s", "peak_rss_mb")):
         assert re.fullmatch(rf"  {name} +{cell} +{cell} +[01]/1 +1\.000", line), line
-    assert lines[5:] == ["  report_sha256 equal in 1/1 pairs; NDCG/Vio/ESP equal in 1/1 pairs"]
+    assert lines[6:] == ["  report_sha256 equal in 1/1 pairs; NDCG/Vio/ESP equal in 1/1 pairs"]
 
 
 def test_ab_alternates_sides_and_fails_when_a_pair_differs(tmp_path, monkeypatch, capsys):
@@ -189,8 +189,9 @@ def test_ab_alternates_sides_and_fails_when_a_pair_differs(tmp_path, monkeypatch
 
     def bench(tree, workload, seed, seconds):
         calls.append((tree.name, seed))
-        return {"run_s": 1.0, "users_per_s": 2.0, "peak_rss_mb": 3.0, "ndcg_at_k": 0.5,
-                "vio_at_k": 0.1, "esp_at_k": 0.9, "report_sha256": str(len(calls) == 4)}
+        return {"run_s": 1.0, "users_per_s": 2.0, "setup_s": 0.5, "peak_rss_mb": 3.0,
+                "ndcg_at_k": 0.5, "vio_at_k": 0.1, "esp_at_k": 0.9,
+                "report_sha256": str(len(calls) == 4)}
 
     monkeypatch.setattr(ab, "bench", bench)
     assert ab.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
