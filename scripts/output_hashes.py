@@ -58,7 +58,7 @@ from bankfair.acceptance import benchmark_config  # noqa: E402
 from bankfair.bankruptcy import RULES  # noqa: E402
 from bankfair.domain import (CATALOG_FILE, INTERACTIONS_FILE, RELEVANCE_FILE,  # noqa: E402
                              _write_relevance_matrix, instance_matrix, load_interactions)
-from bankfair.harness import SweepSpec, run, sweep  # noqa: E402
+from bankfair.harness import run, sweep  # noqa: E402
 
 FILES = ("report.json", "decisions.csv", "allocations.csv", "intervals.csv")
 SWEEP_FILES = ("runs.csv", "pareto.csv")
@@ -146,14 +146,6 @@ def runs(seeds, config_seeds):
     yield name, replace(gapped, synth=idle, policy=policy, out_dir=name)
 
 
-def sweeps(config_seeds):
-    """(name, SweepSpec) of every sweep; its files go to the directory ``name``."""
-    seed = config_seeds[0]
-    grid = {"k": [1.0, 2.0], "rule": ["talmud", "prop"]}
-    yield f"sweep/k_rule/seed{seed}", SweepSpec(benchmark_config("talmud", seed), grid,
-                                                  seeds=[seed, seed + 1])
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="directory for inputs and outputs")
@@ -188,9 +180,11 @@ def main(argv=None) -> int:
     for name, cfg in runs(args.seeds, args.config_seeds):
         run(cfg)
         record(name, cfg.out_dir, FILES)
-    for name, spec in sweeps(args.config_seeds):
-        sweep(spec).write(name)
-        record(name, name, SWEEP_FILES)
+    seed = args.config_seeds[0]
+    name = f"sweep/k_rule/seed{seed}"
+    sweep(benchmark_config("talmud", seed), {"k": [1.0, 2.0], "rule": ["talmud", "prop"]},
+          [seed, seed + 1]).write(name)
+    record(name, name, SWEEP_FILES)
     if expected is None:
         return 0
     report = compare(got, expected, args.against)

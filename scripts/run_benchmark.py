@@ -40,9 +40,8 @@ def main():
     ap.add_argument("--out", default="results/benchmark.csv")
     args = ap.parse_args()
 
-    result = harness.sweep(harness.SweepSpec(
-        replace(benchmark_config("talmud", 0), tau=args.tau), {"rule": list(RULES)},
-        seeds=list(range(args.seeds))))
+    result = harness.sweep(replace(benchmark_config("talmud", 0), tau=args.tau),
+                           {"rule": list(RULES)}, list(range(args.seeds)))
     for row in result.rows:
         if row["status"] != "ok":
             sys.exit(f"run rule={row['rule']} seed={row['seed']} failed: {row['error']}")

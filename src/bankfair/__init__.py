@@ -13,7 +13,7 @@ from .domain import (Catalog, FairnessPolicy, LogSchema, SynthConfig, UserReques
 from .errors import (BankfairError, ConfigError, ConsistencyError,
                      InfeasibleAllocationError, ParseError)
 from .forecast import Forecast, forecast_traffic
-from .harness import RunConfig, SweepSpec, run, sweep
+from .harness import RunConfig, run, sweep
 from .metrics import SimReport, esp_at_k, feasible_region_ratio, ndcg_at_k, vio_at_k
 from .reranker import (RerankConfig, compute_caps, compute_penalties, conjugate_argmax,
                        conjugate_value, dual_step, run_interval, select_list, top_k)
@@ -23,11 +23,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BankfairError", "Catalog", "ConfigError", "ConsistencyError",
     "FairnessPolicy", "Forecast", "InfeasibleAllocationError", "LogSchema",
-    "ParseError", "RerankConfig", "RunConfig", "SimReport", "SweepSpec",
-    "SynthConfig", "UserRequest", "compute_caps", "compute_penalties",
-    "conjugate_argmax", "conjugate_value", "dual_step", "esp_at_k",
-    "feasible_region_ratio", "forecast_traffic", "load_interactions",
-    "ndcg_at_k", "plan_interval", "resample_traffic", "run",
-    "run_interval", "save_instance", "select_list", "sweep", "synth_instance",
-    "talmud", "top_k", "vio_at_k",
+    "ParseError", "RerankConfig", "RunConfig", "SimReport", "SynthConfig",
+    "UserRequest", "compute_caps", "compute_penalties", "conjugate_argmax",
+    "conjugate_value", "dual_step", "esp_at_k", "feasible_region_ratio",
+    "forecast_traffic", "load_interactions", "ndcg_at_k", "plan_interval",
+    "resample_traffic", "run", "run_interval", "save_instance", "select_list",
+    "sweep", "synth_instance", "talmud", "top_k", "vio_at_k",
 ]

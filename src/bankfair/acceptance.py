@@ -305,7 +305,7 @@ def benchmark_config(rule: str, seed: int) -> harness.RunConfig:
         inventory=[15] * 8 + [14] * 4 + [3] * 8)
     total_budget = k * mean_traffic * n_intervals
     m = 0.3 * total_budget / n_prov
-    policy = FairnessPolicy.uniform(m, n_prov, phi=0.95, k=k)
+    policy = FairnessPolicy([m] * n_prov, 0.95, k)
     rerank = RerankConfig(list_size=k, alpha_k=1.5, beta_mix=0.0, eta=1e-5)
     return harness.RunConfig(policy=policy, rerank=rerank, rule=rule, synth=synth,
                              forecaster="oracle", tau=0.2, seed=seed)

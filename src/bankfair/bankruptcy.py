@@ -125,7 +125,8 @@ def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
             if total_claims <= 0:
                 p = int(over[0])
                 raise InfeasibleAllocationError(
-                    f"provider {p}: remaining requirement {remaining[p]} but zero total claims",
+                    f"provider {p}: remaining requirement {remaining[p]} but zero total claims "
+                    f"in interval {interval}",
                     provider=p, interval=interval)
             logger.warning(
                 "interval %d: %d estates exceed total claims %.3f; clamping, the surplus "
@@ -138,7 +139,9 @@ def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
         plan, claim = awards[:, 0].copy(), claims[0]
     elif rule == "naive":
         claim = remaining / 2.0
-        plan = claim if forecast[0] >= forecast.mean() else np.zeros(nprov)
+        # forecast[0] >= forecast.mean(), exactly for the flat and integer
+        # forecasts that every forecaster gives: a mean can round above them.
+        plan = claim if (forecast[0] - forecast).sum() >= 0 else np.zeros(nprov)
     else:  # prop
         total_fc = float(forecast.sum())
         if total_fc <= 0:

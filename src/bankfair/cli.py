@@ -116,9 +116,6 @@ def config_from_options(opts: dict) -> harness.RunConfig:
         except TypeError as exc:  # not an object, an unknown key or a missing one
             raise ConfigError(f"synth spec: {exc}") from None
 
-    num_providers = synth.num_providers if synth is not None else 1
-    policy = FairnessPolicy.uniform(opts["m"], num_providers, opts["phi"], k)
-
     forecaster, params = parse_forecaster(str(opts["forecaster"]))
     rerank = RerankConfig(
         list_size=k,
@@ -128,7 +125,7 @@ def config_from_options(opts: dict) -> harness.RunConfig:
     )
     schema = LogSchema(interval_seconds=opts["interval_hours"] * 3600.0)
     return harness.RunConfig(
-        policy=policy,
+        policy=FairnessPolicy([opts["m"]], opts["phi"], k),  # run broadcasts the one floor
         rerank=rerank,
         rule=str(opts["rule"]),
         data_path=opts.get("data"),
@@ -192,8 +189,7 @@ def main(argv=None) -> int:
             if not isinstance(spec.get("grid"), dict):
                 raise ConfigError("sweep spec: 'grid' must be a JSON object of lists")
             base = config_from_options(spec.get("base", {}))
-            result = harness.sweep(harness.SweepSpec(base, spec["grid"],
-                                                     spec.get("seeds", [0])))
+            result = harness.sweep(base, spec["grid"], spec.get("seeds", [0]))
             result.write(args.out)
             failures = sum(1 for r in result.rows if r["status"] != "ok")
             print(f"{len(result.rows)} runs, {failures} failed; wrote {args.out}")
@@ -201,7 +197,7 @@ def main(argv=None) -> int:
         # verify
         from . import acceptance
         wanted = None
-        if args.criteria:
+        if args.criteria is not None:
             wanted = _parse_criteria(args.criteria, acceptance.CRITERIA)
         results = acceptance.run_all(wanted)
         for res in results:

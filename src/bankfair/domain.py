@@ -138,9 +138,13 @@ class Catalog:
         return mu.take(self.item_provider)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FairnessPolicy:
-    """Per-provider exposure floors plus the per-user accuracy floor."""
+    """Per-provider exposure floors plus the per-user accuracy floor.
+
+    One floor stands for every provider: ``harness.run`` broadcasts it.
+    Policies compare and hash by identity, not by their floor array.
+    """
 
     required_min_exposure: np.ndarray
     required_min_accuracy: float
@@ -152,10 +156,6 @@ class FairnessPolicy:
         check("required_min_accuracy", self.required_min_accuracy, UNIT)
         check("list_size", self.list_size, POSITIVE_INT)
         object.__setattr__(self, "required_min_exposure", _readonly(np.asarray(m, dtype=float)))
-
-    @classmethod
-    def uniform(cls, m: float, num_providers: int, phi: float, k: int) -> "FairnessPolicy":
-        return cls(np.full(num_providers, float(m)), phi, k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,7 +188,7 @@ def instance_matrix(requests: Sequence[UserRequest]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     """Generator knobs for synthetic instances.
 
@@ -334,7 +334,7 @@ def redistribute_requests(requests: Sequence[UserRequest], seed: int) -> list[Us
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogSchema:
     """How to read an interaction log directory or file."""
 

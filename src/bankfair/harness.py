@@ -26,9 +26,13 @@ logger = logging.getLogger(__name__)
 _Interval = namedtuple("_Interval", "n audit user_ids lists digests ndcg esp")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything one simulation run needs; exactly one data source."""
+    """Everything one simulation run needs; exactly one data source.
+
+    Like every config it is checked once, when built, and frozen:
+    ``dataclasses.replace`` makes a changed copy and checks it again.
+    """
 
     policy: FairnessPolicy
     rerank: reranker.RerankConfig
@@ -251,33 +255,6 @@ def _write_decisions(path, records, k, num_items):
 GRID_KEYS = ("m_scale", "k", "beta_mix", "eta", "tau", "phi", "rule")
 
 
-@dataclass
-class SweepSpec:
-    """A hyperparameter grid over a base run, replicated across seeds."""
-
-    base: RunConfig
-    grid: dict[str, list]
-    seeds: list[int] | tuple[int, ...] | np.ndarray  # distinct ints >= 0, 1-d
-
-    def __post_init__(self):
-        if not self.grid:
-            raise ConfigError("sweep grid must be nonempty")
-        unknown = set(self.grid) - set(GRID_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-        check("seeds", self.seeds, NONEMPTY_LIST)
-        check("seeds", self.seeds, list_of("ints >= 0", NONNEGATIVE_INT))
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("replication seeds must be distinct")
-        for key, values in self.grid.items():  # each value alone, before any run
-            check(f"sweep grid {key!r}", values, NONEMPTY_LIST)
-            for value in values:
-                try:
-                    _apply_point(self.base, {key: value})
-                except ConfigError as exc:
-                    raise ConfigError(f"sweep grid {key!r}: {exc}") from None
-
-
 def _apply_point(base: RunConfig, point: dict) -> RunConfig:
     policy, rerank = base.policy, base.rerank
     if "m_scale" in point:
@@ -371,19 +348,40 @@ class SweepResult:
                 w.writerows(self.summary)
 
 
-def sweep(spec: SweepSpec) -> SweepResult:
-    """Run the full grid x seeds; failures are recorded and do not stop it.
+def sweep(base: RunConfig, grid: dict[str, list],
+          seeds: list[int] | tuple[int, ...] | np.ndarray) -> SweepResult:
+    """Run every point of ``grid`` over ``base`` for each of ``seeds``.
 
-    The summary marks grid points not dominated on (ESP up, NDCG up, Vio
-    down) by any other point.
+    ``grid`` maps some of GRID_KEYS to nonempty lists of values; ``seeds``
+    are distinct ints >= 0 in a 1-d list, tuple or array. Both are checked,
+    each grid value alone, before any run. A failed run is recorded and
+    does not stop the sweep. The summary marks grid points not dominated on
+    (ESP up, NDCG up, Vio down) by any other point.
     """
-    keys = sorted(spec.grid)
+    if not grid:
+        raise ConfigError("sweep grid must be nonempty")
+    unknown = set(grid) - set(GRID_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    check("seeds", seeds, NONEMPTY_LIST)
+    check("seeds", seeds, list_of("ints >= 0", NONNEGATIVE_INT))
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("replication seeds must be distinct")
+    for key, values in grid.items():
+        check(f"sweep grid {key!r}", values, NONEMPTY_LIST)
+        for value in values:
+            try:
+                _apply_point(base, {key: value})
+            except ConfigError as exc:
+                raise ConfigError(f"sweep grid {key!r}: {exc}") from None
+
+    keys = sorted(grid)
     rows, summary = [], []
-    for combo in itertools.product(*(spec.grid[key] for key in keys)):
+    for combo in itertools.product(*(grid[key] for key in keys)):
         point = dict(zip(keys, combo))
         values = {"ndcg": [], "vio": [], "esp": []}
-        for seed in spec.seeds:
-            cfg = replace(_apply_point(spec.base, point), seed=seed)
+        for seed in seeds:
+            cfg = replace(_apply_point(base, point), seed=seed)
             row = {**point, "seed": seed}
             try:
                 rep = run(cfg)

@@ -33,7 +33,7 @@ _ZERO = np.zeros(())
 _ZERO.flags.writeable = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class RerankConfig:
     """Knobs of the online re-ranker."""
 

@@ -244,6 +244,14 @@ class TestPlanInterval:
         audit = plan_interval("naive", np.array([80.0]), np.zeros(3), np.array([15.0, 10.0, 5.0]))
         np.testing.assert_allclose(audit["award"], 40.0)
 
+    @pytest.mark.parametrize("value,length", [(0.1, 3), (0.7, 7), (101 / 3, 10),
+                                              (304 / 3, 7), (123.45, 14)])
+    def test_naive_flat_forecast_plans_half(self, value, length):
+        # Each of these forecasts has a mean that rounds above its entries.
+        forecast = np.full(length, value)
+        audit = plan_interval("naive", np.array([80.0]), np.zeros(length), forecast)
+        np.testing.assert_array_equal(audit["award"], 40.0)
+
     def test_estate_clamped_to_claims_with_warning(self, caplog):
         with caplog.at_level("WARNING"):
             audit = plan_interval("talmud", np.array([500.0]), np.full(2, 100.0),

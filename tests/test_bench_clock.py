@@ -23,7 +23,7 @@ def test_clock_marks_every_plan_and_serve_call(monkeypatch):
     marks = []
     monkeypatch.setattr(speed, "calibrate", lambda: marks.append(1e-3) or 1e-3)
     traffic = [6, 0, 5, 0, 4]
-    cfg = RunConfig(policy=FairnessPolicy.uniform(20.0, 4, phi=0.9, k=5),
+    cfg = RunConfig(policy=FairnessPolicy([20.0] * 4, 0.9, 5),
                     rerank=RerankConfig(list_size=5, eta=0.01),
                     synth=SynthConfig(num_items=30, num_providers=4,
                                       num_intervals=len(traffic), traffic=traffic, list_size=5),

@@ -54,7 +54,7 @@ def test_every_traced_serve_layer_is_called(bench_modules):
     # The tracer replaces module attributes; a layer the serve loop or
     # plan_interval reaches by another name would read 0 in every traced run.
     from bankfair import FairnessPolicy, RerankConfig, SynthConfig, harness
-    cfg = RunConfig(policy=FairnessPolicy.uniform(20.0, 4, phi=0.9, k=5),
+    cfg = RunConfig(policy=FairnessPolicy([20.0] * 4, 0.9, 5),
                     rerank=RerankConfig(list_size=5, eta=0.01),
                     synth=SynthConfig(num_items=30, num_providers=4, num_intervals=3,
                                       mean_traffic=10, list_size=5),
@@ -93,7 +93,7 @@ def test_traced_relevance_bytes_are_the_instance_matrix(bench_modules, tmp_path,
         _, _, requests = load_interactions(data)
     matrix = requests[0].relevance.base
     assert all(r.relevance.base is matrix for r in requests)
-    cfg = RunConfig(policy=FairnessPolicy.uniform(5.0, 3, phi=0.5, k=3),
+    cfg = RunConfig(policy=FairnessPolicy([5.0] * 3, 0.5, 3),
                     rerank=RerankConfig(list_size=3, eta=0.01), forecaster="oracle",
                     synth=synth if data is None else None,
                     data_path=None if data is None else str(data))

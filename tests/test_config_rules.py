@@ -1,15 +1,16 @@
 """The config field rules: one message form, no bool counted as a number."""
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
-from bankfair import errors
+from bankfair import errors, harness
 from bankfair.domain import FairnessPolicy, LogSchema, SynthConfig
 from bankfair.errors import ConfigError, check
-from bankfair.harness import RunConfig, SweepSpec, run
+from bankfair.harness import RunConfig, run
 from bankfair.reranker import RerankConfig
 
 SYNTH = dict(num_items=10, num_providers=2, num_intervals=2, mean_traffic=5.0, list_size=5,
@@ -43,7 +44,7 @@ def forecaster(method):
 
 
 def sweep(m_scale):
-    return SweepSpec(run_config(), {"m_scale": [m_scale]}, [0])
+    return harness.sweep(run_config(), {"m_scale": [m_scale]}, [0])
 
 
 # Every field under NONNEGATIVE or POSITIVE: name -> (the rule, a build taking
@@ -114,6 +115,20 @@ def test_numpy_values_reach_the_report(tmp_path):
     run(run_config(tau=np.float32(0.2), seed=np.int64(3), out_dir=str(tmp_path)))
     echo = json.loads((tmp_path / "report.json").read_text())["config_echo"]
     assert echo["tau"] == float(np.float32(0.2)) and echo["seed"] == 3
+
+
+@pytest.mark.parametrize("build", VALID, ids=[build.__name__ for build in VALID])
+def test_built_configs_are_frozen(build):
+    config = build(**VALID[build])
+    for field in dataclasses.fields(config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field.name, getattr(config, field.name))
+
+
+def test_replace_checks_again():
+    rerank = RerankConfig(**VALID[RerankConfig])
+    with pytest.raises(ConfigError, match=r"^eta must be a number in \[0, 2\*\*53\], got nan$"):
+        dataclasses.replace(rerank, eta=float("nan"))
 
 
 def test_message_form():

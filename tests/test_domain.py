@@ -60,6 +60,14 @@ class TestCatalog:
 
 
 class TestFairnessPolicy:
+    def test_equality_and_hash_go_by_identity(self):
+        # A generated __eq__ would compare the floor arrays and raise.
+        a, b = FairnessPolicy([1.0, 2.0], 0.9, 5), FairnessPolicy([1.0, 2.0], 0.9, 5)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert a in [a] and a not in [b]
+        assert len({a, b}) == 2
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             FairnessPolicy(np.array([-1.0]), 0.9, 5)
@@ -584,7 +592,7 @@ class TestRelevanceMatrix:
         # The harness draws one noise block per interval; the reference draws
         # one vector per arrival from the same sub-seed, in arrival order.
         cfg = harness.RunConfig(
-            policy=FairnessPolicy.uniform(10.0, 3, phi=0.9, k=4),
+            policy=FairnessPolicy([10.0] * 3, 0.9, 4),
             rerank=RerankConfig(list_size=4, eta=1e-3),
             synth=SynthConfig(num_items=21, num_providers=3, num_intervals=4,
                               traffic=[5, 0, 7, 3], list_size=4),

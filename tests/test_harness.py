@@ -15,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 from reference_sim import reference_run
 from test_reranker import reference_run_interval, reference_top_k
 
-from bankfair import bankruptcy, domain, harness, metrics, reranker
+from bankfair import acceptance, bankruptcy, domain, harness, metrics, reranker
 from bankfair.bankruptcy import RULES
 from bankfair.domain import (FairnessPolicy, LogSchema, SynthConfig, _write_relevance_matrix,
                              load_interactions, save_instance, synth_instance)
 from bankfair.errors import ConfigError, InfeasibleAllocationError
-from bankfair.harness import RunConfig, SweepSpec, run, sweep
+from bankfair.harness import RunConfig, run, sweep
 from bankfair.reranker import RerankConfig
 
 
@@ -35,7 +35,7 @@ def small_config(rule="talmud", seed=0, m=30.0, **overrides):
                         provider_bands=[(0.7, 1.0)] * 3 + [(0.2, 0.6)],
                         inventory=[13, 13, 12, 2])
     base = dict(
-        policy=FairnessPolicy.uniform(m, 4, phi=0.95, k=5),
+        policy=FairnessPolicy([m] * 4, 0.95, 5),
         rerank=RerankConfig(list_size=5, alpha_k=1.5, beta_mix=0.0, eta=1e-3),
         rule=rule, synth=synth, forecaster="oracle", seed=seed)
     base.update(overrides)
@@ -69,7 +69,7 @@ def log_config(directory, relevance=False, **overrides):
         matrix = rng.integers(0, 21, size=(LOG_USERS, item_provider.size)) / 20.0
         _write_relevance_matrix(directory / "relevance.bin", matrix)
     base = dict(
-        policy=FairnessPolicy.uniform(30.0, 4, phi=0.95, k=5),
+        policy=FairnessPolicy([30.0] * 4, 0.95, 5),
         rerank=RerankConfig(list_size=5, alpha_k=1.5, beta_mix=0.5, eta=0.05),
         data_path=str(directory), schema=LogSchema(interval_seconds=3600.0, list_size=5),
         forecaster="moving_average", forecaster_params={"w": 2, "prior_mean": 20.0})
@@ -190,11 +190,23 @@ class TestRun:
         synth = SynthConfig(num_items=40, num_providers=4, num_intervals=2,
                             traffic=[0, 20], list_size=5)
         cfg = small_config(forecaster="moving_average",
-                           forecaster_params={"w": 1, "prior_mean": 0.0})
-        cfg.synth = synth
+                           forecaster_params={"w": 1, "prior_mean": 0.0}, synth=synth)
         with pytest.raises(InfeasibleAllocationError) as err:
             run(cfg)
         assert err.value.interval == 1
+
+    def test_naive_plans_every_interval_of_a_flat_forecast(self, monkeypatch):
+        # A moving average forecasts every coming interval alike, so the
+        # naive rule plans half of what remains in each interval.
+        cfg = replace(acceptance.benchmark_config("naive", 0), forecaster="moving_average",
+                      forecaster_params={"w": 3, "prior_mean": 100}, tau=None)
+        plan, audits = bankruptcy.plan_interval, []
+        monkeypatch.setattr(bankruptcy, "plan_interval",
+                            lambda *args, **kw: audits.append(plan(*args, **kw)) or audits[-1])
+        run(cfg)
+        assert len(audits) == 14
+        for audit in audits:
+            np.testing.assert_array_equal(audit["award"], audit["estate"] / 2)
 
     def test_floors_for_another_number_of_providers(self):
         # Two floors for small_config's four providers; only one is broadcast.
@@ -282,7 +294,7 @@ class TestRun:
         lambda d: small_config(m=24.5, synth=replace(small_config().synth, num_intervals=5,
                                                      traffic=[12, 0, 9, 0, 15]),
                                rerank=RerankConfig(list_size=5, beta_mix=0.5, eta=0.05)),
-        lambda d: log_config(d, policy=FairnessPolicy.uniform(24.5, 4, phi=0.95, k=5))],
+        lambda d: log_config(d, policy=FairnessPolicy([24.5] * 4, 0.95, 5))],
         ids=["synth_gaps", "log"])
     def test_estate_is_floor_minus_earlier_exposure(self, tmp_path, caplog, rule, make):
         # Each interval's estate is the floor less the exposure that the
@@ -362,7 +374,7 @@ class TestRun:
         save_instance(tmp_path / "data", catalog, counts, requests)
 
         def run_to(out):
-            cfg = RunConfig(policy=FairnessPolicy.uniform(12.0, 4, phi=0.9, k=5),
+            cfg = RunConfig(policy=FairnessPolicy([12.0] * 4, 0.9, 5),
                             rerank=RerankConfig(list_size=5, beta_mix=0.5, eta=0.05),
                             data_path=str(tmp_path / "data"), schema=LogSchema(list_size=5),
                             forecaster="oracle", tau=0.5, seed=1, out_dir=str(out))
@@ -583,25 +595,25 @@ class TestReferenceSimulator:
 class TestRunConfigValidation:
     def test_exactly_one_source(self):
         with pytest.raises(ConfigError):
-            RunConfig(policy=FairnessPolicy.uniform(1, 1, 0.9, 5),
+            RunConfig(policy=FairnessPolicy([1], 0.9, 5),
                       rerank=RerankConfig(list_size=5, eta=0.05))
 
     def test_list_size_mismatch(self):
         synth = SynthConfig(num_items=10, num_providers=2, num_intervals=1)
         with pytest.raises(ConfigError):
-            RunConfig(policy=FairnessPolicy.uniform(1, 2, 0.9, 10),
+            RunConfig(policy=FairnessPolicy([1] * 2, 0.9, 10),
                       rerank=RerankConfig(list_size=5, eta=0.05), synth=synth)
 
     def test_synth_list_size_other_than_k(self):
         synth = SynthConfig(num_items=10, num_providers=2, num_intervals=1, list_size=4)
         with pytest.raises(ConfigError, match="synth spec list_size 4 differs from K 5"):
-            RunConfig(policy=FairnessPolicy.uniform(1, 2, 0.9, 5),
+            RunConfig(policy=FairnessPolicy([1] * 2, 0.9, 5),
                       rerank=RerankConfig(list_size=5, eta=0.05), synth=synth)
 
     def test_unknown_rule(self):
         synth = SynthConfig(num_items=10, num_providers=2, num_intervals=1)
         with pytest.raises(ConfigError):
-            RunConfig(policy=FairnessPolicy.uniform(1, 2, 0.9, 5),
+            RunConfig(policy=FairnessPolicy([1] * 2, 0.9, 5),
                       rerank=RerankConfig(list_size=5, eta=0.05), synth=synth, rule="greedy")
 
     # Checked when the config is built, before any interval is forecast.
@@ -645,7 +657,7 @@ class TestEcho:
 class TestSweep:
     def test_singleton_grid_matches_run(self):
         base = small_config()
-        result = sweep(SweepSpec(base, {"k": [1.5]}, seeds=[0]))
+        result = sweep(base, {"k": [1.5]}, [0])
         assert len(result.rows) == 1
         direct = run(small_config(seed=0))
         assert result.rows[0]["ndcg"] == direct.ndcg_at_k
@@ -654,20 +666,19 @@ class TestSweep:
 
     def test_dominated_point_flagged(self):
         base = small_config()
-        result = sweep(SweepSpec(base, {"rule": ["talmud", "none"]}, seeds=[0, 1]))
+        result = sweep(base, {"rule": ["talmud", "none"]}, [0, 1])
         by_rule = {s["rule"]: s for s in result.summary}
         assert set(by_rule) == {"talmud", "none"}
         # Zero floors make every floor vacuous: perfect accuracy AND esp=1,
         # which dominates the enforced variant on at least one metric.
-        result2 = sweep(SweepSpec(base, {"m_scale": [0.0, 1.0], "rule": ["none"]},
-                                  seeds=[0]))
+        result2 = sweep(base, {"m_scale": [0.0, 1.0], "rule": ["none"]}, [0])
         flags = {s["m_scale"]: s["pareto"] for s in result2.summary}
         assert flags[0.0] is True
         assert flags[1.0] is False
 
     def test_seed_replication_reports_interval(self):
         base = small_config()
-        result = sweep(SweepSpec(base, {"k": [1.5]}, seeds=[0, 1, 2, 3, 4]))
+        result = sweep(base, {"k": [1.5]}, [0, 1, 2, 3, 4])
         agg = result.summary[0]
         assert agg["runs_ok"] == 5
         ndcgs = np.array([row["ndcg"] for row in result.rows])
@@ -691,37 +702,43 @@ class TestSweep:
                 assert got == pytest.approx(want, rel=1e-10, abs=0.0), n
 
     def test_failures_recorded_and_sweep_continues(self):
+        synth = SynthConfig(num_items=40, num_providers=4, num_intervals=2,
+                            traffic=[0, 20], list_size=5)
         base = small_config(forecaster="moving_average",
-                            forecaster_params={"w": 1, "prior_mean": 0.0})
-        base.synth = SynthConfig(num_items=40, num_providers=4, num_intervals=2,
-                                 traffic=[0, 20], list_size=5)
-        result = sweep(SweepSpec(base, {"k": [1.2, 1.5]}, seeds=[0]))
+                            forecaster_params={"w": 1, "prior_mean": 0.0}, synth=synth)
+        result = sweep(base, {"k": [1.2, 1.5]}, [0])
         assert all(row["status"] == "error" for row in result.rows)
         assert len(result.rows) == 2
 
-    def test_grid_validation(self):
-        base = small_config()
-        with pytest.raises(ConfigError):
-            SweepSpec(base, {}, seeds=[0])
-        with pytest.raises(ConfigError):
-            SweepSpec(base, {"nope": [1]}, seeds=[0])
-        with pytest.raises(ConfigError):
-            SweepSpec(base, {"k": [1.5]}, seeds=[0, 0])
+    def test_grid_validation(self, monkeypatch):
+        # Every value is checked, with these messages, before any run.
+        monkeypatch.setattr(harness, "run", lambda cfg: pytest.fail("a run before the checks"))
+        for grid, seeds, message in [
+                ({}, [0], "sweep grid must be nonempty"),
+                ({"nope": [1]}, [0], r"unknown grid keys: \['nope'\]"),
+                ({"k": [1.5]}, [0, 0], "replication seeds must be distinct"),
+                ({"k": []}, [0], r"sweep grid 'k' must be a nonempty list, got \[\]"),
+                ({"k": [1.5, 3.0]}, [0],
+                 r"sweep grid 'k': alpha_k must be a number in \[1, 2\], got 3.0"),
+                ({"m_scale": [1.0], "rule": ["greedy"]}, [0],
+                 "sweep grid 'rule': unknown allocation rule 'greedy'")]:
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                sweep(small_config(), grid, seeds)
 
     def test_seeds_are_a_list_tuple_or_array(self):
         # A range is refused as a config error naming seeds: every list
         # field takes the same three types.
         base = small_config()
         for seeds in ([0, 1], (0, 1), np.arange(2)):
-            SweepSpec(base, {"k": [1.5]}, seeds=seeds)
+            assert [row["seed"] for row in sweep(base, {"k": [1.5]}, seeds).rows] == [0, 1]
         with pytest.raises(ConfigError,
                            match=r"^seeds must be a nonempty list, got range\(0, 2\)$"):
-            SweepSpec(base, {"k": [1.5]}, seeds=range(2))
+            sweep(base, {"k": [1.5]}, range(2))
         with pytest.raises(ConfigError, match="^seeds must be"):
-            SweepSpec(base, {"k": [1.5]}, seeds=np.zeros((1, 2), dtype=int))
+            sweep(base, {"k": [1.5]}, np.zeros((1, 2), dtype=int))
 
     def test_writes_outputs(self, tmp_path):
-        result = sweep(SweepSpec(small_config(), {"k": [1.5]}, seeds=[0]))
+        result = sweep(small_config(), {"k": [1.5]}, [0])
         result.write(tmp_path)
         assert (tmp_path / "pareto.csv").exists()
         assert (tmp_path / "runs.csv").exists()

@@ -64,7 +64,7 @@ def log(tmp_path_factory):
 
 def replay_config(data, out_dir=None):
     return harness.RunConfig(
-        policy=FairnessPolicy.uniform(0.3 * 10 * ROWS / 30, 30, phi=0.95, k=10),
+        policy=FairnessPolicy([0.3 * 10 * ROWS / 30] * 30, 0.95, 10),
         rerank=RerankConfig(list_size=10, alpha_k=1.5, beta_mix=0.5, eta=1e-4),
         data_path=str(data), schema=LogSchema(interval_seconds=3600.0),
         forecaster="moving_average", forecaster_params={"w": 3, "prior_mean": ROWS / 48},
@@ -134,7 +134,7 @@ def test_plan_memory_linear_in_the_horizon():
     # instance peaked at 2.65 MB.
     providers, intervals = 100, 400
     cfg = harness.RunConfig(
-        policy=FairnessPolicy.uniform(5.0, providers, phi=0.9, k=10),
+        policy=FairnessPolicy([5.0] * providers, 0.9, 10),
         rerank=RerankConfig(list_size=10, eta=0.01),
         synth=SynthConfig(num_items=2 * providers, num_providers=providers,
                           num_intervals=intervals, traffic=[1] * intervals),

@@ -52,8 +52,8 @@ def test_runs_without_scipy(tmp_path):
 import runpy, sys
 sys.modules["scipy"] = None  # every import of scipy now fails
 from bankfair import acceptance, harness
-spec = harness.SweepSpec(acceptance.benchmark_config("talmud", 0), {{"k": [1.5]}}, seeds=[0, 1])
-print(harness.sweep(spec).summary[0]["ndcg_ci95"] > 0.0)
+result = harness.sweep(acceptance.benchmark_config("talmud", 0), {{"k": [1.5]}}, [0, 1])
+print(result.summary[0]["ndcg_ci95"] > 0.0)
 print(acceptance.criterion_4(n_levels=3, n_seeds=2).detail)
 sys.argv = ["traffic_sensitivity.py", "--levels", "3", "--seeds", "2",
             "--out", {str(tmp_path / "curve.csv")!r}]
