@@ -20,6 +20,7 @@ import math
 import mmap
 import os
 import struct
+import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice
@@ -28,8 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT, ConfigError,
-                     ConsistencyError, ParseError, check, either, list_of, not_utf8)
+from .errors import (MAX_MAGNITUDE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSITIVE_INT, UNIT,
+                     ConfigError, ConsistencyError, ParseError, check, either, list_of,
+                     not_utf8)
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +60,10 @@ _DRAW_CHUNK = 8192
 # peak RSS of 53 MB over 1 000 intervals, and 14.4 s at 196 MB over 10 000.
 MAX_INTERVALS = 10_000
 
+# A synthetic spec's sizes and counts, bounded as real config values are.
+_SIZE = ("an int in [1, 2**53]", lambda v: POSITIVE_INT[1](v) and v <= MAX_MAGNITUDE)
+_COUNT = ("an int in [0, 2**53]", lambda v: NONNEGATIVE_INT[1](v) and v <= MAX_MAGNITUDE)
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
@@ -73,10 +79,15 @@ def _relevance_matrix(num_users: int, num_items: int) -> np.ndarray:
     back to the OS. A malloc'd block of a few MB raises glibc's mmap
     threshold when freed, so the next instance's matrix comes from the heap,
     where fragmentation added 7 MB to the peak RSS of repeated log replays.
+    A byte size past ``sys.maxsize`` is a MemoryError.
     """
+    size = num_users * num_items * 8
+    if size > sys.maxsize:
+        raise MemoryError(f"a {num_users} x {num_items} relevance matrix is too large "
+                          f"({size} bytes)")
     if not hasattr(mmap, "MADV_HUGEPAGE"):
         return np.zeros((num_users, num_items))
-    buffer = mmap.mmap(-1, max(num_users * num_items * 8, 1), flags=mmap.MAP_PRIVATE)
+    buffer = mmap.mmap(-1, max(size, 1), flags=mmap.MAP_PRIVATE)
     buffer.madvise(mmap.MADV_HUGEPAGE)
     return np.ndarray((num_users, num_items), dtype=np.float64, buffer=buffer)
 
@@ -197,10 +208,12 @@ class SynthConfig:
     log's span is. Item scores are uniform in [0, 1], or with
     ``provider_bands`` uniform in each provider's own (low, high) band,
     which makes popularity tiers with controlled gaps easy to set up.
-    ``inventory`` is "even" or an explicit per-provider item count. Each
-    field's type and range is checked on construction, with a ConfigError
-    naming the field; whether inventory and traffic add up is checked when
-    an instance is drawn.
+    ``inventory`` is "even" or an explicit per-provider item count. Every
+    rule is checked on construction, with a ConfigError: each field's type
+    and range, naming the field, then that the spec adds up. The checked
+    ``traffic``, ``inventory`` and ``provider_bands`` are kept as tuples
+    (the bands as a tuple of pairs), so a built config cannot change. Sizes
+    and counts are ints of at most 2**53, the bound of a real field.
     """
 
     num_items: int
@@ -214,43 +227,44 @@ class SynthConfig:
 
     def __post_init__(self):
         for key in ("num_items", "num_providers", "list_size"):
-            check(key, getattr(self, key), POSITIVE_INT)
+            check(key, getattr(self, key), _SIZE)
         check("num_intervals", self.num_intervals, (f"an int in [1, {MAX_INTERVALS}]",
               lambda v: POSITIVE_INT[1](v) and v <= MAX_INTERVALS))
         check("mean_traffic", self.mean_traffic, NONNEGATIVE)
-        check("inventory", self.inventory, either("even", list_of("ints >= 1", POSITIVE_INT)))
-        check("traffic", self.traffic, either(None, list_of("ints >= 0", NONNEGATIVE_INT)))
+        check("inventory", self.inventory, either("even", list_of("ints in [1, 2**53]", _SIZE)))
+        check("traffic", self.traffic, either(None, list_of("ints in [0, 2**53]", _COUNT)))
         n, unit_pair = self.num_providers, list_of("numbers in [0, 1]", UNIT, 2)[1]
         check("provider_bands", self.provider_bands, either(None, list_of(
             f"{n} (low, high) pairs with 0 <= low <= high <= 1",
             ("a band", lambda v: unit_pair(v) and v[0] <= v[1]), n)))
-
-    def resolve_inventory(self) -> np.ndarray:
-        if isinstance(self.inventory, str):  # "even"
-            base, extra = divmod(self.num_items, self.num_providers)
-            inv = np.full(self.num_providers, base, dtype=np.int64)
-            inv[:extra] += 1
-            return inv
-        inv = np.asarray(self.inventory, dtype=np.int64)
-        if inv.size != self.num_providers or inv.sum() != self.num_items:
-            raise ConfigError("explicit inventory must cover all items")
-        return inv
+        if self.num_providers > self.num_items:
+            raise ConfigError("more providers than items")
+        if not isinstance(self.inventory, str):
+            object.__setattr__(self, "inventory", tuple(map(int, self.inventory)))
+            if len(self.inventory) != n or sum(self.inventory) != self.num_items:
+                raise ConfigError("explicit inventory must cover all items")
+        if self.traffic is not None:
+            object.__setattr__(self, "traffic", tuple(map(int, self.traffic)))
+            if len(self.traffic) != self.num_intervals:
+                raise ConfigError("explicit traffic length must equal the horizon")
+        if self.provider_bands is not None:
+            object.__setattr__(self, "provider_bands", tuple(map(tuple, self.provider_bands)))
 
 
 def synth_instance(cfg: SynthConfig, seed: int):
     """Generate a deterministic (catalog, counts, requests) triple."""
-    if cfg.num_providers > cfg.num_items:
-        raise ConfigError("more providers than items")
     rng = np.random.default_rng(seed)
 
-    inv = cfg.resolve_inventory()
+    inv = cfg.inventory
+    if inv == "even":
+        base, extra = divmod(cfg.num_items, cfg.num_providers)
+        inv = np.full(cfg.num_providers, base, dtype=np.int64)
+        inv[:extra] += 1
     item_provider = np.repeat(np.arange(cfg.num_providers), inv)
     catalog = Catalog(item_provider)
 
     if cfg.traffic is not None:
         counts = np.asarray(cfg.traffic, dtype=np.int64)
-        if counts.size != cfg.num_intervals:
-            raise ConfigError("explicit traffic length must equal the horizon")
     else:
         counts = rng.poisson(cfg.mean_traffic, size=cfg.num_intervals)
 
@@ -268,7 +282,10 @@ def synth_instance(cfg: SynthConfig, seed: int):
     # to at most 1; hi = lo gives s = 0. A subnormal product errs by up to
     # 2**-1075 instead, but then s < 2**-1022, and lo + s rounds to at most
     # 1 as well, since lo is 1 (and s is 0) or at most 1 - e.
-    relevance = _relevance_matrix(int(counts.sum()), cfg.num_items)
+    #
+    # The arrivals are counted as Python ints: MAX_INTERVALS counts of up to
+    # 2**53 each can sum past the int64 range.
+    relevance = _relevance_matrix(sum(counts.tolist()), cfg.num_items)
     low = width = None
     if cfg.provider_bands is not None:
         bands = np.asarray(cfg.provider_bands, dtype=float)

@@ -87,6 +87,10 @@ def either(value, rule):
 # eta max(gamma, K), so |prices| <= lam + N K 2**53 max(2**53, N). All stay far
 # inside the float range, so no later stage checks for overflow; test_cli.py's
 # test_every_value_at_the_bound_runs_cleanly runs each value at its bound.
+# A synthetic spec's integer sizes and counts are bounded the same way. Its
+# arrivals are not: 10 000 intervals of 2**53 each sum past int64. So N is
+# counted as a Python int, and an instance matrix of N rows past sys.maxsize
+# bytes is a MemoryError; every N that reaches a run is below 2**60.
 MAX_MAGNITUDE = 2**53
 
 

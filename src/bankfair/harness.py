@@ -41,7 +41,7 @@ class RunConfig:
     schema: LogSchema = field(default_factory=LogSchema)
     synth: SynthConfig | None = None
     forecaster: str = "moving_average"
-    forecaster_params: dict = field(default_factory=dict)
+    forecaster_params: dict = field(default_factory=dict)  # a dict: each forecast checks it
     tau: float | None = None
     seed: int = 0
     out_dir: str | None = None
@@ -58,6 +58,9 @@ class RunConfig:
             raise ConfigError(f"synth spec list_size {self.synth.list_size!r} differs from "
                               f"K {self.policy.list_size!r}; leave list_size out or make "
                               "them equal")
+        if self.synth is not None and self.synth.num_items < self.policy.list_size:
+            raise ConfigError(f"need at least {self.policy.list_size} items, catalog has "
+                              f"{self.synth.num_items}")
         check("data_path", self.data_path, either(None, PATH))
         check("tau", self.tau, either(None, POSITIVE))
         check("relevance_noise", self.relevance_noise, NONNEGATIVE)
@@ -66,14 +69,10 @@ class RunConfig:
 
     def echo(self) -> dict:
         """JSON-friendly snapshot of the configuration."""
-        synth = None
-        if self.synth is not None:
-            synth = {k: (list(v) if isinstance(v, (tuple, np.ndarray)) else v)
-                     for k, v in vars(self.synth).items()}
         return {
             "rule": self.rule,
             "data_path": self.data_path,
-            "synth": synth,
+            "synth": None if self.synth is None else dict(vars(self.synth)),
             "forecaster": self.forecaster,
             "forecaster_params": dict(self.forecaster_params),
             "m": [float(v) for v in self.policy.required_min_exposure],

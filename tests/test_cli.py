@@ -172,6 +172,32 @@ class TestRunCommand:
         assert message in err
         assert "Traceback" not in err and "infeasible" not in err and "clamping" not in err
 
+    # Synthetic sizes past int64 on 10 items of one provider, which ended in
+    # OverflowError or ValueError tracebacks. Counts are bounded at 2**53; 2**53
+    # arrivals in each of 10 000 intervals are counted exactly, and their
+    # matrix is past the address space.
+    SIZE_PAST_BOUND = [
+        ({"traffic": [10**20]}, "traffic must be None or a list of ints in [0, 2**53], got "
+         "[100000000000000000000]"),
+        ({"num_items": 10**20}, "num_items must be an int in [1, 2**53], got "
+         "100000000000000000000"),
+        ({"inventory": [10**20]}, "inventory must be 'even' or a list of ints in [1, 2**53], "
+         "got [100000000000000000000]"),
+        ({"traffic": [10**18]}, "traffic must be None or a list of ints in [0, 2**53], got "
+         "[1000000000000000000]"),
+        ({"num_intervals": 10_000, "mean_traffic": 2**53}, "relevance matrix is too large")]
+
+    @pytest.mark.parametrize("fields,message", SIZE_PAST_BOUND,
+                             ids=["traffic-1e20", "num_items-1e20", "inventory-1e20",
+                                  "traffic-1e18", "mean_traffic-2**53"])
+    def test_size_past_the_bound_exits_one(self, tmp_path, capsys, fields, message):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"num_items": 10, "num_providers": 1, "num_intervals": 1,
+                                    **fields}))
+        assert main(["run", "--synth", str(path), "--K", "3", "--m", "0", "--eta", "0.01"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+
     # A prior of 1e308 per interval would sum past the float range over
     # three intervals; it is past the config's 2**53, and refused.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -573,6 +599,21 @@ class TestSpecValidation:
         base = {"synth": {**SYNTH, "zzz": 1}, "K": 5, "eta": ETA}
         code, err = self.sweep(tmp_path, capsys, {"base": base, "grid": {"k": [1.5]}})
         assert code == 1 and "zzz" in err and "Traceback" not in err
+
+    # A base whose synth spec does not add up, or whose catalog is shorter
+    # than a list, is refused before any run; every run of the sweep used to
+    # fail, and the sweep to exit 0.
+    @pytest.mark.parametrize("synth,message", [
+        ({"num_items": 10, "num_providers": 2, "num_intervals": 2, "traffic": [1, 2, 3]},
+         "explicit traffic length must equal the horizon"),
+        ({"num_items": 4, "num_providers": 2, "num_intervals": 2, "mean_traffic": 3},
+         "need at least 5 items, catalog has 4")])
+    def test_sweep_base_that_cannot_run_exits_one(self, tmp_path, capsys, synth, message):
+        base = {"synth": synth, "K": 5, "m": 1, "eta": 0.01}
+        spec = {"base": base, "grid": {"rule": ["talmud", "prop"]}, "seeds": [0, 1]}
+        code, err = self.sweep(tmp_path, capsys, spec)
+        assert code == 1 and err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_synth_list_size_other_than_k_exits_one(self, tmp_path, capsys):
         # It used to be replaced by K silently, and the report echoed K.

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from bankfair import errors, harness
+from bankfair import acceptance, domain, errors, harness
 from bankfair.domain import FairnessPolicy, LogSchema, SynthConfig
 from bankfair.errors import ConfigError, check
 from bankfair.harness import RunConfig, run
@@ -106,7 +106,8 @@ def test_numpy_values_are_accepted(build, key):
 
 def test_numpy_bands_are_accepted():
     bands = np.array(BANDS["provider_bands"])
-    assert SynthConfig(**{**BANDS, "provider_bands": bands}).provider_bands is bands
+    kept = SynthConfig(**{**BANDS, "provider_bands": bands}).provider_bands
+    assert kept == tuple(BANDS["provider_bands"])  # a tuple of pairs, not the array
     with pytest.raises(ConfigError, match="^provider_bands must be "):
         SynthConfig(**{**BANDS, "provider_bands": [(0.5, True), (0.0, 0.5)]})
 
@@ -123,6 +124,46 @@ def test_built_configs_are_frozen(build):
     for field in dataclasses.fields(config):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(config, field.name, getattr(config, field.name))
+
+
+def test_synth_sequences_cannot_change_after_the_checks():
+    # A band changed after the checks used to reach the draw: relevance up to
+    # 4.9996 on the benchmark config. The sequences are tuples, bands too.
+    config = SynthConfig(**BANDS)
+    for entries in (config.traffic, config.inventory, config.provider_bands,
+                    config.provider_bands[0]):
+        with pytest.raises(TypeError):
+            entries[0] = entries[0]
+    with pytest.raises(TypeError):
+        acceptance.benchmark_config("talmud", 0).synth.provider_bands[0] = (2.0, 5.0)
+
+
+def test_numpy_sequences_write_the_lists_report(tmp_path):
+    # Numpy traffic, inventory and bands once stopped report.json's echo with a TypeError.
+    arrays = {key: np.array(BANDS[key]) for key in ("traffic", "inventory", "provider_bands")}
+    for name, synth in (("lists", BANDS), ("arrays", {**BANDS, **arrays})):
+        run(dataclasses.replace(run_config(out_dir=str(tmp_path / name)),
+                                synth=SynthConfig(**synth)))
+    report = (tmp_path / "lists" / "report.json").read_bytes()
+    assert (tmp_path / "arrays" / "report.json").read_bytes() == report
+
+
+# Each SynthConfig size and count at 2**53 and one past it: the fields that
+# take the value, and the key that the refusal names.
+SIZES = {
+    "num_items": lambda v: dict(num_items=v, inventory="even"),
+    "num_providers": lambda v: dict(num_items=2**53, num_providers=v, inventory="even"),
+    "list_size": lambda v: dict(list_size=v),
+    "traffic": lambda v: dict(traffic=[v, 4]),
+    "inventory": lambda v: dict(num_items=2**53, num_providers=1, inventory=[v]),
+}
+
+
+@pytest.mark.parametrize("key", SIZES)
+def test_synth_sizes_are_bounded(key):
+    SynthConfig(**{**SYNTH, **SIZES[key](2**53)})
+    with pytest.raises(ConfigError, match=rf"^{key} must be .*2\*\*53\], got "):
+        SynthConfig(**{**SYNTH, **SIZES[key](2**53 + 1)})
 
 
 def test_replace_checks_again():
@@ -142,7 +183,8 @@ RULES = [errors.NUMBER, errors.INT, errors.NONNEGATIVE_INT, errors.POSITIVE_INT,
          errors.NONNEGATIVE, errors.POSITIVE, errors.UNIT,
          errors.NONEMPTY_LIST, errors.PATH, errors.number_in(1, 2),
          errors.list_of("ints >= 0", errors.NONNEGATIVE_INT, 2),
-         errors.either(None, errors.POSITIVE), errors.either("auto", errors.UNIT)]
+         errors.either(None, errors.POSITIVE), errors.either("auto", errors.UNIT),
+         domain._SIZE, domain._COUNT]
 ODD = [None, "x", "", b"1", [], [None], {}, {"a": 1}, object(), np.array(1.0),
        np.array([[1, 2]]), np.array(["a"]), np.bool_(True), np.float16(1), 10**400, -10**400,
        float("nan"), float("-inf"), complex(1, 1)]

@@ -99,6 +99,10 @@ class TestSynthInstance:
             assert ra.user_id == rb.user_id
             np.testing.assert_array_equal(ra.relevance, rb.relevance)
 
+    def test_even_inventory_gives_the_remainder_to_the_first_providers(self):
+        cfg = SynthConfig(num_items=10, num_providers=3, num_intervals=1, traffic=[0])
+        np.testing.assert_array_equal(synth_instance(cfg, 0)[0].inventory, [4, 3, 3])
+
     def test_uniform_relevance_mean(self):
         cfg = SynthConfig(num_items=100, num_providers=5, num_intervals=1, traffic=[100])
         _, _, requests = synth_instance(cfg, seed=0)
@@ -149,19 +153,18 @@ class TestSynthInstance:
                                                   rf"\[1, {domain.MAX_INTERVALS}\], got {bad}"):
                 SynthConfig(num_items=4, num_providers=2, num_intervals=bad)
 
-    # Checked when an instance is drawn: the counts must add up.
+    # Checked on construction: the counts must add up.
     @pytest.mark.parametrize("fields,message", [
         (dict(inventory=[5, 4]), "explicit inventory must cover all items"),
         (dict(inventory=[4, 3, 3]), "explicit inventory must cover all items"),
         (dict(traffic=[1, 2, 3]), "explicit traffic length must equal the horizon")])
     def test_spec_that_does_not_add_up(self, fields, message):
-        cfg = SynthConfig(num_items=10, num_providers=2, num_intervals=2, **fields)
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            synth_instance(cfg, 0)
+            SynthConfig(num_items=10, num_providers=2, num_intervals=2, **fields)
 
     def test_more_providers_than_items_rejected(self):
-        with pytest.raises(ConfigError):
-            synth_instance(SynthConfig(num_items=2, num_providers=3, num_intervals=1), 0)
+        with pytest.raises(ConfigError, match="^more providers than items$"):
+            SynthConfig(num_items=2, num_providers=3, num_intervals=1)
 
 
 class TestResampleTraffic:
@@ -401,14 +404,13 @@ class TestIngestion:
             load_interactions(tmp_path / "inst")
 
 
-def reference_synth(cfg, seed):
+def reference_synth(cfg, item_provider, seed):
     """Relevance drawn one user at a time: the reference for the block draw.
 
-    Returns the (users x items) matrix and the generator's state after the
-    last draw.
+    ``item_provider`` is the drawn catalog's. Returns the (users x items)
+    matrix and the generator's state after the last draw.
     """
     rng = np.random.default_rng(seed)
-    item_provider = np.repeat(np.arange(cfg.num_providers), cfg.resolve_inventory())
     if cfg.traffic is not None:
         counts = np.asarray(cfg.traffic, dtype=np.int64)
     else:
@@ -451,9 +453,9 @@ class TestRelevanceMatrix:
         made = []
         real = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
-        _, counts, requests = synth_instance(cfg, seed=17)
+        catalog, counts, requests = synth_instance(cfg, seed=17)
         monkeypatch.undo()
-        matrix, state = reference_synth(cfg, seed=17)
+        matrix, state = reference_synth(cfg, catalog.item_provider, seed=17)
         assert len(requests) == int(counts.sum()) == matrix.shape[0]
         served = np.array([r.relevance for r in requests]).reshape(matrix.shape)
         assert served.tobytes() == matrix.tobytes()
@@ -491,9 +493,9 @@ class TestRelevanceMatrix:
         made = []
         real = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
-        _, _, requests = synth_instance(cfg, seed=3)
+        catalog, _, requests = synth_instance(cfg, seed=3)
         monkeypatch.undo()
-        matrix, state = reference_synth(cfg, seed=3)
+        matrix, state = reference_synth(cfg, catalog.item_provider, seed=3)
         assert np.array([r.relevance for r in requests]).tobytes() == matrix.tobytes()
         assert made[0].bit_generator.state == state
 

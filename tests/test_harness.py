@@ -303,9 +303,8 @@ class TestRun:
         with caplog.at_level("WARNING", logger="bankfair"):
             rep = run(cfg)
         assert "clamping" not in caplog.text  # so talmud's estate is not cut to the claims
-        if cfg.synth is not None:
-            item_provider = np.repeat(np.arange(cfg.synth.num_providers),
-                                      cfg.synth.resolve_inventory())
+        if cfg.synth is not None:  # the seed draws no part of a synthetic catalog
+            item_provider = synth_instance(cfg.synth, 0)[0].item_provider
         else:
             item_provider = load_interactions(cfg.data_path, cfg.schema)[0].item_provider
         m, k = cfg.policy.required_min_exposure, cfg.policy.list_size
