@@ -9,9 +9,12 @@ of ``--seeds``, one run at a time: two benches sharing a host's CPUs would
 measure each other. The sides alternate which runs first, so each is first
 in half of the pairs. For run_s, users_per_s, setup_s and peak_rss_mb the
 script prints each side's median and quartiles, the pairs the change wins
-(ties count for neither) and a two-sided sign-test p-value over the pairs
-that are not ties, with the usable CPUs. It exits 1 when ``report_sha256`` or
-NDCG/Vio/ESP differ in any pair, and when a run fails.
+(ties count for neither), a two-sided sign-test p-value over the pairs that
+are not ties, the change in the median as a share of the parent's median,
+and whether the move counts as a gain, with the usable CPUs. A gain needs
+ten pairs or more, the change winning at least 9 of every 10, and its median
+better than the parent's by more than the parent's q3 - q1. It exits 1 when
+``report_sha256`` or NDCG/Vio/ESP differ in any pair, and when a run fails.
 """
 
 import argparse
@@ -87,17 +90,19 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {n} pairs at seeds {' '.join(map(str, args.seeds))}, "
           f"--seconds {args.seconds}, {cpus} usable CPUs")
     print(f"  {'metric':12s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}"
-          f" {'wins':>7s} {'p':>6s}")
+          f" {'wins':>7s} {'p':>6s} {'shift':>7s} {'gain':>4s}")
     for name, higher in TIMED:
-        cells = []
-        for side in ("parent", "change"):
-            q1, q2, q3 = quartiles([pair[side][name] for pair in pairs])
-            cells.append(f"{q2:.5g} [{q1:.5g}, {q3:.5g}]")
+        sides = [quartiles([pair[side][name] for pair in pairs]) for side in ("parent", "change")]
+        cells = [f"{q2:.5g} [{q1:.5g}, {q3:.5g}]" for q1, q2, q3 in sides]
+        (q1, parent, q3), (_, change, _) = sides
         diffs = [pair["change"][name] - pair["parent"][name] for pair in pairs]
         wins = sum(d > 0 if higher else d < 0 for d in diffs)
         losses = sum(d != 0 for d in diffs) - wins
+        move = change - parent
+        gain = n >= 10 and 10 * wins >= 9 * n and (move if higher else -move) > q3 - q1
         print(f"  {name:12s} {cells[0]:>30s} {cells[1]:>30s} {f'{wins}/{n}':>7s}"
-              f" {sign_test(wins, losses):6.3f}")
+              f" {sign_test(wins, losses):6.3f} {move / parent:+7.1%}"
+              f" {'yes' if gain else 'no':>4s}")
     same_hash = sum(p["parent"]["report_sha256"] == p["change"]["report_sha256"] for p in pairs)
     same_outputs = sum(all(p["parent"][k] == p["change"][k] for k in OUTPUTS) for p in pairs)
     print(f"  report_sha256 equal in {same_hash}/{n} pairs; "

@@ -3,8 +3,8 @@
 The remaining exposure requirement of a provider is treated as an estate to
 be divided among the remaining intervals, whose claims are the (scaled)
 predicted traffic. ``talmud(claims, estate)`` does the division by the rule
-of Aumann and Maschler in closed form, for a vector of estates at once
-because all providers share the same claims; naive and prop are simpler
+of Aumann and Maschler in closed form, for every provider's estate at once,
+awarding only the first claimant, this interval; naive and prop are simpler
 baseline rules. ``plan_interval`` returns the interval's audit: a dict of
 per-provider estate, claim, award and theta arrays (AUDIT_COLUMNS), whose
 ``award`` column is the interval's exposure floor.
@@ -37,8 +37,8 @@ def talmud(claims: np.ndarray,
     raises InfeasibleAllocationError; within that slack it is clamped to the
     total.
 
-    Returns (awards, theta): one award row and one theta per estate, or one
-    award vector and a float theta for a scalar estate.
+    Returns (awards, theta): each claimant's award and a float theta for a
+    scalar estate, or each estate's award to the first claimant and its theta.
 
     With half-claims h, each claimant receives min(h, theta) when the estate
     is at most half the total claims, and claim - min(h, theta) otherwise. In
@@ -79,10 +79,9 @@ def talmud(claims: np.ndarray,
     target = np.minimum(estate, total - estate)
     seg = np.searchsorted(at_kink[:-1], target)  # a target past every kink: the last segment
     theta = (target - below[seg]) / flat[seg]
-    awards = np.minimum(half, theta[..., None])
-    upper = estate > 0.5 * total  # these estates' claimants get claim - min(h, theta)
-    if upper.any():
-        np.subtract(d, awards, out=awards, where=upper[..., None])
+    c = d if estate.ndim == 0 else d[0]  # a vector of estates: the first claimant's award each
+    low = np.minimum(0.5 * c, theta)
+    awards = np.where(estate > 0.5 * total, c - low, low)
     return awards, float(theta) if theta.ndim == 0 else theta
 
 
@@ -133,10 +132,8 @@ def plan_interval(rule: str, remaining: np.ndarray, claims: np.ndarray,
                 "stays in the remaining requirement of providers %s",
                 interval, over.size, total_claims, over.tolist())
         estate = np.minimum(remaining, total_claims)
-        awards, theta = talmud(claims, estate)
-        # A copy, not a view: a run keeps every interval's audit, and a view
-        # would keep each P x H award matrix alive, memory quadratic in H.
-        plan, claim = awards[:, 0].copy(), claims[0]
+        plan, theta = talmud(claims, estate)
+        claim = claims[0]
     elif rule == "naive":
         claim = remaining / 2.0
         # forecast[0] >= forecast.mean(), exactly for the flat and integer

@@ -54,10 +54,10 @@ _CHUNK_ROWS = 256
 _DRAW_CHUNK = 8192
 
 # Most intervals a log may span, which one outlier timestamp sets; 10 000 is
-# over a year of hours. Each interval's plan divides over every remaining
-# interval, so planning work grows with the square of the horizon and memory
-# linearly: 300 providers with one arrival an interval ran in 0.54 s at a
-# peak RSS of 53 MB over 1 000 intervals, and 14.4 s at 196 MB over 10 000.
+# over a year of hours. Each interval's plan forecasts and sorts the claims of
+# every remaining interval, so planning work grows with the square of the
+# horizon and memory linearly: 300 providers with one arrival an interval ran
+# in 0.16-0.26 s (53 MB peak RSS) over 1 000 intervals, 2.1 s (195 MB) over 10 000.
 MAX_INTERVALS = 10_000
 
 # A synthetic spec's sizes and counts, bounded as real config values are.

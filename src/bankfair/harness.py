@@ -61,6 +61,9 @@ class RunConfig:
         if self.synth is not None and self.synth.num_items < self.policy.list_size:
             raise ConfigError(f"need at least {self.policy.list_size} items, catalog has "
                               f"{self.synth.num_items}")
+        if self.synth is not None and self.policy.required_min_exposure.size not in (
+                1, self.synth.num_providers):
+            raise ConfigError("policy covers a different number of providers than the catalog")
         check("data_path", self.data_path, either(None, PATH))
         check("tau", self.tau, either(None, POSITIVE))
         check("relevance_noise", self.relevance_noise, NONNEGATIVE)

@@ -83,26 +83,30 @@ class TestTalmudPinnedValues:
     @pytest.mark.parametrize("claims", [
         [3.0, 3.0, 1.0, 3.0, 0.0, 1.0],
         [0.1, 0.1, 0.1, 0.2, 0.3, 0.0, 0.0],
+        [0.0, 2.0, 2.0, 5.0],
         [7.0],
         [0.0, 0.0, 0.0],
-    ], ids=["ties", "tenths", "one", "zeros"])
+    ], ids=["ties", "tenths", "zero_first", "one", "zeros"])
     def test_one_pass_award_matches_both_branch_formula(self, claims):
-        # talmud writes min(h, theta) once and rewrites the rows of the estates
-        # above half the total; bit for bit that is the two-branch np.where.
+        # A scalar estate's awards are, bit for bit, the two-branch np.where;
+        # a vector of estates gives each one's first award and theta, bit for
+        # bit those of the scalar call.
         d = np.array(claims)
         total = float(d.sum())
         half = total / 2.0
-        estates = np.array([0.0, half, np.nextafter(half, 0.0), np.nextafter(half, np.inf), total])
+        estates = np.array([0.0, 0.25 * total, half, np.nextafter(half, 0.0),
+                            np.nextafter(half, np.inf), 0.75 * total, total])
         estates = np.minimum(estates, total)  # all-zero claims have no estate above 0
-        awards, theta = talmud(d, estates)
-        low = np.minimum(0.5 * d, theta[:, None])
-        expected = np.where((estates <= half)[:, None], low, d - low)
-        assert awards.tobytes() == expected.tobytes()
+        first, theta = talmud(d, estates)
+        assert first.shape == theta.shape == estates.shape
         for row, estate in enumerate(estates):
             one, one_theta = talmud(d, float(estate))
             low = np.minimum(0.5 * d, one_theta)
             assert one.tobytes() == np.where(estate <= half, low, d - low).tobytes()
-            assert one.tobytes() == awards[row].tobytes()
+            assert one[0].tobytes() == first[row].tobytes()
+            assert np.float64(one_theta).tobytes() == theta[row].tobytes()
+        first, theta = talmud(d, np.empty(0))
+        assert first.shape == theta.shape == (0,)
 
     @pytest.mark.parametrize("claims,estate,message", [
         ([], 0.0, "claims must be a nonempty vector"),
@@ -212,12 +216,12 @@ class TestTalmudProperties:
         extra = [total * f for f in fracs]
         estates = np.array([estate, 0.0, total / 2.0, total, *extra,
                             *np.minimum(kink_estates(claims), total)])
-        awards, theta = talmud(claims, estates)
-        assert awards.shape == (estates.size, claims.size)
+        first, theta = talmud(claims, estates)
+        assert first.shape == theta.shape == (estates.size,)
         for row, e in enumerate(estates):
             one_awards, one_theta = talmud(claims, float(e))
-            np.testing.assert_array_equal(awards[row], one_awards)
-            assert theta[row] == one_theta
+            assert first[row].tobytes() == one_awards[0].tobytes()
+            assert theta[row].tobytes() == np.float64(one_theta).tobytes()
 
     def test_equal_claims_get_equal_awards(self):
         claims = np.array([250.0, 250.0, 40.0, 250.0])
@@ -303,7 +307,7 @@ class TestPlanInterval:
 
     def test_audit_columns_own_their_data(self):
         # A run keeps every interval's audit: a column that views a larger
-        # array (talmud's P x H award matrix) would keep all of it alive.
+        # array would keep all of it alive.
         for rule in ("talmud", "naive", "prop", "none"):
             audit = plan_interval(rule, np.array([10.0, 20.0]), np.full(3, 30.0),
                                   np.full(3, 5.0))

@@ -208,9 +208,10 @@ class TestRun:
         for audit in audits:
             np.testing.assert_array_equal(audit["award"], audit["estate"] / 2)
 
-    def test_floors_for_another_number_of_providers(self):
-        # Two floors for small_config's four providers; only one is broadcast.
-        cfg = small_config(policy=FairnessPolicy([30.0, 30.0], 0.95, 5))
+    def test_floors_for_another_number_of_providers(self, tmp_path):
+        # Two floors for the log's four providers; only one is broadcast. A
+        # log's provider count is known only once it is read.
+        cfg = log_config(tmp_path, policy=FairnessPolicy([30.0, 30.0], 0.95, 5))
         with pytest.raises(ConfigError, match="^policy covers a different number of "
                                               "providers than the catalog$"):
             run(cfg)
@@ -614,6 +615,20 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError):
             RunConfig(policy=FairnessPolicy([1] * 2, 0.9, 5),
                       rerank=RerankConfig(list_size=5, eta=0.05), synth=synth, rule="greedy")
+
+    def test_floors_neither_one_nor_one_per_provider(self, monkeypatch):
+        # Refused when built, so a sweep over such a base stops before any run.
+        monkeypatch.setattr(harness, "run", lambda cfg: pytest.fail("a run before the checks"))
+        synth = SynthConfig(num_items=10, num_providers=2, num_intervals=1, list_size=3)
+        rerank = RerankConfig(list_size=3, eta=0.05)
+        for floors in ([1.0], [1.0, 1.0]):
+            RunConfig(policy=FairnessPolicy(floors, 0.9, 3), rerank=rerank, synth=synth)
+        message = "^policy covers a different number of providers than the catalog$"
+        with pytest.raises(ConfigError, match=message):
+            sweep(RunConfig(policy=FairnessPolicy([1.0, 1.0, 1.0], 0.9, 3), rerank=rerank,
+                            synth=synth), {"rule": ["talmud", "prop"]}, [0, 1])
+        with pytest.raises(ConfigError, match=message):
+            replace(small_config(), policy=FairnessPolicy([30.0] * 3, 0.95, 5))
 
     # Checked when the config is built, before any interval is forecast.
     @pytest.mark.parametrize("overrides,key", [

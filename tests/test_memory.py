@@ -1,5 +1,5 @@
-"""Traced memory of a run: per-row state is numbers in arrays, and a kept
-per-interval plan is P-long, not P x H.
+"""Traced memory of a run: per-row state is numbers in arrays, and planning
+an interval builds P-long and H-long arrays, no P x H matrix.
 
 Each bound is ``tracemalloc``'s peak above the start of the call, which
 counts Python objects and numpy's heap buffers. An instance matrix on an
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from bankfair import harness, metrics
+from bankfair.bankruptcy import plan_interval
 from bankfair.domain import (RELEVANCE_FILE, FairnessPolicy, LogSchema, SynthConfig,
                              _write_relevance_matrix, instance_matrix, load_interactions)
 from bankfair.reranker import RerankConfig
@@ -128,10 +129,10 @@ def test_ideal_dcg_partitions_in_small_chunks():
 
 
 def test_plan_memory_linear_in_the_horizon():
-    # One arrival in each of 400 intervals for 100 providers. Each interval's
-    # talmud builds a P x H award matrix; a kept audit that viewed it held
-    # every one alive, 66.5 MB traced. The audit's own P-long columns and the
-    # instance peaked at 2.65 MB.
+    # One arrival in each of 400 intervals for 100 providers. When talmud
+    # built each interval's P x H award matrix, kept audits that viewed them
+    # held every one alive, 66.5 MB traced. The audits' own P-long columns and
+    # the instance peak at 1.93 MB.
     providers, intervals = 100, 400
     cfg = harness.RunConfig(
         policy=FairnessPolicy([5.0] * providers, 0.9, 10),
@@ -142,3 +143,17 @@ def test_plan_memory_linear_in_the_horizon():
     report, peak = traced_peak(harness.run, cfg)
     assert report.per_interval_traffic == [1] * intervals
     assert peak < 16 * providers * intervals * 8
+
+
+def test_talmud_plan_allocates_no_award_matrix():
+    # One interval's plan for 300 providers over 2 000 intervals. Awarding
+    # every provider for every interval peaked at 5.02 MB, above one P x H
+    # float64 matrix (4.8 MB); the first interval's awards alone need P-long
+    # and H-long arrays.
+    providers, intervals = 300, 2_000
+    rng = np.random.default_rng(0)
+    forecast = rng.uniform(0.0, 10.0, size=intervals)
+    remaining = rng.uniform(0.0, forecast.sum(), size=providers)  # both halves of the rule
+    audit, peak = traced_peak(plan_interval, "talmud", remaining, forecast, forecast)
+    assert audit["award"].shape == (providers,)
+    assert peak < providers * intervals * 8 / 4

@@ -172,11 +172,14 @@ def test_ab_on_one_checkout_twice():
     assert re.fullmatch(r"long_tail: 1 pairs at seeds 5, --seconds 0\.2, \d+ usable CPUs",
                         lines[0])
     assert lines[1].split() == ["metric", "parent", "median", "[q1,", "q3]",
-                                "change", "median", "[q1,", "q3]", "wins", "p"]
+                                "change", "median", "[q1,", "q3]", "wins", "p", "shift",
+                                "gain"]
     number = r"[0-9.e+-]+"
     cell = rf"{number} \[{number}, {number}\]"
+    # One pair is never a gain, however it falls.
     for line, name in zip(lines[2:6], ("run_s", "users_per_s", "setup_s", "peak_rss_mb")):
-        assert re.fullmatch(rf"  {name} +{cell} +{cell} +[01]/1 +1\.000", line), line
+        assert re.fullmatch(rf"  {name} +{cell} +{cell} +[01]/1 +1\.000 +{number}% +no",
+                            line), line
     assert lines[6:] == ["  report_sha256 equal in 1/1 pairs; NDCG/Vio/ESP equal in 1/1 pairs"]
 
 
@@ -189,16 +192,27 @@ def test_ab_alternates_sides_and_fails_when_a_pair_differs(tmp_path, monkeypatch
 
     def bench(tree, workload, seed, seconds):
         calls.append((tree.name, seed))
-        return {"run_s": 1.0, "users_per_s": 2.0, "setup_s": 0.5, "peak_rss_mb": 3.0,
+        change = tree.name == "change"
+        # run_s: the change wins every pair by 0.05 s, inside the parent's
+        # spread over seeds. setup_s: it wins 8 of 10 pairs by far. peak_rss_mb:
+        # it wins every pair by more than the parent's spread.
+        return {"run_s": seed - 0.05 * change, "users_per_s": 2.0,
+                "setup_s": 0.5 - 0.4 * change * (len(calls) > 4),
+                "peak_rss_mb": 3.0 + 0.1 * seed - 2.0 * change,
                 "ndcg_at_k": 0.5, "vio_at_k": 0.1, "esp_at_k": 0.9,
                 "report_sha256": str(len(calls) == 4)}
 
     monkeypatch.setattr(ab, "bench", bench)
     assert ab.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
-                    "long_tail", "--seeds", "1", "2", "--pairs", "1", "--seconds", "0.1"]) == 1
-    assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
+                    "long_tail", "--seeds", "1", "2", "--pairs", "5", "--seconds", "0.1"]) == 1
+    assert calls == list(zip(["parent", "change", "change", "parent"] * 5, [1] * 10 + [2] * 10))
     out = capsys.readouterr().out
-    assert "report_sha256 equal in 1/2 pairs; NDCG/Vio/ESP equal in 2/2 pairs" in out
+    rows = {line.split()[0]: line.split()[-4:] for line in out.splitlines()[2:6]}
+    assert rows == {"run_s": ["10/10", "0.002", "-3.3%", "no"],
+                    "users_per_s": ["0/10", "1.000", "+0.0%", "no"],
+                    "setup_s": ["8/10", "0.008", "-80.0%", "no"],
+                    "peak_rss_mb": ["10/10", "0.002", "-63.5%", "yes"]}
+    assert "report_sha256 equal in 9/10 pairs; NDCG/Vio/ESP equal in 10/10 pairs" in out
 
 
 def test_ab_sign_test():
