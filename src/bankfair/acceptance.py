@@ -1,9 +1,11 @@
 """Built-in acceptance suite.
 
-Each criterion is a self-contained check with its own independent oracle
-(grid search, exhaustive enumeration, Monte Carlo, or pinned hand-computed
-values). ``bankfair verify`` runs them and prints one line per criterion;
-the pytest suite asserts the same results.
+Each criterion is a check with its own independent oracle (grid search,
+exhaustive enumeration, Monte Carlo, or pinned hand-computed values): it
+takes no arguments and returns ``(passed, detail)``. ``CRITERIA`` gives each
+id its check, description and time gate, and ``run_criterion`` times the
+check and fails it if it runs past its gate. ``bankfair verify`` runs them
+and prints one line per criterion; the pytest suite asserts the same results.
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ def _theta_grid_oracle(claims: np.ndarray, estate: float, points: int = 300_000)
     return np.maximum(claims / 2.0, claims - best), best
 
 
-def criterion_1() -> CriterionResult:
+def criterion_1() -> tuple[bool, str]:
     """Textbook triple against the theta-grid oracle."""
-    start = time.perf_counter()
     claims = np.array([100.0, 200.0, 300.0])
     expected = {
         100.0: np.array([100.0, 100.0, 100.0]) / 3.0,
@@ -68,18 +69,14 @@ def criterion_1() -> CriterionResult:
         worst_grid = max(worst_grid, float(np.abs(got - oracle).max()))
         ok &= np.abs(got - want).max() <= 1e-6
         ok &= np.abs(got - oracle).max() <= 1e-3  # grid pitch limited
-    dt = time.perf_counter() - start
-    ok &= dt < 1.0
-    return CriterionResult(1, "talmud textbook triple vs theta-grid oracle", bool(ok),
-                           f"max|err|={worst_exact:.2e}, grid gap={worst_grid:.2e}", dt)
+    return bool(ok), f"max|err|={worst_exact:.2e}, grid gap={worst_grid:.2e}"
 
 
-def criterion_2(n_instances: int = 10_000) -> CriterionResult:
+def criterion_2() -> tuple[bool, str]:
     """Allocation-rule property suite on random instances."""
-    start = time.perf_counter()
     rng = np.random.default_rng(20240901)
     failures = []
-    for i in range(n_instances):
+    for i in range(10_000):
         n = int(rng.integers(1, 9))
         claims = rng.uniform(0.0, 1000.0, size=n)
         if n >= 2:
@@ -123,10 +120,7 @@ def criterion_2(n_instances: int = 10_000) -> CriterionResult:
             failures.append((i, "resource monotonicity"))
         if failures:
             break
-    dt = time.perf_counter() - start
-    ok = not failures and dt < 10.0
-    return CriterionResult(2, f"talmud property suite on {n_instances} random instances",
-                           bool(ok), f"failures={failures[:3]}", dt)
+    return not failures, f"failures={failures[:3]}"
 
 
 def _two_provider_toy():
@@ -147,9 +141,8 @@ def toy_exposure_run(n_users: int, eta: float = 0.12):
     return earned, float(np.mean(ndcgs))
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3() -> tuple[bool, str]:
     """Feasible-region ratios plus the two-provider toy runs."""
-    start = time.perf_counter()
     r3 = metrics.feasible_region_ratio(np.array([4.0, 0.0]), 3, 5)
     r2 = metrics.feasible_region_ratio(np.array([4.0, 0.0]), 2, 5)
     ok = abs(r3 - 0.7333) <= 1e-3 and abs(r2 - 0.6000) <= 1e-3
@@ -157,24 +150,20 @@ def criterion_3() -> CriterionResult:
     expo2, ndcg2 = toy_exposure_run(2)
     ok &= expo3[0] >= 4 and expo2[0] >= 4
     ok &= ndcg3 > ndcg2
-    dt = time.perf_counter() - start
-    return CriterionResult(
-        3, "feasible-region ratios and two-provider toy enforcement", bool(ok),
-        f"ratios=({r3:.4f},{r2:.4f}) exposure=({int(expo3[0])},{int(expo2[0])}) "
-        f"ndcg=({ndcg3:.4f},{ndcg2:.4f})", dt)
+    return bool(ok), (f"ratios=({r3:.4f},{r2:.4f}) exposure=({int(expo3[0])},{int(expo2[0])}) "
+                      f"ndcg=({ndcg3:.4f},{ndcg2:.4f})")
 
 
 def _conjugate_objective(e: np.ndarray, mu: float, lam: float, m: float) -> np.ndarray:
     return -lam * np.maximum(m - e, 0.0) + mu * e
 
 
-def criterion_5(n_draws: int = 1000) -> CriterionResult:
+def criterion_5() -> tuple[bool, str]:
     """Closed-form conjugate maximizer against a 10^4-point grid search."""
-    start = time.perf_counter()
     rng = np.random.default_rng(7)
     worst = 0.0
     ok = True
-    for i in range(n_draws):
+    for i in range(1000):
         lam = float(rng.uniform(0.1, 2.0))
         m = float(rng.uniform(0.0, 10.0))
         gamma = float(m + rng.uniform(0.0, 10.0))
@@ -196,9 +185,7 @@ def criterion_5(n_draws: int = 1000) -> CriterionResult:
         value = reranker.conjugate_value(prices, caps, floor)
         attained = float(_conjugate_objective(np.array([e_star]), mu, lam, m)[0])
         ok &= abs(value - attained) <= 1e-9
-    dt = time.perf_counter() - start
-    return CriterionResult(5, f"conjugate closed form vs grid search on {n_draws} draws",
-                           bool(ok), f"worst gap={worst:.2e}", dt)
+    return bool(ok), f"worst gap={worst:.2e}"
 
 
 def _enumeration_oracle(relevance, providers, mu, rhat, k):
@@ -219,12 +206,11 @@ def _enumeration_oracle(relevance, providers, mu, rhat, k):
     return np.array([key[2] for key in best_seq])
 
 
-def criterion_6(n_instances: int = 1000) -> CriterionResult:
+def criterion_6() -> tuple[bool, str]:
     """List selection against exhaustive subset enumeration."""
-    start = time.perf_counter()
     rng = np.random.default_rng(11)
     mismatches = expanded = 0
-    for _ in range(n_instances):
+    for _ in range(1000):
         n_items = int(rng.integers(5, 13))
         k = int(rng.integers(1, 5))
         n_prov = int(rng.integers(1, 5))
@@ -240,10 +226,8 @@ def criterion_6(n_instances: int = 1000) -> CriterionResult:
         if not np.array_equal(got, want):
             mismatches += 1
         expanded += bool((providers[1:] >= providers[:-1]).all())  # listed by provider
-    dt = time.perf_counter() - start
-    return CriterionResult(6, f"select_list vs exhaustive enumeration on {n_instances} instances",
-                           mismatches == 0, f"mismatches={mismatches} prices expanded="
-                           f"{expanded} gathered={n_instances - expanded}", dt)
+    return mismatches == 0, (f"mismatches={mismatches} prices expanded={expanded} "
+                             f"gathered={1000 - expanded}")
 
 
 def binding_plan_loss(traffic: int, seed: int, plan_vec: np.ndarray,
@@ -270,20 +254,17 @@ def binding_plan_loss(traffic: int, seed: int, plan_vec: np.ndarray,
 UNPOPULAR_BANDS = [(0.0, 0.3)] + [(0.0, 1.0)] * 3
 
 
-def criterion_4(n_levels: int = 20, n_seeds: int = 10) -> CriterionResult:
+def criterion_4() -> tuple[bool, str]:
     """Higher traffic, lower mean accuracy loss under a fixed binding floor."""
-    start = time.perf_counter()
-    levels = np.linspace(5, 100, n_levels).astype(int)
+    levels = np.linspace(5, 100, 20).astype(int)
     plan_vec = np.array([12.0, 0.0, 0.0, 0.0])
     mean_losses = []
     for traffic in levels:
         losses = [binding_plan_loss(int(traffic), seed, plan_vec, UNPOPULAR_BANDS)
-                  for seed in range(n_seeds)]
+                  for seed in range(10)]
         mean_losses.append(float(np.mean(losses)))
     rho = metrics.spearman_rho(levels, mean_losses)
-    dt = time.perf_counter() - start
-    return CriterionResult(4, f"loss vs traffic rank correlation over {n_levels} levels",
-                           rho <= -0.8, f"spearman={rho:.3f}", dt)
+    return rho <= -0.8, f"spearman={rho:.3f}"
 
 
 def benchmark_config(rule: str, seed: int) -> harness.RunConfig:
@@ -311,67 +292,65 @@ def benchmark_config(rule: str, seed: int) -> harness.RunConfig:
                              forecaster="oracle", tau=0.2, seed=seed)
 
 
-def criterion_7(seeds=(0, 1, 2, 3, 4)) -> CriterionResult:
+def criterion_7() -> tuple[bool, str]:
     """Talmud rule meets every floor and violates fewer users than baselines."""
-    start = time.perf_counter()
     means = {}
     esps = {}
     for rule in ("talmud", "naive", "prop"):
-        reports = [harness.run(benchmark_config(rule, seed)) for seed in seeds]
+        reports = [harness.run(benchmark_config(rule, seed)) for seed in range(5)]
         means[rule] = float(np.mean([r.vio_at_k for r in reports]))
         esps[rule] = [r.esp_at_k for r in reports]
     ok = all(e == 1.0 for e in esps["talmud"])
     ok &= all(min(esps["talmud"]) >= max(esps[rule]) for rule in ("naive", "prop"))
     ok &= means["talmud"] < means["naive"] and means["talmud"] < means["prop"]
-    dt = time.perf_counter() - start
-    ok &= dt < 60.0
-    detail = (f"vio: talmud={means['talmud']:.4f} naive={means['naive']:.4f} "
-              f"prop={means['prop']:.4f}; talmud esp={esps['talmud']}")
-    return CriterionResult(7, "desk-scale dominance over naive and prop", bool(ok), detail, dt)
+    return bool(ok), (f"vio: talmud={means['talmud']:.4f} naive={means['naive']:.4f} "
+                      f"prop={means['prop']:.4f}; talmud esp={esps['talmud']}")
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8() -> tuple[bool, str]:
     """Unconstrained rule reproduces plain top-K exactly."""
-    start = time.perf_counter()
     ok = True
     details = []
     for seed in (0, 3):
         rep = harness.run(benchmark_config("none", seed))
         ok &= rep.ndcg_at_k == 1.0 and rep.vio_at_k == 0.0
         details.append(f"seed {seed}: ndcg={rep.ndcg_at_k} vio={rep.vio_at_k} esp={rep.esp_at_k:.2f}")
-    dt = time.perf_counter() - start
-    return CriterionResult(8, "unconstrained collapse (rule=none)", bool(ok),
-                           "; ".join(details), dt)
+    return bool(ok), "; ".join(details)
 
 
-def criterion_9() -> CriterionResult:
+def criterion_9() -> tuple[bool, str]:
     """Identical seeds give byte-identical reports."""
-    start = time.perf_counter()
     def make():
         cfg = benchmark_config("talmud", seed=42)
         cfg = replace(cfg, relevance_noise=0.05)
         return harness.run(cfg).to_json()
-    ok = make() == make()
-    dt = time.perf_counter() - start
-    return CriterionResult(9, "byte-identical report for identical seeds", bool(ok), "", dt)
+    return make() == make(), ""
 
 
+# id -> (check, description, gate): a check that runs for gate seconds or
+# more fails; None sets no gate.
 CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
+    1: (criterion_1, "talmud textbook triple vs theta-grid oracle", 1.0),
+    2: (criterion_2, "talmud property suite on 10000 random instances", 10.0),
+    3: (criterion_3, "feasible-region ratios and two-provider toy enforcement", None),
+    4: (criterion_4, "loss vs traffic rank correlation over 20 levels", None),
+    5: (criterion_5, "conjugate closed form vs grid search on 1000 draws", None),
+    6: (criterion_6, "select_list vs exhaustive enumeration on 1000 instances", None),
+    7: (criterion_7, "desk-scale dominance over naive and prop", 60.0),
+    8: (criterion_8, "unconstrained collapse (rule=none)", None),
+    9: (criterion_9, "byte-identical report for identical seeds", None),
 }
 
 
+def run_criterion(cid: int) -> CriterionResult:
+    """Run criterion ``cid``'s check, timed; past its gate it fails."""
+    check, description, gate = CRITERIA[cid]
+    start = time.perf_counter()
+    passed, detail = check()
+    seconds = time.perf_counter() - start
+    passed = passed and (gate is None or seconds < gate)
+    return CriterionResult(cid, description, bool(passed), detail, seconds)
+
+
 def run_all(wanted=None) -> list[CriterionResult]:
-    results = []
-    for cid in sorted(CRITERIA):
-        if wanted is None or cid in wanted:
-            results.append(CRITERIA[cid]())
-    return results
+    return [run_criterion(cid) for cid in sorted(CRITERIA) if wanted is None or cid in wanted]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import logging
 import math
 import mmap
 import os
@@ -33,7 +32,6 @@ from .errors import (MAX_MAGNITUDE, NONNEGATIVE, NONNEGATIVE_INT, POSITIVE, POSI
                      ConfigError, ConsistencyError, ParseError, check, either, list_of,
                      not_utf8)
 
-logger = logging.getLogger(__name__)
 
 INTERACTIONS_FILE = "interactions.csv"
 CATALOG_FILE = "catalog.csv"
@@ -410,14 +408,21 @@ def save_instance(directory, catalog: Catalog, counts: np.ndarray,
     request's top-relevance item, the lowest id among ties), catalog.csv with
     the full item->provider map, and relevance.bin with one dense row per
     distinct user in order of first appearance. An arrival's timestamp is
-    its interval's start plus its 0-based position in the interval, so
-    reloading reconstructs the original grouping exactly. ``counts`` must
-    sum to the number of requests (ConfigError otherwise).
+    its interval's start plus its 0-based position in the interval, in
+    seconds, so an interval may hold only as many arrivals as fit one second
+    apart in ``interval_seconds``, and ``counts`` must sum to the number of
+    requests (ConfigError otherwise). Reloading then reconstructs the
+    grouping exactly, but a log spans its first timestamp to its last, so the
+    empty intervals before the first arrival and after the last are dropped.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.sum() != len(requests):
         raise ConfigError(f"counts sum to {int(counts.sum())}, "
                           f"but there are {len(requests)} requests")
+    over = np.flatnonzero(counts - 1 >= interval_seconds)
+    if over.size:  # the last arrival's timestamp would fall in the next interval
+        raise ConfigError(f"interval {over[0] + 1} has {counts[over[0]]} arrivals, more than fit "
+                          f"one second apart in its {interval_seconds:g} s")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 

@@ -354,12 +354,13 @@ def sweep(base: RunConfig, grid: dict[str, list],
           seeds: list[int] | tuple[int, ...] | np.ndarray) -> SweepResult:
     """Run every point of ``grid`` over ``base`` for each of ``seeds``.
 
-    ``grid`` maps some of GRID_KEYS to nonempty lists of values; ``seeds``
+    ``grid`` is a dict from some of GRID_KEYS to nonempty lists of values; ``seeds``
     are distinct ints >= 0 in a 1-d list, tuple or array. Both are checked,
     each grid value alone, before any run. A failed run is recorded and
     does not stop the sweep. The summary marks grid points not dominated on
     (ESP up, NDCG up, Vio down) by any other point.
     """
+    check("sweep grid", grid, ("a dict of lists", lambda g: isinstance(g, dict)))
     if not grid:
         raise ConfigError("sweep grid must be nonempty")
     unknown = set(grid) - set(GRID_KEYS)

@@ -571,6 +571,13 @@ class TestSpecValidation:
         assert code == 1 and f"sweep grid {key}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_grid_that_is_not_an_object(self, tmp_path, capsys):
+        spec = {"base": {"synth": SYNTH, "K": 5, "eta": ETA}, "grid": ["k"]}
+        code, err = self.sweep(tmp_path, capsys, spec)
+        assert code == 1 and "Traceback" not in err
+        assert err.splitlines() == ["error: sweep grid must be a dict of lists, got ['k']"]
+        assert not (tmp_path / "out").exists()
+
     # A base value is used as it is, never converted to its option's type.
     @pytest.mark.parametrize("base,key", [
         ({"K": 5.7}, "'K'"), ({"K": True}, "'K'"), ({"m": True}, "'m'"),

@@ -386,6 +386,26 @@ class TestIngestion:
         with pytest.raises(ConfigError, match="counts sum to 5, but there are 3 requests"):
             save_instance(tmp_path / "inst", catalog, np.array([5]), requests)
 
+    def test_interval_with_more_arrivals_than_seconds_rejected(self, tmp_path):
+        # Arrivals are stamped one second apart from the interval's start: five
+        # of them in 4 s would reload as [4, 4].
+        cfg = SynthConfig(num_items=6, num_providers=2, num_intervals=2, traffic=[5, 3])
+        catalog, counts, requests = synth_instance(cfg, seed=0)
+        with pytest.raises(ConfigError, match="^interval 1 has 5 arrivals, more than fit "
+                                              "one second apart in its 4 s$"):
+            save_instance(tmp_path / "inst", catalog, counts, requests, interval_seconds=4)
+        assert not (tmp_path / "inst").exists()
+        save_instance(tmp_path / "inst", catalog, counts, requests, interval_seconds=5)
+        _, counts2, _ = load_interactions(tmp_path / "inst", LogSchema(interval_seconds=5))
+        np.testing.assert_array_equal(counts2, [5, 3])
+
+    def test_reload_drops_empty_intervals_at_either_end(self, tmp_path):
+        # A log spans its first timestamp to its last.
+        cfg = SynthConfig(num_items=6, num_providers=2, num_intervals=4, traffic=[0, 3, 2, 0])
+        catalog, counts, requests = synth_instance(cfg, seed=0)
+        save_instance(tmp_path / "inst", catalog, counts, requests)
+        np.testing.assert_array_equal(load_interactions(tmp_path / "inst")[1], [3, 2])
+
     def test_no_requests_saves_an_empty_matrix(self, tmp_path):
         cfg = SynthConfig(num_items=6, num_providers=2, num_intervals=2, traffic=[0, 0])
         catalog, counts, requests = synth_instance(cfg, seed=0)

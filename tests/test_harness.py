@@ -728,6 +728,8 @@ class TestSweep:
         # Every value is checked, with these messages, before any run.
         monkeypatch.setattr(harness, "run", lambda cfg: pytest.fail("a run before the checks"))
         for grid, seeds, message in [
+                (["k"], [0], r"sweep grid must be a dict of lists, got \['k'\]"),
+                (None, [0], "sweep grid must be a dict of lists, got None"),
                 ({}, [0], "sweep grid must be nonempty"),
                 ({"nope": [1]}, [0], r"unknown grid keys: \['nope'\]"),
                 ({"k": [1.5]}, [0, 0], "replication seeds must be distinct"),

@@ -54,7 +54,7 @@ sys.modules["scipy"] = None  # every import of scipy now fails
 from bankfair import acceptance, harness
 result = harness.sweep(acceptance.benchmark_config("talmud", 0), {{"k": [1.5]}}, [0, 1])
 print(result.summary[0]["ndcg_ci95"] > 0.0)
-print(acceptance.criterion_4(n_levels=3, n_seeds=2).detail)
+print(acceptance.criterion_4()[1])
 sys.argv = ["traffic_sensitivity.py", "--levels", "3", "--seeds", "2",
             "--out", {str(tmp_path / "curve.csv")!r}]
 runpy.run_path("scripts/traffic_sensitivity.py", run_name="__main__")
@@ -62,7 +62,7 @@ runpy.run_path("scripts/traffic_sensitivity.py", run_name="__main__")
     out = python("-c", code)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[:2] == ["True", "spearman=-1.000"]
+    assert lines[:2] == ["True", "spearman=-0.952"]
     assert "spearman(traffic, loss) = -1.000" in lines
     assert len(read_rows(tmp_path / "curve.csv")) == 3
 
