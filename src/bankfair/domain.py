@@ -409,12 +409,14 @@ def save_instance(directory, catalog: Catalog, counts: np.ndarray,
     the full item->provider map, and relevance.bin with one dense row per
     distinct user in order of first appearance. An arrival's timestamp is
     its interval's start plus its 0-based position in the interval, in
-    seconds, so an interval may hold only as many arrivals as fit one second
-    apart in ``interval_seconds``, and ``counts`` must sum to the number of
-    requests (ConfigError otherwise). Reloading then reconstructs the
-    grouping exactly, but a log spans its first timestamp to its last, so the
-    empty intervals before the first arrival and after the last are dropped.
+    seconds. So ``interval_seconds`` is a number in [2**-53, 2**53], an
+    interval may hold only as many arrivals as fit one second apart in it,
+    and ``counts`` must sum to the number of requests (ConfigError before
+    anything is written otherwise). Reloading then reconstructs the grouping
+    exactly, but a log spans its first timestamp to its last, so the empty
+    intervals before the first arrival and after the last are dropped.
     """
+    check("interval_seconds", interval_seconds, POSITIVE)
     counts = np.asarray(counts, dtype=np.int64)
     if counts.sum() != len(requests):
         raise ConfigError(f"counts sum to {int(counts.sum())}, "
@@ -568,10 +570,13 @@ def load_interactions(path, schema: LogSchema | None = None):
     if cat_path is not None:
         catalog_provider: dict[str, int] = {}
         with _open_utf8(cat_path) as fh:
-            for lineno, row in enumerate(csv.DictReader(fh), start=2):
+            reader = csv.DictReader(fh)
+            if {"item_id", "provider_id"} - set(reader.fieldnames or ()):
+                raise ParseError(f"{cat_path}: header must contain item_id,provider_id")
+            for lineno, row in enumerate(reader, start=2):
                 try:
                     iid, provider = row["item_id"], int(row["provider_id"])
-                except (KeyError, TypeError, ValueError) as exc:
+                except (TypeError, ValueError) as exc:
                     raise ParseError(f"{cat_path} row {lineno}: {exc}") from None
                 if iid in catalog_provider:
                     raise ParseError(f"{cat_path} row {lineno}: duplicate item id {iid!r}")

@@ -254,27 +254,23 @@ def _write_decisions(path, records, k, num_items):
 # Sweeps
 # ---------------------------------------------------------------------------
 
-GRID_KEYS = ("m_scale", "k", "beta_mix", "eta", "tau", "phi", "rule")
+# Each grid key's (owner, field): a field of RunConfig's policy, its rerank, or its own
+# (owner None). m_scale sets the floors to the base's times its value.
+GRID_KEYS = {"m_scale": ("policy", "required_min_exposure"), "k": ("rerank", "alpha_k"),
+             "beta_mix": ("rerank", "beta_mix"), "eta": ("rerank", "eta"), "tau": (None, "tau"),
+             "phi": ("policy", "required_min_accuracy"), "rule": (None, "rule")}
 
 
 def _apply_point(base: RunConfig, point: dict) -> RunConfig:
-    policy, rerank = base.policy, base.rerank
-    if "m_scale" in point:
-        m = policy.required_min_exposure * check("m_scale", point["m_scale"], NONNEGATIVE)
-        policy = FairnessPolicy(m, policy.required_min_accuracy, policy.list_size)
-    if "phi" in point:
-        policy = FairnessPolicy(policy.required_min_exposure, point["phi"], policy.list_size)
-    if "k" in point:
-        rerank = replace(rerank, alpha_k=point["k"])
-    if "beta_mix" in point:
-        rerank = replace(rerank, beta_mix=point["beta_mix"])
-    if "eta" in point:
-        rerank = replace(rerank, eta=point["eta"])
-    cfg = replace(base, policy=policy, rerank=rerank, out_dir=None)
-    if "tau" in point:
-        cfg = replace(cfg, tau=point["tau"])
-    if "rule" in point:
-        cfg = replace(cfg, rule=point["rule"])
+    cfg = replace(base, out_dir=None)
+    for key, value in point.items():
+        owner, name = GRID_KEYS[key]
+        if key == "m_scale":
+            value = base.policy.required_min_exposure * check("m_scale", value, NONNEGATIVE)
+        change = {name: value}
+        if owner is not None:
+            change = {owner: replace(getattr(cfg, owner), **change)}
+        cfg = replace(cfg, **change)
     return cfg
 
 
@@ -338,16 +334,12 @@ class SweepResult:
     def write(self, directory):
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        if self.rows:
-            with open(directory / "runs.csv", "w", newline="", encoding="utf-8") as fh:
-                w = csv.DictWriter(fh, fieldnames=list(self.rows[0].keys()))
-                w.writeheader()
-                w.writerows(self.rows)
-        if self.summary:
-            with open(directory / "pareto.csv", "w", newline="", encoding="utf-8") as fh:
-                w = csv.DictWriter(fh, fieldnames=list(self.summary[0].keys()))
-                w.writeheader()
-                w.writerows(self.summary)
+        for name, records in (("runs.csv", self.rows), ("pareto.csv", self.summary)):
+            if records:
+                with open(directory / name, "w", newline="", encoding="utf-8") as fh:
+                    w = csv.DictWriter(fh, fieldnames=list(records[0]))
+                    w.writeheader()
+                    w.writerows(records)
 
 
 def sweep(base: RunConfig, grid: dict[str, list],
@@ -358,7 +350,8 @@ def sweep(base: RunConfig, grid: dict[str, list],
     are distinct ints >= 0 in a 1-d list, tuple or array. Both are checked,
     each grid value alone, before any run. A failed run is recorded and
     does not stop the sweep. The summary marks grid points not dominated on
-    (ESP up, NDCG up, Vio down) by any other point.
+    (ESP up, NDCG up, Vio down) by any other point, and a point without a
+    successful run with "".
     """
     check("sweep grid", grid, ("a dict of lists", lambda g: isinstance(g, dict)))
     if not grid:
@@ -382,9 +375,10 @@ def sweep(base: RunConfig, grid: dict[str, list],
     rows, summary = [], []
     for combo in itertools.product(*(grid[key] for key in keys)):
         point = dict(zip(keys, combo))
+        point_cfg = _apply_point(base, point)
         values = {"ndcg": [], "vio": [], "esp": []}
         for seed in seeds:
-            cfg = replace(_apply_point(base, point), seed=seed)
+            cfg = replace(point_cfg, seed=seed)
             row = {**point, "seed": seed}
             try:
                 rep = run(cfg)
@@ -406,16 +400,12 @@ def sweep(base: RunConfig, grid: dict[str, list],
 
     scored = [s for s in summary if s["runs_ok"]]
     for s in summary:
-        s["pareto"] = ""
-    for s in scored:
-        dominated = any(
-            o is not s
-            and o["esp_mean"] >= s["esp_mean"]
+        s["pareto"] = "" if not s["runs_ok"] else not any(
+            o["esp_mean"] >= s["esp_mean"]
             and o["ndcg_mean"] >= s["ndcg_mean"]
             and o["vio_mean"] <= s["vio_mean"]
             and (o["esp_mean"] > s["esp_mean"] or o["ndcg_mean"] > s["ndcg_mean"]
                  or o["vio_mean"] < s["vio_mean"])
             for o in scored
         )
-        s["pareto"] = not dominated
     return SweepResult(rows, summary)

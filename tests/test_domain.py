@@ -399,6 +399,16 @@ class TestIngestion:
         _, counts2, _ = load_interactions(tmp_path / "inst", LogSchema(interval_seconds=5))
         np.testing.assert_array_equal(counts2, [5, 3])
 
+    @pytest.mark.parametrize("width", [float("nan"), float("inf"), 0, -5])
+    def test_interval_seconds_checked_before_anything_is_written(self, tmp_path, width):
+        # Refused by name before the directory is made, not on reload as a
+        # timestamp or by the arrivals-per-interval check.
+        cfg = SynthConfig(num_items=6, num_providers=2, num_intervals=2, traffic=[2, 1])
+        catalog, counts, requests = synth_instance(cfg, seed=0)
+        with pytest.raises(ConfigError, match="^interval_seconds must be a number in "):
+            save_instance(tmp_path / "inst", catalog, counts, requests, interval_seconds=width)
+        assert not (tmp_path / "inst").exists()
+
     def test_reload_drops_empty_intervals_at_either_end(self, tmp_path):
         # A log spans its first timestamp to its last.
         cfg = SynthConfig(num_items=6, num_providers=2, num_intervals=4, traffic=[0, 3, 2, 0])
@@ -688,10 +698,13 @@ def reference_load(path, schema):
     if cat_path is not None:
         catalog_provider = {}
         with open(cat_path, newline="") as fh:
-            for lineno, row in enumerate(csv.DictReader(fh), start=2):
+            reader = csv.DictReader(fh)
+            if {"item_id", "provider_id"} - set(reader.fieldnames or ()):
+                raise ParseError(f"{cat_path}: header must contain item_id,provider_id")
+            for lineno, row in enumerate(reader, start=2):
                 try:
                     iid, provider = row["item_id"], int(row["provider_id"])
-                except (KeyError, TypeError, ValueError) as exc:
+                except (TypeError, ValueError) as exc:
                     raise ParseError(f"{cat_path} row {lineno}: {exc}") from None
                 if iid in catalog_provider:
                     raise ParseError(f"{cat_path} row {lineno}: duplicate item id {iid!r}")
@@ -855,6 +868,22 @@ class TestColumnarIngestion:
         log.write_text(header + "u1,a,0,1,0.5\n\nu1,a,0,2,0.6\nu2,a,1,4,0.5\n")
         with pytest.raises(ConsistencyError, match=r"^row 4: item 'a' has provider '1'"):
             load_interactions(tmp_path)
+
+    # catalog.csv's header is checked as the log's is; an empty file has none.
+    @pytest.mark.parametrize("text,error", [
+        ("item_id,provider\n5,0\n", "{cat}: header must contain item_id,provider_id"),
+        ("", "{cat}: header must contain item_id,provider_id"),
+        ("item_id,provider_id\n0,abc\n", "{cat} row 2: invalid literal for int()"),
+        ("item_id,provider_id\n0\n", "{cat} row 2: int() argument must be")])
+    def test_catalog_header_and_rows(self, tmp_path, text, error):
+        (tmp_path / domain.CATALOG_FILE).write_text(text)
+        (tmp_path / domain.INTERACTIONS_FILE).write_text(
+            "user_id,item_id,provider_id,timestamp,score\nu1,5,0,1,0.5\n")
+        schema = LogSchema(interval_seconds=2.0)
+        kind, message = load_outcome(columnar_load, tmp_path, schema)
+        assert (kind, message) == load_outcome(reference_load, tmp_path, schema)
+        assert kind is ParseError
+        assert message.startswith(error.format(cat=tmp_path / domain.CATALOG_FILE))
 
     def test_one_request_per_user(self, tmp_path):
         (tmp_path / domain.INTERACTIONS_FILE).write_text(

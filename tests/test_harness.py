@@ -7,6 +7,7 @@ import threading
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -723,6 +724,46 @@ class TestSweep:
         result = sweep(base, {"k": [1.2, 1.5]}, [0])
         assert all(row["status"] == "error" for row in result.rows)
         assert len(result.rows) == 2
+
+    def test_every_grid_key_sets_its_field(self, monkeypatch, tmp_path):
+        # One config per grid point, copied with each seed: out_dir is dropped.
+        configs = []
+
+        def capture(cfg):
+            configs.append(cfg)
+            raise RuntimeError("captured")
+        monkeypatch.setattr(harness, "run", capture)
+        base = small_config(out_dir=str(tmp_path))
+        grid = {"m_scale": [0.5], "phi": [0.8], "k": [1.2], "beta_mix": [0.25],
+                "eta": [0.01], "tau": [0.5], "rule": ["prop"]}
+        assert set(grid) == set(harness.GRID_KEYS)
+        result = sweep(base, grid, [0, 1])
+        assert [row["status"] for row in result.rows] == ["error", "error"]
+        first, second = configs
+        assert (first.policy.required_min_exposure.tolist(), first.policy.required_min_accuracy,
+                first.rerank.alpha_k, first.rerank.beta_mix, first.rerank.eta, first.tau,
+                first.rule) == ([15.0] * 4, 0.8, 1.2, 0.25, 0.01, 0.5, "prop")
+        assert first.policy.list_size == first.rerank.list_size == base.policy.list_size
+        assert (first.seed, second.seed, first.out_dir) == (0, 1, None)
+        assert first.policy is second.policy and first.rerank is second.rerank
+        assert replace(first, seed=1) == second
+
+    def test_equal_points_are_both_on_the_front(self, monkeypatch):
+        # Neither of two points with equal means dominates the other.
+        report = SimpleNamespace(ndcg_at_k=0.9, vio_at_k=0.1, esp_at_k=0.5)
+        monkeypatch.setattr(harness, "run", lambda cfg: report)
+        result = sweep(small_config(), {"rule": ["talmud", "prop"]}, [0, 1])
+        assert [s["pareto"] for s in result.summary] == [True, True]
+
+    def test_point_without_a_run_is_off_the_front(self, monkeypatch):
+        def run_or_fail(cfg):
+            if cfg.rule == "prop":
+                raise RuntimeError("no run")
+            return SimpleNamespace(ndcg_at_k=0.9, vio_at_k=0.1, esp_at_k=0.5)
+        monkeypatch.setattr(harness, "run", run_or_fail)
+        result = sweep(small_config(), {"rule": ["talmud", "prop"]}, [0, 1])
+        assert [(s["runs_ok"], s["pareto"]) for s in result.summary] == [(2, True), (0, "")]
+        assert result.summary[1]["ndcg_mean"] == ""
 
     def test_grid_validation(self, monkeypatch):
         # Every value is checked, with these messages, before any run.
