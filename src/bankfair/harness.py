@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
 import logging
 import math
+import os
 import re
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -22,9 +23,6 @@ from .errors import (NONEMPTY_LIST, NONNEGATIVE, NONNEGATIVE_INT, PATH, POSITIVE
 from .metrics import SimReport
 
 logger = logging.getLogger(__name__)
-
-_Interval = namedtuple("_Interval", "n audit user_ids lists digests ndcg esp")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -108,10 +106,12 @@ def run(cfg: RunConfig) -> SimReport:
     served and scored like any other, with zero rows.
 
     Right after the build (and the tau deal), requests become one array of
-    matrix rows and one list of user ids; interval n is a slice of each.
-    Each interval leaves one record, which the report and both CSV writers
-    read after the loop: its audit, its arrivals' user ids, their lists,
-    NDCGs and price digests (when writing outputs), and the ESP so far.
+    matrix rows; interval n is a slice of it and of the requests. Each
+    interval keeps only what the report reads: its arrivals' NDCGs and the
+    ESP so far. With ``out_dir`` its allocations.csv and decisions.csv rows
+    are written as soon as it is scored, under temporary names that
+    become the files' own once the report is written; a run that raises
+    leaves ``out_dir`` as it found it.
     """
     # One sub-seed per stochastic stage keeps every stage independently
     # reproducible for a fixed run seed.
@@ -133,7 +133,6 @@ def run(cfg: RunConfig) -> SimReport:
         requests = redistribute_requests(requests, deal_seed)
 
     rows = np.fromiter((req.row for req in requests), dtype=np.int64, count=len(requests))
-    user_ids = [req.user_id for req in requests]
     horizon = counts.size
     bounds = [0, *np.cumsum(counts).tolist()]  # interval n is [bounds[n-1], bounds[n])
     matrix = instance_matrix(requests) if requests else np.empty((0, catalog.num_items))
@@ -143,7 +142,7 @@ def run(cfg: RunConfig) -> SimReport:
     realized = counts.astype(float)
     cumulative = np.zeros(catalog.num_providers, dtype=np.int64)
 
-    records = []
+    ndcgs, esps = [], []
     rerank_cfg = replace(cfg.rerank, eta=0.0) if cfg.rule == "none" else cfg.rerank
     lam = reranker.compute_penalties(catalog, cfg.rerank.beta_mix)
     # Claims of alpha * K per predicted arrival; alpha_k = 1 makes them sum
@@ -152,102 +151,134 @@ def run(cfg: RunConfig) -> SimReport:
     scaled_floors, slots = cfg.rerank.alpha_k * float(m.sum()), m.size * k
     realized_sum = 0.0
 
-    for n in range(1, horizon + 1):
-        lo, hi = bounds[n - 1], bounds[n]
-        rhat = forecast.forecast_traffic(
-            realized[: n - 1], horizon - n + 1, cfg.forecaster, cfg.forecaster_params,
-            future=realized[n - 1:]).horizon_values
-        rhat_n = max(float(rhat[0]), 1.0)
-        remaining = np.maximum(m - cumulative, 0.0)
-        traffic_total = max(float(realized_sum + rhat.sum()), 1.0)
-        realized_sum += realized[n - 1]
-        alpha = scaled_floors / (slots * traffic_total)
-        audit = bankruptcy.plan_interval(cfg.rule, remaining, alpha * k * rhat, rhat, interval=n)
+    with _output_writer(cfg.out_dir, k, catalog.num_items) as write:
+        for n in range(1, horizon + 1):
+            lo, hi = bounds[n - 1], bounds[n]
+            rhat = forecast.forecast_traffic(
+                realized[: n - 1], horizon - n + 1, cfg.forecaster, cfg.forecaster_params,
+                future=realized[n - 1:]).horizon_values
+            rhat_n = max(float(rhat[0]), 1.0)
+            remaining = np.maximum(m - cumulative, 0.0)
+            traffic_total = max(float(realized_sum + rhat.sum()), 1.0)
+            realized_sum += realized[n - 1]
+            alpha = scaled_floors / (slots * traffic_total)
+            audit = bankruptcy.plan_interval(cfg.rule, remaining, alpha * k * rhat, rhat,
+                                             interval=n)
 
-        # The arrivals' rows of `scored`: the instance matrix, or a noise block.
-        at = rows[lo:hi]
-        if cfg.relevance_noise > 0:
-            # A new (arrivals x items) block, one row per arrival in arrival
-            # order: the same stream as one draw per arrival. It is scored on
-            # its own and dropped with the interval. Rows are added one at a
-            # time: matrix[at] would be a second block.
-            scored = noise_rng.normal(0.0, cfg.relevance_noise,
-                                      size=(len(at), catalog.num_items))
-            for i, row in enumerate(at.tolist()):
-                scored[i] += matrix[row]
-            np.clip(scored, 0.0, 1.0, out=scored)
-            at, scored_ideal = np.arange(len(at)), metrics.top_k_dcg(scored, k)
-        else:
-            scored, scored_ideal = matrix, ideal[at]
-        lists, earned, prices = reranker.run_interval(
-            scored, at, audit["award"], rerank_cfg, catalog, rhat_n, lam)
-        cumulative += earned
-        digests = b""
+            # The arrivals' rows of `scored`: the instance matrix, or a noise block.
+            at = rows[lo:hi]
+            if cfg.relevance_noise > 0:
+                # A new (arrivals x items) block, one row per arrival in arrival
+                # order: the same stream as one draw per arrival. It is scored on
+                # its own and dropped with the interval. Rows are added one at a
+                # time: matrix[at] would be a second block.
+                scored = noise_rng.normal(0.0, cfg.relevance_noise,
+                                          size=(len(at), catalog.num_items))
+                for i, row in enumerate(at.tolist()):
+                    scored[i] += matrix[row]
+                np.clip(scored, 0.0, 1.0, out=scored)
+                at, scored_ideal = np.arange(len(at)), metrics.top_k_dcg(scored, k)
+            else:
+                scored, scored_ideal = matrix, ideal[at]
+            lists, earned, prices = reranker.run_interval(
+                scored, at, audit["award"], rerank_cfg, catalog, rhat_n, lam)
+            cumulative += earned
+            ndcgs.append(metrics.ndcg_at_k(scored[at[:, None], lists], scored_ideal))
+            esps.append(metrics.esp_at_k(cumulative, m))
+            if write is not None:
+                write(n, audit, requests[lo:hi], lists, prices)
+            del scored, prices  # the noise block and prices die with the interval
+
+        phi = cfg.policy.required_min_accuracy
+        per_user_ndcg = np.concatenate(ndcgs).tolist()
+        report = SimReport(
+            ndcg_at_k=float(np.mean(per_user_ndcg)) if per_user_ndcg else 1.0,
+            vio_at_k=metrics.vio_at_k(per_user_ndcg, phi) if per_user_ndcg else 0.0,
+            esp_at_k=esps[-1],
+            per_interval_traffic=[int(c) for c in counts],
+            per_interval_accuracy=[float(np.mean(v)) if v.size else 1.0 for v in ndcgs],
+            per_interval_vio=[metrics.vio_at_k(v, phi) if v.size else 0.0 for v in ndcgs],
+            per_interval_esp=esps,
+            per_provider_cumulative_exposure=[int(c) for c in cumulative],
+            per_user_ndcg=per_user_ndcg,
+            config_echo=cfg.echo(),
+        )
         if cfg.out_dir is not None:
-            digests = b"".join([hashlib.sha1(mu).digest()[:6] for mu in prices])
-        ndcg = metrics.ndcg_at_k(scored[at[:, None], lists], scored_ideal)
-        del scored, prices  # the noise block and prices die with the interval
-        records.append(_Interval(n, audit, user_ids[lo:hi], lists, digests, ndcg,
-                                 metrics.esp_at_k(cumulative, m)))
-
-    phi = cfg.policy.required_min_accuracy
-    per_user_ndcg = np.concatenate([r.ndcg for r in records]).tolist()
-    report = SimReport(
-        ndcg_at_k=float(np.mean(per_user_ndcg)) if per_user_ndcg else 1.0,
-        vio_at_k=metrics.vio_at_k(per_user_ndcg, phi) if per_user_ndcg else 0.0,
-        esp_at_k=records[-1].esp,
-        per_interval_traffic=[int(c) for c in counts],
-        per_interval_accuracy=[float(np.mean(r.ndcg)) if r.user_ids else 1.0 for r in records],
-        per_interval_vio=[metrics.vio_at_k(r.ndcg, phi) if r.user_ids else 0.0 for r in records],
-        per_interval_esp=[r.esp for r in records],
-        per_provider_cumulative_exposure=[int(c) for c in cumulative],
-        per_user_ndcg=per_user_ndcg,
-        config_echo=cfg.echo(),
-    )
-    if cfg.out_dir is not None:
-        report.write(cfg.out_dir)
-        _write_allocations(Path(cfg.out_dir) / "allocations.csv", records)
-        _write_decisions(Path(cfg.out_dir) / "decisions.csv", records, k, catalog.num_items)
+            report.write(cfg.out_dir)
     return report
 
 
-def _write_allocations(path, records):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["interval", "provider", *bankruptcy.AUDIT_COLUMNS])
-        for r in records:
-            columns = (r.audit[name].tolist() for name in bankruptcy.AUDIT_COLUMNS)
-            w.writerows([r.n, p, *values] for p, values in enumerate(zip(*columns)))
+@contextlib.contextmanager
+def _output_writer(out_dir, k, num_items):
+    """Yields a function that writes one interval's allocations.csv and
+    decisions.csv rows, or None when ``out_dir`` is None.
+
+    Both files are open under temporary names in ``out_dir`` from the start,
+    with their headers written. They are renamed into place when the block
+    ends. If it raises, they are removed, with every directory made for
+    them, so a failed run leaves ``out_dir`` as it found it.
+    """
+    if out_dir is None:
+        yield None
+        return
+    out = Path(out_dir)
+    made = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))
+    out.mkdir(parents=True, exist_ok=True)
+    names = ("allocations.csv", "decisions.csv")
+    temps = [out / f"{name}.tmp" for name in names]
+    labels = np.array([str(i) for i in range(num_items)], dtype=object)
+    try:
+        with (open(temps[0], "w", newline="", encoding="utf-8") as allocations,
+              open(temps[1], "w", newline="", encoding="utf-8") as decisions):
+            csv.writer(allocations).writerow(["interval", "provider", *bankruptcy.AUDIT_COLUMNS])
+            decisions.write(",".join(["interval", "t", "user_id",
+                                      *(f"item_{i}" for i in range(1, k + 1)),
+                                      "mu_snapshot_hash"]) + "\r\n")
+
+            def write(n, audit, requests, lists, prices):
+                _write_allocations(allocations, n, audit)
+                _write_decisions(decisions, n, [req.user_id for req in requests], lists,
+                                 prices, labels)
+
+            yield write
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        for directory in made:  # innermost first; one holding other files stays
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+    for temp, name in zip(temps, names):
+        os.replace(temp, out / name)
+
+
+def _write_allocations(fh, n, audit):
+    """Interval n's allocations.csv rows, one per provider."""
+    columns = (audit[name].tolist() for name in bankruptcy.AUDIT_COLUMNS)
+    csv.writer(fh).writerows([n, p, *values] for p, values in enumerate(zip(*columns)))
 
 
 # csv.writer quotes a field that holds one of these.
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
-def _write_decisions(path, records, k, num_items):
-    """One row per arrival; an interval's rows are made and written as one string.
+def _write_decisions(fh, n, user_ids, lists, prices, labels):
+    """Interval n's decisions.csv rows, one per arrival, made and written as one string.
 
     The hash column is the first 12 hex digits of the sha1 of the prices
-    that selected the list: the hex of the 6 bytes per arrival that a
-    record's ``digests`` holds. A row is its fields joined by commas, item
-    ids taken from one table of labels. User ids are str (every build makes
-    them so); in an interval where some id holds a comma, a quote, CR or LF,
-    each such id is quoted as csv.writer quotes it, so every row has
-    ``csv.writer``'s bytes.
+    that selected the list. A row is its fields joined by commas, item ids
+    taken from ``labels``, the table of each item's label. User ids are str
+    (every build makes them so); in an interval where some id holds a comma,
+    a quote, CR or LF, each such id is quoted as csv.writer quotes it, so
+    every row has ``csv.writer``'s bytes.
     """
-    labels = np.array([str(i) for i in range(num_items)], dtype=object)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(["interval", "t", "user_id", *(f"item_{i}" for i in range(1, k + 1)),
-                           "mu_snapshot_hash"]) + "\r\n")
-        for n, _, uids, lists, digests, *_ in records:
-            if _CSV_SPECIAL.search("".join(uids)):
-                uids = ['"' + uid.replace('"', '""') + '"' if _CSV_SPECIAL.search(uid) else uid
-                        for uid in uids]
-            hexes = digests.hex()
-            hashes = [hexes[i:i + 12] for i in range(0, len(hexes), 12)]
-            columns = (itertools.repeat(str(n)), map(str, range(1, len(uids) + 1)),
-                       uids, *labels[lists].T.tolist(), hashes)
-            fh.write("".join(map("{}\r\n".format, map(",".join, zip(*columns)))))
+    if _CSV_SPECIAL.search("".join(user_ids)):
+        user_ids = ['"' + uid.replace('"', '""') + '"' if _CSV_SPECIAL.search(uid) else uid
+                    for uid in user_ids]
+    hashes = [hashlib.sha1(mu).hexdigest()[:12] for mu in prices]
+    columns = (itertools.repeat(str(n)), map(str, range(1, len(user_ids) + 1)),
+               user_ids, *labels[lists].T.tolist(), hashes)
+    fh.write("".join(map("{}\r\n".format, map(",".join, zip(*columns)))))
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,27 @@ class TestRun:
             run(cfg)
         assert err.value.interval == 1
 
+    @pytest.mark.parametrize("traffic, prior, interval", [([0, 20], 0.0, 1), ([20, 0, 5], 20.0, 3)])
+    def test_failed_run_leaves_out_dir_as_found(self, tmp_path, traffic, prior, interval):
+        # A zero forecast against an unmet floor stops the run in interval 1,
+        # with only the headers written, or in interval 3, with rows written.
+        # A previous run's files stay as they were; a directory the run made
+        # for its outputs is removed.
+        out = tmp_path / "out"
+        run(small_config(out_dir=str(out)))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == sorted(OUTPUT_FILES)
+        synth = SynthConfig(num_items=40, num_providers=4, num_intervals=len(traffic),
+                            traffic=traffic, list_size=5)
+        cfg = small_config(m=1000.0, forecaster="moving_average",
+                           forecaster_params={"w": 1, "prior_mean": prior}, synth=synth)
+        for directory in (out, tmp_path / "new" / "out"):
+            with pytest.raises(InfeasibleAllocationError) as err:
+                run(replace(cfg, out_dir=str(directory)))
+            assert err.value.interval == interval
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out"]
+
     def test_naive_plans_every_interval_of_a_flat_forecast(self, monkeypatch):
         # A moving average forecasts every coming interval alike, so the
         # naive rule plans half of what remains in each interval.
@@ -273,21 +294,22 @@ class TestRun:
     @settings(max_examples=300, deadline=None)
     def test_decisions_writer_matches_csv_writer(self, tmp_path_factory, batches, rnd):
         # Any str user id (every build makes str ids), empty ones included,
-        # and intervals with no arrivals: the bytes of csv.writer fed the
-        # same rows.
+        # and intervals with no arrivals, written one interval at a time:
+        # the bytes of csv.writer fed the same rows, after the header.
         path = tmp_path_factory.mktemp("decisions")
-        records, k, num_items = [], 3, 5
-        for n, uids in enumerate(batches, 1):
-            lists = np.array([rnd.sample(range(num_items), k) for _ in uids],
-                             dtype=np.int64).reshape(len(uids), k)
-            records.append(harness._Interval(
-                n, None, uids, lists, rnd.randbytes(6 * len(uids)), None, None))
-        harness._write_decisions(path / "got.csv", records, k, num_items)
-        want = reference_decisions(path / "want.csv", k, [
-            (r.n, t, uid, items, r.digests[6 * t - 6:6 * t])
-            for r in records
-            for t, (uid, items) in enumerate(zip(r.user_ids, r.lists.tolist()), 1)])
-        assert (path / "got.csv").read_bytes() == want
+        k, num_items = 3, 5
+        labels = np.array([str(i) for i in range(num_items)], dtype=object)
+        rows = []
+        with open(path / "got.csv", "w", newline="", encoding="utf-8") as fh:
+            for n, uids in enumerate(batches, 1):
+                lists = np.array([rnd.sample(range(num_items), k) for _ in uids],
+                                 dtype=np.int64).reshape(len(uids), k)
+                prices = [rnd.randbytes(24) for _ in uids]
+                harness._write_decisions(fh, n, uids, lists, prices, labels)
+                rows += [(n, t, uid, items, hashlib.sha1(mu).digest()[:6]) for t, (uid, items, mu)
+                         in enumerate(zip(uids, lists.tolist(), prices), 1)]
+        want = reference_decisions(path / "want.csv", k, rows)
+        assert (path / "got.csv").read_bytes() == want[want.index(b"\r\n") + 2:]
 
     # A synthetic run whose traffic has empty intervals, and a log replay.
     # A fractional floor of 24.5: some providers pass it, some do not.

@@ -92,12 +92,17 @@ def test_load_peak_per_row(log):
     assert peak - matrix_bytes(requests) < 250 * ROWS
 
 
-def test_run_peak_with_outputs(replay):
+def test_run_peak_with_outputs(replay, log):
     # A request and a row of decisions per arrival, and report.json built
-    # as one string, peaked at 13.1 MB on this log.
+    # as one string, peaked at 13.1 MB on this log. Keeping every arrival's
+    # list, user id and price digest until the last interval, and writing
+    # the CSV files then, peaked at 4.57 MB, against 2.72 MB for the load
+    # alone. Written as each interval closes, they add nothing measurable:
+    # the run peaks at the load's peak.
     report, peak, _ = replay
+    (_, _, requests), load = traced_peak(load_interactions, log, LogSchema(3600.0))
     assert sum(report.per_interval_traffic) == ROWS
-    assert peak < 13.1e6 / 2
+    assert peak < load - matrix_bytes(requests) + 0.25e6
 
 
 def test_written_report_is_to_json(replay):
@@ -131,8 +136,9 @@ def test_ideal_dcg_partitions_in_small_chunks():
 def test_plan_memory_linear_in_the_horizon():
     # One arrival in each of 400 intervals for 100 providers. When talmud
     # built each interval's P x H award matrix, kept audits that viewed them
-    # held every one alive, 66.5 MB traced. The audits' own P-long columns and
-    # the instance peak at 1.93 MB.
+    # held every one alive, 66.5 MB traced. The audits' own P-long columns,
+    # kept to the end of the run, and the instance peaked at 1.93 MB. A run
+    # that keeps no audit peaks at 0.24 MB.
     providers, intervals = 100, 400
     cfg = harness.RunConfig(
         policy=FairnessPolicy([5.0] * providers, 0.9, 10),
@@ -142,7 +148,7 @@ def test_plan_memory_linear_in_the_horizon():
         forecaster="oracle", seed=1)
     report, peak = traced_peak(harness.run, cfg)
     assert report.per_interval_traffic == [1] * intervals
-    assert peak < 16 * providers * intervals * 8
+    assert peak < 2 * providers * intervals * 8
 
 
 def test_talmud_plan_allocates_no_award_matrix():
